@@ -5,7 +5,8 @@ laid out with the *highest* degree first, matching how the classical systems
 are usually displayed (top-left block = degree q).  ``B_j`` denotes the
 projection onto the degree-j component; ``block_inject`` realizes the
 characteristic pattern ``B_r P B_c`` of placing an operator P into one block
-of the big matrix.
+of the big matrix.  The block helpers accept operator and symbol matrices
+alike and return the type they were given.
 
 The two Maxwell families interleave a complex with its formal adjoints::
 
@@ -19,7 +20,7 @@ with the unweighted Maxwell off-diagonal scaled by a coupling flag ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from cxkit.complexes import (
     Complex,
@@ -28,8 +29,10 @@ from cxkit.complexes import (
     generalized_laplacian,
     perturbed_laplacian,
 )
-from cxkit.diffop import OperatorMatrix, Signature
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.diffop import OperatorMatrix, Signature, SignatureMatrix
+from cxkit.poly import GaussianRational, Poly
+
+MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
 
 @dataclass(frozen=True)
@@ -67,48 +70,40 @@ class BlockPartition:
         return off, off + self.ranks[degree]
 
 
-def block_inject(part: BlockPartition, op: OperatorMatrix,
-                 row_degree: int, col_degree: int) -> OperatorMatrix:
+def block_inject(part: BlockPartition, op: MatrixT,
+                 row_degree: int, col_degree: int) -> MatrixT:
     """Embed ``op`` as the (row_degree, col_degree) block of a big zero matrix."""
     if (op.rows, op.cols) != (part.ranks[row_degree], part.ranks[col_degree]):
         raise ValueError(
             f"block ({row_degree},{col_degree}) expects "
             f"{part.ranks[row_degree]}x{part.ranks[col_degree]}, got {op.rows}x{op.cols}"
         )
-    sig = op.signature
-    zero = Poly.zero(sig.vars)
     n = part.size
-    ents = [[zero] * n for _ in range(n)]
-    r0 = part.offset(row_degree)
-    c0 = part.offset(col_degree)
-    for i in range(op.rows):
-        for j in range(op.cols):
-            ents[r0 + i][c0 + j] = op.body[i, j]
-    return OperatorMatrix(sig, PolyMatrix(sig.vars, ents, shape=(n, n)))
+    body = op.body.embed(n, n, part.offset(row_degree), part.offset(col_degree))
+    return type(op)(op.signature, body)
 
 
-def block_extract(part: BlockPartition, op: OperatorMatrix,
-                  row_degree: int, col_degree: int) -> OperatorMatrix:
+def block_extract(part: BlockPartition, op: MatrixT,
+                  row_degree: int, col_degree: int) -> MatrixT:
     """The (row_degree, col_degree) block of a big operator."""
     if (op.rows, op.cols) != (part.size, part.size):
         raise ValueError("operator does not match the partition size")
-    r0, r1 = part.span(row_degree)
-    c0, c1 = part.span(col_degree)
-    sig = op.signature
-    ents = [[op.body[i, j] for j in range(c0, c1)] for i in range(r0, r1)]
-    return OperatorMatrix(sig, PolyMatrix(sig.vars, ents, shape=(r1 - r0, c1 - c0)))
+    body = op.body.block(*part.span(row_degree), *part.span(col_degree))
+    return type(op)(op.signature, body)
 
 
-def trailing_minor(op: OperatorMatrix, size: int) -> OperatorMatrix:
+def trailing_minor(op: MatrixT, size: int) -> MatrixT:
     """Lower-right ``size`` x ``size`` minor; a degree-q block operator is the
     trailing minor of the corresponding top-degree one."""
-    if op.rows < size or op.cols < size:
-        raise ValueError("minor larger than the matrix")
-    sig = op.signature
-    r0 = op.rows - size
-    c0 = op.cols - size
-    ents = [[op.body[i, j] for j in range(c0, op.cols)] for i in range(r0, op.rows)]
-    return OperatorMatrix(sig, PolyMatrix(sig.vars, ents, shape=(size, size)))
+    body = op.body.block(op.rows - size, op.rows, op.cols - size, op.cols)
+    return type(op)(op.signature, body)
+
+
+def embed_trailing(op: MatrixT, size: int) -> MatrixT:
+    """Place ``op`` in the lower-right corner of a ``size`` x ``size`` zero
+    matrix; the inverse of :func:`trailing_minor`."""
+    body = op.body.embed(size, size, size - op.rows, size - op.cols)
+    return type(op)(op.signature, body)
 
 
 def _as_scalar_poly(value, sig: Signature) -> Poly:
@@ -341,6 +336,7 @@ __all__ = [
     "block_inject",
     "block_extract",
     "trailing_minor",
+    "embed_trailing",
     "maxwell",
     "maxwell_time",
     "assemble_stokes",

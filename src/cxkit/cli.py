@@ -1,12 +1,13 @@
 """Command-line interface.
 
-``cxkit <command> [--spec FILE] [--json OUT] [--seed N] [--budget N] [--tol X]``
+``cxkit <command> [--spec FILE] [--json OUT] [--seed N] [--budget N]``
 
 Commands operate on a spec document (see :mod:`cxkit.dsl`) or on the bundled
 fixture corpus.  All reports are emitted as deterministic JSON (sorted keys)
 plus a short human-readable summary on stderr; the exit status is 0 only when
-every requested verdict passes.  ``CXKIT_THREADS`` caps worker parallelism
-(the current engine is sequential; the value is recorded in reports).
+every requested verdict passes.  ``--budget`` counts Sobol samples for the
+ellipticity checks and S-pairs for ``syzygy`` and ``extend``.  A
+``CXKIT_THREADS`` integer is recorded in reports; the engine is sequential.
 """
 
 from __future__ import annotations
@@ -201,13 +202,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, spec=True):
+    def common(p, *, spec=True, budget=ellipticity.DEFAULT_BUDGET):
         if spec:
             p.add_argument("--spec", help="spec document file")
         p.add_argument("--json", dest="json_out", help="write the JSON report here")
         p.add_argument("--seed", type=int, default=ellipticity.DEFAULT_SEED)
-        p.add_argument("--budget", type=int, default=ellipticity.DEFAULT_BUDGET)
-        p.add_argument("--tol", type=float, default=ellipticity.PASS_THRESHOLD)
+        p.add_argument("--budget", type=int, default=budget)
         return p
 
     common(sub.add_parser("verify", help="complex property and mu coherence"))
@@ -239,10 +239,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name")
     p.add_argument("--side", default="right", choices=("right", "left"))
 
-    p = common(sub.add_parser("syzygy", help="compatibility operator"))
+    p = common(sub.add_parser("syzygy", help="compatibility operator"),
+               budget=syzygy.DEFAULT_PAIR_BUDGET)
     p.add_argument("--name")
 
-    p = common(sub.add_parser("extend", help="extend to a compatibility complex"))
+    p = common(sub.add_parser("extend", help="extend to a compatibility complex"),
+               budget=syzygy.DEFAULT_PAIR_BUDGET)
     p.add_argument("--name")
     p.add_argument("--max-steps", type=int, default=8)
 
@@ -265,11 +267,23 @@ _COMMANDS = {
 }
 
 
+def _threads() -> int | None:
+    """The ``CXKIT_THREADS`` value that reports record, if it is set."""
+    raw = os.environ.get("CXKIT_THREADS")
+    if raw is None:
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise ValueError(f"CXKIT_THREADS must be an integer, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = os.environ.get("CXKIT_THREADS")
+    threads = None
     try:
+        threads = _threads()
         report = _COMMANDS[args.command](args)
     except dsl.SpecError as exc:
         report = {"command": args.command, "error": str(exc), "ok": False}
@@ -277,7 +291,7 @@ def main(argv=None) -> int:
             syzygy.BudgetExceeded, symbols.HypothesisFailure) as exc:
         report = {"command": args.command, "error": str(exc), "ok": False}
     if threads is not None:
-        report["threads"] = int(threads)
+        report["threads"] = threads
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "json_out", None):
         with open(args.json_out, "w", encoding="utf-8") as fh:

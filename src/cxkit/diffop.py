@@ -14,8 +14,8 @@ spatial one, ``"spatial"`` gives it weight zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from dataclasses import dataclass
+from typing import Mapping, Sequence
 
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
@@ -79,8 +79,13 @@ def spatial_signature(n: int, *, time: bool = False, params: Sequence[str] = ())
     )
 
 
-class OperatorMatrix:
-    """A matrix differential operator with constant Gaussian-rational coefficients."""
+class SignatureMatrix:
+    """A :class:`PolyMatrix` body over the variables of a :class:`Signature`.
+
+    Holds the algebra that operators and symbols share.  Every method returns
+    the operand's own class, and binary operations between different
+    subclasses return ``NotImplemented``.
+    """
 
     __slots__ = ("signature", "body")
 
@@ -94,26 +99,17 @@ class OperatorMatrix:
 
     # -- constructors ------------------------------------------------------
 
-    @staticmethod
-    def zero(signature: Signature, rows: int, cols: int) -> "OperatorMatrix":
-        return OperatorMatrix(signature, PolyMatrix.zeros(signature.vars, rows, cols))
+    @classmethod
+    def zero(cls, signature: Signature, rows: int, cols: int):
+        return cls(signature, PolyMatrix.zeros(signature.vars, rows, cols))
 
-    @staticmethod
-    def identity(signature: Signature, n: int) -> "OperatorMatrix":
-        return OperatorMatrix(signature, PolyMatrix.identity(signature.vars, n))
+    @classmethod
+    def identity(cls, signature: Signature, n: int):
+        return cls(signature, PolyMatrix.identity(signature.vars, n))
 
-    @staticmethod
-    def from_entries(signature: Signature, entries: Sequence[Sequence[Poly]]) -> "OperatorMatrix":
-        return OperatorMatrix(signature, PolyMatrix(signature.vars, entries))
-
-    @staticmethod
-    def scalar(signature: Signature, p: Poly) -> "OperatorMatrix":
-        """A 1x1 operator."""
-        return OperatorMatrix(signature, PolyMatrix(signature.vars, [[p.lift(signature.vars)]]))
-
-    def poly(self, name: str) -> Poly:
-        """The polynomial for a single variable of this operator's ring."""
-        return Poly.variable(self.signature.vars, name)
+    @classmethod
+    def from_entries(cls, signature: Signature, entries: Sequence[Sequence[Poly]]):
+        return cls(signature, PolyMatrix(signature.vars, entries))
 
     # -- views -------------------------------------------------------------
 
@@ -132,56 +128,85 @@ class OperatorMatrix:
     def is_zero(self) -> bool:
         return self.body.is_zero
 
-    def order(self, grading: str = ISOTROPIC) -> int:
-        """Max total degree in the derivative symbols (-1 for the zero operator)."""
-        return self.body.total_degree(self.signature.grading_vars(grading))
-
-    def lift(self, signature: Signature) -> "OperatorMatrix":
+    def lift(self, signature: Signature):
         """Re-express over a richer signature (more params and/or a time axis)."""
         merged = self.signature.merge(signature)
         if merged != signature:
-            # The target must contain everything this operator mentions.
+            # The target must contain everything this matrix mentions.
             raise ValueError(f"cannot lift {self.signature} into {signature}")
-        return OperatorMatrix(
+        return type(self)(
             signature,
             self.body.map(lambda p: p.lift(signature.vars), vars=signature.vars),
         )
 
     # -- algebra -----------------------------------------------------------
 
-    def _aligned(self, other: "OperatorMatrix") -> tuple["OperatorMatrix", "OperatorMatrix"]:
+    def _aligned(self, other):
         if self.signature == other.signature:
             return self, other
         sig = self.signature.merge(other.signature)
         return self.lift(sig), other.lift(sig)
 
-    def __add__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         a, b = self._aligned(other)
-        return OperatorMatrix(a.signature, a.body + b.body)
+        return type(self)(a.signature, a.body + b.body)
 
-    def __sub__(self, other: "OperatorMatrix") -> "OperatorMatrix":
+    def __sub__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
         a, b = self._aligned(other)
-        return OperatorMatrix(a.signature, a.body - b.body)
+        return type(self)(a.signature, a.body - b.body)
 
-    def __neg__(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.signature, -self.body)
+    def __neg__(self):
+        return type(self)(self.signature, -self.body)
+
+    def __matmul__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        a, b = self._aligned(other)
+        return type(self)(a.signature, a.body @ b.body)
+
+    def scale(self, value):
+        if isinstance(value, Poly):
+            value = value.lift(self.signature.vars)
+        return type(self)(self.signature, self.body.scale(value))
+
+    def transpose(self):
+        return type(self)(self.signature, self.body.transpose())
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self.signature == other.signature and self.body == other.body
+
+    def __hash__(self) -> int:
+        return hash((self.signature, self.body))
+
+
+class OperatorMatrix(SignatureMatrix):
+    """A matrix differential operator with constant Gaussian-rational coefficients."""
+
+    __slots__ = ()
+
+    @classmethod
+    def scalar(cls, signature: Signature, p: Poly) -> "OperatorMatrix":
+        """A 1x1 operator."""
+        return cls(signature, PolyMatrix(signature.vars, [[p.lift(signature.vars)]]))
+
+    def poly(self, name: str) -> Poly:
+        """The polynomial for a single variable of this operator's ring."""
+        return Poly.variable(self.signature.vars, name)
+
+    def order(self, grading: str = ISOTROPIC) -> int:
+        """Max total degree in the derivative symbols (-1 for the zero operator)."""
+        return self.body.total_degree(self.signature.grading_vars(grading))
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """Operator composition self(other(u)); for constant coefficients this
         is the polynomial matrix product."""
-        a, b = self._aligned(other)
-        return OperatorMatrix(a.signature, a.body @ b.body)
-
-    def __matmul__(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        return self.compose(other)
-
-    def scale(self, value) -> "OperatorMatrix":
-        if isinstance(value, Poly):
-            value = value.lift(self.signature.vars)
-        return OperatorMatrix(self.signature, self.body.scale(value))
-
-    def transpose(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.signature, self.body.transpose())
+        return self @ other
 
     def formal_adjoint(self) -> "OperatorMatrix":
         """Formal L2 adjoint: conjugate-transpose with a (-1)^|alpha| twist on
@@ -198,14 +223,6 @@ class OperatorMatrix:
             return Poly(sig.vars, out)
 
         return OperatorMatrix(sig, self.body.transpose().map(entry_adjoint))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OperatorMatrix):
-            return NotImplemented
-        return self.signature == other.signature and self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash((self.signature, self.body))
 
     # -- symbols -----------------------------------------------------------
 
@@ -224,11 +241,7 @@ class OperatorMatrix:
                 out[exp] = coeff * i_pow[deg % 4]
             return Poly(sym_sig.vars, out)
 
-        entries = [[entry_symbol(p) for p in row] for row in self.body.entries]
-        return SymbolMatrix(
-            sym_sig,
-            PolyMatrix(sym_sig.vars, entries, shape=(self.rows, self.cols)),
-        )
+        return SymbolMatrix(sym_sig, self.body.map(entry_symbol, vars=sym_sig.vars))
 
     def principal_symbol(self, grading: str = ISOTROPIC) -> "SymbolMatrix":
         """Top-order part of the total symbol under the chosen grading."""
@@ -247,90 +260,24 @@ class OperatorMatrix:
         )
 
 
-class SymbolMatrix:
+class SymbolMatrix(SignatureMatrix):
     """A polynomial matrix in the symbol variables z1..zn (and tau, params)."""
 
-    __slots__ = ("signature", "body")
-
-    def __init__(self, signature: Signature, body: PolyMatrix):
-        if body.vars != signature.vars:
-            raise ValueError("matrix variables do not match signature")
-        object.__setattr__(self, "signature", signature)
-        object.__setattr__(self, "body", body)
-
-    @staticmethod
-    def zero(signature: Signature, rows: int, cols: int) -> "SymbolMatrix":
-        return SymbolMatrix(signature, PolyMatrix.zeros(signature.vars, rows, cols))
-
-    @staticmethod
-    def identity(signature: Signature, n: int) -> "SymbolMatrix":
-        return SymbolMatrix(signature, PolyMatrix.identity(signature.vars, n))
-
-    @property
-    def rows(self) -> int:
-        return self.body.rows
-
-    @property
-    def cols(self) -> int:
-        return self.body.cols
-
-    def __getitem__(self, key: tuple[int, int]) -> Poly:
-        return self.body[key]
-
-    @property
-    def is_zero(self) -> bool:
-        return self.body.is_zero
-
-    def lift(self, signature: Signature) -> "SymbolMatrix":
-        return SymbolMatrix(
-            signature,
-            self.body.map(lambda p: p.lift(signature.vars), vars=signature.vars),
-        )
-
-    def _aligned(self, other: "SymbolMatrix") -> tuple["SymbolMatrix", "SymbolMatrix"]:
-        if self.signature == other.signature:
-            return self, other
-        sig = self.signature.merge(other.signature)
-        return self.lift(sig), other.lift(sig)
-
-    def __add__(self, other: "SymbolMatrix") -> "SymbolMatrix":
-        if not isinstance(other, SymbolMatrix):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return SymbolMatrix(a.signature, a.body + b.body)
-
-    def __sub__(self, other: "SymbolMatrix") -> "SymbolMatrix":
-        if not isinstance(other, SymbolMatrix):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return SymbolMatrix(a.signature, a.body - b.body)
-
-    def __neg__(self) -> "SymbolMatrix":
-        return SymbolMatrix(self.signature, -self.body)
-
-    def __matmul__(self, other: "SymbolMatrix") -> "SymbolMatrix":
-        if not isinstance(other, SymbolMatrix):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return SymbolMatrix(a.signature, a.body @ b.body)
-
-    def scale(self, value) -> "SymbolMatrix":
-        if isinstance(value, Poly):
-            value = value.lift(self.signature.vars)
-        return SymbolMatrix(self.signature, self.body.scale(value))
+    __slots__ = ()
 
     def hermitian_transpose(self) -> "SymbolMatrix":
         """Conjugate transpose; equals the symbol of the formal adjoint for
         real symbol variables."""
         return SymbolMatrix(self.signature, self.body.hermitian_transpose())
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SymbolMatrix):
-            return NotImplemented
-        return self.signature == other.signature and self.body == other.body
-
-    def __hash__(self) -> int:
-        return hash((self.signature, self.body))
+    def scalar_part(self) -> Poly | None:
+        """The scalar s when this matrix is s*I, else None."""
+        if self.rows != self.cols or self.rows == 0:
+            return None
+        s = self.body[0, 0]
+        if self == SymbolMatrix.identity(self.signature, self.rows).scale(s):
+            return s
+        return None
 
     def evaluate(self, point: Mapping[str, complex]):
         """Evaluate entrywise to a nested list of complex numbers."""
@@ -346,22 +293,14 @@ def tensor_identity(op: OperatorMatrix, n: int, *, outer: bool = True) -> Operat
     With ``outer=True`` the result repeats ``op`` down a block diagonal.
     """
     sig = op.signature
-    zero = Poly.zero(sig.vars)
+    rows, cols = n * op.rows, n * op.cols
+    body = PolyMatrix.zeros(sig.vars, rows, cols)
     if outer:
-        rows = n * op.rows
-        cols = n * op.cols
-        ents = [[zero] * cols for _ in range(rows)]
         for b in range(n):
-            for i in range(op.rows):
-                for j in range(op.cols):
-                    ents[b * op.rows + i][b * op.cols + j] = op.body[i, j]
+            body = body + op.body.embed(rows, cols, b * op.rows, b * op.cols)
     else:
-        rows = op.rows * n
-        cols = op.cols * n
-        ents = [[zero] * cols for _ in range(rows)]
+        ident = PolyMatrix.identity(sig.vars, n)
         for i in range(op.rows):
             for j in range(op.cols):
-                p = op.body[i, j]
-                for b in range(n):
-                    ents[i * n + b][j * n + b] = p
-    return OperatorMatrix(sig, PolyMatrix(sig.vars, ents, shape=(rows, cols)))
+                body = body + ident.scale(op[i, j]).embed(rows, cols, i * n, j * n)
+    return OperatorMatrix(sig, body)

@@ -12,7 +12,7 @@ inconclusive.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -22,7 +22,7 @@ from scipy.stats import qmc
 
 from cxkit.blockops import BlockPartition
 from cxkit.complexes import Complex, MuSet
-from cxkit.diffop import SPATIAL, OperatorMatrix, SymbolMatrix
+from cxkit.diffop import OperatorMatrix, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
 
 PASS_THRESHOLD = 1e-9
@@ -324,7 +324,7 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
     s = op.principal_symbol()
     herm = (s + s.hermitian_transpose()).scale(GaussianRational.of(1, 0) / GaussianRational.of(2, 0))
     sphere_vars, param_vars = _spatial_symbol_vars(herm)
-    scalar = _scalar_multiple_of_identity(herm)
+    scalar = herm.scalar_part()
     if scalar is not None:
         cert = _certify_power(scalar, sphere_vars)
         if cert is not None:
@@ -352,21 +352,6 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
     minimum, argmin = _sphere_minimize(fn, len(sphere_vars), seed, budget)
     return _numeric_verdict(minimum, argmin, check="strong-ellipticity",
                             determinant=None, seed=seed, budget=budget)
-
-
-def _scalar_multiple_of_identity(sym: SymbolMatrix) -> Poly | None:
-    if sym.rows != sym.cols or sym.rows == 0:
-        return None
-    s = sym.body[0, 0]
-    for i in range(sym.rows):
-        for j in range(sym.cols):
-            entry = sym.body[i, j]
-            if i == j:
-                if entry != s:
-                    return None
-            elif not entry.is_zero:
-                return None
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -480,21 +465,19 @@ def dn_symbol(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan
         spatial.append(sig.time)
     # block index p (from the top) corresponds to descending degree.
     degrees = sorted(range(blocks), reverse=True)
-    body = [[Poly.zero(sig.vars)] * part.size for _ in range(part.size)]
+    n = part.size
+    out = SymbolMatrix.zero(sig, n, n)
     for p, row_deg in enumerate(degrees):
         for r, col_deg in enumerate(degrees):
             target = plan.s[p] - plan.t[r]
             if target < 0:
                 continue
-            r0 = part.offset(row_deg)
-            c0 = part.offset(col_deg)
-            for i in range(part.ranks[row_deg]):
-                for j in range(part.ranks[col_deg]):
-                    entry = total.body[r0 + i, c0 + j]
-                    body[r0 + i][c0 + j] = entry.homogeneous_part(target, spatial)
-    from cxkit.poly import PolyMatrix
-    return SymbolMatrix(sig, PolyMatrix(sig.vars, body,
-                                        shape=(part.size, part.size)))
+            r0, r1 = part.span(row_deg)
+            c0, c1 = part.span(col_deg)
+            blk = total.body.block(r0, r1, c0, c1).map(
+                lambda entry: entry.homogeneous_part(target, spatial))
+            out = out + SymbolMatrix(sig, blk.embed(n, n, r0, c0))
+    return out
 
 
 def dn_check(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan, *,

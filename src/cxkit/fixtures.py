@@ -26,7 +26,7 @@ from cxkit.complexes import (
     powered_de_rham_complex,
 )
 from cxkit.diffop import OperatorMatrix, Signature, spatial_signature, tensor_identity
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import GaussianRational, Poly
 
 I = GaussianRational.i()
 
@@ -90,8 +90,7 @@ def _zero_block(sig: Signature, rows: int, cols: int) -> OperatorMatrix:
 
 
 def _leading_minor(op: OperatorMatrix, size: int) -> OperatorMatrix:
-    ents = [[op[i, j] for j in range(size)] for i in range(size)]
-    return OperatorMatrix.from_entries(op.signature, ents)
+    return OperatorMatrix(op.signature, op.body.block(0, size, 0, size))
 
 
 def _reverse_blocks(op: OperatorMatrix, ranks: Sequence[int]) -> OperatorMatrix:

@@ -470,6 +470,36 @@ class PolyMatrix:
     def is_square(self) -> bool:
         return self.rows == self.cols
 
+    def block(self, r0: int, r1: int, c0: int, c1: int) -> "PolyMatrix":
+        """The submatrix of rows ``r0:r1`` and columns ``c0:c1``."""
+        if not (0 <= r0 <= r1 <= self.rows and 0 <= c0 <= c1 <= self.cols):
+            raise ValueError(
+                f"block [{r0}:{r1}, {c0}:{c1}] outside a {self.rows}x{self.cols} matrix"
+            )
+        return PolyMatrix(
+            self.vars, [row[c0:c1] for row in self.entries[r0:r1]],
+            shape=(r1 - r0, c1 - c0),
+        )
+
+    def embed(self, rows: int, cols: int, r0: int, c0: int) -> "PolyMatrix":
+        """This matrix placed at ``(r0, c0)`` of an otherwise zero rows x cols one."""
+        r1, c1 = r0 + self.rows, c0 + self.cols
+        if not (0 <= r0 and r1 <= rows and 0 <= c0 and c1 <= cols):
+            raise ValueError(
+                f"a {self.rows}x{self.cols} block at ({r0}, {c0}) "
+                f"does not fit a {rows}x{cols} matrix"
+            )
+        z = Poly.zero(self.vars)
+        zero_row = (z,) * cols
+        left, right = (z,) * c0, (z,) * (cols - c1)
+        return PolyMatrix(
+            self.vars,
+            [zero_row] * r0
+            + [left + row + right for row in self.entries]
+            + [zero_row] * (rows - r1),
+            shape=(rows, cols),
+        )
+
     def map(self, fn, vars: Sequence[str] | None = None) -> "PolyMatrix":
         """Apply ``fn`` entrywise; pass ``vars`` if ``fn`` changes the ring."""
         return PolyMatrix(

@@ -11,10 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from cxkit.blockops import BlockPartition
+from cxkit.blockops import BlockPartition, block_inject, embed_trailing
 from cxkit.complexes import Complex, MuSet
 from cxkit.diffop import SPATIAL, OperatorMatrix, Signature, SymbolMatrix
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import GaussianRational, Poly
 
 
 class RationalSymbolMatrix:
@@ -45,7 +45,15 @@ class RationalSymbolMatrix:
     def cols(self) -> int:
         return self.num.cols
 
-    def _align(self, other: "RationalSymbolMatrix"):
+    def _align(self, other) -> tuple["RationalSymbolMatrix", "RationalSymbolMatrix"]:
+        """Both operands over one signature; a SymbolMatrix operand is taken
+        over the denominator one."""
+        if isinstance(other, SymbolMatrix):
+            other = RationalSymbolMatrix.from_symbol(other)
+        elif not isinstance(other, RationalSymbolMatrix):
+            raise TypeError(
+                f"cannot combine a rational symbol matrix with {type(other).__name__}"
+            )
         if self.signature == other.signature:
             return self, other
         sig = self.signature.merge(other.signature)
@@ -55,48 +63,37 @@ class RationalSymbolMatrix:
         )
 
     def __add__(self, other) -> "RationalSymbolMatrix":
-        if isinstance(other, SymbolMatrix):
-            other = RationalSymbolMatrix.from_symbol(other)
         a, b = self._align(other)
         num = a.num.scale(b.den) + b.num.scale(a.den)
         return RationalSymbolMatrix(num, a.den * b.den)
 
     def __sub__(self, other) -> "RationalSymbolMatrix":
-        if isinstance(other, SymbolMatrix):
-            other = RationalSymbolMatrix.from_symbol(other)
         a, b = self._align(other)
         num = a.num.scale(b.den) - b.num.scale(a.den)
         return RationalSymbolMatrix(num, a.den * b.den)
 
     def __radd__(self, other) -> "RationalSymbolMatrix":
-        if isinstance(other, SymbolMatrix):
-            return RationalSymbolMatrix.from_symbol(other) + self
-        return NotImplemented
+        b, a = self._align(other)
+        return a + b
 
     def __rsub__(self, other) -> "RationalSymbolMatrix":
-        if isinstance(other, SymbolMatrix):
-            return RationalSymbolMatrix.from_symbol(other) - self
-        return NotImplemented
+        b, a = self._align(other)
+        return a - b
 
     def __matmul__(self, other) -> "RationalSymbolMatrix":
-        if isinstance(other, SymbolMatrix):
-            other = RationalSymbolMatrix.from_symbol(other)
         a, b = self._align(other)
         return RationalSymbolMatrix(a.num @ b.num, a.den * b.den)
 
     def __rmatmul__(self, other) -> "RationalSymbolMatrix":
-        if isinstance(other, SymbolMatrix):
-            return RationalSymbolMatrix.from_symbol(other) @ self
-        return NotImplemented
+        b, a = self._align(other)
+        return a @ b
 
     def scale(self, value) -> "RationalSymbolMatrix":
         return RationalSymbolMatrix(self.num.scale(value), self.den)
 
     def __eq__(self, other) -> bool:
         """Exact equality by cross-multiplication."""
-        if isinstance(other, SymbolMatrix):
-            other = RationalSymbolMatrix.from_symbol(other)
-        if not isinstance(other, RationalSymbolMatrix):
+        if not isinstance(other, (SymbolMatrix, RationalSymbolMatrix)):
             return NotImplemented
         a, b = self._align(other)
         return a.num.scale(b.den) == b.num.scale(a.den)
@@ -156,23 +153,7 @@ def delta(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMatrix:
 
 
 # ---------------------------------------------------------------------------
-# Block symbol assembly (mirrors blockops, but on symbol matrices)
-
-
-def _inject(part: BlockPartition, sym: SymbolMatrix,
-            row_degree: int, col_degree: int) -> SymbolMatrix:
-    if (sym.rows, sym.cols) != (part.ranks[row_degree], part.ranks[col_degree]):
-        raise ValueError("block shape mismatch")
-    sig = sym.signature
-    zero = Poly.zero(sig.vars)
-    n = part.size
-    ents = [[zero] * n for _ in range(n)]
-    r0 = part.offset(row_degree)
-    c0 = part.offset(col_degree)
-    for i in range(sym.rows):
-        for j in range(sym.cols):
-            ents[r0 + i][c0 + j] = sym.body[i, j]
-    return SymbolMatrix(sig, PolyMatrix(sig.vars, ents, shape=(n, n)))
+# Block symbol assembly
 
 
 def maxwell_symbol(cplx: Complex, q: int, mu: MuSet | None = None,
@@ -189,8 +170,8 @@ def maxwell_symbol(cplx: Complex, q: int, mu: MuSet | None = None,
             down = sigma_mu(mu.mu0(j)) @ s
         else:
             down = s @ sigma_mu(mu.mu1(j + 1))
-        total = total + _inject(part, down, j + 1, j)
-        total = total + _inject(part, s.hermitian_transpose(), j, j + 1)
+        total = total + block_inject(part, down, j + 1, j)
+        total = total + block_inject(part, s.hermitian_transpose(), j, j + 1)
     return total
 
 
@@ -198,7 +179,7 @@ def stokes_dn_symbol(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMa
     """DN principal symbol of the Stokes operator:
     ``B_q delta_{q,mu} B_q + maxwell_symbol``."""
     part = BlockPartition.for_degree(cplx, q)
-    total = _inject(part, delta(cplx, q, mu), q, q)
+    total = block_inject(part, delta(cplx, q, mu), q, q)
     return total + maxwell_symbol(cplx, q, None, 0)
 
 
@@ -233,9 +214,9 @@ def symbolic_factorization_residual(cplx: Complex, q: int,
     if q > 0:
         s = sigma(cplx, q - 1)
         top = s @ sigma_mu(mu.mu1(q)) @ s.hermitian_transpose()
-        rhs = rhs + _inject(part, top, q, q)
+        rhs = rhs + block_inject(part, top, q, q)
     for j in range(q):
-        rhs = rhs + _inject(part, delta(cplx, j, mu), j, j)
+        rhs = rhs + block_inject(part, delta(cplx, j, mu), j, j)
     return lhs - rhs
 
 
@@ -266,7 +247,7 @@ def block_diagonal_inverse(cplx: Complex, degrees: Sequence[int],
         for i in degrees:
             if i != j:
                 cofactor = cofactor * inverses[i].den
-        num = num + _inject(part, inverses[j].num.scale(cofactor), j, j)
+        num = num + block_inject(part, inverses[j].num.scale(cofactor), j, j)
     return RationalSymbolMatrix(num, den)
 
 
@@ -347,10 +328,10 @@ def _n_symbol(cplx: Complex, q: int, mu: MuSet,
     mu0_sym = sigma_mu(mu.mu0(q))
     mu1_sym = sigma_mu(mu.mu1(q))
     core = q_inverse @ (sq.hermitian_transpose() @ mu0_sym @ sq)
-    total = RationalSymbolMatrix(_inject(part, core.num, q, q), core.den)
-    total = total + _inject(part, sq1, q, q - 1)
-    total = total + _inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
-    total = total - _inject(
+    total = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
+    total = total + block_inject(part, sq1, q, q - 1)
+    total = total + block_inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
+    total = total - block_inject(
         part, mu1_sym @ sq1.hermitian_transpose() @ sq1, q - 1, q - 1
     )
     return total
@@ -371,14 +352,14 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
     delta_q_inv = invert_symbol(delta(cplx, q, mu))
     n_sym = _n_symbol(cplx, q, mu, delta_q_inv)
     m_lower = maxwell_symbol(cplx, q - 1, None, 0)
-    lower_embedded = _embed_trailing(part, m_lower)
+    lower_embedded = embed_trailing(m_lower, part.size)
     core = n_sym + lower_embedded
 
     s_dn = stokes_dn_symbol(cplx, q, mu)
     sig = cplx.signature.symbol_signature()
-    rhs = _inject(part, delta(cplx, q, mu), q, q)
+    rhs = block_inject(part, delta(cplx, q, mu), q, q)
     for j in range(q):
-        rhs = rhs + _inject(part, delta(cplx, j), j, j)
+        rhs = rhs + block_inject(part, delta(cplx, j), j, j)
     intermediate_ok = (s_dn @ core) == RationalSymbolMatrix.from_symbol(rhs)
 
     diag_inv = block_diagonal_inverse(cplx, list(range(q + 1)), {q: mu})
@@ -392,19 +373,6 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
         "ok": intermediate_ok and product_ok,
     }
     return f, report
-
-
-def _embed_trailing(part: BlockPartition, sym: SymbolMatrix) -> SymbolMatrix:
-    """Embed a lower-degree block symbol into the trailing corner of ``part``."""
-    sig = sym.signature
-    zero = Poly.zero(sig.vars)
-    n = part.size
-    off = n - sym.rows
-    ents = [[zero] * n for _ in range(n)]
-    for i in range(sym.rows):
-        for j in range(sym.cols):
-            ents[off + i][off + j] = sym.body[i, j]
-    return SymbolMatrix(sig, PolyMatrix(sig.vars, ents, shape=(n, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -423,7 +391,7 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     """
     _check_stokes_hypotheses(cplx, q, mu)
     d_q = delta(cplx, q, mu)
-    scalar = _scalar_part(d_q)
+    scalar = d_q.scalar_part()
     if scalar is None:
         raise HypothesisFailure("scalar-delta", "delta_{q,mu} is not a scalar multiple of I")
 
@@ -443,20 +411,20 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     mu1_sym = up(sigma_mu(mu.mu1(q)))
 
     core = RationalSymbolMatrix(sq.hermitian_transpose() @ mu0_sym @ sq, resolvent_den)
-    n_t = RationalSymbolMatrix(_inject(part, core.num, q, q), core.den)
-    n_t = n_t + _inject(part, sq1, q, q - 1)
-    n_t = n_t + _inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
+    n_t = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
+    n_t = n_t + block_inject(part, sq1, q, q - 1)
+    n_t = n_t + block_inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
     last = mu1_sym @ sq1.hermitian_transpose() @ sq1 \
         + SymbolMatrix.identity(sig, part.ranks[q - 1]).scale(i_tau)
-    n_t = n_t - _inject(part, last, q - 1, q - 1)
+    n_t = n_t - block_inject(part, last, q - 1, q - 1)
 
     time_block = up(d_q) + SymbolMatrix.identity(sig, part.ranks[q]).scale(i_tau)
-    s_t = _inject(part, time_block, q, q) + up(maxwell_symbol(cplx, q, None, 0))
+    s_t = block_inject(part, time_block, q, q) + up(maxwell_symbol(cplx, q, None, 0))
 
-    core_total = n_t + _embed_trailing(part, up(maxwell_symbol(cplx, q - 1, None, 0)))
-    rhs = _inject(part, up(d_q), q, q)
+    core_total = n_t + embed_trailing(up(maxwell_symbol(cplx, q - 1, None, 0)), part.size)
+    rhs = block_inject(part, up(d_q), q, q)
     for j in range(q):
-        rhs = rhs + _inject(part, up(delta(cplx, j)), j, j)
+        rhs = rhs + block_inject(part, up(delta(cplx, j)), j, j)
     ok = (s_t @ core_total) == RationalSymbolMatrix.from_symbol(rhs)
     return {
         "identity": "stokes-evolution-symbol",
@@ -464,17 +432,6 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
         "denominator": str(resolvent_den),
         "ok": ok,
     }
-
-
-def _scalar_part(sym: SymbolMatrix) -> Poly | None:
-    """The scalar s when sym == s*I, else None."""
-    if sym.rows != sym.cols or sym.rows == 0:
-        return None
-    s = sym.body[0, 0]
-    ident = SymbolMatrix.identity(sym.signature, sym.rows).scale(s)
-    if sym == ident:
-        return s
-    return None
 
 
 __all__ = [

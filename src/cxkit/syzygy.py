@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from cxkit.diffop import OperatorMatrix, Signature
+from cxkit.diffop import OperatorMatrix
 from cxkit.poly import GaussianRational, Poly, grlex_key
 
 DEFAULT_PAIR_BUDGET = 10_000
@@ -79,38 +79,15 @@ def _normalize(elem: Element) -> Element:
 
 
 def _reduce(elem: Element, basis: Sequence[Element], vars) -> Element:
-    """Full reduction (leading-term rewriting until no divisor applies)."""
+    """Leading-term reduction: rewrite the leading term by ``basis`` until no
+    basis leading term divides it.  Lower terms are left unreduced, so this is
+    not a full reduction; over a Groebner basis the result is zero exactly
+    when ``elem`` lies in the module the basis generates."""
     result = elem
     while True:
         lead = _leading(result)
         if lead is None:
             return result
-        pos, exp, coeff = lead
-        reduced = False
-        for g in basis:
-            gl = _leading(g)
-            if gl is None:
-                continue
-            gpos, gexp, gcoeff = gl
-            if gpos == pos and _divides(gexp, exp):
-                result = _sub(result, _mono_mul(g, _exp_sub(exp, gexp),
-                                                coeff / gcoeff, vars))
-                reduced = True
-                break
-        if not reduced:
-            # move the untouchable leading term to the remainder: for
-            # membership tests we only need "reduces to zero", so a stuck
-            # leading term means the element is not in the module; stop here.
-            return result
-
-
-def _reduces_to_zero(elem: Element, basis: Sequence[Element], vars) -> bool:
-    """Membership test allowing rewriting below the leading term as well."""
-    result = elem
-    while True:
-        lead = _leading(result)
-        if lead is None:
-            return True
         pos, exp, coeff = lead
         for g in basis:
             gl = _leading(g)
@@ -122,7 +99,7 @@ def _reduces_to_zero(elem: Element, basis: Sequence[Element], vars) -> bool:
                                                 coeff / gcoeff, vars))
                 break
         else:
-            return False
+            return result
 
 
 def groebner_basis(gens: Sequence[Element], vars, *,
@@ -237,8 +214,7 @@ def compatibility_operator(op: OperatorMatrix, *,
     syz = syzygies(_op_rows(op), op.signature.vars, budget=budget)
     sig = op.signature
     if not syz:
-        from cxkit.poly import PolyMatrix
-        return OperatorMatrix(sig, PolyMatrix(sig.vars, [], shape=(0, op.rows)))
+        return OperatorMatrix.zero(sig, 0, op.rows)
     return OperatorMatrix.from_entries(sig, [list(b) for b in syz])
 
 
@@ -267,8 +243,8 @@ def module_equivalent(a: OperatorMatrix, b: OperatorMatrix, *,
     rows_b = [tuple(p.lift(vars) for p in row) for row in _op_rows(b)]
     gb_a = groebner_basis(rows_a, vars, budget=budget)
     gb_b = groebner_basis(rows_b, vars, budget=budget)
-    return (all(_reduces_to_zero(r, gb_b, vars) for r in rows_a)
-            and all(_reduces_to_zero(r, gb_a, vars) for r in rows_b))
+    return (all(_is_zero(_reduce(r, gb_b, vars)) for r in rows_a)
+            and all(_is_zero(_reduce(r, gb_a, vars)) for r in rows_b))
 
 
 __all__ = [

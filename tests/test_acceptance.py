@@ -9,6 +9,7 @@ import json
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -24,6 +25,9 @@ from cxkit.complexes import (
 )
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.poly import Poly
+
+REFERENCE_BUNDLE = (Path(__file__).resolve().parents[1]
+                    / "perfbench" / "reference" / "fixtures.json")
 
 
 def _announce(n, message):
@@ -174,6 +178,8 @@ def test_criterion_9_deterministic_reports(tmp_path):
         assert proc.returncode == 0, proc.stderr.decode()
         payloads.append(path.read_bytes())
     assert payloads[0] == payloads[1]
+    assert payloads[0] == REFERENCE_BUNDLE.read_bytes()
     bundle = json.loads(payloads[0])
     assert bundle["ok"]
-    _announce(9, "fixture bundle JSON byte-identical across independent runs")
+    _announce(9, "fixture bundle JSON byte-identical across independent runs "
+                 "and to the reference bundle")

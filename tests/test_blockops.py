@@ -7,6 +7,7 @@ from cxkit.blockops import (
     assemble_stokes,
     block_extract,
     block_inject,
+    embed_trailing,
     maxwell,
     maxwell_time,
     stokes,
@@ -22,7 +23,7 @@ from cxkit.complexes import (
     generalized_laplacian,
     laplacian,
 )
-from cxkit.diffop import OperatorMatrix
+from cxkit.diffop import OperatorMatrix, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
 
 
@@ -51,6 +52,11 @@ def test_block_inject_extract_roundtrip():
     assert block_extract(part, big, 1, 0) == grad
     assert block_extract(part, big, 0, 1).is_zero
     assert block_extract(part, big, 2, 1).is_zero
+    sym = grad.principal_symbol()
+    big_sym = block_inject(part, sym, 1, 0)
+    assert isinstance(big_sym, SymbolMatrix)
+    assert block_extract(part, big_sym, 1, 0) == sym
+    assert block_extract(part, big_sym, 0, 1).is_zero
 
 
 def test_block_inject_shape_check():
@@ -63,6 +69,15 @@ def test_trailing_minor_drops_top_degree():
     m3 = maxwell(CPLX3, 3)
     m2 = maxwell(CPLX3, 2)
     assert trailing_minor(m3, 7) == m2
+
+
+def test_embed_trailing_inverts_trailing_minor():
+    m2 = maxwell(CPLX3, 2)
+    big = embed_trailing(m2, 8)
+    assert trailing_minor(big, 7) == m2
+    part = BlockPartition.for_degree(CPLX3, 3)
+    assert block_extract(part, big, 3, 3).is_zero
+    assert block_extract(part, big, 3, 2).is_zero
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import sys
 
 import pytest
 
-from cxkit.cli import main
+from cxkit import ellipticity, syzygy
+from cxkit.cli import _build_parser, main
 
 SPEC = """\
 vars: d1 d2 d3
@@ -99,6 +100,26 @@ def test_threads_env_recorded(spec_file, tmp_path, monkeypatch):
     out = tmp_path / "v.json"
     assert _run(["verify", "--spec", spec_file, "--json", str(out)]) == 0
     assert json.loads(out.read_text())["threads"] == 4
+
+
+def test_threads_env_not_an_integer(spec_file, tmp_path, monkeypatch):
+    monkeypatch.setenv("CXKIT_THREADS", "abc")
+    out = tmp_path / "v.json"
+    assert _run(["verify", "--spec", spec_file, "--json", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert not rep["ok"] and "CXKIT_THREADS" in rep["error"]
+    assert "threads" not in rep
+
+
+@pytest.mark.parametrize("command, budget", [
+    ("ellipticity", ellipticity.DEFAULT_BUDGET),
+    ("syzygy", syzygy.DEFAULT_PAIR_BUDGET),
+    ("extend", syzygy.DEFAULT_PAIR_BUDGET),
+])
+def test_budget_defaults(command, budget):
+    args = _build_parser().parse_args([command])
+    assert args.budget == budget
+    assert not hasattr(args, "tol")
 
 
 def test_fixture_bundle_byte_identical(tmp_path):

@@ -161,6 +161,38 @@ def test_tensor_identity():
     assert t[0, 1].is_zero
 
 
+def test_tensor_identity_layouts():
+    d1, d2 = _d(SIG, "d1"), _d(SIG, "d2")
+    op = OperatorMatrix.from_entries(SIG, [[d1], [d2]])
+    zero = Poly.zero(SIG.vars)
+    outer = tensor_identity(op, 2)
+    assert outer == OperatorMatrix.from_entries(
+        SIG, [[d1, zero], [d2, zero], [zero, d1], [zero, d2]])
+    inner = tensor_identity(op, 2, outer=False)
+    assert inner == OperatorMatrix.from_entries(
+        SIG, [[d1, zero], [zero, d1], [d2, zero], [zero, d2]])
+
+
+def test_operator_and_symbol_do_not_mix():
+    grad = _grad()
+    sym = grad.principal_symbol()
+    with pytest.raises(TypeError):
+        grad + sym
+    with pytest.raises(TypeError):
+        sym @ grad
+    assert grad != sym
+
+
+def test_symbol_scalar_part():
+    sig = SIG.symbol_signature()
+    z1 = Poly.variable(sig.vars, "z1")
+    assert SymbolMatrix.identity(sig, 3).scale(z1).scalar_part() == z1
+    assert SymbolMatrix.zero(sig, 2, 2).scalar_part() == Poly.zero(sig.vars)
+    assert _grad().principal_symbol().scalar_part() is None
+    off = SymbolMatrix.from_entries(sig, [[z1, z1], [Poly.zero(sig.vars), z1]])
+    assert off.scalar_part() is None
+
+
 def test_lift_preserves_entries():
     grad = _grad()
     lifted = grad.lift(SIG_T)

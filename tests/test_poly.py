@@ -193,6 +193,33 @@ def test_adjugate_identity(entries):
     assert m.adjugate() @ m == target
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2), st.integers(0, 2), st.data())
+def test_embed_block_roundtrip(rows, cols, top, left, bottom, right, data):
+    entries = [[data.draw(polys(max_terms=2, max_exp=1)) for _ in range(cols)]
+               for _ in range(rows)]
+    m = PolyMatrix(VARS, entries, shape=(rows, cols))
+    big_rows, big_cols = top + rows + bottom, left + cols + right
+    big = m.embed(big_rows, big_cols, top, left)
+    assert (big.rows, big.cols) == (big_rows, big_cols)
+    assert big.block(top, top + rows, left, left + cols) == m
+    for i in range(big_rows):
+        for j in range(big_cols):
+            if not (top <= i < top + rows and left <= j < left + cols):
+                assert big[i, j].is_zero
+
+
+def test_embed_block_bounds():
+    m = PolyMatrix.identity(VARS, 2)
+    with pytest.raises(ValueError):
+        m.embed(2, 3, 1, 0)
+    with pytest.raises(ValueError):
+        m.block(0, 3, 0, 1)
+    with pytest.raises(ValueError):
+        m.block(1, 0, 0, 1)
+
+
 def test_matrix_algebra():
     x = Poly.variable(VARS, "x")
     y = Poly.variable(VARS, "y")
