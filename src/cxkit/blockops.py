@@ -159,8 +159,7 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     sig = _time_signature(cplx, b)
     cplx = cplx.lift(sig)
     if mu is not None:
-        mu = MuSet(cplx, {j: m.lift(sig) for j, m in mu._mu0.items()},
-                   {j: m.lift(sig) for j, m in mu._mu1.items()})
+        mu = mu.lift(cplx)
     part = BlockPartition.for_degree(cplx, q)
     total = maxwell(cplx, q, mu, variant)
     dt = Poly.variable(sig.vars, sig.time)
@@ -229,8 +228,7 @@ def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     cplx_t = cplx.lift(sig)
     if mu is None:
         mu = MuSet.identity(cplx)
-    mu_t = MuSet(cplx_t, {j: m.lift(sig) for j, m in mu._mu0.items()},
-                 {j: m.lift(sig) for j, m in mu._mu1.items()})
+    mu_t = mu.lift(cplx_t)
     lowers_t = None
     if lowers:
         lowers_t = {}
@@ -306,8 +304,7 @@ def wave_factorization_residual(cplx: Complex, q: int, b: Sequence,
     lhs = maxwell_time(cplx, q, minus_ib, mu, 1) @ maxwell_time(cplx, q, plus_ib, mu, 0)
 
     cplx_t = cplx.lift(sig)
-    mu_t = MuSet(cplx_t, {j: m.lift(sig) for j, m in mu._mu0.items()},
-                 {j: m.lift(sig) for j, m in mu._mu1.items()})
+    mu_t = mu.lift(cplx_t)
     part = BlockPartition.for_degree(cplx_t, q)
     dt = Poly.variable(sig.vars, sig.time)
     dtt = dt * dt

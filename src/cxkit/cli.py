@@ -285,8 +285,6 @@ def main(argv=None) -> int:
     try:
         threads = _threads()
         report = _COMMANDS[args.command](args)
-    except dsl.SpecError as exc:
-        report = {"command": args.command, "error": str(exc), "ok": False}
     except (ValueError, ArithmeticError, OSError,
             syzygy.BudgetExceeded, symbols.HypothesisFailure) as exc:
         report = {"command": args.command, "error": str(exc), "ok": False}

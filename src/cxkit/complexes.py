@@ -250,6 +250,13 @@ class MuSet:
             mu1[q] = OperatorMatrix.identity(sig, k).scale(minus_lap ** m)
         return MuSet(cplx, mu0, mu1)
 
+    def lift(self, cplx: Complex) -> "MuSet":
+        """The same weights over ``cplx``, this set's complex lifted to a
+        richer signature (``Complex.lift``)."""
+        sig = cplx.signature
+        return MuSet(cplx, {q: m.lift(sig) for q, m in self._mu0.items()},
+                     {q: m.lift(sig) for q, m in self._mu1.items()})
+
     def mu0(self, q: int) -> OperatorMatrix:
         if q in self._mu0:
             return self._mu0[q]

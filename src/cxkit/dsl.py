@@ -12,7 +12,8 @@ Grammar (one statement per line, ``#`` comments)::
     task verify C
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
-constants and the imaginary unit ``i``.  Parse errors carry line/column.
+constants and the imaginary unit ``i``; exponents are at most
+``MAX_EXPONENT`` and denominators nonzero.  Parse errors carry line/column.
 """
 
 from __future__ import annotations
@@ -30,6 +31,9 @@ from cxkit.complexes import (
 )
 from cxkit.diffop import OperatorMatrix, Signature
 from cxkit.poly import GaussianRational, Poly
+
+# Largest exponent ``^`` accepts: a power's size grows with it without bound.
+MAX_EXPONENT = 64
 
 
 class SpecError(ValueError):
@@ -193,6 +197,9 @@ class _Parser:
         atom = self.atom()
         if self.accept("punct", "^"):
             exp = self.expect("int")
+            if int(exp.text) > MAX_EXPONENT:
+                raise SpecError(f"exponent {exp.text} exceeds {MAX_EXPONENT}",
+                                exp.line, exp.column)
             return atom ** int(exp.text)
         return atom
 
@@ -209,6 +216,8 @@ class _Parser:
             value = Fraction(int(tok.text))
             if self.accept("punct", "/"):
                 den = self.expect("int")
+                if int(den.text) == 0:
+                    raise SpecError("zero denominator", den.line, den.column)
                 value = value / int(den.text)
             return Poly.constant(vars, GaussianRational.of(value))
         if tok.kind == "name":

@@ -1,9 +1,20 @@
 """Exact sparse multivariate polynomial arithmetic over the Gaussian rationals.
 
-A polynomial is a dictionary mapping exponent tuples (one entry per variable)
-to :class:`GaussianRational` coefficients.  The zero polynomial is the empty
-dictionary; its total degree is the sentinel ``-1``.  All arithmetic is exact,
-so polynomial identity testing is fully reliable.
+A polynomial over variables ``vars`` is stored as one positive integer
+denominator ``den`` and a dictionary mapping exponent tuples (one entry per
+variable) to Gaussian-integer numerators ``(re, im)`` of Python ints: the
+coefficient of ``x^e`` is ``(re + im*i) / den``.  The form is canonical:
+``den > 0``, no numerator is zero and ``gcd(den, every numerator part) == 1``,
+so equal polynomials have equal storage and ``==``/``hash`` compare
+``(vars, den, numerators)``.  The zero polynomial has no terms and ``den ==
+1``; its total degree is the sentinel ``-1``.  All arithmetic is exact integer
+arithmetic (products of Gaussian integers, sums over the lcm of the two
+denominators), so polynomial identity testing is fully reliable.
+
+:class:`GaussianRational` stays the public value type of a coefficient: the
+read-only view ``Poly.terms`` maps each exponent to one, and
+``leading_term`` and ``constant_value`` return them.  The storage format is
+private to this module.
 
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
@@ -12,8 +23,12 @@ canonical serialization.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, neg, sub
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
@@ -126,19 +141,65 @@ def grlex_key(exponent: Exponent) -> tuple:
     return (sum(exponent), exponent)
 
 
+def _split(c: GaussianRational) -> tuple[int, int, int]:
+    """``(re, im, den)`` with ``c == (re + im*i) / den`` and ``den > 0``."""
+    re_den, im_den = c.re.denominator, c.im.denominator
+    den = lcm(re_den, im_den)
+    return c.re.numerator * (den // re_den), c.im.numerator * (den // im_den), den
+
+
+def _canonical(num: dict, den: int) -> tuple[dict, int]:
+    """Drop zero numerators (from ``num`` itself) and cancel the gcd of
+    ``den`` with every numerator part."""
+    zeros = [e for e, c in num.items() if c == (0, 0)]
+    for e in zeros:
+        del num[e]
+    if den == 1:
+        return num, den
+    if not num:
+        return num, 1
+    g = den
+    for re, im in num.values():
+        g = gcd(g, re, im)
+        if g == 1:
+            return num, den
+    return {e: (re // g, im // g) for e, (re, im) in num.items()}, den // g
+
+
+def _poly(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
+    """The trusted constructor: every arithmetic result is built here.
+
+    ``num`` maps valid exponent tuples to integer pairs, ``den`` is positive,
+    and the new polynomial takes ``num`` over.  Nothing is validated; the
+    result is brought to canonical form.
+    """
+    p = object.__new__(Poly)
+    p.vars = vars
+    p._num, p._den = _canonical(num, den)
+    p._terms = p._lead = p._hash = None
+    return p
+
+
+def _heap_key(exponent: Exponent) -> tuple[int, ...]:
+    """``(-degree, -e_1, ..., -e_n)``: ascending order of these keys is
+    descending graded lex order, and adding keys adds exponents."""
+    return (-sum(exponent), *map(neg, exponent))
+
+
 class Poly:
     """A sparse multivariate polynomial with Gaussian-rational coefficients.
 
     Instances are immutable by convention: all operations return new objects.
     """
 
-    __slots__ = ("vars", "terms", "_hash")
+    __slots__ = ("vars", "_num", "_den", "_terms", "_lead", "_hash")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, GaussianRational] | None = None):
-        object.__setattr__(self, "vars", tuple(vars))
-        clean: dict[Exponent, GaussianRational] = {}
+        vars = tuple(vars)
+        num, den = {}, 1
         if terms:
-            nv = len(self.vars)
+            nv = len(vars)
+            coeffs: dict[Exponent, GaussianRational] = {}
             for exp, coeff in terms.items():
                 exp = tuple(exp)
                 if len(exp) != nv:
@@ -147,24 +208,33 @@ class Poly:
                     raise ValueError(f"negative exponent in {exp}")
                 coeff = _coerce_coeff(coeff)
                 if not coeff.is_zero:
-                    clean[exp] = coeff
-        object.__setattr__(self, "terms", clean)
-        object.__setattr__(self, "_hash", None)
+                    coeffs[exp] = coeff
+            den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
+            num = {
+                exp: (c.re.numerator * (den // c.re.denominator),
+                      c.im.numerator * (den // c.im.denominator))
+                for exp, c in coeffs.items()
+            }
+        self.vars = vars
+        self._num, self._den = _canonical(num, den)
+        self._terms = self._lead = self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def zero(vars: Sequence[str]) -> "Poly":
-        return Poly(vars)
+        return _poly(tuple(vars), {}, 1)
 
     @staticmethod
     def constant(vars: Sequence[str], value) -> "Poly":
         vars = tuple(vars)
-        return Poly(vars, {(0,) * len(vars): _coerce_coeff(value)})
+        re, im, den = _split(_coerce_coeff(value))
+        return _poly(vars, {(0,) * len(vars): (re, im)}, den)
 
     @staticmethod
     def one(vars: Sequence[str]) -> "Poly":
-        return Poly.constant(vars, 1)
+        vars = tuple(vars)
+        return _poly(vars, {(0,) * len(vars): (1, 0)}, 1)
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "Poly":
@@ -173,7 +243,7 @@ class Poly:
             raise ValueError(f"unknown variable {name!r}; have {vars}")
         exp = [0] * len(vars)
         exp[vars.index(name)] = 1
-        return Poly(vars, {tuple(exp): GaussianRational.one()})
+        return _poly(vars, {tuple(exp): (1, 0)}, 1)
 
     @staticmethod
     def monomial(vars: Sequence[str], exponent: Exponent, coeff) -> "Poly":
@@ -181,39 +251,53 @@ class Poly:
 
     # -- predicates and views ----------------------------------------------
 
+    def _coeff(self, exp: Exponent) -> GaussianRational:
+        re, im = self._num[exp]
+        den = self._den
+        return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+    @property
+    def terms(self) -> Mapping[Exponent, GaussianRational]:
+        """Read-only view: exponent -> nonzero :class:`GaussianRational`."""
+        if self._terms is None:
+            self._terms = MappingProxyType({exp: self._coeff(exp) for exp in self._num})
+        return self._terms
+
     @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(exp) == 0 for exp in self.terms)
+        return all(sum(exp) == 0 for exp in self._num)
 
     def constant_value(self) -> GaussianRational:
         if self.is_zero:
             return GaussianRational.zero()
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return next(iter(self.terms.values()))
+        return self._coeff(next(iter(self._num)))
 
     def total_degree(self, subset: Iterable[str] | None = None) -> int:
         """Maximal total degree over all terms; -1 for the zero polynomial.
 
         With ``subset`` given, only the exponents of those variables count.
         """
-        if not self.terms:
+        if not self._num:
             return -1
         if subset is None:
-            return max(sum(exp) for exp in self.terms)
+            return max(sum(exp) for exp in self._num)
         idx = [self.vars.index(v) for v in subset]
-        return max(sum(exp[i] for i in idx) for exp in self.terms)
+        return max(sum(exp[i] for i in idx) for exp in self._num)
 
     def leading_term(self) -> tuple[Exponent, GaussianRational]:
         """Leading (exponent, coefficient) pair under graded lex order."""
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        exp = max(self.terms, key=grlex_key)
-        return exp, self.terms[exp]
+        if self._lead is None:
+            if not self._num:
+                raise ValueError("zero polynomial has no leading term")
+            exp = max(self._num, key=grlex_key)
+            self._lead = exp, self._coeff(exp)
+        return self._lead
 
     def sorted_terms(self) -> list[tuple[Exponent, GaussianRational]]:
         """Terms sorted leading-first (descending graded lex)."""
@@ -225,35 +309,50 @@ class Poly:
         if self.vars != other.vars:
             raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
 
-    def __add__(self, other: "Poly") -> "Poly":
+    def _combine(self, other: "Poly", sign: int) -> "Poly":
+        """``self + sign * other`` over the lcm of the two denominators."""
         self._check_vars(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, GaussianRational.zero()) + coeff
-        return Poly(self.vars, out)
+        da, db = self._den, other._den
+        den = lcm(da, db)
+        fa, fb = den // da, (den // db) * sign
+        if fa == 1:
+            out = dict(self._num)
+        else:
+            out = {e: (re * fa, im * fa) for e, (re, im) in self._num.items()}
+        get = out.get
+        for e, (re, im) in other._num.items():
+            c = get(e)
+            if c is None:
+                out[e] = (re * fb, im * fb)
+            else:
+                out[e] = (c[0] + re * fb, c[1] + im * fb)
+        return _poly(self.vars, out, den)
+
+    def __add__(self, other: "Poly") -> "Poly":
+        return self._combine(other, 1)
 
     def __sub__(self, other: "Poly") -> "Poly":
-        self._check_vars(other)
-        out = dict(self.terms)
-        for exp, coeff in other.terms.items():
-            out[exp] = out.get(exp, GaussianRational.zero()) - coeff
-        return Poly(self.vars, out)
+        return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return Poly(self.vars, {exp: -c for exp, c in self.terms.items()})
+        return _poly(self.vars, {e: (-re, -im) for e, (re, im) in self._num.items()}, self._den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_vars(other)
-        out: dict[Exponent, GaussianRational] = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                exp = tuple(x + y for x, y in zip(ea, eb))
-                prod = ca * cb
-                if exp in out:
-                    out[exp] = out[exp] + prod
+        out: dict[Exponent, tuple[int, int]] = {}
+        get = out.get
+        b_terms = list(other._num.items())
+        for ea, (ar, ai) in self._num.items():
+            for eb, (br, bi) in b_terms:
+                exp = tuple(map(add, ea, eb))
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                c = get(exp)
+                if c is None:
+                    out[exp] = (re, im)
                 else:
-                    out[exp] = prod
-        return Poly(self.vars, out)
+                    out[exp] = (c[0] + re, c[1] + im)
+        return _poly(self.vars, out, self._den * other._den)
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:
@@ -268,42 +367,90 @@ class Poly:
         return result
 
     def scale(self, value) -> "Poly":
-        c = _coerce_coeff(value)
-        return Poly(self.vars, {exp: coeff * c for exp, coeff in self.terms.items()})
+        cr, ci, cd = _split(_coerce_coeff(value))
+        return _poly(
+            self.vars,
+            {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in self._num.items()},
+            self._den * cd,
+        )
 
     def conjugate(self) -> "Poly":
         """Conjugate all coefficients (the variables are treated as real)."""
-        return Poly(self.vars, {exp: c.conjugate() for exp, c in self.terms.items()})
+        return _poly(self.vars, {e: (re, -im) for e, (re, im) in self._num.items()}, self._den)
 
     def homogeneous_part(self, degree: int, subset: Iterable[str] | None = None) -> "Poly":
         """The sum of terms whose (subset-)total degree equals ``degree``."""
         if subset is None:
-            return Poly(self.vars, {e: c for e, c in self.terms.items() if sum(e) == degree})
-        idx = [self.vars.index(v) for v in subset]
-        return Poly(
-            self.vars,
-            {e: c for e, c in self.terms.items() if sum(e[i] for i in idx) == degree},
-        )
+            out = {e: c for e, c in self._num.items() if sum(e) == degree}
+        else:
+            idx = [self.vars.index(v) for v in subset]
+            out = {e: c for e, c in self._num.items() if sum(e[i] for i in idx) == degree}
+        return _poly(self.vars, out, self._den)
 
     def exact_div(self, divisor: "Poly") -> "Poly":
-        """Exact polynomial division; raises ``ValueError`` if not divisible."""
+        """Exact polynomial division; raises ``ValueError`` if not divisible.
+
+        The remainder is one dict of Gaussian-integer numerators over a
+        denominator ``rd``, keyed by :func:`_heap_key` so a heap yields its
+        leading term.  With ``lc`` the divisor's leading numerator, a
+        quotient term is ``r * conj(lc) / |lc|^2`` for the remainder's leading
+        numerator ``r``; only when that is not a Gaussian integer are the
+        remainder and ``rd`` scaled up, by the smallest factor that makes it one.
+        """
         self._check_vars(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return Poly.zero(self.vars)
-        d_exp, d_coeff = divisor.leading_term()
-        quotient: dict[Exponent, GaussianRational] = {}
-        remainder = self
-        while not remainder.is_zero:
-            r_exp, r_coeff = remainder.leading_term()
-            diff = tuple(a - b for a, b in zip(r_exp, d_exp))
-            if any(e < 0 for e in diff):
+        d_exp = max(divisor._num, key=grlex_key)
+        lr, li = divisor._num[d_exp]
+        norm = lr * lr + li * li
+        d_key = _heap_key(d_exp)
+        rest = [(_heap_key(e), c) for e, c in divisor._num.items() if e != d_exp]
+        rem = {_heap_key(e): c for e, c in self._num.items()}
+        heap = list(rem)
+        heapq.heapify(heap)
+        rd = self._den
+        quotient = []  # (diff, q_k.re, q_k.im, rd_k): rd when q_k was found
+        while heap:
+            key = heapq.heappop(heap)
+            lead = rem.pop(key, None)
+            if lead is None:
+                continue  # a key whose term has cancelled since it was pushed
+            diff = tuple(map(sub, key, d_key))
+            if max(diff) > 0:
                 raise ValueError("division is not exact")
-            c = r_coeff / d_coeff
-            quotient[diff] = c
-            remainder = remainder - Poly.monomial(self.vars, diff, c) * divisor
-        return Poly(self.vars, quotient)
+            rr, ri = lead
+            tr, ti = rr * lr + ri * li, ri * lr - rr * li  # lead * conj(lc)
+            if norm != 1:
+                if tr % norm or ti % norm:
+                    f = norm // gcd(norm, tr, ti)
+                    for k, (re, im) in rem.items():
+                        rem[k] = (re * f, im * f)
+                    rd *= f
+                    tr *= f
+                    ti *= f
+                tr //= norm
+                ti //= norm
+            quotient.append((diff, tr, ti, rd))
+            for k, (dr, di) in rest:
+                k = tuple(map(add, diff, k))
+                pr, pi = tr * dr - ti * di, tr * di + ti * dr
+                c = rem.get(k)
+                if c is None:
+                    rem[k] = (-pr, -pi)
+                    heapq.heappush(heap, k)
+                elif c[0] == pr and c[1] == pi:
+                    del rem[k]
+                else:
+                    rem[k] = (c[0] - pr, c[1] - pi)
+        # term k of the quotient is q_k * divisor._den / rd_k: bring every
+        # term over the final rd, a multiple of each rd_k
+        out = {}
+        for diff, qr, qi, qd in quotient:
+            f = divisor._den * (rd // qd)
+            out[tuple(map(neg, diff[1:]))] = (qr * f, qi * f)
+        return _poly(self.vars, out, rd)
 
     # -- substitutions and evaluation --------------------------------------
 
@@ -317,20 +464,20 @@ class Poly:
             if v not in new_vars:
                 raise ValueError(f"variable {v!r} missing from {new_vars}")
             positions.append(new_vars.index(v))
-        out: dict[Exponent, GaussianRational] = {}
-        for exp, coeff in self.terms.items():
+        out = {}
+        for exp, c in self._num.items():
             new_exp = [0] * len(new_vars)
             for pos, e in zip(positions, exp):
                 new_exp[pos] = e
-            out[tuple(new_exp)] = coeff
-        return Poly(new_vars, out)
+            out[tuple(new_exp)] = c
+        return _poly(new_vars, out, self._den)
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":
         """Rename variables (a bijective relabelling, exponents unchanged)."""
         new_vars = tuple(mapping.get(v, v) for v in self.vars)
         if len(set(new_vars)) != len(new_vars):
             raise ValueError("variable renaming is not injective")
-        return Poly(new_vars, self.terms)
+        return _poly(new_vars, dict(self._num), self._den)
 
     def substitute(self, values: Mapping[str, "Poly"]) -> "Poly":
         """Substitute polynomials for some variables (same ambient ring)."""
@@ -363,14 +510,17 @@ class Poly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.vars == other.vars and self.terms == other.terms
+        return (self.vars == other.vars and self._den == other._den
+                and self._num == other._num)
 
     def __hash__(self) -> int:
         if self._hash is None:
-            object.__setattr__(
-                self, "_hash", hash((self.vars, frozenset(self.terms.items())))
-            )
+            self._hash = hash((self.vars, self._den, frozenset(self._num.items())))
         return self._hash
+
+    def __reduce__(self):
+        # the cached views (a mappingproxy among them) are not pickled
+        return _poly, (self.vars, dict(self._num), self._den)
 
     def _monomial_str(self, exp: Exponent) -> str:
         parts = []

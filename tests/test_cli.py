@@ -95,6 +95,14 @@ def test_parse_error_is_json_error(tmp_path, capsys):
     assert "line 2" in rep["error"]
 
 
+def test_zero_denominator_is_located_json_error(tmp_path, capsys):
+    bad = tmp_path / "bad.spec"
+    bad.write_text("vars: d1\ncomplex C = de_rham(1)\nmu C 1 scalar 1/0\n")
+    assert _run(["verify", "--spec", str(bad)]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["error"] == "line 3, column 17: zero denominator"
+
+
 def test_threads_env_recorded(spec_file, tmp_path, monkeypatch):
     monkeypatch.setenv("CXKIT_THREADS", "4")
     out = tmp_path / "v.json"

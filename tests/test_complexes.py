@@ -16,7 +16,7 @@ from cxkit.complexes import (
     perturbed_laplacian,
     powered_de_rham_complex,
 )
-from cxkit.diffop import OperatorMatrix, spatial_signature
+from cxkit.diffop import OperatorMatrix, Signature, spatial_signature
 from cxkit.poly import GaussianRational, Poly
 
 from math import comb
@@ -182,6 +182,18 @@ def test_mu_degree_restriction():
     mu = MuSet.scalar(cplx, muval, degrees=[1])
     # only degree 1 carries weights
     assert generalized_laplacian(cplx, 1, mu) == laplacian(cplx, 1).scale(muval)
+
+
+def test_mu_lift_to_richer_signature():
+    cplx = de_rham_complex(3, params=("mu",))
+    mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"), degrees=[1])
+    sig = Signature(cplx.signature.spatial, "dt", ("c", "mu"))
+    cplx_t = cplx.lift(sig)
+    lifted = mu.lift(cplx_t)
+    assert lifted.cplx is cplx_t
+    for q in range(cplx.length + 1):
+        assert lifted.mu0(q) == mu.mu0(q).lift(sig)
+        assert lifted.mu1(q) == mu.mu1(q).lift(sig)
 
 
 def test_laplace_powers_weights():

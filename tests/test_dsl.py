@@ -1,5 +1,7 @@
 """Spec-document language: parsing, round-trips, error positions."""
 
+import time
+
 import pytest
 
 from cxkit import dsl
@@ -127,3 +129,24 @@ def test_error_unknown_builder():
 def test_error_mu_before_complex():
     with pytest.raises(dsl.SpecError):
         dsl.parse("vars: d1\nmu C 1 scalar 2\n")
+
+
+@pytest.mark.parametrize("text, line, column", [
+    ("vars: d1\ncomplex C = de_rham(1)\nmu C 1 scalar 1/0\n", 3, 17),
+    ("vars: d1\noperator A = [[2/0*d1]]\n", 2, 18),
+])
+def test_error_zero_denominator(text, line, column):
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert "zero denominator" in str(exc.value)
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_exponent_limit():
+    doc = dsl.parse(f"vars: d1\noperator P = [[d1^{dsl.MAX_EXPONENT}]]\n")
+    assert doc.operators["P"][0, 0].total_degree() == dsl.MAX_EXPONENT
+    t0 = time.perf_counter()
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse("vars: d1 d2\noperator Q = [[(d1+d2)^100000]]\n")
+    assert time.perf_counter() - t0 < 5.0
+    assert (exc.value.line, exc.value.column) == (2, 24)

@@ -1,0 +1,274 @@
+"""The integer-numerator Poly kernel against slower exact references.
+
+``FractionPoly`` is the earlier ``Poly`` arithmetic, one ``GaussianRational``
+(two ``Fraction``s) per term, kept verbatim up to the class name as the
+reference the kernel is compared with.  Determinants are also compared with
+sympy where it is installed.
+"""
+
+import copy
+import pickle
+from fractions import Fraction
+from math import gcd
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cxkit.blockops import maxwell
+from cxkit.complexes import de_rham_complex
+from cxkit.ellipticity import petrovskii_check
+from cxkit.poly import GaussianRational, Poly, PolyMatrix, _coerce_coeff, grlex_key
+from cxkit.symbols import maxwell_parametrix_symbol, maxwell_symbol
+
+VARS = ("x", "y", "z")
+
+
+# ---------------------------------------------------------------------------
+# Reference: Fraction-based arithmetic
+
+
+class FractionPoly:
+    """Sparse polynomial with one GaussianRational per term (reference)."""
+
+    __slots__ = ("vars", "terms", "_hash")
+
+    def __init__(self, vars, terms=None):
+        object.__setattr__(self, "vars", tuple(vars))
+        clean = {}
+        if terms:
+            nv = len(self.vars)
+            for exp, coeff in terms.items():
+                exp = tuple(exp)
+                if len(exp) != nv:
+                    raise ValueError(f"exponent {exp} does not match {nv} variables")
+                if any(e < 0 for e in exp):
+                    raise ValueError(f"negative exponent in {exp}")
+                coeff = _coerce_coeff(coeff)
+                if not coeff.is_zero:
+                    clean[exp] = coeff
+        object.__setattr__(self, "terms", clean)
+        object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def zero(vars):
+        return FractionPoly(vars)
+
+    @staticmethod
+    def monomial(vars, exponent, coeff):
+        return FractionPoly(vars, {tuple(exponent): _coerce_coeff(coeff)})
+
+    @property
+    def is_zero(self):
+        return not self.terms
+
+    def leading_term(self):
+        if not self.terms:
+            raise ValueError("zero polynomial has no leading term")
+        exp = max(self.terms, key=grlex_key)
+        return exp, self.terms[exp]
+
+    def _check_vars(self, other):
+        if self.vars != other.vars:
+            raise ValueError(f"variable mismatch: {self.vars} vs {other.vars}")
+
+    def __add__(self, other):
+        self._check_vars(other)
+        out = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            out[exp] = out.get(exp, GaussianRational.zero()) + coeff
+        return FractionPoly(self.vars, out)
+
+    def __sub__(self, other):
+        self._check_vars(other)
+        out = dict(self.terms)
+        for exp, coeff in other.terms.items():
+            out[exp] = out.get(exp, GaussianRational.zero()) - coeff
+        return FractionPoly(self.vars, out)
+
+    def __mul__(self, other):
+        self._check_vars(other)
+        out = {}
+        for ea, ca in self.terms.items():
+            for eb, cb in other.terms.items():
+                exp = tuple(x + y for x, y in zip(ea, eb))
+                prod = ca * cb
+                if exp in out:
+                    out[exp] = out[exp] + prod
+                else:
+                    out[exp] = prod
+        return FractionPoly(self.vars, out)
+
+    def exact_div(self, divisor):
+        """Exact polynomial division; raises ``ValueError`` if not divisible."""
+        self._check_vars(divisor)
+        if divisor.is_zero:
+            raise ZeroDivisionError("division by the zero polynomial")
+        if self.is_zero:
+            return FractionPoly.zero(self.vars)
+        d_exp, d_coeff = divisor.leading_term()
+        quotient = {}
+        remainder = self
+        while not remainder.is_zero:
+            r_exp, r_coeff = remainder.leading_term()
+            diff = tuple(a - b for a, b in zip(r_exp, d_exp))
+            if any(e < 0 for e in diff):
+                raise ValueError("division is not exact")
+            c = r_coeff / d_coeff
+            quotient[diff] = c
+            remainder = remainder - FractionPoly.monomial(self.vars, diff, c) * divisor
+        return FractionPoly(self.vars, quotient)
+
+
+def ref(p: Poly) -> FractionPoly:
+    return FractionPoly(p.vars, p.terms)
+
+
+def same(p: Poly, r: FractionPoly) -> bool:
+    return p.vars == r.vars and dict(p.terms) == r.terms
+
+
+# ---------------------------------------------------------------------------
+# Strategies: Gaussian-rational, Gaussian-integer and real coefficients
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
+coefficients = st.one_of(
+    st.builds(GaussianRational.of, rationals, rationals),
+    st.builds(GaussianRational.of, st.integers(-9, 9), st.integers(-9, 9)),
+    st.builds(GaussianRational.of, rationals),
+    st.builds(GaussianRational.of, st.just(0), rationals),
+)
+
+
+@st.composite
+def polys(draw, max_terms=5, max_exp=3):
+    n = draw(st.integers(0, max_terms))
+    terms = {}
+    for _ in range(n):
+        exp = tuple(draw(st.integers(0, max_exp)) for _ in VARS)
+        terms[exp] = draw(coefficients)
+    return Poly(VARS, terms)
+
+
+def assert_canonical(p: Poly) -> None:
+    assert p._den > 0
+    assert all(c != (0, 0) for c in p._num.values())
+    assert gcd(p._den, *(x for c in p._num.values() for x in c)) == 1
+    if p.is_zero:
+        assert p._den == 1
+
+
+# ---------------------------------------------------------------------------
+# Arithmetic against the reference
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys())
+def test_arithmetic_matches_reference(p, q):
+    for got, want in ((p + q, ref(p) + ref(q)), (p - q, ref(p) - ref(q)),
+                      (p * q, ref(p) * ref(q))):
+        assert same(got, want)
+        assert_canonical(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(max_terms=3))
+def test_exact_div_matches_reference(p, q):
+    if q.is_zero:
+        with pytest.raises(ZeroDivisionError):
+            p.exact_div(q)
+        return
+    try:
+        want = ref(p).exact_div(ref(q))
+    except ValueError:
+        with pytest.raises(ValueError):
+            p.exact_div(q)
+        return
+    got = p.exact_div(q)
+    assert same(got, want)
+    assert_canonical(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), coefficients)
+def test_canonical_form_and_hash(p, q, c):
+    for r in (p, -p, p.conjugate(), p.scale(c), p.homogeneous_part(2),
+              (p + q) - q, Poly(VARS, p.terms)):
+        assert_canonical(r)
+    built = ((p + q) - q, (p * q) - p * q + p, Poly(VARS, p.terms))
+    for r in built:
+        assert r == p
+        assert hash(r) == hash(p)
+    if not c.is_zero:
+        back = p.scale(c).scale(GaussianRational.one() / c)
+        assert back == p and hash(back) == hash(p)
+    assert len(p.terms) == len(p._num)  # fills the cached view before copying
+    for r in (pickle.loads(pickle.dumps(p)), copy.deepcopy(p)):
+        assert r == p and hash(r) == hash(p)
+        assert_canonical(r)
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(), polys(max_terms=4), st.data())
+def test_exact_div_roundtrip_and_failure(p, q, data):
+    if q.is_zero:
+        return
+    assert (p * q).exact_div(q) == p
+    if q.total_degree() > 0:
+        # a nonzero term below q's degree leaves a remainder: not divisible
+        low = tuple(data.draw(st.integers(0, q.total_degree() - 1)) if i == 0 else 0
+                    for i in range(len(VARS)))
+        r = Poly.monomial(VARS, low, data.draw(coefficients.filter(lambda c: not c.is_zero)))
+        with pytest.raises(ValueError):
+            (p * q + r).exact_div(q)
+
+
+def test_exact_div_scales_the_remainder():
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    # leading coefficient 2 + i: quotient coefficients are not Gaussian integers
+    q = (x * x).scale(GaussianRational.of(2, 1)) - y.scale(3)
+    p = x.scale(Fraction(1, 7)) + y.scale(GaussianRational.of(Fraction(2, 5), 1)) - Poly.one(VARS)
+    assert (p * q).exact_div(q) == p
+    assert same((p * q).exact_div(q), (ref(p) * ref(q)).exact_div(ref(q)))
+
+
+# ---------------------------------------------------------------------------
+# Determinants against sympy
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(2, 5).flatmap(
+    lambda n: st.lists(st.lists(polys(max_terms=2, max_exp=1), min_size=n, max_size=n),
+                       min_size=n, max_size=n)))
+def test_determinant_matches_sympy(entries):
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(VARS)
+
+    def to_sympy(p: Poly):
+        total = sympy.Integer(0)
+        for exp, c in p.terms.items():
+            mono = sympy.Integer(1)
+            for s, e in zip(syms, exp):
+                mono *= s ** e
+            total += (sympy.Rational(c.re.numerator, c.re.denominator)
+                      + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * mono
+        return total
+
+    m = PolyMatrix(VARS, entries)
+    want = sympy.Matrix([[to_sympy(p) for p in row] for row in entries]).det(method="berkowitz")
+    assert sympy.expand(to_sympy(m.determinant()) - want) == 0
+
+
+# ---------------------------------------------------------------------------
+# de Rham(4): the 16x16 Maxwell symbol
+
+
+def test_de_rham_4_petrovskii_certified():
+    rep = petrovskii_check(maxwell(de_rham_complex(4), 4))
+    assert rep.verdict == "certified-symbolic"
+    assert rep.certified_form == "(1)*(|zeta|^2)^8"
+
+
+def test_de_rham_4_right_parametrix_exact():
+    cplx = de_rham_complex(4)
+    f1 = maxwell_parametrix_symbol(cplx, None, "right")
+    assert (maxwell_symbol(cplx, 4, None, 1) @ f1).is_identity()
