@@ -1,12 +1,13 @@
 """Command-line interface.
 
-``cxkit <command> [--spec FILE] [--json OUT] [--seed N] [--budget N]``
+``cxkit <command> [--spec FILE] [--json OUT] [command options]``
 
 Commands operate on a spec document (see :mod:`cxkit.dsl`) or on the bundled
 fixture corpus.  All reports are emitted as deterministic JSON (sorted keys)
 plus a short human-readable summary on stderr; the exit status is 0 only when
-every requested verdict passes.  ``--budget`` counts Sobol samples for the
-ellipticity checks and S-pairs for ``syzygy`` and ``extend``.  A
+every requested verdict passes.  Only ``ellipticity`` takes ``--seed``;
+``--budget`` counts Sobol samples for ``ellipticity`` and S-pairs for
+``syzygy`` and ``extend``, and no other command takes it.  A
 ``CXKIT_THREADS`` integer is recorded in reports; the engine is sequential.
 """
 
@@ -202,12 +203,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, *, spec=True, budget=ellipticity.DEFAULT_BUDGET):
+    def common(p, *, spec=True):
         if spec:
             p.add_argument("--spec", help="spec document file")
         p.add_argument("--json", dest="json_out", help="write the JSON report here")
-        p.add_argument("--seed", type=int, default=ellipticity.DEFAULT_SEED)
-        p.add_argument("--budget", type=int, default=budget)
         return p
 
     common(sub.add_parser("verify", help="complex property and mu coherence"))
@@ -227,6 +226,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("ellipticity", help="ellipticity checks"))
     p.add_argument("--name")
+    p.add_argument("--seed", type=int, default=ellipticity.DEFAULT_SEED,
+                   help="Sobol scrambling seed of the numeric search")
+    p.add_argument("--budget", type=int, default=ellipticity.DEFAULT_BUDGET,
+                   help="Sobol samples of the numeric search")
     p.add_argument("--kind", default="petrovskii",
                    choices=("petrovskii", "strong", "injectivity"))
 
@@ -239,13 +242,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name")
     p.add_argument("--side", default="right", choices=("right", "left"))
 
-    p = common(sub.add_parser("syzygy", help="compatibility operator"),
-               budget=syzygy.DEFAULT_PAIR_BUDGET)
+    p = common(sub.add_parser("syzygy", help="compatibility operator"))
     p.add_argument("--name")
+    p.add_argument("--budget", type=int, default=syzygy.DEFAULT_PAIR_BUDGET,
+                   help="S-pairs Buchberger may process")
 
-    p = common(sub.add_parser("extend", help="extend to a compatibility complex"),
-               budget=syzygy.DEFAULT_PAIR_BUDGET)
+    p = common(sub.add_parser("extend", help="extend to a compatibility complex"))
     p.add_argument("--name")
+    p.add_argument("--budget", type=int, default=syzygy.DEFAULT_PAIR_BUDGET,
+                   help="S-pairs Buchberger may process per step")
     p.add_argument("--max-steps", type=int, default=8)
 
     p = common(sub.add_parser("fixtures", help="run the bundled corpus"), spec=False)

@@ -6,19 +6,15 @@ narrow form ``gamma * (|zeta|^2)^k`` (optionally times the identity), and only
 fall back to a deterministic numeric minimization over the unit sphere when the
 certificate does not apply.  Numeric verdicts use a three-way threshold:
 minimum > 1e-9 passes, a point below 1e-12 fails, anything between is
-inconclusive.
+inconclusive.  The numeric search lives in :mod:`cxkit.sphere`, which is
+imported only when a certificate fails, so certified checks load neither
+numpy nor scipy.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
-from scipy import optimize
-from scipy.special import ndtri
-from scipy.stats import qmc
+from typing import Sequence
 
 from cxkit.blockops import BlockPartition
 from cxkit.complexes import Complex, MuSet
@@ -29,8 +25,6 @@ PASS_THRESHOLD = 1e-9
 FAIL_THRESHOLD = 1e-12
 DEFAULT_BUDGET = 20_000
 DEFAULT_SEED = 20240
-
-_POLISH_COUNT = 16
 
 
 # ---------------------------------------------------------------------------
@@ -103,98 +97,6 @@ class WeightPlan:
 
 
 # ---------------------------------------------------------------------------
-# Vectorized polynomial evaluation
-
-
-def _compile_poly(p: Poly, var_order: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a function mapping an (M, d) point array to (M,) complex values."""
-    index = {v: i for i, v in enumerate(p.vars)}
-    cols = [index[v] for v in var_order]
-    exps = []
-    coeffs = []
-    for exp, coeff in p.terms.items():
-        exps.append([exp[c] for c in cols])
-        coeffs.append(complex(coeff))
-    if not exps:
-        return lambda pts: np.zeros(len(pts), dtype=complex)
-    e = np.array(exps, dtype=np.int64)  # (T, d)
-    c = np.array(coeffs, dtype=complex)  # (T,)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        # pts: (M, d) real; result (M,)
-        monomials = np.prod(pts[:, None, :] ** e[None, :, :], axis=2)
-        return monomials @ c
-
-    return evaluate
-
-
-def _compile_matrix(sym: SymbolMatrix, var_order: Sequence[str]
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    entry_fns = [[_compile_poly(sym.body[i, j], var_order) for j in range(sym.cols)]
-                 for i in range(sym.rows)]
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(pts), sym.rows, sym.cols), dtype=complex)
-        for i in range(sym.rows):
-            for j in range(sym.cols):
-                out[:, i, j] = entry_fns[i][j](pts)
-        return out
-
-    return evaluate
-
-
-def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
-    if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-        u = sampler.random(budget)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
-    g = ndtri(u)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
-
-
-def _canonical_point(x: np.ndarray) -> tuple[float, ...]:
-    x = x / np.linalg.norm(x)
-    for v in x:
-        if abs(v) > 1e-12:
-            if v < 0:
-                x = -x
-            break
-    return tuple(round(float(v), 12) + 0.0 for v in x)
-
-
-def _sphere_minimize(fn: Callable[[np.ndarray], np.ndarray], dim: int,
-                     seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
-    """Deterministic global-ish minimization of ``fn`` over the unit sphere:
-    quasi-random scan, then local polish from the best candidates."""
-    pts = _sphere_points(dim, budget, seed)
-    values = fn(pts)
-    order = np.argsort(values, kind="stable")
-    candidates: list[tuple[float, tuple[float, ...]]] = []
-    for idx in order[:_POLISH_COUNT]:
-        candidates.append((float(values[idx]), _canonical_point(pts[idx])))
-        if dim > 1:
-            def objective(x):
-                n = np.linalg.norm(x)
-                if n < 1e-9:
-                    return float("inf")
-                return float(fn((x / n)[None, :])[0])
-
-            res = optimize.minimize(objective, pts[idx], method="Nelder-Mead",
-                                    options={"xatol": 1e-12, "fatol": 1e-14,
-                                             "maxiter": 600})
-            if np.isfinite(res.fun):
-                candidates.append((float(res.fun), _canonical_point(res.x)))
-    # exact argmin with lexicographic tie-break for determinism
-    best = min(candidates, key=lambda vp: (vp[0], vp[1]))
-    return best
-
-
-# ---------------------------------------------------------------------------
 # Symbolic certification helpers
 
 
@@ -233,18 +135,6 @@ def _spatial_symbol_vars(sym: SymbolMatrix) -> tuple[list[str], list[str]]:
     if sig.time is not None:
         sphere.append(sig.time)
     return sphere, list(sig.params)
-
-
-def _with_params(fn, n_sphere: int, n_params: int):
-    """Append parameter columns fixed at 1.0 to sphere points."""
-    if n_params == 0:
-        return fn
-
-    def wrapped(pts: np.ndarray) -> np.ndarray:
-        cols = np.ones((len(pts), n_params))
-        return fn(np.hstack([pts, cols]))
-
-    return wrapped
 
 
 def _numeric_verdict(minimum: float, argmin: tuple[float, ...], *, check: str,
@@ -286,10 +176,9 @@ def _petrovskii_on_symbol(sym: SymbolMatrix, *, check: str,
             "certified-symbolic", check, determinant=det_str,
             certified_form=f"({gamma})*(|zeta|^2)^{k}",
         )
-    det_fn = _compile_poly(det, sphere_vars + param_vars)
-    fn = _with_params(lambda pts: np.abs(det_fn(pts)), len(sphere_vars),
-                      len(param_vars))
-    minimum, argmin = _sphere_minimize(fn, len(sphere_vars), seed, budget)
+    from cxkit import sphere
+    minimum, argmin = sphere.abs_minimum(det, sphere_vars, param_vars,
+                                         seed=seed, budget=budget)
     return _numeric_verdict(minimum, argmin, check=check, determinant=det_str,
                             seed=seed, budget=budget)
 
@@ -341,15 +230,10 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
                                          certified_form=f"({gamma})*(|zeta|^2)^{k}*I",
                                          minimum=float(gamma.re),
                                          witness=witness)
-    mat_fn = _compile_matrix(herm, sphere_vars + param_vars)
-
-    def min_eig(pts: np.ndarray) -> np.ndarray:
-        mats = mat_fn(pts)
-        mats = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
-        return np.linalg.eigvalsh(mats)[:, 0].real
-
-    fn = _with_params(min_eig, len(sphere_vars), len(param_vars))
-    minimum, argmin = _sphere_minimize(fn, len(sphere_vars), seed, budget)
+    from cxkit import sphere
+    minimum, argmin = sphere.eigenvalue_minimum(herm.body, sphere_vars,
+                                                param_vars, seed=seed,
+                                                budget=budget)
     return _numeric_verdict(minimum, argmin, check="strong-ellipticity",
                             determinant=None, seed=seed, budget=budget)
 

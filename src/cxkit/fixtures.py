@@ -11,6 +11,7 @@ fixture function returns a JSON-friendly report ``{"name", "checks", "ok"}``;
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Sequence
 
 from cxkit import blockops, ellipticity, symbols, syzygy
@@ -26,7 +27,7 @@ from cxkit.complexes import (
     powered_de_rham_complex,
 )
 from cxkit.diffop import OperatorMatrix, Signature, spatial_signature, tensor_identity
-from cxkit.poly import GaussianRational, Poly
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 I = GaussianRational.i()
 
@@ -68,21 +69,34 @@ def _scalar_block(sig: Signature, n: int, p: Poly) -> OperatorMatrix:
     return OperatorMatrix.identity(sig, n).scale(p)
 
 
+def _placed(vars, rows: int, cols: int, parts) -> PolyMatrix:
+    """The sum of the blocks ``(matrix, r0, c0)``, each placed at ``(r0, c0)``
+    of a rows x cols zero matrix."""
+    out = PolyMatrix.zeros(vars, rows, cols)
+    for blk, r0, c0 in parts:
+        out = out + blk.embed(rows, cols, r0, c0)
+    return out
+
+
 def _assemble(sig: Signature, rows: Sequence[Sequence[OperatorMatrix]]
               ) -> OperatorMatrix:
     """Glue a matrix of operator blocks into one operator."""
-    entries: list[list[Poly]] = []
+    # Blocks are summed into their block row first, and only the rows into the
+    # whole matrix: each addition costs an entry per cell of its target.
+    width = sum(blk.cols for blk in rows[0])
+    glued = []
+    r0 = 0
     for block_row in rows:
         height = block_row[0].rows
-        for blk in block_row:
-            if blk.rows != height:
-                raise ValueError("ragged block row")
-        for i in range(height):
-            row: list[Poly] = []
-            for blk in block_row:
-                row.extend(blk[i, j] for j in range(blk.cols))
-            entries.append(row)
-    return OperatorMatrix.from_entries(sig, entries)
+        if (any(blk.rows != height for blk in block_row)
+                or sum(blk.cols for blk in block_row) != width):
+            raise ValueError("ragged block row")
+        starts = accumulate((blk.cols for blk in block_row), initial=0)
+        glued.append((_placed(sig.vars, height, width,
+                              [(blk.body, 0, c0) for blk, c0 in zip(block_row, starts)]),
+                      r0, 0))
+        r0 += height
+    return OperatorMatrix(sig, _placed(sig.vars, r0, width, glued))
 
 
 def _zero_block(sig: Signature, rows: int, cols: int) -> OperatorMatrix:
@@ -95,25 +109,20 @@ def _leading_minor(op: OperatorMatrix, size: int) -> OperatorMatrix:
 
 def _reverse_blocks(op: OperatorMatrix, ranks: Sequence[int]) -> OperatorMatrix:
     """Permute a block matrix from one block order to the reversed one."""
-    if sum(ranks) != op.rows or op.rows != op.cols:
+    n = op.rows
+    if sum(ranks) != n or n != op.cols:
         raise ValueError("rank profile does not match the operator")
-    perm: list[int] = []
-    offsets = []
-    pos = 0
-    for k in ranks:
-        offsets.append(pos)
-        pos += k
-    for off, k in reversed(list(zip(offsets, ranks))):
-        perm.extend(range(off, off + k))
-    ents = [[op[perm[i], perm[j]] for j in range(op.cols)]
-            for i in range(op.rows)]
-    return OperatorMatrix.from_entries(op.signature, ents)
+    spans = [(r0, r0 + k) for r0, k in zip(accumulate(ranks, initial=0), ranks)]
+    return OperatorMatrix(op.signature, _placed(op.body.vars, n, n, [
+        (op.body.block(r0, r1, c0, c1), n - r1, n - c1)
+        for r0, r1 in spans for c0, c1 in spans]))
 
 
 def _scale_last_row(op: OperatorMatrix, factor) -> OperatorMatrix:
-    ents = [[op[i, j] for j in range(op.cols)] for i in range(op.rows)]
-    ents[-1] = [p.scale(factor) for p in ents[-1]]
-    return OperatorMatrix.from_entries(op.signature, ents)
+    n, m = op.rows, op.cols
+    return OperatorMatrix(op.signature, _placed(op.body.vars, n, m, [
+        (op.body.block(0, n - 1, 0, m), 0, 0),
+        (op.body.block(n - 1, n, 0, m).scale(factor), n - 1, 0)]))
 
 
 def _report(name: str, checks: dict[str, bool], extra: dict | None = None) -> dict:

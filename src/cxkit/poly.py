@@ -312,6 +312,10 @@ class Poly:
     def _combine(self, other: "Poly", sign: int) -> "Poly":
         """``self + sign * other`` over the lcm of the two denominators."""
         self._check_vars(other)
+        if not other._num:
+            return self
+        if sign == 1 and not self._num:
+            return other
         da, db = self._den, other._den
         den = lcm(da, db)
         fa, fb = den // da, (den // db) * sign

@@ -130,6 +130,37 @@ def test_budget_defaults(command, budget):
     assert not hasattr(args, "tol")
 
 
+@pytest.mark.parametrize("command", ["verify", "laplacian", "maxwell", "stokes",
+                                     "dn-weights", "parametrix", "syzygy",
+                                     "extend", "fixtures"])
+def test_seed_only_where_read(command):
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args([command, "--seed", "1"])
+
+
+@pytest.mark.parametrize("command", ["verify", "laplacian", "maxwell", "stokes",
+                                     "dn-weights", "parametrix", "fixtures"])
+def test_budget_only_where_read(command):
+    with pytest.raises(SystemExit):
+        _build_parser().parse_args([command, "--budget", "0"])
+
+
+QUADRATIC = "vars: d1 d2\noperator Q = [[-d1^2 - d1*d2 - d2^2]]\n"
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--budget", "0", "budget must be at least 1 sample, got 0"),
+    ("--budget", "-5", "budget must be at least 1 sample, got -5"),
+    ("--seed", "-3", "seed must be non-negative, got -3"),
+])
+def test_bad_sampling_arguments_are_json_errors(tmp_path, capsys, flag, value, message):
+    spec = tmp_path / "q.spec"
+    spec.write_text(QUADRATIC)
+    assert _run(["ellipticity", "--spec", str(spec), flag, value]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "ellipticity", "error": message, "ok": False}
+
+
 def test_fixture_bundle_byte_identical(tmp_path):
     """Two independent subprocess runs must produce identical JSON bytes."""
     outs = []

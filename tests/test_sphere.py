@@ -1,0 +1,238 @@
+"""The numeric sphere search: its shared-monomial evaluation kernel against
+the earlier per-entry evaluation, its argument checks, and the boundary that
+keeps numpy and scipy out of exact work.
+
+``_compile_poly`` and ``_compile_matrix`` are the earlier evaluation, one
+numpy call chain per matrix entry, kept verbatim as the reference.  The
+kernel must give the same floats bit for bit, since the numeric verdicts and
+the fixture bundle are built from them.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from fractions import Fraction
+from pathlib import Path
+from typing import Callable, Sequence
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import cxkit
+from cxkit import sphere
+from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
+from cxkit.ellipticity import petrovskii_check, strong_ellipticity_check
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
+
+# ---------------------------------------------------------------------------
+# Reference: per-entry evaluation
+
+
+def _compile_poly(p: Poly, var_order: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
+    """Return a function mapping an (M, d) point array to (M,) complex values."""
+    index = {v: i for i, v in enumerate(p.vars)}
+    cols = [index[v] for v in var_order]
+    exps = []
+    coeffs = []
+    for exp, coeff in p.terms.items():
+        exps.append([exp[c] for c in cols])
+        coeffs.append(complex(coeff))
+    if not exps:
+        return lambda pts: np.zeros(len(pts), dtype=complex)
+    e = np.array(exps, dtype=np.int64)  # (T, d)
+    c = np.array(coeffs, dtype=complex)  # (T,)
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        # pts: (M, d) real; result (M,)
+        monomials = np.prod(pts[:, None, :] ** e[None, :, :], axis=2)
+        return monomials @ c
+
+    return evaluate
+
+
+def _compile_matrix(sym: SymbolMatrix, var_order: Sequence[str]
+                    ) -> Callable[[np.ndarray], np.ndarray]:
+    entry_fns = [[_compile_poly(sym.body[i, j], var_order) for j in range(sym.cols)]
+                 for i in range(sym.rows)]
+
+    def evaluate(pts: np.ndarray) -> np.ndarray:
+        out = np.empty((len(pts), sym.rows, sym.cols), dtype=complex)
+        for i in range(sym.rows):
+            for j in range(sym.cols):
+                out[:, i, j] = entry_fns[i][j](pts)
+        return out
+
+    return evaluate
+
+
+# ---------------------------------------------------------------------------
+# Strategies: symbol matrices with and without time and parameter variables
+
+rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 10]))
+coefficients = st.one_of(
+    st.builds(GaussianRational.of, rationals, rationals),
+    st.builds(GaussianRational.of, rationals),
+)
+
+
+@st.composite
+def signatures(draw, params=None):
+    n = draw(st.integers(1, 3))
+    time = draw(st.sampled_from([None, "tau"]))
+    count = draw(st.integers(0, 2)) if params is None else params
+    return Signature(tuple(f"z{j + 1}" for j in range(n)), time,
+                     tuple(["a", "b"][:count]))
+
+
+@st.composite
+def symbol_matrices(draw, params=None):
+    sig = draw(signatures(params))
+    rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = {}
+            for _ in range(draw(st.integers(0, 5))):
+                exp = tuple(draw(st.integers(0, 3)) for _ in sig.vars)
+                terms[exp] = draw(coefficients)
+            row.append(Poly(sig.vars, terms))
+        entries.append(row)
+    return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
+
+
+def var_order(sym: SymbolMatrix) -> list[str]:
+    """Sphere variables, then parameters: the order the checks use."""
+    sig = sym.signature
+    return list(sig.derivative_vars) + list(sig.params)
+
+
+def batch(dim: int, size: int, seed: int) -> np.ndarray:
+    return sphere._sphere_points(dim, size, seed)
+
+
+def assert_same(sym: SymbolMatrix, pts: np.ndarray) -> None:
+    order = var_order(sym)
+    want = _compile_matrix(sym, order)(pts)
+    got = sphere.compile_matrix(sym.body, order)(pts)
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
+# ---------------------------------------------------------------------------
+# Kernel: bit identity with the per-entry evaluation
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbol_matrices(), st.integers(0, 2**31 - 1))
+def test_kernel_matches_per_entry_at_one_point(sym, seed):
+    pts = batch(len(var_order(sym)), 1, seed)
+    assert_same(sym, pts)
+
+
+@pytest.mark.parametrize("params", [0, 2])
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_kernel_matches_per_entry_on_sobol_batch(params, data):
+    sym = data.draw(symbol_matrices(params))
+    assert_same(sym, batch(len(var_order(sym)), 20_000, data.draw(st.integers(0, 999))))
+
+
+@settings(max_examples=60, deadline=None)
+@given(symbol_matrices(), st.integers(0, 999))
+def test_scalar_kernel_matches_per_entry_poly(sym, seed):
+    """A determinant is evaluated as a 1x1 matrix."""
+    p = sym.body[0, 0]
+    order = var_order(sym)
+    pts = batch(len(order), 2_000, seed)
+    got = sphere.compile_matrix(PolyMatrix(p.vars, [[p]]), order)(pts)[:, 0, 0]
+    assert np.array_equal(got, _compile_poly(p, order)(pts))
+
+
+def test_kernel_shares_exponent_rows():
+    """Entries with common monomials keep their own term order and values."""
+    sig = spatial_signature(2)
+    d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
+    a = d1 * d1 + d2 * d2
+    b = d2 * d2 - d1 * d2 + d1 * d1
+    sym = SymbolMatrix(sig, PolyMatrix(sig.vars, [[a, b], [b, Poly.zero(sig.vars)]]))
+    pts = batch(2, 512, 7)
+    assert_same(sym, pts)
+    got = sphere.compile_matrix(sym.body, sig.vars)(pts)
+    assert np.all(got[:, 1, 1] == 0)
+
+
+# ---------------------------------------------------------------------------
+# Sampling arguments
+
+
+def _numeric_form() -> OperatorMatrix:
+    """-(d1^2 + d1 d2 + d2^2): elliptic, but not certifiable as a |zeta|^2 power."""
+    sig = spatial_signature(2)
+    d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
+    return OperatorMatrix.from_entries(sig, [[-(d1 * d1 + d1 * d2 + d2 * d2)]])
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_budget_below_one_is_rejected(budget):
+    for check in (petrovskii_check, strong_ellipticity_check):
+        with pytest.raises(ValueError, match="budget"):
+            check(_numeric_form(), budget=budget)
+
+
+def test_negative_seed_is_rejected():
+    for check in (petrovskii_check, strong_ellipticity_check):
+        with pytest.raises(ValueError, match="seed"):
+            check(_numeric_form(), seed=-3)
+
+
+def test_smallest_budget_runs():
+    rep = petrovskii_check(_numeric_form(), seed=0, budget=1)
+    assert rep.verdict == "numeric-pass" and rep.budget == 1 and rep.seed == 0
+
+
+# ---------------------------------------------------------------------------
+# Import boundary
+
+DE_RHAM = "vars: d1 d2 d3\ncomplex C = de_rham(3)\nmu C 1 scalar 2\n"
+QUADRATIC = "vars: d1 d2\noperator Q = [[-d1^2 - d1*d2 - d2^2]]\n"
+
+PROBE = """\
+import json, sys
+heavy = lambda: sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+import cxkit.cli as cli
+seen = {"import": heavy()}
+de_rham, quadratic, out = sys.argv[1:]
+codes = {}
+for name, argv in (("verify", ["verify", "--spec", de_rham]),
+                   ("parametrix", ["parametrix", "--spec", de_rham]),
+                   ("ellipticity", ["ellipticity", "--spec", quadratic,
+                                    "--kind", "petrovskii", "--budget", "256"])):
+    codes[name] = cli.main(argv + ["--json", out + "." + name])
+    seen[name] = heavy()
+print(json.dumps({"seen": seen, "codes": codes}))
+"""
+
+
+def test_numpy_and_scipy_load_only_for_numeric_checks(tmp_path):
+    de_rham, quadratic = tmp_path / "de_rham.spec", tmp_path / "quadratic.spec"
+    de_rham.write_text(DE_RHAM)
+    quadratic.write_text(QUADRATIC)
+    src = str(Path(cxkit.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = tmp_path / "report"
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE, str(de_rham), str(quadratic), str(out)],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == {"verify": 0, "parametrix": 0, "ellipticity": 0}
+    seen = result["seen"]
+    assert seen["import"] == [] and seen["verify"] == [] and seen["parametrix"] == []
+    assert seen["ellipticity"] == ["numpy", "scipy"]
+    rep = json.loads((tmp_path / "report.ellipticity").read_text())["report"]
+    assert rep["verdict"] == "numeric-pass"
+
