@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import Poly, PolyMatrix
 
 ISOTROPIC = "isotropic"
 SPATIAL = "spatial"
@@ -212,17 +212,8 @@ class OperatorMatrix(SignatureMatrix):
         """Formal L2 adjoint: conjugate-transpose with a (-1)^|alpha| twist on
         each derivative monomial.  Parameters are left untouched."""
         sig = self.signature
-        deriv_idx = [sig.vars.index(v) for v in sig.derivative_vars]
-
-        def entry_adjoint(p: Poly) -> Poly:
-            out = {}
-            for exp, coeff in p.terms.items():
-                deg = sum(exp[i] for i in deriv_idx)
-                c = coeff.conjugate()
-                out[exp] = -c if deg % 2 else c
-            return Poly(sig.vars, out)
-
-        return OperatorMatrix(sig, self.body.transpose().map(entry_adjoint))
+        return OperatorMatrix(sig, self.body.transpose().map(
+            lambda p: p.twist(sig.derivative_vars, 2, conjugate=True)))
 
     # -- symbols -----------------------------------------------------------
 
@@ -230,18 +221,8 @@ class OperatorMatrix(SignatureMatrix):
         """Replace d_j -> i*z_j and dt -> i*tau."""
         sig = self.signature
         sym_sig = sig.symbol_signature()
-        deriv_idx = [sig.vars.index(v) for v in sig.derivative_vars]
-        i_pow = [GaussianRational.one(), GaussianRational.i(),
-                 GaussianRational.of(-1), GaussianRational.of(0, -1)]
-
-        def entry_symbol(p: Poly) -> Poly:
-            out = {}
-            for exp, coeff in p.terms.items():
-                deg = sum(exp[i] for i in deriv_idx)
-                out[exp] = coeff * i_pow[deg % 4]
-            return Poly(sym_sig.vars, out)
-
-        return SymbolMatrix(sym_sig, self.body.map(entry_symbol, vars=sym_sig.vars))
+        return SymbolMatrix(sym_sig, self.body.map(
+            lambda p: p.twist(sig.derivative_vars, 1, vars=sym_sig.vars), vars=sym_sig.vars))
 
     def principal_symbol(self, grading: str = ISOTROPIC) -> "SymbolMatrix":
         """Top-order part of the total symbol under the chosen grading."""

@@ -382,6 +382,29 @@ class Poly:
         """Conjugate all coefficients (the variables are treated as real)."""
         return _poly(self.vars, {e: (re, -im) for e, (re, im) in self._num.items()}, self._den)
 
+    def twist(self, subset: Iterable[str], quarter_turns: int, *,
+              conjugate: bool = False, vars: Sequence[str] | None = None) -> "Poly":
+        """``p(i^q x)`` for the variables ``x`` in ``subset``: the term of
+        subset-degree ``k`` is multiplied by ``i^(q*k)``, after every
+        coefficient is conjugated if ``conjugate`` is set.
+
+        ``vars`` renames the result's variables position by position.  With
+        the derivative variables as ``subset``, ``twist(subset, 1)`` is the
+        total symbol (``d_j -> i*z_j``) and ``twist(subset, 2,
+        conjugate=True)`` the formal adjoint of a scalar operator.
+        """
+        new_vars = self.vars if vars is None else tuple(vars)
+        if len(new_vars) != len(self.vars):
+            raise ValueError(f"cannot rename {self.vars} to {new_vars}")
+        idx = [self.vars.index(v) for v in subset]
+        out = {}
+        for e, (re, im) in self._num.items():
+            if conjugate:
+                im = -im
+            k = quarter_turns * sum(e[i] for i in idx) % 4
+            out[e] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
+        return _poly(new_vars, out, self._den)
+
     def homogeneous_part(self, degree: int, subset: Iterable[str] | None = None) -> "Poly":
         """The sum of terms whose (subset-)total degree equals ``degree``."""
         if subset is None:

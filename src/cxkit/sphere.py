@@ -4,7 +4,9 @@ checks once their symbolic certificate does not apply.
 This is the only cxkit module that imports numpy and scipy, and
 :mod:`cxkit.ellipticity` imports it only on the numeric path, so exact work
 (complexes, block operators, parametrices, certified checks, syzygies) loads
-neither package.
+neither package.  Of scipy it imports ``scipy.special`` alone, for ``ndtri``,
+and reads the Joe-Kuo Sobol direction table shipped with ``scipy.stats`` as
+data, without importing that package.
 
 A symbol matrix is compiled into one evaluation kernel: the distinct
 exponent rows of all its entries are raised to the points once per call, and
@@ -12,18 +14,21 @@ each entry then takes its own dot product of its monomial columns with its
 coefficients, in its own term order.  Each entry therefore sums exactly as a
 separate per-entry evaluation would, bit for bit.  The scan draws a scrambled
 Sobol sequence mapped to the sphere, and the best candidates are polished
-with Nelder-Mead.  Parameter variables are held at 1.0.
+with Nelder-Mead.  Both are numpy ports that return the floats of
+``scipy.stats.qmc.Sobol(scramble=True)`` and of scipy's Nelder-Mead bit for
+bit, so reports do not depend on which of the two computed them.  Parameter
+variables are held at 1.0.
 """
 
 from __future__ import annotations
 
-import warnings
+import functools
+import importlib.util
+import os
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import optimize
 from scipy.special import ndtri
-from scipy.stats import qmc
 
 from cxkit.poly import Poly, PolyMatrix
 
@@ -70,17 +75,86 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
 
 
 # ---------------------------------------------------------------------------
+# Scrambled Sobol points
+
+_SOBOL_BITS = 30
+_MAX_SAMPLES = 2 ** _SOBOL_BITS
+
+
+@functools.cache
+def _direction_table() -> tuple[np.ndarray, np.ndarray]:
+    """Joe and Kuo's primitive polynomials and initial direction numbers, one
+    row per dimension, read from the table shipped inside scipy."""
+    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
+    path = os.path.join(scipy_dir, "stats", "_sobol_direction_numbers.npz")
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    poly.flags.writeable = vinit.flags.writeable = False
+    return poly, vinit
+
+
+def _direction_vectors(dim: int) -> np.ndarray:
+    """The (dim, 30) uint32 direction vectors of Bratley and Fox (1988),
+    column j scaled by 2**(29 - j)."""
+    poly, vinit = _direction_table()
+    bits = _SOBOL_BITS
+    v = np.ones((dim, bits), dtype=np.int64)
+    for d in range(1, dim):
+        p = int(poly[d])
+        m = p.bit_length() - 1
+        row = [int(x) for x in vinit[d, :m]]
+        for j in range(m, bits):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row
+    return (v << np.arange(bits - 1, -1, -1)).astype(np.uint32)
+
+
+def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    """The first ``n`` points of the ``dim``-dimensional Sobol sequence with
+    LMS+shift scrambling (Matousek 1998; Owen 2003) seeded by ``seed``: the
+    float64 array ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)
+    .random(n)`` returns, bit for bit."""
+    max_dim = len(_direction_table()[0])
+    if not 1 <= dim <= max_dim:
+        raise ValueError(f"dim must be between 1 and {max_dim}, got {dim}")
+    if not 1 <= n <= _MAX_SAMPLES:
+        raise ValueError(f"n must be between 1 and 2**{_SOBOL_BITS}, got {n}")
+    bits = _SOBOL_BITS
+    sv = _direction_vectors(dim)
+    rng = np.random.default_rng(seed)
+    shift = np.dot(rng.integers(0, 2, size=(dim, bits), dtype=np.uint32),
+                   2 ** np.arange(bits, dtype=np.uint32))
+    ltm = np.tril(rng.integers(0, 2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm[:, range(bits), range(bits)] = 1
+    # Bit q of a scrambled vector is the parity of the sum over k of
+    # ltm[29 - q, 29 - k] times its bit k: scipy reads each matrix row
+    # most-significant bit first and fills the result from the top bit down.
+    powers = np.arange(bits, dtype=np.uint32)
+    vector_bits = (sv[:, :, None] >> powers) & 1
+    parity = (vector_bits @ ltm[:, ::-1, ::-1].transpose(0, 2, 1)) & 1
+    sv = (parity << powers).sum(axis=2, dtype=np.uint32)
+    # Gray-code order: point 0 is the shift and point k+1 is point k XOR the
+    # direction vector of the lowest zero bit b of k.  ``~k & (k + 1)`` is
+    # 2**b, whose binary exponent b + 1 is the row of that vector here, and
+    # 0, whose exponent 0 is the shift's row, for k = -1.
+    rows = np.vstack([shift, sv.T])
+    k = np.arange(-1, n - 1)
+    steps = rows[np.frexp(~k & (k + 1))[1]]
+    return np.bitwise_xor.accumulate(steps, axis=0) * (1.0 / 2 ** bits)
+
+
+# ---------------------------------------------------------------------------
 # The search
 
 
 def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-        u = sampler.random(budget)
-    u = np.clip(u, 1e-12, 1 - 1e-12)
+    u = np.clip(_sobol(dim, budget, seed), 1e-12, 1 - 1e-12)
     g = ndtri(u)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
@@ -109,6 +183,108 @@ def _with_params(fn, n_params: int):
     return wrapped
 
 
+def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
+                 xatol: float, fatol: float, maxiter: int
+                 ) -> tuple[float, np.ndarray]:
+    """(least value, its vertex) of the Nelder and Mead (1965) simplex search
+    from ``x0``, with the coefficients 1, 2, 1/2, 1/2.
+
+    Every floating-point operation is the one, in the order, that scipy's
+    ``minimize(method="Nelder-Mead")`` performs without bounds, callback or
+    ``maxfev``, so both return the same floats.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).flatten()
+    N = len(x0)
+    sim = np.empty((N + 1, N), dtype=x0.dtype)
+    sim[0] = x0
+    for k in range(N):
+        y = np.array(x0, copy=True)
+        if y[k] != 0:
+            y[k] = (1 + 0.05) * y[k]
+        else:
+            y[k] = 0.00025
+        sim[k + 1] = y
+
+    def f(x: np.ndarray) -> float:
+        return func(np.copy(x))  # the objective may keep or change its argument
+
+    fsim = np.full((N + 1,), np.inf, dtype=float)
+    for k in range(N + 1):
+        fsim[k] = f(sim[k])
+    # Sorted twice, as scipy does: argsort is not stable, so the second sort
+    # may reorder equal values.
+    ind = np.argsort(fsim)
+    sim = np.take(sim, ind, 0)
+    fsim = np.take(fsim, ind, 0)
+    ind = np.argsort(fsim)
+    fsim = np.take(fsim, ind, 0)
+    sim = np.take(sim, ind, 0)
+
+    iterations = 1
+    while iterations < maxiter:
+        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
+                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            break
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            if fxe < fxr:
+                sim[-1] = xe
+                fsim[-1] = fxe
+            else:
+                sim[-1] = xr
+                fsim[-1] = fxr
+        elif fxr < fsim[-2]:
+            sim[-1] = xr
+            fsim[-1] = fxr
+        else:
+            doshrink = False
+            if fxr < fsim[-1]:
+                # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                if fxc <= fxr:
+                    sim[-1] = xc
+                    fsim[-1] = fxc
+                else:
+                    doshrink = True
+            else:
+                # inside contraction
+                xcc = (1 - psi) * xbar + psi * sim[-1]
+                fxcc = f(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1] = xcc
+                    fsim[-1] = fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        iterations += 1
+        ind = np.argsort(fsim)
+        sim = np.take(sim, ind, 0)
+        fsim = np.take(fsim, ind, 0)
+    return np.min(fsim), sim[0]
+
+
+def _on_sphere(fn: Callable[[np.ndarray], np.ndarray]
+               ) -> Callable[[np.ndarray], float]:
+    """The polish objective: ``fn`` at the projection of ``x`` to the sphere,
+    infinite near the origin."""
+    def objective(x: np.ndarray) -> float:
+        n = np.linalg.norm(x)
+        if n < 1e-9:
+            return float("inf")
+        return float(fn((x / n)[None, :])[0])
+
+    return objective
+
+
 def _sphere_minimize(fn: Callable[[np.ndarray], np.ndarray], dim: int,
                      seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
     """Deterministic global-ish minimization of ``fn`` over the unit sphere:
@@ -116,21 +292,15 @@ def _sphere_minimize(fn: Callable[[np.ndarray], np.ndarray], dim: int,
     pts = _sphere_points(dim, budget, seed)
     values = fn(pts)
     order = np.argsort(values, kind="stable")
+    objective = _on_sphere(fn)
     candidates: list[tuple[float, tuple[float, ...]]] = []
     for idx in order[:_POLISH_COUNT]:
         candidates.append((float(values[idx]), _canonical_point(pts[idx])))
         if dim > 1:
-            def objective(x):
-                n = np.linalg.norm(x)
-                if n < 1e-9:
-                    return float("inf")
-                return float(fn((x / n)[None, :])[0])
-
-            res = optimize.minimize(objective, pts[idx], method="Nelder-Mead",
-                                    options={"xatol": 1e-12, "fatol": 1e-14,
-                                             "maxiter": 600})
-            if np.isfinite(res.fun):
-                candidates.append((float(res.fun), _canonical_point(res.x)))
+            fun, x = _nelder_mead(objective, pts[idx], xatol=1e-12,
+                                  fatol=1e-14, maxiter=600)
+            if np.isfinite(fun):
+                candidates.append((float(fun), _canonical_point(x)))
     # exact argmin with lexicographic tie-break for determinism
     best = min(candidates, key=lambda vp: (vp[0], vp[1]))
     return best
@@ -140,6 +310,8 @@ def _minimize(fn, sphere_vars: Sequence[str], param_vars: Sequence[str],
               seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sample, got {budget}")
+    if budget > _MAX_SAMPLES:
+        raise ValueError(f"budget must be at most 2**{_SOBOL_BITS} samples, got {budget}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return _sphere_minimize(_with_params(fn, len(param_vars)), len(sphere_vars),

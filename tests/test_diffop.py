@@ -1,5 +1,7 @@
 """Operator matrices: signatures, adjoints, symbols, gradings."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -204,3 +206,81 @@ def test_shape_errors():
     grad = _grad()
     with pytest.raises(ValueError):
         grad @ grad  # 3x1 times 3x1
+
+
+# ---------------------------------------------------------------------------
+# Adjoint and total symbol against the earlier per-term construction
+#
+# ``_formal_adjoint`` and ``_total_symbol`` are the earlier implementations,
+# which rebuilt each entry from ``Poly.terms`` through the validating
+# constructor, kept verbatim as the reference for ``Poly.twist``.
+
+
+def _formal_adjoint(self) -> "OperatorMatrix":
+    sig = self.signature
+    deriv_idx = [sig.vars.index(v) for v in sig.derivative_vars]
+
+    def entry_adjoint(p: Poly) -> Poly:
+        out = {}
+        for exp, coeff in p.terms.items():
+            deg = sum(exp[i] for i in deriv_idx)
+            c = coeff.conjugate()
+            out[exp] = -c if deg % 2 else c
+        return Poly(sig.vars, out)
+
+    return OperatorMatrix(sig, self.body.transpose().map(entry_adjoint))
+
+
+def _total_symbol(self) -> "SymbolMatrix":
+    sig = self.signature
+    sym_sig = sig.symbol_signature()
+    deriv_idx = [sig.vars.index(v) for v in sig.derivative_vars]
+    i_pow = [GaussianRational.one(), GaussianRational.i(),
+             GaussianRational.of(-1), GaussianRational.of(0, -1)]
+
+    def entry_symbol(p: Poly) -> Poly:
+        out = {}
+        for exp, coeff in p.terms.items():
+            deg = sum(exp[i] for i in deriv_idx)
+            out[exp] = coeff * i_pow[deg % 4]
+        return Poly(sym_sig.vars, out)
+
+    return SymbolMatrix(sym_sig, self.body.map(entry_symbol, vars=sym_sig.vars))
+
+
+_rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 10]))
+
+
+@st.composite
+def operators(draw):
+    sig = spatial_signature(draw(st.integers(1, 3)), time=draw(st.booleans()),
+                            params=["mu", "nu"][:draw(st.integers(0, 2))])
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = {}
+            for _ in range(draw(st.integers(0, 5))):
+                exp = tuple(draw(st.integers(0, 5)) for _ in sig.vars)
+                terms[exp] = GaussianRational.of(draw(_rationals), draw(_rationals))
+            row.append(Poly(sig.vars, terms))
+        entries.append(row)
+    return OperatorMatrix.from_entries(sig, entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators())
+def test_adjoint_and_total_symbol_match_per_term_construction(op):
+    for got, want in ((op.formal_adjoint(), _formal_adjoint(op)),
+                      (op.total_symbol(), _total_symbol(op))):
+        assert got == want and hash(got) == hash(want)
+        for i in range(got.rows):
+            for j in range(got.cols):
+                assert got[i, j].vars == want[i, j].vars
+                assert got[i, j] == want[i, j] and hash(got[i, j]) == hash(want[i, j])
+
+
+def test_twist_renames_only_to_the_same_number_of_variables():
+    with pytest.raises(ValueError, match="rename"):
+        _d(SIG, "d1").twist(SIG.vars, 1, vars=("z1", "z2"))

@@ -1,17 +1,22 @@
 """The numeric sphere search: its shared-monomial evaluation kernel against
-the earlier per-entry evaluation, its argument checks, and the boundary that
-keeps numpy and scipy out of exact work.
+the earlier per-entry evaluation, its Sobol and Nelder-Mead ports against
+scipy, its argument checks, and the boundary that keeps numpy and scipy out
+of exact work.
 
 ``_compile_poly`` and ``_compile_matrix`` are the earlier evaluation, one
 numpy call chain per matrix entry, kept verbatim as the reference.  The
 kernel must give the same floats bit for bit, since the numeric verdicts and
-the fixture bundle are built from them.
+the fixture bundle are built from them.  For the same reason ``_sobol`` and
+``_nelder_mead`` must return the floats of ``scipy.stats.qmc.Sobol`` and
+``scipy.optimize.minimize``, which they replace; scipy's ``stats`` and
+``optimize`` are imported inside those tests only.
 """
 
 import json
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from pathlib import Path
 from typing import Callable, Sequence
@@ -23,7 +28,7 @@ from hypothesis import given, settings, strategies as st
 import cxkit
 from cxkit import sphere
 from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
-from cxkit.ellipticity import petrovskii_check, strong_ellipticity_check
+from cxkit.ellipticity import DEFAULT_SEED, petrovskii_check, strong_ellipticity_check
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 # ---------------------------------------------------------------------------
@@ -165,6 +170,92 @@ def test_kernel_shares_exponent_rows():
 
 
 # ---------------------------------------------------------------------------
+# Sobol and Nelder-Mead: bit identity with scipy
+
+
+@pytest.mark.parametrize("dim", [*range(1, 9), 40])
+def test_sobol_matches_scipy(dim):
+    qmc = pytest.importorskip("scipy.stats").qmc
+    for seed in (0, 1, DEFAULT_SEED, 2**31 - 1):
+        for n in (1, 2, 3, 17, 20_000):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # n not a power of two
+                want = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
+            got = sphere._sobol(dim, n, seed)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got, want), (dim, seed, n)
+
+
+def test_direction_table_is_read_once():
+    assert sphere._direction_table() is sphere._direction_table()
+
+
+def _objective(sym: SymbolMatrix) -> Callable[[np.ndarray], float]:
+    """The polish objective of the search for ``sym``: |entry (0, 0)| for a
+    1x1 matrix, else the least eigenvalue of the Hermitian part of its
+    leading square block."""
+    order = var_order(sym)
+    n = min(sym.rows, sym.cols)
+    body = sym.body if sym.rows == sym.cols else sym.body.block(0, n, 0, n)
+    values = sphere.compile_matrix(body, order)
+    if n == 1:
+        fn = lambda pts: np.abs(values(pts)[:, 0, 0])
+    else:
+        def fn(pts):
+            mats = values(pts)
+            mats = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
+            return np.linalg.eigvalsh(mats)[:, 0].real
+    return sphere._on_sphere(fn)
+
+
+def assert_nelder_mead_matches(func, x0, maxiter):
+    optimize = pytest.importorskip("scipy.optimize")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # inf - inf in the convergence test
+        want = optimize.minimize(func, x0, method="Nelder-Mead",
+                                 options={"xatol": 1e-12, "fatol": 1e-14,
+                                          "maxiter": maxiter})
+        fun, x = sphere._nelder_mead(func, x0, xatol=1e-12, fatol=1e-14,
+                                     maxiter=maxiter)
+    assert type(fun) is type(want.fun) and fun == want.fun
+    assert x.dtype == want.x.dtype and np.array_equal(x, want.x)
+
+
+@st.composite
+def starts(draw, dim):
+    """A Sobol point on the sphere, optionally with a coordinate set to zero
+    (the 0.00025 step of the first simplex) and scaled towards the origin
+    (where the objective is infinite)."""
+    x0 = batch(dim, 1, draw(st.integers(0, 2**31 - 1)))[0].copy()
+    if draw(st.booleans()):
+        x0[draw(st.integers(0, dim - 1))] = 0.0
+    return x0 * draw(st.sampled_from([1.0, 1.0, 0.3, 1e-10]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(data=st.data())
+def test_nelder_mead_matches_scipy(data):
+    sym = data.draw(symbol_matrices())
+    dim = len(var_order(sym))
+    x0 = data.draw(starts(dim))
+    maxiter = data.draw(st.sampled_from([600, 600, 40, 3, 1]))
+    assert_nelder_mead_matches(_objective(sym), x0, maxiter)
+
+
+def test_nelder_mead_edge_starts_match_scipy():
+    sig = spatial_signature(3)
+    d1, d2, d3 = (Poly.variable(sig.vars, v) for v in sig.vars)
+    form = SymbolMatrix(sig, PolyMatrix(sig.vars, [[d1 * d1 + d1 * d2 - d3 * d3]]))
+    func = _objective(form)
+    assert func(np.zeros(3)) == float("inf")
+    for x0 in (np.array([0.0, 0.6, 0.8]),       # a zero coordinate
+               np.array([1e-10, 2e-10, 0.0]),   # infinite at all but one vertex
+               np.array([3e-10, 1e-10, 2e-10])):  # infinite at every vertex
+        for maxiter in (600, 7, 1):
+            assert_nelder_mead_matches(func, x0, maxiter)
+
+
+# ---------------------------------------------------------------------------
 # Sampling arguments
 
 
@@ -193,6 +284,25 @@ def test_smallest_budget_runs():
     assert rep.verdict == "numeric-pass" and rep.budget == 1 and rep.seed == 0
 
 
+def test_budget_beyond_the_sobol_sequence_is_rejected():
+    """scipy draws at most 2**30 points; asking for more is an error before
+    any point is drawn, not a wrapped index."""
+    for check in (petrovskii_check, strong_ellipticity_check):
+        with pytest.raises(ValueError, match=r"budget must be at most 2\*\*30"):
+            check(_numeric_form(), budget=2**30 + 1)
+    with pytest.raises(ValueError, match=r"^n must be"):
+        sphere._sobol(2, 2**30 + 1, 0)
+
+
+def test_dimension_beyond_the_direction_table_is_rejected():
+    rows = len(sphere._direction_table()[0])
+    assert rows == 21201
+    with pytest.raises(ValueError, match=r"^dim must be between 1 and 21201, got 21202"):
+        sphere._sobol(rows + 1, 2, 0)
+    with pytest.raises(ValueError, match=r"^dim must be"):
+        sphere._sobol(0, 2, 0)
+
+
 # ---------------------------------------------------------------------------
 # Import boundary
 
@@ -201,7 +311,8 @@ QUADRATIC = "vars: d1 d2\noperator Q = [[-d1^2 - d1*d2 - d2^2]]\n"
 
 PROBE = """\
 import json, sys
-heavy = lambda: sorted(m for m in ("numpy", "scipy") if m in sys.modules)
+heavy = lambda: sorted(m for m in ("numpy", "scipy", "scipy.optimize", "scipy.stats")
+                       if m in sys.modules)
 import cxkit.cli as cli
 seen = {"import": heavy()}
 de_rham, quadratic, out = sys.argv[1:]
@@ -232,6 +343,7 @@ def test_numpy_and_scipy_load_only_for_numeric_checks(tmp_path):
     assert result["codes"] == {"verify": 0, "parametrix": 0, "ellipticity": 0}
     seen = result["seen"]
     assert seen["import"] == [] and seen["verify"] == [] and seen["parametrix"] == []
+    # the numeric path loads neither scipy.stats nor scipy.optimize
     assert seen["ellipticity"] == ["numpy", "scipy"]
     rep = json.loads((tmp_path / "report.ellipticity").read_text())["report"]
     assert rep["verdict"] == "numeric-pass"
