@@ -203,11 +203,6 @@ class OperatorMatrix(SignatureMatrix):
         """Max total degree in the derivative symbols (-1 for the zero operator)."""
         return self.body.total_degree(self.signature.grading_vars(grading))
 
-    def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
-        """Operator composition self(other(u)); for constant coefficients this
-        is the polynomial matrix product."""
-        return self @ other
-
     def formal_adjoint(self) -> "OperatorMatrix":
         """Formal L2 adjoint: conjugate-transpose with a (-1)^|alpha| twist on
         each derivative monomial.  Parameters are left untouched."""

@@ -7,8 +7,8 @@ fall back to a deterministic numeric minimization over the unit sphere when the
 certificate does not apply.  Numeric verdicts use a three-way threshold:
 minimum > 1e-9 passes, a point below 1e-12 fails, anything between is
 inconclusive.  The numeric search lives in :mod:`cxkit.sphere`, which is
-imported only when a certificate fails, so certified checks load neither
-numpy nor scipy.
+imported only when a certificate fails, so certified checks do not load
+numpy; no check loads scipy.
 """
 
 from __future__ import annotations
@@ -86,10 +86,6 @@ class WeightPlan:
     @property
     def size(self) -> int:
         return len(self.s)
-
-    def shifted(self, c: int) -> "WeightPlan":
-        return WeightPlan(tuple(v + c for v in self.s),
-                          tuple(v + c for v in self.t), self.shift + c, self.scheme)
 
     def to_json(self) -> dict:
         return {"s": list(self.s), "t": list(self.t),

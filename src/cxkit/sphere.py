@@ -1,34 +1,34 @@
 """Numeric minimization over the unit sphere: the fallback of the ellipticity
 checks once their symbolic certificate does not apply.
 
-This is the only cxkit module that imports numpy and scipy, and
+This is the only cxkit module that imports numpy, and
 :mod:`cxkit.ellipticity` imports it only on the numeric path, so exact work
-(complexes, block operators, parametrices, certified checks, syzygies) loads
-neither package.  Of scipy it imports ``scipy.special`` alone, for ``ndtri``,
-and reads the Joe-Kuo Sobol direction table shipped with ``scipy.stats`` as
-data, without importing that package.
+(complexes, block operators, parametrices, certified checks, syzygies) never
+loads it.  No scipy module is imported: the Joe-Kuo Sobol direction table
+that scipy ships inside ``scipy.stats`` is read as a data file.
 
 A symbol matrix is compiled into one evaluation kernel: the distinct
 exponent rows of all its entries are raised to the points once per call, and
 each entry then takes its own dot product of its monomial columns with its
 coefficients, in its own term order.  Each entry therefore sums exactly as a
 separate per-entry evaluation would, bit for bit.  The scan draws a scrambled
-Sobol sequence mapped to the sphere, and the best candidates are polished
-with Nelder-Mead.  Both are numpy ports that return the floats of
-``scipy.stats.qmc.Sobol(scramble=True)`` and of scipy's Nelder-Mead bit for
-bit, so reports do not depend on which of the two computed them.  Parameter
-variables are held at 1.0.
+Sobol sequence mapped to the sphere through the inverse normal distribution
+function, and the best candidates are polished with Nelder-Mead.  The three
+are ports that return the floats of ``scipy.stats.qmc.Sobol(scramble=True)``,
+``scipy.special.ndtri`` and scipy's Nelder-Mead bit for bit, so reports do
+not depend on which of the two computed them.  Parameter variables are held
+at 1.0.
 """
 
 from __future__ import annotations
 
 import functools
 import importlib.util
+import math
 import os
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import ndtri
 
 from cxkit.poly import Poly, PolyMatrix
 
@@ -148,6 +148,76 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Normal deviates: Cephes ndtri (Moshier), the code scipy.special.ndtri runs
+
+_S2PI = 2.50662827463100050242e0  # sqrt(2 pi)
+_EXP_M2 = 0.13533528323661269189  # exp(-2)
+# |y - 1/2| <= 3/8: x / sqrt(2 pi) = y + y^3 P0(y^2) / Q0(y^2), y centred
+_P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
+       -5.66762857469070293439e1, 1.39312609387279679503e1,
+       -1.23916583867381258016e0)
+_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+       8.63602421390890590575e1, -2.25462687854119370527e2,
+       2.00260212380060660359e2, -8.20372256168333339912e1,
+       1.59056225126211695515e1, -1.18331621121330003142e0)
+# 2 <= z = sqrt(-2 log y) < 8: x = z - log(z) / z - P1(1/z) / (z Q1(1/z))
+_P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
+       5.71628192246421288162e1, 4.40805073893200834700e1,
+       1.46849561928858024014e1, 2.18663306850790267539e0,
+       -1.40256079171354495875e-1, -3.50424626827848203418e-2,
+       -8.57456785154685413611e-4)
+_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+       4.13172038254672030440e1, 1.50425385692907503408e1,
+       2.50464946208309415979e0, -1.42182922854787788574e-1,
+       -3.80806407691578277194e-2, -9.33259480895457427372e-4)
+
+
+def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``polevl``: Horner's rule from the leading coefficient."""
+    ans = coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _p1evl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
+    """Cephes ``p1evl``: ``polevl`` with an implicit leading coefficient 1."""
+    ans = x + coefs[0]
+    for c in coefs[1:]:
+        ans = ans * x + c
+    return ans
+
+
+def _ndtri(u: np.ndarray) -> np.ndarray:
+    """The inverse of the standard normal distribution function at each
+    entry of ``u``: the floats of ``scipy.special.ndtri``, bit for bit.
+
+    A port of Cephes ``ndtri.c``: the same coefficient tables, Horner order
+    and flip of ``y > 1 - exp(-2)`` to ``1 - y``.  Entries must lie in
+    [1e-12, 1 - 1e-12], the clip of the Sobol scan, so the tail argument
+    ``sqrt(-2 log y)`` stays below 7.44 and the Cephes branch for 8 and
+    above (y < exp(-32)) is not ported.  The tail logarithms are taken by
+    ``math.log``, the C library's ``log`` that Cephes calls: ``np.log`` may
+    use its own SIMD routine, which rounds differently on some inputs.
+    """
+    u = np.asarray(u, dtype=float)
+    flip = u > 1.0 - _EXP_M2
+    y = np.where(flip, 1.0 - u, u)
+    x = np.empty_like(y)
+    central = y > _EXP_M2
+    yc = y[central] - 0.5
+    y2 = yc * yc
+    x[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    tail = ~central
+    z = np.sqrt(-2.0 * np.fromiter(map(math.log, y[tail].tolist()), float))
+    x0 = z - np.fromiter(map(math.log, z.tolist()), float) / z
+    w = 1.0 / z
+    xt = x0 - w * _polevl(w, _P1) / _p1evl(w, _Q1)
+    x[tail] = np.where(flip[tail], xt, -xt)
+    return x
+
+
+# ---------------------------------------------------------------------------
 # The search
 
 
@@ -155,7 +225,7 @@ def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
     if dim == 1:
         return np.array([[1.0], [-1.0]])
     u = np.clip(_sobol(dim, budget, seed), 1e-12, 1 - 1e-12)
-    g = ndtri(u)
+    g = _ndtri(u)
     norms = np.linalg.norm(g, axis=1)
     norms[norms == 0] = 1.0
     return g / norms[:, None]
@@ -191,85 +261,87 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
 
     Every floating-point operation is the one, in the order, that scipy's
     ``minimize(method="Nelder-Mead")`` performs without bounds, callback or
-    ``maxfev``, so both return the same floats.
+    ``maxfev``, so both return the same floats.  The simplex is held as
+    lists of Python floats, whose arithmetic rounds as numpy's elementwise
+    float64 arithmetic does, and is ordered by ``np.argsort`` as scipy's is:
+    its order of equal values differs from a stable sort's.
     """
-    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
-    x0 = np.asarray(x0, dtype=float).flatten()
+    x0 = np.asarray(x0, dtype=float).flatten().tolist()
     N = len(x0)
-    sim = np.empty((N + 1, N), dtype=x0.dtype)
-    sim[0] = x0
+    sim = [x0]
     for k in range(N):
-        y = np.array(x0, copy=True)
-        if y[k] != 0:
-            y[k] = (1 + 0.05) * y[k]
-        else:
-            y[k] = 0.00025
-        sim[k + 1] = y
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
 
-    def f(x: np.ndarray) -> float:
-        return func(np.copy(x))  # the objective may keep or change its argument
+    def f(x: list[float]) -> float:
+        return func(np.array(x))  # a fresh array: the objective may keep it
 
-    fsim = np.full((N + 1,), np.inf, dtype=float)
-    for k in range(N + 1):
-        fsim[k] = f(sim[k])
+    def reorder() -> None:
+        ind = np.argsort(fsim).tolist()
+        sim[:] = [sim[i] for i in ind]
+        fsim[:] = [fsim[i] for i in ind]
+
+    fsim = [f(x) for x in sim]
     # Sorted twice, as scipy does: argsort is not stable, so the second sort
     # may reorder equal values.
-    ind = np.argsort(fsim)
-    sim = np.take(sim, ind, 0)
-    fsim = np.take(fsim, ind, 0)
-    ind = np.argsort(fsim)
-    fsim = np.take(fsim, ind, 0)
-    sim = np.take(sim, ind, 0)
+    reorder()
+    reorder()
 
     iterations = 1
     while iterations < maxiter:
-        if (np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol and
-                np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+        # ``all`` of ``<=`` is scipy's ``max(...) <= tol``: a NaN (inf - inf
+        # at infinite vertices) fails both.
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fbest - fv) <= fatol for fv in fsim[1:])):
             break
-        xbar = np.add.reduce(sim[:-1], 0) / N
-        xr = (1 + rho) * xbar - rho * sim[-1]
+        # numpy's add.reduce over the rows starts from 0.0, not the first row
+        # (the sums differ in the sign of a zero)
+        xbar = [0.0] * N
+        for x in sim[:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / N for s in xbar]
+        worst = sim[-1]
+        # the coefficients 1 + rho, rho with rho = 1
+        xr = [2 * b - 1 * w for b, w in zip(xbar, worst)]
         fxr = f(xr)
         if fxr < fsim[0]:
-            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            # expansion: 1 + rho chi, rho chi with chi = 2
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
             fxe = f(xe)
             if fxe < fxr:
-                sim[-1] = xe
-                fsim[-1] = fxe
+                sim[-1], fsim[-1] = xe, fxe
             else:
-                sim[-1] = xr
-                fsim[-1] = fxr
+                sim[-1], fsim[-1] = xr, fxr
         elif fxr < fsim[-2]:
-            sim[-1] = xr
-            fsim[-1] = fxr
+            sim[-1], fsim[-1] = xr, fxr
         else:
             doshrink = False
             if fxr < fsim[-1]:
-                # outside contraction
-                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                # outside contraction: 1 + psi rho, psi rho with psi = 1/2
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
                 fxc = f(xc)
                 if fxc <= fxr:
-                    sim[-1] = xc
-                    fsim[-1] = fxc
+                    sim[-1], fsim[-1] = xc, fxc
                 else:
                     doshrink = True
             else:
-                # inside contraction
-                xcc = (1 - psi) * xbar + psi * sim[-1]
+                # inside contraction: 1 - psi, psi
+                xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
                 fxcc = f(xcc)
                 if fxcc < fsim[-1]:
-                    sim[-1] = xcc
-                    fsim[-1] = fxcc
+                    sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     doshrink = True
             if doshrink:
+                # shrink towards the best vertex, sigma = 1/2
                 for j in range(1, N + 1):
-                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
                     fsim[j] = f(sim[j])
         iterations += 1
-        ind = np.argsort(fsim)
-        sim = np.take(sim, ind, 0)
-        fsim = np.take(fsim, ind, 0)
-    return np.min(fsim), sim[0]
+        reorder()
+    return np.min(fsim), np.array(sim[0])
 
 
 def _on_sphere(fn: Callable[[np.ndarray], np.ndarray]

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -159,6 +160,27 @@ def test_bad_sampling_arguments_are_json_errors(tmp_path, capsys, flag, value, m
     assert _run(["ellipticity", "--spec", str(spec), flag, value]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep == {"command": "ellipticity", "error": message, "ok": False}
+
+
+DATA = Path(__file__).parent / "data"
+# A positive definite quadratic in three variables with cross terms, the shape
+# of the corpus's ellipticity specs: no symbolic certificate applies, so both
+# checks run the full numeric search (Sobol scan and 16 Nelder-Mead polishes).
+QUADRATIC3 = ("vars: d1 d2 d3\n"
+              "operator Q = [[-3*d1^2 - 2*d1*d2 - 2*d2^2 - 2*d2*d3 - 4*d3^2]]\n")
+
+
+@pytest.mark.parametrize("kind", ["petrovskii", "strong"])
+def test_numeric_ellipticity_report_bytes(tmp_path, kind):
+    """The numeric report's floats are pinned: a change to the scan or the
+    polish that moves any bit of the minimum or its argmin fails here."""
+    spec = tmp_path / "q3.spec"
+    spec.write_text(QUADRATIC3)
+    out = tmp_path / "report.json"
+    assert _run(["ellipticity", "--spec", str(spec), "--kind", kind,
+                 "--json", str(out)]) == 0
+    want = DATA / f"ellipticity_quadratic3_{kind}.json"
+    assert out.read_bytes() == want.read_bytes()
 
 
 def test_fixture_bundle_byte_identical(tmp_path):
