@@ -7,15 +7,13 @@ fixture corpus.  All reports are emitted as deterministic JSON (sorted keys)
 plus a short human-readable summary on stderr; the exit status is 0 only when
 every requested verdict passes.  Only ``ellipticity`` takes ``--seed``;
 ``--budget`` counts Sobol samples for ``ellipticity`` and S-pairs for
-``syzygy`` and ``extend``, and no other command takes it.  A
-``CXKIT_THREADS`` integer is recorded in reports; the engine is sequential.
+``syzygy`` and ``extend``, and no other command takes it.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from cxkit import blockops, dsl, ellipticity, fixtures, symbols, syzygy
@@ -272,29 +270,14 @@ _COMMANDS = {
 }
 
 
-def _threads() -> int | None:
-    """The ``CXKIT_THREADS`` value that reports record, if it is set."""
-    raw = os.environ.get("CXKIT_THREADS")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"CXKIT_THREADS must be an integer, got {raw!r}") from None
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    threads = None
     try:
-        threads = _threads()
         report = _COMMANDS[args.command](args)
     except (ValueError, ArithmeticError, OSError,
             syzygy.BudgetExceeded, symbols.HypothesisFailure) as exc:
         report = {"command": args.command, "error": str(exc), "ok": False}
-    if threads is not None:
-        report["threads"] = threads
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "json_out", None):
         with open(args.json_out, "w", encoding="utf-8") as fh:

@@ -13,7 +13,9 @@ Grammar (one statement per line, ``#`` comments)::
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
-``MAX_EXPONENT`` and denominators nonzero.  Parse errors carry line/column.
+``MAX_EXPONENT`` and denominators nonzero.  Builder sizes are at least 1 and
+the ``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  Parse errors carry
+line/column.
 """
 
 from __future__ import annotations
@@ -333,21 +335,22 @@ def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:
         doc.builders[name] = f"ops({', '.join(parts)})"
         return Complex(ops)
     if kind == "de_rham":
-        n = int(p.expect("int").text)
+        n = _positive_int(p, None, "n must be at least 1")
         p.expect("punct", ")")
         doc.builders[name] = f"de_rham({n})"
         _require_spatial(p, doc, n)
         return de_rham_complex(n).lift(doc.signature)
     if kind == "dolbeault":
-        n = int(p.expect("int").text)
+        n = _positive_int(p, None, "n must be at least 1")
         p.expect("punct", ")")
         doc.builders[name] = f"dolbeault({n})"
         _require_spatial(p, doc, 2 * n)
         return dolbeault_complex(n).lift(doc.signature)
     if kind == "power_de_rham":
-        n = int(p.expect("int").text)
+        n = _positive_int(p, None, "n must be at least 1")
         p.expect("punct", ",")
-        power = int(p.expect("int").text)
+        power = _positive_int(p, MAX_EXPONENT,
+                              f"power must be between 1 and {MAX_EXPONENT}")
         p.expect("punct", ")")
         doc.builders[name] = f"power_de_rham({n}, {power})"
         _require_spatial(p, doc, n)
@@ -362,6 +365,16 @@ def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:
         doc.builders[name] = f"koszul({', '.join(parts)})"
         return koszul_complex(gens, doc.signature)
     raise p.error(f"unknown complex builder {kind!r}")
+
+
+def _positive_int(p: _Parser, high: int | None, message: str) -> int:
+    """An integer builder argument in 1..``high`` (unbounded above if None),
+    else ``message`` located at its token."""
+    tok = p.expect("int")
+    value = int(tok.text)
+    if value < 1 or (high is not None and value > high):
+        raise SpecError(message, tok.line, tok.column)
+    return value
 
 
 def _require_spatial(p: _Parser, doc: SpecDocument, n: int) -> None:

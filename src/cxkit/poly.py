@@ -506,21 +506,6 @@ class Poly:
             raise ValueError("variable renaming is not injective")
         return _poly(new_vars, dict(self._num), self._den)
 
-    def substitute(self, values: Mapping[str, "Poly"]) -> "Poly":
-        """Substitute polynomials for some variables (same ambient ring)."""
-        result = Poly.zero(self.vars)
-        for exp, coeff in self.terms.items():
-            term = Poly.constant(self.vars, coeff)
-            for v, e in zip(self.vars, exp):
-                if e == 0:
-                    continue
-                base = values.get(v)
-                if base is None:
-                    base = Poly.variable(self.vars, v)
-                term = term * base ** e
-            result = result + term
-        return result
-
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be assigned a value."""
         total = 0j

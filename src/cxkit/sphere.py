@@ -18,6 +18,12 @@ are ports that return the floats of ``scipy.stats.qmc.Sobol(scramble=True)``,
 ``scipy.special.ndtri`` and scipy's Nelder-Mead bit for bit, so reports do
 not depend on which of the two computed them.  Parameter variables are held
 at 1.0.
+
+The polishes run in lock-step, valuing all the points of a round in one
+batched objective call.  Each row must get the float of a one-point call, so
+the polish evaluates the kernel with one dot product per row; the scan keeps
+its one matrix-vector product per entry, whose sums round differently in
+some rows, because its floats pick the candidates and are reported.
 """
 
 from __future__ import annotations
@@ -62,13 +68,15 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
              np.array(coeffs, dtype=complex))
             for i, j, idx, coeffs in entries]
 
-    def evaluate(pts: np.ndarray) -> np.ndarray:
+    def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
         if plan:
             # np.prod without its Python-level wrapper: the same reduction
             monomials = np.multiply.reduce(pts[:, None, :] ** e, axis=2)
+            # (B, 1, k) stacks take one dot product per row, as one point does
+            rows = monomials[:, None, :] if _per_point else monomials
             for i, j, idx, c in plan:
-                out[:, i, j] = monomials[:, idx] @ c
+                out[:, i, j] = (rows[..., idx] @ c).reshape(-1)
         return out
 
     return evaluate
@@ -246,18 +254,21 @@ def _with_params(fn, n_params: int):
     if n_params == 0:
         return fn
 
-    def wrapped(pts: np.ndarray) -> np.ndarray:
+    def wrapped(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
         cols = np.ones((len(pts), n_params))
-        return fn(np.hstack([pts, cols]))
+        return fn(np.hstack([pts, cols]), _per_point)
 
     return wrapped
 
 
-def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
-                 xatol: float, fatol: float, maxiter: int
-                 ) -> tuple[float, np.ndarray]:
-    """(least value, its vertex) of the Nelder and Mead (1965) simplex search
-    from ``x0``, with the coefficients 1, 2, 1/2, 1/2.
+def _nelder_mead_steps(x0: np.ndarray, xatol: float, fatol: float,
+                       maxiter: int):
+    """The Nelder and Mead (1965) simplex search from ``x0``, with the
+    coefficients 1, 2, 1/2, 1/2, as a generator: it yields the list of points
+    (lists of floats) whose values it needs next, receives the list of their
+    values, and returns (least value, its vertex).  It asks for the N + 1
+    initial vertices at once, then for one point per reflection, expansion
+    or contraction, and for the N vertices of a shrink at once.
 
     Every floating-point operation is the one, in the order, that scipy's
     ``minimize(method="Nelder-Mead")`` performs without bounds, callback or
@@ -274,15 +285,12 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
         y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
         sim.append(y)
 
-    def f(x: list[float]) -> float:
-        return func(np.array(x))  # a fresh array: the objective may keep it
-
     def reorder() -> None:
-        ind = np.argsort(fsim).tolist()
+        ind = np.array(fsim).argsort().tolist()
         sim[:] = [sim[i] for i in ind]
         fsim[:] = [fsim[i] for i in ind]
 
-    fsim = [f(x) for x in sim]
+    fsim = list((yield list(sim)))
     # Sorted twice, as scipy does: argsort is not stable, so the second sort
     # may reorder equal values.
     reorder()
@@ -305,11 +313,11 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
         worst = sim[-1]
         # the coefficients 1 + rho, rho with rho = 1
         xr = [2 * b - 1 * w for b, w in zip(xbar, worst)]
-        fxr = f(xr)
+        fxr, = yield [xr]
         if fxr < fsim[0]:
             # expansion: 1 + rho chi, rho chi with chi = 2
             xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
-            fxe = f(xe)
+            fxe, = yield [xe]
             if fxe < fxr:
                 sim[-1], fsim[-1] = xe, fxe
             else:
@@ -321,7 +329,7 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
             if fxr < fsim[-1]:
                 # outside contraction: 1 + psi rho, psi rho with psi = 1/2
                 xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-                fxc = f(xc)
+                fxc, = yield [xc]
                 if fxc <= fxr:
                     sim[-1], fsim[-1] = xc, fxc
                 else:
@@ -329,53 +337,90 @@ def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
             else:
                 # inside contraction: 1 - psi, psi
                 xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-                fxcc = f(xcc)
+                fxcc, = yield [xcc]
                 if fxcc < fsim[-1]:
                     sim[-1], fsim[-1] = xcc, fxcc
                 else:
                     doshrink = True
             if doshrink:
-                # shrink towards the best vertex, sigma = 1/2
-                for j in range(1, N + 1):
-                    sim[j] = [b + 0.5 * (v - b) for b, v in zip(best, sim[j])]
-                    fsim[j] = f(sim[j])
+                # shrink towards the best vertex, sigma = 1/2; the new
+                # vertices do not depend on each other's values
+                sim[1:] = [[b + 0.5 * (v - b) for b, v in zip(best, x)]
+                           for x in sim[1:]]
+                fsim[1:] = yield sim[1:]
         iterations += 1
         reorder()
     return np.min(fsim), np.array(sim[0])
 
 
-def _on_sphere(fn: Callable[[np.ndarray], np.ndarray]
-               ) -> Callable[[np.ndarray], float]:
-    """The polish objective: ``fn`` at the projection of ``x`` to the sphere,
-    infinite near the origin."""
-    def objective(x: np.ndarray) -> float:
-        n = np.linalg.norm(x)
-        if n < 1e-9:
-            return float("inf")
-        return float(fn((x / n)[None, :])[0])
+def _polish(objective: Callable[[np.ndarray], Sequence[float]],
+            starts: Sequence[np.ndarray], xatol: float, fatol: float,
+            maxiter: int) -> list[tuple[float, np.ndarray]]:
+    """(least value, its vertex) of a Nelder-Mead search from each start.
+
+    The searches run in lock-step: each round, the points that every search
+    still running asks for are stacked into one (B, d) array and valued by
+    one call of ``objective``, which returns their B values in row order."""
+    runs = [_nelder_mead_steps(x0, xatol, fatol, maxiter) for x0 in starts]
+    results: list = [None] * len(runs)
+    asks = {k: next(run) for k, run in enumerate(runs)}
+    while asks:
+        values = objective(np.array([x for ask in asks.values() for x in ask]))
+        at = 0
+        for k, ask in list(asks.items()):
+            try:
+                asks[k] = runs[k].send(values[at:at + len(ask)])
+            except StopIteration as done:
+                results[k] = done.value
+                del asks[k]
+            at += len(ask)
+    return results
+
+
+def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
+                 xatol: float, fatol: float, maxiter: int
+                 ) -> tuple[float, np.ndarray]:
+    """(least value, its vertex) of the Nelder-Mead search from ``x0`` (see
+    :func:`_nelder_mead_steps`), valuing one point per call of ``func``."""
+    return _polish(lambda xs: [func(x) for x in xs], [x0], xatol, fatol,
+                   maxiter)[0]
+
+
+def _on_sphere(fn: Callable[..., np.ndarray]
+               ) -> Callable[[np.ndarray], list[float]]:
+    """The polish objective: the values of ``fn`` at the projections of the
+    rows of a (B, d) array to the sphere, infinite near the origin.
+
+    Row k gets the float a one-point call ``fn(x[None, :] / norm(x))`` gives:
+    the norm is the per-row dot product that ``np.linalg.norm`` takes of one
+    vector, and ``fn`` evaluates in its per-point layout."""
+    def objective(xs: np.ndarray) -> list[float]:
+        n = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
+        out = np.full(len(xs), np.inf)
+        # a NaN norm is evaluated, as a one-point call evaluates it
+        live = ~(n < 1e-9)
+        out[live] = fn(xs[live] / n[live, None], _per_point=True)
+        return out.tolist()
 
     return objective
 
 
-def _sphere_minimize(fn: Callable[[np.ndarray], np.ndarray], dim: int,
+def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
                      seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
     """Deterministic global-ish minimization of ``fn`` over the unit sphere:
     quasi-random scan, then local polish from the best candidates."""
     pts = _sphere_points(dim, budget, seed)
     values = fn(pts)
-    order = np.argsort(values, kind="stable")
-    objective = _on_sphere(fn)
-    candidates: list[tuple[float, tuple[float, ...]]] = []
-    for idx in order[:_POLISH_COUNT]:
-        candidates.append((float(values[idx]), _canonical_point(pts[idx])))
-        if dim > 1:
-            fun, x = _nelder_mead(objective, pts[idx], xatol=1e-12,
-                                  fatol=1e-14, maxiter=600)
+    order = np.argsort(values, kind="stable")[:_POLISH_COUNT]
+    found = [[(float(values[idx]), _canonical_point(pts[idx]))] for idx in order]
+    if dim > 1:
+        polished = _polish(_on_sphere(fn), pts[order], xatol=1e-12,
+                           fatol=1e-14, maxiter=600)
+        for pair, (fun, x) in zip(found, polished):
             if np.isfinite(fun):
-                candidates.append((float(fun), _canonical_point(x)))
+                pair.append((float(fun), _canonical_point(x)))
     # exact argmin with lexicographic tie-break for determinism
-    best = min(candidates, key=lambda vp: (vp[0], vp[1]))
-    return best
+    return min((c for pair in found for c in pair), key=lambda vp: (vp[0], vp[1]))
 
 
 def _minimize(fn, sphere_vars: Sequence[str], param_vars: Sequence[str],
@@ -395,7 +440,8 @@ def abs_minimum(p: Poly, sphere_vars: Sequence[str], param_vars: Sequence[str],
     """(minimum, argmin) of ``|p|`` over the unit sphere of ``sphere_vars``."""
     values = compile_matrix(PolyMatrix(p.vars, [[p]]),
                             list(sphere_vars) + list(param_vars))
-    return _minimize(lambda pts: np.abs(values(pts)[:, 0, 0]),
+    return _minimize(lambda pts, _per_point=False:
+                     np.abs(values(pts, _per_point)[:, 0, 0]),
                      sphere_vars, param_vars, seed, budget)
 
 
@@ -406,8 +452,8 @@ def eigenvalue_minimum(m: PolyMatrix, sphere_vars: Sequence[str],
     Hermitian part of ``m``."""
     values = compile_matrix(m, list(sphere_vars) + list(param_vars))
 
-    def min_eig(pts: np.ndarray) -> np.ndarray:
-        mats = values(pts)
+    def min_eig(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
+        mats = values(pts, _per_point)
         mats = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
         return np.linalg.eigvalsh(mats)[:, 0].real
 

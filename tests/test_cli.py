@@ -104,20 +104,43 @@ def test_zero_denominator_is_located_json_error(tmp_path, capsys):
     assert rep["error"] == "line 3, column 17: zero denominator"
 
 
-def test_threads_env_recorded(spec_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("CXKIT_THREADS", "4")
+@pytest.mark.parametrize("builder, column, message", [
+    ("power_de_rham(3, 0)", 30, "power must be between 1 and 64"),
+    ("power_de_rham(3, 65)", 30, "power must be between 1 and 64"),
+    ("de_rham(0)", 21, "n must be at least 1"),
+    ("dolbeault(0)", 23, "n must be at least 1"),
+])
+def test_builder_argument_is_located_json_error(tmp_path, builder, column, message):
+    bad = tmp_path / "bad.spec"
+    bad.write_text(f"vars: d1 d2 d3\ncomplex C = {builder}\n")
     out = tmp_path / "v.json"
+    assert _run(["verify", "--spec", str(bad), "--json", str(out)]) == 1
+    rep = json.loads(out.read_text())
+    assert rep == {"command": "verify", "ok": False,
+                   "error": f"line 2, column {column}: {message}"}
+
+
+def _verify_bytes(spec_file, out, monkeypatch, threads=None):
+    if threads is None:
+        monkeypatch.delenv("CXKIT_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("CXKIT_THREADS", threads)
     assert _run(["verify", "--spec", spec_file, "--json", str(out)]) == 0
-    assert json.loads(out.read_text())["threads"] == 4
+    return out.read_bytes()
+
+
+def test_threads_env_leaves_report_unchanged(spec_file, tmp_path, monkeypatch):
+    """The engine is sequential; no variable selects threads."""
+    plain = _verify_bytes(spec_file, tmp_path / "plain.json", monkeypatch)
+    assert _verify_bytes(spec_file, tmp_path / "threads.json", monkeypatch,
+                         "4") == plain
 
 
 def test_threads_env_not_an_integer(spec_file, tmp_path, monkeypatch):
-    monkeypatch.setenv("CXKIT_THREADS", "abc")
-    out = tmp_path / "v.json"
-    assert _run(["verify", "--spec", spec_file, "--json", str(out)]) == 1
-    rep = json.loads(out.read_text())
-    assert not rep["ok"] and "CXKIT_THREADS" in rep["error"]
-    assert "threads" not in rep
+    """The variable is not read, so a non-integer value is no error."""
+    plain = _verify_bytes(spec_file, tmp_path / "plain.json", monkeypatch)
+    assert _verify_bytes(spec_file, tmp_path / "threads.json", monkeypatch,
+                         "abc") == plain
 
 
 @pytest.mark.parametrize("command, budget", [

@@ -142,6 +142,27 @@ def test_error_zero_denominator(text, line, column):
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("builder, column, message", [
+    ("de_rham(0)", 21, "n must be at least 1"),
+    ("dolbeault(0)", 23, "n must be at least 1"),
+    ("power_de_rham(0, 2)", 27, "n must be at least 1"),
+    ("power_de_rham(3, 0)", 30, f"power must be between 1 and {dsl.MAX_EXPONENT}"),
+    (f"power_de_rham(3, {dsl.MAX_EXPONENT + 1})", 30,
+     f"power must be between 1 and {dsl.MAX_EXPONENT}"),
+])
+def test_error_builder_argument_out_of_range(builder, column, message):
+    """Located at the integer, before the spatial symbols are compared."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(f"vars: d1 d2 d3\ncomplex C = {builder}\n")
+    assert str(exc.value) == f"line 2, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (2, column)
+
+
+def test_builder_power_limit_is_accepted():
+    doc = dsl.parse(f"vars: d1\ncomplex C = power_de_rham(1, {dsl.MAX_EXPONENT})\n")
+    assert doc.builders["C"] == f"power_de_rham(1, {dsl.MAX_EXPONENT})"
+
+
 def test_exponent_limit():
     doc = dsl.parse(f"vars: d1\noperator P = [[d1^{dsl.MAX_EXPONENT}]]\n")
     assert doc.operators["P"][0, 0].total_degree() == dsl.MAX_EXPONENT

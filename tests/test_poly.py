@@ -123,12 +123,10 @@ def test_homogeneous_parts_sum(p):
     assert total == p
 
 
-def test_substitute_and_evaluate():
+def test_evaluate():
     x = Poly.variable(VARS, "x")
     y = Poly.variable(VARS, "y")
     p = x * x + y
-    q = p.substitute({"x": y})
-    assert q == y * y + y
     assert p.evaluate({"x": 2.0, "y": 3.0}) == pytest.approx(7.0)
 
 
