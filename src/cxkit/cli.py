@@ -249,7 +249,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--name")
     p.add_argument("--budget", type=int, default=syzygy.DEFAULT_PAIR_BUDGET,
                    help="S-pairs Buchberger may process per step")
-    p.add_argument("--max-steps", type=int, default=8)
+    p.add_argument("--max-steps", type=int, default=8,
+                   help="compatibility operators to compute at most (at least 1)")
 
     p = common(sub.add_parser("fixtures", help="run the bundled corpus"), spec=False)
     p.add_argument("--suite", help="run a single named fixture")

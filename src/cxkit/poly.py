@@ -16,6 +16,13 @@ read-only view ``Poly.terms`` maps each exponent to one, and
 ``leading_term`` and ``constant_value`` return them.  The storage format is
 private to this module.
 
+Three private kernel operations let Groebner-basis code in this package work
+on the numerators without ever building a :class:`GaussianRational`:
+``_leading_num`` reads the leading exponent, its numerator and the
+denominator straight from storage; ``_scaled`` is the shifted scale
+``((cr + ci*i)/cd) * x^s * p``; and ``_sub_scaled`` is the fused reduction
+step ``p - ((cr + ci*i)/cd) * x^s * g``.
+
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
 canonical serialization.
@@ -295,9 +302,16 @@ class Poly:
         if self._lead is None:
             if not self._num:
                 raise ValueError("zero polynomial has no leading term")
-            exp = max(self._num, key=grlex_key)
+            exp = self._leading_num()[0]
             self._lead = exp, self._coeff(exp)
         return self._lead
+
+    def _leading_num(self) -> tuple[Exponent, tuple[int, int], int]:
+        """``(exp, (re, im), den)`` of the leading term under graded lex
+        order, read straight from storage: its coefficient is ``(re +
+        im*i) / den``.  The polynomial must be nonzero."""
+        exp = max(self._num, key=grlex_key)
+        return exp, self._num[exp], self._den
 
     def sorted_terms(self) -> list[tuple[Exponent, GaussianRational]]:
         """Terms sorted leading-first (descending graded lex)."""
@@ -371,12 +385,47 @@ class Poly:
         return result
 
     def scale(self, value) -> "Poly":
-        cr, ci, cd = _split(_coerce_coeff(value))
-        return _poly(
-            self.vars,
-            {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in self._num.items()},
-            self._den * cd,
-        )
+        return self._scaled(*_split(_coerce_coeff(value)))
+
+    def _scaled(self, cr: int, ci: int, cd: int, shift: Exponent | None = None) -> "Poly":
+        """``((cr + ci*i)/cd) * x^shift * self`` on the numerators, for ints
+        with ``cd > 0``; no shift when ``shift`` is None."""
+        items = self._num.items()
+        if shift is None or not any(shift):
+            out = {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in items}
+        else:
+            out = {tuple(map(add, e, shift)): (re * cr - im * ci, re * ci + im * cr)
+                   for e, (re, im) in items}
+        return _poly(self.vars, out, self._den * cd)
+
+    def _sub_scaled(self, g: "Poly", cr: int, ci: int, cd: int,
+                    shift: Exponent | None = None) -> "Poly":
+        """``self - ((cr + ci*i)/cd) * x^shift * g`` in one pass over the
+        numerators of both, over ``lcm(den, g.den * cd)``: the fused step of
+        a Groebner reduction, for ints with ``cd > 0``."""
+        self._check_vars(g)
+        if not g._num:
+            return self
+        gd = g._den * cd
+        den = lcm(self._den, gd)
+        fa, fg = den // self._den, den // gd
+        cr, ci = -cr * fg, -ci * fg  # negated, so the loop adds
+        if fa == 1:
+            out = dict(self._num)
+        else:
+            out = {e: (re * fa, im * fa) for e, (re, im) in self._num.items()}
+        move = shift is not None and any(shift)
+        get = out.get
+        for e, (re, im) in g._num.items():
+            if move:
+                e = tuple(map(add, e, shift))
+            pr, pi = re * cr - im * ci, re * ci + im * cr
+            c = get(e)
+            if c is None:
+                out[e] = (pr, pi)
+            else:
+                out[e] = (c[0] + pr, c[1] + pi)
+        return _poly(self.vars, out, den)
 
     def conjugate(self) -> "Poly":
         """Conjugate all coefficients (the variables are treated as real)."""
@@ -429,8 +478,7 @@ class Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return Poly.zero(self.vars)
-        d_exp = max(divisor._num, key=grlex_key)
-        lr, li = divisor._num[d_exp]
+        d_exp, (lr, li), _ = divisor._leading_num()
         norm = lr * lr + li * li
         d_key = _heap_key(d_exp)
         rest = [(_heap_key(e), c) for e, c in divisor._num.items() if e != d_exp]

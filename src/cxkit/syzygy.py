@@ -14,11 +14,12 @@ are syzygies, read off from the trailing coordinates.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from math import gcd
+from operator import le, sub
 from typing import Sequence
 
 from cxkit.diffop import OperatorMatrix
-from cxkit.poly import GaussianRational, Poly, grlex_key
+from cxkit.poly import Poly, grlex_key
 
 DEFAULT_PAIR_BUDGET = 10_000
 
@@ -26,20 +27,26 @@ Element = tuple[Poly, ...]
 
 
 class BudgetExceeded(Exception):
-    """Raised when Buchberger exceeds its S-pair budget."""
+    """Raised when Buchberger exceeds its S-pair budget, or a resolution its
+    step limit."""
 
 
 # ---------------------------------------------------------------------------
 # Leading terms under position-over-term (POT) + graded lex
+#
+# All arithmetic below runs on the Gaussian-integer numerators of the
+# entries through the private ``Poly`` kernel (``_leading_num``, ``_scaled``,
+# ``_sub_scaled``): a lead is ``(pos, exp, (re, im), den)`` with coefficient
+# ``(re + im*i) / den``, and a coefficient factor is an int triple ``(cr,
+# ci, cd)`` standing for ``(cr + ci*i) / cd``.
 
 
 def _leading(elem: Element):
-    """(position, exponent, coeff) of the POT+grlex leading term; None if zero.
-    Lower position dominates."""
+    """(position, exponent, numerator, denominator) of the POT+grlex leading
+    term; None if zero.  Lower position dominates."""
     for pos, p in enumerate(elem):
         if not p.is_zero:
-            exp, coeff = p.leading_term()
-            return pos, exp, coeff
+            return (pos, *p._leading_num())
     return None
 
 
@@ -48,24 +55,24 @@ def _is_zero(elem: Element) -> bool:
 
 
 def _divides(a: tuple, b: tuple) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def _exp_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(x - y for x, y in zip(a, b))
+    return tuple(map(sub, a, b))
 
 
 def _exp_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(max(x, y) for x, y in zip(a, b))
+    return tuple(map(max, a, b))
 
 
-def _mono_mul(elem: Element, exp: tuple, coeff: GaussianRational, vars) -> Element:
-    factor = Poly.monomial(vars, exp, coeff)
-    return tuple(p * factor for p in elem)
-
-
-def _sub(a: Element, b: Element) -> Element:
-    return tuple(x - y for x, y in zip(a, b))
+def _quotient(a: tuple[int, int], ad: int, b: tuple[int, int], bd: int):
+    """``(cr, ci, cd)`` in lowest terms with ``(cr + ci*i)/cd`` equal to
+    ``(a/ad) / (b/bd) = a * conj(b) * bd / (ad * |b|^2)``."""
+    (ar, ai), (br, bi) = a, b
+    cr, ci, cd = (ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd, ad * (br * br + bi * bi)
+    g = gcd(cr, ci, cd)
+    return cr // g, ci // g, cd // g
 
 
 def _normalize(elem: Element) -> Element:
@@ -73,30 +80,28 @@ def _normalize(elem: Element) -> Element:
     lead = _leading(elem)
     if lead is None:
         return elem
-    _, _, coeff = lead
-    inv = GaussianRational.one() / coeff
-    return tuple(p.scale(inv) for p in elem)
+    _, _, num, den = lead
+    c = _quotient((1, 0), 1, num, den)
+    return tuple(p._scaled(*c) for p in elem)
 
 
-def _reduce(elem: Element, basis: Sequence[Element], vars) -> Element:
-    """Leading-term reduction: rewrite the leading term by ``basis`` until no
-    basis leading term divides it.  Lower terms are left unreduced, so this is
-    not a full reduction; over a Groebner basis the result is zero exactly
-    when ``elem`` lies in the module the basis generates."""
+def _reduce(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element:
+    """Leading-term reduction: rewrite the leading term by ``basis`` (whose
+    elements have the leads ``leads``) until no basis leading term divides
+    it.  Lower terms are left unreduced, so this is not a full reduction;
+    over a Groebner basis the result is zero exactly when ``elem`` lies in
+    the module the basis generates."""
     result = elem
     while True:
         lead = _leading(result)
         if lead is None:
             return result
-        pos, exp, coeff = lead
-        for g in basis:
-            gl = _leading(g)
-            if gl is None:
-                continue
-            gpos, gexp, gcoeff = gl
+        pos, exp, num, den = lead
+        for g, (gpos, gexp, gnum, gden) in zip(basis, leads):
             if gpos == pos and _divides(gexp, exp):
-                result = _sub(result, _mono_mul(g, _exp_sub(exp, gexp),
-                                                coeff / gcoeff, vars))
+                c = _quotient(num, den, gnum, gden)
+                shift = _exp_sub(exp, gexp)
+                result = tuple(p._sub_scaled(q, *c, shift) for p, q in zip(result, g))
                 break
         else:
             return result
@@ -105,77 +110,79 @@ def _reduce(elem: Element, basis: Sequence[Element], vars) -> Element:
 def groebner_basis(gens: Sequence[Element], vars, *,
                    budget: int = DEFAULT_PAIR_BUDGET) -> list[Element]:
     """Buchberger with POT+grlex; S-pairs only between elements sharing the
-    leading position.  Raises BudgetExceeded past the S-pair budget."""
+    leading position, taken first in, first out.  Raises BudgetExceeded past
+    the S-pair budget."""
     basis = [_normalize(g) for g in gens if not _is_zero(g)]
+    leads = [_leading(g) for g in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     processed = 0
-    while pairs:
-        i, j = pairs.pop(0)
-        gi, gj = basis[i], basis[j]
-        li, lj = _leading(gi), _leading(gj)
-        if li is None or lj is None or li[0] != lj[0]:
+    cursor = 0
+    while cursor < len(pairs):
+        i, j = pairs[cursor]
+        cursor += 1
+        (pi, ei, ni, di), (pj, ej, nj, dj) = leads[i], leads[j]
+        if pi != pj:
             continue
         processed += 1
         if processed > budget:
             raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
-        lcm = _exp_lcm(li[1], lj[1])
-        s = _sub(
-            _mono_mul(gi, _exp_sub(lcm, li[1]), GaussianRational.one() / li[2], vars),
-            _mono_mul(gj, _exp_sub(lcm, lj[1]), GaussianRational.one() / lj[2], vars),
-        )
-        s = _reduce(s, basis, vars)
-        if not _is_zero(s) and _leading(s) is not None:
-            # only add if the leading term is genuinely new-reducible work
+        lcm = _exp_lcm(ei, ej)
+        ci, cj = _quotient((1, 0), 1, ni, di), _quotient((1, 0), 1, nj, dj)
+        si, sj = _exp_sub(lcm, ei), _exp_sub(lcm, ej)
+        s = tuple(p._scaled(*ci, si)._sub_scaled(q, *cj, sj)
+                  for p, q in zip(basis[i], basis[j]))
+        s = _reduce(s, basis, leads)
+        if not _is_zero(s):
             s = _normalize(s)
             k = len(basis)
             basis.append(s)
+            leads.append(_leading(s))
             pairs.extend((idx, k) for idx in range(k))
     return basis
 
 
 def interreduce(basis: Sequence[Element], vars) -> list[Element]:
     """Remove elements whose leading terms are divisible by another's, then
-    tail-reduce; output sorted for determinism."""
-    kept: list[Element] = []
+    rewrite the leading terms of each kept element's tail (the element minus
+    its leading term) by the others.  Lower tail terms are left unreduced,
+    so the result is not the fully reduced (canonical) basis.  Output sorted
+    for determinism."""
     items = [_normalize(b) for b in basis if not _is_zero(b)]
-    for i, b in enumerate(items):
-        lb = _leading(b)
+    item_leads = [_leading(b) for b in items]
+    kept: list[Element] = []
+    leads = []
+    for i, (b, lb) in enumerate(zip(items, item_leads)):
         redundant = False
-        for j, other in enumerate(items):
+        for j, lo in enumerate(item_leads):
             if i == j:
                 continue
-            lo = _leading(other)
-            if lo is None:
-                continue
             if lo[0] == lb[0] and _divides(lo[1], lb[1]):
-                if lb[0] == lo[0] and lb[1] == lo[1] and j > i:
+                if lb[1] == lo[1] and j > i:
                     continue  # keep the earlier of two equal leading terms
                 redundant = True
                 break
         if not redundant:
             kept.append(b)
+            leads.append(lb)
+    one = Poly.one(vars)
     reduced = []
-    for i, b in enumerate(kept):
-        others = reduced + kept[i + 1:]
-        lead = _leading(b)
-        pos, exp, coeff = lead
-        head = _mono_mul(_unit(len(b), pos, b[0].vars), exp, coeff, b[0].vars)
-        tail = _reduce(_sub(b, head), others, b[0].vars)
-        reduced.append(_normalize(tuple(h + t for h, t in zip(head, tail))))
+    for i, (b, (pos, exp, (re, im), den)) in enumerate(zip(kept, leads)):
+        # the tail has no term at or above the lead, so neither has its
+        # reduction: each reduced element keeps the leading term of its source
+        tail = list(b)
+        tail[pos] = b[pos]._sub_scaled(one, re, im, den, exp)
+        tail = list(_reduce(tuple(tail), reduced + kept[i + 1:], leads[:i] + leads[i + 1:]))
+        tail[pos] = tail[pos]._sub_scaled(one, -re, -im, den, exp)
+        reduced.append(tuple(tail))
     reduced.sort(key=lambda e: _sort_key(e))
     return reduced
-
-
-def _unit(length: int, pos: int, vars) -> Element:
-    return tuple(Poly.one(vars) if k == pos else Poly.zero(vars)
-                 for k in range(length))
 
 
 def _sort_key(elem: Element):
     lead = _leading(elem)
     if lead is None:
         return (1,)
-    pos, exp, _ = lead
+    pos, exp, _, _ = lead
     total, lex = grlex_key(exp)
     return (0, pos, -total, tuple(-x for x in lex), tuple(str(p) for p in elem))
 
@@ -221,7 +228,11 @@ def compatibility_operator(op: OperatorMatrix, *,
 def extend_to_complex(op: OperatorMatrix, *, max_steps: int = 8,
                       budget: int = DEFAULT_PAIR_BUDGET) -> list[OperatorMatrix]:
     """Iterate compatibility operators until the kernel is trivial; returns
-    the list [op, B1, B2, ...] forming a complex."""
+    the list [op, B1, B2, ...] forming a complex.  Raises BudgetExceeded if
+    the kernel is still nontrivial after ``max_steps`` compatibility
+    operators."""
+    if max_steps < 1:
+        raise ValueError(f"max_steps must be at least 1, got {max_steps}")
     ops = [op]
     for _ in range(max_steps):
         b = compatibility_operator(ops[-1], budget=budget)
@@ -229,7 +240,7 @@ def extend_to_complex(op: OperatorMatrix, *, max_steps: int = 8,
             break
         ops.append(b)
     else:
-        raise RuntimeError(f"no resolution within {max_steps} steps")
+        raise BudgetExceeded(f"no resolution within {max_steps} steps")
     return ops
 
 
@@ -243,8 +254,10 @@ def module_equivalent(a: OperatorMatrix, b: OperatorMatrix, *,
     rows_b = [tuple(p.lift(vars) for p in row) for row in _op_rows(b)]
     gb_a = groebner_basis(rows_a, vars, budget=budget)
     gb_b = groebner_basis(rows_b, vars, budget=budget)
-    return (all(_is_zero(_reduce(r, gb_b, vars)) for r in rows_a)
-            and all(_is_zero(_reduce(r, gb_a, vars)) for r in rows_b))
+    leads_a = [_leading(g) for g in gb_a]
+    leads_b = [_leading(g) for g in gb_b]
+    return (all(_is_zero(_reduce(r, gb_b, leads_b)) for r in rows_a)
+            and all(_is_zero(_reduce(r, gb_a, leads_a)) for r in rows_b))
 
 
 __all__ = [

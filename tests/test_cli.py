@@ -72,6 +72,17 @@ def test_syzygy_and_extend(spec_file, capsys):
     assert e["ranks"] == [1, 3, 3, 1]
 
 
+@pytest.mark.parametrize("steps, message", [
+    ("0", "max_steps must be at least 1, got 0"),
+    ("-1", "max_steps must be at least 1, got -1"),
+    ("2", "no resolution within 2 steps"),  # grad needs three
+])
+def test_extend_step_limit_is_json_error(spec_file, capsys, steps, message):
+    assert _run(["extend", "--spec", spec_file, "--max-steps", steps]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "extend", "error": message, "ok": False}
+
+
 def test_parametrix_command(spec_file, capsys):
     assert _run(["parametrix", "--spec", spec_file, "--side", "left"]) == 0
 

@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 from cxkit.blockops import maxwell
 from cxkit.complexes import de_rham_complex
 from cxkit.ellipticity import petrovskii_check
-from cxkit.poly import GaussianRational, Poly, PolyMatrix, _coerce_coeff, grlex_key
+from cxkit.poly import GaussianRational, Poly, PolyMatrix, _coerce_coeff, _split, grlex_key
 from cxkit.symbols import maxwell_parametrix_symbol, maxwell_symbol
 
 VARS = ("x", "y", "z")
@@ -229,6 +229,54 @@ def test_exact_div_scales_the_remainder():
     p = x.scale(Fraction(1, 7)) + y.scale(GaussianRational.of(Fraction(2, 5), 1)) - Poly.one(VARS)
     assert (p * q).exact_div(q) == p
     assert same((p * q).exact_div(q), (ref(p) * ref(q)).exact_div(ref(q)))
+
+
+# ---------------------------------------------------------------------------
+# Groebner kernel operations against Poly.monomial products
+
+shifts = st.one_of(st.none(), st.tuples(*(st.integers(0, 2) for _ in VARS)))
+
+
+@st.composite
+def factors(draw):
+    """``(cr, ci, cd, c)``: an int triple standing for ``c``, with a common
+    factor left in about half the time."""
+    c = draw(coefficients)
+    k = draw(st.sampled_from([1, 1, 2, 6]))
+    cr, ci, cd = _split(c)
+    return cr * k, ci * k, cd * k, c
+
+
+def assert_same_poly(got: Poly, want: Poly) -> None:
+    assert got == want and hash(got) == hash(want)
+    assert str(got) == str(want)
+    assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), polys(), factors(), shifts)
+def test_fused_step_and_shifted_scale_match_monomial_product(p, g, f, shift):
+    cr, ci, cd, c = f
+    mono = Poly.monomial(VARS, shift or (0,) * len(VARS), c)
+    zero = Poly.zero(VARS)
+    assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift), p - mono * g)
+    assert_same_poly(g._scaled(cr, ci, cd, shift), mono * g)
+    assert_same_poly(p._sub_scaled(zero, cr, ci, cd, shift), p)
+    assert_same_poly(zero._sub_scaled(g, cr, ci, cd, shift), -(mono * g))
+    # the reduction step cancels exactly what the shifted scale built
+    assert_same_poly((p + mono * g)._sub_scaled(g, cr, ci, cd, shift), p)
+    assert_same_poly((mono * g)._sub_scaled(g, cr, ci, cd, shift), zero)
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys())
+def test_leading_num_matches_leading_term(p):
+    if p.is_zero:
+        return
+    exp, (re, im), den = Poly(VARS, p.terms)._leading_num()
+    want_exp, want_coeff = ref(p).leading_term()
+    assert exp == want_exp == p.leading_term()[0]
+    assert GaussianRational(Fraction(re, den), Fraction(im, den)) == want_coeff
 
 
 # ---------------------------------------------------------------------------
