@@ -52,26 +52,21 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
     index = {v: i for i, v in enumerate(m.vars)}
     cols = [index[v] for v in var_order]
     rows: dict[tuple[int, ...], int] = {}  # distinct exponent row -> column
-    # (monomial columns, coefficients) of each distinct nonzero entry -> the
-    # (i, j) places that hold it.  The key keeps the term order: equal
-    # polynomials may list their terms in different orders, and a dot product
-    # summed in another order may differ in the last bit.
-    entries: dict[tuple[tuple, tuple], list[tuple[int, int]]] = {}
+    entries = []  # (i, j, monomial columns, coefficients) per nonzero entry
     for i in range(m.rows):
         for j in range(m.cols):
             terms = m[i, j].terms
             if terms:
-                idx = tuple(rows.setdefault(tuple(exp[c] for c in cols), len(rows))
-                            for exp in terms)
-                key = idx, tuple(complex(c) for c in terms.values())
-                entries.setdefault(key, []).append((i, j))
+                idx = [rows.setdefault(tuple(exp[c] for c in cols), len(rows))
+                       for exp in terms]
+                entries.append((i, j, idx, [complex(c) for c in terms.values()]))
     e = np.array(list(rows), dtype=np.int64).reshape(1, len(rows), len(cols))
     # An entry that uses every row in order (always so for a 1x1 matrix) reads
     # the monomials in place instead of through a gathered copy.
-    every = tuple(range(len(rows)))
-    plan = [(places, slice(None) if idx == every else np.array(idx, dtype=np.intp),
+    every = list(range(len(rows)))
+    plan = [(i, j, slice(None) if idx == every else np.array(idx, dtype=np.intp),
              np.array(coeffs, dtype=complex))
-            for (idx, coeffs), places in entries.items()]
+            for i, j, idx, coeffs in entries]
 
     def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
@@ -80,10 +75,8 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
             monomials = np.multiply.reduce(pts[:, None, :] ** e, axis=2)
             # (B, 1, k) stacks take one dot product per row, as one point does
             rows = monomials[:, None, :] if _per_point else monomials
-            for places, idx, c in plan:
-                value = (rows[..., idx] @ c).reshape(-1)
-                for i, j in places:
-                    out[:, i, j] = value
+            for i, j, idx, c in plan:
+                out[:, i, j] = (rows[..., idx] @ c).reshape(-1)
         return out
 
     return evaluate

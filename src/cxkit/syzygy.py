@@ -107,7 +107,7 @@ def _reduce(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element
             return result
 
 
-def groebner_basis(gens: Sequence[Element], vars, *,
+def groebner_basis(gens: Sequence[Element], *,
                    budget: int = DEFAULT_PAIR_BUDGET) -> list[Element]:
     """Buchberger with POT+grlex; S-pairs only between elements sharing the
     leading position, taken first in, first out.  Raises BudgetExceeded past
@@ -168,7 +168,8 @@ def interreduce(basis: Sequence[Element], vars) -> list[Element]:
     reduced = []
     for i, (b, (pos, exp, (re, im), den)) in enumerate(zip(kept, leads)):
         # the tail has no term at or above the lead, so neither has its
-        # reduction: each reduced element keeps the leading term of its source
+        # reduction: each reduced element keeps the leading term of its
+        # source, and leads[:i] + leads[i + 1:] stay the leads of the others
         tail = list(b)
         tail[pos] = b[pos]._sub_scaled(one, re, im, den, exp)
         tail = list(_reduce(tuple(tail), reduced + kept[i + 1:], leads[:i] + leads[i + 1:]))
@@ -203,7 +204,7 @@ def syzygies(rows: Sequence[Element], vars, *,
         tail = [Poly.zero(vars)] * k
         tail[i] = Poly.one(vars)
         extended.append(tuple(row) + tuple(tail))
-    gb = groebner_basis(extended, vars, budget=budget)
+    gb = groebner_basis(extended, budget=budget)
     syz = [g[c:] for g in gb if all(p.is_zero for p in g[:c])]
     return interreduce(syz, vars)
 
@@ -252,8 +253,8 @@ def module_equivalent(a: OperatorMatrix, b: OperatorMatrix, *,
     vars = a.signature.vars
     rows_a = _op_rows(a)
     rows_b = [tuple(p.lift(vars) for p in row) for row in _op_rows(b)]
-    gb_a = groebner_basis(rows_a, vars, budget=budget)
-    gb_b = groebner_basis(rows_b, vars, budget=budget)
+    gb_a = groebner_basis(rows_a, budget=budget)
+    gb_b = groebner_basis(rows_b, budget=budget)
     leads_a = [_leading(g) for g in gb_a]
     leads_b = [_leading(g) for g in gb_b]
     return (all(_is_zero(_reduce(r, gb_b, leads_b)) for r in rows_a)

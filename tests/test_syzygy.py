@@ -38,7 +38,7 @@ def test_groebner_basis_membership():
     x = Poly.variable(vars, "x")
     y = Poly.variable(vars, "y")
     gens = [(x * x - y,), (x * y - Poly.one(vars),)]
-    gb = groebner_basis(gens, vars)
+    gb = groebner_basis(gens)
     # x (xy - 1) - y (x^2 - y) = y^2 - x is in the ideal
     from cxkit.syzygy import _is_zero, _leading, _reduce
 
@@ -70,7 +70,7 @@ def test_budget_exceeded():
                      - Poly.variable(vars, vars[b]) ** 2)
                 gens.append((p,))
     with pytest.raises(BudgetExceeded):
-        groebner_basis(gens, vars, budget=3)
+        groebner_basis(gens, budget=3)
 
 
 # ---------------------------------------------------------------------------
@@ -206,12 +206,9 @@ def _pinned_outputs() -> dict:
     return out
 
 
-def _pinned_bytes() -> bytes:
-    return (json.dumps(_pinned_outputs(), indent=1, sort_keys=True) + "\n").encode()
-
-
 def test_buchberger_output_is_pinned():
-    assert _pinned_bytes() == PINNED.read_bytes()
+    got = json.dumps(_pinned_outputs(), indent=1, sort_keys=True) + "\n"
+    assert got.encode() == PINNED.read_bytes()
 
 
 def test_symmetric_gradient_3d_resolution():
@@ -230,7 +227,3 @@ def test_budget_exceeded_at_pinned_pair_count(key, pairs):
     compatibility_operator(op, budget=pairs)
     with pytest.raises(BudgetExceeded):
         compatibility_operator(op, budget=pairs - 1)
-
-
-if __name__ == "__main__":
-    PINNED.write_bytes(_pinned_bytes())
