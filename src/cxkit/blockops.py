@@ -8,6 +8,11 @@ characteristic pattern ``B_r P B_c`` of placing an operator P into one block
 of the big matrix.  The block helpers accept operator and symbol matrices
 alike and return the type they were given.
 
+The builders take their zero and identity matrices from the complex, so on
+``Complex.principal_symbols()`` with the weights' ``MuSet.principal_symbols``
+they give sigma(M0), sigma(M1) and the symbol factorization residual, which
+is how :mod:`cxkit.symbols` builds them.
+
 The two Maxwell families interleave a complex with its formal adjoints::
 
     M0 = sum_j B_{j+1} mu0_j A_j B_j  +  B_j A_j* B_{j+1}
@@ -127,15 +132,15 @@ def _time_signature(cplx: Complex, coeffs: Sequence) -> Signature:
 # Maxwell operators
 
 
-def maxwell(cplx: Complex, q: int, mu: MuSet | None = None, variant: int = 0) -> OperatorMatrix:
+def maxwell(cplx: Complex, q: int, mu: MuSet | None = None,
+            variant: int = 0) -> SignatureMatrix:
     """The degree-q Maxwell operator M0 (variant 0) or M1 (variant 1)."""
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
     if mu is None:
         mu = MuSet.identity(cplx)
     part = BlockPartition.for_degree(cplx, q)
-    sig = cplx.signature
-    total = OperatorMatrix.zero(sig, part.size, part.size)
+    total = cplx.zero(part.size, part.size)
     for j in range(q):
         a = cplx.op(j)
         if variant == 0:
@@ -259,7 +264,7 @@ def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
 
 
 def factorization_residual(cplx: Complex, q: int, mu: MuSet | None = None
-                           ) -> OperatorMatrix:
+                           ) -> SignatureMatrix:
     """Residual of  M1 M0 = B_q A_{q-1} mu1_q A_{q-1}* B_q + sum_{j<q} B_j GL_j B_j.
 
     The identity requires the coherence condition at every degree below q.
@@ -268,8 +273,7 @@ def factorization_residual(cplx: Complex, q: int, mu: MuSet | None = None
         mu = MuSet.identity(cplx)
     part = BlockPartition.for_degree(cplx, q)
     lhs = maxwell(cplx, q, mu, 1) @ maxwell(cplx, q, mu, 0)
-    sig = cplx.signature
-    rhs = OperatorMatrix.zero(sig, part.size, part.size)
+    rhs = cplx.zero(part.size, part.size)
     if q > 0:
         a = cplx.op(q - 1)
         top = a @ mu.mu1(q) @ a.formal_adjoint()

@@ -1,7 +1,8 @@
 """Differential complexes and their (generalized) Laplacians.
 
 A :class:`Complex` is a finite sequence of constant-coefficient operators
-``A_0, ..., A_{N-1}`` with ``A_{q+1} A_q = 0``.  The exterior-derivative
+``A_0, ..., A_{N-1}`` with ``A_{q+1} A_q = 0``, or of their principal
+symbols, on which the Laplacians below give the deltas.  The exterior-derivative
 builders (de Rham, Koszul, Dolbeault, powered de Rham) all share the wedge
 pattern: degree-q basis elements are strictly increasing index tuples in
 lexicographic order, and the entry from I to J = I + {i} carries the sign
@@ -19,16 +20,26 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
 
-from cxkit.diffop import OperatorMatrix, Signature, spatial_signature, tensor_identity
+from cxkit.diffop import (
+    SPATIAL,
+    OperatorMatrix,
+    Signature,
+    SignatureMatrix,
+    spatial_signature,
+    tensor_identity,
+)
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 
 class Complex:
-    """A chain of operators E_0 -> E_1 -> ... -> E_N with A_{q+1} A_q = 0."""
+    """A chain of operators E_0 -> E_1 -> ... -> E_N with A_{q+1} A_q = 0.
+
+    The chain holds operator matrices or symbol matrices, all of one type.
+    """
 
     __slots__ = ("ops", "signature", "ranks")
 
-    def __init__(self, ops: Sequence[OperatorMatrix]):
+    def __init__(self, ops: Sequence[SignatureMatrix]):
         if not ops:
             raise ValueError("a complex needs at least one operator")
         sig = ops[0].signature
@@ -56,11 +67,23 @@ class Complex:
             return self.ranks[q]
         return 0
 
-    def op(self, q: int) -> OperatorMatrix:
+    def op(self, q: int) -> SignatureMatrix:
         """A_q (a zero operator of the right shape outside 0..N-1)."""
         if 0 <= q < self.length:
             return self.ops[q]
-        return OperatorMatrix.zero(self.signature, self.rank(q + 1), self.rank(q))
+        return self.zero(self.rank(q + 1), self.rank(q))
+
+    def zero(self, rows: int, cols: int) -> SignatureMatrix:
+        """A zero matrix of the operators' type over the complex's signature."""
+        return type(self.ops[0]).zero(self.signature, rows, cols)
+
+    def identity(self, n: int) -> SignatureMatrix:
+        """An identity matrix of the operators' type over the complex's signature."""
+        return type(self.ops[0]).identity(self.signature, n)
+
+    def principal_symbols(self) -> "Complex":
+        """The complex of spatial principal symbols sigma(A_0)..sigma(A_{N-1})."""
+        return Complex([op.principal_symbol(SPATIAL) for op in self.ops])
 
     def orders(self) -> tuple[int, ...]:
         return tuple(op.order() for op in self.ops)
@@ -194,8 +217,8 @@ class MuSet:
     __slots__ = ("cplx", "_mu0", "_mu1")
 
     def __init__(self, cplx: Complex,
-                 mu0: dict[int, OperatorMatrix] | None = None,
-                 mu1: dict[int, OperatorMatrix] | None = None):
+                 mu0: dict[int, SignatureMatrix] | None = None,
+                 mu1: dict[int, SignatureMatrix] | None = None):
         self.cplx = cplx
         self._mu0 = dict(mu0 or {})
         self._mu1 = dict(mu1 or {})
@@ -250,6 +273,12 @@ class MuSet:
             mu1[q] = OperatorMatrix.identity(sig, k).scale(minus_lap ** m)
         return MuSet(cplx, mu0, mu1)
 
+    def principal_symbols(self, sym: Complex) -> "MuSet":
+        """The spatial principal symbols of these weights, over ``sym``, the
+        complex's :meth:`Complex.principal_symbols`."""
+        return MuSet(sym, {q: m.principal_symbol(SPATIAL) for q, m in self._mu0.items()},
+                     {q: m.principal_symbol(SPATIAL) for q, m in self._mu1.items()})
+
     def lift(self, cplx: Complex) -> "MuSet":
         """The same weights over ``cplx``, this set's complex lifted to a
         richer signature (``Complex.lift``)."""
@@ -257,15 +286,15 @@ class MuSet:
         return MuSet(cplx, {q: m.lift(sig) for q, m in self._mu0.items()},
                      {q: m.lift(sig) for q, m in self._mu1.items()})
 
-    def mu0(self, q: int) -> OperatorMatrix:
+    def mu0(self, q: int) -> SignatureMatrix:
         if q in self._mu0:
             return self._mu0[q]
-        return OperatorMatrix.identity(self.cplx.signature, self.cplx.rank(q + 1))
+        return self.cplx.identity(self.cplx.rank(q + 1))
 
-    def mu1(self, q: int) -> OperatorMatrix:
+    def mu1(self, q: int) -> SignatureMatrix:
         if q in self._mu1:
             return self._mu1[q]
-        return OperatorMatrix.identity(self.cplx.signature, self.cplx.rank(q - 1))
+        return self.cplx.identity(self.cplx.rank(q - 1))
 
     def orders(self, q: int) -> tuple[int, int]:
         """(2*mtilde_q, 2*mhat_q): the orders of mu0_q and mu1_q (0 if absent)."""
@@ -276,23 +305,16 @@ class MuSet:
 # Laplacians
 
 
-def laplacian(cplx: Complex, q: int) -> OperatorMatrix:
+def laplacian(cplx: Complex, q: int) -> SignatureMatrix:
     """The Hodge Laplacian ``A_q* A_q + A_{q-1} A_{q-1}*`` at degree q."""
-    k = cplx.rank(q)
-    total = OperatorMatrix.zero(cplx.signature, k, k)
-    if q < cplx.length:
-        a = cplx.op(q)
-        total = total + a.formal_adjoint() @ a
-    if q > 0:
-        b = cplx.op(q - 1)
-        total = total + b @ b.formal_adjoint()
-    return total
+    return generalized_laplacian(cplx, q, MuSet.identity(cplx))
 
 
-def generalized_laplacian(cplx: Complex, q: int, mu: MuSet) -> OperatorMatrix:
-    """``A_q* mu0_q A_q + A_{q-1} mu1_q A_{q-1}*``."""
+def generalized_laplacian(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:
+    """``A_q* mu0_q A_q + A_{q-1} mu1_q A_{q-1}*``; on the complex of
+    principal symbols, with the weights' symbols, this is delta_{q,mu}."""
     k = cplx.rank(q)
-    total = OperatorMatrix.zero(cplx.signature, k, k)
+    total = cplx.zero(k, k)
     if q < cplx.length:
         a = cplx.op(q)
         total = total + a.formal_adjoint() @ mu.mu0(q) @ a
@@ -319,9 +341,7 @@ class LowerOrderPart:
     m: OperatorMatrix | None = None      # k_q x k_q
 
     def assemble(self, cplx: Complex, q: int) -> OperatorMatrix:
-        k = cplx.rank(q)
-        sig = cplx.signature
-        total = OperatorMatrix.zero(sig, k, k)
+        total = cplx.zero(cplx.rank(q), cplx.rank(q))
         if self.c is not None:
             total = total + self.c @ cplx.op(q)
         if self.ct is not None:

@@ -246,6 +246,11 @@ class SymbolMatrix(SignatureMatrix):
         real symbol variables."""
         return SymbolMatrix(self.signature, self.body.hermitian_transpose())
 
+    def formal_adjoint(self) -> "SymbolMatrix":
+        """The conjugate transpose: the symbol-level formal adjoint, so the
+        operator builders run unchanged on a complex of symbols."""
+        return self.hermitian_transpose()
+
     def scalar_part(self) -> Poly | None:
         """The scalar s when this matrix is s*I, else None."""
         if self.rows != self.cols or self.rows == 0:

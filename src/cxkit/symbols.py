@@ -4,6 +4,12 @@ For constant-coefficient operators the parametrix theorems reduce to exact
 algebraic identities between principal symbols, with the inverse Laplacian
 symbols represented as adjugate/determinant pairs.  Everything here is checked
 by exact cross-multiplied rational arithmetic; no analysis is involved.
+
+The symbol-level objects (delta_q, sigma(M0), sigma(M1), the factorization
+residual) are the operator builders of :mod:`cxkit.complexes` and
+:mod:`cxkit.blockops` run on ``Complex.principal_symbols()`` with the weights'
+``MuSet.principal_symbols``: products sigma(mu) sigma(A), never sigma(mu A).
+Each routine computes those symbols once and passes them down.
 """
 
 from __future__ import annotations
@@ -11,9 +17,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from cxkit.blockops import BlockPartition, block_inject, embed_trailing
-from cxkit.complexes import Complex, MuSet
-from cxkit.diffop import SPATIAL, OperatorMatrix, Signature, SymbolMatrix
+from cxkit.blockops import (
+    BlockPartition,
+    block_inject,
+    embed_trailing,
+    factorization_residual,
+    maxwell,
+)
+from cxkit.complexes import Complex, MuSet, generalized_laplacian
+from cxkit.diffop import SPATIAL, Signature, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
 
 
@@ -126,30 +138,18 @@ def sigma(cplx: Complex, q: int) -> SymbolMatrix:
     return cplx.op(q).principal_symbol(SPATIAL)
 
 
-def sigma_mu(op: OperatorMatrix) -> SymbolMatrix:
-    """Principal symbol of a weight operator."""
-    return op.principal_symbol(SPATIAL)
+def _symbols(cplx: Complex, mu: MuSet | None) -> tuple[Complex, MuSet]:
+    """The complex of principal symbols and the weights' symbols over it
+    (identity weights for ``None``)."""
+    sym = cplx.principal_symbols()
+    return sym, MuSet.identity(sym) if mu is None else mu.principal_symbols(sym)
 
 
 def delta(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMatrix:
     """delta_q = sigma_q^* sigma_q + sigma_{q-1} sigma_{q-1}^*, optionally
     weighted by the principal symbols of the mu pair at degree q."""
-    sig = cplx.signature.symbol_signature()
-    k = cplx.rank(q)
-    total = SymbolMatrix.zero(sig, k, k)
-    if q < cplx.length:
-        s = sigma(cplx, q)
-        if mu is None:
-            total = total + s.hermitian_transpose() @ s
-        else:
-            total = total + s.hermitian_transpose() @ sigma_mu(mu.mu0(q)) @ s
-    if q > 0:
-        s = sigma(cplx, q - 1)
-        if mu is None:
-            total = total + s @ s.hermitian_transpose()
-        else:
-            total = total + s @ sigma_mu(mu.mu1(q)) @ s.hermitian_transpose()
-    return total
+    sym, mus = _symbols(cplx, mu)
+    return generalized_laplacian(sym, q, mus)
 
 
 # ---------------------------------------------------------------------------
@@ -159,28 +159,19 @@ def delta(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMatrix:
 def maxwell_symbol(cplx: Complex, q: int, mu: MuSet | None = None,
                    variant: int = 0) -> SymbolMatrix:
     """The weighted principal symbol of the Maxwell block operator."""
-    if mu is None:
-        mu = MuSet.identity(cplx)
-    part = BlockPartition.for_degree(cplx, q)
-    sig = cplx.signature.symbol_signature()
-    total = SymbolMatrix.zero(sig, part.size, part.size)
-    for j in range(q):
-        s = sigma(cplx, j)
-        if variant == 0:
-            down = sigma_mu(mu.mu0(j)) @ s
-        else:
-            down = s @ sigma_mu(mu.mu1(j + 1))
-        total = total + block_inject(part, down, j + 1, j)
-        total = total + block_inject(part, s.hermitian_transpose(), j, j + 1)
-    return total
+    sym, mus = _symbols(cplx, mu)
+    return maxwell(sym, q, mus, variant)
+
+
+def _stokes_dn(sym: Complex, mus: MuSet, q: int) -> SymbolMatrix:
+    part = BlockPartition.for_degree(sym, q)
+    return block_inject(part, generalized_laplacian(sym, q, mus), q, q) + maxwell(sym, q)
 
 
 def stokes_dn_symbol(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMatrix:
     """DN principal symbol of the Stokes operator:
     ``B_q delta_{q,mu} B_q + maxwell_symbol``."""
-    part = BlockPartition.for_degree(cplx, q)
-    total = block_inject(part, delta(cplx, q, mu), q, q)
-    return total + maxwell_symbol(cplx, q, None, 0)
+    return _stokes_dn(*_symbols(cplx, mu), q)
 
 
 # ---------------------------------------------------------------------------
@@ -205,19 +196,8 @@ def symbolic_factorization_residual(cplx: Complex, q: int,
     sigma(M1) sigma(M0) = B_q sigma_{q-1} sigma(mu1_q) sigma_{q-1}^* B_q
                           + sum_{j<q} B_j delta_{j,mu} B_j.
     """
-    if mu is None:
-        mu = MuSet.identity(cplx)
-    part = BlockPartition.for_degree(cplx, q)
-    lhs = maxwell_symbol(cplx, q, mu, 1) @ maxwell_symbol(cplx, q, mu, 0)
-    sig = cplx.signature.symbol_signature()
-    rhs = SymbolMatrix.zero(sig, part.size, part.size)
-    if q > 0:
-        s = sigma(cplx, q - 1)
-        top = s @ sigma_mu(mu.mu1(q)) @ s.hermitian_transpose()
-        rhs = rhs + block_inject(part, top, q, q)
-    for j in range(q):
-        rhs = rhs + block_inject(part, delta(cplx, j, mu), j, j)
-    return lhs - rhs
+    sym, mus = _symbols(cplx, mu)
+    return factorization_residual(sym, q, mus)
 
 
 def verify_symbolic_factorization(cplx: Complex, q: int,
@@ -227,28 +207,27 @@ def verify_symbolic_factorization(cplx: Complex, q: int,
             "ok": res.is_zero}
 
 
+def _block_diagonal_inverse(sym: Complex, degrees: Sequence[int],
+                            mus: MuSet) -> RationalSymbolMatrix:
+    part = BlockPartition.for_degree(sym, max(degrees))
+    total = RationalSymbolMatrix.from_symbol(sym.zero(part.size, part.size))
+    for j in degrees:
+        inv = invert_symbol(generalized_laplacian(sym, j, mus))
+        total = total + RationalSymbolMatrix(block_inject(part, inv.num, j, j), inv.den)
+    return total
+
+
 def block_diagonal_inverse(cplx: Complex, degrees: Sequence[int],
                            mu_at: dict[int, MuSet] | None = None
                            ) -> RationalSymbolMatrix:
     """``sum_j B_j delta_j^{-1} B_j`` over the given degrees as one rational
-    matrix over the common denominator (product of the determinants)."""
-    part = BlockPartition.for_degree(cplx, max(degrees))
-    sig = cplx.signature.symbol_signature()
-    inverses = {}
-    for j in degrees:
-        mu = (mu_at or {}).get(j)
-        inverses[j] = invert_symbol(delta(cplx, j, mu))
-    den = Poly.one(sig.vars)
-    for j in degrees:
-        den = den * inverses[j].den
-    num = SymbolMatrix.zero(sig, part.size, part.size)
-    for j in degrees:
-        cofactor = Poly.one(sig.vars)
-        for i in degrees:
-            if i != j:
-                cofactor = cofactor * inverses[i].den
-        num = num + block_inject(part, inverses[j].num.scale(cofactor), j, j)
-    return RationalSymbolMatrix(num, den)
+    matrix over the common denominator (product of the determinants); the
+    weights at degree j are those of ``mu_at[j]`` (identity if absent)."""
+    sym = cplx.principal_symbols()
+    mu_at = mu_at or {}
+    mus = MuSet(sym, {j: mu.mu0(j).principal_symbol(SPATIAL) for j, mu in mu_at.items()},
+                {j: mu.mu1(j).principal_symbol(SPATIAL) for j, mu in mu_at.items()})
+    return _block_diagonal_inverse(sym, degrees, mus)
 
 
 def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
@@ -263,14 +242,14 @@ def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
     if side not in ("right", "left"):
         raise ValueError("side must be 'right' or 'left'")
     n = cplx.length
-    mu_at = {j: mu for j in range(n + 1)} if mu is not None else None
-    diag_inv = block_diagonal_inverse(cplx, list(range(n + 1)), mu_at)
+    sym, mus = _symbols(cplx, mu)
+    diag_inv = _block_diagonal_inverse(sym, range(n + 1), mus)
     if side == "right":
-        f = maxwell_symbol(cplx, n, mu, 0) @ diag_inv
-        product = maxwell_symbol(cplx, n, mu, 1) @ f
+        f = maxwell(sym, n, mus, 0) @ diag_inv
+        product = maxwell(sym, n, mus, 1) @ f
     else:
-        f = diag_inv @ maxwell_symbol(cplx, n, mu, 1)
-        product = f @ maxwell_symbol(cplx, n, mu, 0)
+        f = diag_inv @ maxwell(sym, n, mus, 1)
+        product = f @ maxwell(sym, n, mus, 0)
     if not product.is_identity():
         raise ArithmeticError("parametrix product is not the identity")
     return f
@@ -289,7 +268,11 @@ class HypothesisFailure(Exception):
         return f"{self.condition}: {self.detail}"
 
 
-def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet) -> None:
+def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet, sym: Complex,
+                             mus: MuSet) -> None:
+    """The hypotheses of the Stokes identities; ``sym``/``mus`` are the
+    symbols of ``cplx``/``mu``.  They make every weight below degree q the
+    identity, so delta_{j,mu} = delta_j for j < q."""
     n = cplx.length
     if not 1 <= q <= n - 1:
         raise HypothesisFailure("degree-range", f"need 1 <= q <= N-1, got q={q}, N={n}")
@@ -305,36 +288,42 @@ def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet) -> None:
             "order-balance", f"m_q + mtilde_q = {cplx.op(q).order() + mt2 // 2} != m = {m}"
         )
     for j in range(q):
-        if not (mu.mu0(j) == OperatorMatrix.identity(cplx.signature, cplx.rank(j + 1))
-                and mu.mu1(j) == OperatorMatrix.identity(cplx.signature, cplx.rank(j - 1))):
+        if not (mu.mu0(j) == cplx.identity(cplx.rank(j + 1))
+                and mu.mu1(j) == cplx.identity(cplx.rank(j - 1))):
             raise HypothesisFailure(
                 "trivial-weights-below-q", f"weights at degree {j} are not the identity"
             )
     if q >= 2:
-        s2 = sigma(cplx, q - 2).hermitian_transpose()
-        s1 = sigma(cplx, q - 1).hermitian_transpose()
-        if not (s2 @ sigma_mu(mu.mu1(q)) @ s1).is_zero:
+        s2 = sym.op(q - 2).formal_adjoint()
+        s1 = sym.op(q - 1).formal_adjoint()
+        if not (s2 @ mus.mu1(q) @ s1).is_zero:
             raise HypothesisFailure(
                 "mu-mu", "sigma_{q-2}^* sigma(mu1_q) sigma_{q-1}^* does not vanish"
             )
 
 
-def _n_symbol(cplx: Complex, q: int, mu: MuSet,
+def _n_symbol(sym: Complex, q: int, mus: MuSet,
               q_inverse: RationalSymbolMatrix) -> RationalSymbolMatrix:
     """The correction matrix N built around an inverse for the degree-q block."""
-    part = BlockPartition.for_degree(cplx, q)
-    sq = sigma(cplx, q)
-    sq1 = sigma(cplx, q - 1)
-    mu0_sym = sigma_mu(mu.mu0(q))
-    mu1_sym = sigma_mu(mu.mu1(q))
-    core = q_inverse @ (sq.hermitian_transpose() @ mu0_sym @ sq)
+    part = BlockPartition.for_degree(sym, q)
+    sq = sym.op(q)
+    sq1 = sym.op(q - 1)
+    mu1_adj = mus.mu1(q) @ sq1.hermitian_transpose()
+    core = q_inverse @ (sq.hermitian_transpose() @ mus.mu0(q) @ sq)
     total = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
     total = total + block_inject(part, sq1, q, q - 1)
-    total = total + block_inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
-    total = total - block_inject(
-        part, mu1_sym @ sq1.hermitian_transpose() @ sq1, q - 1, q - 1
-    )
-    return total
+    total = total + block_inject(part, mu1_adj, q - 1, q)
+    return total - block_inject(part, mu1_adj @ sq1, q - 1, q - 1)
+
+
+def _stokes_rhs(sym: Complex, mus: MuSet, q: int) -> RationalSymbolMatrix:
+    """``sum_{j<=q} B_j delta_{j,mu} B_j``, the right side of the Stokes
+    identities (the weights below q are the identity)."""
+    part = BlockPartition.for_degree(sym, q)
+    total = sym.zero(part.size, part.size)
+    for j in range(q + 1):
+        total = total + block_inject(part, generalized_laplacian(sym, j, mus), j, j)
+    return RationalSymbolMatrix.from_symbol(total)
 
 
 def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
@@ -347,23 +336,15 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
 
     and the full product ``S_dn . F = I`` in exact rational arithmetic.
     """
-    _check_stokes_hypotheses(cplx, q, mu)
-    part = BlockPartition.for_degree(cplx, q)
-    delta_q_inv = invert_symbol(delta(cplx, q, mu))
-    n_sym = _n_symbol(cplx, q, mu, delta_q_inv)
-    m_lower = maxwell_symbol(cplx, q - 1, None, 0)
-    lower_embedded = embed_trailing(m_lower, part.size)
-    core = n_sym + lower_embedded
+    sym, mus = _symbols(cplx, mu)
+    _check_stokes_hypotheses(cplx, q, mu, sym, mus)
+    part = BlockPartition.for_degree(sym, q)
+    delta_q_inv = invert_symbol(generalized_laplacian(sym, q, mus))
+    core = _n_symbol(sym, q, mus, delta_q_inv) + embed_trailing(maxwell(sym, q - 1), part.size)
+    s_dn = _stokes_dn(sym, mus, q)
+    intermediate_ok = (s_dn @ core) == _stokes_rhs(sym, mus, q)
 
-    s_dn = stokes_dn_symbol(cplx, q, mu)
-    sig = cplx.signature.symbol_signature()
-    rhs = block_inject(part, delta(cplx, q, mu), q, q)
-    for j in range(q):
-        rhs = rhs + block_inject(part, delta(cplx, j), j, j)
-    intermediate_ok = (s_dn @ core) == RationalSymbolMatrix.from_symbol(rhs)
-
-    diag_inv = block_diagonal_inverse(cplx, list(range(q + 1)), {q: mu})
-    f = core @ diag_inv
+    f = core @ _block_diagonal_inverse(sym, range(q + 1), mus)
     product_ok = (s_dn @ f).is_identity()
     report = {
         "identity": "stokes-fundamental-symbol",
@@ -383,49 +364,34 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     """Exact symbol-level check of the parabolic fundamental-solution identity.
 
     With b = (0,...,0,1) the evolution Stokes symbol is
-    ``B_q (i tau + delta_{q,mu}) B_q + sigma(M_q)``; the degree-q inverse is
-    the scalar rational ``1/(i tau + s)`` which requires delta_{q,mu} = s I.
-    The verified identity is
+    ``S_t = S_dn + B_q i tau B_q``; the degree-q inverse is the scalar
+    rational ``1/(i tau + s)`` which requires delta_{q,mu} = s I, and N_t is N
+    built around it, minus ``B_{q-1} i tau B_{q-1}``.  The verified identity is
 
         S_t (N_t + sigma(M_{q-1})) = B_q delta_{q,mu} B_q + sum_{j<q} B_j delta_j B_j.
     """
-    _check_stokes_hypotheses(cplx, q, mu)
-    d_q = delta(cplx, q, mu)
-    scalar = d_q.scalar_part()
+    sym, mus = _symbols(cplx, mu)
+    _check_stokes_hypotheses(cplx, q, mu, sym, mus)
+    scalar = generalized_laplacian(sym, q, mus).scalar_part()
     if scalar is None:
         raise HypothesisFailure("scalar-delta", "delta_{q,mu} is not a scalar multiple of I")
 
-    sig0 = cplx.signature.symbol_signature()
+    sig0 = sym.signature
     sig = Signature(sig0.spatial, "tau", sig0.params)
-    part = BlockPartition.for_degree(cplx, q)
-    tau = Poly.variable(sig.vars, "tau")
-    i_tau = tau.scale(GaussianRational.i())
+    sym = sym.lift(sig)
+    mus = mus.lift(sym)
+    part = BlockPartition.for_degree(sym, q)
+    i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
     resolvent_den = i_tau + scalar.lift(sig.vars)
 
-    def up(sym: SymbolMatrix) -> SymbolMatrix:
-        return sym.lift(sig)
+    def i_tau_block(j: int) -> SymbolMatrix:
+        return block_inject(part, sym.identity(part.ranks[j]).scale(i_tau), j, j)
 
-    sq = up(sigma(cplx, q))
-    sq1 = up(sigma(cplx, q - 1))
-    mu0_sym = up(sigma_mu(mu.mu0(q)))
-    mu1_sym = up(sigma_mu(mu.mu1(q)))
-
-    core = RationalSymbolMatrix(sq.hermitian_transpose() @ mu0_sym @ sq, resolvent_den)
-    n_t = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
-    n_t = n_t + block_inject(part, sq1, q, q - 1)
-    n_t = n_t + block_inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
-    last = mu1_sym @ sq1.hermitian_transpose() @ sq1 \
-        + SymbolMatrix.identity(sig, part.ranks[q - 1]).scale(i_tau)
-    n_t = n_t - block_inject(part, last, q - 1, q - 1)
-
-    time_block = up(d_q) + SymbolMatrix.identity(sig, part.ranks[q]).scale(i_tau)
-    s_t = block_inject(part, time_block, q, q) + up(maxwell_symbol(cplx, q, None, 0))
-
-    core_total = n_t + embed_trailing(up(maxwell_symbol(cplx, q - 1, None, 0)), part.size)
-    rhs = block_inject(part, up(d_q), q, q)
-    for j in range(q):
-        rhs = rhs + block_inject(part, up(delta(cplx, j)), j, j)
-    ok = (s_t @ core_total) == RationalSymbolMatrix.from_symbol(rhs)
+    resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), resolvent_den)
+    n_t = _n_symbol(sym, q, mus, resolvent) - i_tau_block(q - 1)
+    s_t = _stokes_dn(sym, mus, q) + i_tau_block(q)
+    core = n_t + embed_trailing(maxwell(sym, q - 1), part.size)
+    ok = (s_t @ core) == _stokes_rhs(sym, mus, q)
     return {
         "identity": "stokes-evolution-symbol",
         "degree": q,

@@ -1,11 +1,28 @@
-"""Symbol calculus: rational symbols, parametrices, fundamental symbols."""
+"""Symbol calculus: rational symbols, parametrices, fundamental symbols.
+
+The symbol-level objects are the operator builders of ``complexes`` and
+``blockops`` run on the complex of principal symbols.  ``_ref_delta``,
+``_ref_maxwell_symbol``, ``_ref_factorization_residual`` and
+``_ref_evolution_n_t`` are the earlier hand-written symbol versions, kept
+verbatim (bar their names) as the reference: the builders must give the same
+matrices exactly, down to the order in which each polynomial stores its
+terms, since the numeric ellipticity route sums terms in that order.
+"""
 
 import pytest
 
 from cxkit import symbols
-from cxkit.complexes import MuSet, de_rham_complex, dolbeault_complex
-from cxkit.diffop import SPATIAL, SymbolMatrix
-from cxkit.poly import GaussianRational, Poly
+from cxkit.blockops import BlockPartition, block_inject
+from cxkit.complexes import (
+    Complex,
+    MuSet,
+    de_rham_complex,
+    dolbeault_complex,
+    koszul_complex,
+    powered_de_rham_complex,
+)
+from cxkit.diffop import SPATIAL, OperatorMatrix, Signature, SymbolMatrix, spatial_signature
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
 from cxkit.symbols import (
     HypothesisFailure,
     RationalSymbolMatrix,
@@ -15,9 +32,11 @@ from cxkit.symbols import (
     maxwell_symbol,
     sigma,
     stokes_fundamental_symbol,
+    symbolic_factorization_residual,
     verify_evolution_identity,
     verify_symbolic_factorization,
 )
+from cxkit.syzygy import extend_to_complex
 
 
 CPLX3 = de_rham_complex(3)
@@ -180,3 +199,188 @@ def test_stokes_hypothesis_nontrivial_lower_weights():
     mu_all = MuSet.scalar(cplx, muval)
     with pytest.raises(HypothesisFailure):
         stokes_fundamental_symbol(cplx, 2, mu_all)
+
+
+def test_evolution_identity_requires_scalar_delta():
+    cplx = de_rham_complex(3)
+    sig = cplx.signature
+    diag = PolyMatrix.diagonal(sig.vars, [Poly.constant(sig.vars, k) for k in (1, 2, 3)])
+    mu = MuSet(cplx, mu0={1: OperatorMatrix(sig, diag)})
+    with pytest.raises(HypothesisFailure) as info:
+        verify_evolution_identity(cplx, 1, mu)
+    assert info.value.condition == "scalar-delta"
+
+
+def test_maxwell_symbol_rejects_unknown_variant():
+    with pytest.raises(ValueError, match="variant"):
+        maxwell_symbol(CPLX3, 3, None, 2)
+
+
+# ---------------------------------------------------------------------------
+# Reference: the earlier symbol-level copies of the operator builders
+
+
+def _ref_sigma_mu(op: OperatorMatrix) -> SymbolMatrix:
+    """Principal symbol of a weight operator."""
+    return op.principal_symbol(SPATIAL)
+
+
+def _ref_delta(cplx, q, mu=None):
+    """delta_q = sigma_q^* sigma_q + sigma_{q-1} sigma_{q-1}^*, optionally
+    weighted by the principal symbols of the mu pair at degree q."""
+    sig = cplx.signature.symbol_signature()
+    k = cplx.rank(q)
+    total = SymbolMatrix.zero(sig, k, k)
+    if q < cplx.length:
+        s = sigma(cplx, q)
+        if mu is None:
+            total = total + s.hermitian_transpose() @ s
+        else:
+            total = total + s.hermitian_transpose() @ _ref_sigma_mu(mu.mu0(q)) @ s
+    if q > 0:
+        s = sigma(cplx, q - 1)
+        if mu is None:
+            total = total + s @ s.hermitian_transpose()
+        else:
+            total = total + s @ _ref_sigma_mu(mu.mu1(q)) @ s.hermitian_transpose()
+    return total
+
+
+def _ref_maxwell_symbol(cplx, q, mu=None, variant=0):
+    """The weighted principal symbol of the Maxwell block operator."""
+    if mu is None:
+        mu = MuSet.identity(cplx)
+    part = BlockPartition.for_degree(cplx, q)
+    sig = cplx.signature.symbol_signature()
+    total = SymbolMatrix.zero(sig, part.size, part.size)
+    for j in range(q):
+        s = sigma(cplx, j)
+        if variant == 0:
+            down = _ref_sigma_mu(mu.mu0(j)) @ s
+        else:
+            down = s @ _ref_sigma_mu(mu.mu1(j + 1))
+        total = total + block_inject(part, down, j + 1, j)
+        total = total + block_inject(part, s.hermitian_transpose(), j, j + 1)
+    return total
+
+
+def _ref_factorization_residual(cplx, q, mu=None):
+    if mu is None:
+        mu = MuSet.identity(cplx)
+    part = BlockPartition.for_degree(cplx, q)
+    lhs = _ref_maxwell_symbol(cplx, q, mu, 1) @ _ref_maxwell_symbol(cplx, q, mu, 0)
+    sig = cplx.signature.symbol_signature()
+    rhs = SymbolMatrix.zero(sig, part.size, part.size)
+    if q > 0:
+        s = sigma(cplx, q - 1)
+        top = s @ _ref_sigma_mu(mu.mu1(q)) @ s.hermitian_transpose()
+        rhs = rhs + block_inject(part, top, q, q)
+    for j in range(q):
+        rhs = rhs + block_inject(part, _ref_delta(cplx, j, mu), j, j)
+    return lhs - rhs
+
+
+def _ref_evolution_n_t(cplx, q, mu, scalar):
+    """N_t of the evolution identity around the resolvent 1/(i tau + scalar)."""
+    sig0 = cplx.signature.symbol_signature()
+    sig = Signature(sig0.spatial, "tau", sig0.params)
+    part = BlockPartition.for_degree(cplx, q)
+    tau = Poly.variable(sig.vars, "tau")
+    i_tau = tau.scale(GaussianRational.i())
+    resolvent_den = i_tau + scalar.lift(sig.vars)
+
+    def up(sym: SymbolMatrix) -> SymbolMatrix:
+        return sym.lift(sig)
+
+    sq = up(sigma(cplx, q))
+    sq1 = up(sigma(cplx, q - 1))
+    mu0_sym = up(_ref_sigma_mu(mu.mu0(q)))
+    mu1_sym = up(_ref_sigma_mu(mu.mu1(q)))
+
+    core = RationalSymbolMatrix(sq.hermitian_transpose() @ mu0_sym @ sq, resolvent_den)
+    n_t = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
+    n_t = n_t + block_inject(part, sq1, q, q - 1)
+    n_t = n_t + block_inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
+    last = mu1_sym @ sq1.hermitian_transpose() @ sq1 \
+        + SymbolMatrix.identity(sig, part.ranks[q - 1]).scale(i_tau)
+    n_t = n_t - block_inject(part, last, q - 1, q - 1)
+    return n_t
+
+
+def _evolution_n_t(cplx, q, mu, scalar):
+    """N_t as ``verify_evolution_identity`` builds it: ``_n_symbol`` on the
+    lifted symbol complex around I/(i tau + scalar), minus the i tau block."""
+    sym, mus = symbols._symbols(cplx, mu)
+    sig = Signature(sym.signature.spatial, "tau", sym.signature.params)
+    sym = sym.lift(sig)
+    mus = mus.lift(sym)
+    part = BlockPartition.for_degree(sym, q)
+    i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
+    resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), i_tau + scalar.lift(sig.vars))
+    i_tau_block = block_inject(part, sym.identity(part.ranks[q - 1]).scale(i_tau), q - 1, q - 1)
+    return symbols._n_symbol(sym, q, mus, resolvent) - i_tau_block
+
+
+def _symmetric_gradient_3d() -> Complex:
+    """Symmetric gradient on R^3 and its resolution: orders (1, 2, 1)."""
+    sig = spatial_signature(3)
+    d = [Poly.variable(sig.vars, v) for v in sig.spatial]
+    rows = []
+    for i in range(3):
+        for j in range(i, 3):
+            row = [Poly.zero(sig.vars)] * 3
+            row[i], row[j] = d[j], d[i]
+            rows.append(row)
+    return Complex(extend_to_complex(OperatorMatrix.from_entries(sig, rows)))
+
+
+def _koszul() -> Complex:
+    sig = spatial_signature(3)
+    d1, d2, d3 = (Poly.variable(sig.vars, v) for v in sig.spatial)
+    return koszul_complex([d1 * d1, d2 + d3, d1 * d3], sig)
+
+
+REFERENCE_COMPLEXES = {
+    "de-rham-2": lambda: de_rham_complex(2),
+    "de-rham-3": lambda: de_rham_complex(3),
+    "de-rham-4": lambda: de_rham_complex(4),
+    "dolbeault-2": lambda: dolbeault_complex(2),
+    "powered-de-rham-3-2": lambda: powered_de_rham_complex(3, 2),
+    "symmetric-gradient-3": _symmetric_gradient_3d,
+    "koszul-3": _koszul,
+}
+
+WEIGHTS = {
+    "none": lambda c: None,
+    "scalar": lambda c: MuSet.scalar(c, GaussianRational.of(2, 1)),
+    "laplace-powers": lambda c: MuSet.laplace_powers(c, mtilde={0: 1, 2: 1},
+                                                     mhat={1: 1, 3: 1}),
+}
+
+
+def _stored_terms(m: SymbolMatrix) -> list:
+    return [[list(p.terms.items()) for p in row] for row in m.body.entries]
+
+
+def _assert_same(got: SymbolMatrix, ref: SymbolMatrix) -> None:
+    assert got == ref
+    assert _stored_terms(got) == _stored_terms(ref)
+
+
+@pytest.mark.parametrize("weights", sorted(WEIGHTS))
+@pytest.mark.parametrize("name", sorted(REFERENCE_COMPLEXES))
+def test_builders_on_symbol_complex_match_reference(name, weights):
+    cplx = REFERENCE_COMPLEXES[name]()
+    mu = WEIGHTS[weights](cplx)
+    for q in range(cplx.length + 1):
+        _assert_same(delta(cplx, q, mu), _ref_delta(cplx, q, mu))
+        for variant in (0, 1):
+            _assert_same(maxwell_symbol(cplx, q, mu, variant),
+                         _ref_maxwell_symbol(cplx, q, mu, variant))
+        _assert_same(symbolic_factorization_residual(cplx, q, mu),
+                     _ref_factorization_residual(cplx, q, mu))
+    scalar = _norm2(cplx.signature.symbol_signature())
+    for q in range(1, cplx.length + 1):
+        n_t = _evolution_n_t(cplx, q, mu, scalar)
+        ref = _ref_evolution_n_t(cplx, q, mu or MuSet.identity(cplx), scalar)
+        assert n_t.num == ref.num and n_t.den == ref.den
