@@ -19,9 +19,11 @@ private to this module.
 Three private kernel operations let Groebner-basis code in this package work
 on the numerators without ever building a :class:`GaussianRational`:
 ``_leading_num`` reads the leading exponent, its numerator and the
-denominator straight from storage; ``_scaled`` is the shifted scale
-``((cr + ci*i)/cd) * x^s * p``; and ``_sub_scaled`` is the fused reduction
-step ``p - ((cr + ci*i)/cd) * x^s * g``.
+denominator straight from storage (optionally the leading one outside a set
+of exponents, which lets a full reduction walk down the terms);
+``_scaled`` is the shifted scale ``((cr + ci*i)/cd) * x^s * p``; and
+``_sub_scaled`` is the fused reduction step ``p - ((cr + ci*i)/cd) * x^s *
+g``, which drops cancelled terms as it adds.
 
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
@@ -36,7 +38,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import add, neg, sub
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import AbstractSet, Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -155,12 +157,9 @@ def _split(c: GaussianRational) -> tuple[int, int, int]:
     return c.re.numerator * (den // re_den), c.im.numerator * (den // im_den), den
 
 
-def _canonical(num: dict, den: int) -> tuple[dict, int]:
-    """Drop zero numerators (from ``num`` itself) and cancel the gcd of
-    ``den`` with every numerator part."""
-    zeros = [e for e, c in num.items() if c == (0, 0)]
-    for e in zeros:
-        del num[e]
+def _cancel(num: dict, den: int) -> tuple[dict, int]:
+    """Cancel the gcd of ``den`` with every numerator part of ``num``, which
+    has no zero numerator."""
     if den == 1:
         return num, den
     if not num:
@@ -178,11 +177,22 @@ def _poly(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
 
     ``num`` maps valid exponent tuples to integer pairs, ``den`` is positive,
     and the new polynomial takes ``num`` over.  Nothing is validated; the
-    result is brought to canonical form.
+    result is brought to canonical form: zero numerators are dropped (from
+    ``num`` itself) and the gcd of ``den`` with every numerator part is
+    cancelled.
     """
+    zeros = [e for e, c in num.items() if c == (0, 0)]
+    for e in zeros:
+        del num[e]
+    return _poly_nonzero(vars, num, den)
+
+
+def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
+    """:func:`_poly` for a ``num`` that has no zero numerator, such as the
+    fused reduction step builds: only the gcd is cancelled."""
     p = object.__new__(Poly)
     p.vars = vars
-    p._num, p._den = _canonical(num, den)
+    p._num, p._den = _cancel(num, den)
     p._terms = p._lead = p._hash = None
     return p
 
@@ -223,7 +233,7 @@ class Poly:
                 for exp, c in coeffs.items()
             }
         self.vars = vars
-        self._num, self._den = _canonical(num, den)
+        self._num, self._den = _cancel(num, den)  # zero coefficients were skipped
         self._terms = self._lead = self._hash = None
 
     # -- constructors ------------------------------------------------------
@@ -306,11 +316,18 @@ class Poly:
             self._lead = exp, self._coeff(exp)
         return self._lead
 
-    def _leading_num(self) -> tuple[Exponent, tuple[int, int], int]:
+    def _leading_num(self, skip: AbstractSet[Exponent] = frozenset()
+                     ) -> tuple[Exponent, tuple[int, int], int] | None:
         """``(exp, (re, im), den)`` of the leading term under graded lex
-        order, read straight from storage: its coefficient is ``(re +
-        im*i) / den``.  The polynomial must be nonzero."""
-        exp = max(self._num, key=grlex_key)
+        order among the exponents not in ``skip``, read straight from
+        storage: its coefficient is ``(re + im*i) / den``.  None when no
+        term is left."""
+        if skip:
+            exp = max((e for e in self._num if e not in skip), key=grlex_key, default=None)
+        else:
+            exp = max(self._num, key=grlex_key, default=None)
+        if exp is None:
+            return None
         return exp, self._num[exp], self._den
 
     def sorted_terms(self) -> list[tuple[Exponent, GaussianRational]]:
@@ -404,7 +421,7 @@ class Poly:
         numerators of both, over ``lcm(den, g.den * cd)``: the fused step of
         a Groebner reduction, for ints with ``cd > 0``."""
         self._check_vars(g)
-        if not g._num:
+        if not g._num or not (cr or ci):
             return self
         gd = g._den * cd
         den = lcm(self._den, gd)
@@ -424,8 +441,13 @@ class Poly:
             if c is None:
                 out[e] = (pr, pi)
             else:
-                out[e] = (c[0] + pr, c[1] + pi)
-        return _poly(self.vars, out, den)
+                pr += c[0]
+                pi += c[1]
+                if pr or pi:
+                    out[e] = (pr, pi)
+                else:
+                    del out[e]  # cancelled: out keeps no zero numerator
+        return _poly_nonzero(self.vars, out, den)
 
     def conjugate(self) -> "Poly":
         """Conjugate all coefficients (the variables are treated as real)."""

@@ -15,7 +15,7 @@ Each routine computes those symbols once and passes them down.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 from cxkit.blockops import (
     BlockPartition,
@@ -207,12 +207,16 @@ def verify_symbolic_factorization(cplx: Complex, q: int,
             "ok": res.is_zero}
 
 
-def _block_diagonal_inverse(sym: Complex, degrees: Sequence[int],
-                            mus: MuSet) -> RationalSymbolMatrix:
+def _block_diagonal_inverse(sym: Complex, degrees: Sequence[int], mus: MuSet,
+                            known: Mapping[int, RationalSymbolMatrix] | None = None
+                            ) -> RationalSymbolMatrix:
+    """``sum_j B_j delta_{j,mu}^{-1} B_j``; ``known`` holds inverses the
+    caller already has, by degree."""
+    known = known or {}
     part = BlockPartition.for_degree(sym, max(degrees))
     total = RationalSymbolMatrix.from_symbol(sym.zero(part.size, part.size))
     for j in degrees:
-        inv = invert_symbol(generalized_laplacian(sym, j, mus))
+        inv = known[j] if j in known else invert_symbol(generalized_laplacian(sym, j, mus))
         total = total + RationalSymbolMatrix(block_inject(part, inv.num, j, j), inv.den)
     return total
 
@@ -344,7 +348,7 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
     s_dn = _stokes_dn(sym, mus, q)
     intermediate_ok = (s_dn @ core) == _stokes_rhs(sym, mus, q)
 
-    f = core @ _block_diagonal_inverse(sym, range(q + 1), mus)
+    f = core @ _block_diagonal_inverse(sym, range(q + 1), mus, {q: delta_q_inv})
     product_ok = (s_dn @ f).is_identity()
     report = {
         "identity": "stokes-fundamental-symbol",

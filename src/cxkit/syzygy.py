@@ -10,10 +10,19 @@ Syzygies are computed by the standard elimination trick: run Buchberger on the
 extended elements (f_i, e_i) in R^(c+k) with a position-over-term order in
 which the first c positions dominate; basis elements whose first part vanishes
 are syzygies, read off from the trailing coordinates.
+
+Buchberger selects S-pairs by smallest lcm from a heap and prunes them with
+the Gebauer-Moeller criteria.  The syzygies are then fully reduced, so each
+compatibility operator is the reduced Groebner basis of the syzygy module
+under POT+grlex: unique for the module and the order, whatever pairs the
+algorithm took.  The rows of the input fix the module's coordinates, so
+another row order or scaling of the input can give another operator.
 """
 
 from __future__ import annotations
 
+from heapq import heapify, heappop, heappush
+from itertools import count
 from math import gcd
 from operator import le, sub
 from typing import Sequence
@@ -82,15 +91,21 @@ def _normalize(elem: Element) -> Element:
         return elem
     _, _, num, den = lead
     c = _quotient((1, 0), 1, num, den)
-    return tuple(p._scaled(*c) for p in elem)
+    return tuple(p if p.is_zero else p._scaled(*c) for p in elem)
+
+
+def _sub_shifted(elem: Element, g: Element, c: tuple[int, int, int],
+                 shift: tuple) -> Element:
+    """``elem - c * x^shift * g``, skipping the components where ``g`` is
+    zero."""
+    return tuple(p if q.is_zero else p._sub_scaled(q, *c, shift) for p, q in zip(elem, g))
 
 
 def _reduce(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element:
     """Leading-term reduction: rewrite the leading term by ``basis`` (whose
     elements have the leads ``leads``) until no basis leading term divides
-    it.  Lower terms are left unreduced, so this is not a full reduction;
-    over a Groebner basis the result is zero exactly when ``elem`` lies in
-    the module the basis generates."""
+    it.  Lower terms are left unreduced; over a Groebner basis the result is
+    zero exactly when ``elem`` lies in the module the basis generates."""
     result = elem
     while True:
         lead = _leading(result)
@@ -99,54 +114,117 @@ def _reduce(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element
         pos, exp, num, den = lead
         for g, (gpos, gexp, gnum, gden) in zip(basis, leads):
             if gpos == pos and _divides(gexp, exp):
-                c = _quotient(num, den, gnum, gden)
-                shift = _exp_sub(exp, gexp)
-                result = tuple(p._sub_scaled(q, *c, shift) for p, q in zip(result, g))
+                result = _sub_shifted(result, g, _quotient(num, den, gnum, gden),
+                                      _exp_sub(exp, gexp))
                 break
         else:
             return result
 
 
+def _reduce_fully(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element:
+    """Full reduction: rewrite every term of ``elem`` divisible by a leading
+    term of ``basis`` until none is.  Positions are done in order: a basis
+    element is zero before its leading position, so a step at one position
+    leaves the earlier ones alone, and within a position it changes only
+    terms below the one it removes."""
+    by_pos: dict[int, list] = {}
+    for g, (gpos, gexp, gnum, gden) in zip(basis, leads):
+        by_pos.setdefault(gpos, []).append((g, gexp, gnum, gden))
+    result = elem
+    for pos, reducers in sorted(by_pos.items()):
+        kept: set = set()  # exponents at ``pos`` that no leading term divides
+        while True:
+            lead = result[pos]._leading_num(kept)
+            if lead is None:
+                break
+            exp, num, den = lead
+            for g, gexp, gnum, gden in reducers:
+                if _divides(gexp, exp):
+                    result = _sub_shifted(result, g, _quotient(num, den, gnum, gden),
+                                          _exp_sub(exp, gexp))
+                    break
+            else:
+                kept.add(exp)
+    return result
+
+
 def groebner_basis(gens: Sequence[Element], *,
                    budget: int = DEFAULT_PAIR_BUDGET) -> list[Element]:
-    """Buchberger with POT+grlex; S-pairs only between elements sharing the
-    leading position, taken first in, first out.  Raises BudgetExceeded past
-    the S-pair budget."""
-    basis = [_normalize(g) for g in gens if not _is_zero(g)]
-    leads = [_leading(g) for g in basis]
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    """A Groebner basis of the module ``gens`` generate, under POT+grlex.
+
+    Buchberger with normal selection: S-pairs (only between elements that
+    share the leading position) wait in a heap keyed on their lcm: the
+    smallest in graded lex order first, then the lowest position, then the
+    earliest pair.  Each new element prunes the pairs with the Gebauer-
+    Moeller criteria (1988): B_k removes an old pair whose lcm the new
+    leading term divides, unless the new term's lcm with either element of
+    the pair is that lcm; M removes a new pair whose lcm another new pair's
+    lcm divides strictly; and F keeps one new pair per lcm.  Buchberger's product
+    (coprime) criterion is not used: it does not hold for module elements
+    such as the extended rows ``(f_i, e_i)``.  An element whose leading
+    term a newer one divides stops making pairs and reducing, and is left
+    out of the result.
+
+    The budget counts S-pairs processed, not pairs a criterion removes;
+    raises BudgetExceeded past it."""
+    basis: list[Element] = []
+    leads: list = []
+    active: list[int] = []  # elements whose leading term no later one divides
+    pairs: list[tuple] = []  # (degree, lcm, position, seq, i, j)
+    seq = count()
+
+    def add(h: Element) -> None:
+        k = len(basis)
+        lead = _leading(h)
+        pos, exp = lead[0], lead[1]
+        basis.append(h)
+        leads.append(lead)
+        # B_k on the old pairs in the same position
+        old = len(pairs)
+        pairs[:] = [p for p in pairs if not (
+            p[2] == pos and _divides(exp, p[1])
+            and _exp_lcm(leads[p[4]][1], exp) != p[1]
+            and _exp_lcm(leads[p[5]][1], exp) != p[1])]
+        if len(pairs) != old:
+            heapify(pairs)
+        # M and F on the new pairs
+        new = [(_exp_lcm(leads[i][1], exp), i) for i in active if leads[i][0] == pos]
+        lcms: set = set()
+        for lcm, i in new:
+            if lcm in lcms or any(m != lcm and _divides(m, lcm) for m, _ in new):
+                continue
+            lcms.add(lcm)
+            heappush(pairs, (*grlex_key(lcm), pos, next(seq), i, k))
+        active[:] = [i for i in active if not (leads[i][0] == pos and _divides(exp, leads[i][1]))]
+        active.append(k)
+
+    for g in gens:
+        if not _is_zero(g):
+            add(_normalize(g))
     processed = 0
-    cursor = 0
-    while cursor < len(pairs):
-        i, j = pairs[cursor]
-        cursor += 1
-        (pi, ei, ni, di), (pj, ej, nj, dj) = leads[i], leads[j]
-        if pi != pj:
-            continue
+    while pairs:
+        _, lcm, _, _, i, j = heappop(pairs)
         processed += 1
         if processed > budget:
             raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
-        lcm = _exp_lcm(ei, ej)
-        ci, cj = _quotient((1, 0), 1, ni, di), _quotient((1, 0), 1, nj, dj)
-        si, sj = _exp_sub(lcm, ei), _exp_sub(lcm, ej)
-        s = tuple(p._scaled(*ci, si)._sub_scaled(q, *cj, sj)
-                  for p, q in zip(basis[i], basis[j]))
-        s = _reduce(s, basis, leads)
+        # basis elements are monic: s = x^si * basis[i] - x^sj * basis[j]
+        si, sj = _exp_sub(lcm, leads[i][1]), _exp_sub(lcm, leads[j][1])
+        s = tuple(p if p.is_zero else p._scaled(1, 0, 1, si) for p in basis[i])
+        s = _sub_shifted(s, basis[j], (1, 0, 1), sj)
+        s = _reduce(s, [basis[k] for k in active], [leads[k] for k in active])
         if not _is_zero(s):
-            s = _normalize(s)
-            k = len(basis)
-            basis.append(s)
-            leads.append(_leading(s))
-            pairs.extend((idx, k) for idx in range(k))
-    return basis
+            add(_normalize(s))
+    return [basis[k] for k in active]
 
 
 def interreduce(basis: Sequence[Element], vars) -> list[Element]:
-    """Remove elements whose leading terms are divisible by another's, then
-    rewrite the leading terms of each kept element's tail (the element minus
-    its leading term) by the others.  Lower tail terms are left unreduced,
-    so the result is not the fully reduced (canonical) basis.  Output sorted
-    for determinism."""
+    """The reduced Groebner basis of the module a Groebner basis ``basis``
+    generates: drop elements whose leading terms are divisible by another's,
+    then fully reduce each kept element by the others, so that no term of
+    any element is divisible by another element's leading term, and scale
+    each to leading coefficient one.  That basis is unique for the module
+    and the order; the output is sorted for determinism.  ``vars`` names
+    the ring's variables; the reduction does not need them."""
     items = [_normalize(b) for b in basis if not _is_zero(b)]
     item_leads = [_leading(b) for b in items]
     kept: list[Element] = []
@@ -164,28 +242,21 @@ def interreduce(basis: Sequence[Element], vars) -> list[Element]:
         if not redundant:
             kept.append(b)
             leads.append(lb)
-    one = Poly.one(vars)
     reduced = []
-    for i, (b, (pos, exp, (re, im), den)) in enumerate(zip(kept, leads)):
-        # the tail has no term at or above the lead, so neither has its
-        # reduction: each reduced element keeps the leading term of its
-        # source, and leads[:i] + leads[i + 1:] stay the leads of the others
-        tail = list(b)
-        tail[pos] = b[pos]._sub_scaled(one, re, im, den, exp)
-        tail = list(_reduce(tuple(tail), reduced + kept[i + 1:], leads[:i] + leads[i + 1:]))
-        tail[pos] = tail[pos]._sub_scaled(one, -re, -im, den, exp)
-        reduced.append(tuple(tail))
-    reduced.sort(key=lambda e: _sort_key(e))
+    for i, b in enumerate(kept):
+        # no other leading term divides this one's, so the reduction keeps
+        # it: leads[:i] + leads[i + 1:] stay the leads of the others
+        reduced.append(_reduce_fully(b, reduced + kept[i + 1:], leads[:i] + leads[i + 1:]))
+    reduced.sort(key=_sort_key)
     return reduced
 
 
 def _sort_key(elem: Element):
-    lead = _leading(elem)
-    if lead is None:
-        return (1,)
-    pos, exp, _, _ = lead
+    """Leading position, then leading exponent from the highest down: the
+    leading terms of a reduced basis differ, so this orders it fully."""
+    pos, exp, _, _ = _leading(elem)
     total, lex = grlex_key(exp)
-    return (0, pos, -total, tuple(-x for x in lex), tuple(str(p) for p in elem))
+    return pos, -total, tuple(-x for x in lex)
 
 
 # ---------------------------------------------------------------------------

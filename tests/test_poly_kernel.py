@@ -269,14 +269,54 @@ def test_fused_step_and_shifted_scale_match_monomial_product(p, g, f, shift):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys())
-def test_leading_num_matches_leading_term(p):
+@given(polys(), polys(), factors(), shifts, st.data())
+def test_fused_step_drops_cancelled_terms(r, g, f, shift, data):
+    """``p = r + c*x^s*h`` with ``h`` some of the terms of ``g``: the step
+    cancels those terms exactly, and any of ``r`` it meets, and keeps no
+    zero numerator."""
+    cr, ci, cd, c = f
+    mono = Poly.monomial(VARS, shift or (0,) * len(VARS), c)
+    keep = data.draw(st.sets(st.sampled_from(sorted(g.terms)))) if g.terms else set()
+    p = r + mono * Poly(VARS, {e: v for e, v in g.terms.items() if e in keep})
+    assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift), p - mono * g)
+
+
+def test_fused_step_cancels_terms_and_denominator():
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    half = GaussianRational.of(Fraction(1, 2))
+    p = x * x + y.scale(half) + Poly.one(VARS).scale(GaussianRational.of(Fraction(1, 3)))
+    g = x - y.scale(GaussianRational.of(0, Fraction(1, 2))) + Poly.one(VARS).scale(
+        GaussianRational.of(Fraction(1, 3)))
+    # p - x*g: x^2 cancels, leaving y/2 + i*x*y/2 + 1/3 - x/3 over den 6
+    step = p._sub_scaled(g, 1, 0, 1, (1, 0, 0))
+    assert_same_poly(step, p - x * g)
+    assert step._den == 6
+    # p - x*g - (1 - x)/3: the constant and x terms cancel, den drops to 2
+    half_y = y.scale(half) + (x * y).scale(GaussianRational.of(0, Fraction(1, 2)))
+    assert_same_poly(step._sub_scaled(Poly.one(VARS) - x, 1, 0, 3), half_y)
+    assert half_y._den == 2
+    # everything cancels: the zero polynomial, den 1
+    assert_same_poly(half_y._sub_scaled(half_y, 1, 0, 1), Poly.zero(VARS))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), st.data())
+def test_leading_num_matches_leading_term(p, data):
     if p.is_zero:
+        assert p._leading_num() is None
         return
     exp, (re, im), den = Poly(VARS, p.terms)._leading_num()
     want_exp, want_coeff = ref(p).leading_term()
     assert exp == want_exp == p.leading_term()[0]
     assert GaussianRational(Fraction(re, den), Fraction(im, den)) == want_coeff
+    # outside ``skip``: the leading term of the remaining terms
+    skip = data.draw(st.sets(st.sampled_from(sorted(p.terms))))
+    rest = FractionPoly(VARS, {e: v for e, v in p.terms.items() if e not in skip})
+    if rest.is_zero:
+        assert p._leading_num(skip) is None
+    else:
+        exp, (re, im), den = p._leading_num(skip)
+        assert (exp, GaussianRational(Fraction(re, den), Fraction(im, den))) == rest.leading_term()
 
 
 # ---------------------------------------------------------------------------

@@ -80,14 +80,14 @@ def test_rational_symbol_mixed_matmul():
     prod = adj @ r  # SymbolMatrix @ RationalSymbolMatrix via reflected op
     assert isinstance(prod, RationalSymbolMatrix)
     # sigma* sigma = |z|^2, so the product over |z|^2 is the identity
-    assert prod.is_identity
+    assert prod.is_identity()
 
 
 def test_invert_symbol_roundtrip():
     lap = delta(CPLX3, 1)
     inv = invert_symbol(lap)
-    assert (inv @ lap).is_identity
-    assert (lap @ inv).is_identity
+    assert (inv @ lap).is_identity()
+    assert (lap @ inv).is_identity()
 
 
 def test_invert_symbol_singular():
@@ -167,12 +167,18 @@ def test_stokes_fundamental_symbol(n):
     assert rep["intermediate_ok"] and rep["product_ok"] and rep["ok"]
 
 
-def test_stokes_fundamental_symbol_q2():
+def test_stokes_fundamental_symbol_q2(monkeypatch):
     cplx = de_rham_complex(3, params=("mu",))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"),
                       degrees=[2])
+    inverted = []
+    real = symbols.invert_symbol
+    monkeypatch.setattr(symbols, "invert_symbol", lambda m: inverted.append(m) or real(m))
     f, rep = stokes_fundamental_symbol(cplx, 2, mu)
     assert rep["ok"]
+    # delta_{j,mu} is inverted once for each degree j <= q
+    assert len(inverted) == 3
+    assert len({str(m.body) for m in inverted}) == 3
 
 
 @pytest.mark.parametrize("n", [2, 3])

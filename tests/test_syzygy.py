@@ -4,13 +4,22 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cxkit import syzygy
 from cxkit.complexes import Complex, de_rham_complex
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.fixtures import planar_flow_complex, symmetric_gradient_complex
 from cxkit.poly import GaussianRational, Poly
 from cxkit.syzygy import (
     BudgetExceeded,
+    _divides,
+    _exp_lcm,
+    _exp_sub,
+    _is_zero,
+    _leading,
+    _normalize,
+    _quotient,
     compatibility_operator,
     extend_to_complex,
     groebner_basis,
@@ -149,16 +158,120 @@ def test_module_equivalent_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Pinned Buchberger output: the pair order, the reducer choice and every basis
-# element decide which compatibility operator comes out, so a change to the
-# Groebner machinery must keep these bytes.  Regenerate the data file with
-# ``PYTHONPATH=src python tests/test_syzygy.py`` only for a deliberate change
-# of the basis.
+# Reference: first-in, first-out Buchberger without pair criteria
+
+
+def _fifo_reduce(elem, basis, leads):
+    """Leading-term reduction, a step on every component (reference)."""
+    result = elem
+    while True:
+        lead = _leading(result)
+        if lead is None:
+            return result
+        pos, exp, num, den = lead
+        for g, (gpos, gexp, gnum, gden) in zip(basis, leads):
+            if gpos == pos and _divides(gexp, exp):
+                c = _quotient(num, den, gnum, gden)
+                shift = _exp_sub(exp, gexp)
+                result = tuple(p._sub_scaled(q, *c, shift) for p, q in zip(result, g))
+                break
+        else:
+            return result
+
+
+def _fifo_groebner_basis(gens, *, budget=syzygy.DEFAULT_PAIR_BUDGET):
+    """Buchberger with POT+grlex; S-pairs only between elements sharing the
+    leading position, taken first in, first out, every one processed
+    (reference)."""
+    basis = [_normalize(g) for g in gens if not _is_zero(g)]
+    leads = [_leading(g) for g in basis]
+    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    processed = 0
+    cursor = 0
+    while cursor < len(pairs):
+        i, j = pairs[cursor]
+        cursor += 1
+        (pi, ei, ni, di), (pj, ej, nj, dj) = leads[i], leads[j]
+        if pi != pj:
+            continue
+        processed += 1
+        if processed > budget:
+            raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
+        lcm = _exp_lcm(ei, ej)
+        ci, cj = _quotient((1, 0), 1, ni, di), _quotient((1, 0), 1, nj, dj)
+        si, sj = _exp_sub(lcm, ei), _exp_sub(lcm, ej)
+        s = tuple(p._scaled(*ci, si)._sub_scaled(q, *cj, sj)
+                  for p, q in zip(basis[i], basis[j]))
+        s = _fifo_reduce(s, basis, leads)
+        if not _is_zero(s):
+            s = _normalize(s)
+            k = len(basis)
+            basis.append(s)
+            leads.append(_leading(s))
+            pairs.extend((idx, k) for idx in range(k))
+    return basis
+
+
+def _with_fifo(run):
+    """``run()`` with the syzygies computed by the reference Buchberger; the
+    library's full reduction (``interreduce``) still follows it."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syzygy, "groebner_basis", _fifo_groebner_basis)
+        return run()
+
+
+def _counting_pairs(run):
+    """``run()`` and the S-pairs processed by each ``groebner_basis`` call in
+    it, in call order.  The library reduces each processed pair once with
+    ``_reduce`` and calls ``_reduce`` nowhere else on the way to a
+    compatibility operator; ``test_budget_exceeded_at_pinned_pair_count``
+    checks the counts against the budget."""
+    counts = []
+    real_gb, real_reduce = syzygy.groebner_basis, syzygy._reduce
+
+    def gb(*args, **kwargs):
+        counts.append(0)
+        return real_gb(*args, **kwargs)
+
+    def reduce(*args):
+        counts[-1] += 1
+        return real_reduce(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syzygy, "groebner_basis", gb)
+        mp.setattr(syzygy, "_reduce", reduce)
+        return run(), counts
+
+
+def _assert_reduced(op: OperatorMatrix) -> None:
+    """The rows of ``op`` are a reduced basis under POT+grlex: each leading
+    coefficient is one, and no term of any row is divisible by another
+    row's leading term (nor, below its own leading term, by its own)."""
+    rows = [tuple(op[i, j] for j in range(op.cols)) for i in range(op.rows)]
+    leads = [_leading(r) for r in rows]
+    for r, (pos, exp, _, _) in zip(rows, leads):
+        assert r[pos].leading_term()[1] == GaussianRational.one()
+        for k, p in enumerate(r):
+            for e in p.terms:
+                if (k, e) == (pos, exp):
+                    continue
+                assert not any(lpos == k and _divides(lexp, e)
+                               for lpos, lexp, _, _ in leads), (k, e)
+
+
+# ---------------------------------------------------------------------------
+# Pinned Buchberger output: a compatibility operator is the reduced Groebner
+# basis of the syzygy module, unique for the module and the order, so these
+# bytes change only with the module's coordinates (the row order and scale
+# of the input) or with the order.  The pair counts pin how much work the
+# pair criteria and the selection leave.  Regenerate the data file with
+# ``PYTHONPATH=src python tests/test_syzygy.py`` only for a deliberate change.
 
 PINNED = Path(__file__).parent / "data" / "syzygy_pinned.json"
 # Each generator of the four-generator module once in each position.
 LATIN_ORDERS = ((0, 1, 2, 3), (1, 0, 3, 2), (2, 3, 0, 1), (3, 2, 1, 0))
 RESCALE = ("2", "-1/2", "3/4", "-3")
+MODULES = ("four-generator", "symgrad3", "symgrad4", "grad5")
 
 
 def _module(name: str):
@@ -182,33 +295,80 @@ def _module(name: str):
     return sig, rows
 
 
+def _operator(name: str, order, scales=None) -> OperatorMatrix:
+    """Rows ``order`` of a pinned module, row ``k`` scaled by ``scales[k]``."""
+    sig, rows = _module(name)
+    return OperatorMatrix.from_entries(
+        sig, [[p.scale(GaussianRational.of(scales[k])) if scales else p for p in rows[k]]
+              for k in order])
+
+
 def _pinned_cases():
     """(key, operator) for every pinned input."""
-    sig, rows = _module("four-generator")
     for scales in (None, RESCALE):
         for order in LATIN_ORDERS:
-            ents = [[p.scale(GaussianRational.of(scales[k])) if scales else p
-                     for p in rows[k]] for k in order]
             key = "four-generator " + "".join(map(str, order))
-            yield key + (" rescaled" if scales else ""), OperatorMatrix.from_entries(sig, ents)
-    for name in ("symgrad3", "symgrad4", "grad5"):
+            yield (key + (" rescaled" if scales else ""),
+                   _operator("four-generator", order, scales))
+    for name in MODULES[1:]:
         sig, rows = _module(name)
-        yield name, OperatorMatrix.from_entries(sig, rows)
+        yield name, _operator(name, range(len(rows)))
+
+
+def _resolution(op: OperatorMatrix) -> dict:
+    ops = extend_to_complex(op)
+    # the compatibility operator of ``op``, then each one's own
+    return {"operators": [str(o.body) for o in ops[1:]],
+            "ranks": [op.cols] + [o.rows for o in ops]}
 
 
 def _pinned_outputs() -> dict:
     out = {}
     for key, op in _pinned_cases():
-        ops = extend_to_complex(op)
-        # the compatibility operator of ``op``, then each one's own
-        out[key] = {"operators": [str(o.body) for o in ops[1:]],
-                    "ranks": [op.cols] + [o.rows for o in ops]}
+        out[key], pairs = _counting_pairs(lambda: _resolution(op))
+        out[key]["pairs"] = pairs  # S-pairs processed at each step
     return out
 
 
+def _pinned_json() -> str:
+    return json.dumps(_pinned_outputs(), indent=1, sort_keys=True) + "\n"
+
+
 def test_buchberger_output_is_pinned():
-    got = json.dumps(_pinned_outputs(), indent=1, sort_keys=True) + "\n"
-    assert got.encode() == PINNED.read_bytes()
+    assert _pinned_json().encode() == PINNED.read_bytes()
+
+
+def test_fifo_reference_gives_the_pinned_operators():
+    """First-in, first-out Buchberger without criteria, plus the full
+    reduction, gives byte for byte the pinned operators and ranks."""
+    pinned = json.loads(PINNED.read_text())
+    for key, op in _pinned_cases():
+        want = {k: pinned[key][k] for k in ("operators", "ranks")}
+        assert _with_fifo(lambda: _resolution(op)) == want, key
+
+
+def test_pinned_operators_are_reduced():
+    for key, op in _pinned_cases():
+        for b in extend_to_complex(op)[1:]:
+            _assert_reduced(b)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(MODULES).flatmap(lambda name: st.tuples(
+    st.just(name),
+    st.permutations(range(len(_module(name)[1]))),
+    st.lists(st.sampled_from(RESCALE + ("1", "1/3", "5")),
+             min_size=len(_module(name)[1]), max_size=len(_module(name)[1])))))
+def test_criteria_match_fifo_reference(case):
+    """On any row order and rescaling of the four benchmark modules, the
+    compatibility operator equals the reference's plus full reduction byte
+    for byte, and is reduced."""
+    name, order, scales = case
+    op = _operator(name, order, scales)
+    got = compatibility_operator(op)
+    assert str(got.body) == str(_with_fifo(lambda: compatibility_operator(op)).body)
+    assert (got @ op).is_zero
+    _assert_reduced(got)
 
 
 def test_symmetric_gradient_3d_resolution():
@@ -218,12 +378,18 @@ def test_symmetric_gradient_3d_resolution():
     assert [o.order() for o in ops] == [1, 2, 1]
 
 
-@pytest.mark.parametrize("key, pairs", [("four-generator 3210", 121),
-                                        ("four-generator 2301 rescaled", 43),
-                                        ("symgrad3", 18)])
+@pytest.mark.parametrize("key, pairs", [("four-generator 3210", 22),
+                                        ("four-generator 2301 rescaled", 16),
+                                        ("symgrad3", 14)])
 def test_budget_exceeded_at_pinned_pair_count(key, pairs):
-    """Buchberger processes exactly ``pairs`` S-pairs on these inputs."""
+    """Buchberger processes exactly ``pairs`` S-pairs on these inputs, the
+    first count the data file pins for them."""
     op = dict(_pinned_cases())[key]
     compatibility_operator(op, budget=pairs)
     with pytest.raises(BudgetExceeded):
         compatibility_operator(op, budget=pairs - 1)
+    assert json.loads(PINNED.read_text())[key]["pairs"][0] == pairs
+
+
+if __name__ == "__main__":
+    PINNED.write_text(_pinned_json())
