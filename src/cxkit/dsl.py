@@ -13,7 +13,8 @@ Grammar (one statement per line, ``#`` comments)::
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
-``MAX_EXPONENT`` and denominators nonzero.  Builder sizes are at least 1 and
+``MAX_EXPONENT``, denominators nonzero and the total degree of a power or
+product at most ``poly.MAX_DEGREE``.  Builder sizes are at least 1 and
 the ``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  Parse errors carry
 line/column.
 """
@@ -32,7 +33,7 @@ from cxkit.complexes import (
     powered_de_rham_complex,
 )
 from cxkit.diffop import OperatorMatrix, Signature
-from cxkit.poly import GaussianRational, Poly
+from cxkit.poly import MAX_DEGREE, GaussianRational, Poly
 
 # Largest exponent ``^`` accepts: a power's size grows with it without bound.
 MAX_EXPONENT = 64
@@ -190,8 +191,10 @@ class _Parser:
     # term := factor ('*' factor)*
     def term(self) -> Poly:
         total = self.factor()
-        while self.accept("punct", "*"):
-            total = total * self.factor()
+        while star := self.accept("punct", "*"):
+            factor = self.factor()
+            _check_degree(total.total_degree() + factor.total_degree(), star)
+            total = total * factor
         return total
 
     # factor := atom ('^' int)?
@@ -202,6 +205,7 @@ class _Parser:
             if int(exp.text) > MAX_EXPONENT:
                 raise SpecError(f"exponent {exp.text} exceeds {MAX_EXPONENT}",
                                 exp.line, exp.column)
+            _check_degree(atom.total_degree() * int(exp.text), exp)
             return atom ** int(exp.text)
         return atom
 
@@ -251,6 +255,13 @@ class _Parser:
             row.append(self.expression())
         self.expect("punct", "]")
         return row
+
+
+def _check_degree(degree: int, tok: Token) -> None:
+    """A located error, before the multiply, for a power or product whose
+    total degree would pass what ``Poly`` can hold."""
+    if degree > MAX_DEGREE:
+        raise SpecError(f"total degree {degree} exceeds {MAX_DEGREE}", tok.line, tok.column)
 
 
 # ---------------------------------------------------------------------------

@@ -1,29 +1,43 @@
 """Exact sparse multivariate polynomial arithmetic over the Gaussian rationals.
 
 A polynomial over variables ``vars`` is stored as one positive integer
-denominator ``den`` and a dictionary mapping exponent tuples (one entry per
-variable) to Gaussian-integer numerators ``(re, im)`` of Python ints: the
-coefficient of ``x^e`` is ``(re + im*i) / den``.  The form is canonical:
-``den > 0``, no numerator is zero and ``gcd(den, every numerator part) == 1``,
-so equal polynomials have equal storage and ``==``/``hash`` compare
-``(vars, den, numerators)``.  The zero polynomial has no terms and ``den ==
-1``; its total degree is the sentinel ``-1``.  All arithmetic is exact integer
-arithmetic (products of Gaussian integers, sums over the lcm of the two
-denominators), so polynomial identity testing is fully reliable.
+denominator ``den`` and a dictionary mapping packed monomials to
+Gaussian-integer numerators ``(re, im)`` of Python ints: the coefficient of
+``x^e`` is ``(re + im*i) / den``.  The form is canonical: ``den > 0``, no
+numerator is zero and ``gcd(den, every numerator part) == 1``, so equal
+polynomials have equal storage and ``==``/``hash`` compare ``(vars, den,
+numerators)``.  The zero polynomial has no terms and ``den == 1``; its total
+degree is the sentinel ``-1``.  All arithmetic is exact integer arithmetic
+(products of Gaussian integers, sums over the lcm of the two denominators),
+so polynomial identity testing is fully reliable.
 
-:class:`GaussianRational` stays the public value type of a coefficient: the
-read-only view ``Poly.terms`` maps each exponent to one, and
+A monomial ``x^e`` over ``n`` variables is one int, its key (the packed
+exponent vectors of Monagan and Pearce, 2007): ``n + 1`` fields of
+``_WIDTH`` bits, the total degree in the top field and ``e_1, ..., e_n``
+below it, ``e_n`` lowest.  Int order of keys is graded lexicographic order,
+and the key of a product is the sum of the keys.  The top bit of every field
+is a guard bit, always clear: since no field exceeds the total degree, which
+is at most ``MAX_DEGREE = 2^(_WIDTH - 1) - 1``, no sum of two keys carries
+from one field into the next, and ``b - a`` leaves every guard bit clear
+exactly when ``x^a`` divides ``x^b`` (:func:`_key_divides`).  A polynomial
+whose total degree would pass ``MAX_DEGREE`` is never built: packing an
+exponent and every product check the degree and raise ``OverflowError``.
+
+:class:`GaussianRational` stays the public value type of a coefficient and
+exponent tuples the public form of a monomial: the read-only view
+``Poly.terms`` maps each exponent tuple to one (in storage order), and
 ``leading_term`` and ``constant_value`` return them.  The storage format is
 private to this module.
 
 Three private kernel operations let Groebner-basis code in this package work
-on the numerators without ever building a :class:`GaussianRational`:
-``_leading_num`` reads the leading exponent, its numerator and the
-denominator straight from storage (optionally the leading one outside a set
-of exponents, which lets a full reduction walk down the terms);
+on the keys and numerators without ever building a :class:`GaussianRational`
+or an exponent tuple: ``_leading_num`` reads the leading key, its numerator
+and the denominator straight from storage (optionally the leading one
+outside a set of keys, which lets a full reduction walk down the terms);
 ``_scaled`` is the shifted scale ``((cr + ci*i)/cd) * x^s * p``; and
 ``_sub_scaled`` is the fused reduction step ``p - ((cr + ci*i)/cd) * x^s *
-g``, which drops cancelled terms as it adds.
+g``, which drops cancelled terms as it adds.  :func:`_key_divides` and
+:func:`_key_lcm` are divisibility and lcm of keys.
 
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
@@ -32,11 +46,10 @@ canonical serialization.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import gcd, lcm
-from operator import add, neg, sub
 from types import MappingProxyType
 from typing import AbstractSet, Iterable, Mapping, Sequence
 
@@ -150,6 +163,79 @@ def grlex_key(exponent: Exponent) -> tuple:
     return (sum(exponent), exponent)
 
 
+# -- packed monomials (see the module docstring) ----------------------------
+
+_WIDTH = 16  # bits per field of a key, the top one a guard bit
+MAX_DEGREE = (1 << (_WIDTH - 1)) - 1
+_FIELD = (1 << _WIDTH) - 1
+_MAX_VARS = 255  # _GUARDS covers the fields of a key of this many variables
+_GUARDS = sum(1 << (_WIDTH * i + _WIDTH - 1) for i in range(_MAX_VARS + 1))
+
+
+def _ring(vars: Sequence[str]) -> tuple[str, ...]:
+    vars = tuple(vars)
+    if len(vars) > _MAX_VARS:
+        raise ValueError(f"{len(vars)} variables; at most {_MAX_VARS} are supported")
+    return vars
+
+
+def _degree_error(degree: int) -> OverflowError:
+    return OverflowError(f"total degree {degree} exceeds the limit {MAX_DEGREE}")
+
+
+def _pack(exponent: Sequence[int]) -> int:
+    """The key of ``x^exponent``, for nonnegative ints; raises
+    ``OverflowError`` past ``MAX_DEGREE``."""
+    key = degree = 0
+    for e in exponent:
+        key = key << _WIDTH | e
+        degree += e
+    if degree > MAX_DEGREE:
+        raise _degree_error(degree)
+    return degree << (_WIDTH * len(exponent)) | key
+
+
+def _unpack(key: int, n: int) -> Exponent:
+    """The exponent tuple of a key of ``n`` variables."""
+    return tuple(key >> s & _FIELD for s in range(_WIDTH * (n - 1), -1, -_WIDTH))
+
+
+def _shifts(vars: tuple[str, ...], subset: Iterable[str]) -> list[int]:
+    """Bit offsets of the exponent fields of ``subset`` in a key over ``vars``."""
+    top = _WIDTH * (len(vars) - 1)
+    return [top - _WIDTH * vars.index(v) for v in subset]
+
+
+def _check_product(a: int, b: int, top: int) -> None:
+    """Raise ``OverflowError`` if the product of keys ``a`` and ``b``, whose
+    degree fields start at bit ``top``, passes ``MAX_DEGREE``."""
+    degree = (a >> top) + (b >> top)
+    if degree > MAX_DEGREE:
+        raise _degree_error(degree)
+
+
+def _key_divides(a: int, b: int) -> bool:
+    """Does ``x^a`` divide ``x^b``?  A field of ``b - a`` borrows, setting
+    its guard bit, exactly where an exponent of ``a`` is the larger."""
+    d = b - a
+    return d >= 0 and not d & _GUARDS
+
+
+def _key_lcm(a: int, b: int, n: int) -> int:
+    """The key of ``lcm(x^a, x^b)`` for keys of ``n`` variables: the larger
+    of each pair of exponent fields, picked by the guard bits of a
+    field-wise ``(a | guards) - b``, under the sum of the picked fields."""
+    top = _WIDTH * n
+    low = (1 << top) - 1
+    guards = _GUARDS & low
+    a &= low
+    b &= low
+    pick_a = ((((a | guards) - b) & guards) >> (_WIDTH - 1)) * _FIELD
+    e = b ^ ((a ^ b) & pick_a)
+    degree = (e * (low // _FIELD)) >> (top - _WIDTH) & _FIELD  # e_1 + ... + e_n
+    return degree << top | e
+
+
 def _split(c: GaussianRational) -> tuple[int, int, int]:
     """``(re, im, den)`` with ``c == (re + im*i) / den`` and ``den > 0``."""
     re_den, im_den = c.re.denominator, c.im.denominator
@@ -175,7 +261,7 @@ def _cancel(num: dict, den: int) -> tuple[dict, int]:
 def _poly(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
     """The trusted constructor: every arithmetic result is built here.
 
-    ``num`` maps valid exponent tuples to integer pairs, ``den`` is positive,
+    ``num`` maps valid keys to integer pairs, ``den`` is positive,
     and the new polynomial takes ``num`` over.  Nothing is validated; the
     result is brought to canonical form: zero numerators are dropped (from
     ``num`` itself) and the gcd of ``den`` with every numerator part is
@@ -197,12 +283,6 @@ def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
     return p
 
 
-def _heap_key(exponent: Exponent) -> tuple[int, ...]:
-    """``(-degree, -e_1, ..., -e_n)``: ascending order of these keys is
-    descending graded lex order, and adding keys adds exponents."""
-    return (-sum(exponent), *map(neg, exponent))
-
-
 class Poly:
     """A sparse multivariate polynomial with Gaussian-rational coefficients.
 
@@ -212,7 +292,7 @@ class Poly:
     __slots__ = ("vars", "_num", "_den", "_terms", "_lead", "_hash")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, GaussianRational] | None = None):
-        vars = tuple(vars)
+        vars = _ring(vars)
         num, den = {}, 1
         if terms:
             nv = len(vars)
@@ -228,7 +308,7 @@ class Poly:
                     coeffs[exp] = coeff
             den = lcm(*(x.denominator for c in coeffs.values() for x in (c.re, c.im)))
             num = {
-                exp: (c.re.numerator * (den // c.re.denominator),
+                _pack(exp): (c.re.numerator * (den // c.re.denominator),
                       c.im.numerator * (den // c.im.denominator))
                 for exp, c in coeffs.items()
             }
@@ -240,27 +320,24 @@ class Poly:
 
     @staticmethod
     def zero(vars: Sequence[str]) -> "Poly":
-        return _poly(tuple(vars), {}, 1)
+        return _poly(_ring(vars), {}, 1)
 
     @staticmethod
     def constant(vars: Sequence[str], value) -> "Poly":
-        vars = tuple(vars)
         re, im, den = _split(_coerce_coeff(value))
-        return _poly(vars, {(0,) * len(vars): (re, im)}, den)
+        return _poly(_ring(vars), {0: (re, im)}, den)
 
     @staticmethod
     def one(vars: Sequence[str]) -> "Poly":
-        vars = tuple(vars)
-        return _poly(vars, {(0,) * len(vars): (1, 0)}, 1)
+        return _poly(_ring(vars), {0: (1, 0)}, 1)
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "Poly":
-        vars = tuple(vars)
+        vars = _ring(vars)
         if name not in vars:
             raise ValueError(f"unknown variable {name!r}; have {vars}")
-        exp = [0] * len(vars)
-        exp[vars.index(name)] = 1
-        return _poly(vars, {tuple(exp): (1, 0)}, 1)
+        shift, = _shifts(vars, [name])
+        return _poly(vars, {1 << (_WIDTH * len(vars)) | 1 << shift: (1, 0)}, 1)
 
     @staticmethod
     def monomial(vars: Sequence[str], exponent: Exponent, coeff) -> "Poly":
@@ -268,16 +345,19 @@ class Poly:
 
     # -- predicates and views ----------------------------------------------
 
-    def _coeff(self, exp: Exponent) -> GaussianRational:
-        re, im = self._num[exp]
+    def _coeff(self, key: int) -> GaussianRational:
+        re, im = self._num[key]
         den = self._den
         return GaussianRational(Fraction(re, den), Fraction(im, den))
 
     @property
     def terms(self) -> Mapping[Exponent, GaussianRational]:
-        """Read-only view: exponent -> nonzero :class:`GaussianRational`."""
+        """Read-only view: exponent -> nonzero :class:`GaussianRational`,
+        in storage order."""
         if self._terms is None:
-            self._terms = MappingProxyType({exp: self._coeff(exp) for exp in self._num})
+            n = len(self.vars)
+            self._terms = MappingProxyType(
+                {_unpack(key, n): self._coeff(key) for key in self._num})
         return self._terms
 
     @property
@@ -286,7 +366,7 @@ class Poly:
 
     @property
     def is_constant(self) -> bool:
-        return all(sum(exp) == 0 for exp in self._num)
+        return not any(self._num)  # the constant monomial's key is 0
 
     def constant_value(self) -> GaussianRational:
         if self.is_zero:
@@ -303,36 +383,37 @@ class Poly:
         if not self._num:
             return -1
         if subset is None:
-            return max(sum(exp) for exp in self._num)
-        idx = [self.vars.index(v) for v in subset]
-        return max(sum(exp[i] for i in idx) for exp in self._num)
+            return max(self._num) >> (_WIDTH * len(self.vars))
+        shifts = _shifts(self.vars, subset)
+        return max(sum(key >> s & _FIELD for s in shifts) for key in self._num)
 
     def leading_term(self) -> tuple[Exponent, GaussianRational]:
         """Leading (exponent, coefficient) pair under graded lex order."""
         if self._lead is None:
             if not self._num:
                 raise ValueError("zero polynomial has no leading term")
-            exp = self._leading_num()[0]
-            self._lead = exp, self._coeff(exp)
+            key = max(self._num)
+            self._lead = _unpack(key, len(self.vars)), self._coeff(key)
         return self._lead
 
-    def _leading_num(self, skip: AbstractSet[Exponent] = frozenset()
-                     ) -> tuple[Exponent, tuple[int, int], int] | None:
-        """``(exp, (re, im), den)`` of the leading term under graded lex
-        order among the exponents not in ``skip``, read straight from
-        storage: its coefficient is ``(re + im*i) / den``.  None when no
-        term is left."""
+    def _leading_num(self, skip: AbstractSet[int] = frozenset()
+                     ) -> tuple[int, tuple[int, int], int] | None:
+        """``(key, (re, im), den)`` of the leading term under graded lex
+        order among the keys not in ``skip``, read straight from storage:
+        its coefficient is ``(re + im*i) / den``.  None when no term is
+        left."""
         if skip:
-            exp = max((e for e in self._num if e not in skip), key=grlex_key, default=None)
+            key = max((k for k in self._num if k not in skip), default=None)
         else:
-            exp = max(self._num, key=grlex_key, default=None)
-        if exp is None:
+            key = max(self._num, default=None)
+        if key is None:
             return None
-        return exp, self._num[exp], self._den
+        return key, self._num[key], self._den
 
     def sorted_terms(self) -> list[tuple[Exponent, GaussianRational]]:
         """Terms sorted leading-first (descending graded lex)."""
-        return sorted(self.terms.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+        n = len(self.vars)
+        return [(_unpack(key, n), self._coeff(key)) for key in sorted(self._num, reverse=True)]
 
     # -- arithmetic --------------------------------------------------------
 
@@ -374,19 +455,21 @@ class Poly:
 
     def __mul__(self, other: "Poly") -> "Poly":
         self._check_vars(other)
-        out: dict[Exponent, tuple[int, int]] = {}
+        _check_product(max(self._num, default=0), max(other._num, default=0),
+                       _WIDTH * len(self.vars))
+        out: dict[int, tuple[int, int]] = {}
         get = out.get
         b_terms = list(other._num.items())
-        for ea, (ar, ai) in self._num.items():
-            for eb, (br, bi) in b_terms:
-                exp = tuple(map(add, ea, eb))
+        for ka, (ar, ai) in self._num.items():
+            for kb, (br, bi) in b_terms:
+                key = ka + kb
                 re = ar * br - ai * bi
                 im = ar * bi + ai * br
-                c = get(exp)
+                c = get(key)
                 if c is None:
-                    out[exp] = (re, im)
+                    out[key] = (re, im)
                 else:
-                    out[exp] = (c[0] + re, c[1] + im)
+                    out[key] = (c[0] + re, c[1] + im)
         return _poly(self.vars, out, self._den * other._den)
 
     def __pow__(self, n: int) -> "Poly":
@@ -404,25 +487,25 @@ class Poly:
     def scale(self, value) -> "Poly":
         return self._scaled(*_split(_coerce_coeff(value)))
 
-    def _scaled(self, cr: int, ci: int, cd: int, shift: Exponent | None = None) -> "Poly":
+    def _scaled(self, cr: int, ci: int, cd: int, shift: int = 0) -> "Poly":
         """``((cr + ci*i)/cd) * x^shift * self`` on the numerators, for ints
-        with ``cd > 0``; no shift when ``shift`` is None."""
-        items = self._num.items()
-        if shift is None or not any(shift):
-            out = {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in items}
-        else:
-            out = {tuple(map(add, e, shift)): (re * cr - im * ci, re * ci + im * cr)
-                   for e, (re, im) in items}
+        with ``cd > 0`` and the key ``shift``."""
+        if shift and self._num:
+            _check_product(max(self._num), shift, _WIDTH * len(self.vars))
+        out = {k + shift: (re * cr - im * ci, re * ci + im * cr)
+               for k, (re, im) in self._num.items()}
         return _poly(self.vars, out, self._den * cd)
 
-    def _sub_scaled(self, g: "Poly", cr: int, ci: int, cd: int,
-                    shift: Exponent | None = None) -> "Poly":
+    def _sub_scaled(self, g: "Poly", cr: int, ci: int, cd: int, shift: int = 0) -> "Poly":
         """``self - ((cr + ci*i)/cd) * x^shift * g`` in one pass over the
         numerators of both, over ``lcm(den, g.den * cd)``: the fused step of
-        a Groebner reduction, for ints with ``cd > 0``."""
+        a Groebner reduction, for ints with ``cd > 0`` and the key
+        ``shift``."""
         self._check_vars(g)
         if not g._num or not (cr or ci):
             return self
+        if shift:
+            _check_product(max(g._num), shift, _WIDTH * len(self.vars))
         gd = g._den * cd
         den = lcm(self._den, gd)
         fa, fg = den // self._den, den // gd
@@ -430,23 +513,21 @@ class Poly:
         if fa == 1:
             out = dict(self._num)
         else:
-            out = {e: (re * fa, im * fa) for e, (re, im) in self._num.items()}
-        move = shift is not None and any(shift)
+            out = {k: (re * fa, im * fa) for k, (re, im) in self._num.items()}
         get = out.get
-        for e, (re, im) in g._num.items():
-            if move:
-                e = tuple(map(add, e, shift))
+        for k, (re, im) in g._num.items():
+            k += shift
             pr, pi = re * cr - im * ci, re * ci + im * cr
-            c = get(e)
+            c = get(k)
             if c is None:
-                out[e] = (pr, pi)
+                out[k] = (pr, pi)
             else:
                 pr += c[0]
                 pi += c[1]
                 if pr or pi:
-                    out[e] = (pr, pi)
+                    out[k] = (pr, pi)
                 else:
-                    del out[e]  # cancelled: out keeps no zero numerator
+                    del out[k]  # cancelled: out keeps no zero numerator
         return _poly_nonzero(self.vars, out, den)
 
     def conjugate(self) -> "Poly":
@@ -467,30 +548,32 @@ class Poly:
         new_vars = self.vars if vars is None else tuple(vars)
         if len(new_vars) != len(self.vars):
             raise ValueError(f"cannot rename {self.vars} to {new_vars}")
-        idx = [self.vars.index(v) for v in subset]
+        shifts = _shifts(self.vars, subset)
         out = {}
-        for e, (re, im) in self._num.items():
+        for key, (re, im) in self._num.items():
             if conjugate:
                 im = -im
-            k = quarter_turns * sum(e[i] for i in idx) % 4
-            out[e] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
+            k = quarter_turns * sum(key >> s & _FIELD for s in shifts) % 4
+            out[key] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
         return _poly(new_vars, out, self._den)
 
     def homogeneous_part(self, degree: int, subset: Iterable[str] | None = None) -> "Poly":
         """The sum of terms whose (subset-)total degree equals ``degree``."""
         if subset is None:
-            out = {e: c for e, c in self._num.items() if sum(e) == degree}
+            top = _WIDTH * len(self.vars)
+            out = {k: c for k, c in self._num.items() if k >> top == degree}
         else:
-            idx = [self.vars.index(v) for v in subset]
-            out = {e: c for e, c in self._num.items() if sum(e[i] for i in idx) == degree}
+            shifts = _shifts(self.vars, subset)
+            out = {k: c for k, c in self._num.items()
+                   if sum(k >> s & _FIELD for s in shifts) == degree}
         return _poly(self.vars, out, self._den)
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises ``ValueError`` if not divisible.
 
         The remainder is one dict of Gaussian-integer numerators over a
-        denominator ``rd``, keyed by :func:`_heap_key` so a heap yields its
-        leading term.  With ``lc`` the divisor's leading numerator, a
+        denominator ``rd``, keyed like storage; a heap of the negated keys
+        yields its leading term.  With ``lc`` the divisor's leading numerator, a
         quotient term is ``r * conj(lc) / |lc|^2`` for the remainder's leading
         numerator ``r``; only when that is not a Gaussian integer are the
         remainder and ``rd`` scaled up, by the smallest factor that makes it one.
@@ -500,23 +583,22 @@ class Poly:
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero:
             return Poly.zero(self.vars)
-        d_exp, (lr, li), _ = divisor._leading_num()
+        d_key, (lr, li), _ = divisor._leading_num()
         norm = lr * lr + li * li
-        d_key = _heap_key(d_exp)
-        rest = [(_heap_key(e), c) for e, c in divisor._num.items() if e != d_exp]
-        rem = {_heap_key(e): c for e, c in self._num.items()}
-        heap = list(rem)
-        heapq.heapify(heap)
+        rest = [(k, c) for k, c in divisor._num.items() if k != d_key]
+        rem = dict(self._num)
+        heap = [-k for k in rem]
+        heapify(heap)
         rd = self._den
         quotient = []  # (diff, q_k.re, q_k.im, rd_k): rd when q_k was found
         while heap:
-            key = heapq.heappop(heap)
+            key = -heappop(heap)
             lead = rem.pop(key, None)
             if lead is None:
                 continue  # a key whose term has cancelled since it was pushed
-            diff = tuple(map(sub, key, d_key))
-            if max(diff) > 0:
+            if not _key_divides(d_key, key):
                 raise ValueError("division is not exact")
+            diff = key - d_key
             rr, ri = lead
             tr, ti = rr * lr + ri * li, ri * lr - rr * li  # lead * conj(lc)
             if norm != 1:
@@ -531,12 +613,12 @@ class Poly:
                 ti //= norm
             quotient.append((diff, tr, ti, rd))
             for k, (dr, di) in rest:
-                k = tuple(map(add, diff, k))
+                k += diff
                 pr, pi = tr * dr - ti * di, tr * di + ti * dr
                 c = rem.get(k)
                 if c is None:
                     rem[k] = (-pr, -pi)
-                    heapq.heappush(heap, k)
+                    heappush(heap, -k)
                 elif c[0] == pr and c[1] == pi:
                     del rem[k]
                 else:
@@ -546,27 +628,27 @@ class Poly:
         out = {}
         for diff, qr, qi, qd in quotient:
             f = divisor._den * (rd // qd)
-            out[tuple(map(neg, diff[1:]))] = (qr * f, qi * f)
+            out[diff] = (qr * f, qi * f)
         return _poly(self.vars, out, rd)
 
     # -- substitutions and evaluation --------------------------------------
 
     def lift(self, new_vars: Sequence[str]) -> "Poly":
         """Embed into a polynomial ring with a superset of the variables."""
-        new_vars = tuple(new_vars)
+        new_vars = _ring(new_vars)
         if self.vars == new_vars:
             return self
-        positions = []
         for v in self.vars:
             if v not in new_vars:
                 raise ValueError(f"variable {v!r} missing from {new_vars}")
-            positions.append(new_vars.index(v))
+        moves = list(zip(_shifts(self.vars, self.vars), _shifts(new_vars, self.vars)))
+        top, new_top = _WIDTH * len(self.vars), _WIDTH * len(new_vars)
         out = {}
-        for exp, c in self._num.items():
-            new_exp = [0] * len(new_vars)
-            for pos, e in zip(positions, exp):
-                new_exp[pos] = e
-            out[tuple(new_exp)] = c
+        for key, c in self._num.items():
+            new_key = key >> top << new_top  # the degree field
+            for old, new in moves:
+                new_key |= (key >> old & _FIELD) << new
+            out[new_key] = c
         return _poly(new_vars, out, self._den)
 
     def rename(self, mapping: Mapping[str, str]) -> "Poly":

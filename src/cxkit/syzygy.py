@@ -24,11 +24,10 @@ from __future__ import annotations
 from heapq import heapify, heappop, heappush
 from itertools import count
 from math import gcd
-from operator import le, sub
 from typing import Sequence
 
 from cxkit.diffop import OperatorMatrix
-from cxkit.poly import Poly, grlex_key
+from cxkit.poly import Poly, _key_divides, _key_lcm
 
 DEFAULT_PAIR_BUDGET = 10_000
 
@@ -45,13 +44,14 @@ class BudgetExceeded(Exception):
 #
 # All arithmetic below runs on the Gaussian-integer numerators of the
 # entries through the private ``Poly`` kernel (``_leading_num``, ``_scaled``,
-# ``_sub_scaled``): a lead is ``(pos, exp, (re, im), den)`` with coefficient
-# ``(re + im*i) / den``, and a coefficient factor is an int triple ``(cr,
-# ci, cd)`` standing for ``(cr + ci*i) / cd``.
+# ``_sub_scaled``): a lead is ``(pos, key, (re, im), den)`` with ``key`` the
+# packed monomial (int order is grlex, a product's key the sum of the keys)
+# and coefficient ``(re + im*i) / den``, and a coefficient factor is an int
+# triple ``(cr, ci, cd)`` standing for ``(cr + ci*i) / cd``.
 
 
 def _leading(elem: Element):
-    """(position, exponent, numerator, denominator) of the POT+grlex leading
+    """(position, key, numerator, denominator) of the POT+grlex leading
     term; None if zero.  Lower position dominates."""
     for pos, p in enumerate(elem):
         if not p.is_zero:
@@ -61,18 +61,6 @@ def _leading(elem: Element):
 
 def _is_zero(elem: Element) -> bool:
     return all(p.is_zero for p in elem)
-
-
-def _divides(a: tuple, b: tuple) -> bool:
-    return all(map(le, a, b))
-
-
-def _exp_sub(a: tuple, b: tuple) -> tuple:
-    return tuple(map(sub, a, b))
-
-
-def _exp_lcm(a: tuple, b: tuple) -> tuple:
-    return tuple(map(max, a, b))
 
 
 def _quotient(a: tuple[int, int], ad: int, b: tuple[int, int], bd: int):
@@ -95,7 +83,7 @@ def _normalize(elem: Element) -> Element:
 
 
 def _sub_shifted(elem: Element, g: Element, c: tuple[int, int, int],
-                 shift: tuple) -> Element:
+                 shift: int) -> Element:
     """``elem - c * x^shift * g``, skipping the components where ``g`` is
     zero."""
     return tuple(p if q.is_zero else p._sub_scaled(q, *c, shift) for p, q in zip(elem, g))
@@ -113,9 +101,8 @@ def _reduce(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element
             return result
         pos, exp, num, den = lead
         for g, (gpos, gexp, gnum, gden) in zip(basis, leads):
-            if gpos == pos and _divides(gexp, exp):
-                result = _sub_shifted(result, g, _quotient(num, den, gnum, gden),
-                                      _exp_sub(exp, gexp))
+            if gpos == pos and _key_divides(gexp, exp):
+                result = _sub_shifted(result, g, _quotient(num, den, gnum, gden), exp - gexp)
                 break
         else:
             return result
@@ -132,16 +119,15 @@ def _reduce_fully(elem: Element, basis: Sequence[Element], leads: Sequence) -> E
         by_pos.setdefault(gpos, []).append((g, gexp, gnum, gden))
     result = elem
     for pos, reducers in sorted(by_pos.items()):
-        kept: set = set()  # exponents at ``pos`` that no leading term divides
+        kept: set = set()  # keys at ``pos`` that no leading term divides
         while True:
             lead = result[pos]._leading_num(kept)
             if lead is None:
                 break
             exp, num, den = lead
             for g, gexp, gnum, gden in reducers:
-                if _divides(gexp, exp):
-                    result = _sub_shifted(result, g, _quotient(num, den, gnum, gden),
-                                          _exp_sub(exp, gexp))
+                if _key_divides(gexp, exp):
+                    result = _sub_shifted(result, g, _quotient(num, den, gnum, gden), exp - gexp)
                     break
             else:
                 kept.add(exp)
@@ -170,32 +156,34 @@ def groebner_basis(gens: Sequence[Element], *,
     basis: list[Element] = []
     leads: list = []
     active: list[int] = []  # elements whose leading term no later one divides
-    pairs: list[tuple] = []  # (degree, lcm, position, seq, i, j)
+    pairs: list[tuple] = []  # (lcm, position, seq, i, j): lcm is a key
     seq = count()
 
     def add(h: Element) -> None:
         k = len(basis)
         lead = _leading(h)
         pos, exp = lead[0], lead[1]
+        n = len(h[pos].vars)
         basis.append(h)
         leads.append(lead)
         # B_k on the old pairs in the same position
         old = len(pairs)
         pairs[:] = [p for p in pairs if not (
-            p[2] == pos and _divides(exp, p[1])
-            and _exp_lcm(leads[p[4]][1], exp) != p[1]
-            and _exp_lcm(leads[p[5]][1], exp) != p[1])]
+            p[1] == pos and _key_divides(exp, p[0])
+            and _key_lcm(leads[p[3]][1], exp, n) != p[0]
+            and _key_lcm(leads[p[4]][1], exp, n) != p[0])]
         if len(pairs) != old:
             heapify(pairs)
         # M and F on the new pairs
-        new = [(_exp_lcm(leads[i][1], exp), i) for i in active if leads[i][0] == pos]
+        new = [(_key_lcm(leads[i][1], exp, n), i) for i in active if leads[i][0] == pos]
         lcms: set = set()
         for lcm, i in new:
-            if lcm in lcms or any(m != lcm and _divides(m, lcm) for m, _ in new):
+            if lcm in lcms or any(m != lcm and _key_divides(m, lcm) for m, _ in new):
                 continue
             lcms.add(lcm)
-            heappush(pairs, (*grlex_key(lcm), pos, next(seq), i, k))
-        active[:] = [i for i in active if not (leads[i][0] == pos and _divides(exp, leads[i][1]))]
+            heappush(pairs, (lcm, pos, next(seq), i, k))
+        active[:] = [i for i in active
+                     if not (leads[i][0] == pos and _key_divides(exp, leads[i][1]))]
         active.append(k)
 
     for g in gens:
@@ -203,12 +191,12 @@ def groebner_basis(gens: Sequence[Element], *,
             add(_normalize(g))
     processed = 0
     while pairs:
-        _, lcm, _, _, i, j = heappop(pairs)
+        lcm, _, _, i, j = heappop(pairs)
         processed += 1
         if processed > budget:
             raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
         # basis elements are monic: s = x^si * basis[i] - x^sj * basis[j]
-        si, sj = _exp_sub(lcm, leads[i][1]), _exp_sub(lcm, leads[j][1])
+        si, sj = lcm - leads[i][1], lcm - leads[j][1]
         s = tuple(p if p.is_zero else p._scaled(1, 0, 1, si) for p in basis[i])
         s = _sub_shifted(s, basis[j], (1, 0, 1), sj)
         s = _reduce(s, [basis[k] for k in active], [leads[k] for k in active])
@@ -217,14 +205,13 @@ def groebner_basis(gens: Sequence[Element], *,
     return [basis[k] for k in active]
 
 
-def interreduce(basis: Sequence[Element], vars) -> list[Element]:
+def interreduce(basis: Sequence[Element]) -> list[Element]:
     """The reduced Groebner basis of the module a Groebner basis ``basis``
     generates: drop elements whose leading terms are divisible by another's,
     then fully reduce each kept element by the others, so that no term of
     any element is divisible by another element's leading term, and scale
     each to leading coefficient one.  That basis is unique for the module
-    and the order; the output is sorted for determinism.  ``vars`` names
-    the ring's variables; the reduction does not need them."""
+    and the order; the output is sorted for determinism."""
     items = [_normalize(b) for b in basis if not _is_zero(b)]
     item_leads = [_leading(b) for b in items]
     kept: list[Element] = []
@@ -234,7 +221,7 @@ def interreduce(basis: Sequence[Element], vars) -> list[Element]:
         for j, lo in enumerate(item_leads):
             if i == j:
                 continue
-            if lo[0] == lb[0] and _divides(lo[1], lb[1]):
+            if lo[0] == lb[0] and _key_divides(lo[1], lb[1]):
                 if lb[1] == lo[1] and j > i:
                     continue  # keep the earlier of two equal leading terms
                 redundant = True
@@ -254,9 +241,8 @@ def interreduce(basis: Sequence[Element], vars) -> list[Element]:
 def _sort_key(elem: Element):
     """Leading position, then leading exponent from the highest down: the
     leading terms of a reduced basis differ, so this orders it fully."""
-    pos, exp, _, _ = _leading(elem)
-    total, lex = grlex_key(exp)
-    return pos, -total, tuple(-x for x in lex)
+    pos, key, _, _ = _leading(elem)
+    return pos, -key
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +263,7 @@ def syzygies(rows: Sequence[Element], vars, *,
         extended.append(tuple(row) + tuple(tail))
     gb = groebner_basis(extended, budget=budget)
     syz = [g[c:] for g in gb if all(p.is_zero for p in g[:c])]
-    return interreduce(syz, vars)
+    return interreduce(syz)
 
 
 def _op_rows(op: OperatorMatrix) -> list[Element]:

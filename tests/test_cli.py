@@ -115,6 +115,17 @@ def test_zero_denominator_is_located_json_error(tmp_path, capsys):
     assert rep["error"] == "line 3, column 17: zero denominator"
 
 
+def test_degree_limit_is_located_json_error(tmp_path, capsys):
+    """Before the limit a power this size took the Petrovskii check past 100 s."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text("vars: d1 d2\noperator Q = [[((d1^64)^64)^8]]\n")
+    assert _run(["ellipticity", "--spec", str(bad), "--name", "Q",
+                 "--kind", "petrovskii"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "ellipticity", "ok": False,
+                   "error": "line 2, column 29: total degree 32768 exceeds 32767"}
+
+
 @pytest.mark.parametrize("builder, column, message", [
     ("power_de_rham(3, 0)", 30, "power must be between 1 and 64"),
     ("power_de_rham(3, 65)", 30, "power must be between 1 and 64"),

@@ -6,7 +6,7 @@ import pytest
 
 from cxkit import dsl
 from cxkit.complexes import laplacian
-from cxkit.poly import GaussianRational, Poly
+from cxkit.poly import MAX_DEGREE, GaussianRational, Poly
 
 
 EXAMPLE = """\
@@ -171,3 +171,24 @@ def test_exponent_limit():
         dsl.parse("vars: d1 d2\noperator Q = [[(d1+d2)^100000]]\n")
     assert time.perf_counter() - t0 < 5.0
     assert (exc.value.line, exc.value.column) == (2, 24)
+
+
+@pytest.mark.parametrize("expr, degree, at", [
+    ("((d1^64)^64)^8", 32768, "8"),  # the power: degree times exponent
+    ("((d1^64)^64)^7 * (d2^64)^64", 32768, "*"),  # the product: sum of degrees
+    ("((d1^64)^64)^7 * (d2^64)^63 * d1^63 * d2", 32768, "* d2"),
+])
+def test_degree_limit_is_located(expr, degree, at):
+    """A power or product past ``poly.MAX_DEGREE`` is a located error raised
+    before the multiply, at the exponent or at the ``*``."""
+    assert MAX_DEGREE == 32767
+    text = f"vars: d1 d2\noperator Q = [[{expr}]]\n"
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    column = text.split("\n")[1].rindex(at) + 1
+    assert str(exc.value) == f"line 2, column {column}: total degree {degree} exceeds {MAX_DEGREE}"
+
+
+def test_degree_limit_is_accepted():
+    doc = dsl.parse("vars: d1 d2\noperator Q = [[((d1^64)^64)^7 * (d2^64)^63 * d1^63]]\n")
+    assert doc.operators["Q"][0, 0].total_degree() == MAX_DEGREE

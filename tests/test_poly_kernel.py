@@ -10,6 +10,7 @@ import copy
 import pickle
 from fractions import Fraction
 from math import gcd
+from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +18,19 @@ from hypothesis import given, settings, strategies as st
 from cxkit.blockops import maxwell
 from cxkit.complexes import de_rham_complex
 from cxkit.ellipticity import petrovskii_check
-from cxkit.poly import GaussianRational, Poly, PolyMatrix, _coerce_coeff, _split, grlex_key
+from cxkit.poly import (
+    MAX_DEGREE,
+    GaussianRational,
+    Poly,
+    PolyMatrix,
+    _coerce_coeff,
+    _key_divides,
+    _key_lcm,
+    _pack,
+    _split,
+    _unpack,
+    grlex_key,
+)
 from cxkit.symbols import maxwell_parametrix_symbol, maxwell_symbol
 
 VARS = ("x", "y", "z")
@@ -237,6 +250,11 @@ def test_exact_div_scales_the_remainder():
 shifts = st.one_of(st.none(), st.tuples(*(st.integers(0, 2) for _ in VARS)))
 
 
+def shift_key(shift) -> int:
+    """The key the kernel takes for an exponent tuple; 0 (no shift) for None."""
+    return 0 if shift is None else _pack(shift)
+
+
 @st.composite
 def factors(draw):
     """``(cr, ci, cd, c)``: an int triple standing for ``c``, with a common
@@ -259,6 +277,7 @@ def test_fused_step_and_shifted_scale_match_monomial_product(p, g, f, shift):
     cr, ci, cd, c = f
     mono = Poly.monomial(VARS, shift or (0,) * len(VARS), c)
     zero = Poly.zero(VARS)
+    shift = shift_key(shift)
     assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift), p - mono * g)
     assert_same_poly(g._scaled(cr, ci, cd, shift), mono * g)
     assert_same_poly(p._sub_scaled(zero, cr, ci, cd, shift), p)
@@ -278,7 +297,7 @@ def test_fused_step_drops_cancelled_terms(r, g, f, shift, data):
     mono = Poly.monomial(VARS, shift or (0,) * len(VARS), c)
     keep = data.draw(st.sets(st.sampled_from(sorted(g.terms)))) if g.terms else set()
     p = r + mono * Poly(VARS, {e: v for e, v in g.terms.items() if e in keep})
-    assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift), p - mono * g)
+    assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift_key(shift)), p - mono * g)
 
 
 def test_fused_step_cancels_terms_and_denominator():
@@ -288,7 +307,7 @@ def test_fused_step_cancels_terms_and_denominator():
     g = x - y.scale(GaussianRational.of(0, Fraction(1, 2))) + Poly.one(VARS).scale(
         GaussianRational.of(Fraction(1, 3)))
     # p - x*g: x^2 cancels, leaving y/2 + i*x*y/2 + 1/3 - x/3 over den 6
-    step = p._sub_scaled(g, 1, 0, 1, (1, 0, 0))
+    step = p._sub_scaled(g, 1, 0, 1, _pack((1, 0, 0)))
     assert_same_poly(step, p - x * g)
     assert step._den == 6
     # p - x*g - (1 - x)/3: the constant and x terms cancel, den drops to 2
@@ -305,18 +324,156 @@ def test_leading_num_matches_leading_term(p, data):
     if p.is_zero:
         assert p._leading_num() is None
         return
-    exp, (re, im), den = Poly(VARS, p.terms)._leading_num()
+    key, (re, im), den = Poly(VARS, p.terms)._leading_num()
     want_exp, want_coeff = ref(p).leading_term()
-    assert exp == want_exp == p.leading_term()[0]
+    assert key == _pack(want_exp)
+    assert _unpack(key, len(VARS)) == want_exp == p.leading_term()[0]
     assert GaussianRational(Fraction(re, den), Fraction(im, den)) == want_coeff
     # outside ``skip``: the leading term of the remaining terms
     skip = data.draw(st.sets(st.sampled_from(sorted(p.terms))))
     rest = FractionPoly(VARS, {e: v for e, v in p.terms.items() if e not in skip})
     if rest.is_zero:
-        assert p._leading_num(skip) is None
+        assert p._leading_num({_pack(e) for e in skip}) is None
     else:
-        exp, (re, im), den = p._leading_num(skip)
-        assert (exp, GaussianRational(Fraction(re, den), Fraction(im, den))) == rest.leading_term()
+        key, (re, im), den = p._leading_num({_pack(e) for e in skip})
+        assert (_unpack(key, len(VARS)),
+                GaussianRational(Fraction(re, den), Fraction(im, den))) == rest.leading_term()
+
+
+# ---------------------------------------------------------------------------
+# Packed monomials against the exponent tuples
+
+
+@st.composite
+def exponents(draw, n=None, max_exp=None):
+    """``(n, a, b)``: two exponent tuples of ``n`` variables whose lcm stays
+    within ``MAX_DEGREE``; ``b`` is a multiple of ``a`` about half the time."""
+    n = draw(st.integers(1, 7)) if n is None else n
+    high = MAX_DEGREE // (2 * n) if max_exp is None else max_exp
+    a = tuple(draw(st.integers(0, high)) for _ in range(n))
+    b = tuple(draw(st.integers(0, high)) for _ in range(n))
+    if draw(st.booleans()):
+        b = tuple(min(x + y, high) for x, y in zip(a, b))
+    return n, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(exponents(), exponents(max_exp=3)))
+def test_packed_keys_match_exponent_tuples(nab):
+    """Int order is grlex order, keys round-trip, divisibility is the
+    componentwise ``<=`` and the lcm the componentwise ``max``."""
+    n, a, b = nab
+    ka, kb = _pack(a), _pack(b)
+    assert (ka < kb) == (grlex_key(a) < grlex_key(b))
+    assert (ka == kb) == (a == b)
+    assert _unpack(ka, n) == a and _unpack(kb, n) == b
+    assert _key_divides(ka, kb) == all(x <= y for x, y in zip(a, b))
+    assert _key_divides(kb, ka) == all(y <= x for x, y in zip(a, b))
+    assert _key_lcm(ka, kb, n) == _key_lcm(kb, ka, n) == _pack(tuple(map(max, a, b)))
+    assert ka + kb == _pack(tuple(map(add, a, b)))
+
+
+def test_key_divides_at_the_field_limits():
+    top = (MAX_DEGREE, 0, 0)
+    assert _key_divides(_pack(top), _pack(top))
+    assert not _key_divides(_pack(top), _pack((0, MAX_DEGREE, 0)))
+    assert not _key_divides(_pack((0, 0, 1)), _pack((MAX_DEGREE - 1, 1, 0)))
+    assert _key_divides(_pack((0, 0, 0)), _pack((0, 0, MAX_DEGREE)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), st.permutations(("u", "z", "v", "x", "w", "y")), st.integers(3, 6))
+def test_lift_across_variable_counts(p, q, order, size):
+    """Lifting repacks each key into the wider ring: the terms land on the
+    new positions, in storage order, and lifting commutes with arithmetic."""
+    new_vars = tuple(v for v in order if v in VARS or order.index(v) < size - 3)
+    lifted = p.lift(new_vars)
+    pos = [new_vars.index(v) for v in VARS]
+    want = {}
+    for exp, c in p.terms.items():
+        new_exp = [0] * len(new_vars)
+        for i, e in zip(pos, exp):
+            new_exp[i] = e
+        want[tuple(new_exp)] = c
+    assert list(lifted.terms.items()) == list(want.items())
+    assert lifted.total_degree() == p.total_degree()
+    assert (p * q).lift(new_vars) == lifted * q.lift(new_vars)
+    assert (p - q).lift(new_vars) == lifted - q.lift(new_vars)
+    x = Poly.variable(("x",), "x")
+    assert (x * x).lift(new_vars) == Poly.variable(new_vars, "x") * Poly.variable(new_vars, "x")
+
+
+SUBSETS = st.one_of(st.none(), st.lists(st.sampled_from(VARS), unique=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys(), SUBSETS, st.integers(0, 6), st.integers(-1, 6), st.booleans())
+def test_degree_views_match_exponent_tuples(p, subset, degree, turns, conjugate):
+    """``total_degree``, ``homogeneous_part`` and ``twist`` read the fields
+    of a key as the sums over the exponent tuples do, with and without a
+    subset."""
+    idx = range(len(VARS)) if subset is None else [VARS.index(v) for v in subset]
+
+    def deg(exp):
+        return sum(exp[i] for i in idx)
+
+    assert p.total_degree(subset) == max(map(deg, p.terms), default=-1)
+    part = p.homogeneous_part(degree, subset)
+    assert list(part.terms.items()) == [(e, c) for e, c in p.terms.items() if deg(e) == degree]
+    assert_canonical(part)
+    assert p.is_constant == all(sum(e) == 0 for e in p.terms)
+    if subset is None:
+        return
+    units = (GaussianRational.one(), GaussianRational.i(),
+             GaussianRational.of(-1), GaussianRational.of(0, -1))
+    twisted = p.twist(subset, turns, conjugate=conjugate)
+    assert list(twisted.terms.items()) == [
+        (e, (c.conjugate() if conjugate else c) * units[turns * deg(e) % 4])
+        for e, c in p.terms.items()]
+
+
+@settings(max_examples=80, deadline=None)
+@given(polys(), polys(), factors(), shifts)
+def test_terms_in_tuple_kernel_storage_order(p, q, f, shift):
+    """``terms`` unpacks in storage order, which is the insertion order of
+    the exponent-tuple arithmetic (the reference shares its loops): the
+    floats of a numeric evaluation see the terms in the same order."""
+    for got, want in ((p + q, ref(p) + ref(q)), (p - q, ref(p) - ref(q)),
+                      (p * q, ref(p) * ref(q))):
+        assert list(got.terms) == list(want.terms)
+    if not q.is_zero:
+        assert list((p * q).exact_div(q).terms) == list((ref(p) * ref(q)).exact_div(ref(q)).terms)
+    cr, ci, cd, c = f
+    mono = FractionPoly.monomial(VARS, shift or (0,) * len(VARS), c)
+    assert list(p._sub_scaled(q, cr, ci, cd, shift_key(shift)).terms) == \
+        list((ref(p) - mono * ref(q)).terms)
+
+
+def test_degree_limit_is_an_overflow_error():
+    """Degree ``MAX_DEGREE`` is held; one more raises before anything wraps,
+    from the constructor and from every product."""
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    edge = Poly(VARS, {(MAX_DEGREE - 2, 1, 1): 3})
+    assert edge.total_degree() == MAX_DEGREE
+    assert edge.leading_term()[0] == (MAX_DEGREE - 2, 1, 1)
+    assert Poly.monomial(VARS, (MAX_DEGREE, 0, 0), 1) == x ** MAX_DEGREE
+    assert (x ** (MAX_DEGREE - 1) * y).exact_div(y) == x ** (MAX_DEGREE - 1)
+    for exp in ((MAX_DEGREE + 1, 0, 0), (MAX_DEGREE - 1, 1, 1), (0, 0, MAX_DEGREE + 1)):
+        with pytest.raises(OverflowError):
+            Poly(VARS, {exp: 1})
+    with pytest.raises(OverflowError):
+        edge * y
+    with pytest.raises(OverflowError):
+        x ** (MAX_DEGREE + 1)
+    with pytest.raises(OverflowError):
+        (x ** 5) * (y ** (MAX_DEGREE - 4) + Poly.one(VARS))
+    with pytest.raises(OverflowError):
+        y._scaled(1, 0, 1, _pack((MAX_DEGREE, 0, 0)))
+    with pytest.raises(OverflowError):
+        x._sub_scaled(y, 1, 0, 1, _pack((0, 0, MAX_DEGREE)))
+    assert edge * Poly.one(VARS) == edge
+    assert x._sub_scaled(y, 1, 0, 1, _pack((0, 0, MAX_DEGREE - 1))) == \
+        x - y * Poly.monomial(VARS, (0, 0, MAX_DEGREE - 1), 1)
 
 
 # ---------------------------------------------------------------------------
