@@ -85,9 +85,6 @@ class Complex:
         """The complex of spatial principal symbols sigma(A_0)..sigma(A_{N-1})."""
         return Complex([op.principal_symbol(SPATIAL) for op in self.ops])
 
-    def orders(self) -> tuple[int, ...]:
-        return tuple(op.order() for op in self.ops)
-
     def lift(self, signature: Signature) -> "Complex":
         return Complex([op.lift(signature) for op in self.ops])
 

@@ -15,7 +15,7 @@ spatial one, ``"spatial"`` gives it weight zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from cxkit.poly import Poly, PolyMatrix
 
@@ -259,13 +259,6 @@ class SymbolMatrix(SignatureMatrix):
         if self == SymbolMatrix.identity(self.signature, self.rows).scale(s):
             return s
         return None
-
-    def evaluate(self, point: Mapping[str, complex]):
-        """Evaluate entrywise to a nested list of complex numbers."""
-        return [
-            [p.evaluate(point) for p in row]
-            for row in self.body.entries
-        ]
 
 
 def tensor_identity(op: OperatorMatrix, n: int, *, outer: bool = True) -> OperatorMatrix:

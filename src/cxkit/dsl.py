@@ -13,8 +13,9 @@ Grammar (one statement per line, ``#`` comments)::
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
-``MAX_EXPONENT``, denominators nonzero and the total degree of a power or
-product at most ``poly.MAX_DEGREE``.  Builder sizes are at least 1 and
+``MAX_EXPONENT``, denominators nonzero, the total degree of a power or
+product at most ``poly.MAX_DEGREE`` and a bound on its term count at most
+``MAX_TERMS``.  Builder sizes are at least 1 and
 the ``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  Parse errors carry
 line/column.
 """
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import comb
 
 from cxkit.complexes import (
     Complex,
@@ -37,6 +39,10 @@ from cxkit.poly import MAX_DEGREE, GaussianRational, Poly
 
 # Largest exponent ``^`` accepts: a power's size grows with it without bound.
 MAX_EXPONENT = 64
+# Largest term count a power or product may reach, by the bound ``_check_size``
+# takes before multiplying: nested powers stay within ``MAX_EXPONENT`` and
+# ``MAX_DEGREE`` and still expand to millions of terms.
+MAX_TERMS = 10_000
 
 
 class SpecError(ValueError):
@@ -193,7 +199,8 @@ class _Parser:
         total = self.factor()
         while star := self.accept("punct", "*"):
             factor = self.factor()
-            _check_degree(total.total_degree() + factor.total_degree(), star)
+            _check_size(total.total_degree() + factor.total_degree(),
+                        len(total.terms) * len(factor.terms), len(total.vars), star)
             total = total * factor
         return total
 
@@ -205,8 +212,10 @@ class _Parser:
             if int(exp.text) > MAX_EXPONENT:
                 raise SpecError(f"exponent {exp.text} exceeds {MAX_EXPONENT}",
                                 exp.line, exp.column)
-            _check_degree(atom.total_degree() * int(exp.text), exp)
-            return atom ** int(exp.text)
+            e, t = int(exp.text), len(atom.terms)
+            _check_size(atom.total_degree() * e, comb(t + e - 1, e) if t else 1,
+                        len(atom.vars), exp)
+            return atom ** e
         return atom
 
     # atom := rational | 'i' | variable | '(' expression ')'
@@ -257,11 +266,17 @@ class _Parser:
         return row
 
 
-def _check_degree(degree: int, tok: Token) -> None:
+def _check_size(degree: int, terms: int, nvars: int, tok: Token) -> None:
     """A located error, before the multiply, for a power or product whose
-    total degree would pass what ``Poly`` can hold."""
+    total degree would pass what ``Poly`` can hold, or whose term count could
+    pass ``MAX_TERMS``.  ``terms`` bounds that count from the operands' terms
+    (a product of their counts, or the multisets of a power); the monomials
+    of degree at most ``degree`` in ``nvars`` variables bound it too."""
     if degree > MAX_DEGREE:
         raise SpecError(f"total degree {degree} exceeds {MAX_DEGREE}", tok.line, tok.column)
+    bound = min(terms, comb(max(degree, 0) + nvars, nvars))
+    if bound > MAX_TERMS:
+        raise SpecError(f"term count bound {bound} exceeds {MAX_TERMS}", tok.line, tok.column)
 
 
 # ---------------------------------------------------------------------------

@@ -651,13 +651,6 @@ class Poly:
             out[new_key] = c
         return _poly(new_vars, out, self._den)
 
-    def rename(self, mapping: Mapping[str, str]) -> "Poly":
-        """Rename variables (a bijective relabelling, exponents unchanged)."""
-        new_vars = tuple(mapping.get(v, v) for v in self.vars)
-        if len(set(new_vars)) != len(new_vars):
-            raise ValueError("variable renaming is not injective")
-        return _poly(new_vars, dict(self._num), self._den)
-
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be assigned a value."""
         total = 0j
@@ -915,108 +908,65 @@ class PolyMatrix:
 
     # -- determinants and adjugates ---------------------------------------
 
-    def det_cofactor(self) -> Poly:
-        """Determinant by cofactor expansion (exponential; oracle / small sizes)."""
-        if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Poly.one(self.vars)
+    def _minor_table(self):
+        """A ``minor(rows, cols)`` function: the determinant of the submatrix
+        on the row and column index tuples, by Laplace expansion along its
+        first row, skipping zero entries.  Each minor of size two or more is
+        computed once and kept in a table shared by all calls of the returned
+        function.  Its cost grows with the number of distinct nonzero minors
+        the expansion reaches: few for the sparse block symbols of a complex,
+        but 2^n for a dense n x n matrix, where fraction-free elimination
+        would be cheaper from n of about 8."""
+        entries = self.entries
+        one = Poly.one(self.vars)
+        table: dict[tuple[tuple[int, ...], tuple[int, ...]], Poly] = {}
 
-        def rec(row_idx: list[int], col_idx: list[int]) -> Poly:
-            if len(row_idx) == 1:
-                return self.entries[row_idx[0]][col_idx[0]]
+        def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> Poly:
+            if len(rows) <= 1:
+                return entries[rows[0]][cols[0]] if rows else one
+            key = (rows, cols)
+            total = table.get(key)
+            if total is not None:
+                return total
             total = Poly.zero(self.vars)
-            i = row_idx[0]
-            rest = row_idx[1:]
-            for pos, j in enumerate(col_idx):
-                a = self.entries[i][j]
+            first, rest = entries[rows[0]], rows[1:]
+            for pos, j in enumerate(cols):
+                a = first[j]
                 if a.is_zero:
                     continue
-                minor = rec(rest, col_idx[:pos] + col_idx[pos + 1:])
-                term = a * minor
+                term = a * minor(rest, cols[:pos] + cols[pos + 1:])
                 total = total + term if pos % 2 == 0 else total - term
+            table[key] = total
             return total
 
-        return rec(list(range(n)), list(range(n)))
-
-    def det_bareiss(self) -> Poly:
-        """Fraction-free Bareiss determinant (divisions are exact)."""
-        if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.rows
-        if n == 0:
-            return Poly.one(self.vars)
-        m = [list(row) for row in self.entries]
-        sign = 1
-        prev = Poly.one(self.vars)
-        for k in range(n - 1):
-            if m[k][k].is_zero:
-                pivot_row = next(
-                    (i for i in range(k + 1, n) if not m[i][k].is_zero), None
-                )
-                if pivot_row is None:
-                    return Poly.zero(self.vars)
-                m[k], m[pivot_row] = m[pivot_row], m[k]
-                sign = -sign
-            for i in range(k + 1, n):
-                for j in range(k + 1, n):
-                    num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                    m[i][j] = num.exact_div(prev)
-                m[i][k] = Poly.zero(self.vars)
-            prev = m[k][k]
-        det = m[n - 1][n - 1]
-        return -det if sign < 0 else det
+        return minor
 
     def determinant(self) -> Poly:
-        """Exact determinant (cofactor expansion up to 4x4, Bareiss beyond)."""
+        """Exact determinant, by memoized Laplace expansion (see ``_minor_table``)."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        if self.rows <= 4:
-            return self.det_cofactor()
-        return self.det_bareiss()
+        idx = tuple(range(self.rows))
+        return self._minor_table()(idx, idx)
 
     def adjugate(self) -> "PolyMatrix":
-        """Adjugate matrix, satisfying ``self @ adj == det * identity``."""
+        """Adjugate matrix, satisfying ``self @ adj == det * identity``.
+
+        Entry (j, i) is the signed minor of row i and column j; all minors
+        come from one shared table (see ``_minor_table``)."""
         if not self.is_square:
             raise ValueError("adjugate of a non-square matrix")
         n = self.rows
-        if n == 0:
-            return self
-        if n == 1:
-            return PolyMatrix.identity(self.vars, 1)
-        if n <= 4:
-            cof = []
-            idx = list(range(n))
+        minor = self._minor_table()
+        idx = tuple(range(n))
+        adj = []
+        for j in range(n):
+            cols = idx[:j] + idx[j + 1:]
+            row = []
             for i in range(n):
-                row = []
-                for j in range(n):
-                    sub = PolyMatrix(
-                        self.vars,
-                        [
-                            [self.entries[r][c] for c in idx if c != j]
-                            for r in idx
-                            if r != i
-                        ],
-                    )
-                    minor = sub.det_cofactor()
-                    row.append(minor if (i + j) % 2 == 0 else -minor)
-                cof.append(row)
-            return PolyMatrix(self.vars, cof).transpose()
-        # Faddeev-LeVerrier recursion: only exact integer divisions occur.
-        ident = PolyMatrix.identity(self.vars, n)
-        m = ident
-        c = Poly.one(self.vars)
-        for k in range(1, n):
-            am = self @ m
-            trace = Poly.zero(self.vars)
-            for i in range(n):
-                trace = trace + am.entries[i][i]
-            c = trace.scale(Fraction(-1, k))
-            m = am + ident.scale(c)
-        if n % 2 == 0:
-            return -m
-        return m
+                m = minor(idx[:i] + idx[i + 1:], cols)
+                row.append(m if (i + j) % 2 == 0 else -m)
+            adj.append(row)
+        return PolyMatrix(self.vars, adj, shape=(n, n))
 
     def __str__(self) -> str:
         rows = ["[" + ", ".join(str(p) for p in row) + "]" for row in self.entries]

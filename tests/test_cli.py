@@ -126,6 +126,17 @@ def test_degree_limit_is_located_json_error(tmp_path, capsys):
                    "error": "line 2, column 29: total degree 32768 exceeds 32767"}
 
 
+def test_term_count_limit_is_located_json_error(tmp_path, capsys):
+    """Before the limit ``cxkit verify`` on this spec was still multiplying
+    after 8 s."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text("vars: d1 d2 d3\noperator Q = [[((d1+d2+d3)^64)^16]]\n")
+    assert _run(["verify", "--spec", str(bad)]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "verify", "ok": False,
+                   "error": "line 2, column 32: term count bound 180007425 exceeds 10000"}
+
+
 @pytest.mark.parametrize("builder, column, message", [
     ("power_de_rham(3, 0)", 30, "power must be between 1 and 64"),
     ("power_de_rham(3, 65)", 30, "power must be between 1 and 64"),

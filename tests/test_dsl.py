@@ -189,6 +189,34 @@ def test_degree_limit_is_located(expr, degree, at):
     assert str(exc.value) == f"line 2, column {column}: total degree {degree} exceeds {MAX_DEGREE}"
 
 
+@pytest.mark.parametrize("expr, bound, at", [
+    # the power: monomials of degree 1024 in 3 variables, C(1027, 3)
+    ("((d1+d2+d3)^64)^16", 180007425, "16"),
+    # the product: monomials of degree 128, C(131, 3), below 2145 * 2145
+    ("(d1+d2+d3)^64 * (d1+d2+d3)^64", 366145, "*"),
+])
+def test_term_count_limit_is_located(expr, bound, at):
+    """A power or product whose term count could pass ``MAX_TERMS`` is a
+    located error raised before the multiply, although its degree is held."""
+    text = f"vars: d1 d2 d3\noperator Q = [[{expr}]]\n"
+    t0 = time.perf_counter()
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert time.perf_counter() - t0 < 5.0
+    column = text.split("\n")[1].rindex(at) + 1
+    assert str(exc.value) == \
+        f"line 2, column {column}: term count bound {bound} exceeds {dsl.MAX_TERMS}"
+
+
+def test_term_count_limit_is_accepted():
+    """Dense powers within the bound parse; a zero atom or a single term
+    never counts against it."""
+    doc = dsl.parse("vars: d1 d2 d3\noperator Q = [[(d1+d2+d3)^64, ((d1*d2)^64)^64, 0^64]]\n")
+    assert len(doc.operators["Q"][0, 0].terms) == 2145
+    assert len(doc.operators["Q"][0, 1].terms) == 1
+    assert doc.operators["Q"][0, 2].is_zero
+
+
 def test_degree_limit_is_accepted():
     doc = dsl.parse("vars: d1 d2\noperator Q = [[((d1^64)^64)^7 * (d2^64)^63 * d1^63]]\n")
     assert doc.operators["Q"][0, 0].total_degree() == MAX_DEGREE

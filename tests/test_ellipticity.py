@@ -205,7 +205,7 @@ def test_dn_check_classical_stokes():
 
 
 def test_dn_determinant_cofactor_oracle():
-    # the Bareiss determinant of the DN symbol agrees with a naive cofactor
+    # the determinant of the DN symbol agrees with a naive cofactor
     # expansion (independent algorithm)
     from test_poly import _cofactor_det
 

@@ -146,10 +146,11 @@ def test_str_parseable_roundtrip():
 
 
 # ---------------------------------------------------------------------------
-# Determinants: Bareiss vs naive cofactor oracle
+# Determinants and adjugates against cofactor expansion
 
 
 def _cofactor_det(m: PolyMatrix) -> Poly:
+    """Value oracle: first-row expansion through ``scale``, no shared minors."""
     n = m.rows
     if n == 0:
         return Poly.one(m.vars)
@@ -167,28 +168,125 @@ def _cofactor_det(m: PolyMatrix) -> Poly:
     return total
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(st.lists(polys(max_terms=2, max_exp=2),
-                                min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_bareiss_matches_cofactor(entries):
-    m = PolyMatrix(VARS, entries)
-    assert m.determinant() == _cofactor_det(m)
+def _det_cofactor(self: PolyMatrix) -> Poly:
+    """The library's earlier ``PolyMatrix.det_cofactor``, verbatim: the order
+    in which it adds and multiplies fixes the storage order of its terms."""
+    if not self.is_square:
+        raise ValueError("determinant of a non-square matrix")
+    n = self.rows
+    if n == 0:
+        return Poly.one(self.vars)
+
+    def rec(row_idx: list[int], col_idx: list[int]) -> Poly:
+        if len(row_idx) == 1:
+            return self.entries[row_idx[0]][col_idx[0]]
+        total = Poly.zero(self.vars)
+        i = row_idx[0]
+        rest = row_idx[1:]
+        for pos, j in enumerate(col_idx):
+            a = self.entries[i][j]
+            if a.is_zero:
+                continue
+            minor = rec(rest, col_idx[:pos] + col_idx[pos + 1:])
+            term = a * minor
+            total = total + term if pos % 2 == 0 else total - term
+        return total
+
+    return rec(list(range(n)), list(range(n)))
 
 
-@settings(max_examples=15, deadline=None)
-@given(st.integers(1, 3).flatmap(
-    lambda n: st.lists(st.lists(polys(max_terms=2, max_exp=1),
-                                min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_adjugate_identity(entries):
-    m = PolyMatrix(VARS, entries)
+def _adjugate_cofactor(self: PolyMatrix) -> PolyMatrix:
+    """The library's earlier cofactor-minor adjugate (its n <= 4 branch),
+    verbatim, run at every n."""
+    n = self.rows
+    if n == 0:
+        return self
+    if n == 1:
+        return PolyMatrix.identity(self.vars, 1)
+    cof = []
+    idx = list(range(n))
+    for i in range(n):
+        row = []
+        for j in range(n):
+            sub = PolyMatrix(
+                self.vars,
+                [
+                    [self.entries[r][c] for c in idx if c != j]
+                    for r in idx
+                    if r != i
+                ],
+            )
+            minor = _det_cofactor(sub)
+            row.append(minor if (i + j) % 2 == 0 else -minor)
+        cof.append(row)
+    return PolyMatrix(self.vars, cof).transpose()
+
+
+@st.composite
+def sparse_matrices(draw, max_n=6):
+    """Square matrices of size 1..max_n with sparse entries, zeros among
+    them; in about half of them the last row is a polynomial combination of
+    the others (for n = 1 the zero row), so the matrix is singular."""
+    n = draw(st.integers(1, max_n))
+    entry = polys(max_terms=2, max_exp=1)
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    singular = draw(st.booleans())
+    if singular:
+        coeffs = [draw(entry) for _ in range(n - 1)]
+        rows[-1] = [sum((c * rows[r][j] for r, c in enumerate(coeffs)), Poly.zero(VARS))
+                    for j in range(n)]
+    return PolyMatrix(VARS, rows), singular
+
+
+def _stored(p: Poly) -> list:
+    return list(p.terms.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(sparse_matrices())
+def test_determinant_matches_cofactor(case):
+    m, singular = case
+    det = m.determinant()
+    ref = _det_cofactor(m)
+    assert det == ref == _cofactor_det(m)
+    assert _stored(det) == _stored(ref)
+    if singular:
+        assert det.is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_adjugate_matches_cofactor(case):
+    m, _ = case
+    adj, ref = m.adjugate(), _adjugate_cofactor(m)
+    assert adj == ref
+    assert [[_stored(p) for p in row] for row in adj.entries] == \
+        [[_stored(p) for p in row] for row in ref.entries]
+
+
+@settings(max_examples=40, deadline=None)
+@given(sparse_matrices())
+def test_adjugate_identity(case):
+    m, _ = case
     n = m.rows
     det = m.determinant()
+    adj = m.adjugate()
     target = PolyMatrix.identity(VARS, n).map(lambda p: p * det)
-    assert m @ m.adjugate() == target
-    assert m.adjugate() @ m == target
+    assert m @ adj == target
+    assert adj @ m == target
+
+
+def test_determinant_and_adjugate_edges():
+    empty = PolyMatrix(VARS, [], shape=(0, 0))
+    assert empty.determinant() == Poly.one(VARS)
+    assert empty.adjugate() == empty
+    x = Poly.variable(VARS, "x")
+    assert PolyMatrix(VARS, [[x]]).adjugate() == PolyMatrix.identity(VARS, 1)
+    wide = PolyMatrix(VARS, [[x, x]])
+    with pytest.raises(ValueError):
+        wide.determinant()
+    with pytest.raises(ValueError):
+        wide.adjugate()
 
 
 @settings(max_examples=40, deadline=None)
