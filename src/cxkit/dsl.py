@@ -14,9 +14,11 @@ Grammar (one statement per line, ``#`` comments)::
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
 ``MAX_EXPONENT``, denominators nonzero, the total degree of a power or
-product at most ``poly.MAX_DEGREE`` and a bound on its term count at most
-``MAX_TERMS``.  Builder sizes are at least 1 and
-the ``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  Parse errors carry
+product at most ``poly.MAX_DEGREE``, a bound on its term count at most
+``MAX_TERMS`` and one on its coefficients' bit length at most
+``MAX_COEFF_BITS``.  Builder sizes are at least 1 and at most what keeps
+every differential within ``MAX_MATRIX_ENTRIES`` entries, and the
+``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  Parse errors carry
 line/column.
 """
 
@@ -43,6 +45,16 @@ MAX_EXPONENT = 64
 # takes before multiplying: nested powers stay within ``MAX_EXPONENT`` and
 # ``MAX_DEGREE`` and still expand to millions of terms.
 MAX_TERMS = 10_000
+# Largest bit length a power's or product's coefficients (numerator parts and
+# denominator) may reach, by the bound ``_check_size`` takes before
+# multiplying: ((1+d1)^64)^64 passes the two caps above, and its 4096-bit
+# binomials took about 20 s to expand.
+MAX_COEFF_BITS = 1024
+# Most entries a builder's largest differential may have.  The builders are
+# wedge (Koszul) complexes on n generators, whose largest differential is
+# C(n, q + 1) x C(n, q) at q = (n - 1) // 2: 3920 entries at n = 8, and
+# 853 776 at n = 12, where ``cxkit verify`` runs past two minutes.
+MAX_MATRIX_ENTRIES = 10_000
 
 
 class SpecError(ValueError):
@@ -200,7 +212,9 @@ class _Parser:
         while star := self.accept("punct", "*"):
             factor = self.factor()
             _check_size(total.total_degree() + factor.total_degree(),
-                        len(total.terms) * len(factor.terms), len(total.vars), star)
+                        len(total.terms) * len(factor.terms),
+                        total._coeff_bits() + factor._coeff_bits(),
+                        len(total.vars), star)
             total = total * factor
         return total
 
@@ -214,7 +228,7 @@ class _Parser:
                                 exp.line, exp.column)
             e, t = int(exp.text), len(atom.terms)
             _check_size(atom.total_degree() * e, comb(t + e - 1, e) if t else 1,
-                        len(atom.vars), exp)
+                        atom._coeff_bits() * e, len(atom.vars), exp)
             return atom ** e
         return atom
 
@@ -266,17 +280,22 @@ class _Parser:
         return row
 
 
-def _check_size(degree: int, terms: int, nvars: int, tok: Token) -> None:
+def _check_size(degree: int, terms: int, bits: int, nvars: int, tok: Token) -> None:
     """A located error, before the multiply, for a power or product whose
-    total degree would pass what ``Poly`` can hold, or whose term count could
-    pass ``MAX_TERMS``.  ``terms`` bounds that count from the operands' terms
-    (a product of their counts, or the multisets of a power); the monomials
-    of degree at most ``degree`` in ``nvars`` variables bound it too."""
+    total degree would pass what ``Poly`` can hold, whose term count could
+    pass ``MAX_TERMS``, or whose coefficients could pass ``MAX_COEFF_BITS``.
+    ``terms`` bounds that count from the operands' terms (a product of their
+    counts, or the multisets of a power); the monomials of degree at most
+    ``degree`` in ``nvars`` variables bound it too.  ``bits`` bounds the
+    coefficients from the operands' ``Poly._coeff_bits``."""
     if degree > MAX_DEGREE:
         raise SpecError(f"total degree {degree} exceeds {MAX_DEGREE}", tok.line, tok.column)
     bound = min(terms, comb(max(degree, 0) + nvars, nvars))
     if bound > MAX_TERMS:
         raise SpecError(f"term count bound {bound} exceeds {MAX_TERMS}", tok.line, tok.column)
+    if bits > MAX_COEFF_BITS:
+        raise SpecError(f"coefficient bit length bound {bits} exceeds {MAX_COEFF_BITS}",
+                        tok.line, tok.column)
 
 
 # ---------------------------------------------------------------------------
@@ -361,19 +380,19 @@ def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:
         doc.builders[name] = f"ops({', '.join(parts)})"
         return Complex(ops)
     if kind == "de_rham":
-        n = _positive_int(p, None, "n must be at least 1")
+        n = _wedge_size(p)
         p.expect("punct", ")")
         doc.builders[name] = f"de_rham({n})"
         _require_spatial(p, doc, n)
         return de_rham_complex(n).lift(doc.signature)
     if kind == "dolbeault":
-        n = _positive_int(p, None, "n must be at least 1")
+        n = _wedge_size(p)
         p.expect("punct", ")")
         doc.builders[name] = f"dolbeault({n})"
         _require_spatial(p, doc, 2 * n)
         return dolbeault_complex(n).lift(doc.signature)
     if kind == "power_de_rham":
-        n = _positive_int(p, None, "n must be at least 1")
+        n = _wedge_size(p)
         p.expect("punct", ",")
         power = _positive_int(p, MAX_EXPONENT,
                               f"power must be between 1 and {MAX_EXPONENT}")
@@ -385,6 +404,8 @@ def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:
         gens = [p.expression()]
         parts = [str(gens[-1])]
         while p.accept("punct", ","):
+            if len(gens) == _MAX_WEDGE:
+                raise p.error(f"more than {_MAX_WEDGE} generators: {_WEDGE_ERROR}")
             gens.append(p.expression())
             parts.append(str(gens[-1]))
         p.expect("punct", ")")
@@ -401,6 +422,24 @@ def _positive_int(p: _Parser, high: int | None, message: str) -> int:
     if value < 1 or (high is not None and value > high):
         raise SpecError(message, tok.line, tok.column)
     return value
+
+
+# The largest n whose wedge complex keeps within MAX_MATRIX_ENTRIES
+_MAX_WEDGE = max(n for n in range(1, 64)
+                 if comb(n, (n - 1) // 2) * comb(n, (n + 1) // 2) <= MAX_MATRIX_ENTRIES)
+_WEDGE_ERROR = f"its largest differential would pass {MAX_MATRIX_ENTRIES} entries"
+
+
+def _wedge_size(p: _Parser) -> int:
+    """The size n of a ``de_rham``, ``dolbeault`` or ``power_de_rham``
+    complex, each a wedge complex on n generators: at least 1, and at most
+    ``_MAX_WEDGE``, else an error located at the integer."""
+    tok = p.current
+    n = _positive_int(p, None, "n must be at least 1")
+    if n > _MAX_WEDGE:
+        raise SpecError(f"n must be at most {_MAX_WEDGE}: {_WEDGE_ERROR}",
+                        tok.line, tok.column)
+    return n
 
 
 def _require_spatial(p: _Parser, doc: SpecDocument, n: int) -> None:

@@ -410,6 +410,14 @@ class Poly:
             return None
         return key, self._num[key], self._den
 
+    def _coeff_bits(self) -> int:
+        """The least ``b`` with ``2**b`` at least the denominator and the
+        1-norm ``sum |re| + |im|`` of the numerators: a product's ``b`` is at
+        most the sum of its factors', and a power's at most ``e`` times its
+        base's, so a caller can bound both before multiplying."""
+        norm = sum(abs(re) + abs(im) for re, im in self._num.values())
+        return (max(norm, self._den) - 1).bit_length()
+
     def sorted_terms(self) -> list[tuple[Exponent, GaussianRational]]:
         """Terms sorted leading-first (descending graded lex)."""
         n = len(self.vars)

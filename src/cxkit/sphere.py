@@ -7,17 +7,29 @@ This is the only cxkit module that imports numpy, and
 loads it.  No scipy module is imported: the Joe-Kuo Sobol direction table
 that scipy ships inside ``scipy.stats`` is read as a data file.
 
-A symbol matrix is compiled into one evaluation kernel: the distinct
-exponent rows of all its entries are raised to the points once per call, and
+A symbol matrix is compiled into one evaluation kernel.  Each variable is
+raised once to each distinct exponent of the matrix, a power table per
+point; every distinct monomial is the product of its variables' table
+entries, multiplied left to right as ``np.prod`` multiplies an exponent row;
 each entry then takes its own dot product of its monomial columns with its
 coefficients, in its own term order.  Each entry therefore sums exactly as a
-separate per-entry evaluation would, bit for bit.  The scan draws a scrambled
-Sobol sequence mapped to the sphere through the inverse normal distribution
-function, and the best candidates are polished with Nelder-Mead.  The three
-are ports that return the floats of ``scipy.stats.qmc.Sobol(scramble=True)``,
-``scipy.special.ndtri`` and scipy's Nelder-Mead bit for bit, so reports do
-not depend on which of the two computed them.  Parameter variables are held
-at 1.0.
+separate per-entry evaluation would, bit for bit.  One numpy detail keeps it
+so: float64 ``power`` takes another route when the exponent repeats along
+its inner loop (a scalar exponent, or an exponent axis of length one), and
+there ``x ** 2`` is ``x * x``, which differs from the general route in the
+last bit for some ``x``.  The table's exponent axis is the inner loop, so it
+always holds 0 and 1 and is at least two long.
+
+The scan draws a scrambled Sobol sequence mapped to the sphere through the
+inverse normal distribution function, values it ``_SCAN_BLOCK`` rows at a
+time (a row's float does not depend on the block; see :func:`_scan`), and
+polishes the best candidates with Nelder-Mead.  Sobol, the inverse normal
+and Nelder-Mead are ports that return the floats of
+``scipy.stats.qmc.Sobol(scramble=True)``, ``scipy.special.ndtri`` and
+scipy's Nelder-Mead bit for bit, so reports do not depend on which of the
+two computed them.  The points of the last few scans are memoized
+read-only, since every check at the default seed and budget draws the same
+ones.  Parameter variables are held at 1.0.
 
 The polishes run in lock-step, valuing all the points of a round in one
 batched objective call.  Each row must get the float of a one-point call, so
@@ -39,6 +51,8 @@ import numpy as np
 from cxkit.poly import Poly, PolyMatrix
 
 _POLISH_COUNT = 16
+_POINTS_CACHED = 4  # scans whose sphere points are kept (_sphere_points)
+_SCAN_BLOCK = 2048  # rows valued per kernel call of the scan (_scan)
 
 
 # ---------------------------------------------------------------------------
@@ -60,7 +74,12 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
                 idx = [rows.setdefault(tuple(exp[c] for c in cols), len(rows))
                        for exp in terms]
                 entries.append((i, j, idx, [complex(c) for c in terms.values()]))
-    e = np.array(list(rows), dtype=np.int64).reshape(1, len(rows), len(cols))
+    e = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(cols))
+    # The power table's exponents: 0 and 1 keep its last axis at least two
+    # long, off numpy's route for a repeated exponent (see the module notes).
+    pw = np.union1d([0, 1], e).astype(np.int64)
+    # monomial j's factor for variable v is table entry (v, slot[j, v])
+    variable, slot = np.arange(len(cols)), np.searchsorted(pw, e)
     # An entry that uses every row in order (always so for a 1x1 matrix) reads
     # the monomials in place instead of through a gathered copy.
     every = list(range(len(rows)))
@@ -71,12 +90,13 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
     def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
         if plan:
+            table = pts[:, :, None] ** pw
             # np.prod without its Python-level wrapper: the same reduction
-            monomials = np.multiply.reduce(pts[:, None, :] ** e, axis=2)
+            monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
             # (B, 1, k) stacks take one dot product per row, as one point does
-            rows = monomials[:, None, :] if _per_point else monomials
+            stack = monomials[:, None, :] if _per_point else monomials
             for i, j, idx, c in plan:
-                out[:, i, j] = (rows[..., idx] @ c).reshape(-1)
+                out[:, i, j] = (stack[..., idx] @ c).reshape(-1)
         return out
 
     return evaluate
@@ -229,14 +249,33 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
 # The search
 
 
+@functools.lru_cache(maxsize=_POINTS_CACHED)
 def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
+    """The scan's (budget, dim) points on the unit sphere, read-only.
+
+    Every check at the default seed and budget draws the same points, so the
+    last ``_POINTS_CACHED`` arrays are kept: at most that many times
+    ``8 * budget * dim`` bytes, 2.5 MB at the default budget of 20 000 points
+    in up to 4 variables."""
     if dim == 1:
-        return np.array([[1.0], [-1.0]])
-    u = np.clip(_sobol(dim, budget, seed), 1e-12, 1 - 1e-12)
-    g = _ndtri(u)
-    norms = np.linalg.norm(g, axis=1)
-    norms[norms == 0] = 1.0
-    return g / norms[:, None]
+        pts = np.array([[1.0], [-1.0]])
+    else:
+        u = np.clip(_sobol(dim, budget, seed), 1e-12, 1 - 1e-12)
+        g = _ndtri(u)
+        norms = np.linalg.norm(g, axis=1)
+        norms[norms == 0] = 1.0
+        pts = g / norms[:, None]
+    pts.flags.writeable = False
+    return pts
+
+
+def _scan(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """``fn(pts)``, valued ``_SCAN_BLOCK`` rows at a time, which bounds the
+    kernel's temporaries.  A row's float does not depend on the block, but
+    numpy takes a one-row matrix-vector product as a dot product, which sums
+    in another order, so a last block of one row joins the block before."""
+    cuts = [*range(0, max(len(pts) - 1, 1), _SCAN_BLOCK), len(pts)]
+    return np.concatenate([fn(pts[a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
 def _canonical_point(x: np.ndarray) -> tuple[float, ...]:
@@ -410,7 +449,7 @@ def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
     """Deterministic global-ish minimization of ``fn`` over the unit sphere:
     quasi-random scan, then local polish from the best candidates."""
     pts = _sphere_points(dim, budget, seed)
-    values = fn(pts)
+    values = _scan(fn, pts)
     order = np.argsort(values, kind="stable")[:_POLISH_COUNT]
     found = [[(float(values[idx]), _canonical_point(pts[idx]))] for idx in order]
     if dim > 1:
@@ -445,6 +484,16 @@ def abs_minimum(p: Poly, sphere_vars: Sequence[str], param_vars: Sequence[str],
                      sphere_vars, param_vars, seed, budget)
 
 
+def _least_eigenvalue(mats: np.ndarray) -> np.ndarray:
+    """The least eigenvalue of the Hermitian part of each (n, n) matrix of a
+    (B, n, n) array, as ``np.linalg.eigvalsh`` gives it.  At n = 1 LAPACK's
+    ``zheevd`` returns ``DBLE(A(1,1))``, so that float is read directly."""
+    herm = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
+    if herm.shape[1] == 1:
+        return herm[:, 0, 0].real
+    return np.linalg.eigvalsh(herm)[:, 0].real
+
+
 def eigenvalue_minimum(m: PolyMatrix, sphere_vars: Sequence[str],
                        param_vars: Sequence[str], *, seed: int, budget: int
                        ) -> tuple[float, tuple[float, ...]]:
@@ -452,9 +501,6 @@ def eigenvalue_minimum(m: PolyMatrix, sphere_vars: Sequence[str],
     Hermitian part of ``m``."""
     values = compile_matrix(m, list(sphere_vars) + list(param_vars))
 
-    def min_eig(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
-        mats = values(pts, _per_point)
-        mats = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
-        return np.linalg.eigvalsh(mats)[:, 0].real
-
-    return _minimize(min_eig, sphere_vars, param_vars, seed, budget)
+    return _minimize(lambda pts, _per_point=False:
+                     _least_eigenvalue(values(pts, _per_point)),
+                     sphere_vars, param_vars, seed, budget)

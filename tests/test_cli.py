@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -135,6 +136,33 @@ def test_term_count_limit_is_located_json_error(tmp_path, capsys):
     rep = json.loads(capsys.readouterr().out)
     assert rep == {"command": "verify", "ok": False,
                    "error": "line 2, column 32: term count bound 180007425 exceeds 10000"}
+
+
+def test_coefficient_size_limit_is_located_json_error(tmp_path, capsys):
+    """Before the limit parsing this spec took about 20 s."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text("vars: d1\noperator Q = [[((1+d1)^64)^64]]\n")
+    t0 = time.perf_counter()
+    assert _run(["verify", "--spec", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "verify", "ok": False,
+                   "error": "line 2, column 28: coefficient bit length bound 4096 exceeds 1024"}
+
+
+def test_builder_size_limit_is_located_json_error(tmp_path, capsys):
+    """Before the limit ``cxkit verify`` on this spec ran past 15 s while its
+    memory grew."""
+    bad = tmp_path / "bad.spec"
+    names = " ".join(f"d{k}" for k in range(1, 25))
+    bad.write_text(f"vars: {names}\ncomplex C = de_rham(24)\n")
+    t0 = time.perf_counter()
+    assert _run(["verify", "--spec", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "verify", "ok": False,
+                   "error": "line 2, column 21: n must be at most 8: its largest "
+                            "differential would pass 10000 entries"}
 
 
 @pytest.mark.parametrize("builder, column, message", [

@@ -3,6 +3,7 @@
 import time
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cxkit import dsl
 from cxkit.complexes import laplacian
@@ -215,6 +216,103 @@ def test_term_count_limit_is_accepted():
     assert len(doc.operators["Q"][0, 0].terms) == 2145
     assert len(doc.operators["Q"][0, 1].terms) == 1
     assert doc.operators["Q"][0, 2].is_zero
+
+
+@pytest.mark.parametrize("expr, bits, at", [
+    # the power: (1+d1)^64 has numerator 1-norm 2^64, its 64th power 2^4096
+    ("((1+d1)^64)^64", 4096, "64"),
+    # the denominator counts too: (10^9 + 7)^64 needs 1920 bits
+    ("(1/1000000007*d1)^64", 1920, "64"),
+    # the product: 512 + 512 bits are at the limit, one more factor passes it
+    ("((1+d1)^64)^8 * ((1+d1)^64)^8 * (1+d1)", 1025, "*"),
+])
+def test_coefficient_size_limit_is_located(expr, bits, at):
+    """A power or product whose coefficients could pass ``MAX_COEFF_BITS`` is
+    a located error raised before the multiply, although its degree and term
+    count are held.  Before the limit the first took about 20 s to parse."""
+    text = f"vars: d1\noperator Q = [[{expr}]]\n"
+    t0 = time.perf_counter()
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert time.perf_counter() - t0 < 1.0
+    column = text.split("\n")[1].rindex(at) + 1
+    assert str(exc.value) == (f"line 2, column {column}: coefficient bit length "
+                              f"bound {bits} exceeds {dsl.MAX_COEFF_BITS}")
+    assert (exc.value.line, exc.value.column) == (2, column)
+
+
+def test_coefficient_size_limit_is_accepted():
+    """The bound at the limit parses, and the coefficients keep within it;
+    (d1+d2+d3)^64 is accepted in ``test_term_count_limit_is_accepted``."""
+    doc = dsl.parse("vars: d1\noperator Q = [[((1+d1)^16)^64]]\n")
+    q = doc.operators["Q"][0, 0]
+    assert len(q.terms) == 1025
+    assert max(abs(c.re.numerator) for c in q.terms.values()) < 2 ** dsl.MAX_COEFF_BITS
+
+
+_small = st.builds(
+    lambda terms: Poly(("x", "y"), terms),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                    st.builds(GaussianRational.of,
+                              st.fractions(max_denominator=50).filter(lambda f: abs(f) < 100),
+                              st.fractions(max_denominator=50).filter(lambda f: abs(f) < 100)),
+                    max_size=5))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small, _small, st.integers(0, 6))
+def test_coefficient_bits_bound_products_and_powers(p, q, e):
+    """The bound ``_check_size`` takes: a product's ``_coeff_bits`` is at most
+    the sum of its factors', a power's at most the exponent times its base's,
+    and every numerator part and the denominator lie below ``2**bits``."""
+    assert (p * q)._coeff_bits() <= p._coeff_bits() + q._coeff_bits()
+    assert (p ** e)._coeff_bits() <= e * p._coeff_bits()
+    bound = 2 ** p._coeff_bits()
+    den = max([c.re.denominator for c in p.terms.values()]
+              + [c.im.denominator for c in p.terms.values()] + [1])
+    assert den <= bound
+    assert all(abs(c.re) * den <= bound and abs(c.im) * den <= bound
+               for c in p.terms.values())
+
+
+@pytest.mark.parametrize("builder, column", [
+    ("de_rham(24)", 21),
+    ("dolbeault(9)", 23),
+    ("power_de_rham(9, 2)", 27),
+    (f"de_rham({10 ** 30})", 21),
+])
+def test_builder_size_limit_is_located(builder, column):
+    """A builder whose largest differential would pass ``MAX_MATRIX_ENTRIES``
+    is refused at its size argument.  Before the limit ``cxkit verify`` on
+    de_rham(24) ran past 15 s while its memory grew."""
+    names = " ".join(f"d{k}" for k in range(1, 25))
+    t0 = time.perf_counter()
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(f"vars: {names}\ncomplex C = {builder}\n")
+    assert time.perf_counter() - t0 < 1.0
+    assert str(exc.value) == (
+        f"line 2, column {column}: n must be at most 8: its largest differential "
+        f"would pass {dsl.MAX_MATRIX_ENTRIES} entries")
+
+
+def test_koszul_generator_limit_is_located():
+    gens = ", ".join(f"d{k}" for k in range(1, 10))
+    text = f"vars: {gens.replace(',', '')}\ncomplex C = koszul({gens})\n"
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert (exc.value.line, exc.value.column) == (2, text.split("\n")[1].index("d9") + 1)
+    assert "more than 8 generators" in str(exc.value)
+
+
+def test_builder_size_limit_is_accepted():
+    """de Rham(8), the largest, has a 70 x 56 differential: 3920 entries."""
+    names = " ".join(f"d{k}" for k in range(1, 9))
+    doc = dsl.parse(f"vars: {names}\ncomplex C = de_rham(8)\n"
+                    f"complex K = koszul({names.replace(' ', ', ')})\n")
+    sizes = [op.rows * op.cols for op in doc.complexes["C"].ops]
+    assert max(sizes) == 3920 <= dsl.MAX_MATRIX_ENTRIES
+    assert [op.rows for op in doc.complexes["K"].ops] == \
+        [op.rows for op in doc.complexes["C"].ops]
 
 
 def test_degree_limit_is_accepted():

@@ -175,6 +175,106 @@ def test_kernel_shares_exponent_rows():
     assert np.all(got[:, 1, 1] == 0)
 
 
+@st.composite
+def power_layouts(draw):
+    """Symbol matrices in the layouts where a power table could fall onto
+    numpy's other float64 ``power`` route (an exponent that repeats along the
+    inner loop): one sphere variable plus parameters, single-term entries,
+    entries using only the exponents 0 and 1, exponents up to 8, and one
+    exponent throughout, whose table would have a single slot without 0
+    and 1."""
+    n = draw(st.sampled_from([1, 1, 2, 3]))
+    params = draw(st.integers(1 if n == 1 else 0, 2))
+    sig = Signature(tuple(f"z{j + 1}" for j in range(n)), None, ("a", "b")[:params])
+    top = draw(st.sampled_from([1, 2, 8, None]))
+    same = draw(st.sampled_from([2, 3, 8]))
+    size = draw(st.sampled_from([1, 1, 3]))
+    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+
+    def exponent():
+        if top is None:
+            return (same,) * len(sig.vars)
+        return tuple(draw(st.integers(0, top)) for _ in sig.vars)
+
+    entries = [[Poly(sig.vars, {exponent(): draw(coefficients) for _ in range(size)})
+                for _ in range(cols)] for _ in range(rows)]
+    return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
+
+
+@settings(max_examples=150, deadline=None)
+@given(power_layouts(), st.integers(0, 999), st.booleans())
+def test_kernel_matches_per_entry_in_power_route_layouts(sym, seed, search):
+    """On Sobol points of every variable, or on the search's points: sphere
+    points with the parameters held at 1.0."""
+    sig = sym.signature
+    if search:
+        pts = batch(len(sig.derivative_vars), 2_000, seed)
+        pts = np.hstack([pts, np.ones((len(pts), len(sig.params)))])
+    else:
+        pts = batch(len(var_order(sym)), 2_000, seed)
+    assert_same(sym, pts)
+    p = sym.body[0, 0]
+    got = sphere.compile_matrix(PolyMatrix(p.vars, [[p]]), var_order(sym))(pts)
+    assert np.array_equal(got[:, 0, 0], _compile_poly(p, var_order(sym))(pts))
+
+
+@pytest.mark.parametrize("rows", [1, 2, 2047, 2048, 2049, 4097, 20_000])
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_blocked_scan_matches_one_call(rows, data):
+    """The scan values ``_SCAN_BLOCK`` rows per call; every row keeps the
+    bits of one call over all the rows, for the kernel's complex values and
+    for the least eigenvalue the search minimizes.  At 2049 and 4097 rows a
+    one-row last block would sum its row as a dot product, not as a row of a
+    matrix-vector product."""
+    assert sphere._SCAN_BLOCK == 2048
+    sym = data.draw(symbol_matrices(spatial=4))
+    order = var_order(sym)
+    pts = _unit_rows(len(order), rows, data.draw(st.integers(0, 999)))
+    kernel = sphere.compile_matrix(sym.body, order)
+    want = kernel(pts)
+    got = sphere._scan(kernel, pts)
+    assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    fn = _values(sym)
+    assert sphere._scan(fn, pts).tobytes() == fn(pts).tobytes()
+
+
+def test_sphere_points_are_memoized_read_only():
+    fresh = sphere._sphere_points.__wrapped__(3, 20_000, DEFAULT_SEED)
+    pts = sphere._sphere_points(3, 20_000, DEFAULT_SEED)
+    assert sphere._sphere_points(3, 20_000, DEFAULT_SEED) is pts
+    assert pts.shape == fresh.shape and pts.tobytes() == fresh.tobytes()
+    assert sphere._sphere_points.cache_info().maxsize == sphere._POINTS_CACHED
+    for points in (pts, sphere._sphere_points(1, 20_000, DEFAULT_SEED)):
+        assert not points.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            points[0, 0] = 0.5
+        with pytest.raises(ValueError, match="read-only"):
+            points *= 2.0
+    assert pts.tobytes() == fresh.tobytes()
+
+
+def test_one_by_one_least_eigenvalue_matches_eigvalsh():
+    """At n = 1 the least eigenvalue is read from the Hermitian part without
+    LAPACK, with the bits ``np.linalg.eigvalsh`` returns."""
+    rng = np.random.default_rng(13)
+    size = 200_000
+    parts = [rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
+             for _ in range(2)]
+    edge = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+            np.finfo(float).max, -np.finfo(float).max, 1e-300, 1e300]
+    re = np.concatenate([parts[0], np.repeat(edge, len(edge))])
+    im = np.concatenate([parts[1], np.tile(edge, len(edge))])
+    mats = re.astype(complex)
+    mats.imag = im  # re + 1j * im would turn an infinite part into NaNs
+    mats = mats.reshape(-1, 1, 1)
+    with np.errstate(invalid="ignore", over="ignore"):
+        herm = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
+        want = np.linalg.eigvalsh(herm)[:, 0].real
+        got = sphere._least_eigenvalue(mats)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Sobol, ndtri and Nelder-Mead: bit identity with scipy
 
