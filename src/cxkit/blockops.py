@@ -5,8 +5,13 @@ laid out with the *highest* degree first, matching how the classical systems
 are usually displayed (top-left block = degree q).  ``B_j`` denotes the
 projection onto the degree-j component; ``block_inject`` realizes the
 characteristic pattern ``B_r P B_c`` of placing an operator P into one block
-of the big matrix.  The block helpers accept operator and symbol matrices
-alike and return the type they were given.
+of the big matrix, and ``block_diagonal`` the sum ``sum_j B_j P_j B_j`` that
+puts Laplacians or time terms on the diagonal.  The block helpers accept
+operator and symbol matrices alike and return the type they were given.
+
+The evolution builders share one time lift: the complex and its weights are
+lifted to a signature with a time variable ``dt`` (plus the parameters of
+the time coefficients b_0..b_q), and the time terms go on the diagonal.
 
 The builders take their zero and identity matrices from the complex, so on
 ``Complex.principal_symbols()`` with the weights' ``MuSet.principal_symbols``
@@ -25,15 +30,11 @@ with the unweighted Maxwell off-diagonal scaled by a coupling flag ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
+from operator import add
 from typing import Mapping, Sequence, TypeVar
 
-from cxkit.complexes import (
-    Complex,
-    LowerOrderPart,
-    MuSet,
-    generalized_laplacian,
-    perturbed_laplacian,
-)
+from cxkit.complexes import Complex, MuSet, generalized_laplacian, perturbed_laplacian
 from cxkit.diffop import OperatorMatrix, Signature, SignatureMatrix
 from cxkit.poly import GaussianRational, Poly
 
@@ -111,21 +112,36 @@ def embed_trailing(op: MatrixT, size: int) -> MatrixT:
     return type(op)(op.signature, body)
 
 
+def block_diagonal(part: BlockPartition, blocks: Mapping[int, MatrixT]) -> MatrixT:
+    """``sum_j B_j blocks[j] B_j`` for a nonempty ``{degree: matrix}`` map.
+
+    The blocks are disjoint, so each entry of the sum is one block's entry as
+    stored (adding a zero entry returns the other operand unchanged).
+    """
+    return reduce(add, (block_inject(part, blk, j, j) for j, blk in blocks.items()))
+
+
 def _as_scalar_poly(value, sig: Signature) -> Poly:
     if isinstance(value, Poly):
         return value.lift(sig.vars)
     return Poly.constant(sig.vars, value)
 
 
-def _time_signature(cplx: Complex, coeffs: Sequence) -> Signature:
+def _with_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None
+               ) -> tuple[Complex, MuSet, list[Poly], Poly]:
+    """The time lift of a degree-q block operator: the complex and the weights
+    (identity for ``None``) over a signature with a time variable (``dt``
+    unless the complex has one) and the parameters of ``b``, the time
+    coefficients b_0..b_q as polynomials over it, and the time variable."""
+    if len(b) != q + 1:
+        raise ValueError(f"need q+1 = {q + 1} time coefficients, got {len(b)}")
     sig = cplx.signature
-    params = set(sig.params)
-    for c in coeffs:
-        if isinstance(c, Poly):
-            params |= set(c.vars)
-    params -= set(sig.spatial)
-    params.discard(sig.time or "dt")
-    return Signature(sig.spatial, sig.time or "dt", tuple(sorted(params)))
+    time = sig.time or "dt"
+    params = set(sig.params).union(*(c.vars for c in b if isinstance(c, Poly)))
+    sig = Signature(sig.spatial, time, tuple(sorted(params - set(sig.spatial) - {time})))
+    cplx = cplx.lift(sig)
+    mu = MuSet.identity(cplx) if mu is None else mu.lift(cplx)
+    return cplx, mu, [_as_scalar_poly(c, sig) for c in b], Poly.variable(sig.vars, time)
 
 
 # ---------------------------------------------------------------------------
@@ -159,20 +175,10 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     ``b`` is indexed by degree (b[0] .. b[q]); entries may be exact constants
     or parameter polynomials.
     """
-    if len(b) != q + 1:
-        raise ValueError(f"need q+1 = {q + 1} time coefficients, got {len(b)}")
-    sig = _time_signature(cplx, b)
-    cplx = cplx.lift(sig)
-    if mu is not None:
-        mu = mu.lift(cplx)
+    cplx, mu, b, dt = _with_time(cplx, q, b, mu)
     part = BlockPartition.for_degree(cplx, q)
-    total = maxwell(cplx, q, mu, variant)
-    dt = Poly.variable(sig.vars, sig.time)
-    for j in range(q + 1):
-        coeff = _as_scalar_poly(b[j], sig) * dt
-        diag = OperatorMatrix.identity(sig, part.ranks[j]).scale(coeff)
-        total = total + block_inject(part, diag, j, j)
-    return total
+    time = {j: cplx.identity(part.ranks[j]).scale(bj * dt) for j, bj in enumerate(b)}
+    return maxwell(cplx, q, mu, variant) + block_diagonal(part, time)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +186,7 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
 
 
 def _diagonal_ops(cplx: Complex, q: int, mu: MuSet,
-                  lowers: Mapping[int, LowerOrderPart | OperatorMatrix] | None
+                  lowers: Mapping[int, OperatorMatrix] | None
                   ) -> list[OperatorMatrix]:
     lowers = lowers or {}
     return [perturbed_laplacian(cplx, j, mu, lowers.get(j)) for j in range(q + 1)]
@@ -195,18 +201,15 @@ def assemble_stokes(cplx: Complex, q: int,
         sig = sig.merge(d.signature)
     cplx = cplx.lift(sig) if cplx.signature != sig else cplx
     part = BlockPartition.for_degree(cplx, q)
-    total = OperatorMatrix.zero(sig, part.size, part.size)
-    for j, diag in enumerate(diagonal):
-        total = total + block_inject(part, diag.lift(sig), j, j)
+    total = block_diagonal(part, {j: d.lift(sig) for j, d in enumerate(diagonal)})
     a_poly = _as_scalar_poly(a, sig)
     if not a_poly.is_zero:
-        off = maxwell(cplx, q, None, 0).scale(a_poly)
-        total = total + off
+        total = total + maxwell(cplx, q, None, 0).scale(a_poly)
     return total
 
 
 def stokes(cplx: Complex, q: int, mu: MuSet | None = None,
-           lowers: Mapping[int, LowerOrderPart | OperatorMatrix] | None = None,
+           lowers: Mapping[int, OperatorMatrix] | None = None,
            a=1) -> OperatorMatrix:
     """The degree-q Stokes operator: perturbed generalized Laplacians on the
     diagonal, coupling off-diagonal scaled by ``a``."""
@@ -216,7 +219,7 @@ def stokes(cplx: Complex, q: int, mu: MuSet | None = None,
 
 
 def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
-                lowers: Mapping[int, LowerOrderPart | OperatorMatrix] | None = None,
+                lowers: Mapping[int, OperatorMatrix] | None = None,
                 a=1, kind: str = "parabolic") -> OperatorMatrix:
     """Evolution Stokes operators.
 
@@ -225,42 +228,28 @@ def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
 
     A zero ``b_j`` removes the whole diagonal block at degree j.
     """
-    if len(b) != q + 1:
-        raise ValueError(f"need q+1 = {q + 1} time coefficients, got {len(b)}")
+    cplx, mu, b, dt = _with_time(cplx, q, b, mu)
     if kind not in ("parabolic", "hyperbolic"):
         raise ValueError("kind must be 'parabolic' or 'hyperbolic'")
-    sig = _time_signature(cplx, b)
-    cplx_t = cplx.lift(sig)
-    if mu is None:
-        mu = MuSet.identity(cplx)
-    mu_t = mu.lift(cplx_t)
-    lowers_t = None
-    if lowers:
-        lowers_t = {}
-        for j, low in lowers.items():
-            if isinstance(low, LowerOrderPart):
-                lowers_t[j] = LowerOrderPart(
-                    c=low.c.lift(sig) if low.c is not None else None,
-                    ct=low.ct.lift(sig) if low.ct is not None else None,
-                    m=low.m.lift(sig) if low.m is not None else None,
-                )
-            else:
-                lowers_t[j] = low.lift(sig)
-    steady = _diagonal_ops(cplx_t, q, mu_t, lowers_t)
-    dt = Poly.variable(sig.vars, sig.time)
-    time_term = dt if kind == "parabolic" else dt * dt
-    diagonal = []
-    for j, d in enumerate(steady):
-        coeff = _as_scalar_poly(b[j], sig)
-        if kind == "parabolic":
-            coeff = coeff * coeff
-        ident = OperatorMatrix.identity(sig, cplx_t.rank(j))
-        diagonal.append((d + ident.scale(time_term)).scale(coeff))
-    return assemble_stokes(cplx_t, q, diagonal, a)
+    lowers = {j: low.lift(cplx.signature) for j, low in (lowers or {}).items()}
+    square = kind == "parabolic"
+    time_term = dt if square else dt * dt
+    diagonal = [(d + cplx.identity(d.rows).scale(time_term)).scale(bj * bj if square else bj)
+                for d, bj in zip(_diagonal_ops(cplx, q, mu, lowers), b)]
+    return assemble_stokes(cplx, q, diagonal, a)
 
 
 # ---------------------------------------------------------------------------
 # Factorization checks
+
+
+def _factorization_rhs(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:
+    """``B_q A_{q-1} mu1_q A_{q-1}* B_q + sum_{j<q} B_j GL_j B_j``; at q = 0
+    the top block is the k_0 x k_0 zero."""
+    a = cplx.op(q - 1)
+    blocks = {j: generalized_laplacian(cplx, j, mu) for j in range(q)}
+    blocks[q] = a @ mu.mu1(q) @ a.formal_adjoint()
+    return block_diagonal(BlockPartition.for_degree(cplx, q), blocks)
 
 
 def factorization_residual(cplx: Complex, q: int, mu: MuSet | None = None
@@ -271,16 +260,8 @@ def factorization_residual(cplx: Complex, q: int, mu: MuSet | None = None
     """
     if mu is None:
         mu = MuSet.identity(cplx)
-    part = BlockPartition.for_degree(cplx, q)
     lhs = maxwell(cplx, q, mu, 1) @ maxwell(cplx, q, mu, 0)
-    rhs = cplx.zero(part.size, part.size)
-    if q > 0:
-        a = cplx.op(q - 1)
-        top = a @ mu.mu1(q) @ a.formal_adjoint()
-        rhs = rhs + block_inject(part, top, q, q)
-    for j in range(q):
-        rhs = rhs + block_inject(part, generalized_laplacian(cplx, j, mu), j, j)
-    return lhs - rhs
+    return lhs - _factorization_rhs(cplx, q, mu)
 
 
 def verify_factorization(cplx: Complex, q: int, mu: MuSet | None = None) -> bool:
@@ -299,32 +280,14 @@ def wave_factorization_residual(cplx: Complex, q: int, b: Sequence,
     time profile b (the cross terms between the time diagonal and the
     off-diagonal couplings cancel in pairs only when b_j = b_{j+1}).
     """
-    if mu is None:
-        mu = MuSet.identity(cplx)
-    sig = _time_signature(cplx, b)
-    i_unit = Poly.constant(sig.vars, GaussianRational.i())
-    minus_ib = [_as_scalar_poly(c, sig).scale(-1) * i_unit for c in b]
-    plus_ib = [_as_scalar_poly(c, sig) * i_unit for c in b]
-    lhs = maxwell_time(cplx, q, minus_ib, mu, 1) @ maxwell_time(cplx, q, plus_ib, mu, 0)
-
-    cplx_t = cplx.lift(sig)
-    mu_t = mu.lift(cplx_t)
+    cplx_t, mu_t, b, dt = _with_time(cplx, q, b, mu)
+    i = Poly.constant(cplx_t.signature.vars, GaussianRational.i())
+    lhs = (maxwell_time(cplx, q, [bj.scale(-1) * i for bj in b], mu, 1)
+           @ maxwell_time(cplx, q, [bj * i for bj in b], mu, 0))
     part = BlockPartition.for_degree(cplx_t, q)
-    dt = Poly.variable(sig.vars, sig.time)
     dtt = dt * dt
-    rhs = OperatorMatrix.zero(sig, part.size, part.size)
-    for j in range(q + 1):
-        if j == q and q > 0:
-            a = cplx_t.op(q - 1)
-            core = a @ mu_t.mu1(q) @ a.formal_adjoint()
-        elif j == q:
-            core = OperatorMatrix.zero(sig, part.ranks[q], part.ranks[q])
-        else:
-            core = generalized_laplacian(cplx_t, j, mu_t)
-        bj = _as_scalar_poly(b[j], sig)
-        blk = core + OperatorMatrix.identity(sig, part.ranks[j]).scale(dtt * bj * bj)
-        rhs = rhs + block_inject(part, blk, j, j)
-    return lhs - rhs
+    time = {j: cplx_t.identity(part.ranks[j]).scale(dtt * bj * bj) for j, bj in enumerate(b)}
+    return lhs - (_factorization_rhs(cplx_t, q, mu_t) + block_diagonal(part, time))
 
 
 def verify_wave_factorization(cplx: Complex, q: int, b: Sequence,
@@ -336,6 +299,7 @@ __all__ = [
     "BlockPartition",
     "block_inject",
     "block_extract",
+    "block_diagonal",
     "trailing_minor",
     "embed_trailing",
     "maxwell",

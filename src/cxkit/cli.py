@@ -17,7 +17,7 @@ import json
 import sys
 
 from cxkit import blockops, dsl, ellipticity, fixtures, symbols, syzygy
-from cxkit.complexes import MuSet, check_coherence, laplacian, generalized_laplacian
+from cxkit.complexes import Complex, MuSet, check_coherence, generalized_laplacian
 
 
 def _op_json(op) -> dict:
@@ -35,24 +35,20 @@ def _load_doc(args) -> dsl.SpecDocument:
         return dsl.parse(fh.read())
 
 
-def _pick_complex(doc: dsl.SpecDocument, name: str | None):
-    if name is None:
-        if len(doc.complexes) != 1:
-            raise ValueError("--name required when the spec defines several complexes")
-        name = next(iter(doc.complexes))
-    if name not in doc.complexes:
-        raise ValueError(f"unknown complex {name!r}")
-    return name, doc.complexes[name]
+_SINGULAR = {"complexes": "complex", "operators": "operator"}
 
 
-def _pick_operator(doc: dsl.SpecDocument, name: str | None):
+def _pick(doc: dsl.SpecDocument, kind: str, name: str | None):
+    """The ``--name`` entry of the spec's ``kind`` ("complexes" or
+    "operators"), or its only one when no name is given."""
+    found = getattr(doc, kind)
     if name is None:
-        if len(doc.operators) != 1:
-            raise ValueError("--name required when the spec defines several operators")
-        name = next(iter(doc.operators))
-    if name not in doc.operators:
-        raise ValueError(f"unknown operator {name!r}")
-    return name, doc.operators[name]
+        if len(found) != 1:
+            raise ValueError(f"--name required when the spec defines several {kind}")
+        name = next(iter(found))
+    if name not in found:
+        raise ValueError(f"unknown {_SINGULAR[kind]} {name!r}")
+    return name, found[name]
 
 
 # ---------------------------------------------------------------------------
@@ -82,22 +78,19 @@ def cmd_verify(args) -> dict:
 
 def cmd_laplacian(args) -> dict:
     doc = _load_doc(args)
-    name, cplx = _pick_complex(doc, args.name)
-    mu = doc.mu_set(name)
+    name, cplx = _pick(doc, "complexes", args.name)
+    mu = doc.mu_set(name) or MuSet.identity(cplx)
     degrees = [args.degree] if args.degree is not None else range(cplx.length + 1)
     out = []
     for q in degrees:
-        if mu is None:
-            op = laplacian(cplx, q)
-        else:
-            op = generalized_laplacian(cplx, q, mu)
+        op = generalized_laplacian(cplx, q, mu)
         out.append({"degree": q, "operator": _op_json(op)})
     return {"command": "laplacian", "complex": name, "laplacians": out, "ok": True}
 
 
 def cmd_maxwell(args) -> dict:
     doc = _load_doc(args)
-    name, cplx = _pick_complex(doc, args.name)
+    name, cplx = _pick(doc, "complexes", args.name)
     q = args.degree if args.degree is not None else cplx.length
     op = blockops.maxwell(cplx, q, doc.mu_set(name), args.variant)
     return {"command": "maxwell", "complex": name, "degree": q,
@@ -106,7 +99,7 @@ def cmd_maxwell(args) -> dict:
 
 def cmd_stokes(args) -> dict:
     doc = _load_doc(args)
-    name, cplx = _pick_complex(doc, args.name)
+    name, cplx = _pick(doc, "complexes", args.name)
     q = args.degree if args.degree is not None else cplx.length
     op = blockops.stokes(cplx, q, doc.mu_set(name))
     return {"command": "stokes", "complex": name, "degree": q,
@@ -115,7 +108,7 @@ def cmd_stokes(args) -> dict:
 
 def cmd_ellipticity(args) -> dict:
     doc = _load_doc(args)
-    name, op = _pick_operator(doc, args.name)
+    name, op = _pick(doc, "operators", args.name)
     kinds = {
         "petrovskii": ellipticity.petrovskii_check,
         "strong": ellipticity.strong_ellipticity_check,
@@ -129,7 +122,7 @@ def cmd_ellipticity(args) -> dict:
 
 def cmd_dn_weights(args) -> dict:
     doc = _load_doc(args)
-    name, cplx = _pick_complex(doc, args.name)
+    name, cplx = _pick(doc, "complexes", args.name)
     mu = doc.mu_set(name)
     if args.stokes:
         q = args.degree if args.degree is not None else cplx.length
@@ -143,7 +136,7 @@ def cmd_dn_weights(args) -> dict:
 
 def cmd_parametrix(args) -> dict:
     doc = _load_doc(args)
-    name, cplx = _pick_complex(doc, args.name)
+    name, cplx = _pick(doc, "complexes", args.name)
     mu = doc.mu_set(name)
     try:
         f = symbols.maxwell_parametrix_symbol(cplx, mu, args.side)
@@ -158,7 +151,7 @@ def cmd_parametrix(args) -> dict:
 
 def cmd_syzygy(args) -> dict:
     doc = _load_doc(args)
-    name, op = _pick_operator(doc, args.name)
+    name, op = _pick(doc, "operators", args.name)
     b = syzygy.compatibility_operator(op, budget=args.budget)
     sound = (b @ op).is_zero if b.rows else True
     return {"command": "syzygy", "operator": name,
@@ -167,9 +160,8 @@ def cmd_syzygy(args) -> dict:
 
 def cmd_extend(args) -> dict:
     doc = _load_doc(args)
-    name, op = _pick_operator(doc, args.name)
+    name, op = _pick(doc, "operators", args.name)
     ops = syzygy.extend_to_complex(op, max_steps=args.max_steps, budget=args.budget)
-    from cxkit.complexes import Complex
     cplx = Complex(ops)
     return {
         "command": "extend", "operator": name,

@@ -15,7 +15,6 @@ three operators are literally gradient, curl and divergence.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Sequence
@@ -329,53 +328,28 @@ def check_coherence(cplx: Complex, mu: MuSet, q: int) -> bool:
     return prod.is_zero
 
 
-@dataclass(frozen=True)
-class LowerOrderPart:
-    """Lower-order perturbation C_q A_q + Ct_q A_{q-1}* + M_q."""
-
-    c: OperatorMatrix | None = None      # k_q x k_{q+1}
-    ct: OperatorMatrix | None = None     # k_q x k_{q-1}
-    m: OperatorMatrix | None = None      # k_q x k_q
-
-    def assemble(self, cplx: Complex, q: int) -> OperatorMatrix:
-        total = cplx.zero(cplx.rank(q), cplx.rank(q))
-        if self.c is not None:
-            total = total + self.c @ cplx.op(q)
-        if self.ct is not None:
-            total = total + self.ct @ cplx.op(q - 1).formal_adjoint()
-        if self.m is not None:
-            total = total + self.m
-        return total
-
-
 def perturbed_laplacian(cplx: Complex, q: int, mu: MuSet,
-                        lower: LowerOrderPart | OperatorMatrix | None = None,
-                        *, check_order: bool = True) -> OperatorMatrix:
+                        lower: OperatorMatrix | None = None) -> OperatorMatrix:
     """Generalized Laplacian plus an explicitly lower-order perturbation.
 
     The perturbation must have order at most ``2 (m_q + mtilde_q) - 1`` where
-    ``m_q`` is the order of A_q (of A_{q-1} at the top degree).
+    ``m_q`` is the order of A_q (of A_{q-1} at the top degree); a higher one
+    raises ``ValueError``.
     """
     top = generalized_laplacian(cplx, q, mu)
     if lower is None:
         return top
-    if isinstance(lower, LowerOrderPart):
-        lower = lower.assemble(cplx, q)
-    if check_order:
-        m_q = cplx.op(q).order() if q < cplx.length else cplx.op(q - 1).order()
-        mtilde2, _ = mu.orders(q)
-        limit = 2 * m_q + mtilde2 - 1
-        if lower.order() > limit:
-            raise ValueError(
-                f"perturbation order {lower.order()} exceeds the limit {limit}"
-            )
+    m_q = cplx.op(q).order() if q < cplx.length else cplx.op(q - 1).order()
+    mtilde2, _ = mu.orders(q)
+    limit = 2 * m_q + mtilde2 - 1
+    if lower.order() > limit:
+        raise ValueError(f"perturbation order {lower.order()} exceeds the limit {limit}")
     return top + lower
 
 
 __all__ = [
     "Complex",
     "MuSet",
-    "LowerOrderPart",
     "koszul_complex",
     "de_rham_complex",
     "imaginary_de_rham_complex",

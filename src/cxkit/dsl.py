@@ -8,15 +8,17 @@ Grammar (one statement per line, ``#`` comments)::
     operator A = [[d1, 0], [d2, d1], [0, d2]]
     complex C = ops(A, B)     # or de_rham(3), koszul(d1, d2), dolbeault(2),
                               #    power_de_rham(3, 2)
-    mu C 1 scalar mu          # weight assignment: complex, degree, kind, value
+    mu C 1 scalar mu          # weight assignment: complex, degree (0..N, once
+                              #    each), kind (only scalar), value
     task verify C
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
 ``MAX_EXPONENT``, denominators nonzero, the total degree of a power or
 product at most ``poly.MAX_DEGREE``, a bound on its term count at most
-``MAX_TERMS`` and one on its coefficients' bit length at most
-``MAX_COEFF_BITS``.  Builder sizes are at least 1 and at most what keeps
+``MAX_TERMS``, one on its coefficients' bit length at most
+``MAX_COEFF_BITS`` and one on the term products of each multiply at most
+``MAX_TERM_PRODUCTS``.  Builder sizes are at least 1 and at most what keeps
 every differential within ``MAX_MATRIX_ENTRIES`` entries, and the
 ``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  Parse errors carry
 line/column.
@@ -50,6 +52,11 @@ MAX_TERMS = 10_000
 # multiplying: ((1+d1)^64)^64 passes the two caps above, and its 4096-bit
 # binomials took about 20 s to expand.
 MAX_COEFF_BITS = 1024
+# Most term products one multiply of a power or product may take, by the
+# bound ``_check_size`` takes before multiplying: ``MAX_TERMS`` bounds only
+# the result, and (d1^0 + d1 + ... + d1^64)^64, 4097 terms, squares a
+# 2049-term polynomial on its way (about 3 s).
+MAX_TERM_PRODUCTS = 1_000_000
 # Most entries a builder's largest differential may have.  The builders are
 # wedge (Koszul) complexes on n generators, whose largest differential is
 # C(n, q + 1) x C(n, q) at q = (n - 1) // 2: 3920 entries at n = 8, and
@@ -87,9 +94,7 @@ class SpecDocument:
         cplx = self.complexes[name]
         mu0: dict[int, OperatorMatrix] = {}
         mu1: dict[int, OperatorMatrix] = {}
-        for degree, kind, value in specs:
-            if kind != "scalar":
-                raise ValueError(f"unknown mu kind {kind!r}")
+        for degree, _, value in specs:  # ``parse`` admits only scalar weights
             v = value.lift(cplx.signature.vars)
             k0 = cplx.rank(degree + 1)
             if k0:
@@ -211,9 +216,9 @@ class _Parser:
         total = self.factor()
         while star := self.accept("punct", "*"):
             factor = self.factor()
-            _check_size(total.total_degree() + factor.total_degree(),
-                        len(total.terms) * len(factor.terms),
-                        total._coeff_bits() + factor._coeff_bits(),
+            products = len(total.terms) * len(factor.terms)
+            _check_size(total.total_degree() + factor.total_degree(), products,
+                        total._coeff_bits() + factor._coeff_bits(), products,
                         len(total.vars), star)
             total = total * factor
         return total
@@ -228,7 +233,8 @@ class _Parser:
                                 exp.line, exp.column)
             e, t = int(exp.text), len(atom.terms)
             _check_size(atom.total_degree() * e, comb(t + e - 1, e) if t else 1,
-                        atom._coeff_bits() * e, len(atom.vars), exp)
+                        atom._coeff_bits() * e, _power_products(atom, e),
+                        len(atom.vars), exp)
             return atom ** e
         return atom
 
@@ -280,14 +286,41 @@ class _Parser:
         return row
 
 
-def _check_size(degree: int, terms: int, bits: int, nvars: int, tok: Token) -> None:
+def _power_products(atom: Poly, e: int) -> int:
+    """A bound on the term products of the largest multiply ``atom ** e``
+    takes: ``Poly.__pow__`` squares and multiplies, low bit first, and the
+    k-th power has at most the multisets of k terms and the monomials of
+    degree at most k times the atom's."""
+    t, degree, nvars = len(atom.terms), atom.total_degree(), len(atom.vars)
+    if not t:
+        return 0
+
+    def terms(k: int) -> int:
+        return min(comb(t + k - 1, k), comb(degree * k + nvars, nvars))
+
+    most, done, k = 0, 0, 1
+    while e:
+        if e & 1:
+            most = max(most, terms(done) * terms(k))
+            done += k
+        if e > 1:
+            most = max(most, terms(k) ** 2)
+        k *= 2
+        e >>= 1
+    return most
+
+
+def _check_size(degree: int, terms: int, bits: int, products: int, nvars: int,
+                tok: Token) -> None:
     """A located error, before the multiply, for a power or product whose
     total degree would pass what ``Poly`` can hold, whose term count could
-    pass ``MAX_TERMS``, or whose coefficients could pass ``MAX_COEFF_BITS``.
-    ``terms`` bounds that count from the operands' terms (a product of their
-    counts, or the multisets of a power); the monomials of degree at most
-    ``degree`` in ``nvars`` variables bound it too.  ``bits`` bounds the
-    coefficients from the operands' ``Poly._coeff_bits``."""
+    pass ``MAX_TERMS``, whose coefficients could pass ``MAX_COEFF_BITS``, or
+    one of whose multiplies could take more than ``MAX_TERM_PRODUCTS`` term
+    products.  ``terms`` bounds that count from the operands' terms (a product
+    of their counts, or the multisets of a power); the monomials of degree at
+    most ``degree`` in ``nvars`` variables bound it too.  ``bits`` bounds the
+    coefficients from the operands' ``Poly._coeff_bits``, and ``products``
+    the term products of the largest multiply."""
     if degree > MAX_DEGREE:
         raise SpecError(f"total degree {degree} exceeds {MAX_DEGREE}", tok.line, tok.column)
     bound = min(terms, comb(max(degree, 0) + nvars, nvars))
@@ -295,6 +328,9 @@ def _check_size(degree: int, terms: int, bits: int, nvars: int, tok: Token) -> N
         raise SpecError(f"term count bound {bound} exceeds {MAX_TERMS}", tok.line, tok.column)
     if bits > MAX_COEFF_BITS:
         raise SpecError(f"coefficient bit length bound {bits} exceeds {MAX_COEFF_BITS}",
+                        tok.line, tok.column)
+    if products > MAX_TERM_PRODUCTS:
+        raise SpecError(f"term products bound {products} exceeds {MAX_TERM_PRODUCTS}",
                         tok.line, tok.column)
 
 
@@ -343,11 +379,21 @@ def parse(text: str) -> SpecDocument:
             cname = p.expect("name").text
             if cname not in doc.complexes:
                 raise SpecError(f"unknown complex {cname!r}", head.line, head.column)
-            degree = int(p.expect("int").text)
-            kind = p.expect("name").text
+            tok = p.expect("int")
+            degree, top = int(tok.text), doc.complexes[cname].length
+            specs = doc.mu_specs.setdefault(cname, [])
+            if degree > top:
+                raise SpecError(f"mu degree {degree} outside 0..{top} of {cname}",
+                                tok.line, tok.column)
+            if any(d == degree for d, _, _ in specs):
+                raise SpecError(f"mu degree {degree} of {cname} already set",
+                                tok.line, tok.column)
+            tok = p.expect("name")
+            if tok.text != "scalar":
+                raise SpecError(f"unknown mu kind {tok.text!r}", tok.line, tok.column)
             value = p.expression()
             p.expect("end")
-            doc.mu_specs.setdefault(cname, []).append((degree, kind, value))
+            specs.append((degree, tok.text, value))
         elif head.text == "task":
             words = []
             while p.current.kind in ("name", "int"):

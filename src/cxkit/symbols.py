@@ -19,6 +19,7 @@ from typing import Mapping, Sequence
 
 from cxkit.blockops import (
     BlockPartition,
+    block_diagonal,
     block_inject,
     embed_trailing,
     factorization_residual,
@@ -323,11 +324,9 @@ def _n_symbol(sym: Complex, q: int, mus: MuSet,
 def _stokes_rhs(sym: Complex, mus: MuSet, q: int) -> RationalSymbolMatrix:
     """``sum_{j<=q} B_j delta_{j,mu} B_j``, the right side of the Stokes
     identities (the weights below q are the identity)."""
-    part = BlockPartition.for_degree(sym, q)
-    total = sym.zero(part.size, part.size)
-    for j in range(q + 1):
-        total = total + block_inject(part, generalized_laplacian(sym, j, mus), j, j)
-    return RationalSymbolMatrix.from_symbol(total)
+    blocks = {j: generalized_laplacian(sym, j, mus) for j in range(q + 1)}
+    return RationalSymbolMatrix.from_symbol(
+        block_diagonal(BlockPartition.for_degree(sym, q), blocks))
 
 
 def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet

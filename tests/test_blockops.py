@@ -5,9 +5,11 @@ import pytest
 from cxkit.blockops import (
     BlockPartition,
     assemble_stokes,
+    block_diagonal,
     block_extract,
     block_inject,
     embed_trailing,
+    factorization_residual,
     maxwell,
     maxwell_time,
     stokes,
@@ -57,6 +59,25 @@ def test_block_inject_extract_roundtrip():
     assert isinstance(big_sym, SymbolMatrix)
     assert block_extract(part, big_sym, 1, 0) == sym
     assert block_extract(part, big_sym, 0, 1).is_zero
+
+
+@pytest.mark.parametrize("symbol", [False, True])
+def test_block_diagonal_is_sum_of_injections(symbol):
+    part = BlockPartition.for_degree(CPLX3, 3)
+    blocks = {j: laplacian(CPLX3, j) for j in range(4)}
+    blocks[2] = blocks[2] + CPLX3.identity(3)
+    if symbol:
+        blocks = {j: b.principal_symbol() for j, b in blocks.items()}
+    total = block_diagonal(part, blocks)
+    expected = block_inject(part, blocks[0], 0, 0)
+    for j in (1, 2, 3):
+        expected = expected + block_inject(part, blocks[j], j, j)
+    assert type(total) is type(blocks[0])
+    assert total == expected
+    # a partial map leaves the other diagonal blocks zero
+    partial = block_diagonal(part, {1: blocks[1]})
+    assert partial == block_inject(part, blocks[1], 1, 1)
+    assert block_extract(part, partial, 2, 2).is_zero
 
 
 def test_block_inject_shape_check():
@@ -155,6 +176,48 @@ def test_stokes_weighted_diagonal():
         assert block_extract(part, s, j, j) == generalized_laplacian(cplx, j, mu)
 
 
+def _zero_order(cplx, k):
+    """A constant k x k perturbation with distinct entries."""
+    sig = cplx.signature
+    return OperatorMatrix.from_entries(
+        sig, [[Poly.constant(sig.vars, 1 + r * k + c) for c in range(k)] for r in range(k)])
+
+
+def test_stokes_lowers_land_on_their_block():
+    part = BlockPartition.for_degree(CPLX3, 2)
+    m = _zero_order(CPLX3, 3)
+    s = stokes(CPLX3, 2, lowers={1: m})
+    assert block_extract(part, s, 1, 1) == laplacian(CPLX3, 1) + m
+    for j in (0, 2):
+        assert block_extract(part, s, j, j) == laplacian(CPLX3, j)
+    assert s - block_inject(part, m, 1, 1) == stokes(CPLX3, 2)
+
+
+def test_stokes_lowers_above_the_order_limit_raise():
+    """de Rham operators have order one, so the limit is 2*1 - 1 = 1."""
+    d1 = CPLX3.op(0)[0, 0]
+    first = CPLX3.identity(3).scale(d1)
+    assert block_extract(BlockPartition.for_degree(CPLX3, 1),
+                         stokes(CPLX3, 1, lowers={1: first}), 1, 1) \
+        == laplacian(CPLX3, 1) + first
+    with pytest.raises(ValueError, match="perturbation order 2 exceeds the limit 1"):
+        stokes(CPLX3, 1, lowers={1: first.scale(d1)})
+
+
+def test_stokes_time_lifts_lowers():
+    part = BlockPartition.for_degree(CPLX3, 1)
+    m = _zero_order(CPLX3, 3)
+    s = stokes_time(CPLX3, 1, [1, 2], lowers={1: m}, kind="hyperbolic")
+    sig = s.signature
+    assert sig.time == "dt" and m.signature.time is None
+    dt = Poly.variable(sig.vars, "dt")
+    expected = (laplacian(CPLX3, 1).lift(sig) + m.lift(sig)
+                + OperatorMatrix.identity(sig, 3).scale(dt * dt)).scale(2)
+    assert block_extract(part, s, 1, 1) == expected
+    assert block_extract(part, s, 0, 0) == block_extract(
+        part, stokes_time(CPLX3, 1, [1, 2], kind="hyperbolic"), 0, 0)
+
+
 def test_stokes_coupling_scale():
     part = BlockPartition.for_degree(CPLX3, 1)
     s = stokes(CPLX3, 1, a=0)
@@ -212,6 +275,25 @@ def test_factorization_identity_weights(n):
     cplx = de_rham_complex(n)
     for q in range(1, n + 1):
         assert verify_factorization(cplx, q)
+
+
+def test_factorization_at_degree_zero():
+    """At q = 0 both sides are the k_0 x k_0 zero: M0 and M1 are zero and
+    the top block A_{-1} mu1_0 A_{-1}* is empty."""
+    cplx = de_rham_complex(3, params=("mu",))
+    mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
+    for weights in (None, mu):
+        assert verify_factorization(cplx, 0, weights)
+        res = factorization_residual(cplx, 0, weights)
+        assert (res.rows, res.cols) == (1, 1)
+
+
+def test_wave_factorization_at_degree_zero():
+    c = Poly.variable(("c",), "c")
+    for b in ([1], [c], [GaussianRational.of(3)]):
+        assert verify_wave_factorization(CPLX3, 0, b)
+    res = wave_factorization_residual(CPLX3, 0, [2])
+    assert (res.rows, res.cols) == (1, 1) and res.is_zero
 
 
 def test_factorization_scalar_weights():

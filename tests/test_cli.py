@@ -280,3 +280,40 @@ def test_fixture_bundle_byte_identical(tmp_path):
         assert proc.returncode == 0
         outs.append(path.read_bytes())
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("vars, body, message", [
+    ("d1", "operator Q = [[(" + " + ".join(f"d1^{k}" for k in range(65)) + ")^64]]",
+     "term products bound 4198401 exceeds 1000000"),
+    ("d1 d2", "operator Q = [[((1+d1+d2)^64)^2]]",
+     "term products bound 4601025 exceeds 1000000"),
+], ids=["wide-power", "squared-power"])
+def test_term_products_limit_is_located_json_error(tmp_path, capsys, vars, body, message):
+    """Before the limit parsing each spec took about 3 s."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text(f"vars: {vars}\n{body}\n")
+    t0 = time.perf_counter()
+    assert _run(["verify", "--spec", str(bad)]) == 1
+    assert time.perf_counter() - t0 < 1.0
+    rep = json.loads(capsys.readouterr().out)
+    column = body.rindex("^") + 2
+    assert rep == {"command": "verify", "ok": False,
+                   "error": f"line 2, column {column}: {message}"}
+
+
+@pytest.mark.parametrize("statement, column, message", [
+    ("mu C 7 scalar mu", 6, "mu degree 7 outside 0..3 of C"),
+    ("mu C 2 tensor mu", 8, "unknown mu kind 'tensor'"),
+    ("mu C 1 scalar 2", 6, "mu degree 1 of C already set"),
+])
+def test_mu_statement_is_located_json_error(tmp_path, statement, column, message):
+    """The first used to give the unweighted Laplacian, the second an
+    unlocated error, the third to replace the weight of the spec silently."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text(f"{SPEC}{statement}\n")
+    out = tmp_path / "lap.json"
+    assert _run(["laplacian", "--spec", str(bad), "--json", str(out)]) == 1
+    line = SPEC.count("\n") + 1
+    assert json.loads(out.read_text()) == {
+        "command": "laplacian", "ok": False,
+        "error": f"line {line}, column {column}: {message}"}

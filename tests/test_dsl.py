@@ -318,3 +318,75 @@ def test_builder_size_limit_is_accepted():
 def test_degree_limit_is_accepted():
     doc = dsl.parse("vars: d1 d2\noperator Q = [[((d1^64)^64)^7 * (d2^64)^63 * d1^63]]\n")
     assert doc.operators["Q"][0, 0].total_degree() == MAX_DEGREE
+
+
+_WIDE = " + ".join(f"d1^{k}" for k in range(65))
+
+
+@pytest.mark.parametrize("vars, expr, products, at", [
+    # squaring the 2049-term 32nd power on the way to the 64th
+    ("d1", f"({_WIDE})^64", 2049 * 2049, "64"),
+    # squaring the 2145-term inner power
+    ("d1 d2", "((1+d1+d2)^64)^2", 2145 * 2145, "2"),
+    # the product of the same two powers
+    ("d1 d2", "(1+d1+d2)^64 * (1+d1+d2)^64", 2145 * 2145, "*"),
+])
+def test_term_products_limit_is_located(vars, expr, products, at):
+    """A power or product one of whose multiplies could take more than
+    ``MAX_TERM_PRODUCTS`` term products is a located error raised before it,
+    although its result keeps within the other bounds.  Before the limit the
+    first two took about 3 s each to parse."""
+    text = f"vars: {vars}\noperator Q = [[{expr}]]\n"
+    t0 = time.perf_counter()
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert time.perf_counter() - t0 < 1.0
+    column = text.split("\n")[1].rindex(at) + 1
+    assert str(exc.value) == (f"line 2, column {column}: term products bound "
+                              f"{products} exceeds {dsl.MAX_TERM_PRODUCTS}")
+
+
+def test_term_products_limit_is_accepted():
+    """On the way to its 64th power a 32-term polynomial of degree 31 squares
+    its 993-term 32nd power, 986 049 term products: within the bound.  One
+    term more squares 1025 terms, past it."""
+    for width, ok in ((32, True), (33, False)):
+        wide = " + ".join(f"d1^{k}" for k in range(width))
+        text = f"vars: d1\noperator Q = [[({wide})^64]]\n"
+        if ok:
+            doc = dsl.parse(text)
+            assert len(doc.operators["Q"][0, 0].terms) == 31 * 64 + 1
+        else:
+            with pytest.raises(dsl.SpecError, match="term products bound 1050625"):
+                dsl.parse(text)
+
+
+@pytest.mark.parametrize("statement, column, message", [
+    ("mu C 4 scalar 2", 6, "mu degree 4 outside 0..3 of C"),
+    ("mu C 7 scalar mu", 6, "mu degree 7 outside 0..3 of C"),
+    ("mu C 1 tensor mu", 8, "unknown mu kind 'tensor'"),
+])
+def test_error_mu_statement_is_located(statement, column, message):
+    """Each of these used to parse: a degree above N built no weight and an
+    unknown kind failed only when a command asked for the weights."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(f"vars: d1 d2 d3\nparams: mu\ncomplex C = de_rham(3)\n{statement}\n")
+    assert str(exc.value) == f"line 4, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (4, column)
+
+
+def test_error_mu_degree_repeated():
+    """A second weight at one degree used to replace the first silently."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse("vars: d1 d2\ncomplex C = de_rham(2)\ncomplex D = de_rham(2)\n"
+                  "mu C 0 scalar 2\nmu D 0 scalar 3\nmu C 2 scalar 5\nmu C 0 scalar 3\n")
+    assert str(exc.value) == "line 7, column 6: mu degree 0 of C already set"
+
+
+def test_mu_degrees_zero_to_top_are_accepted():
+    doc = dsl.parse("vars: d1 d2 d3\ncomplex C = de_rham(3)\n"
+                    + "".join(f"mu C {q} scalar {q + 2}\n" for q in range(4)))
+    assert [d for d, _, _ in doc.mu_specs["C"]] == [0, 1, 2, 3]
+    mu = doc.mu_set("C")
+    assert mu.mu0(0) == mu.cplx.identity(3).scale(2)
+    assert mu.mu1(3) == mu.cplx.identity(3).scale(5)
