@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 from cxkit.diffop import (
     SPATIAL,
@@ -232,23 +232,30 @@ class MuSet:
         return MuSet(cplx)
 
     @staticmethod
+    def from_scalars(cplx: Complex, mu0: Mapping[int, object],
+                     mu1: Mapping[int, object]) -> "MuSet":
+        """Scalar weights ``value * I``: ``mu0[q]`` on E_{q+1} and ``mu1[q]``
+        on E_{q-1} at each degree q given (a Poly, or a constant); a rank-0
+        space gets no entry."""
+        sig = cplx.signature
+
+        def weights(values: Mapping[int, object], step: int) -> dict:
+            out = {}
+            for q, value in values.items():
+                k = cplx.rank(q + step)
+                if k:
+                    v = value if isinstance(value, Poly) else Poly.constant(sig.vars, value)
+                    out[q] = OperatorMatrix.identity(sig, k).scale(v)
+            return out
+
+        return MuSet(cplx, weights(mu0, 1), weights(mu1, -1))
+
+    @staticmethod
     def scalar(cplx: Complex, value, degrees: Sequence[int] | None = None) -> "MuSet":
         """Constant scalar weight (e.g. a viscosity parameter) at every degree,
         or only at the given degrees."""
-        if isinstance(value, Poly):
-            factor = value.lift(cplx.signature.vars)
-        else:
-            factor = Poly.constant(cplx.signature.vars, value)
-        mu0 = {}
-        mu1 = {}
-        for q in (range(cplx.length + 1) if degrees is None else degrees):
-            k0 = cplx.rank(q + 1)
-            if k0:
-                mu0[q] = OperatorMatrix.identity(cplx.signature, k0).scale(factor)
-            k1 = cplx.rank(q - 1)
-            if k1:
-                mu1[q] = OperatorMatrix.identity(cplx.signature, k1).scale(factor)
-        return MuSet(cplx, mu0, mu1)
+        values = dict.fromkeys(range(cplx.length + 1) if degrees is None else degrees, value)
+        return MuSet.from_scalars(cplx, values, values)
 
     @staticmethod
     def laplace_powers(cplx: Complex, mtilde: dict[int, int] | None = None,
@@ -259,15 +266,8 @@ class MuSet:
         for v in sig.spatial:
             d = Poly.variable(sig.vars, v)
             minus_lap = minus_lap - d * d
-        mu0 = {}
-        for q, m in (mtilde or {}).items():
-            k = cplx.rank(q + 1)
-            mu0[q] = OperatorMatrix.identity(sig, k).scale(minus_lap ** m)
-        mu1 = {}
-        for q, m in (mhat or {}).items():
-            k = cplx.rank(q - 1)
-            mu1[q] = OperatorMatrix.identity(sig, k).scale(minus_lap ** m)
-        return MuSet(cplx, mu0, mu1)
+        return MuSet.from_scalars(cplx, {q: minus_lap ** m for q, m in (mtilde or {}).items()},
+                                  {q: minus_lap ** m for q, m in (mhat or {}).items()})
 
     def principal_symbols(self, sym: Complex) -> "MuSet":
         """The spatial principal symbols of these weights, over ``sym``, the

@@ -10,7 +10,6 @@ Grammar (one statement per line, ``#`` comments)::
                               #    power_de_rham(3, 2)
     mu C 1 scalar mu          # weight assignment: complex, degree (0..N, once
                               #    each), kind (only scalar), value
-    task verify C
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
@@ -79,7 +78,6 @@ class SpecDocument:
     operators: dict[str, OperatorMatrix] = field(default_factory=dict)
     complexes: dict[str, Complex] = field(default_factory=dict)
     mu_specs: dict[str, list[tuple[int, str, Poly]]] = field(default_factory=dict)
-    tasks: list[tuple[str, ...]] = field(default_factory=list)
     builders: dict[str, str] = field(default_factory=dict)  # for printing
 
     @property
@@ -91,18 +89,8 @@ class SpecDocument:
         specs = self.mu_specs.get(name)
         if not specs:
             return None
-        cplx = self.complexes[name]
-        mu0: dict[int, OperatorMatrix] = {}
-        mu1: dict[int, OperatorMatrix] = {}
-        for degree, _, value in specs:  # ``parse`` admits only scalar weights
-            v = value.lift(cplx.signature.vars)
-            k0 = cplx.rank(degree + 1)
-            if k0:
-                mu0[degree] = OperatorMatrix.identity(cplx.signature, k0).scale(v)
-            k1 = cplx.rank(degree - 1)
-            if k1:
-                mu1[degree] = OperatorMatrix.identity(cplx.signature, k1).scale(v)
-        return MuSet(cplx, mu0, mu1)
+        values = {degree: value for degree, _, value in specs}  # ``parse`` admits only scalar ones
+        return MuSet.from_scalars(self.complexes[name], values, values)
 
     def __eq__(self, other):
         if not isinstance(other, SpecDocument):
@@ -116,7 +104,6 @@ class SpecDocument:
             and all(self.complexes[k].ops == other.complexes[k].ops
                     for k in self.complexes)
             and self.mu_specs == other.mu_specs
-            and self.tasks == other.tasks
         )
 
 
@@ -394,15 +381,6 @@ def parse(text: str) -> SpecDocument:
             value = p.expression()
             p.expect("end")
             specs.append((degree, tok.text, value))
-        elif head.text == "task":
-            words = []
-            while p.current.kind in ("name", "int"):
-                words.append(p.current.text)
-                p.pos += 1
-            p.expect("end")
-            if not words:
-                raise SpecError("empty task", head.line, head.column)
-            doc.tasks.append(tuple(words))
         else:
             raise SpecError(f"unknown statement {head.text!r}", head.line, head.column)
     return doc
@@ -520,8 +498,6 @@ def print_document(doc: SpecDocument) -> str:
     for cname, specs in doc.mu_specs.items():
         for degree, kind, value in specs:
             lines.append(f"mu {cname} {degree} {kind} {value}")
-    for task in doc.tasks:
-        lines.append("task " + " ".join(task))
     return "\n".join(lines) + "\n"
 
 

@@ -1,14 +1,16 @@
 """Ellipticity checks and Douglis-Nirenberg weight computation.
 
-Three check flavours (Petrovskii, injectivity, strong ellipticity) share the
-same two-stage strategy: first attempt an exact symbolic certificate of the
-narrow form ``gamma * (|zeta|^2)^k`` (optionally times the identity), and only
-fall back to a deterministic numeric minimization over the unit sphere when the
-certificate does not apply.  Numeric verdicts use a three-way threshold:
-minimum > 1e-9 passes, a point below 1e-12 fails, anything between is
-inconclusive.  The numeric search lives in :mod:`cxkit.sphere`, which is
-imported only when a certificate fails, so certified checks do not load
-numpy; no check loads scipy.
+Four check flavours (Petrovskii, injectivity, strong ellipticity and
+Douglis-Nirenberg) share the same two-stage strategy: first attempt an exact
+symbolic certificate of the narrow form ``gamma * (|zeta|^2)^k`` (optionally
+times the identity), and only fall back to a deterministic numeric
+minimization over the unit sphere when the certificate does not apply.
+Numeric verdicts use a three-way threshold: minimum > 1e-9 passes, a point
+below 1e-12 fails, anything between is inconclusive.  The numeric search
+lives in :mod:`cxkit.sphere`, which is imported only when a certificate
+fails, so certified checks do not load numpy; no check loads scipy.  The
+Douglis-Nirenberg weights of the Maxwell and Stokes operators come from one
+recurrence (``_plan``).
 """
 
 from __future__ import annotations
@@ -96,20 +98,15 @@ class WeightPlan:
 # Symbolic certification helpers
 
 
-def _zeta_norm_square(p: Poly, spatial: Sequence[str]) -> Poly:
-    total = Poly.zero(p.vars)
-    for v in spatial:
-        z = Poly.variable(p.vars, v)
-        total = total + z * z
-    return total
-
-
 def _certify_power(det: Poly, spatial: Sequence[str]) -> tuple[GaussianRational, int] | None:
     """If det == gamma * (|zeta|^2)^k for a nonzero constant gamma, return
     (gamma, k); else None."""
     if det.is_zero:
         return None
-    r2 = _zeta_norm_square(det, spatial)
+    r2 = Poly.zero(det.vars)
+    for v in spatial:
+        z = Poly.variable(det.vars, v)
+        r2 = r2 + z * z
     current = det
     k = 0
     while True:
@@ -124,33 +121,24 @@ def _certify_power(det: Poly, spatial: Sequence[str]) -> tuple[GaussianRational,
         k += 1
 
 
-def _spatial_symbol_vars(sym: SymbolMatrix) -> tuple[list[str], list[str]]:
-    """(sphere variables, parameter variables) for a symbol matrix."""
-    sig = sym.signature
-    sphere = list(sig.spatial)
-    if sig.time is not None:
-        sphere.append(sig.time)
-    return sphere, list(sig.params)
+def _axis(sphere_vars: Sequence[str]) -> tuple[float, ...]:
+    """The first unit vector: the witness of a failure at every point."""
+    return tuple(1.0 if i == 0 else 0.0 for i in range(len(sphere_vars)))
 
 
 def _numeric_verdict(minimum: float, argmin: tuple[float, ...], *, check: str,
                      determinant: str | None, seed: int, budget: int
                      ) -> EllipticityReport:
-    if minimum > PASS_THRESHOLD:
-        return EllipticityReport("numeric-pass", check, determinant=determinant,
-                                 minimum=minimum, argmin=argmin,
-                                 seed=seed, budget=budget)
-    if minimum < FAIL_THRESHOLD:
-        return EllipticityReport("fail", check, determinant=determinant,
-                                 minimum=minimum, argmin=argmin, witness=argmin,
-                                 seed=seed, budget=budget)
-    return EllipticityReport("inconclusive", check, determinant=determinant,
+    verdict = ("numeric-pass" if minimum > PASS_THRESHOLD
+               else "fail" if minimum < FAIL_THRESHOLD else "inconclusive")
+    return EllipticityReport(verdict, check, determinant=determinant,
                              minimum=minimum, argmin=argmin,
+                             witness=argmin if verdict == "fail" else None,
                              seed=seed, budget=budget)
 
 
 # ---------------------------------------------------------------------------
-# The three checks
+# The checks
 
 
 def _petrovskii_on_symbol(sym: SymbolMatrix, *, check: str,
@@ -160,11 +148,10 @@ def _petrovskii_on_symbol(sym: SymbolMatrix, *, check: str,
         raise ValueError("Petrovskii check needs a square symbol")
     det = sym.body.determinant()
     det_str = str(det)
-    sphere_vars, param_vars = _spatial_symbol_vars(sym)
+    sphere_vars = sym.signature.derivative_vars
     if det.is_zero:
-        witness = tuple(1.0 if i == 0 else 0.0 for i in range(len(sphere_vars)))
         return EllipticityReport("fail", check, determinant=det_str,
-                                 minimum=0.0, witness=witness)
+                                 minimum=0.0, witness=_axis(sphere_vars))
     cert = _certify_power(det, sphere_vars)
     if cert is not None:
         gamma, k = cert
@@ -173,7 +160,7 @@ def _petrovskii_on_symbol(sym: SymbolMatrix, *, check: str,
             certified_form=f"({gamma})*(|zeta|^2)^{k}",
         )
     from cxkit import sphere
-    minimum, argmin = sphere.abs_minimum(det, sphere_vars, param_vars,
+    minimum, argmin = sphere.abs_minimum(det, sphere_vars, sym.signature.params,
                                          seed=seed, budget=budget)
     return _numeric_verdict(minimum, argmin, check=check, determinant=det_str,
                             seed=seed, budget=budget)
@@ -208,7 +195,7 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
         raise ValueError("strong ellipticity check needs an even-order operator")
     s = op.principal_symbol()
     herm = (s + s.hermitian_transpose()).scale(GaussianRational.of(1, 0) / GaussianRational.of(2, 0))
-    sphere_vars, param_vars = _spatial_symbol_vars(herm)
+    sphere_vars = herm.signature.derivative_vars
     scalar = herm.scalar_part()
     if scalar is not None:
         cert = _certify_power(scalar, sphere_vars)
@@ -220,16 +207,14 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
                     certified_form=f"({gamma})*(|zeta|^2)^{k}*I",
                 )
             if gamma.is_real and gamma.re < 0:
-                witness = tuple(1.0 if i == 0 else 0.0
-                                for i in range(len(sphere_vars)))
                 return EllipticityReport("fail", "strong-ellipticity",
                                          certified_form=f"({gamma})*(|zeta|^2)^{k}*I",
                                          minimum=float(gamma.re),
-                                         witness=witness)
+                                         witness=_axis(sphere_vars))
     from cxkit import sphere
     minimum, argmin = sphere.eigenvalue_minimum(herm.body, sphere_vars,
-                                                param_vars, seed=seed,
-                                                budget=budget)
+                                                herm.signature.params,
+                                                seed=seed, budget=budget)
     return _numeric_verdict(minimum, argmin, check="strong-ellipticity",
                             determinant=None, seed=seed, budget=budget)
 
@@ -246,83 +231,56 @@ def _complex_orders(cplx: Complex, mu: MuSet | None):
     return m, mtilde, mhat
 
 
-def _shift_nonneg(s: list[int], t: list[int]) -> int:
-    lowest = min(s + t)
-    return -lowest if lowest < 0 else 0
+def _plan(m: Sequence[int], down: Sequence[int], up: Sequence[int], top: int,
+          s0: int, scheme: str) -> WeightPlan:
+    """The weights solving, for j = 1..top at degree top - j,
+
+        s_j - t_{j+1} = m + down,    s_{j+1} - t_j = m + up
+
+    from t_1 = 0 and s_1 = s0, shifted by the least constant that makes them
+    non-negative; both relations are checked on the shifted plan."""
+    s, t = [s0], [0]
+    for j in range(1, top + 1):
+        deg = top - j
+        t.append(s[j - 1] - m[deg] - down[deg])
+        s.append(m[deg] + up[deg] + t[j - 1])
+    c = max(0, -min(s + t))
+    plan = WeightPlan(tuple(v + c for v in s), tuple(v + c for v in t), c, scheme)
+    for j in range(1, top + 1):
+        deg = top - j
+        assert plan.s[j - 1] - plan.t[j] == m[deg] + down[deg], (j, "s_j - t_{j+1}")
+        assert plan.s[j] - plan.t[j - 1] == m[deg] + up[deg], (j, "s_{j+1} - t_j")
+    return plan
 
 
 def dn_weights_maxwell(cplx: Complex, mu: MuSet | None = None
                        ) -> tuple[WeightPlan, WeightPlan]:
     """Weight plans for both Maxwell variants, solved from the defining
-    triangular system with the seeding t_1 = t_2 = 0."""
+    triangular system with the seeding t_1 = t_2 = 0: variant 0 puts
+    mtilde on s_j - t_{j+1}, variant 1 puts mhat on s_{j+1} - t_j."""
     n = cplx.length
     if n < 1:
         raise ValueError("need a complex of length at least 1")
     m, mtilde, mhat = _complex_orders(cplx, mu)
-
-    plans = []
-    for variant in (0, 1):
-        s = [0] * (n + 1)
-        t = [0] * (n + 1)
-        # 1-indexed in the derivation; python lists are 0-indexed.
-        if variant == 0:
-            s[0] = m[n - 1] + mtilde[n - 1]   # s_1 = t_2 + m_{N-1} + mtilde_{N-1}
-            s[1] = m[n - 1]                   # s_2 = t_1 + m_{N-1}
-        else:
-            s[0] = m[n - 1]                   # s_1 = t_2 + m_{N-1}
-            s[1] = m[n - 1] + mhat[n - 1]     # s_2 = t_1 + m_{N-1} + mhat_{N-1}
-        for j in range(2, n + 1):
-            deg = n - j
-            if variant == 0:
-                t[j] = s[j - 1] - m[deg] - mtilde[deg]
-                s[j] = m[deg] + t[j - 1]
-            else:
-                t[j] = s[j - 1] - m[deg]
-                s[j] = m[deg] + mhat[deg] + t[j - 1]
-        c = _shift_nonneg(s, t)
-        plan = WeightPlan(tuple(v + c for v in s), tuple(v + c for v in t), c,
-                          "maxwell")
-        _assert_dn_p(plan, variant, m, mtilde, mhat)
-        plans.append(plan)
-    return plans[0], plans[1]
-
-
-def _assert_dn_p(plan: WeightPlan, variant: int, m, mtilde, mhat) -> None:
-    n = plan.size - 1
-    s, t = plan.s, plan.t
-    for j in range(1, n + 1):
-        deg = n - j
-        if variant == 0:
-            assert s[j - 1] - t[j] == m[deg] + mtilde[deg], (j, "s_j - t_{j+1}")
-            assert s[j] - t[j - 1] == m[deg], (j, "s_{j+1} - t_j")
-        else:
-            assert s[j] - t[j - 1] == m[deg] + mhat[deg], (j, "s_{j+1} - t_j")
-            assert s[j - 1] - t[j] == m[deg], (j, "s_j - t_{j+1}")
+    zero = [0] * (n + 1)
+    # s_1 = m_{N-1} + down_{N-1} makes the first step give t_2 = 0
+    return (_plan(m, mtilde, zero, n, m[n - 1] + mtilde[n - 1], "maxwell"),
+            _plan(m, zero, mhat, n, m[n - 1], "maxwell"))
 
 
 def dn_weights_stokes(cplx: Complex, q: int, mu: MuSet | None = None) -> WeightPlan:
     """Weight plan for the Stokes operator at degree q, seeded with t_1 = 0 and
     s_1 = 2(m_q + mtilde_q)."""
+    if not 0 <= q <= cplx.length:
+        raise ValueError(f"degree {q} outside 0..{cplx.length}")
     m, mtilde, mhat = _complex_orders(cplx, mu)
     if 0 < q < cplx.length and m[q] + mtilde[q] != m[q - 1] + mhat[q]:
         raise ValueError(
             f"order balance m_q + mtilde_q = m_(q-1) + mhat_q violated at q={q}"
         )
-    s = [0] * (q + 1)
-    t = [0] * (q + 1)
-    s[0] = 2 * (m[q] + mtilde[q]) if q < cplx.length else 2 * (m[q - 1] + mhat[q])
-    for j in range(1, q + 1):
-        deg = q - j
-        t[j] = s[j - 1] - m[deg]
-        s[j] = m[deg] + t[j - 1]
-    c = _shift_nonneg(s, t)
-    plan = WeightPlan(tuple(v + c for v in s), tuple(v + c for v in t), c,
-                      "stokes")
-    for j in range(1, q + 1):
-        deg = q - j
-        assert plan.s[j - 1] - plan.t[j] == m[deg]
-        assert plan.s[j] - plan.t[j - 1] == m[deg]
-    return plan
+    s0 = 2 * (m[q] + mtilde[q]) if q < cplx.length else 2 * (m[q - 1] + mhat[q])
+    zero = [0] * q
+    return _plan(m, zero, zero, q, s0, "stokes")
 
 
 # ---------------------------------------------------------------------------
@@ -331,33 +289,23 @@ def dn_weights_stokes(cplx: Complex, q: int, mu: MuSet | None = None) -> WeightP
 
 def dn_symbol(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan
               ) -> SymbolMatrix:
-    """The (s, t)-principal symbol: block (p, r) keeps the terms of spatial
-    degree exactly s_p - t_r of the total symbol; zero when s_p < t_r."""
-    blocks = len(part.ranks)
-    if plan.size != blocks:
-        raise ValueError(
-            f"plan has {plan.size} blocks but the partition has {blocks}"
-        )
+    """The (s, t)-principal symbol: entry (i, j) keeps the terms of degree
+    exactly s_i - t_j of the total symbol (zero when s_i < t_j), with row i
+    and column j weighted as their degree block, the top degree first."""
+    if plan.size != len(part.ranks):
+        raise ValueError(f"plan has {plan.size} blocks but the partition has {len(part.ranks)}")
+    if (op.rows, op.cols) != (part.size, part.size):
+        raise ValueError(f"a {op.rows}x{op.cols} operator does not fit partition size {part.size}")
     total = op.total_symbol()
     sig = total.signature
-    spatial = list(sig.spatial)
-    if sig.time is not None:
-        spatial.append(sig.time)
-    # block index p (from the top) corresponds to descending degree.
-    degrees = sorted(range(blocks), reverse=True)
-    n = part.size
-    out = SymbolMatrix.zero(sig, n, n)
-    for p, row_deg in enumerate(degrees):
-        for r, col_deg in enumerate(degrees):
-            target = plan.s[p] - plan.t[r]
-            if target < 0:
-                continue
-            r0, r1 = part.span(row_deg)
-            c0, c1 = part.span(col_deg)
-            blk = total.body.block(r0, r1, c0, c1).map(
-                lambda entry: entry.homogeneous_part(target, spatial))
-            out = out + SymbolMatrix(sig, blk.embed(n, n, r0, c0))
-    return out
+    ranks = tuple(reversed(part.ranks))
+    s = [w for w, k in zip(plan.s, ranks) for _ in range(k)]
+    t = [w for w, k in zip(plan.t, ranks) for _ in range(k)]
+    zero = Poly.zero(sig.vars)
+    return SymbolMatrix.from_entries(sig, [
+        [p.homogeneous_part(s[i] - t[j], sig.derivative_vars) if s[i] >= t[j] else zero
+         for j, p in enumerate(row)]
+        for i, row in enumerate(total.body.entries)])
 
 
 def dn_check(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan, *,

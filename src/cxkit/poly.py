@@ -339,10 +339,6 @@ class Poly:
         shift, = _shifts(vars, [name])
         return _poly(vars, {1 << (_WIDTH * len(vars)) | 1 << shift: (1, 0)}, 1)
 
-    @staticmethod
-    def monomial(vars: Sequence[str], exponent: Exponent, coeff) -> "Poly":
-        return Poly(vars, {tuple(exponent): _coerce_coeff(coeff)})
-
     # -- predicates and views ----------------------------------------------
 
     def _coeff(self, key: int) -> GaussianRational:
@@ -763,14 +759,6 @@ class PolyMatrix:
         one = Poly.one(vars)
         return PolyMatrix(
             vars, [[one if i == j else z for j in range(n)] for i in range(n)]
-        )
-
-    @staticmethod
-    def diagonal(vars: Sequence[str], diag: Sequence[Poly]) -> "PolyMatrix":
-        z = Poly.zero(vars)
-        n = len(diag)
-        return PolyMatrix(
-            vars, [[diag[i] if i == j else z for j in range(n)] for i in range(n)]
         )
 
     def __getitem__(self, key: tuple[int, int]) -> Poly:

@@ -208,7 +208,7 @@ def verify_symbolic_factorization(cplx: Complex, q: int,
             "ok": res.is_zero}
 
 
-def _block_diagonal_inverse(sym: Complex, degrees: Sequence[int], mus: MuSet,
+def _block_diagonal_inverse(sym: Complex, mus: MuSet, degrees: Sequence[int],
                             known: Mapping[int, RationalSymbolMatrix] | None = None
                             ) -> RationalSymbolMatrix:
     """``sum_j B_j delta_{j,mu}^{-1} B_j``; ``known`` holds inverses the
@@ -223,16 +223,10 @@ def _block_diagonal_inverse(sym: Complex, degrees: Sequence[int], mus: MuSet,
 
 
 def block_diagonal_inverse(cplx: Complex, degrees: Sequence[int],
-                           mu_at: dict[int, MuSet] | None = None
-                           ) -> RationalSymbolMatrix:
-    """``sum_j B_j delta_j^{-1} B_j`` over the given degrees as one rational
-    matrix over the common denominator (product of the determinants); the
-    weights at degree j are those of ``mu_at[j]`` (identity if absent)."""
-    sym = cplx.principal_symbols()
-    mu_at = mu_at or {}
-    mus = MuSet(sym, {j: mu.mu0(j).principal_symbol(SPATIAL) for j, mu in mu_at.items()},
-                {j: mu.mu1(j).principal_symbol(SPATIAL) for j, mu in mu_at.items()})
-    return _block_diagonal_inverse(sym, degrees, mus)
+                           mu: MuSet | None = None) -> RationalSymbolMatrix:
+    """``sum_j B_j delta_{j,mu}^{-1} B_j`` over the given degrees as one
+    rational matrix over the common denominator (product of the determinants)."""
+    return _block_diagonal_inverse(*_symbols(cplx, mu), degrees)
 
 
 def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
@@ -248,7 +242,7 @@ def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
         raise ValueError("side must be 'right' or 'left'")
     n = cplx.length
     sym, mus = _symbols(cplx, mu)
-    diag_inv = _block_diagonal_inverse(sym, range(n + 1), mus)
+    diag_inv = _block_diagonal_inverse(sym, mus, range(n + 1))
     if side == "right":
         f = maxwell(sym, n, mus, 0) @ diag_inv
         product = maxwell(sym, n, mus, 1) @ f
@@ -347,7 +341,7 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
     s_dn = _stokes_dn(sym, mus, q)
     intermediate_ok = (s_dn @ core) == _stokes_rhs(sym, mus, q)
 
-    f = core @ _block_diagonal_inverse(sym, range(q + 1), mus, {q: delta_q_inv})
+    f = core @ _block_diagonal_inverse(sym, mus, range(q + 1), {q: delta_q_inv})
     product_ok = (s_dn @ f).is_identity()
     report = {
         "identity": "stokes-fundamental-symbol",

@@ -17,7 +17,6 @@ params: mu
 operator A = [[d1], [d2], [d3]]
 complex C = de_rham(3)
 mu C 1 scalar mu
-task verify C
 """
 
 

@@ -207,6 +207,30 @@ def test_laplace_powers_weights():
     assert g[0, 0] == delta * delta
 
 
+def test_from_scalars_places_value_identity_and_skips_rank_zero():
+    cplx = de_rham_complex(3, params=("mu",))
+    sig = cplx.signature
+    muval = Poly.variable(sig.vars, "mu")
+    mu = MuSet.from_scalars(cplx, {0: muval, 3: muval}, {0: 5, 2: muval})
+    # mu0 at degree 3 and mu1 at degree 0 act on rank-0 spaces: no entry
+    assert set(mu._mu0) == {0} and set(mu._mu1) == {2}
+    assert mu.mu0(0) == OperatorMatrix.identity(sig, 3).scale(muval)
+    assert mu.mu1(2) == OperatorMatrix.identity(sig, 3).scale(muval)
+    assert mu.mu0(1) == OperatorMatrix.identity(sig, 3)
+    # the three scalar builders are this constructor
+    lap = Poly.zero(sig.vars)
+    for v in sig.spatial:
+        lap = lap - Poly.variable(sig.vars, v) ** 2
+    for got, want in (
+        (MuSet.scalar(cplx, muval), MuSet.from_scalars(cplx, dict.fromkeys(range(4), muval),
+                                                       dict.fromkeys(range(4), muval))),
+        (MuSet.laplace_powers(cplx, {1: 1, 3: 2}, {2: 1}),
+         MuSet.from_scalars(cplx, {1: lap, 3: lap ** 2}, {2: lap})),
+    ):
+        for q in range(cplx.length + 1):
+            assert got.mu0(q) == want.mu0(q) and got.mu1(q) == want.mu1(q)
+
+
 def test_perturbed_laplacian_lower_order():
     cplx = de_rham_complex(3, params=("c",))
     mu = MuSet.identity(cplx)

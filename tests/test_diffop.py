@@ -92,8 +92,8 @@ def test_adjoint_second_order_sign():
 @given(st.lists(st.integers(0, 2), min_size=3, max_size=3),
        st.lists(st.integers(0, 2), min_size=3, max_size=3))
 def test_adjoint_antihomomorphism_property(e1, e2):
-    p1 = Poly.monomial(SIG.vars, tuple(e1), GaussianRational.one())
-    p2 = Poly.monomial(SIG.vars, tuple(e2), GaussianRational.of(0, 1))
+    p1 = Poly(SIG.vars, {tuple(e1): GaussianRational.one()})
+    p2 = Poly(SIG.vars, {tuple(e2): GaussianRational.of(0, 1)})
     a = OperatorMatrix.scalar(SIG, p1)
     b = OperatorMatrix.scalar(SIG, p2)
     assert (a @ b).formal_adjoint() == b.formal_adjoint() @ a.formal_adjoint()

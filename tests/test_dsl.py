@@ -19,8 +19,6 @@ operator A = [[d1], [d2], [d3]]
 operator B = [[d2^2, -d1*d2, d1^2]]
 complex C = de_rham(3)
 mu C 1 scalar mu
-task verify C
-task laplacian C 1
 """
 
 
@@ -31,7 +29,14 @@ def test_parse_declarations():
     assert doc.params == ("mu",)
     assert set(doc.operators) == {"A", "B"}
     assert list(doc.complexes) == ["C"]
-    assert doc.tasks == [("verify", "C"), ("laplacian", "C", "1")]
+
+
+def test_task_statement_is_unknown():
+    # no command reads a task line, so the grammar has none
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse("vars: d1 d2 d3\ncomplex C = de_rham(3)\n  task verify C\n")
+    assert str(exc.value) == "line 3, column 3: unknown statement 'task'"
+    assert (exc.value.line, exc.value.column) == (3, 3)
 
 
 def test_parsed_complex_is_usable():

@@ -138,6 +138,45 @@ def test_maxwell_weights_satisfy_defining_relations():
                 assert s[j] - t[j - 1] == up
 
 
+@pytest.mark.parametrize("mtilde, mhat, balanced", [
+    ({1: 1}, {2: 1}, [0, 3, 4]),
+    ({1: 1}, {1: 1, 4: 1}, [0, 1, 2, 3, 4]),
+])
+def test_stokes_weights_satisfy_defining_relations(mtilde, mhat, balanced):
+    # back-substitute s_j - t_{j+1} = s_{j+1} - t_j = m_{q-j} at every degree
+    # where the order balance m_q + mtilde_q = m_{q-1} + mhat_q holds; the
+    # plan is refused exactly where it fails
+    cplx = de_rham_complex(4)
+    mu = MuSet.laplace_powers(cplx, mtilde, mhat)
+    n = cplx.length
+    m = [cplx.op(j).order() for j in range(n)]
+    mt = [max(mu.mu0(j).order(), 0) // 2 for j in range(n + 1)]
+    mh = [max(mu.mu1(j).order(), 0) // 2 for j in range(n + 1)]
+    checked = []
+    for q in range(n + 1):
+        if 0 < q < n and m[q] + mt[q] != m[q - 1] + mh[q]:
+            with pytest.raises(ValueError, match="order balance"):
+                dn_weights_stokes(cplx, q, mu)
+            continue
+        plan = dn_weights_stokes(cplx, q, mu)
+        s, t = plan.s, plan.t
+        assert plan.size == q + 1 and plan.scheme == "stokes"
+        seed = 2 * (m[q] + mt[q]) if q < n else 2 * (m[q - 1] + mh[q])
+        assert s[0] - t[0] == seed
+        for j in range(1, q + 1):
+            assert s[j - 1] - t[j] == m[q - j]
+            assert s[j] - t[j - 1] == m[q - j]
+        checked.append(q)
+    assert checked == balanced
+
+
+def test_stokes_weights_reject_degree_outside_complex():
+    cplx = de_rham_complex(3)
+    for q in (-1, 4):
+        with pytest.raises(ValueError, match=f"degree {q} outside 0..3"):
+            dn_weights_stokes(cplx, q)
+
+
 def test_maxwell_weights_cover_all_blocks():
     # with the computed plan, the weighted DN symbol keeps every entry of the
     # spatial principal symbol: no coupling is truncated away
@@ -212,3 +251,80 @@ def test_dn_determinant_cofactor_oracle():
     op, part, plan = _classical_stokes()
     sym = dn_symbol(op, part, plan)
     assert sym.body.determinant() == _cofactor_det(sym.body)
+
+
+def _block_loop_dn_symbol(op, part, plan):
+    """The DN symbol as a sum of embedded blocks: block (p, r) keeps the terms
+    of degree s_p - t_r; the reference for the entrywise map."""
+    from cxkit.diffop import SymbolMatrix
+
+    total = op.total_symbol()
+    sig = total.signature
+    n = part.size
+    out = SymbolMatrix.zero(sig, n, n)
+    degrees = sorted(range(len(part.ranks)), reverse=True)
+    for p, row_deg in enumerate(degrees):
+        for r, col_deg in enumerate(degrees):
+            target = plan.s[p] - plan.t[r]
+            if target < 0:
+                continue
+            r0, r1 = part.span(row_deg)
+            c0, c1 = part.span(col_deg)
+            blk = total.body.block(r0, r1, c0, c1).map(
+                lambda e: e.homogeneous_part(target, sig.derivative_vars))
+            out = out + SymbolMatrix(sig, blk.embed(n, n, r0, c0))
+    return out
+
+
+def _dn_cases():
+    from cxkit.complexes import dolbeault_complex
+
+    d4 = de_rham_complex(4)
+    for cplx, mu in ((de_rham_complex(3), None),
+                     (d4, MuSet.laplace_powers(d4, {1: 1}, {2: 1})),
+                     (dolbeault_complex(2), None)):
+        n = cplx.length
+        part = blockops.BlockPartition.for_degree(cplx, n)
+        for variant, plan in enumerate(dn_weights_maxwell(cplx, mu)):
+            yield blockops.maxwell(cplx, n, mu, variant), part, plan
+            # the other variant's plan too: it leaves some blocks below zero
+            yield blockops.maxwell(cplx, n, mu, 1 - variant), part, plan
+        for q in range(n + 1):
+            try:
+                plan = dn_weights_stokes(cplx, q, mu)
+            except ValueError:  # order balance fails at this degree
+                continue
+            part = blockops.BlockPartition.for_degree(cplx, q)
+            yield blockops.stokes(cplx, q, mu), part, plan
+    # every entry 1 + d1 + d2^2 + d1 d2 d3, so each block keeps one degree,
+    # the constant terms included where s_i = t_j
+    sig = spatial_signature(3)
+    d1, d2, d3 = (Poly.variable(sig.vars, v) for v in sig.spatial)
+    entry = Poly.one(sig.vars) + d1 + d2 * d2 + d1 * d2 * d3
+    full = OperatorMatrix.from_entries(sig, [[entry] * 4 for _ in range(4)])
+    part = blockops.BlockPartition.for_degree(de_rham_complex(3), 1)
+    for plan in (dn_weights_stokes(de_rham_complex(3), 1), WeightPlan((3, 0), (0, 3), 0, "stokes")):
+        yield full, part, plan
+
+
+def test_dn_symbol_matches_block_loop_term_for_term():
+    cases = 0
+    for op, part, plan in _dn_cases():
+        got = dn_symbol(op, part, plan)
+        want = _block_loop_dn_symbol(op, part, plan)
+        assert got == want
+        for i in range(got.rows):
+            for j in range(got.cols):
+                assert list(got[i, j].terms.items()) == list(want[i, j].terms.items())
+        cases += 1
+    assert cases == 24
+
+
+@pytest.mark.parametrize("size", [3, 5])
+def test_dn_symbol_rejects_operator_off_the_partition(size):
+    _, part, plan = _classical_stokes()  # a partition of size 4
+    other = blockops.stokes(de_rham_complex(3), 1)
+    square = OperatorMatrix.identity(other.signature, size)
+    for bad in (square, OperatorMatrix(other.signature, other.body.block(0, 4, 0, 3))):
+        with pytest.raises(ValueError):
+            dn_symbol(bad, part, plan)

@@ -230,7 +230,7 @@ def test_exact_div_roundtrip_and_failure(p, q, data):
         # a nonzero term below q's degree leaves a remainder: not divisible
         low = tuple(data.draw(st.integers(0, q.total_degree() - 1)) if i == 0 else 0
                     for i in range(len(VARS)))
-        r = Poly.monomial(VARS, low, data.draw(coefficients.filter(lambda c: not c.is_zero)))
+        r = Poly(VARS, {low: data.draw(coefficients.filter(lambda c: not c.is_zero))})
         with pytest.raises(ValueError):
             (p * q + r).exact_div(q)
 
@@ -245,7 +245,7 @@ def test_exact_div_scales_the_remainder():
 
 
 # ---------------------------------------------------------------------------
-# Groebner kernel operations against Poly.monomial products
+# Groebner kernel operations against monomial products
 
 shifts = st.one_of(st.none(), st.tuples(*(st.integers(0, 2) for _ in VARS)))
 
@@ -275,7 +275,7 @@ def assert_same_poly(got: Poly, want: Poly) -> None:
 @given(polys(), polys(), factors(), shifts)
 def test_fused_step_and_shifted_scale_match_monomial_product(p, g, f, shift):
     cr, ci, cd, c = f
-    mono = Poly.monomial(VARS, shift or (0,) * len(VARS), c)
+    mono = Poly(VARS, {shift or (0,) * len(VARS): c})
     zero = Poly.zero(VARS)
     shift = shift_key(shift)
     assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift), p - mono * g)
@@ -294,7 +294,7 @@ def test_fused_step_drops_cancelled_terms(r, g, f, shift, data):
     cancels those terms exactly, and any of ``r`` it meets, and keeps no
     zero numerator."""
     cr, ci, cd, c = f
-    mono = Poly.monomial(VARS, shift or (0,) * len(VARS), c)
+    mono = Poly(VARS, {shift or (0,) * len(VARS): c})
     keep = data.draw(st.sets(st.sampled_from(sorted(g.terms)))) if g.terms else set()
     p = r + mono * Poly(VARS, {e: v for e, v in g.terms.items() if e in keep})
     assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift_key(shift)), p - mono * g)
@@ -456,7 +456,7 @@ def test_degree_limit_is_an_overflow_error():
     edge = Poly(VARS, {(MAX_DEGREE - 2, 1, 1): 3})
     assert edge.total_degree() == MAX_DEGREE
     assert edge.leading_term()[0] == (MAX_DEGREE - 2, 1, 1)
-    assert Poly.monomial(VARS, (MAX_DEGREE, 0, 0), 1) == x ** MAX_DEGREE
+    assert Poly(VARS, {(MAX_DEGREE, 0, 0): 1}) == x ** MAX_DEGREE
     assert (x ** (MAX_DEGREE - 1) * y).exact_div(y) == x ** (MAX_DEGREE - 1)
     for exp in ((MAX_DEGREE + 1, 0, 0), (MAX_DEGREE - 1, 1, 1), (0, 0, MAX_DEGREE + 1)):
         with pytest.raises(OverflowError):
@@ -473,7 +473,7 @@ def test_degree_limit_is_an_overflow_error():
         x._sub_scaled(y, 1, 0, 1, _pack((0, 0, MAX_DEGREE)))
     assert edge * Poly.one(VARS) == edge
     assert x._sub_scaled(y, 1, 0, 1, _pack((0, 0, MAX_DEGREE - 1))) == \
-        x - y * Poly.monomial(VARS, (0, 0, MAX_DEGREE - 1), 1)
+        x - y * Poly(VARS, {(0, 0, MAX_DEGREE - 1): 1})
 
 
 # ---------------------------------------------------------------------------

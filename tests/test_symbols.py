@@ -12,7 +12,7 @@ terms, since the numeric ellipticity route sums terms in that order.
 import pytest
 
 from cxkit import symbols
-from cxkit.blockops import BlockPartition, block_inject
+from cxkit.blockops import BlockPartition, block_diagonal, block_inject
 from cxkit.complexes import (
     Complex,
     MuSet,
@@ -22,10 +22,11 @@ from cxkit.complexes import (
     powered_de_rham_complex,
 )
 from cxkit.diffop import SPATIAL, OperatorMatrix, Signature, SymbolMatrix, spatial_signature
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import (
     HypothesisFailure,
     RationalSymbolMatrix,
+    block_diagonal_inverse,
     delta,
     invert_symbol,
     maxwell_parametrix_symbol,
@@ -160,6 +161,25 @@ def _oseen_setup(n):
     return cplx, mu
 
 
+@pytest.mark.parametrize("degrees", [range(4), [0, 2], [3]])
+def test_block_diagonal_inverse_inverts_weighted_deltas(degrees):
+    # times sum_j B_j delta_{j,mu} B_j it is the identity on the blocks given
+    cplx = de_rham_complex(3, params=("mu",))
+    mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
+    inv = block_diagonal_inverse(cplx, degrees, mu)
+    part = BlockPartition.for_degree(cplx, max(degrees))
+    diag = block_diagonal(part, {j: delta(cplx, j, mu) for j in degrees})
+    if len(degrees) == part.top + 1:
+        assert (inv @ diag).is_identity() and (diag @ inv).is_identity()
+    ident = block_diagonal(part, {j: SymbolMatrix.identity(diag.signature, part.ranks[j])
+                                  for j in degrees})
+    assert inv @ diag == ident
+    # unweighted, it inverts the plain deltas instead
+    plain = block_diagonal(part, {j: delta(cplx, j) for j in degrees})
+    assert block_diagonal_inverse(cplx, degrees) @ plain == ident
+    assert not inv @ plain == ident
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_stokes_fundamental_symbol(n):
     cplx, mu = _oseen_setup(n)
@@ -210,8 +230,8 @@ def test_stokes_hypothesis_nontrivial_lower_weights():
 def test_evolution_identity_requires_scalar_delta():
     cplx = de_rham_complex(3)
     sig = cplx.signature
-    diag = PolyMatrix.diagonal(sig.vars, [Poly.constant(sig.vars, k) for k in (1, 2, 3)])
-    mu = MuSet(cplx, mu0={1: OperatorMatrix(sig, diag)})
+    diag = [[Poly.constant(sig.vars, i + 1 if i == j else 0) for j in range(3)] for i in range(3)]
+    mu = MuSet(cplx, mu0={1: OperatorMatrix.from_entries(sig, diag)})
     with pytest.raises(HypothesisFailure) as info:
         verify_evolution_identity(cplx, 1, mu)
     assert info.value.condition == "scalar-delta"
