@@ -308,7 +308,10 @@ def laplacian(cplx: Complex, q: int) -> SignatureMatrix:
 
 def generalized_laplacian(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:
     """``A_q* mu0_q A_q + A_{q-1} mu1_q A_{q-1}*``; on the complex of
-    principal symbols, with the weights' symbols, this is delta_{q,mu}."""
+    principal symbols, with the weights' symbols, this is delta_{q,mu}.
+    Raises ``ValueError`` for a degree outside 0..N."""
+    if not 0 <= q <= cplx.length:
+        raise ValueError(f"degree {q} outside 0..{cplx.length}")
     k = cplx.rank(q)
     total = cplx.zero(k, k)
     if q < cplx.length:

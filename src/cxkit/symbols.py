@@ -2,8 +2,12 @@
 
 For constant-coefficient operators the parametrix theorems reduce to exact
 algebraic identities between principal symbols, with the inverse Laplacian
-symbols represented as adjugate/determinant pairs.  Everything here is checked
-by exact cross-multiplied rational arithmetic; no analysis is involved.
+symbols represented as rational matrices over a factored denominator: a scalar
+block s I_k inverts to I/s over monic(s)^k, any other block to its adjugate
+over monic(det).  Sums of rational matrices are taken over the lcm of their
+factors and products add exponents; factors are never split or cancelled.
+Every identity is checked exactly, on the expanded product; no analysis is
+involved.
 
 The symbol-level objects (delta_q, sigma(M0), sigma(M1), the factorization
 residual) are the operator builders of :mod:`cxkit.complexes` and
@@ -31,20 +35,48 @@ from cxkit.poly import GaussianRational, Poly
 
 
 class RationalSymbolMatrix:
-    """A symbol matrix with a common scalar polynomial denominator."""
+    """A symbol matrix over a common scalar denominator.
 
-    __slots__ = ("num", "den")
+    The denominator is kept factored, as ``factors``: distinct monic
+    polynomials (leading coefficient one under grlex) mapped to positive
+    exponents.  ``den`` is their expanded product, built on first use.  Sums
+    and equality work over the lcm of the two factor bases (the higher power
+    of each identical factor), products add exponents.  Factors are never
+    split or cancelled, so equal fractions may carry different denominators.
+    """
+
+    __slots__ = ("num", "factors", "_den")
 
     def __init__(self, num: SymbolMatrix, den: Poly):
+        """``num / den`` for any nonzero ``den``: its leading coefficient
+        moves into the numerator and the monic rest is the one factor."""
         den = den.lift(num.signature.vars)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
+        base, lc = _monic(den)
+        if lc != GaussianRational.one():
+            num = num.scale(GaussianRational.one() / lc)
+        self.num, self._den = num, None
+        self.factors = {} if base.is_constant else {base: 1}
+
+    @staticmethod
+    def _over(num: SymbolMatrix, factors: Mapping[Poly, int]) -> "RationalSymbolMatrix":
+        """``num`` over the product of ``factors``, taken as given: monic,
+        distinct, over the variables of ``num``."""
+        out = object.__new__(RationalSymbolMatrix)
+        out.num, out.factors, out._den = num, factors, None
+        return out
 
     @staticmethod
     def from_symbol(sym: SymbolMatrix) -> "RationalSymbolMatrix":
-        return RationalSymbolMatrix(sym, Poly.one(sym.signature.vars))
+        return RationalSymbolMatrix._over(sym, {})
+
+    @property
+    def den(self) -> Poly:
+        """The denominator: the product of the factor powers."""
+        if self._den is None:
+            self._den = _expand(self.signature.vars, self.factors)
+        return self._den
 
     @property
     def signature(self) -> Signature:
@@ -58,6 +90,11 @@ class RationalSymbolMatrix:
     def cols(self) -> int:
         return self.num.cols
 
+    def map(self, fn) -> "RationalSymbolMatrix":
+        """``fn(num)`` over the same denominator, for a linear ``fn`` such
+        as a block injection."""
+        return RationalSymbolMatrix._over(fn(self.num), self.factors)
+
     def _align(self, other) -> tuple["RationalSymbolMatrix", "RationalSymbolMatrix"]:
         """Both operands over one signature; a SymbolMatrix operand is taken
         over the denominator one."""
@@ -70,20 +107,34 @@ class RationalSymbolMatrix:
         if self.signature == other.signature:
             return self, other
         sig = self.signature.merge(other.signature)
-        return (
-            RationalSymbolMatrix(self.num.lift(sig), self.den.lift(sig.vars)),
-            RationalSymbolMatrix(other.num.lift(sig), other.den.lift(sig.vars)),
-        )
+        return self._lift(sig), other._lift(sig)
+
+    def _lift(self, sig: Signature) -> "RationalSymbolMatrix":
+        return RationalSymbolMatrix._over(
+            self.num.lift(sig), {f.lift(sig.vars): e for f, e in self.factors.items()})
+
+    def _over_lcm(self, other) -> tuple[SymbolMatrix, SymbolMatrix, dict[Poly, int]]:
+        """Both numerators brought over the lcm of the two denominators, and
+        that lcm's factors."""
+        a, b = self._align(other)
+        if a.factors == b.factors:
+            return a.num, b.num, a.factors
+        lcm = _lcm([a.factors, b.factors])
+        return a._raise_to(lcm), b._raise_to(lcm), lcm
+
+    def _raise_to(self, lcm: Mapping[Poly, int]) -> SymbolMatrix:
+        """The numerator over ``lcm``, a multiple of this denominator."""
+        missing = {f: e - self.factors.get(f, 0) for f, e in lcm.items()
+                   if e > self.factors.get(f, 0)}
+        return self.num.scale(_expand(self.signature.vars, missing)) if missing else self.num
 
     def __add__(self, other) -> "RationalSymbolMatrix":
-        a, b = self._align(other)
-        num = a.num.scale(b.den) + b.num.scale(a.den)
-        return RationalSymbolMatrix(num, a.den * b.den)
+        a, b, lcm = self._over_lcm(other)
+        return RationalSymbolMatrix._over(a + b, lcm)
 
     def __sub__(self, other) -> "RationalSymbolMatrix":
-        a, b = self._align(other)
-        num = a.num.scale(b.den) - b.num.scale(a.den)
-        return RationalSymbolMatrix(num, a.den * b.den)
+        a, b, lcm = self._over_lcm(other)
+        return RationalSymbolMatrix._over(a - b, lcm)
 
     def __radd__(self, other) -> "RationalSymbolMatrix":
         b, a = self._align(other)
@@ -95,24 +146,30 @@ class RationalSymbolMatrix:
 
     def __matmul__(self, other) -> "RationalSymbolMatrix":
         a, b = self._align(other)
-        return RationalSymbolMatrix(a.num @ b.num, a.den * b.den)
+        factors = dict(a.factors)
+        for f, e in b.factors.items():
+            factors[f] = factors.get(f, 0) + e
+        return RationalSymbolMatrix._over(a.num @ b.num, factors)
 
     def __rmatmul__(self, other) -> "RationalSymbolMatrix":
         b, a = self._align(other)
         return a @ b
 
     def scale(self, value) -> "RationalSymbolMatrix":
-        return RationalSymbolMatrix(self.num.scale(value), self.den)
+        return self.map(lambda num: num.scale(value))
 
     def __eq__(self, other) -> bool:
-        """Exact equality by cross-multiplication."""
+        """Exact equality: the numerators over the lcm of the denominators."""
         if not isinstance(other, (SymbolMatrix, RationalSymbolMatrix)):
             return NotImplemented
-        a, b = self._align(other)
-        return a.num.scale(b.den) == b.num.scale(a.den)
+        if (self.rows, self.cols) != (other.rows, other.cols):
+            return False
+        a, b, _ = self._over_lcm(other)
+        return a == b
 
     def __hash__(self):
-        return hash((self.num, self.den))
+        # equal values may differ in numerator and denominator alike
+        return hash((self.signature, self.rows, self.cols))
 
     def is_identity(self) -> bool:
         """True iff num == den * I exactly."""
@@ -128,6 +185,29 @@ class RationalSymbolMatrix:
             "numerator": [[str(p) for p in row] for row in self.num.body.entries],
             "denominator": str(self.den),
         }
+
+
+def _monic(p: Poly) -> tuple[Poly, GaussianRational]:
+    """``p`` over its leading coefficient, and that coefficient."""
+    lc = p.leading_term()[1]
+    return (p if lc == GaussianRational.one() else p.scale(GaussianRational.one() / lc)), lc
+
+
+def _lcm(bases: Sequence[Mapping[Poly, int]]) -> dict[Poly, int]:
+    """The highest power of each factor in any of the bases."""
+    out: dict[Poly, int] = {}
+    for base in bases:
+        for f, e in base.items():
+            if e > out.get(f, 0):
+                out[f] = e
+    return out
+
+
+def _expand(vars: Sequence[str], factors: Mapping[Poly, int]) -> Poly:
+    out = Poly.one(vars)
+    for f, e in factors.items():
+        out = out * f ** e
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -180,14 +260,28 @@ def stokes_dn_symbol(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMa
 
 
 def invert_symbol(m: SymbolMatrix) -> RationalSymbolMatrix:
-    """Adjugate/determinant inverse; exact, raises on identically singular input."""
+    """Exact inverse; raises on identically singular input.
+
+    A scalar block s I_k is inverted as monic(s)^(k-1) I / lc(s) over the
+    factor monic(s)^k: the adjugate/determinant fraction, with the
+    determinant kept as a power.  Any other block is adjugate over
+    determinant, with the single factor monic(det).
+    """
     if m.rows != m.cols:
         raise ValueError("cannot invert a non-square symbol")
-    det = m.body.determinant()
-    if det.is_zero:
+    s = m.scalar_part()
+    if s is None:
+        det = m.body.determinant()
+        if det.is_zero:
+            raise ValueError("symbol is identically singular")
+        return RationalSymbolMatrix(SymbolMatrix(m.signature, m.body.adjugate()), det)
+    if s.is_zero:
         raise ValueError("symbol is identically singular")
-    adj = SymbolMatrix(m.signature, m.body.adjugate())
-    return RationalSymbolMatrix(adj, det)
+    base, lc = _monic(s)
+    k = m.rows
+    num = SymbolMatrix.identity(m.signature, k).scale(
+        (base ** (k - 1)).scale(GaussianRational.one() / lc))
+    return RationalSymbolMatrix._over(num, {} if base.is_constant else {base: k})
 
 
 def symbolic_factorization_residual(cplx: Complex, q: int,
@@ -214,18 +308,20 @@ def _block_diagonal_inverse(sym: Complex, mus: MuSet, degrees: Sequence[int],
     """``sum_j B_j delta_{j,mu}^{-1} B_j``; ``known`` holds inverses the
     caller already has, by degree."""
     known = known or {}
+    invs = {j: known[j] if j in known else invert_symbol(generalized_laplacian(sym, j, mus))
+            for j in degrees}
+    lcm = _lcm([inv.factors for inv in invs.values()])
+    blocks = {j: inv._raise_to(lcm) for j, inv in invs.items()}
     part = BlockPartition.for_degree(sym, max(degrees))
-    total = RationalSymbolMatrix.from_symbol(sym.zero(part.size, part.size))
-    for j in degrees:
-        inv = known[j] if j in known else invert_symbol(generalized_laplacian(sym, j, mus))
-        total = total + RationalSymbolMatrix(block_inject(part, inv.num, j, j), inv.den)
-    return total
+    return RationalSymbolMatrix._over(block_diagonal(part, blocks), lcm)
 
 
 def block_diagonal_inverse(cplx: Complex, degrees: Sequence[int],
                            mu: MuSet | None = None) -> RationalSymbolMatrix:
     """``sum_j B_j delta_{j,mu}^{-1} B_j`` over the given degrees as one
-    rational matrix over the common denominator (product of the determinants)."""
+    rational matrix over the lcm of the blocks' denominators, the highest
+    power of each factor: (|zeta|^2)^k when every block is a multiple of
+    |zeta|^2 I and the largest has rank k."""
     return _block_diagonal_inverse(*_symbols(cplx, mu), degrees)
 
 
@@ -309,7 +405,7 @@ def _n_symbol(sym: Complex, q: int, mus: MuSet,
     sq1 = sym.op(q - 1)
     mu1_adj = mus.mu1(q) @ sq1.hermitian_transpose()
     core = q_inverse @ (sq.hermitian_transpose() @ mus.mu0(q) @ sq)
-    total = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
+    total = core.map(lambda num: block_inject(part, num, q, q))
     total = total + block_inject(part, sq1, q, q - 1)
     total = total + block_inject(part, mu1_adj, q - 1, q)
     return total - block_inject(part, mu1_adj @ sq1, q - 1, q - 1)

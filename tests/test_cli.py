@@ -47,6 +47,15 @@ def test_laplacian_json_out(spec_file, tmp_path):
         == "-d1^2*mu - d2^2*mu - d3^2*mu"
 
 
+@pytest.mark.parametrize("command", ["laplacian", "maxwell"])
+@pytest.mark.parametrize("degree", [7, -1])
+def test_degree_outside_complex_is_json_error(spec_file, capsys, command, degree):
+    """``laplacian`` used to report a 0x0 Laplacian with ok true here."""
+    assert _run([command, "--spec", spec_file, "--degree", str(degree)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": command, "ok": False, "error": f"degree {degree} outside 0..3"}
+
+
 def test_maxwell_and_stokes_shapes(spec_file, capsys):
     assert _run(["maxwell", "--spec", spec_file]) == 0
     m = json.loads(capsys.readouterr().out)

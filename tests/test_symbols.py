@@ -71,6 +71,7 @@ def test_rational_symbol_cross_multiplied_equality():
     a = RationalSymbolMatrix(s, den)
     b = RationalSymbolMatrix(s.scale(3), den.scale(3))
     assert a == b
+    assert a == RationalSymbolMatrix(s.scale(den), den * den)
 
 
 def test_rational_symbol_mixed_matmul():
