@@ -856,18 +856,22 @@ class PolyMatrix:
             raise ValueError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
+        # Entry (i, j) sums the products of the nonzero entries of row i and
+        # column j in increasing k: the term order of every entry depends on
+        # the order of its sums, and stays that of the full k loop.
         zero = Poly.zero(self.vars)
+        rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero] for row in self.entries]
+        cols = [{k: row[j] for k, row in enumerate(other.entries) if not row[j].is_zero}
+                for j in range(other.cols)]
         out = []
-        for i in range(self.rows):
+        for nonzero in rows:
             row = []
-            for j in range(other.cols):
+            for col in cols:
                 acc = zero
-                for k in range(self.cols):
-                    a = self.entries[i][k]
-                    b = other.entries[k][j]
-                    if a.is_zero or b.is_zero:
-                        continue
-                    acc = acc + a * b
+                for k, a in nonzero:
+                    b = col.get(k)
+                    if b is not None:
+                        acc = acc + a * b
                 row.append(acc)
             out.append(row)
         return PolyMatrix(self.vars, out, shape=(self.rows, other.cols))

@@ -2,12 +2,15 @@
 
 For constant-coefficient operators the parametrix theorems reduce to exact
 algebraic identities between principal symbols, with the inverse Laplacian
-symbols represented as rational matrices over a factored denominator: a scalar
-block s I_k inverts to I/s over monic(s)^k, any other block to its adjugate
-over monic(det).  Sums of rational matrices are taken over the lcm of their
-factors and products add exponents; factors are never split or cancelled.
-Every identity is checked exactly, on the expanded product; no analysis is
-involved.
+symbols represented as rational matrices whose numerator and denominator are
+both kept as powers of monic factors: a scalar block s I_k inverts to the
+constant core I/lc(s) times monic(s)^(k-1) over monic(s)^k, any other block
+to its adjugate over monic(det).  Products add exponents.  Sums are taken
+over the lcm of the denominators by raising the numerator factors; the powers
+all operands then share stay factors and only the rest is expanded, so the
+parametrix and Stokes products multiply constant diagonals.  Factors are
+never split or cancelled.  Every identity is checked exactly on the cores,
+with the common powers left out; no analysis is involved.
 
 The symbol-level objects (delta_q, sigma(M0), sigma(M1), the factorization
 residual) are the operator builders of :mod:`cxkit.complexes` and
@@ -35,17 +38,22 @@ from cxkit.poly import GaussianRational, Poly
 
 
 class RationalSymbolMatrix:
-    """A symbol matrix over a common scalar denominator.
+    """A symbol matrix over a common scalar denominator, both kept factored.
 
-    The denominator is kept factored, as ``factors``: distinct monic
-    polynomials (leading coefficient one under grlex) mapped to positive
-    exponents.  ``den`` is their expanded product, built on first use.  Sums
-    and equality work over the lcm of the two factor bases (the higher power
-    of each identical factor), products add exponents.  Factors are never
-    split or cancelled, so equal fractions may carry different denominators.
+    The value is ``core * prod f^c / prod f^d``.  ``factors`` maps distinct
+    monic polynomials (leading coefficient one under grlex) to the positive
+    exponents d of the denominator, ``num_factors`` maps monic polynomials to
+    the positive exponents c of the numerator, and ``core`` is a symbol
+    matrix.  ``num`` and ``den`` are the expanded products, each built on
+    first use.  Products add both exponent maps.  Sums and equality bring the
+    operands over the lcm of their denominators (the higher power of each
+    identical factor) by adding the missing powers to their numerator
+    factors, pull out the numerator powers all operands share and expand only
+    the rest into each core.  Factors are never split or cancelled, so equal
+    fractions may carry different denominators.
     """
 
-    __slots__ = ("num", "factors", "_den")
+    __slots__ = ("core", "num_factors", "factors", "_num", "_den")
 
     def __init__(self, num: SymbolMatrix, den: Poly):
         """``num / den`` for any nonzero ``den``: its leading coefficient
@@ -56,20 +64,30 @@ class RationalSymbolMatrix:
         base, lc = _monic(den)
         if lc != GaussianRational.one():
             num = num.scale(GaussianRational.one() / lc)
-        self.num, self._den = num, None
+        self.core, self.num_factors, self._num, self._den = num, {}, None, None
         self.factors = {} if base.is_constant else {base: 1}
 
     @staticmethod
-    def _over(num: SymbolMatrix, factors: Mapping[Poly, int]) -> "RationalSymbolMatrix":
-        """``num`` over the product of ``factors``, taken as given: monic,
-        distinct, over the variables of ``num``."""
+    def _over(core: SymbolMatrix, num_factors: Mapping[Poly, int],
+              factors: Mapping[Poly, int]) -> "RationalSymbolMatrix":
+        """``core`` times the product of ``num_factors`` over the product of
+        ``factors``, taken as given: monic, positive exponents, over the
+        variables of ``core``."""
         out = object.__new__(RationalSymbolMatrix)
-        out.num, out.factors, out._den = num, factors, None
+        out.core, out.num_factors, out.factors = core, num_factors, factors
+        out._num = out._den = None
         return out
 
     @staticmethod
     def from_symbol(sym: SymbolMatrix) -> "RationalSymbolMatrix":
-        return RationalSymbolMatrix._over(sym, {})
+        return RationalSymbolMatrix._over(sym, {}, {})
+
+    @property
+    def num(self) -> SymbolMatrix:
+        """The numerator: the core times the numerator factor powers."""
+        if self._num is None:
+            self._num = _times(self.core, self.num_factors)
+        return self._num
 
     @property
     def den(self) -> Poly:
@@ -80,20 +98,20 @@ class RationalSymbolMatrix:
 
     @property
     def signature(self) -> Signature:
-        return self.num.signature
+        return self.core.signature
 
     @property
     def rows(self) -> int:
-        return self.num.rows
+        return self.core.rows
 
     @property
     def cols(self) -> int:
-        return self.num.cols
+        return self.core.cols
 
     def map(self, fn) -> "RationalSymbolMatrix":
-        """``fn(num)`` over the same denominator, for a linear ``fn`` such
-        as a block injection."""
-        return RationalSymbolMatrix._over(fn(self.num), self.factors)
+        """``fn(core)`` over the same factors, for a linear ``fn`` such as a
+        block injection."""
+        return RationalSymbolMatrix._over(fn(self.core), self.num_factors, self.factors)
 
     def _align(self, other) -> tuple["RationalSymbolMatrix", "RationalSymbolMatrix"]:
         """Both operands over one signature; a SymbolMatrix operand is taken
@@ -110,31 +128,18 @@ class RationalSymbolMatrix:
         return self._lift(sig), other._lift(sig)
 
     def _lift(self, sig: Signature) -> "RationalSymbolMatrix":
+        def lift(exps: Mapping[Poly, int]) -> dict[Poly, int]:
+            return {f.lift(sig.vars): e for f, e in exps.items()}
         return RationalSymbolMatrix._over(
-            self.num.lift(sig), {f.lift(sig.vars): e for f, e in self.factors.items()})
-
-    def _over_lcm(self, other) -> tuple[SymbolMatrix, SymbolMatrix, dict[Poly, int]]:
-        """Both numerators brought over the lcm of the two denominators, and
-        that lcm's factors."""
-        a, b = self._align(other)
-        if a.factors == b.factors:
-            return a.num, b.num, a.factors
-        lcm = _lcm([a.factors, b.factors])
-        return a._raise_to(lcm), b._raise_to(lcm), lcm
-
-    def _raise_to(self, lcm: Mapping[Poly, int]) -> SymbolMatrix:
-        """The numerator over ``lcm``, a multiple of this denominator."""
-        missing = {f: e - self.factors.get(f, 0) for f, e in lcm.items()
-                   if e > self.factors.get(f, 0)}
-        return self.num.scale(_expand(self.signature.vars, missing)) if missing else self.num
+            self.core.lift(sig), lift(self.num_factors), lift(self.factors))
 
     def __add__(self, other) -> "RationalSymbolMatrix":
-        a, b, lcm = self._over_lcm(other)
-        return RationalSymbolMatrix._over(a + b, lcm)
+        (a, b), num_factors, lcm = _over_common(self._align(other))
+        return RationalSymbolMatrix._over(a + b, num_factors, lcm)
 
     def __sub__(self, other) -> "RationalSymbolMatrix":
-        a, b, lcm = self._over_lcm(other)
-        return RationalSymbolMatrix._over(a - b, lcm)
+        (a, b), num_factors, lcm = _over_common(self._align(other))
+        return RationalSymbolMatrix._over(a - b, num_factors, lcm)
 
     def __radd__(self, other) -> "RationalSymbolMatrix":
         b, a = self._align(other)
@@ -146,17 +151,16 @@ class RationalSymbolMatrix:
 
     def __matmul__(self, other) -> "RationalSymbolMatrix":
         a, b = self._align(other)
-        factors = dict(a.factors)
-        for f, e in b.factors.items():
-            factors[f] = factors.get(f, 0) + e
-        return RationalSymbolMatrix._over(a.num @ b.num, factors)
+        return RationalSymbolMatrix._over(
+            a.core @ b.core, _product(a.num_factors, b.num_factors),
+            _product(a.factors, b.factors))
 
     def __rmatmul__(self, other) -> "RationalSymbolMatrix":
         b, a = self._align(other)
         return a @ b
 
     def scale(self, value) -> "RationalSymbolMatrix":
-        return self.map(lambda num: num.scale(value))
+        return self.map(lambda core: core.scale(value))
 
     def __eq__(self, other) -> bool:
         """Exact equality: the numerators over the lcm of the denominators."""
@@ -164,7 +168,7 @@ class RationalSymbolMatrix:
             return NotImplemented
         if (self.rows, self.cols) != (other.rows, other.cols):
             return False
-        a, b, _ = self._over_lcm(other)
+        (a, b), _, _ = _over_common(self._align(other))
         return a == b
 
     def __hash__(self):
@@ -172,11 +176,14 @@ class RationalSymbolMatrix:
         return hash((self.signature, self.rows, self.cols))
 
     def is_identity(self) -> bool:
-        """True iff num == den * I exactly."""
+        """True iff num == den * I exactly: core * prod f^(c-m) against
+        prod f^(d-m) * I, with m = min(c, d) for each factor."""
         if self.rows != self.cols:
             return False
-        ident = SymbolMatrix.identity(self.signature, self.rows).scale(self.den)
-        return self.num == ident
+        num, den = self.num_factors, self.factors
+        shared = {f: min(c, den[f]) for f, c in num.items() if f in den}
+        ident = SymbolMatrix.identity(self.signature, self.rows)
+        return _times(self.core, _quotient(num, shared)) == _times(ident, _quotient(den, shared))
 
     def to_json(self) -> dict:
         return {
@@ -203,11 +210,44 @@ def _lcm(bases: Sequence[Mapping[Poly, int]]) -> dict[Poly, int]:
     return out
 
 
+def _product(a: Mapping[Poly, int], b: Mapping[Poly, int]) -> dict[Poly, int]:
+    """The exponents of the product of two factor powers."""
+    out = dict(a)
+    for f, e in b.items():
+        out[f] = out.get(f, 0) + e
+    return out
+
+
+def _quotient(a: Mapping[Poly, int], b: Mapping[Poly, int]) -> dict[Poly, int]:
+    """The exponents of ``a / b`` for ``b`` dividing ``a``; zeros dropped."""
+    return {f: e - b.get(f, 0) for f, e in a.items() if e > b.get(f, 0)}
+
+
+def _over_common(operands: Sequence[RationalSymbolMatrix]
+                 ) -> tuple[list[SymbolMatrix], dict[Poly, int], dict[Poly, int]]:
+    """The operands (over one signature) brought over the lcm of their
+    denominators: each one's numerator factors gain the powers its
+    denominator misses, the powers all of them share are pulled out, and
+    only the rest is expanded into each core.  Returns the cores, the shared
+    numerator factors and the lcm."""
+    lcm = _lcm([op.factors for op in operands])
+    nums = [_product(op.num_factors, _quotient(lcm, op.factors)) for op in operands]
+    shared = {f: min(num.get(f, 0) for num in nums) for f in nums[0]}
+    shared = {f: e for f, e in shared.items() if e}
+    cores = [_times(op.core, _quotient(num, shared)) for op, num in zip(operands, nums)]
+    return cores, shared, lcm
+
+
 def _expand(vars: Sequence[str], factors: Mapping[Poly, int]) -> Poly:
     out = Poly.one(vars)
     for f, e in factors.items():
         out = out * f ** e
     return out
+
+
+def _times(m: SymbolMatrix, factors: Mapping[Poly, int]) -> SymbolMatrix:
+    """``m`` times the product of the factor powers."""
+    return m.scale(_expand(m.signature.vars, factors)) if factors else m
 
 
 # ---------------------------------------------------------------------------
@@ -264,8 +304,10 @@ def invert_symbol(m: SymbolMatrix) -> RationalSymbolMatrix:
 
     A scalar block s I_k is inverted as monic(s)^(k-1) I / lc(s) over the
     factor monic(s)^k: the adjugate/determinant fraction, with the
-    determinant kept as a power.  Any other block is adjugate over
-    determinant, with the single factor monic(det).
+    determinant kept as a power.  The numerator power stays a factor too
+    (``num_factors`` {monic(s): k-1}) of the constant core I / lc(s).  Any
+    other block is adjugate over determinant, with the single factor
+    monic(det).
     """
     if m.rows != m.cols:
         raise ValueError("cannot invert a non-square symbol")
@@ -279,9 +321,10 @@ def invert_symbol(m: SymbolMatrix) -> RationalSymbolMatrix:
         raise ValueError("symbol is identically singular")
     base, lc = _monic(s)
     k = m.rows
-    num = SymbolMatrix.identity(m.signature, k).scale(
-        (base ** (k - 1)).scale(GaussianRational.one() / lc))
-    return RationalSymbolMatrix._over(num, {} if base.is_constant else {base: k})
+    core = SymbolMatrix.identity(m.signature, k).scale(GaussianRational.one() / lc)
+    if base.is_constant:
+        return RationalSymbolMatrix.from_symbol(core)
+    return RationalSymbolMatrix._over(core, {base: k - 1} if k > 1 else {}, {base: k})
 
 
 def symbolic_factorization_residual(cplx: Complex, q: int,
@@ -307,21 +350,27 @@ def _block_diagonal_inverse(sym: Complex, mus: MuSet, degrees: Sequence[int],
                             ) -> RationalSymbolMatrix:
     """``sum_j B_j delta_{j,mu}^{-1} B_j``; ``known`` holds inverses the
     caller already has, by degree."""
+    if not degrees:
+        raise ValueError("degrees is empty: need at least one degree")
     known = known or {}
     invs = {j: known[j] if j in known else invert_symbol(generalized_laplacian(sym, j, mus))
             for j in degrees}
-    lcm = _lcm([inv.factors for inv in invs.values()])
-    blocks = {j: inv._raise_to(lcm) for j, inv in invs.items()}
+    cores, num_factors, lcm = _over_common(list(invs.values()))
     part = BlockPartition.for_degree(sym, max(degrees))
-    return RationalSymbolMatrix._over(block_diagonal(part, blocks), lcm)
+    return RationalSymbolMatrix._over(block_diagonal(part, dict(zip(invs, cores))),
+                                      num_factors, lcm)
 
 
 def block_diagonal_inverse(cplx: Complex, degrees: Sequence[int],
                            mu: MuSet | None = None) -> RationalSymbolMatrix:
-    """``sum_j B_j delta_{j,mu}^{-1} B_j`` over the given degrees as one
-    rational matrix over the lcm of the blocks' denominators, the highest
-    power of each factor: (|zeta|^2)^k when every block is a multiple of
-    |zeta|^2 I and the largest has rank k."""
+    """``sum_j B_j delta_{j,mu}^{-1} B_j`` over the given (nonempty) degrees
+    as one rational matrix over the lcm of the blocks' denominators, the
+    highest power of each factor: (|zeta|^2)^k when every block is a
+    multiple of |zeta|^2 I and the largest has rank k.  Each block's
+    numerator gains the powers its denominator misses as factors; the powers
+    all blocks share stay factors of the whole matrix, so a block of rank r
+    keeps the constant core I/lc and (|zeta|^2)^(k-1) is one numerator
+    factor."""
     return _block_diagonal_inverse(*_symbols(cplx, mu), degrees)
 
 

@@ -477,6 +477,51 @@ def test_degree_limit_is_an_overflow_error():
 
 
 # ---------------------------------------------------------------------------
+# Sparse matrix products against the dense loop
+
+
+def dense_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The earlier ``PolyMatrix.__matmul__``, which visits every k of row i
+    and column j and skips the zero entries (reference)."""
+    zero = Poly.zero(a.vars)
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = zero
+            for k in range(a.cols):
+                x, y = a.entries[i][k], b.entries[k][j]
+                if x.is_zero or y.is_zero:
+                    continue
+                acc = acc + x * y
+            row.append(acc)
+        out.append(row)
+    return PolyMatrix(a.vars, out, shape=(a.rows, b.cols))
+
+
+@st.composite
+def sparse_matrices(draw, rows: int, cols: int) -> PolyMatrix:
+    """A rows x cols matrix with about two thirds of its entries zero."""
+    zero = Poly.zero(VARS)
+    return PolyMatrix(VARS, [[draw(polys(max_terms=3)) if draw(st.integers(0, 2)) == 0
+                              else zero for _ in range(cols)] for _ in range(rows)],
+                      shape=(rows, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(0, 5), st.integers(0, 5), st.integers(0, 5)).flatmap(
+    lambda s: st.tuples(sparse_matrices(s[0], s[1]), sparse_matrices(s[1], s[2]))))
+def test_sparse_matmul_matches_dense_loop(ab):
+    """Every entry keeps its value and its storage order: the same products,
+    summed in the same increasing k."""
+    a, b = ab
+    got, want = a @ b, dense_matmul(a, b)
+    assert got == want
+    assert [[(list(p._num.items()), p._den) for p in row] for row in got.entries] == \
+        [[(list(p._num.items()), p._den) for p in row] for row in want.entries]
+
+
+# ---------------------------------------------------------------------------
 # Determinants against sympy
 
 

@@ -1,21 +1,27 @@
 """Factored rational symbols against the full-product arithmetic.
 
-``RationalSymbolMatrix`` keeps its denominator as powers of monic factors and
-adds over their lcm.  ``_Slow`` is the earlier arithmetic, which multiplies
-whole denominators, kept here as the oracle: every operation must give the
-same fraction, and the factored denominator must divide the full product.
+``RationalSymbolMatrix`` keeps its denominator as powers of monic factors,
+and a core matrix times powers of monic factors as its numerator; it adds
+over the lcm of the denominators.  ``_Slow`` is the earlier arithmetic, which
+multiplies whole denominators, kept here as the oracle: every operation must
+give the same fraction, and its factored denominator must divide the product
+of the operands' denominators.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cxkit.cli import main
 from cxkit.complexes import MuSet, de_rham_complex, dolbeault_complex
 from cxkit.diffop import Signature, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import (
     RationalSymbolMatrix,
+    block_diagonal_inverse,
     invert_symbol,
     maxwell_parametrix_symbol,
     stokes_fundamental_symbol,
@@ -90,13 +96,18 @@ def _entries(draw, sig: Signature) -> Poly:
     return total
 
 
+BUILDS = ("expanded", "factored", "inverses")
+
+
 def _factored(num: SymbolMatrix, unit, exps: list[int], pool: list[Poly],
-              expanded: bool) -> RationalSymbolMatrix:
-    """``num / (unit * prod pool[i]**exps[i])``: one factor per pool entry
-    (a product of single-factor identities), or the whole product as one
-    factor."""
+              build: str) -> RationalSymbolMatrix:
+    """``num / (unit * prod pool[i]**exps[i])``: the whole product as one
+    factor ("expanded"), one factor per pool entry as a product of
+    single-factor identities ("factored"), or as a product of scalar-block
+    inverses, f I / f^2 each, so the numerator carries factors too
+    ("inverses")."""
     sig = num.signature
-    if expanded:
+    if build == "expanded":
         den = Poly.constant(sig.vars, unit)
         for f, e in zip(pool, exps):
             den = den * f ** e
@@ -105,7 +116,8 @@ def _factored(num: SymbolMatrix, unit, exps: list[int], pool: list[Poly],
     ident = SymbolMatrix.identity(sig, num.cols)
     for f, e in zip(pool, exps):
         for _ in range(e):
-            out = out @ RationalSymbolMatrix(ident, f)
+            out = out @ (invert_symbol(ident.scale(f)) if build == "inverses"
+                         else RationalSymbolMatrix(ident, f))
     return out
 
 
@@ -116,36 +128,54 @@ def operands(draw) -> tuple[RationalSymbolMatrix, _Slow, tuple]:
     pool = _pool(sig)
     exps = draw(st.lists(st.integers(0, 2), min_size=len(pool), max_size=len(pool)))
     unit = draw(st.sampled_from(UNITS))
-    expanded = draw(st.booleans())
+    build = draw(st.sampled_from(BUILDS))
     num = SymbolMatrix.from_entries(sig, [[draw(_entries(sig)) for _ in range(2)]
                                           for _ in range(2)])
     den = Poly.constant(sig.vars, unit)
     for f, e in zip(pool, exps):
         den = den * f ** e
-    parts = (unit, exps, pool, expanded)
-    return _factored(num, *parts), _Slow(num, den), parts
+    parts = (unit, exps, pool, build)
+    out = _factored(num, *parts)
+    _assert_same_fraction(out, _Slow(num, den))
+    return out, _Slow(num, den), parts
 
 
-def _assert_same_fraction(got: RationalSymbolMatrix, want: _Slow) -> None:
+def _expand(sig: Signature, exps: dict[Poly, int]) -> Poly:
+    out = Poly.one(sig.vars)
+    for f, e in exps.items():
+        out = out * f ** e
+    return out
+
+
+def _assert_same_fraction(got: RationalSymbolMatrix, want: _Slow,
+                          *operands: RationalSymbolMatrix) -> None:
+    """``got`` is the fraction ``want``, and its denominator divides the
+    product of the operands' denominators."""
+    # num and den are the expanded products of the factored storage
+    assert got.num == got.core.scale(_expand(got.signature, got.num_factors))
+    assert got.den == _expand(got.signature, got.factors)
+    assert all(e > 0 for e in [*got.num_factors.values(), *got.factors.values()])
     assert _Slow(got.num, got.den) == want
-    # the factored denominator divides the full product
-    sig = got.signature.merge(want.num.signature)
-    want.den.lift(sig.vars).exact_div(got.den.lift(sig.vars))
+    if operands:
+        full = Poly.one(got.signature.vars)
+        for op in operands:
+            full = full * op.den.lift(got.signature.vars)
+        full.exact_div(got.den)
 
 
 @settings(max_examples=60, deadline=None)
 @given(operands(), operands())
 def test_arithmetic_matches_full_products(x, y):
     (fa, sa, _), (fb, sb, _) = x, y
-    _assert_same_fraction(fa + fb, sa + sb)
-    _assert_same_fraction(fa - fb, sa - sb)
-    _assert_same_fraction(fa @ fb, sa @ sb)
+    _assert_same_fraction(fa + fb, sa + sb, fa, fb)
+    _assert_same_fraction(fa - fb, sa - sb, fa, fb)
+    _assert_same_fraction(fa @ fb, sa @ sb, fa, fb)
     # a polynomial operand on either side is taken over the denominator one
     sym = sb.num
     one = Poly.one(sym.signature.vars)
-    _assert_same_fraction(fa + sym, sa + _Slow(sym, one))
-    _assert_same_fraction(sym - fa, _Slow(sym, one) - sa)
-    _assert_same_fraction(sym @ fa, _Slow(sym, one) @ sa)
+    _assert_same_fraction(fa + sym, sa + _Slow(sym, one), fa)
+    _assert_same_fraction(sym - fa, _Slow(sym, one) - sa, fa)
+    _assert_same_fraction(sym @ fa, _Slow(sym, one) @ sa, fa)
 
 
 @settings(max_examples=60, deadline=None)
@@ -190,14 +220,25 @@ def test_equal_values_hash_alike():
 
 def test_scalar_block_inverse_keeps_the_power():
     """s I_k inverts to monic(s)^(k-1) I / lc(s) over monic(s)^k: the
-    adjugate/determinant fraction with the determinant as a power."""
+    adjugate/determinant fraction with the determinant as a power.  The
+    numerator power is kept as a factor of the constant core I / lc(s)."""
     v = _vars(SIG0)
     n2 = v["z1"] * v["z1"] + v["z2"] * v["z2"]
-    block = SymbolMatrix.identity(SIG0, 3).scale(n2.scale(Fraction(1, 4)))
-    inv = invert_symbol(block)
-    assert inv.factors == {n2: 3}
-    assert inv.num == SymbolMatrix.identity(SIG0, 3).scale(n2 * n2).scale(4)
-    assert (inv @ block).is_identity() and (block @ inv).is_identity()
+    for k in (1, 2, 3):
+        ident = SymbolMatrix.identity(SIG0, k)
+        block = ident.scale(n2.scale(Fraction(1, 4)))
+        inv = invert_symbol(block)
+        assert inv.factors == {n2: k}
+        assert inv.num_factors == ({n2: k - 1} if k > 1 else {})
+        assert inv.core == ident.scale(4)
+        assert inv.num == ident.scale(n2 ** (k - 1)).scale(4)
+        assert inv.den == n2 ** k
+        assert (inv @ block).is_identity() and (block @ inv).is_identity()
+        # a constant block has no factor at all
+        const = invert_symbol(ident.scale(Fraction(-3, 2)))
+        assert const.factors == {} and const.num_factors == {}
+        assert const.num == ident.scale(Fraction(-2, 3))
+        assert const.den == Poly.one(SIG0.vars)
 
 
 def _norm2(sig: Signature) -> Poly:
@@ -210,12 +251,13 @@ def _norm2(sig: Signature) -> Poly:
 PARAMETRIX_COMPLEXES = {
     "de-rham-3": lambda: de_rham_complex(3),
     "de-rham-4": lambda: de_rham_complex(4),
+    "de-rham-5": lambda: de_rham_complex(5),
     "dolbeault-3": lambda: dolbeault_complex(3),
 }
 
 
 @pytest.mark.parametrize("name, top_rank", [
-    ("de-rham-3", 3), ("de-rham-4", 6), ("dolbeault-3", 3)])
+    ("de-rham-3", 3), ("de-rham-4", 6), ("de-rham-5", 10), ("dolbeault-3", 3)])
 @pytest.mark.parametrize("side", ["right", "left"])
 def test_parametrix_denominator_is_the_top_block_power(name, top_rank, side):
     """Every block is a multiple of |zeta|^2 I, so the lcm of the blocks'
@@ -227,6 +269,31 @@ def test_parametrix_denominator_is_the_top_block_power(name, top_rank, side):
     n2 = _norm2(f.signature)
     assert f.factors == {n2: top_rank}
     assert f.den == n2 ** top_rank
+
+
+def test_block_diagonal_inverse_pulls_out_the_shared_power():
+    """Each de Rham(5) block inverts to (|zeta|^2)^(r-1) I over (|zeta|^2)^r.
+    Over the lcm (|zeta|^2)^10 every block's numerator is (|zeta|^2)^9 I, a
+    power all blocks share, so it stays a factor and the core is the
+    constant identity: the parametrix products multiply constants."""
+    cplx = de_rham_complex(5)
+    inv = block_diagonal_inverse(cplx, range(6))
+    n2 = _norm2(inv.signature)
+    assert inv.factors == {n2: 10} and inv.num_factors == {n2: 9}
+    assert inv.core == SymbolMatrix.identity(inv.signature, 32)
+
+
+def test_block_diagonal_inverse_needs_a_degree():
+    with pytest.raises(ValueError, match="degrees"):
+        block_diagonal_inverse(de_rham_complex(3), [])
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_de_rham_5_stokes_fundamental_symbol(q):
+    c = de_rham_complex(5)
+    f, report = stokes_fundamental_symbol(c, q, MuSet.scalar(c, Fraction(3, 2), degrees=[q]))
+    assert report["ok"] and report["intermediate_ok"] and report["product_ok"]
+    assert set(f.factors) == {_norm2(f.signature)}
 
 
 def test_oseen_denominator_is_the_full_product():
@@ -244,3 +311,48 @@ def test_oseen_denominator_is_the_full_product():
     mu_n2 = Poly.variable(f.signature.vars, "mu") * n2
     assert f.factors == {mu_n2: 6, n2: 1}
     assert f.den == mu_n2 ** 6 * n2
+
+
+# Pinned ``cxkit parametrix`` output: the exact bytes of ``--json`` on both
+# sides for a few specs.  The rational symbol's storage (its factors, any
+# numerator factors) may change, but its printed fraction may not.  Regenerate
+# the data file with ``PYTHONPATH=src python tests/test_rational_symbols.py``
+# only for a deliberate change of the printed fraction.
+
+PARAMETRIX_PINNED = Path(__file__).parent / "data" / "parametrix_pinned.json"
+PARAMETRIX_SPECS = {
+    "de-rham-3-scalar-3/2": "vars: d1 d2 d3\ncomplex C = de_rham(3)\n"
+    + "".join(f"mu C {q} scalar 3/2\n" for q in range(4)),
+    "de-rham-4": "vars: d1 d2 d3 d4\ncomplex C = de_rham(4)\n",
+    "dolbeault-2": "vars: d1 d2 d3 d4\ncomplex C = dolbeault(2)\n",
+    "de-rham-3-mu-1": "vars: d1 d2 d3\nparams: mu\ncomplex C = de_rham(3)\n"
+    "mu C 1 scalar mu\n",
+}
+
+
+def _parametrix_json(spec: str, side: str, workdir: Path) -> str:
+    """The bytes ``cxkit parametrix --json`` writes for ``spec``."""
+    spec_path, out_path = workdir / "doc.spec", workdir / "out.json"
+    spec_path.write_text(spec, encoding="utf-8")
+    assert main(["parametrix", "--spec", str(spec_path), "--side", side,
+                 "--json", str(out_path)]) == 0
+    return out_path.read_bytes().decode("utf-8")
+
+
+@pytest.mark.parametrize("side", ["right", "left"])
+@pytest.mark.parametrize("name", sorted(PARAMETRIX_SPECS))
+def test_parametrix_json_is_pinned(name, side, tmp_path):
+    pinned = json.loads(PARAMETRIX_PINNED.read_text(encoding="utf-8"))
+    assert pinned[name]["spec"] == PARAMETRIX_SPECS[name]
+    assert _parametrix_json(PARAMETRIX_SPECS[name], side, tmp_path) == pinned[name][side]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        data = {name: {"spec": spec, **{side: _parametrix_json(spec, side, Path(tmp))
+                                         for side in ("right", "left")}}
+                for name, spec in PARAMETRIX_SPECS.items()}
+    PARAMETRIX_PINNED.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n",
+                                 encoding="utf-8")
