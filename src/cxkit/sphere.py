@@ -11,14 +11,15 @@ A symbol matrix is compiled into one evaluation kernel.  Each variable is
 raised once to each distinct exponent of the matrix, a power table per
 point; every distinct monomial is the product of its variables' table
 entries, multiplied left to right as ``np.prod`` multiplies an exponent row;
-each entry then takes its own dot product of its monomial columns with its
-coefficients, in its own term order.  Each entry therefore sums exactly as a
-separate per-entry evaluation would, bit for bit.  One numpy detail keeps it
-so: float64 ``power`` takes another route when the exponent repeats along
-its inner loop (a scalar exponent, or an exponent axis of length one), and
-there ``x ** 2`` is ``x * x``, which differs from the general route in the
-last bit for some ``x``.  The table's exponent axis is the inner loop, so it
-always holds 0 and 1 and is at least two long.
+each distinct entry then takes its own dot product of its monomial columns
+with its coefficients, in its own term order, and equal entries share that
+value.  Each entry therefore sums exactly as a separate per-entry evaluation
+would, bit for bit.  The table's columns for the exponents 0 and 1 are
+exact (1.0 and the coordinate); only the exponents from 2 on go through
+``**``, as a full exponent array.  A repeated exponent (a scalar, or one
+broadcast along the inner loop) would send float64 ``power`` to another
+route, where ``x ** 2`` is ``x * x``, which differs from the general route
+in the last bit for some ``x``.
 
 The scan draws a scrambled Sobol sequence mapped to the sphere through the
 inverse normal distribution function, values it ``_SCAN_BLOCK`` rows at a
@@ -31,11 +32,15 @@ two computed them.  The points of the last few scans are memoized
 read-only, since every check at the default seed and budget draws the same
 ones.  Parameter variables are held at 1.0.
 
-The polishes run in lock-step, valuing all the points of a round in one
-batched objective call.  Each row must get the float of a one-point call, so
-the polish evaluates the kernel with one dot product per row; the scan keeps
-its one matrix-vector product per entry, whose sums round differently in
-some rows, because its floats pick the candidates and are reported.
+The polishes run as one array of simplices.  Each iteration values the
+four candidate vertices (reflection, expansion and both contractions) of
+every run still running in one batched objective call, though a run uses
+one or two of them, then takes each run's step by scipy's branch rules.
+Each row must get the float of a one-point call, so the polish evaluates the
+kernel with one dot product per row, and the speculation moves no float;
+the scan keeps its one matrix-vector product per entry, whose sums round
+differently in some rows, because its floats pick the candidates and are
+reported.
 """
 
 from __future__ import annotations
@@ -59,6 +64,25 @@ _SCAN_BLOCK = 2048  # rows valued per kernel call of the scan (_scan)
 # Vectorized evaluation
 
 
+def _power_table(pts: np.ndarray, high: np.ndarray) -> np.ndarray:
+    """The (M, d, 2 + K) table of every coordinate of an (M, d) point array
+    raised to 0, 1 and each of the K float exponents ``high`` (all at least
+    2): the floats of ``pts[:, :, None] ** pw``, ``pw`` the int64 exponents
+    0, 1 and ``high``.
+
+    x ** 0 is 1.0 and x ** 1 is x exactly, so only ``high`` goes through
+    ``**``, as a full array: numpy takes a repeated exponent (one that does
+    not move along its inner loop) to another float64 ``power`` route, where
+    ``x ** 2`` is ``x * x``, which differs in the last bit for some x."""
+    table = np.empty((*pts.shape, 2 + len(high)))
+    table[:, :, 0] = 1.0
+    table[:, :, 1] = pts
+    exponents = np.empty(table[:, :, 2:].shape)
+    exponents[...] = high
+    table[:, :, 2:] = pts[:, :, None] ** exponents
+    return table
+
+
 def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
                    ) -> Callable[[np.ndarray], np.ndarray]:
     """Return a function mapping an (M, d) point array, columns in
@@ -66,37 +90,40 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
     index = {v: i for i, v in enumerate(m.vars)}
     cols = [index[v] for v in var_order]
     rows: dict[tuple[int, ...], int] = {}  # distinct exponent row -> column
-    entries = []  # (i, j, monomial columns, coefficients) per nonzero entry
+    # distinct (monomial columns, coefficient bytes) -> the entries holding it
+    entries: dict[tuple[tuple[int, ...], bytes], list[tuple[int, int]]] = {}
     for i in range(m.rows):
         for j in range(m.cols):
             terms = m[i, j].terms
             if terms:
-                idx = [rows.setdefault(tuple(exp[c] for c in cols), len(rows))
-                       for exp in terms]
-                entries.append((i, j, idx, [complex(c) for c in terms.values()]))
+                idx = tuple(rows.setdefault(tuple(exp[c] for c in cols), len(rows))
+                            for exp in terms)
+                coeffs = np.array([complex(c) for c in terms.values()])
+                entries.setdefault((idx, coeffs.tobytes()), []).append((i, j))
     e = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(cols))
-    # The power table's exponents: 0 and 1 keep its last axis at least two
-    # long, off numpy's route for a repeated exponent (see the module notes).
     pw = np.union1d([0, 1], e).astype(np.int64)
+    high = pw[2:].astype(float)
     # monomial j's factor for variable v is table entry (v, slot[j, v])
     variable, slot = np.arange(len(cols)), np.searchsorted(pw, e)
     # An entry that uses every row in order (always so for a 1x1 matrix) reads
     # the monomials in place instead of through a gathered copy.
-    every = list(range(len(rows)))
-    plan = [(i, j, slice(None) if idx == every else np.array(idx, dtype=np.intp),
-             np.array(coeffs, dtype=complex))
-            for i, j, idx, coeffs in entries]
+    every = tuple(range(len(rows)))
+    plan = [(at, slice(None) if idx == every else np.array(idx, dtype=np.intp),
+             np.frombuffer(coeffs, dtype=complex))
+            for (idx, coeffs), at in entries.items()]
 
     def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
         if plan:
-            table = pts[:, :, None] ** pw
+            table = _power_table(pts, high)
             # np.prod without its Python-level wrapper: the same reduction
             monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
             # (B, 1, k) stacks take one dot product per row, as one point does
             stack = monomials[:, None, :] if _per_point else monomials
-            for i, j, idx, c in plan:
-                out[:, i, j] = (stack[..., idx] @ c).reshape(-1)
+            for at, idx, c in plan:
+                value = (stack[..., idx] @ c).reshape(-1)
+                for i, j in at:
+                    out[:, i, j] = value
         return out
 
     return evaluate
@@ -300,146 +327,116 @@ def _with_params(fn, n_params: int):
     return wrapped
 
 
-def _nelder_mead_steps(x0: np.ndarray, xatol: float, fatol: float,
-                       maxiter: int):
-    """The Nelder and Mead (1965) simplex search from ``x0``, with the
-    coefficients 1, 2, 1/2, 1/2, as a generator: it yields the list of points
-    (lists of floats) whose values it needs next, receives the list of their
-    values, and returns (least value, its vertex).  It asks for the N + 1
-    initial vertices at once, then for one point per reflection, expansion
-    or contraction, and for the N vertices of a shrink at once.
-
-    Every floating-point operation is the one, in the order, that scipy's
-    ``minimize(method="Nelder-Mead")`` performs without bounds, callback or
-    ``maxfev``, so both return the same floats.  The simplex is held as
-    lists of Python floats, whose arithmetic rounds as numpy's elementwise
-    float64 arithmetic does, and is ordered by ``np.argsort`` as scipy's is:
-    its order of equal values differs from a stable sort's.
-    """
-    x0 = np.asarray(x0, dtype=float).flatten().tolist()
-    N = len(x0)
-    sim = [x0]
-    for k in range(N):
-        y = list(x0)
-        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
-        sim.append(y)
-
-    def reorder() -> None:
-        ind = np.array(fsim).argsort().tolist()
-        sim[:] = [sim[i] for i in ind]
-        fsim[:] = [fsim[i] for i in ind]
-
-    fsim = list((yield list(sim)))
-    # Sorted twice, as scipy does: argsort is not stable, so the second sort
-    # may reorder equal values.
-    reorder()
-    reorder()
-
-    iterations = 1
-    while iterations < maxiter:
-        # ``all`` of ``<=`` is scipy's ``max(...) <= tol``: a NaN (inf - inf
-        # at infinite vertices) fails both.
-        best, fbest = sim[0], fsim[0]
-        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
-                and all(abs(fbest - fv) <= fatol for fv in fsim[1:])):
-            break
-        # numpy's add.reduce over the rows starts from 0.0, not the first row
-        # (the sums differ in the sign of a zero)
-        xbar = [0.0] * N
-        for x in sim[:-1]:
-            xbar = [s + v for s, v in zip(xbar, x)]
-        xbar = [s / N for s in xbar]
-        worst = sim[-1]
-        # the coefficients 1 + rho, rho with rho = 1
-        xr = [2 * b - 1 * w for b, w in zip(xbar, worst)]
-        fxr, = yield [xr]
-        if fxr < fsim[0]:
-            # expansion: 1 + rho chi, rho chi with chi = 2
-            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
-            fxe, = yield [xe]
-            if fxe < fxr:
-                sim[-1], fsim[-1] = xe, fxe
-            else:
-                sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        else:
-            doshrink = False
-            if fxr < fsim[-1]:
-                # outside contraction: 1 + psi rho, psi rho with psi = 1/2
-                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
-                fxc, = yield [xc]
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    doshrink = True
-            else:
-                # inside contraction: 1 - psi, psi
-                xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
-                fxcc, = yield [xcc]
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    doshrink = True
-            if doshrink:
-                # shrink towards the best vertex, sigma = 1/2; the new
-                # vertices do not depend on each other's values
-                sim[1:] = [[b + 0.5 * (v - b) for b, v in zip(best, x)]
-                           for x in sim[1:]]
-                fsim[1:] = yield sim[1:]
-        iterations += 1
-        reorder()
-    return np.min(fsim), np.array(sim[0])
+# Nelder-Mead's four candidates a * centroid - b * worst vertex, with
+# scipy's coefficients rho = 1, chi = 2, psi = 1/2: reflection, expansion,
+# outside contraction, inside contraction.  scipy forms the last as
+# 0.5 * centroid + 0.5 * worst and the first as 2 * centroid - 1 * worst;
+# x - (-y) is x + y and 1 * w is w, so the floats are the same.
+_REFLECT, _EXPAND, _OUTSIDE, _INSIDE = range(4)
+_A = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
+_B = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
 
 
-def _polish(objective: Callable[[np.ndarray], Sequence[float]],
+def _reorder(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each run's vertices in the order ``np.argsort`` gives its values, as
+    scipy orders them: a row-wise argsort sorts each row as a one-row one
+    does, and its order of equal values differs from a stable sort's."""
+    ind = np.argsort(fsim, axis=1)
+    run = np.arange(len(fsim))[:, None]
+    return sim[run, ind], fsim[run, ind]
+
+
+def _polish(objective: Callable[[np.ndarray], np.ndarray],
             starts: Sequence[np.ndarray], xatol: float, fatol: float,
             maxiter: int) -> list[tuple[float, np.ndarray]]:
-    """(least value, its vertex) of a Nelder-Mead search from each start.
+    """(least value, its vertex) of the Nelder and Mead (1965) simplex search
+    from each start, with the coefficients 1, 2, 1/2, 1/2.
 
-    The searches run in lock-step: each round, the points that every search
-    still running asks for are stacked into one (B, d) array and valued by
-    one call of ``objective``, which returns their B values in row order."""
-    runs = [_nelder_mead_steps(x0, xatol, fatol, maxiter) for x0 in starts]
-    results: list = [None] * len(runs)
-    asks = {k: next(run) for k, run in enumerate(runs)}
-    while asks:
-        values = objective(np.array([x for ask in asks.values() for x in ask]))
-        at = 0
-        for k, ask in list(asks.items()):
-            try:
-                asks[k] = runs[k].send(values[at:at + len(ask)])
-            except StopIteration as done:
-                results[k] = done.value
-                del asks[k]
-            at += len(ask)
+    Every floating-point operation of a run is the one, in the order, that
+    scipy's ``minimize(method="Nelder-Mead")`` performs without bounds,
+    callback or ``maxfev``, so both return the same floats.  The runs are
+    held as one (R, N + 1, N) array of simplices.  Each iteration values the
+    four candidates of every run still running in one call of ``objective``
+    (which maps a (B, N) array to its B values and must give a row the float
+    it gives that row alone), takes each run's step by scipy's branches, and
+    values the new vertices of the runs that shrink in a second call.  A run
+    that has converged drops out."""
+    x0 = np.array(starts, dtype=float)
+    R, N = x0.shape
+    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    k = np.arange(N)
+    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    fsim = objective(sim.reshape(-1, N)).reshape(R, N + 1)
+    results: list = [None] * R
+    live = np.arange(R)
+
+    def finish(runs: np.ndarray, sims: np.ndarray, fsims: np.ndarray) -> None:
+        for r, s, f in zip(runs, sims, fsims):
+            results[r] = (np.min(f), s[0].copy())
+
+    # inf - inf in the convergence test and overflow at runaway vertices are
+    # NaN and inf, as in scipy
+    with np.errstate(invalid="ignore", over="ignore"):
+        # sorted twice, as scipy does; an argsort of sorted values keeps
+        # their order on numpy 2.4, but no numpy promises it
+        sim, fsim = _reorder(*_reorder(sim, fsim))
+        for _ in range(1, maxiter):
+            # scipy's max(...) <= tol: a NaN fails it
+            done = ((np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).reshape(len(live), -1)
+                    .all(axis=1) & (np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol).all(axis=1))
+            if done.any():
+                finish(live[done], sim[done], fsim[done])
+                sim, fsim, live = sim[~done], fsim[~done], live[~done]
+                if not len(live):
+                    break
+            # the centroid of all but the worst vertex; numpy's add.reduce
+            # over the rows starts from 0.0, not the first row (the sums
+            # differ in the sign of a zero)
+            xbar = np.zeros((len(live), N))
+            for j in range(N):
+                xbar += sim[:, j]
+            xbar /= N
+            cand = _A * xbar - _B * sim[:, -1]
+            fcand = objective(cand.reshape(-1, N)).reshape(4, -1)
+            fr, fe, fc, fcc = fcand
+            # scipy's branches: expand if fr < f[0], else reflect if
+            # fr < f[-2], else contract outside if fr < f[-1], else inside
+            expand = fr < fsim[:, 0]
+            near = expand | (fr < fsim[:, -2])
+            outside = fr < fsim[:, -1]
+            step = np.where(near, np.where(expand & (fe < fr), _EXPAND, _REFLECT),
+                            np.where(outside, _OUTSIDE, _INSIDE))
+            accept = near | np.where(outside, fc <= fr, fcc < fsim[:, -1])
+            run = np.arange(len(live))
+            sim[:, -1] = np.where(accept[:, None], cand[step, run], sim[:, -1])
+            fsim[:, -1] = np.where(accept, fcand[step, run], fsim[:, -1])
+            if not accept.all():
+                # shrink towards the best vertex, sigma = 1/2
+                shrink = ~accept
+                best = sim[shrink, :1]
+                sim[shrink, 1:] = best + 0.5 * (sim[shrink, 1:] - best)
+                fsim[shrink, 1:] = objective(
+                    sim[shrink, 1:].reshape(-1, N)).reshape(-1, N)
+            sim, fsim = _reorder(sim, fsim)
+        finish(live, sim, fsim)
     return results
 
 
-def _nelder_mead(func: Callable[[np.ndarray], float], x0: np.ndarray,
-                 xatol: float, fatol: float, maxiter: int
-                 ) -> tuple[float, np.ndarray]:
-    """(least value, its vertex) of the Nelder-Mead search from ``x0`` (see
-    :func:`_nelder_mead_steps`), valuing one point per call of ``func``."""
-    return _polish(lambda xs: [func(x) for x in xs], [x0], xatol, fatol,
-                   maxiter)[0]
-
-
 def _on_sphere(fn: Callable[..., np.ndarray]
-               ) -> Callable[[np.ndarray], list[float]]:
+               ) -> Callable[[np.ndarray], np.ndarray]:
     """The polish objective: the values of ``fn`` at the projections of the
     rows of a (B, d) array to the sphere, infinite near the origin.
 
     Row k gets the float a one-point call ``fn(x[None, :] / norm(x))`` gives:
     the norm is the per-row dot product that ``np.linalg.norm`` takes of one
     vector, and ``fn`` evaluates in its per-point layout."""
-    def objective(xs: np.ndarray) -> list[float]:
+    def objective(xs: np.ndarray) -> np.ndarray:
         n = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
         out = np.full(len(xs), np.inf)
         # a NaN norm is evaluated, as a one-point call evaluates it
         live = ~(n < 1e-9)
         out[live] = fn(xs[live] / n[live, None], _per_point=True)
-        return out.tolist()
+        return out
 
     return objective
 

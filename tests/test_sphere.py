@@ -7,17 +7,22 @@ exact work and scipy out of every command.
 numpy call chain per matrix entry, kept verbatim as the reference.  The
 kernel must give the same floats bit for bit, since the numeric verdicts and
 the fixture bundle are built from them.  For the same reason ``_sobol``,
-``_ndtri`` and ``_nelder_mead`` must return the floats of
+``_ndtri`` and ``_polish`` must return the floats of
 ``scipy.stats.qmc.Sobol``, ``scipy.special.ndtri`` and
 ``scipy.optimize.minimize``, which they replace; scipy's ``stats``,
 ``special`` and ``optimize`` are imported inside those tests only.
+``_power_table_reference`` is the earlier power table, one ``**`` over every
+exponent, kept to pin the table's numpy route.
 
-The search polishes its candidates in lock-step, valuing all the points of
-a round in one batched call.  ``_on_sphere_one`` is the earlier one-point
-polish objective, kept verbatim as the reference: each polish must end on
-the floats the one-point search gives.
+The search polishes its candidates as one array of simplices, valuing four
+speculative candidates per run in one batched call.  ``_nelder_mead_steps``
+and its runner ``_lock_step_polish`` are the earlier polish, one simplex
+of Python floats per run, and ``_on_sphere_one`` the earlier
+one-point polish objective, kept verbatim as the reference: each polish must
+end on the floats the one-point search gives.
 """
 
+import itertools
 import json
 import os
 import subprocess
@@ -76,6 +81,133 @@ def _compile_matrix(sym: SymbolMatrix, var_order: Sequence[str]
         return out
 
     return evaluate
+
+
+# ---------------------------------------------------------------------------
+# Reference: the Nelder-Mead generator and its lock-step runner
+
+
+def _nelder_mead_steps(x0: np.ndarray, xatol: float, fatol: float,
+                       maxiter: int):
+    """The Nelder and Mead (1965) simplex search from ``x0``, with the
+    coefficients 1, 2, 1/2, 1/2, as a generator: it yields the list of points
+    (lists of floats) whose values it needs next, receives the list of their
+    values, and returns (least value, its vertex).  It asks for the N + 1
+    initial vertices at once, then for one point per reflection, expansion
+    or contraction, and for the N vertices of a shrink at once.
+
+    Every floating-point operation is the one, in the order, that scipy's
+    ``minimize(method="Nelder-Mead")`` performs without bounds, callback or
+    ``maxfev``, so both return the same floats.  The simplex is held as
+    lists of Python floats, whose arithmetic rounds as numpy's elementwise
+    float64 arithmetic does, and is ordered by ``np.argsort`` as scipy's is:
+    its order of equal values differs from a stable sort's.
+    """
+    x0 = np.asarray(x0, dtype=float).flatten().tolist()
+    N = len(x0)
+    sim = [x0]
+    for k in range(N):
+        y = list(x0)
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim.append(y)
+
+    def reorder() -> None:
+        ind = np.array(fsim).argsort().tolist()
+        sim[:] = [sim[i] for i in ind]
+        fsim[:] = [fsim[i] for i in ind]
+
+    fsim = list((yield list(sim)))
+    # Sorted twice, as scipy does: argsort is not stable, so the second sort
+    # may reorder equal values.
+    reorder()
+    reorder()
+
+    iterations = 1
+    while iterations < maxiter:
+        # ``all`` of ``<=`` is scipy's ``max(...) <= tol``: a NaN (inf - inf
+        # at infinite vertices) fails both.
+        best, fbest = sim[0], fsim[0]
+        if (all(abs(v - b) <= xatol for x in sim[1:] for v, b in zip(x, best))
+                and all(abs(fbest - fv) <= fatol for fv in fsim[1:])):
+            break
+        # numpy's add.reduce over the rows starts from 0.0, not the first row
+        # (the sums differ in the sign of a zero)
+        xbar = [0.0] * N
+        for x in sim[:-1]:
+            xbar = [s + v for s, v in zip(xbar, x)]
+        xbar = [s / N for s in xbar]
+        worst = sim[-1]
+        # the coefficients 1 + rho, rho with rho = 1
+        xr = [2 * b - 1 * w for b, w in zip(xbar, worst)]
+        fxr, = yield [xr]
+        if fxr < fsim[0]:
+            # expansion: 1 + rho chi, rho chi with chi = 2
+            xe = [3 * b - 2 * w for b, w in zip(xbar, worst)]
+            fxe, = yield [xe]
+            if fxe < fxr:
+                sim[-1], fsim[-1] = xe, fxe
+            else:
+                sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            doshrink = False
+            if fxr < fsim[-1]:
+                # outside contraction: 1 + psi rho, psi rho with psi = 1/2
+                xc = [1.5 * b - 0.5 * w for b, w in zip(xbar, worst)]
+                fxc, = yield [xc]
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    doshrink = True
+            else:
+                # inside contraction: 1 - psi, psi
+                xcc = [0.5 * b + 0.5 * w for b, w in zip(xbar, worst)]
+                fxcc, = yield [xcc]
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    doshrink = True
+            if doshrink:
+                # shrink towards the best vertex, sigma = 1/2; the new
+                # vertices do not depend on each other's values
+                sim[1:] = [[b + 0.5 * (v - b) for b, v in zip(best, x)]
+                           for x in sim[1:]]
+                fsim[1:] = yield sim[1:]
+        iterations += 1
+        reorder()
+    return np.min(fsim), np.array(sim[0])
+
+
+def _lock_step_polish(objective: Callable[[np.ndarray], Sequence[float]],
+                      starts: Sequence[np.ndarray], xatol: float, fatol: float,
+                      maxiter: int) -> list[tuple[float, np.ndarray]]:
+    """(least value, its vertex) of a Nelder-Mead search from each start.
+
+    The searches run in lock-step: each round, the points that every search
+    still running asks for are stacked into one (B, d) array and valued by
+    one call of ``objective``, which returns their B values in row order."""
+    runs = [_nelder_mead_steps(x0, xatol, fatol, maxiter) for x0 in starts]
+    results: list = [None] * len(runs)
+    asks = {k: next(run) for k, run in enumerate(runs)}
+    while asks:
+        values = objective(np.array([x for ask in asks.values() for x in ask]))
+        at = 0
+        for k, ask in list(asks.items()):
+            try:
+                asks[k] = runs[k].send(values[at:at + len(ask)])
+            except StopIteration as done:
+                results[k] = done.value
+                del asks[k]
+            at += len(ask)
+    return results
+
+
+def _row_by_row(func: Callable[[np.ndarray], float]
+                ) -> Callable[[np.ndarray], np.ndarray]:
+    """A batched objective that values each row by its own call of ``func``."""
+    return lambda xs: np.array([func(x) for x in xs], dtype=float)
+
 
 
 # ---------------------------------------------------------------------------
@@ -163,16 +295,49 @@ def test_scalar_kernel_matches_per_entry_poly(sym, seed):
 
 
 def test_kernel_shares_exponent_rows():
-    """Entries with common monomials keep their own term order and values."""
+    """Entries with common monomials keep their own term order and values;
+    equal entries are valued once, and an entry with the same monomials but
+    other coefficients is not taken for them."""
     sig = spatial_signature(2)
     d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
     a = d1 * d1 + d2 * d2
     b = d2 * d2 - d1 * d2 + d1 * d1
-    sym = SymbolMatrix(sig, PolyMatrix(sig.vars, [[a, b], [b, Poly.zero(sig.vars)]]))
+    zero = Poly.zero(sig.vars)
+    sym = SymbolMatrix(sig, PolyMatrix(sig.vars, [[a, b, a + a], [b, zero, a]]))
     pts = batch(2, 512, 7)
     assert_same(sym, pts)
     got = sphere.compile_matrix(sym.body, sig.vars)(pts)
     assert np.all(got[:, 1, 1] == 0)
+    assert np.array_equal(got[:, 0, 1], got[:, 1, 0])
+    assert np.array_equal(got[:, 0, 2], 2 * got[:, 0, 0])
+
+
+def _power_table_reference(pts: np.ndarray, pw: np.ndarray) -> np.ndarray:
+    """The earlier power table: every exponent, 0 and 1 included, through
+    one ``**`` whose int64 exponent axis is the inner loop."""
+    return pts[:, :, None] ** pw
+
+
+def test_power_table_keeps_the_pow_route():
+    """The table takes x ** 0 and x ** 1 without ``**`` and the higher
+    exponents through numpy's general float64 ``power`` route, as the earlier
+    table did, for every set of exponents of a form of degree up to 6 (a
+    single exponent of 2 or more included, where a repeated exponent would
+    take the route on which x ** 2 is x * x): the same bytes on Sobol blocks,
+    on the search's blocks with parameter columns at 1.0, and on one-row
+    batches of the polish.  A numpy whose routes change fails here."""
+    blocks = []
+    for dim in (2, 3, 4):
+        pts = batch(dim, 4096, 5)
+        blocks += [pts[:2048], np.hstack([pts[2048:], np.ones((2048, 2))])]
+        blocks += [row[None, :] for row in _unit_rows(dim, 64, dim)]
+    for r in range(6):
+        for high in itertools.combinations(range(2, 7), r):
+            pw = np.array([0, 1, *high], dtype=np.int64)
+            for pts in blocks:
+                got = sphere._power_table(pts, np.array(high, dtype=float))
+                want = _power_table_reference(pts, pw)
+                assert got.shape == want.shape and got.tobytes() == want.tobytes(), high
 
 
 @st.composite
@@ -369,8 +534,8 @@ def assert_nelder_mead_matches(func, x0, maxiter):
         want = optimize.minimize(func, x0, method="Nelder-Mead",
                                  options={"xatol": 1e-12, "fatol": 1e-14,
                                           "maxiter": maxiter})
-        fun, x = sphere._nelder_mead(func, x0, xatol=1e-12, fatol=1e-14,
-                                     maxiter=maxiter)
+        (fun, x), = sphere._polish(_row_by_row(func), [x0], xatol=1e-12,
+                                   fatol=1e-14, maxiter=maxiter)
     assert type(fun) is type(want.fun) and float(fun).hex() == float(want.fun).hex()
     assert x.dtype == want.x.dtype and x.tobytes() == want.x.tobytes()
 
@@ -409,11 +574,14 @@ def test_nelder_mead_edge_starts_match_scipy():
             assert_nelder_mead_matches(func, x0, maxiter)
 
 
-@pytest.mark.parametrize("func", [
+_PLATEAUS = [
     lambda x: 1.0,                                     # every vertex ties
     lambda x: float(np.sum(np.floor(2 * x))),          # integer plateaus
     lambda x: float(np.sum(np.abs(np.floor(3 * x)))),
-])
+]
+
+
+@pytest.mark.parametrize("func", _PLATEAUS)
 def test_nelder_mead_ties_match_scipy(func):
     """Equal vertex values are ordered as numpy's argsort orders them.  From
     four vertices on that is not always a stable sort's order, and these
@@ -449,20 +617,28 @@ def test_per_point_kernel_rows_match_one_point_calls(sym, size, seed):
         assert got[k].tobytes() == evaluate(pts[k:k + 1])[0].tobytes(), k
 
 
-def assert_polish_matches_one_point(fn, starts_, maxiter):
-    """The lock-step polish of ``starts_`` ends, start by start, on the
-    floats of the one-point search."""
+def assert_polish_matches_reference(objective, one_point, starts_, maxiter):
+    """The batched polish of ``starts_`` through ``objective`` ends, start by
+    start, on the floats of the reference one-point search through
+    ``one_point``."""
     with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # inf - inf in the convergence test
-        got = sphere._polish(sphere._on_sphere(fn), starts_, xatol=1e-12,
-                             fatol=1e-14, maxiter=maxiter)
-        assert len(got) == len(starts_)
-        for x0, (fun, x) in zip(starts_, got):
-            want_fun, want_x = sphere._nelder_mead(
-                _on_sphere_one(fn), x0, xatol=1e-12, fatol=1e-14, maxiter=maxiter)
+        warnings.simplefilter("ignore")  # the reference's inf - inf
+        got = sphere._polish(objective, starts_, xatol=1e-12, fatol=1e-14,
+                             maxiter=maxiter)
+        want = _lock_step_polish(lambda xs: [one_point(x) for x in xs], starts_,
+                                 xatol=1e-12, fatol=1e-14, maxiter=maxiter)
+        assert len(got) == len(want) == len(starts_)
+        for (fun, x), (want_fun, want_x) in zip(got, want):
             assert type(fun) is type(want_fun)
             assert float(fun).hex() == float(want_fun).hex()
             assert x.dtype == want_x.dtype and x.tobytes() == want_x.tobytes()
+
+
+def assert_polish_matches_one_point(fn, starts_, maxiter):
+    """The polish of ``starts_`` on the sphere, as the search runs it, ends
+    start by start on the floats of the one-point search."""
+    assert_polish_matches_reference(sphere._on_sphere(fn), _on_sphere_one(fn),
+                                    starts_, maxiter)
 
 
 @settings(max_examples=60, deadline=None)
@@ -479,20 +655,63 @@ def test_lock_step_polish_matches_one_point_search(data):
     assert_polish_matches_one_point(fn, starts_, maxiter)
 
 
-def test_lock_step_polish_edge_starts():
-    """Searches that stop in different rounds, one of them at once, share
-    each round's batched call."""
+def _edge_starts() -> list[np.ndarray]:
+    return [np.array([0.0, 0.6, 0.8]),       # a zero coordinate
+            np.array([1e-10, 2e-10, 0.0]),   # infinite at all but one vertex
+            np.array([3e-10, 1e-10, 2e-10]),  # infinite at every vertex
+            *_unit_rows(3, 5, 11)]
+
+
+def _edge_forms() -> list[Callable[..., np.ndarray]]:
     sig = spatial_signature(3)
     d1, d2, d3 = (Poly.variable(sig.vars, v) for v in sig.vars)
-    for entries in ([[d1 * d1 + d1 * d2 - d3 * d3]],
-                    [[d1 * d1 + d2 * d2, d1 * d3], [d1 * d3, d3 * d3 - d1 * d2]]):
-        fn = _values(SymbolMatrix(sig, PolyMatrix(sig.vars, entries)))
-        starts_ = [np.array([0.0, 0.6, 0.8]),       # a zero coordinate
-                   np.array([1e-10, 2e-10, 0.0]),   # infinite at all but one vertex
-                   np.array([3e-10, 1e-10, 2e-10]),  # infinite at every vertex
-                   *_unit_rows(3, 5, 11)]
+    return [_values(SymbolMatrix(sig, PolyMatrix(sig.vars, entries))) for entries in (
+        [[d1 * d1 + d1 * d2 - d3 * d3]],
+        [[d1 * d1 + d2 * d2, d1 * d3], [d1 * d3, d3 * d3 - d1 * d2]])]
+
+
+def test_lock_step_polish_edge_starts():
+    """Searches that stop in different rounds, one of them at once, share
+    each round's batched calls."""
+    for fn in _edge_forms():
         for maxiter in (600, 40, 3, 1):
-            assert_polish_matches_one_point(fn, starts_, maxiter)
+            assert_polish_matches_one_point(fn, _edge_starts(), maxiter)
+
+
+def test_edge_starts_search_raises_no_warning(monkeypatch):
+    """inf - inf in the convergence test and the infinite values near the
+    origin stay silent, as they were with the Python-float simplices: the
+    edge starts, as the whole scan, go through the search with every warning
+    an error."""
+    pts = np.array(_edge_starts())
+    monkeypatch.setattr(sphere, "_sphere_points", lambda dim, budget, seed: pts)
+    for fn in _edge_forms():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value, point = sphere._sphere_minimize(fn, 3, DEFAULT_SEED, len(pts))
+        assert np.isfinite(value) and len(point) == 3
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_polish_matches_reference_search(data):
+    """Up to 16 runs in 2 to 5 variables, from Sobol starts with zero
+    coordinates or near the origin, on real kernels projected to the sphere
+    or on row-by-row plateau objectives whose ties exercise the order of
+    equal values and the equal-value branches; each run ends on the floats
+    of the reference one-point search."""
+    maxiter = data.draw(st.sampled_from([1, 3, 40, 600]))
+    if data.draw(st.booleans()):
+        sym = data.draw(symbol_matrices(params=0, spatial=4).filter(
+            lambda m: 2 <= len(var_order(m)) <= 5))
+        fn = _values(sym)
+        objective, one_point = sphere._on_sphere(fn), _on_sphere_one(fn)
+        dim = len(var_order(sym))
+    else:
+        one_point = data.draw(st.sampled_from(_PLATEAUS))
+        objective, dim = _row_by_row(one_point), data.draw(st.integers(2, 5))
+    starts_ = data.draw(st.lists(starts(dim), min_size=1, max_size=16))
+    assert_polish_matches_reference(objective, one_point, starts_, maxiter)
 
 
 def _lame(n: int, lam: Fraction, mu: Fraction) -> OperatorMatrix:
