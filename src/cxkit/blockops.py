@@ -5,9 +5,12 @@ laid out with the *highest* degree first, matching how the classical systems
 are usually displayed (top-left block = degree q).  ``B_j`` denotes the
 projection onto the degree-j component; ``block_inject`` realizes the
 characteristic pattern ``B_r P B_c`` of placing an operator P into one block
-of the big matrix, and ``block_diagonal`` the sum ``sum_j B_j P_j B_j`` that
-puts Laplacians or time terms on the diagonal.  The block helpers accept
-operator and symbol matrices alike and return the type they were given.
+of the big matrix.  Blocks of distinct degree pairs are disjoint, so a sum
+``sum B_r P B_c`` is a placement, not an addition: ``block_place`` writes
+every block into one entry table, zero elsewhere, and each entry is its
+block's as stored.  The Maxwell, Stokes and time builders and
+``block_diagonal`` (Laplacians or time terms on the diagonal) build on it.
+The block helpers take operator and symbol matrices alike.
 
 The evolution builders share one time lift: the complex and its weights are
 lifted to a signature with a time variable ``dt`` (plus the parameters of
@@ -30,13 +33,11 @@ with the unweighted Maxwell off-diagonal scaled by a coupling flag ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import add
 from typing import Mapping, Sequence, TypeVar
 
 from cxkit.complexes import Complex, MuSet, generalized_laplacian, perturbed_laplacian
 from cxkit.diffop import OperatorMatrix, Signature, SignatureMatrix
-from cxkit.poly import GaussianRational, Poly
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
@@ -68,7 +69,7 @@ class BlockPartition:
     def offset(self, degree: int) -> int:
         """First row/column of the degree block (descending layout)."""
         if not 0 <= degree <= self.top:
-            raise ValueError(f"degree {degree} outside partition")
+            raise ValueError(f"degree {degree} outside 0..{self.top}")
         return sum(self.ranks[j] for j in range(degree + 1, self.top + 1))
 
     def span(self, degree: int) -> tuple[int, int]:
@@ -76,17 +77,31 @@ class BlockPartition:
         return off, off + self.ranks[degree]
 
 
+def block_place(part: BlockPartition,
+                blocks: Mapping[tuple[int, int], MatrixT]) -> MatrixT:
+    """``sum B_r P B_c`` over a nonempty ``{(r, c): P}`` map, each block
+    written at its place of one zero matrix (``PolyMatrix.place``), over the
+    merge of the blocks' signatures."""
+    if not blocks:
+        raise ValueError("blocks is empty")
+    ops = list(blocks.values())
+    sig = ops[0].signature
+    for op in ops:
+        sig = sig.merge(op.signature)
+    placed = []
+    for (r, c), op in blocks.items():
+        (r0, r1), (c0, c1) = part.span(r), part.span(c)
+        if (op.rows, op.cols) != (r1 - r0, c1 - c0):
+            raise ValueError(
+                f"block ({r},{c}) expects {r1 - r0}x{c1 - c0}, got {op.rows}x{op.cols}")
+        placed.append(((op if op.signature == sig else op.lift(sig)).body, r0, c0))
+    return type(ops[0])(sig, PolyMatrix.place(sig.vars, part.size, part.size, placed))
+
+
 def block_inject(part: BlockPartition, op: MatrixT,
                  row_degree: int, col_degree: int) -> MatrixT:
     """Embed ``op`` as the (row_degree, col_degree) block of a big zero matrix."""
-    if (op.rows, op.cols) != (part.ranks[row_degree], part.ranks[col_degree]):
-        raise ValueError(
-            f"block ({row_degree},{col_degree}) expects "
-            f"{part.ranks[row_degree]}x{part.ranks[col_degree]}, got {op.rows}x{op.cols}"
-        )
-    n = part.size
-    body = op.body.embed(n, n, part.offset(row_degree), part.offset(col_degree))
-    return type(op)(op.signature, body)
+    return block_place(part, {(row_degree, col_degree): op})
 
 
 def block_extract(part: BlockPartition, op: MatrixT,
@@ -113,12 +128,9 @@ def embed_trailing(op: MatrixT, size: int) -> MatrixT:
 
 
 def block_diagonal(part: BlockPartition, blocks: Mapping[int, MatrixT]) -> MatrixT:
-    """``sum_j B_j blocks[j] B_j`` for a nonempty ``{degree: matrix}`` map.
-
-    The blocks are disjoint, so each entry of the sum is one block's entry as
-    stored (adding a zero entry returns the other operand unchanged).
-    """
-    return reduce(add, (block_inject(part, blk, j, j) for j, blk in blocks.items()))
+    """``sum_j B_j blocks[j] B_j`` for a nonempty ``{degree: matrix}`` map,
+    placed (``block_place``): each entry is one block's entry as stored."""
+    return block_place(part, {(j, j): blk for j, blk in blocks.items()})
 
 
 def _as_scalar_poly(value, sig: Signature) -> Poly:
@@ -148,24 +160,27 @@ def _with_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None
 # Maxwell operators
 
 
-def maxwell(cplx: Complex, q: int, mu: MuSet | None = None,
-            variant: int = 0) -> SignatureMatrix:
-    """The degree-q Maxwell operator M0 (variant 0) or M1 (variant 1)."""
+def maxwell_blocks(cplx: Complex, q: int, mu: MuSet | None = None,
+                   variant: int = 0) -> dict[tuple[int, int], SignatureMatrix]:
+    """The blocks ``{(r, c): P}`` of the degree-q Maxwell operator (none at q = 0)."""
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
     if mu is None:
         mu = MuSet.identity(cplx)
-    part = BlockPartition.for_degree(cplx, q)
-    total = cplx.zero(part.size, part.size)
+    blocks = {}
     for j in range(q):
         a = cplx.op(j)
-        if variant == 0:
-            down = mu.mu0(j) @ a
-        else:
-            down = a @ mu.mu1(j + 1)
-        total = total + block_inject(part, down, j + 1, j)
-        total = total + block_inject(part, a.formal_adjoint(), j, j + 1)
-    return total
+        blocks[j + 1, j] = mu.mu0(j) @ a if variant == 0 else a @ mu.mu1(j + 1)
+        blocks[j, j + 1] = a.formal_adjoint()
+    return blocks
+
+
+def maxwell(cplx: Complex, q: int, mu: MuSet | None = None,
+            variant: int = 0) -> SignatureMatrix:
+    """The degree-q Maxwell operator M0 (variant 0) or M1 (variant 1)."""
+    blocks = maxwell_blocks(cplx, q, mu, variant)
+    part = BlockPartition.for_degree(cplx, q)
+    return block_place(part, blocks) if blocks else cplx.zero(part.size, part.size)
 
 
 def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
@@ -177,8 +192,10 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     """
     cplx, mu, b, dt = _with_time(cplx, q, b, mu)
     part = BlockPartition.for_degree(cplx, q)
-    time = {j: cplx.identity(part.ranks[j]).scale(bj * dt) for j, bj in enumerate(b)}
-    return maxwell(cplx, q, mu, variant) + block_diagonal(part, time)
+    blocks = maxwell_blocks(cplx, q, mu, variant)
+    blocks.update({(j, j): cplx.identity(part.ranks[j]).scale(bj * dt)
+                   for j, bj in enumerate(b)})
+    return block_place(part, blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -201,11 +218,11 @@ def assemble_stokes(cplx: Complex, q: int,
         sig = sig.merge(d.signature)
     cplx = cplx.lift(sig) if cplx.signature != sig else cplx
     part = BlockPartition.for_degree(cplx, q)
-    total = block_diagonal(part, {j: d.lift(sig) for j, d in enumerate(diagonal)})
+    blocks = {(j, j): d.lift(sig) for j, d in enumerate(diagonal)}
     a_poly = _as_scalar_poly(a, sig)
     if not a_poly.is_zero:
-        total = total + maxwell(cplx, q, None, 0).scale(a_poly)
-    return total
+        blocks.update({rc: blk.scale(a_poly) for rc, blk in maxwell_blocks(cplx, q).items()})
+    return block_place(part, blocks)
 
 
 def stokes(cplx: Complex, q: int, mu: MuSet | None = None,
@@ -243,13 +260,13 @@ def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
 # Factorization checks
 
 
-def _factorization_rhs(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:
-    """``B_q A_{q-1} mu1_q A_{q-1}* B_q + sum_{j<q} B_j GL_j B_j``; at q = 0
-    the top block is the k_0 x k_0 zero."""
+def _factorization_rhs(cplx: Complex, q: int, mu: MuSet) -> dict[int, SignatureMatrix]:
+    """The diagonal blocks ``{j: P_j}`` of ``B_q A_{q-1} mu1_q A_{q-1}* B_q +
+    sum_{j<q} B_j GL_j B_j``; at q = 0 the top block is the k_0 x k_0 zero."""
     a = cplx.op(q - 1)
     blocks = {j: generalized_laplacian(cplx, j, mu) for j in range(q)}
     blocks[q] = a @ mu.mu1(q) @ a.formal_adjoint()
-    return block_diagonal(BlockPartition.for_degree(cplx, q), blocks)
+    return blocks
 
 
 def factorization_residual(cplx: Complex, q: int, mu: MuSet | None = None
@@ -261,7 +278,8 @@ def factorization_residual(cplx: Complex, q: int, mu: MuSet | None = None
     if mu is None:
         mu = MuSet.identity(cplx)
     lhs = maxwell(cplx, q, mu, 1) @ maxwell(cplx, q, mu, 0)
-    return lhs - _factorization_rhs(cplx, q, mu)
+    return lhs - block_diagonal(BlockPartition.for_degree(cplx, q),
+                                _factorization_rhs(cplx, q, mu))
 
 
 def verify_factorization(cplx: Complex, q: int, mu: MuSet | None = None) -> bool:
@@ -284,10 +302,10 @@ def wave_factorization_residual(cplx: Complex, q: int, b: Sequence,
     i = Poly.constant(cplx_t.signature.vars, GaussianRational.i())
     lhs = (maxwell_time(cplx, q, [bj.scale(-1) * i for bj in b], mu, 1)
            @ maxwell_time(cplx, q, [bj * i for bj in b], mu, 0))
-    part = BlockPartition.for_degree(cplx_t, q)
     dtt = dt * dt
-    time = {j: cplx_t.identity(part.ranks[j]).scale(dtt * bj * bj) for j, bj in enumerate(b)}
-    return lhs - (_factorization_rhs(cplx_t, q, mu_t) + block_diagonal(part, time))
+    rhs = {j: blk + cplx_t.identity(blk.rows).scale(dtt * b[j] * b[j])
+           for j, blk in _factorization_rhs(cplx_t, q, mu_t).items()}
+    return lhs - block_diagonal(BlockPartition.for_degree(cplx_t, q), rhs)
 
 
 def verify_wave_factorization(cplx: Complex, q: int, b: Sequence,
@@ -297,12 +315,14 @@ def verify_wave_factorization(cplx: Complex, q: int, b: Sequence,
 
 __all__ = [
     "BlockPartition",
+    "block_place",
     "block_inject",
     "block_extract",
     "block_diagonal",
     "trailing_minor",
     "embed_trailing",
     "maxwell",
+    "maxwell_blocks",
     "maxwell_time",
     "assemble_stokes",
     "stokes",

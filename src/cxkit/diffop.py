@@ -147,26 +147,23 @@ class SignatureMatrix:
         sig = self.signature.merge(other.signature)
         return self.lift(sig), other.lift(sig)
 
-    def __add__(self, other):
+    def _binary(self, other, op):
         if type(other) is not type(self):
             return NotImplemented
         a, b = self._aligned(other)
-        return type(self)(a.signature, a.body + b.body)
+        return type(self)(a.signature, op(a.body, b.body))
+
+    def __add__(self, other):
+        return self._binary(other, PolyMatrix.__add__)
 
     def __sub__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return type(self)(a.signature, a.body - b.body)
+        return self._binary(other, PolyMatrix.__sub__)
 
     def __neg__(self):
         return type(self)(self.signature, -self.body)
 
     def __matmul__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        a, b = self._aligned(other)
-        return type(self)(a.signature, a.body @ b.body)
+        return self._binary(other, PolyMatrix.__matmul__)
 
     def scale(self, value):
         if isinstance(value, Poly):
@@ -262,19 +259,17 @@ class SymbolMatrix(SignatureMatrix):
 
 
 def tensor_identity(op: OperatorMatrix, n: int, *, outer: bool = True) -> OperatorMatrix:
-    """Kronecker product ``I_n (x) op`` (outer) or ``op (x) I_n``.
+    """Kronecker product ``I_n (x) op`` (outer) or ``op (x) I_n``, placed.
 
     With ``outer=True`` the result repeats ``op`` down a block diagonal.
     """
+    if n < 0:
+        raise ValueError(f"tensor_identity needs n >= 0, got n = {n}")
     sig = op.signature
-    rows, cols = n * op.rows, n * op.cols
-    body = PolyMatrix.zeros(sig.vars, rows, cols)
     if outer:
-        for b in range(n):
-            body = body + op.body.embed(rows, cols, b * op.rows, b * op.cols)
+        blocks = [(op.body, b * op.rows, b * op.cols) for b in range(n)]
     else:
         ident = PolyMatrix.identity(sig.vars, n)
-        for i in range(op.rows):
-            for j in range(op.cols):
-                body = body + ident.scale(op[i, j]).embed(rows, cols, i * n, j * n)
-    return OperatorMatrix(sig, body)
+        blocks = [(ident.scale(op[i, j]), i * n, j * n)
+                  for i in range(op.rows) for j in range(op.cols)]
+    return OperatorMatrix(sig, PolyMatrix.place(sig.vars, n * op.rows, n * op.cols, blocks))

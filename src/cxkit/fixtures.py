@@ -26,7 +26,8 @@ from cxkit.complexes import (
     laplacian,
     powered_de_rham_complex,
 )
-from cxkit.diffop import OperatorMatrix, Signature, spatial_signature, tensor_identity
+from cxkit.diffop import (OperatorMatrix, Signature, SymbolMatrix, spatial_signature,
+                          tensor_identity)
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 I = GaussianRational.i()
@@ -69,22 +70,11 @@ def _scalar_block(sig: Signature, n: int, p: Poly) -> OperatorMatrix:
     return OperatorMatrix.identity(sig, n).scale(p)
 
 
-def _placed(vars, rows: int, cols: int, parts) -> PolyMatrix:
-    """The sum of the blocks ``(matrix, r0, c0)``, each placed at ``(r0, c0)``
-    of a rows x cols zero matrix."""
-    out = PolyMatrix.zeros(vars, rows, cols)
-    for blk, r0, c0 in parts:
-        out = out + blk.embed(rows, cols, r0, c0)
-    return out
-
-
 def _assemble(sig: Signature, rows: Sequence[Sequence[OperatorMatrix]]
               ) -> OperatorMatrix:
     """Glue a matrix of operator blocks into one operator."""
-    # Blocks are summed into their block row first, and only the rows into the
-    # whole matrix: each addition costs an entry per cell of its target.
     width = sum(blk.cols for blk in rows[0])
-    glued = []
+    placed = []
     r0 = 0
     for block_row in rows:
         height = block_row[0].rows
@@ -92,11 +82,9 @@ def _assemble(sig: Signature, rows: Sequence[Sequence[OperatorMatrix]]
                 or sum(blk.cols for blk in block_row) != width):
             raise ValueError("ragged block row")
         starts = accumulate((blk.cols for blk in block_row), initial=0)
-        glued.append((_placed(sig.vars, height, width,
-                              [(blk.body, 0, c0) for blk, c0 in zip(block_row, starts)]),
-                      r0, 0))
+        placed += [(blk.body, r0, c0) for blk, c0 in zip(block_row, starts)]
         r0 += height
-    return OperatorMatrix(sig, _placed(sig.vars, r0, width, glued))
+    return OperatorMatrix(sig, PolyMatrix.place(sig.vars, r0, width, placed))
 
 
 def _zero_block(sig: Signature, rows: int, cols: int) -> OperatorMatrix:
@@ -113,14 +101,14 @@ def _reverse_blocks(op: OperatorMatrix, ranks: Sequence[int]) -> OperatorMatrix:
     if sum(ranks) != n or n != op.cols:
         raise ValueError("rank profile does not match the operator")
     spans = [(r0, r0 + k) for r0, k in zip(accumulate(ranks, initial=0), ranks)]
-    return OperatorMatrix(op.signature, _placed(op.body.vars, n, n, [
+    return OperatorMatrix(op.signature, PolyMatrix.place(op.body.vars, n, n, [
         (op.body.block(r0, r1, c0, c1), n - r1, n - c1)
         for r0, r1 in spans for c0, c1 in spans]))
 
 
 def _scale_last_row(op: OperatorMatrix, factor) -> OperatorMatrix:
     n, m = op.rows, op.cols
-    return OperatorMatrix(op.signature, _placed(op.body.vars, n, m, [
+    return OperatorMatrix(op.signature, PolyMatrix.place(op.body.vars, n, m, [
         (op.body.block(0, n - 1, 0, m), 0, 0),
         (op.body.block(n - 1, n, 0, m).scale(factor), n - 1, 0)]))
 
@@ -153,41 +141,30 @@ def complex_family() -> dict:
     return _report("complex-family", checks)
 
 
+def _scalar_laplacians(c: Complex, s: Poly) -> bool:
+    """Is every Laplacian of ``c`` the scalar ``s`` times the identity?"""
+    return all(laplacian(c, q) == OperatorMatrix.identity(c.signature, c.rank(q)).scale(s)
+               for q in range(c.length + 1))
+
+
 def laplacian_family() -> dict:
     """Exact Laplacian identities for the standard complexes."""
     checks = {}
     for n in (2, 3, 4, 5):
         c = de_rham_complex(n)
-        lap = _laplace(c.signature)
-        ok = True
-        for q in range(c.length + 1):
-            expected = OperatorMatrix.identity(c.signature, c.rank(q)).scale(-lap)
-            ok = ok and laplacian(c, q) == expected
-        checks[f"de-rham-{n}"] = ok
+        checks[f"de-rham-{n}"] = _scalar_laplacians(c, -_laplace(c.signature))
     for p in (2, 3):
         c = powered_de_rham_complex(3, p)
         power_sum = Poly.zero(c.signature.vars)
         for v in c.signature.spatial:
             power_sum = power_sum + _var(c.signature, v) ** (2 * p)
-        scale = power_sum.scale(GaussianRational.of(Fraction((-1) ** p)))
-        ok = all(
-            laplacian(c, q)
-            == OperatorMatrix.identity(c.signature, c.rank(q)).scale(scale)
-            for q in range(c.length + 1)
-        )
-        checks[f"powered-de-rham-3-p{p}"] = ok
+        checks[f"powered-de-rham-3-p{p}"] = _scalar_laplacians(
+            c, power_sum.scale(GaussianRational.of(Fraction((-1) ** p))))
     c = dolbeault_complex(2)
-    quarter = _laplace(c.signature).scale(GaussianRational.of(Fraction(-1, 4)))
-    checks["dolbeault-2"] = all(
-        laplacian(c, q) == OperatorMatrix.identity(c.signature, c.rank(q)).scale(quarter)
-        for q in range(c.length + 1)
-    )
+    checks["dolbeault-2"] = _scalar_laplacians(
+        c, _laplace(c.signature).scale(GaussianRational.of(Fraction(-1, 4))))
     c = planar_flow_complex()
-    lap = _laplace(c.signature)
-    checks["planar-flow"] = all(
-        laplacian(c, q) == OperatorMatrix.identity(c.signature, c.rank(q)).scale(-lap)
-        for q in range(3)
-    )
+    checks["planar-flow"] = _scalar_laplacians(c, -_laplace(c.signature))
     return _report("laplacian-family", checks)
 
 
@@ -483,21 +460,14 @@ def oseen_symbol() -> dict:
 def parametrix_family() -> dict:
     """Maxwell symbol parametrices and the symbol factorization."""
     checks = {}
-    for n in (2, 3):
-        c = de_rham_complex(n)
+    for name, c in (("de-rham-2", de_rham_complex(2)), ("de-rham-3", de_rham_complex(3)),
+                    ("dolbeault-2", dolbeault_complex(2))):
         for side in ("right", "left"):
             try:
                 symbols.maxwell_parametrix_symbol(c, None, side)
-                checks[f"de-rham-{n}-{side}"] = True
+                checks[f"{name}-{side}"] = True
             except ArithmeticError:
-                checks[f"de-rham-{n}-{side}"] = False
-    c = dolbeault_complex(2)
-    for side in ("right", "left"):
-        try:
-            symbols.maxwell_parametrix_symbol(c, None, side)
-            checks[f"dolbeault-2-{side}"] = True
-        except ArithmeticError:
-            checks[f"dolbeault-2-{side}"] = False
+                checks[f"{name}-{side}"] = False
     cp = de_rham_complex(3, params=["mu"])
     mu = MuSet.scalar(cp, cp.op(0).poly("mu"))
     for q in (1, 2, 3):
@@ -534,16 +504,10 @@ def ellipticity_suite() -> dict:
     checks = {}
     extras = {}
     c3 = de_rham_complex(3)
-    ok = True
-    for q in range(c3.length + 1):
-        sym = symbols.delta(c3, q)
-        lap2 = Poly.zero(sym.signature.vars)
-        for v in sym.signature.spatial:
-            z = Poly.variable(sym.signature.vars, v)
-            lap2 = lap2 + z * z
-        from cxkit.diffop import SymbolMatrix
-        ok = ok and sym == SymbolMatrix.identity(sym.signature, c3.rank(q)).scale(lap2)
-    checks["de-rham-delta-certified"] = ok
+    ssig = c3.signature.symbol_signature()
+    checks["de-rham-delta-certified"] = all(
+        symbols.delta(c3, q) == SymbolMatrix.identity(ssig, c3.rank(q)).scale(_laplace(ssig))
+        for q in range(c3.length + 1))
 
     sg = symmetric_gradient_complex()
     rep = ellipticity.injectivity_check(sg.op(0))

@@ -283,6 +283,50 @@ def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
     return p
 
 
+def _dot(vars: tuple[str, ...], pairs: Sequence[tuple["Poly", "Poly"]]) -> "Poly":
+    """``sum(a * b for a, b in pairs)`` in one dict over a running common
+    denominator, stored as adding the products one by one to zero stores it:
+    new keys in order of first occurrence, a key whose sum is zero after a
+    product deleted then (a later product appends it anew), the gcd cancelled
+    once.  Each product checks its variables and degree as ``*`` does; a lone
+    pair is ``a * b`` itself."""
+    if len(pairs) == 1:
+        return pairs[0][0] * pairs[0][1]
+    top = _WIDTH * len(vars)
+    out: dict[int, tuple[int, int]] = {}
+    den = 1
+    for a, b in pairs:
+        a._check_vars(b)
+        _check_product(max(a._num, default=0), max(b._num, default=0), top)
+        d = a._den * b._den
+        if den % d:
+            f = d // gcd(den, d)  # the new den is lcm(den, d)
+            out = {k: (re * f, im * f) for k, (re, im) in out.items()}
+            den *= f
+        f = den // d
+        get = out.get
+        zeros = []
+        b_terms = list(b._num.items())
+        for ka, (ar, ai) in a._num.items():
+            if f != 1:
+                ar, ai = ar * f, ai * f
+            for kb, (br, bi) in b_terms:
+                key = ka + kb
+                re = ar * br - ai * bi
+                im = ar * bi + ai * br
+                c = get(key)
+                if c is not None:
+                    re += c[0]
+                    im += c[1]
+                    if not (re or im):
+                        zeros.append(key)
+                out[key] = (re, im)
+        for key in zeros:
+            if out.get(key) == (0, 0):
+                del out[key]
+    return _poly_nonzero(vars, out, den)
+
+
 class Poly:
     """A sparse multivariate polynomial with Gaussian-rational coefficients.
 
@@ -750,8 +794,7 @@ class PolyMatrix:
 
     @staticmethod
     def zeros(vars: Sequence[str], rows: int, cols: int) -> "PolyMatrix":
-        z = Poly.zero(vars)
-        return PolyMatrix(vars, [[z] * cols for _ in range(rows)], shape=(rows, cols))
+        return PolyMatrix.place(vars, rows, cols, ())
 
     @staticmethod
     def identity(vars: Sequence[str], n: int) -> "PolyMatrix":
@@ -760,6 +803,25 @@ class PolyMatrix:
         return PolyMatrix(
             vars, [[one if i == j else z for j in range(n)] for i in range(n)]
         )
+
+    @staticmethod
+    def place(vars: Sequence[str], rows: int, cols: int,
+              blocks: Iterable[tuple["PolyMatrix", int, int]]) -> "PolyMatrix":
+        """The rows x cols matrix with each block ``(matrix, r0, c0)`` written
+        at ``(r0, c0)``, zero elsewhere: the sum of the blocks' ``embed``s with
+        no entry added.  A block that does not fit or overlaps raises."""
+        z = Poly.zero(vars)  # no block holds this object
+        table = [[z] * cols for _ in range(rows)]
+        for blk, r0, c0 in blocks:
+            r1, c1 = r0 + blk.rows, c0 + blk.cols
+            if not (0 <= r0 and r1 <= rows and 0 <= c0 and c1 <= cols):
+                raise ValueError(f"a {blk.rows}x{blk.cols} block at ({r0}, {c0}) "
+                                 f"does not fit a {rows}x{cols} matrix")
+            for row, src in zip(table[r0:r1], blk.entries):
+                if any(p is not z for p in row[c0:c1]):
+                    raise ValueError(f"the block at ({r0}, {c0}) overlaps another block")
+                row[c0:c1] = src
+        return PolyMatrix(vars, table, shape=(rows, cols))
 
     def __getitem__(self, key: tuple[int, int]) -> Poly:
         i, j = key
@@ -786,22 +848,7 @@ class PolyMatrix:
 
     def embed(self, rows: int, cols: int, r0: int, c0: int) -> "PolyMatrix":
         """This matrix placed at ``(r0, c0)`` of an otherwise zero rows x cols one."""
-        r1, c1 = r0 + self.rows, c0 + self.cols
-        if not (0 <= r0 and r1 <= rows and 0 <= c0 and c1 <= cols):
-            raise ValueError(
-                f"a {self.rows}x{self.cols} block at ({r0}, {c0}) "
-                f"does not fit a {rows}x{cols} matrix"
-            )
-        z = Poly.zero(self.vars)
-        zero_row = (z,) * cols
-        left, right = (z,) * c0, (z,) * (cols - c1)
-        return PolyMatrix(
-            self.vars,
-            [zero_row] * r0
-            + [left + row + right for row in self.entries]
-            + [zero_row] * (rows - r1),
-            shape=(rows, cols),
-        )
+        return PolyMatrix.place(self.vars, rows, cols, [(self, r0, c0)])
 
     def map(self, fn, vars: Sequence[str] | None = None) -> "PolyMatrix":
         """Apply ``fn`` entrywise; pass ``vars`` if ``fn`` changes the ring."""
@@ -818,33 +865,20 @@ class PolyMatrix:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _check_shape(self, other: "PolyMatrix") -> None:
+    def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
         if self.vars != other.vars:
             raise ValueError("variable mismatch between matrices")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch between matrices")
+        return PolyMatrix(self.vars, [list(map(op, ra, rb))
+                                      for ra, rb in zip(self.entries, other.entries)],
+                          shape=(self.rows, self.cols))
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other)
-        return PolyMatrix(
-            self.vars,
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            shape=(self.rows, self.cols),
-        )
+        return self._entrywise(other, Poly.__add__)
 
     def __sub__(self, other: "PolyMatrix") -> "PolyMatrix":
-        self._check_shape(other)
-        return PolyMatrix(
-            self.vars,
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.entries, other.entries)
-            ],
-            shape=(self.rows, self.cols),
-        )
+        return self._entrywise(other, Poly.__sub__)
 
     def __neg__(self) -> "PolyMatrix":
         return self.map(lambda p: -p)
@@ -857,9 +891,9 @@ class PolyMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         # Entry (i, j) sums the products of the nonzero entries of row i and
-        # column j in increasing k: the term order of every entry depends on
-        # the order of its sums, and stays that of the full k loop.
-        zero = Poly.zero(self.vars)
+        # column j in increasing k, in one accumulator (``_dot``): the term
+        # order of every entry is that of the full k loop of ``acc + a * b``.
+        vars, zero = self.vars, Poly.zero(self.vars)
         rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero] for row in self.entries]
         cols = [{k: row[j] for k, row in enumerate(other.entries) if not row[j].is_zero}
                 for j in range(other.cols)]
@@ -867,14 +901,10 @@ class PolyMatrix:
         for nonzero in rows:
             row = []
             for col in cols:
-                acc = zero
-                for k, a in nonzero:
-                    b = col.get(k)
-                    if b is not None:
-                        acc = acc + a * b
-                row.append(acc)
+                pairs = [(a, col[k]) for k, a in nonzero if k in col]
+                row.append(_dot(vars, pairs) if pairs else zero)
             out.append(row)
-        return PolyMatrix(self.vars, out, shape=(self.rows, other.cols))
+        return PolyMatrix(vars, out, shape=(self.rows, other.cols))
 
     def scale(self, value) -> "PolyMatrix":
         if isinstance(value, Poly):
@@ -928,15 +958,11 @@ class PolyMatrix:
             total = table.get(key)
             if total is not None:
                 return total
-            total = Poly.zero(self.vars)
             first, rest = entries[rows[0]], rows[1:]
-            for pos, j in enumerate(cols):
-                a = first[j]
-                if a.is_zero:
-                    continue
-                term = a * minor(rest, cols[:pos] + cols[pos + 1:])
-                total = total + term if pos % 2 == 0 else total - term
-            table[key] = total
+            # odd terms enter negated: acc - a * m stores as acc + (-a) * m
+            total = table[key] = _dot(self.vars, [
+                (a if pos % 2 == 0 else -a, minor(rest, cols[:pos] + cols[pos + 1:]))
+                for pos, j in enumerate(cols) if not (a := first[j]).is_zero])
             return total
 
         return minor

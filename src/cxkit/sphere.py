@@ -429,13 +429,16 @@ def _on_sphere(fn: Callable[..., np.ndarray]
 
     Row k gets the float a one-point call ``fn(x[None, :] / norm(x))`` gives:
     the norm is the per-row dot product that ``np.linalg.norm`` takes of one
-    vector, and ``fn`` evaluates in its per-point layout."""
+    vector, and ``fn`` evaluates in its per-point layout.  Rows near the
+    origin never reach ``fn``."""
     def objective(xs: np.ndarray) -> np.ndarray:
         n = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
-        out = np.full(len(xs), np.inf)
         # a NaN norm is evaluated, as a one-point call evaluates it
-        live = ~(n < 1e-9)
-        out[live] = fn(xs[live] / n[live, None], _per_point=True)
+        near = n < 1e-9
+        if not near.any():
+            return fn(xs / n[:, None], _per_point=True)
+        out = np.full(len(xs), np.inf)
+        out[~near] = fn(xs[~near] / n[~near, None], _per_point=True)
         return out
 
     return objective

@@ -27,10 +27,11 @@ from typing import Mapping, Sequence
 from cxkit.blockops import (
     BlockPartition,
     block_diagonal,
-    block_inject,
+    block_place,
     embed_trailing,
     factorization_residual,
     maxwell,
+    maxwell_blocks,
 )
 from cxkit.complexes import Complex, MuSet, generalized_laplacian
 from cxkit.diffop import SPATIAL, Signature, SymbolMatrix
@@ -108,11 +109,6 @@ class RationalSymbolMatrix:
     def cols(self) -> int:
         return self.core.cols
 
-    def map(self, fn) -> "RationalSymbolMatrix":
-        """``fn(core)`` over the same factors, for a linear ``fn`` such as a
-        block injection."""
-        return RationalSymbolMatrix._over(fn(self.core), self.num_factors, self.factors)
-
     def _align(self, other) -> tuple["RationalSymbolMatrix", "RationalSymbolMatrix"]:
         """Both operands over one signature; a SymbolMatrix operand is taken
         over the denominator one."""
@@ -160,7 +156,7 @@ class RationalSymbolMatrix:
         return a @ b
 
     def scale(self, value) -> "RationalSymbolMatrix":
-        return self.map(lambda core: core.scale(value))
+        return RationalSymbolMatrix._over(self.core.scale(value), self.num_factors, self.factors)
 
     def __eq__(self, other) -> bool:
         """Exact equality: the numerators over the lcm of the denominators."""
@@ -284,9 +280,15 @@ def maxwell_symbol(cplx: Complex, q: int, mu: MuSet | None = None,
     return maxwell(sym, q, mus, variant)
 
 
-def _stokes_dn(sym: Complex, mus: MuSet, q: int) -> SymbolMatrix:
-    part = BlockPartition.for_degree(sym, q)
-    return block_inject(part, generalized_laplacian(sym, q, mus), q, q) + maxwell(sym, q)
+def _stokes_dn(sym: Complex, mus: MuSet, q: int, i_tau: Poly | None = None) -> SymbolMatrix:
+    """``B_q delta_{q,mu} B_q + sigma(M0)``, unweighted off the diagonal, as
+    one placement; with ``i_tau``, plus ``B_q i tau B_q``."""
+    top = generalized_laplacian(sym, q, mus)
+    if i_tau is not None:
+        top = top + sym.identity(top.rows).scale(i_tau)
+    blocks = maxwell_blocks(sym, q)
+    blocks[q, q] = top
+    return block_place(BlockPartition.for_degree(sym, q), blocks)
 
 
 def stokes_dn_symbol(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMatrix:
@@ -446,18 +448,23 @@ def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet, sym: Complex,
             )
 
 
-def _n_symbol(sym: Complex, q: int, mus: MuSet,
-              q_inverse: RationalSymbolMatrix) -> RationalSymbolMatrix:
-    """The correction matrix N built around an inverse for the degree-q block."""
-    part = BlockPartition.for_degree(sym, q)
+def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
+              i_tau: Poly | None = None) -> RationalSymbolMatrix:
+    """N around an inverse for the degree-q block, its blocks over one
+    denominator and placed; with ``i_tau``, N - B_{q-1} i tau B_{q-1}."""
     sq = sym.op(q)
     sq1 = sym.op(q - 1)
     mu1_adj = mus.mu1(q) @ sq1.hermitian_transpose()
-    core = q_inverse @ (sq.hermitian_transpose() @ mus.mu0(q) @ sq)
-    total = core.map(lambda num: block_inject(part, num, q, q))
-    total = total + block_inject(part, sq1, q, q - 1)
-    total = total + block_inject(part, mu1_adj, q - 1, q)
-    return total - block_inject(part, mu1_adj @ sq1, q - 1, q - 1)
+    plain = [sq1, mu1_adj, -(mu1_adj @ sq1)]
+    if i_tau is not None:
+        plain.append(sym.identity(sq1.cols).scale(i_tau))
+    (top, down, up, corner, *tau), num_factors, lcm = _over_common(
+        [q_inverse @ (sq.hermitian_transpose() @ mus.mu0(q) @ sq)]
+        + [RationalSymbolMatrix.from_symbol(b) for b in plain])
+    placed = {(q, q): top, (q, q - 1): down, (q - 1, q): up,
+              (q - 1, q - 1): corner - tau[0] if tau else corner}
+    return RationalSymbolMatrix._over(
+        block_place(BlockPartition.for_degree(sym, q), placed), num_factors, lcm)
 
 
 def _stokes_rhs(sym: Complex, mus: MuSet, q: int) -> RationalSymbolMatrix:
@@ -526,12 +533,9 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
     resolvent_den = i_tau + scalar.lift(sig.vars)
 
-    def i_tau_block(j: int) -> SymbolMatrix:
-        return block_inject(part, sym.identity(part.ranks[j]).scale(i_tau), j, j)
-
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), resolvent_den)
-    n_t = _n_symbol(sym, q, mus, resolvent) - i_tau_block(q - 1)
-    s_t = _stokes_dn(sym, mus, q) + i_tau_block(q)
+    n_t = _n_symbol(sym, q, mus, resolvent, i_tau)
+    s_t = _stokes_dn(sym, mus, q, i_tau)
     core = n_t + embed_trailing(maxwell(sym, q - 1), part.size)
     ok = (s_t @ core) == _stokes_rhs(sym, mus, q)
     return {

@@ -86,6 +86,20 @@ def test_block_inject_shape_check():
         block_inject(part, CPLX3.op(0), 0, 0)  # (0,0) block is 1x1
 
 
+def test_block_edges_are_located_errors():
+    """An empty diagonal map and a degree above the partition's top are
+    ValueErrors that say what is wrong, as a negative degree already was."""
+    part = BlockPartition.for_degree(CPLX3, 2)
+    with pytest.raises(ValueError, match="blocks is empty"):
+        block_diagonal(part, {})
+    with pytest.raises(ValueError, match="degree 3 outside 0..2"):
+        block_inject(part, CPLX3.identity(1), 3, 3)
+    with pytest.raises(ValueError, match="degree 5 outside 0..2"):
+        block_diagonal(part, {5: CPLX3.identity(1)})
+    with pytest.raises(ValueError, match="degree -1 outside 0..2"):
+        block_inject(part, CPLX3.identity(1), 0, -1)
+
+
 def test_trailing_minor_drops_top_degree():
     m3 = maxwell(CPLX3, 3)
     m2 = maxwell(CPLX3, 2)

@@ -175,6 +175,14 @@ def test_tensor_identity_layouts():
         SIG, [[d1, zero], [zero, d1], [d2, zero], [zero, d2]])
 
 
+def test_tensor_identity_rejects_a_negative_count():
+    op = OperatorMatrix.scalar(SIG, _d(SIG, "d1"))
+    assert tensor_identity(op, 0).rows == 0
+    for outer in (True, False):
+        with pytest.raises(ValueError, match="n >= 0, got n = -1"):
+            tensor_identity(op, -1, outer=outer)
+
+
 def test_operator_and_symbol_do_not_mix():
     grad = _grad()
     sym = grad.principal_symbol()

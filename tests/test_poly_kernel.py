@@ -3,30 +3,38 @@
 ``FractionPoly`` is the earlier ``Poly`` arithmetic, one ``GaussianRational``
 (two ``Fraction``s) per term, kept verbatim up to the class name as the
 reference the kernel is compared with.  Determinants are also compared with
-sympy where it is installed.
+sympy where it is installed.  The earlier product, sum-of-products loop and
+``embed`` (``old_mul``, ``old_sum``, ``old_embed``) are kept verbatim too, as
+the references of the one-accumulator sums and of block placement.
 """
 
 import copy
 import pickle
 from fractions import Fraction
 from math import gcd
+from functools import reduce
 from operator import add
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cxkit.blockops import maxwell
+from cxkit.blockops import BlockPartition, block_place, maxwell
 from cxkit.complexes import de_rham_complex
+from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix
 from cxkit.ellipticity import petrovskii_check
 from cxkit.poly import (
+    _WIDTH,
     MAX_DEGREE,
     GaussianRational,
     Poly,
     PolyMatrix,
+    _check_product,
     _coerce_coeff,
+    _dot,
     _key_divides,
     _key_lcm,
     _pack,
+    _poly,
     _split,
     _unpack,
     grlex_key,
@@ -562,3 +570,280 @@ def test_de_rham_4_right_parametrix_exact():
     cplx = de_rham_complex(4)
     f1 = maxwell_parametrix_symbol(cplx, None, "right")
     assert (maxwell_symbol(cplx, 4, None, 1) @ f1).is_identity()
+
+
+# ---------------------------------------------------------------------------
+# One-accumulator sums of products against the old loop
+
+
+def old_mul(self: Poly, other: Poly) -> Poly:
+    """The earlier ``Poly.__mul__``, verbatim (reference)."""
+    self._check_vars(other)
+    _check_product(max(self._num, default=0), max(other._num, default=0),
+                   _WIDTH * len(self.vars))
+    out: dict[int, tuple[int, int]] = {}
+    get = out.get
+    b_terms = list(other._num.items())
+    for ka, (ar, ai) in self._num.items():
+        for kb, (br, bi) in b_terms:
+            key = ka + kb
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            c = get(key)
+            if c is None:
+                out[key] = (re, im)
+            else:
+                out[key] = (c[0] + re, c[1] + im)
+    return _poly(self.vars, out, self._den * other._den)
+
+
+def old_sum(vars, pairs) -> Poly:
+    """The earlier accumulation of ``PolyMatrix.__matmul__`` and of the
+    minor expansion: ``acc = acc + a * b`` from zero (reference)."""
+    acc = Poly.zero(vars)
+    for a, b in pairs:
+        acc = acc + old_mul(a, b)
+    return acc
+
+
+def old_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The earlier sparse ``PolyMatrix.__matmul__`` loop on ``old_sum``."""
+    zero = Poly.zero(a.vars)
+    out = [[old_sum(a.vars, [(a[i, k], b[k, j]) for k in range(a.cols)
+                             if not a[i, k].is_zero and not b[k, j].is_zero])
+            if a.cols else zero for j in range(b.cols)] for i in range(a.rows)]
+    return PolyMatrix(a.vars, out, shape=(a.rows, b.cols))
+
+
+def old_determinant(m: PolyMatrix) -> Poly:
+    """The earlier memoized first-row expansion of ``_minor_table``, its
+    signed terms added one by one with ``old_mul`` (reference)."""
+    table = {}
+
+    def minor(rows, cols):
+        if len(rows) <= 1:
+            return m.entries[rows[0]][cols[0]] if rows else Poly.one(m.vars)
+        if (rows, cols) not in table:
+            total = Poly.zero(m.vars)
+            for pos, j in enumerate(cols):
+                a = m.entries[rows[0]][j]
+                if a.is_zero:
+                    continue
+                term = old_mul(a, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                total = total + term if pos % 2 == 0 else total - term
+            table[rows, cols] = total
+        return table[rows, cols]
+
+    idx = tuple(range(m.rows))
+    return minor(idx, idx)
+
+
+def stored(p: Poly) -> tuple:
+    return list(p._num.items()), p._den
+
+
+def stored_matrix(m: PolyMatrix) -> list:
+    return [[stored(p) for p in row] for row in m.entries]
+
+
+# a partner of an earlier pair, scaled so that its product cancels that one's
+# terms exactly (-1), in part, or not at all
+_PARTNER_SCALES = (-1, -1, 1, GaussianRational.of(Fraction(-1, 2)), GaussianRational.i())
+
+
+@st.composite
+def pair_lists(draw, max_pairs=6):
+    """Up to ``max_pairs`` Gaussian-rational pairs with different
+    denominators; some repeat an earlier pair with one factor scaled, so
+    keys cancel mid-sum, reappear later, or cancel in the total."""
+    pairs = []
+    for _ in range(draw(st.integers(0, max_pairs))):
+        if pairs and draw(st.integers(0, 2)) == 0:
+            a, b = draw(st.sampled_from(pairs))
+            c = draw(st.sampled_from(_PARTNER_SCALES))
+            pairs.append((a.scale(c), b) if draw(st.booleans()) else (a, b.scale(c)))
+        else:
+            pairs.append((draw(polys(max_terms=3)), draw(polys(max_terms=3))))
+    return pairs
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_lists())
+def test_dot_matches_the_old_loop(pairs):
+    got = _dot(VARS, pairs)
+    assert stored(got) == stored(old_sum(VARS, pairs))
+    assert_canonical(got)
+    if len(pairs) == 1:
+        assert stored(got) == stored(old_mul(*pairs[0]))
+
+
+def test_dot_deletes_a_cancelled_key_and_appends_it_anew():
+    """x^2 cancels after the second product and comes back at the end, after
+    xy, as the old loop stores it; a key that cancels only partway through
+    a product stays; a sum that cancels to zero has den 1."""
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    half = Poly.constant(VARS, Fraction(1, 2))
+    pairs = [(x, x + y), (x, -x), (x.scale(Fraction(1, 3)), x)]
+    got = _dot(VARS, pairs)
+    assert list(got.terms) == [(1, 1, 0), (2, 0, 0)]
+    assert stored(got) == stored(old_sum(VARS, pairs))
+    # within one product, x^2 cancels against the sum and comes back: it
+    # keeps its place, as in the old sum of (x + x^2)(2 - x) = x^2 + 2x - x^3
+    a = Poly(VARS, {(1, 0, 0): 1, (2, 0, 0): 1})
+    b = Poly(VARS, {(1, 0, 0): -1, (0, 0, 0): 2})
+    got = _dot(VARS, [(x, x), (a, b)])
+    assert list(got.terms) == [(2, 0, 0), (1, 0, 0), (3, 0, 0)]
+    assert stored(got) == stored(old_sum(VARS, [(x, x), (a, b)]))
+    zero = _dot(VARS, [(half, x + y), (x + y, -half)])
+    assert zero.is_zero and zero._den == 1
+    assert _dot(VARS, []) == Poly.zero(VARS)
+
+
+def test_dot_keeps_the_product_checks():
+    x = Poly.variable(VARS, "x")
+    with pytest.raises(ValueError, match="variable mismatch"):
+        _dot(VARS, [(x, x), (x, Poly.variable(("x",), "x"))])
+    with pytest.raises(OverflowError):
+        _dot(VARS, [(x, x), (x ** 17000, x ** 17000)])
+    tall = PolyMatrix(VARS, [[x ** 17000], [x ** 17000]])
+    with pytest.raises(OverflowError):
+        tall.transpose() @ tall
+
+
+@st.composite
+def cancelling_matrices(draw, rows, inner, cols):
+    """A rows x inner and an inner x cols matrix, 0-sized dimensions
+    included, whose entries come from a small pool of polynomials and their
+    negatives, so the sums of an entry's products cancel in part or in
+    full; about half of the entries are zero."""
+    pool = draw(st.lists(polys(max_terms=3), min_size=1, max_size=3))
+    pool += [-p for p in pool] + [Poly.zero(VARS)] * len(pool)
+    entry = st.sampled_from(pool)
+    a = [[draw(entry) for _ in range(inner)] for _ in range(rows)]
+    b = [[draw(entry) for _ in range(cols)] for _ in range(inner)]
+    return (PolyMatrix(VARS, a, shape=(rows, inner)),
+            PolyMatrix(VARS, b, shape=(inner, cols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4), st.integers(0, 4)).flatmap(
+    lambda s: cancelling_matrices(*s)))
+def test_matmul_matches_the_old_loop(ab):
+    a, b = ab
+    got = a @ b
+    assert (got.rows, got.cols) == (a.rows, b.cols)
+    assert stored_matrix(got) == stored_matrix(old_matmul(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 5).flatmap(lambda n: st.lists(
+    st.lists(st.one_of(st.just(Poly.zero(VARS)), polys(max_terms=2, max_exp=1)),
+             min_size=n, max_size=n), min_size=n, max_size=n)))
+def test_determinant_matches_the_old_loop(entries):
+    m = PolyMatrix(VARS, entries)
+    assert stored(m.determinant()) == stored(old_determinant(m))
+
+
+# ---------------------------------------------------------------------------
+# Block placement against summed embeddings
+
+
+def old_embed(self: PolyMatrix, rows: int, cols: int, r0: int, c0: int) -> PolyMatrix:
+    """The earlier ``PolyMatrix.embed``, verbatim (reference)."""
+    r1, c1 = r0 + self.rows, c0 + self.cols
+    if not (0 <= r0 and r1 <= rows and 0 <= c0 and c1 <= cols):
+        raise ValueError(
+            f"a {self.rows}x{self.cols} block at ({r0}, {c0}) "
+            f"does not fit a {rows}x{cols} matrix"
+        )
+    z = Poly.zero(self.vars)
+    zero_row = (z,) * cols
+    left, right = (z,) * c0, (z,) * (cols - c1)
+    return PolyMatrix(
+        self.vars,
+        [zero_row] * r0
+        + [left + row + right for row in self.entries]
+        + [zero_row] * (rows - r1),
+        shape=(rows, cols),
+    )
+
+
+@st.composite
+def block_maps(draw):
+    """A partition of 1 to 4 degrees (rank 0 allowed) and a nonempty map
+    of distinct degree pairs to blocks of their shapes."""
+    part = BlockPartition(tuple(draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))))
+    degree = st.integers(0, part.top)
+    keys = draw(st.lists(st.tuples(degree, degree), min_size=1, max_size=6, unique=True))
+    return part, {(r, c): PolyMatrix(
+        VARS, [[draw(polys(max_terms=2)) for _ in range(part.ranks[c])]
+               for _ in range(part.ranks[r])], shape=(part.ranks[r], part.ranks[c]))
+        for r, c in keys}
+
+
+SIG = Signature(VARS)
+
+
+@settings(max_examples=120, deadline=None)
+@given(block_maps())
+def test_placement_matches_summed_embeds(case):
+    """``PolyMatrix.place`` and ``block_place`` on operator and symbol
+    matrices give the sum of the old ``embed``s, entry for entry."""
+    part, blocks = case
+    n = part.size
+    embeds = [old_embed(blk, n, n, part.offset(r), part.offset(c))
+              for (r, c), blk in blocks.items()]
+    want = reduce(add, embeds)
+    got = PolyMatrix.place(VARS, n, n, [(blk, part.offset(r), part.offset(c))
+                                        for (r, c), blk in blocks.items()])
+    assert stored_matrix(got) == stored_matrix(want)
+    for kind in (OperatorMatrix, SymbolMatrix):
+        placed = block_place(part, {rc: kind(SIG, blk) for rc, blk in blocks.items()})
+        assert type(placed) is kind and placed.signature == SIG
+        assert stored_matrix(placed.body) == stored_matrix(want)
+        assert placed == reduce(add, (kind(SIG, e) for e in embeds))
+
+
+@st.composite
+def overlapping_blocks(draw):
+    """Two nonempty blocks of a 6x6 matrix that share at least one cell."""
+    r0, c0 = draw(st.integers(0, 5)), draw(st.integers(0, 5))
+    h, w = draw(st.integers(1, 6 - r0)), draw(st.integers(1, 6 - c0))
+    i, j = draw(st.integers(r0, r0 + h - 1)), draw(st.integers(c0, c0 + w - 1))
+    s0, t0 = draw(st.integers(0, i)), draw(st.integers(0, j))
+    h2, w2 = draw(st.integers(i - s0 + 1, 6 - s0)), draw(st.integers(j - t0 + 1, 6 - t0))
+    return (PolyMatrix.zeros(VARS, h, w), r0, c0), (PolyMatrix.zeros(VARS, h2, w2), s0, t0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(overlapping_blocks(), st.booleans())
+def test_placement_rejects_overlapping_blocks(blocks, swap):
+    first, second = blocks if not swap else blocks[::-1]
+    with pytest.raises(ValueError, match="overlaps another block"):
+        PolyMatrix.place(VARS, 6, 6, [first, second])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(-2, 5), st.integers(-2, 5))
+def test_placement_bounds(h, w, r0, c0):
+    """A block fits a 4x4 matrix exactly when ``embed`` accepts it."""
+    blk = PolyMatrix.identity(VARS, 3).block(0, h, 0, w)
+    fits = 0 <= r0 and r0 + h <= 4 and 0 <= c0 and c0 + w <= 4
+    if fits:
+        assert PolyMatrix.place(VARS, 4, 4, [(blk, r0, c0)]) == old_embed(blk, 4, 4, r0, c0)
+    else:
+        with pytest.raises(ValueError, match="does not fit a 4x4 matrix"):
+            PolyMatrix.place(VARS, 4, 4, [(blk, r0, c0)])
+
+
+def test_block_place_rejects_bad_degrees_and_shapes():
+    part = BlockPartition((1, 2, 1))
+    one = OperatorMatrix.identity(SIG, 1)
+    with pytest.raises(ValueError, match="degree 3 outside 0..2"):
+        block_place(part, {(3, 0): one})
+    with pytest.raises(ValueError, match="degree -1 outside 0..2"):
+        block_place(part, {(0, -1): one})
+    with pytest.raises(ValueError, match=r"block \(1,1\) expects 2x2, got 1x1"):
+        block_place(part, {(0, 0): one, (1, 1): one})
+    with pytest.raises(ValueError, match="blocks is empty"):
+        block_place(part, {})

@@ -522,6 +522,38 @@ def _on_sphere_one(fn: Callable[[np.ndarray], np.ndarray]
     return objective
 
 
+def test_on_sphere_keeps_rows_near_the_origin_from_the_kernel():
+    """Rows within 1e-9 of the origin are infinite and are neither divided
+    nor valued: the kernel here raises on the 0/0 row and the division runs
+    with invalid operations raising.  Without such rows every row is valued
+    in one call; a NaN row is valued too.  Each value is the float of a
+    one-point call."""
+    calls = []
+
+    def fn(pts, _per_point=False):
+        if not np.isfinite(pts).all():
+            raise ValueError("a row near the origin reached the kernel")
+        calls.append(len(pts))
+        return pts[:, 0] - 2.0 * pts[:, 1] * pts[:, 2]
+
+    objective, one_point = sphere._on_sphere(fn), _on_sphere_one(fn)
+    xs = np.array([[0.3, -1.2, 0.7], [0.0, 0.0, 0.0], [2.0, 1.0, -4.0],
+                   [1e-12, 0.0, -1e-12], [-0.5, 0.25, 3.0]])
+    with np.errstate(invalid="raise"):
+        got = objective(xs)
+    assert calls == [3]
+    assert np.isinf(got[[1, 3]]).all()
+    assert [got[k] for k in (0, 2, 4)] == [one_point(xs[k]) for k in (0, 2, 4)]
+    live = xs[[0, 2, 4]]
+    got = objective(live)
+    assert calls[-1] == 3 and got.tolist() == [one_point(x) for x in live]
+
+    def nan_kernel(pts, _per_point=False):
+        return pts[:, 0] + pts[:, 1]
+
+    assert np.isnan(sphere._on_sphere(nan_kernel)(np.array([[np.nan, 1.0]]))).all()
+
+
 def _objective(sym: SymbolMatrix) -> Callable[[np.ndarray], float]:
     """The one-point polish objective of the search for ``sym``."""
     return _on_sphere_one(_values(sym))

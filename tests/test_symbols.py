@@ -336,7 +336,8 @@ def _ref_evolution_n_t(cplx, q, mu, scalar):
 
 def _evolution_n_t(cplx, q, mu, scalar):
     """N_t as ``verify_evolution_identity`` builds it: ``_n_symbol`` on the
-    lifted symbol complex around I/(i tau + scalar), minus the i tau block."""
+    lifted symbol complex around I/(i tau + scalar), with the i tau block
+    placed in its corner."""
     sym, mus = symbols._symbols(cplx, mu)
     sig = Signature(sym.signature.spatial, "tau", sym.signature.params)
     sym = sym.lift(sig)
@@ -344,8 +345,7 @@ def _evolution_n_t(cplx, q, mu, scalar):
     part = BlockPartition.for_degree(sym, q)
     i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), i_tau + scalar.lift(sig.vars))
-    i_tau_block = block_inject(part, sym.identity(part.ranks[q - 1]).scale(i_tau), q - 1, q - 1)
-    return symbols._n_symbol(sym, q, mus, resolvent) - i_tau_block
+    return symbols._n_symbol(sym, q, mus, resolvent, i_tau)
 
 
 def _symmetric_gradient_3d() -> Complex:
