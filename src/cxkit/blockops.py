@@ -81,12 +81,16 @@ def block_place(part: BlockPartition,
                 blocks: Mapping[tuple[int, int], MatrixT]) -> MatrixT:
     """``sum B_r P B_c`` over a nonempty ``{(r, c): P}`` map, each block
     written at its place of one zero matrix (``PolyMatrix.place``), over the
-    merge of the blocks' signatures."""
+    merge of the blocks' signatures.  Operator and symbol blocks do not mix
+    (``TypeError``), as in a sum."""
     if not blocks:
         raise ValueError("blocks is empty")
     ops = list(blocks.values())
     sig = ops[0].signature
     for op in ops:
+        if type(op) is not type(ops[0]):
+            raise TypeError(f"cannot place a {type(op).__name__} block "
+                            f"among {type(ops[0]).__name__} blocks")
         sig = sig.merge(op.signature)
     placed = []
     for (r, c), op in blocks.items():

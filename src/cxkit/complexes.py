@@ -312,11 +312,15 @@ def generalized_laplacian(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:
     Raises ``ValueError`` for a degree outside 0..N."""
     if not 0 <= q <= cplx.length:
         raise ValueError(f"degree {q} outside 0..{cplx.length}")
-    a, b = cplx.op(q), cplx.op(q - 1)
-    terms = [a.formal_adjoint() @ mu.mu0(q) @ a] if q < cplx.length else []
-    if q > 0:  # a complex has an operator, so one of the two terms is there
-        terms.append(b @ mu.mu1(q) @ b.formal_adjoint())
-    return terms[0] if len(terms) == 1 else terms[0] + terms[1]
+    k = cplx.rank(q)
+    total = cplx.zero(k, k)
+    if q < cplx.length:
+        a = cplx.op(q)
+        total = total + a.formal_adjoint() @ mu.mu0(q) @ a
+    if q > 0:
+        b = cplx.op(q - 1)
+        total = total + b @ mu.mu1(q) @ b.formal_adjoint()
+    return total
 
 
 def check_coherence(cplx: Complex, mu: MuSet, q: int) -> bool:

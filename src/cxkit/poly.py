@@ -288,10 +288,8 @@ def _dot(vars: tuple[str, ...], pairs: Sequence[tuple["Poly", "Poly"]]) -> "Poly
     denominator, stored as adding the products one by one to zero stores it:
     new keys in order of first occurrence, a key whose sum is zero after a
     product deleted then (a later product appends it anew), the gcd cancelled
-    once.  Each product checks its variables and degree as ``*`` does; a lone
-    pair is ``a * b`` itself."""
-    if len(pairs) == 1:
-        return pairs[0][0] * pairs[0][1]
+    once.  Each product checks its variables and ``MAX_DEGREE``; ``a * b`` is
+    the lone pair."""
     top = _WIDTH * len(vars)
     out: dict[int, tuple[int, int]] = {}
     den = 1
@@ -502,23 +500,7 @@ class Poly:
         return _poly(self.vars, {e: (-re, -im) for e, (re, im) in self._num.items()}, self._den)
 
     def __mul__(self, other: "Poly") -> "Poly":
-        self._check_vars(other)
-        _check_product(max(self._num, default=0), max(other._num, default=0),
-                       _WIDTH * len(self.vars))
-        out: dict[int, tuple[int, int]] = {}
-        get = out.get
-        b_terms = list(other._num.items())
-        for ka, (ar, ai) in self._num.items():
-            for kb, (br, bi) in b_terms:
-                key = ka + kb
-                re = ar * br - ai * bi
-                im = ar * bi + ai * br
-                c = get(key)
-                if c is None:
-                    out[key] = (re, im)
-                else:
-                    out[key] = (c[0] + re, c[1] + im)
-        return _poly(self.vars, out, self._den * other._den)
+        return _dot(self.vars, ((self, other),))
 
     def __pow__(self, n: int) -> "Poly":
         if n < 0:

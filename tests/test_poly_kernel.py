@@ -673,8 +673,9 @@ def test_dot_matches_the_old_loop(pairs):
     got = _dot(VARS, pairs)
     assert stored(got) == stored(old_sum(VARS, pairs))
     assert_canonical(got)
-    if len(pairs) == 1:
-        assert stored(got) == stored(old_mul(*pairs[0]))
+    if len(pairs) == 1:  # Poly.__mul__ is the lone pair
+        a, b = pairs[0]
+        assert stored(got) == stored(a * b) == stored(old_mul(a, b))
 
 
 def test_dot_deletes_a_cancelled_key_and_appends_it_anew():
@@ -847,3 +848,11 @@ def test_block_place_rejects_bad_degrees_and_shapes():
         block_place(part, {(0, 0): one, (1, 1): one})
     with pytest.raises(ValueError, match="blocks is empty"):
         block_place(part, {})
+    # operator and symbol blocks do not mix, as in a sum; also when the two
+    # signatures' spatial names coincide
+    sym = SymbolMatrix.identity(SIG.symbol_signature(), 1)
+    same_names = SymbolMatrix.identity(SIG, 1)
+    for other in (sym, same_names):
+        with pytest.raises(TypeError, match="cannot place a SymbolMatrix block "
+                                            "among OperatorMatrix blocks"):
+            block_place(part, {(0, 0): one, (2, 2): other})
