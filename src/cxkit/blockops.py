@@ -124,13 +124,6 @@ def trailing_minor(op: MatrixT, size: int) -> MatrixT:
     return type(op)(op.signature, body)
 
 
-def embed_trailing(op: MatrixT, size: int) -> MatrixT:
-    """Place ``op`` in the lower-right corner of a ``size`` x ``size`` zero
-    matrix; the inverse of :func:`trailing_minor`."""
-    body = op.body.embed(size, size, size - op.rows, size - op.cols)
-    return type(op)(op.signature, body)
-
-
 def block_diagonal(part: BlockPartition, blocks: Mapping[int, MatrixT]) -> MatrixT:
     """``sum_j B_j blocks[j] B_j`` for a nonempty ``{degree: matrix}`` map,
     placed (``block_place``): each entry is one block's entry as stored."""
@@ -209,6 +202,7 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
 def _diagonal_ops(cplx: Complex, q: int, mu: MuSet,
                   lowers: Mapping[int, OperatorMatrix] | None
                   ) -> list[OperatorMatrix]:
+    BlockPartition.for_degree(cplx, q)  # a bad q is named before any Laplacian
     lowers = lowers or {}
     return [perturbed_laplacian(cplx, j, mu, lowers.get(j)) for j in range(q + 1)]
 
@@ -324,7 +318,6 @@ __all__ = [
     "block_extract",
     "block_diagonal",
     "trailing_minor",
-    "embed_trailing",
     "maxwell",
     "maxwell_blocks",
     "maxwell_time",

@@ -26,7 +26,8 @@ from cxkit.complexes import (
     laplacian,
     powered_de_rham_complex,
 )
-from cxkit.diffop import OperatorMatrix, Signature, spatial_signature, tensor_identity
+from cxkit.diffop import (OperatorMatrix, Signature, SymbolMatrix, spatial_signature,
+                          tensor_identity)
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 I = GaussianRational.i()
@@ -140,41 +141,30 @@ def complex_family() -> dict:
     return _report("complex-family", checks)
 
 
+def _scalar_laplacians(c: Complex, s: Poly) -> bool:
+    """Is every Laplacian of ``c`` the scalar ``s`` times the identity?"""
+    return all(laplacian(c, q) == OperatorMatrix.identity(c.signature, c.rank(q)).scale(s)
+               for q in range(c.length + 1))
+
+
 def laplacian_family() -> dict:
     """Exact Laplacian identities for the standard complexes."""
     checks = {}
     for n in (2, 3, 4, 5):
         c = de_rham_complex(n)
-        lap = _laplace(c.signature)
-        ok = True
-        for q in range(c.length + 1):
-            expected = OperatorMatrix.identity(c.signature, c.rank(q)).scale(-lap)
-            ok = ok and laplacian(c, q) == expected
-        checks[f"de-rham-{n}"] = ok
+        checks[f"de-rham-{n}"] = _scalar_laplacians(c, -_laplace(c.signature))
     for p in (2, 3):
         c = powered_de_rham_complex(3, p)
         power_sum = Poly.zero(c.signature.vars)
         for v in c.signature.spatial:
             power_sum = power_sum + _var(c.signature, v) ** (2 * p)
-        scale = power_sum.scale(GaussianRational.of(Fraction((-1) ** p)))
-        ok = all(
-            laplacian(c, q)
-            == OperatorMatrix.identity(c.signature, c.rank(q)).scale(scale)
-            for q in range(c.length + 1)
-        )
-        checks[f"powered-de-rham-3-p{p}"] = ok
+        checks[f"powered-de-rham-3-p{p}"] = _scalar_laplacians(
+            c, power_sum.scale(GaussianRational.of(Fraction((-1) ** p))))
     c = dolbeault_complex(2)
-    quarter = _laplace(c.signature).scale(GaussianRational.of(Fraction(-1, 4)))
-    checks["dolbeault-2"] = all(
-        laplacian(c, q) == OperatorMatrix.identity(c.signature, c.rank(q)).scale(quarter)
-        for q in range(c.length + 1)
-    )
+    checks["dolbeault-2"] = _scalar_laplacians(
+        c, _laplace(c.signature).scale(GaussianRational.of(Fraction(-1, 4))))
     c = planar_flow_complex()
-    lap = _laplace(c.signature)
-    checks["planar-flow"] = all(
-        laplacian(c, q) == OperatorMatrix.identity(c.signature, c.rank(q)).scale(-lap)
-        for q in range(3)
-    )
+    checks["planar-flow"] = _scalar_laplacians(c, -_laplace(c.signature))
     return _report("laplacian-family", checks)
 
 
@@ -470,21 +460,14 @@ def oseen_symbol() -> dict:
 def parametrix_family() -> dict:
     """Maxwell symbol parametrices and the symbol factorization."""
     checks = {}
-    for n in (2, 3):
-        c = de_rham_complex(n)
+    for name, c in (("de-rham-2", de_rham_complex(2)), ("de-rham-3", de_rham_complex(3)),
+                    ("dolbeault-2", dolbeault_complex(2))):
         for side in ("right", "left"):
             try:
                 symbols.maxwell_parametrix_symbol(c, None, side)
-                checks[f"de-rham-{n}-{side}"] = True
+                checks[f"{name}-{side}"] = True
             except ArithmeticError:
-                checks[f"de-rham-{n}-{side}"] = False
-    c = dolbeault_complex(2)
-    for side in ("right", "left"):
-        try:
-            symbols.maxwell_parametrix_symbol(c, None, side)
-            checks[f"dolbeault-2-{side}"] = True
-        except ArithmeticError:
-            checks[f"dolbeault-2-{side}"] = False
+                checks[f"{name}-{side}"] = False
     cp = de_rham_complex(3, params=["mu"])
     mu = MuSet.scalar(cp, cp.op(0).poly("mu"))
     for q in (1, 2, 3):
@@ -521,16 +504,10 @@ def ellipticity_suite() -> dict:
     checks = {}
     extras = {}
     c3 = de_rham_complex(3)
-    ok = True
-    for q in range(c3.length + 1):
-        sym = symbols.delta(c3, q)
-        lap2 = Poly.zero(sym.signature.vars)
-        for v in sym.signature.spatial:
-            z = Poly.variable(sym.signature.vars, v)
-            lap2 = lap2 + z * z
-        from cxkit.diffop import SymbolMatrix
-        ok = ok and sym == SymbolMatrix.identity(sym.signature, c3.rank(q)).scale(lap2)
-    checks["de-rham-delta-certified"] = ok
+    ssig = c3.signature.symbol_signature()
+    checks["de-rham-delta-certified"] = all(
+        symbols.delta(c3, q) == SymbolMatrix.identity(ssig, c3.rank(q)).scale(_laplace(ssig))
+        for q in range(c3.length + 1))
 
     sg = symmetric_gradient_complex()
     rep = ellipticity.injectivity_check(sg.op(0))

@@ -4,8 +4,8 @@ checks once their symbolic certificate does not apply.
 This is the only cxkit module that imports numpy, and
 :mod:`cxkit.ellipticity` imports it only on the numeric path, so exact work
 (complexes, block operators, parametrices, certified checks, syzygies) never
-loads it.  No scipy module is imported: the Joe-Kuo Sobol direction table
-that scipy ships inside ``scipy.stats`` is read as a data file.
+loads it.  Nothing here needs scipy: the Joe-Kuo Sobol direction numbers of
+the 255 dimensions a ring can have ship in :mod:`cxkit._sobol_directions`.
 
 A symbol matrix is compiled into one evaluation kernel.  Each variable is
 raised once to each distinct exponent of the matrix, a power table per
@@ -46,14 +46,13 @@ reported.
 from __future__ import annotations
 
 import functools
-import importlib.util
 import math
-import os
 from typing import Callable, Sequence
 
 import numpy as np
 
-from cxkit.poly import Poly, PolyMatrix
+from cxkit._sobol_directions import POLY, VINIT
+from cxkit.poly import _MAX_VARS, Poly, PolyMatrix
 
 _POLISH_COUNT = 16
 _POINTS_CACHED = 4  # scans whose sphere points are kept (_sphere_points)
@@ -136,28 +135,14 @@ _SOBOL_BITS = 30
 _MAX_SAMPLES = 2 ** _SOBOL_BITS
 
 
-@functools.cache
-def _direction_table() -> tuple[np.ndarray, np.ndarray]:
-    """Joe and Kuo's primitive polynomials and initial direction numbers, one
-    row per dimension, read from the table shipped inside scipy."""
-    scipy_dir = importlib.util.find_spec("scipy").submodule_search_locations[0]
-    path = os.path.join(scipy_dir, "stats", "_sobol_direction_numbers.npz")
-    with np.load(path) as table:
-        poly, vinit = table["poly"], table["vinit"]
-    poly.flags.writeable = vinit.flags.writeable = False
-    return poly, vinit
-
-
 def _direction_vectors(dim: int) -> np.ndarray:
     """The (dim, 30) uint32 direction vectors of Bratley and Fox (1988),
     column j scaled by 2**(29 - j)."""
-    poly, vinit = _direction_table()
     bits = _SOBOL_BITS
     v = np.ones((dim, bits), dtype=np.int64)
     for d in range(1, dim):
-        p = int(poly[d])
-        m = p.bit_length() - 1
-        row = [int(x) for x in vinit[d, :m]]
+        p, row = POLY[d], list(VINIT[d])
+        m = len(row)
         for j in range(m, bits):
             new = row[j - m]
             for k in range(m):
@@ -173,9 +158,8 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
     LMS+shift scrambling (Matousek 1998; Owen 2003) seeded by ``seed``: the
     float64 array ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)
     .random(n)`` returns, bit for bit."""
-    max_dim = len(_direction_table()[0])
-    if not 1 <= dim <= max_dim:
-        raise ValueError(f"dim must be between 1 and {max_dim}, got {dim}")
+    if not 1 <= dim <= _MAX_VARS:
+        raise ValueError(f"dim must be between 1 and {_MAX_VARS}, got {dim}")
     if not 1 <= n <= _MAX_SAMPLES:
         raise ValueError(f"n must be between 1 and 2**{_SOBOL_BITS}, got {n}")
     bits = _SOBOL_BITS

@@ -28,7 +28,6 @@ from cxkit.blockops import (
     BlockPartition,
     block_diagonal,
     block_place,
-    embed_trailing,
     factorization_residual,
     maxwell,
     maxwell_blocks,
@@ -450,19 +449,22 @@ def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet, sym: Complex,
 
 def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
               i_tau: Poly | None = None) -> RationalSymbolMatrix:
-    """N around an inverse for the degree-q block, its blocks over one
-    denominator and placed; with ``i_tau``, N - B_{q-1} i tau B_{q-1}."""
+    """N + sigma(M_{q-1}) around an inverse for the degree-q block, its
+    blocks over one denominator and placed (those of sigma(M_{q-1}) are
+    disjoint from N's); with ``i_tau``, N - B_{q-1} i tau B_{q-1}."""
     sq = sym.op(q)
     sq1 = sym.op(q - 1)
     mu1_adj = mus.mu1(q) @ sq1.hermitian_transpose()
-    plain = [sq1, mu1_adj, -(mu1_adj @ sq1)]
+    lower = maxwell_blocks(sym, q - 1)
+    plain = [sq1, mu1_adj, -(mu1_adj @ sq1), *lower.values()]
     if i_tau is not None:
         plain.append(sym.identity(sq1.cols).scale(i_tau))
-    (top, down, up, corner, *tau), num_factors, lcm = _over_common(
+    (top, down, up, corner, *rest), num_factors, lcm = _over_common(
         [q_inverse @ (sq.hermitian_transpose() @ mus.mu0(q) @ sq)]
         + [RationalSymbolMatrix.from_symbol(b) for b in plain])
-    placed = {(q, q): top, (q, q - 1): down, (q - 1, q): up,
-              (q - 1, q - 1): corner - tau[0] if tau else corner}
+    placed = dict(zip(lower, rest))
+    placed.update({(q, q): top, (q, q - 1): down, (q - 1, q): up,
+                   (q - 1, q - 1): corner - rest[-1] if i_tau is not None else corner})
     return RationalSymbolMatrix._over(
         block_place(BlockPartition.for_degree(sym, q), placed), num_factors, lcm)
 
@@ -487,9 +489,8 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
     """
     sym, mus = _symbols(cplx, mu)
     _check_stokes_hypotheses(cplx, q, mu, sym, mus)
-    part = BlockPartition.for_degree(sym, q)
     delta_q_inv = invert_symbol(generalized_laplacian(sym, q, mus))
-    core = _n_symbol(sym, q, mus, delta_q_inv) + embed_trailing(maxwell(sym, q - 1), part.size)
+    core = _n_symbol(sym, q, mus, delta_q_inv)
     s_dn = _stokes_dn(sym, mus, q)
     intermediate_ok = (s_dn @ core) == _stokes_rhs(sym, mus, q)
 
@@ -534,10 +535,8 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     resolvent_den = i_tau + scalar.lift(sig.vars)
 
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), resolvent_den)
-    n_t = _n_symbol(sym, q, mus, resolvent, i_tau)
-    s_t = _stokes_dn(sym, mus, q, i_tau)
-    core = n_t + embed_trailing(maxwell(sym, q - 1), part.size)
-    ok = (s_t @ core) == _stokes_rhs(sym, mus, q)
+    core = _n_symbol(sym, q, mus, resolvent, i_tau)
+    ok = (_stokes_dn(sym, mus, q, i_tau) @ core) == _stokes_rhs(sym, mus, q)
     return {
         "identity": "stokes-evolution-symbol",
         "degree": q,

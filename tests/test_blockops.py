@@ -8,7 +8,6 @@ from cxkit.blockops import (
     block_diagonal,
     block_extract,
     block_inject,
-    embed_trailing,
     factorization_residual,
     maxwell,
     maxwell_time,
@@ -104,15 +103,6 @@ def test_trailing_minor_drops_top_degree():
     m3 = maxwell(CPLX3, 3)
     m2 = maxwell(CPLX3, 2)
     assert trailing_minor(m3, 7) == m2
-
-
-def test_embed_trailing_inverts_trailing_minor():
-    m2 = maxwell(CPLX3, 2)
-    big = embed_trailing(m2, 8)
-    assert trailing_minor(big, 7) == m2
-    part = BlockPartition.for_degree(CPLX3, 3)
-    assert block_extract(part, big, 3, 3).is_zero
-    assert block_extract(part, big, 3, 2).is_zero
 
 
 # ---------------------------------------------------------------------------
@@ -216,6 +206,14 @@ def test_stokes_lowers_above_the_order_limit_raise():
         == laplacian(CPLX3, 1) + first
     with pytest.raises(ValueError, match="perturbation order 2 exceeds the limit 1"):
         stokes(CPLX3, 1, lowers={1: first.scale(d1)})
+
+
+def test_stokes_degree_outside_complex_names_that_degree():
+    """The first Laplacian past N used to fail first, naming degree N + 1."""
+    with pytest.raises(ValueError, match=r"^degree 9 outside 0\.\.3$"):
+        stokes(CPLX3, 9)
+    with pytest.raises(ValueError, match=r"^degree 9 outside 0\.\.3$"):
+        stokes_time(CPLX3, 9, [1] * 10)
 
 
 def test_stokes_time_lifts_lowers():

@@ -47,7 +47,7 @@ def test_laplacian_json_out(spec_file, tmp_path):
         == "-d1^2*mu - d2^2*mu - d3^2*mu"
 
 
-@pytest.mark.parametrize("command", ["laplacian", "maxwell"])
+@pytest.mark.parametrize("command", ["laplacian", "maxwell", "stokes"])
 @pytest.mark.parametrize("degree", [7, -1])
 def test_degree_outside_complex_is_json_error(spec_file, capsys, command, degree):
     """``laplacian`` used to report a 0x0 Laplacian with ok true here."""

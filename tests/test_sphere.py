@@ -38,9 +38,10 @@ from hypothesis import given, settings, strategies as st
 
 import cxkit
 from cxkit import sphere
+from cxkit._sobol_directions import POLY, VINIT
 from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
 from cxkit.ellipticity import DEFAULT_SEED, petrovskii_check, strong_ellipticity_check
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import _MAX_VARS, GaussianRational, Poly, PolyMatrix
 
 # ---------------------------------------------------------------------------
 # Reference: per-entry evaluation
@@ -457,8 +458,26 @@ def test_sobol_matches_scipy(dim):
             assert np.array_equal(got, want), (dim, seed, n)
 
 
-def test_direction_table_is_read_once():
-    assert sphere._direction_table() is sphere._direction_table()
+def test_direction_numbers_match_scipy():
+    """The bundled rows are the first 255 of the table scipy ships, bit for
+    bit.  Regenerate them with::
+
+        with np.load(path) as t:  # scipy/stats/_sobol_direction_numbers.npz
+            POLY = tuple(int(p) for p in t["poly"][:255])
+            VINIT = tuple(tuple(int(v) for v in t["vinit"][d, :p.bit_length() - 1])
+                          for d, p in enumerate(POLY))
+
+    and write both tuples as literals into ``cxkit/_sobol_directions.py``."""
+    scipy = pytest.importorskip("scipy")
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    rows = len(POLY)
+    assert rows == len(VINIT) == _MAX_VARS
+    assert POLY == tuple(int(p) for p in poly[:rows])
+    for d, p in enumerate(POLY):
+        m = p.bit_length() - 1
+        assert VINIT[d] == tuple(int(v) for v in vinit[d, :m]), d
 
 
 LOW, HIGH = 1e-12, 1 - 1e-12  # the clip of the Sobol scan
@@ -813,10 +832,11 @@ def test_budget_beyond_the_sobol_sequence_is_rejected():
 
 
 def test_dimension_beyond_the_direction_table_is_rejected():
-    rows = len(sphere._direction_table()[0])
-    assert rows == 21201
-    with pytest.raises(ValueError, match=r"^dim must be between 1 and 21201, got 21202"):
-        sphere._sobol(rows + 1, 2, 0)
+    """The bundled table ends at the most variables a ring can have."""
+    assert len(POLY) == _MAX_VARS == 255
+    assert sphere._sobol(_MAX_VARS, 2, 0).shape == (2, 255)
+    with pytest.raises(ValueError, match=r"^dim must be between 1 and 255, got 256"):
+        sphere._sobol(_MAX_VARS + 1, 2, 0)
     with pytest.raises(ValueError, match=r"^dim must be"):
         sphere._sobol(0, 2, 0)
 
@@ -829,6 +849,15 @@ QUADRATIC = "vars: d1 d2\noperator Q = [[-d1^2 - d1*d2 - d2^2]]\n"
 
 PROBE = """\
 import json, sys
+refused = []
+
+class NoScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy":
+            refused.append(name)
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, NoScipy())
 heavy = lambda: sorted(m for m in ("numpy", "scipy", "scipy.optimize", "scipy.special",
                                    "scipy.stats") if m in sys.modules)
 import cxkit.cli as cli
@@ -838,14 +867,19 @@ codes = {}
 for name, argv in (("verify", ["verify", "--spec", de_rham]),
                    ("parametrix", ["parametrix", "--spec", de_rham]),
                    ("ellipticity", ["ellipticity", "--spec", quadratic,
-                                    "--kind", "petrovskii", "--budget", "256"])):
+                                    "--kind", "petrovskii", "--budget", "256"]),
+                   ("fixtures", ["fixtures"])):
     codes[name] = cli.main(argv + ["--json", out + "." + name])
     seen[name] = heavy()
-print(json.dumps({"seen": seen, "codes": codes}))
+print(json.dumps({"seen": seen, "codes": codes, "refused": refused}))
 """
+REFERENCE_BUNDLE = (Path(__file__).resolve().parents[1]
+                    / "perfbench" / "reference" / "fixtures.json")
 
 
 def test_numpy_and_scipy_load_only_for_numeric_checks(tmp_path):
+    """Exact commands load neither numpy nor scipy; numeric checks and the
+    bundle run, to the reference bytes, with every scipy import refused."""
     de_rham, quadratic = tmp_path / "de_rham.spec", tmp_path / "quadratic.spec"
     de_rham.write_text(DE_RHAM)
     quadratic.write_text(QUADRATIC)
@@ -858,11 +892,14 @@ def test_numpy_and_scipy_load_only_for_numeric_checks(tmp_path):
         capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout)
-    assert result["codes"] == {"verify": 0, "parametrix": 0, "ellipticity": 0}
+    assert result["codes"] == {"verify": 0, "parametrix": 0, "ellipticity": 0,
+                               "fixtures": 0}
+    assert result["refused"] == []
     seen = result["seen"]
     assert seen["import"] == [] and seen["verify"] == [] and seen["parametrix"] == []
     # the numeric path loads numpy and no scipy module at all
-    assert seen["ellipticity"] == ["numpy"]
+    assert seen["ellipticity"] == seen["fixtures"] == ["numpy"]
     rep = json.loads((tmp_path / "report.ellipticity").read_text())["report"]
     assert rep["verdict"] == "numeric-pass"
+    assert (tmp_path / "report.fixtures").read_bytes() == REFERENCE_BUNDLE.read_bytes()
 

@@ -308,7 +308,8 @@ def _ref_factorization_residual(cplx, q, mu=None):
 
 
 def _ref_evolution_n_t(cplx, q, mu, scalar):
-    """N_t of the evolution identity around the resolvent 1/(i tau + scalar)."""
+    """N_t + sigma(M_{q-1}) of the evolution identity around the resolvent
+    1/(i tau + scalar)."""
     sig0 = cplx.signature.symbol_signature()
     sig = Signature(sig0.spatial, "tau", sig0.params)
     part = BlockPartition.for_degree(cplx, q)
@@ -331,13 +332,17 @@ def _ref_evolution_n_t(cplx, q, mu, scalar):
     last = mu1_sym @ sq1.hermitian_transpose() @ sq1 \
         + SymbolMatrix.identity(sig, part.ranks[q - 1]).scale(i_tau)
     n_t = n_t - block_inject(part, last, q - 1, q - 1)
+    for j in range(q - 1):  # sigma(M_{q-1}), unweighted
+        s = up(sigma(cplx, j))
+        n_t = n_t + block_inject(part, s, j + 1, j)
+        n_t = n_t + block_inject(part, s.hermitian_transpose(), j, j + 1)
     return n_t
 
 
 def _evolution_n_t(cplx, q, mu, scalar):
-    """N_t as ``verify_evolution_identity`` builds it: ``_n_symbol`` on the
-    lifted symbol complex around I/(i tau + scalar), with the i tau block
-    placed in its corner."""
+    """N_t + sigma(M_{q-1}) as ``verify_evolution_identity`` builds it:
+    ``_n_symbol`` on the lifted symbol complex around I/(i tau + scalar),
+    with the i tau block placed in its corner."""
     sym, mus = symbols._symbols(cplx, mu)
     sig = Signature(sym.signature.spatial, "tau", sym.signature.params)
     sym = sym.lift(sig)
