@@ -33,13 +33,11 @@ with the unweighted Maxwell off-diagonal scaled by a coupling flag ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence, TypeVar
+from typing import Mapping, Sequence
 
-from cxkit.complexes import Complex, MuSet, generalized_laplacian, perturbed_laplacian
+from cxkit.complexes import Complex, MatrixT, MuSet, generalized_laplacian, perturbed_laplacian
 from cxkit.diffop import OperatorMatrix, Signature, SignatureMatrix
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
-
-MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
 
 @dataclass(frozen=True)
@@ -54,8 +52,7 @@ class BlockPartition:
 
     @staticmethod
     def for_degree(cplx: Complex, q: int) -> "BlockPartition":
-        if not 0 <= q <= cplx.length:
-            raise ValueError(f"degree {q} outside 0..{cplx.length}")
+        cplx.check_degree(q)
         return BlockPartition(tuple(cplx.rank(j) for j in range(q + 1)))
 
     @property
@@ -162,12 +159,11 @@ def maxwell_blocks(cplx: Complex, q: int, mu: MuSet | None = None,
     """The blocks ``{(r, c): P}`` of the degree-q Maxwell operator (none at q = 0)."""
     if variant not in (0, 1):
         raise ValueError("variant must be 0 or 1")
-    if mu is None:
-        mu = MuSet.identity(cplx)
+    mu = mu or MuSet.identity(cplx)
     blocks = {}
     for j in range(q):
         a = cplx.op(j)
-        blocks[j + 1, j] = mu.mu0(j) @ a if variant == 0 else a @ mu.mu1(j + 1)
+        blocks[j + 1, j] = mu.apply(0, j, a, left=True) if variant == 0 else mu.apply(1, j + 1, a)
         blocks[j, j + 1] = a.formal_adjoint()
     return blocks
 
@@ -202,7 +198,7 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
 def _diagonal_ops(cplx: Complex, q: int, mu: MuSet,
                   lowers: Mapping[int, OperatorMatrix] | None
                   ) -> list[OperatorMatrix]:
-    BlockPartition.for_degree(cplx, q)  # a bad q is named before any Laplacian
+    cplx.check_degree(q)  # a bad q is named before any Laplacian
     lowers = lowers or {}
     return [perturbed_laplacian(cplx, j, mu, lowers.get(j)) for j in range(q + 1)]
 
@@ -219,7 +215,10 @@ def assemble_stokes(cplx: Complex, q: int,
     blocks = {(j, j): d.lift(sig) for j, d in enumerate(diagonal)}
     a_poly = _as_scalar_poly(a, sig)
     if not a_poly.is_zero:
-        blocks.update({rc: blk.scale(a_poly) for rc, blk in maxwell_blocks(cplx, q).items()})
+        coupling = maxwell_blocks(cplx, q)
+        if a_poly != Poly.one(sig.vars):
+            coupling = {rc: blk.scale(a_poly) for rc, blk in coupling.items()}
+        blocks.update(coupling)
     return block_place(part, blocks)
 
 
@@ -228,8 +227,7 @@ def stokes(cplx: Complex, q: int, mu: MuSet | None = None,
            a=1) -> OperatorMatrix:
     """The degree-q Stokes operator: perturbed generalized Laplacians on the
     diagonal, coupling off-diagonal scaled by ``a``."""
-    if mu is None:
-        mu = MuSet.identity(cplx)
+    mu = mu or MuSet.identity(cplx)
     return assemble_stokes(cplx, q, _diagonal_ops(cplx, q, mu, lowers), a)
 
 
@@ -263,7 +261,7 @@ def _factorization_rhs(cplx: Complex, q: int, mu: MuSet) -> dict[int, SignatureM
     sum_{j<q} B_j GL_j B_j``; at q = 0 the top block is the k_0 x k_0 zero."""
     a = cplx.op(q - 1)
     blocks = {j: generalized_laplacian(cplx, j, mu) for j in range(q)}
-    blocks[q] = a @ mu.mu1(q) @ a.formal_adjoint()
+    blocks[q] = mu.apply(1, q, a) @ a.formal_adjoint()
     return blocks
 
 
@@ -273,8 +271,7 @@ def factorization_residual(cplx: Complex, q: int, mu: MuSet | None = None
 
     The identity requires the coherence condition at every degree below q.
     """
-    if mu is None:
-        mu = MuSet.identity(cplx)
+    mu = mu or MuSet.identity(cplx)
     lhs = maxwell(cplx, q, mu, 1) @ maxwell(cplx, q, mu, 0)
     return lhs - block_diagonal(BlockPartition.for_degree(cplx, q),
                                 _factorization_rhs(cplx, q, mu))

@@ -121,6 +121,8 @@ def cmd_ellipticity(args) -> dict:
 
 
 def cmd_dn_weights(args) -> dict:
+    if args.degree is not None and not args.stokes:
+        raise ValueError("--degree needs --stokes: the Maxwell plans span every degree")
     doc = _load_doc(args)
     name, cplx = _pick(doc, "complexes", args.name)
     mu = doc.mu_set(name)

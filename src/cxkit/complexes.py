@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence, TypeVar
 
 from cxkit.diffop import (
     SPATIAL,
@@ -27,7 +27,9 @@ from cxkit.diffop import (
     spatial_signature,
     tensor_identity,
 )
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import GaussianRational, Poly
+
+MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
 
 class Complex:
@@ -71,6 +73,11 @@ class Complex:
         if 0 <= q < self.length:
             return self.ops[q]
         return self.zero(self.rank(q + 1), self.rank(q))
+
+    def check_degree(self, q: int) -> None:
+        """Raise ``ValueError`` for a degree outside 0..N."""
+        if not 0 <= q <= self.length:
+            raise ValueError(f"degree {q} outside 0..{self.length}")
 
     def zero(self, rows: int, cols: int) -> SignatureMatrix:
         """A zero matrix of the operators' type over the complex's signature."""
@@ -147,18 +154,13 @@ def de_rham_complex(n: int, *, time: bool = False, params: Sequence[str] = ()) -
     cplx = koszul_complex(gens, sig)
     if n != 3:
         return cplx
-    # Change of basis at degree 2: (c12, c13, c23) -> (c23, -c13, c12).
-    t = PolyMatrix(
-        sig.vars,
-        [
-            [Poly.zero(sig.vars), Poly.zero(sig.vars), Poly.one(sig.vars)],
-            [Poly.zero(sig.vars), Poly.constant(sig.vars, -1), Poly.zero(sig.vars)],
-            [Poly.one(sig.vars), Poly.zero(sig.vars), Poly.zero(sig.vars)],
-        ],
-    )
-    tmat = OperatorMatrix(sig, t)  # involutive and orthogonal
+    # Change of basis at degree 2: (c12, c13, c23) -> (c23, -c13, c12), an
+    # involution: the rows of A_1 and the columns of A_2 reversed, the middle
+    # one negated, with no product taken.
     a0, a1, a2 = cplx.ops
-    return Complex([a0, tmat @ a1, a2 @ tmat])
+    r0, r1, r2 = a1.body.entries
+    return Complex([a0, OperatorMatrix.from_entries(sig, [r2, [-p for p in r1], r0]),
+                    OperatorMatrix.from_entries(sig, [[c, -b, a] for a, b, c in a2.body.entries])])
 
 
 def powered_de_rham_complex(n: int, p: int, *, params: Sequence[str] = ()) -> Complex:
@@ -205,57 +207,48 @@ def imaginary_de_rham_complex(n: int, *, time: bool = False, params: Sequence[st
 class MuSet:
     """Per-degree weight pairs (mu0_q, mu1_q) for generalized Laplacians.
 
-    ``mu0(q)`` acts on E_{q+1} (weighting A_q* . A_q from inside) and
-    ``mu1(q)`` acts on E_{q-1} (weighting A_{q-1} . A_{q-1}*).  Degrees
-    without an explicit entry default to the identity.
+    ``mu0_q`` acts on E_{q+1} (weighting A_q* . A_q from inside) and
+    ``mu1_q`` on E_{q-1} (weighting A_{q-1} . A_{q-1}*).  Each weight is
+    kept as structure: absent (the identity), a scalar :class:`Poly` s
+    meaning s I (given as a Poly or a constant), or a matrix.  A scalar 1, a
+    matrix equal to I and any weight on a rank-0 space are stored as absent;
+    a zero scalar stays a weight.  Builders multiply by a weight through
+    :meth:`apply`, so none multiplies by an identity.
     """
 
     __slots__ = ("cplx", "_mu0", "_mu1")
 
-    def __init__(self, cplx: Complex,
-                 mu0: dict[int, SignatureMatrix] | None = None,
-                 mu1: dict[int, SignatureMatrix] | None = None):
+    def __init__(self, cplx: Complex, mu0: Mapping[int, object] | None = None,
+                 mu1: Mapping[int, object] | None = None):
         self.cplx = cplx
-        self._mu0 = dict(mu0 or {})
-        self._mu1 = dict(mu1 or {})
-        for q, m in self._mu0.items():
-            k = cplx.rank(q + 1)
-            if (m.rows, m.cols) != (k, k):
-                raise ValueError(f"mu0[{q}] must be {k}x{k}, got {m.rows}x{m.cols}")
-        for q, m in self._mu1.items():
-            k = cplx.rank(q - 1)
-            if (m.rows, m.cols) != (k, k):
-                raise ValueError(f"mu1[{q}] must be {k}x{k}, got {m.rows}x{m.cols}")
+        self._mu0 = self._weights(mu0 or {}, 1, "mu0")
+        self._mu1 = self._weights(mu1 or {}, -1, "mu1")
+
+    def _weights(self, given: Mapping[int, object], step: int, name: str) -> dict:
+        """The given weights other than the identity, a matrix checked
+        against the rank k of E_{q+step}."""
+        out, vars = {}, self.cplx.signature.vars
+        for q, w in given.items():
+            k = self.cplx.rank(q + step)
+            if not isinstance(w, SignatureMatrix):
+                w = w.lift(vars) if isinstance(w, Poly) else Poly.constant(vars, w)
+            elif (w.rows, w.cols) != (k, k):
+                raise ValueError(f"{name}[{q}] must be {k}x{k}, got {w.rows}x{w.cols}")
+            one = Poly.one(vars) if isinstance(w, Poly) else type(w).identity(w.signature, k)
+            if k and w != one:
+                out[q] = w
+        return out
 
     @staticmethod
     def identity(cplx: Complex) -> "MuSet":
         return MuSet(cplx)
 
     @staticmethod
-    def from_scalars(cplx: Complex, mu0: Mapping[int, object],
-                     mu1: Mapping[int, object]) -> "MuSet":
-        """Scalar weights ``value * I``: ``mu0[q]`` on E_{q+1} and ``mu1[q]``
-        on E_{q-1} at each degree q given (a Poly, or a constant); a rank-0
-        space gets no entry."""
-        sig = cplx.signature
-
-        def weights(values: Mapping[int, object], step: int) -> dict:
-            out = {}
-            for q, value in values.items():
-                k = cplx.rank(q + step)
-                if k:
-                    v = value if isinstance(value, Poly) else Poly.constant(sig.vars, value)
-                    out[q] = OperatorMatrix.identity(sig, k).scale(v)
-            return out
-
-        return MuSet(cplx, weights(mu0, 1), weights(mu1, -1))
-
-    @staticmethod
     def scalar(cplx: Complex, value, degrees: Sequence[int] | None = None) -> "MuSet":
         """Constant scalar weight (e.g. a viscosity parameter) at every degree,
         or only at the given degrees."""
         values = dict.fromkeys(range(cplx.length + 1) if degrees is None else degrees, value)
-        return MuSet.from_scalars(cplx, values, values)
+        return MuSet(cplx, values, values)
 
     @staticmethod
     def laplace_powers(cplx: Complex, mtilde: dict[int, int] | None = None,
@@ -266,35 +259,54 @@ class MuSet:
         for v in sig.spatial:
             d = Poly.variable(sig.vars, v)
             minus_lap = minus_lap - d * d
-        return MuSet.from_scalars(cplx, {q: minus_lap ** m for q, m in (mtilde or {}).items()},
-                                  {q: minus_lap ** m for q, m in (mhat or {}).items()})
+        return MuSet(cplx, {q: minus_lap ** m for q, m in (mtilde or {}).items()},
+                     {q: minus_lap ** m for q, m in (mhat or {}).items()})
+
+    def _map(self, cplx: Complex, fn) -> "MuSet":
+        """These weights over ``cplx``: a matrix m as ``fn(m)`` and a scalar
+        s as the entry of ``fn`` of the 1x1 operator [s]."""
+        sig = self.cplx.signature
+
+        def one(w):
+            return fn(OperatorMatrix.scalar(sig, w))[0, 0] if isinstance(w, Poly) else fn(w)
+
+        return MuSet(cplx, {q: one(w) for q, w in self._mu0.items()},
+                     {q: one(w) for q, w in self._mu1.items()})
 
     def principal_symbols(self, sym: Complex) -> "MuSet":
         """The spatial principal symbols of these weights, over ``sym``, the
         complex's :meth:`Complex.principal_symbols`."""
-        return MuSet(sym, {q: m.principal_symbol(SPATIAL) for q, m in self._mu0.items()},
-                     {q: m.principal_symbol(SPATIAL) for q, m in self._mu1.items()})
+        return self._map(sym, lambda m: m.principal_symbol(SPATIAL))
 
     def lift(self, cplx: Complex) -> "MuSet":
         """The same weights over ``cplx``, this set's complex lifted to a
         richer signature (``Complex.lift``)."""
-        sig = cplx.signature
-        return MuSet(cplx, {q: m.lift(sig) for q, m in self._mu0.items()},
-                     {q: m.lift(sig) for q, m in self._mu1.items()})
+        return self._map(cplx, lambda m: m.lift(cplx.signature))
 
-    def mu0(self, q: int) -> SignatureMatrix:
-        if q in self._mu0:
-            return self._mu0[q]
-        return self.cplx.identity(self.cplx.rank(q + 1))
+    def apply(self, which: int, q: int, m: MatrixT, *, left: bool = False) -> MatrixT:
+        """``m mu_q``, or ``mu_q m`` with ``left``, for mu0 (``which`` 0) or
+        mu1 (``which`` 1): ``m`` itself for an absent weight, each entry p as
+        ``p * s`` (``s * p`` on the left) for a scalar s, which are the
+        products s I would take, and the matrix product for a matrix."""
+        w = (self._mu0, self._mu1)[which].get(q)
+        if w is None:
+            return m
+        if not isinstance(w, Poly):
+            return w @ m if left else m @ w
+        if not left:
+            return m.scale(w)
+        s = w.lift(m.signature.vars)
+        return type(m)(m.signature, m.body.map(lambda p: s * p))
 
-    def mu1(self, q: int) -> SignatureMatrix:
-        if q in self._mu1:
-            return self._mu1[q]
-        return self.cplx.identity(self.cplx.rank(q - 1))
+    def trivial(self, q: int) -> bool:
+        """True when both weights at degree q are absent (the identity)."""
+        return q not in self._mu0 and q not in self._mu1
 
     def orders(self, q: int) -> tuple[int, int]:
         """(2*mtilde_q, 2*mhat_q): the orders of mu0_q and mu1_q (0 if absent)."""
-        return (max(self.mu0(q).order(), 0), max(self.mu1(q).order(), 0))
+        derivs = self.cplx.signature.derivative_vars
+        return tuple(max(w.total_degree(derivs) if isinstance(w, Poly) else w.order(), 0)
+                     if w is not None else 0 for w in (self._mu0.get(q), self._mu1.get(q)))
 
 
 # ---------------------------------------------------------------------------
@@ -310,16 +322,15 @@ def generalized_laplacian(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:
     """``A_q* mu0_q A_q + A_{q-1} mu1_q A_{q-1}*``; on the complex of
     principal symbols, with the weights' symbols, this is delta_{q,mu}.
     Raises ``ValueError`` for a degree outside 0..N."""
-    if not 0 <= q <= cplx.length:
-        raise ValueError(f"degree {q} outside 0..{cplx.length}")
+    cplx.check_degree(q)
     k = cplx.rank(q)
     total = cplx.zero(k, k)
     if q < cplx.length:
         a = cplx.op(q)
-        total = total + a.formal_adjoint() @ mu.mu0(q) @ a
+        total = total + mu.apply(0, q, a.formal_adjoint()) @ a
     if q > 0:
         b = cplx.op(q - 1)
-        total = total + b @ mu.mu1(q) @ b.formal_adjoint()
+        total = total + mu.apply(1, q, b) @ b.formal_adjoint()
     return total
 
 
@@ -327,8 +338,7 @@ def check_coherence(cplx: Complex, mu: MuSet, q: int) -> bool:
     """The compatibility condition ``A_{q+1} mu1_{q+2} mu0_q A_q = 0``."""
     if q + 1 >= cplx.length:
         return True
-    prod = cplx.op(q + 1) @ mu.mu1(q + 2) @ mu.mu0(q) @ cplx.op(q)
-    return prod.is_zero
+    return (mu.apply(0, q, mu.apply(1, q + 2, cplx.op(q + 1))) @ cplx.op(q)).is_zero
 
 
 def perturbed_laplacian(cplx: Complex, q: int, mu: MuSet,

@@ -202,10 +202,10 @@ class OperatorMatrix(SignatureMatrix):
 
     def formal_adjoint(self) -> "OperatorMatrix":
         """Formal L2 adjoint: conjugate-transpose with a (-1)^|alpha| twist on
-        each derivative monomial.  Parameters are left untouched."""
+        each derivative monomial.  Parameters and zero entries are left untouched."""
         sig = self.signature
         return OperatorMatrix(sig, self.body.transpose().map(
-            lambda p: p.twist(sig.derivative_vars, 2, conjugate=True)))
+            lambda p: p if p.is_zero else p.twist(sig.derivative_vars, 2, conjugate=True)))
 
     # -- symbols -----------------------------------------------------------
 

@@ -90,7 +90,7 @@ class SpecDocument:
         if not specs:
             return None
         values = {degree: value for degree, _, value in specs}  # ``parse`` admits only scalar ones
-        return MuSet.from_scalars(self.complexes[name], values, values)
+        return MuSet(self.complexes[name], values, values)
 
     def __eq__(self, other):
         if not isinstance(other, SpecDocument):

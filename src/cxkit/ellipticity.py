@@ -271,8 +271,7 @@ def dn_weights_maxwell(cplx: Complex, mu: MuSet | None = None
 def dn_weights_stokes(cplx: Complex, q: int, mu: MuSet | None = None) -> WeightPlan:
     """Weight plan for the Stokes operator at degree q, seeded with t_1 = 0 and
     s_1 = 2(m_q + mtilde_q)."""
-    if not 0 <= q <= cplx.length:
-        raise ValueError(f"degree {q} outside 0..{cplx.length}")
+    cplx.check_degree(q)
     m, mtilde, mhat = _complex_orders(cplx, mu)
     if 0 < q < cplx.length and m[q] + mtilde[q] != m[q - 1] + mhat[q]:
         raise ValueError(

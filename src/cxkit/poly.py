@@ -158,11 +158,6 @@ def _coerce_coeff(value) -> GaussianRational:
     raise TypeError(f"cannot coerce {value!r} to GaussianRational")
 
 
-def grlex_key(exponent: Exponent) -> tuple:
-    """Sort key realizing graded lexicographic order (ascending)."""
-    return (sum(exponent), exponent)
-
-
 # -- packed monomials (see the module docstring) ----------------------------
 
 _WIDTH = 16  # bits per field of a key, the top one a guard bit
@@ -790,8 +785,8 @@ class PolyMatrix:
     def place(vars: Sequence[str], rows: int, cols: int,
               blocks: Iterable[tuple["PolyMatrix", int, int]]) -> "PolyMatrix":
         """The rows x cols matrix with each block ``(matrix, r0, c0)`` written
-        at ``(r0, c0)``, zero elsewhere: the sum of the blocks' ``embed``s with
-        no entry added.  A block that does not fit or overlaps raises."""
+        at ``(r0, c0)``, zero elsewhere, with no entry added.  A block that
+        does not fit or overlaps raises."""
         z = Poly.zero(vars)  # no block holds this object
         table = [[z] * cols for _ in range(rows)]
         for blk, r0, c0 in blocks:
@@ -827,10 +822,6 @@ class PolyMatrix:
             self.vars, [row[c0:c1] for row in self.entries[r0:r1]],
             shape=(r1 - r0, c1 - c0),
         )
-
-    def embed(self, rows: int, cols: int, r0: int, c0: int) -> "PolyMatrix":
-        """This matrix placed at ``(r0, c0)`` of an otherwise zero rows x cols one."""
-        return PolyMatrix.place(self.vars, rows, cols, [(self, r0, c0)])
 
     def map(self, fn, vars: Sequence[str] | None = None) -> "PolyMatrix":
         """Apply ``fn`` entrywise; pass ``vars`` if ``fn`` changes the ring."""

@@ -433,15 +433,14 @@ def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet, sym: Complex,
             "order-balance", f"m_q + mtilde_q = {cplx.op(q).order() + mt2 // 2} != m = {m}"
         )
     for j in range(q):
-        if not (mu.mu0(j) == cplx.identity(cplx.rank(j + 1))
-                and mu.mu1(j) == cplx.identity(cplx.rank(j - 1))):
+        if not mu.trivial(j):
             raise HypothesisFailure(
                 "trivial-weights-below-q", f"weights at degree {j} are not the identity"
             )
     if q >= 2:
         s2 = sym.op(q - 2).formal_adjoint()
         s1 = sym.op(q - 1).formal_adjoint()
-        if not (s2 @ mus.mu1(q) @ s1).is_zero:
+        if not (mus.apply(1, q, s2) @ s1).is_zero:
             raise HypothesisFailure(
                 "mu-mu", "sigma_{q-2}^* sigma(mu1_q) sigma_{q-1}^* does not vanish"
             )
@@ -454,13 +453,13 @@ def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
     disjoint from N's); with ``i_tau``, N - B_{q-1} i tau B_{q-1}."""
     sq = sym.op(q)
     sq1 = sym.op(q - 1)
-    mu1_adj = mus.mu1(q) @ sq1.hermitian_transpose()
+    mu1_adj = mus.apply(1, q, sq1.hermitian_transpose(), left=True)
     lower = maxwell_blocks(sym, q - 1)
     plain = [sq1, mu1_adj, -(mu1_adj @ sq1), *lower.values()]
     if i_tau is not None:
         plain.append(sym.identity(sq1.cols).scale(i_tau))
     (top, down, up, corner, *rest), num_factors, lcm = _over_common(
-        [q_inverse @ (sq.hermitian_transpose() @ mus.mu0(q) @ sq)]
+        [q_inverse @ (mus.apply(0, q, sq.hermitian_transpose()) @ sq)]
         + [RationalSymbolMatrix.from_symbol(b) for b in plain])
     placed = dict(zip(lower, rest))
     placed.update({(q, q): top, (q, q - 1): down, (q - 1, q): up,

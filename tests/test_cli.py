@@ -102,6 +102,22 @@ def test_dn_weights_command(spec_file, capsys):
     assert rep["variant0"]["s"] == [1, 1, 1, 1]
 
 
+@pytest.mark.parametrize("degree", [7, 1])
+def test_dn_weights_degree_without_stokes_is_json_error(spec_file, capsys, degree):
+    """``--degree`` used to be parsed and ignored here, with ok true."""
+    assert _run(["dn-weights", "--spec", spec_file, "--degree", str(degree)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "dn-weights", "ok": False,
+        "error": "--degree needs --stokes: the Maxwell plans span every degree"}
+
+
+@pytest.mark.parametrize("degree", [7, -1])
+def test_dn_weights_stokes_degree_outside_complex(spec_file, capsys, degree):
+    assert _run(["dn-weights", "--spec", spec_file, "--stokes", "--degree", str(degree)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "dn-weights", "ok": False, "error": f"degree {degree} outside 0..3"}
+
+
 def test_missing_spec_is_json_error(capsys):
     assert _run(["verify", "--spec", "/no/such/file"]) == 1
     rep = json.loads(capsys.readouterr().out)

@@ -22,6 +22,13 @@ from cxkit.poly import GaussianRational, Poly
 from math import comb
 
 
+def _weight(mu, which, q):
+    """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
+    the identity with the weight applied."""
+    k = mu.cplx.rank(q + 1 if which == 0 else q - 1)
+    return mu.apply(which, q, mu.cplx.identity(k))
+
+
 # ---------------------------------------------------------------------------
 # Complex property (exact)
 
@@ -192,8 +199,8 @@ def test_mu_lift_to_richer_signature():
     lifted = mu.lift(cplx_t)
     assert lifted.cplx is cplx_t
     for q in range(cplx.length + 1):
-        assert lifted.mu0(q) == mu.mu0(q).lift(sig)
-        assert lifted.mu1(q) == mu.mu1(q).lift(sig)
+        assert _weight(lifted, 0, q) == _weight(mu, 0, q).lift(sig)
+        assert _weight(lifted, 1, q) == _weight(mu, 1, q).lift(sig)
 
 
 def test_laplace_powers_weights():
@@ -207,28 +214,28 @@ def test_laplace_powers_weights():
     assert g[0, 0] == delta * delta
 
 
-def test_from_scalars_places_value_identity_and_skips_rank_zero():
+def test_scalar_weights_place_value_identity_and_skip_rank_zero():
     cplx = de_rham_complex(3, params=("mu",))
     sig = cplx.signature
     muval = Poly.variable(sig.vars, "mu")
-    mu = MuSet.from_scalars(cplx, {0: muval, 3: muval}, {0: 5, 2: muval})
+    mu = MuSet(cplx, {0: muval, 3: muval}, {0: 5, 2: muval})
     # mu0 at degree 3 and mu1 at degree 0 act on rank-0 spaces: no entry
     assert set(mu._mu0) == {0} and set(mu._mu1) == {2}
-    assert mu.mu0(0) == OperatorMatrix.identity(sig, 3).scale(muval)
-    assert mu.mu1(2) == OperatorMatrix.identity(sig, 3).scale(muval)
-    assert mu.mu0(1) == OperatorMatrix.identity(sig, 3)
-    # the three scalar builders are this constructor
+    assert _weight(mu, 0, 0) == OperatorMatrix.identity(sig, 3).scale(muval)
+    assert _weight(mu, 1, 2) == OperatorMatrix.identity(sig, 3).scale(muval)
+    assert _weight(mu, 0, 1) == OperatorMatrix.identity(sig, 3)
+    # the scalar builders and the spec's mu statements are this constructor
     lap = Poly.zero(sig.vars)
     for v in sig.spatial:
         lap = lap - Poly.variable(sig.vars, v) ** 2
     for got, want in (
-        (MuSet.scalar(cplx, muval), MuSet.from_scalars(cplx, dict.fromkeys(range(4), muval),
-                                                       dict.fromkeys(range(4), muval))),
+        (MuSet.scalar(cplx, muval), MuSet(cplx, dict.fromkeys(range(4), muval),
+                                          dict.fromkeys(range(4), muval))),
         (MuSet.laplace_powers(cplx, {1: 1, 3: 2}, {2: 1}),
-         MuSet.from_scalars(cplx, {1: lap, 3: lap ** 2}, {2: lap})),
+         MuSet(cplx, {1: lap, 3: lap ** 2}, {2: lap})),
     ):
         for q in range(cplx.length + 1):
-            assert got.mu0(q) == want.mu0(q) and got.mu1(q) == want.mu1(q)
+            assert _weight(got, 0, q) == _weight(want, 0, q) and _weight(got, 1, q) == _weight(want, 1, q)
 
 
 def test_perturbed_laplacian_lower_order():

@@ -393,5 +393,6 @@ def test_mu_degrees_zero_to_top_are_accepted():
                     + "".join(f"mu C {q} scalar {q + 2}\n" for q in range(4)))
     assert [d for d, _, _ in doc.mu_specs["C"]] == [0, 1, 2, 3]
     mu = doc.mu_set("C")
-    assert mu.mu0(0) == mu.cplx.identity(3).scale(2)
-    assert mu.mu1(3) == mu.cplx.identity(3).scale(5)
+    ident = mu.cplx.identity(3)
+    assert mu.apply(0, 0, ident) == ident.scale(2)
+    assert mu.apply(1, 3, ident) == ident.scale(5)

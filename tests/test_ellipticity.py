@@ -23,7 +23,14 @@ from cxkit.ellipticity import (
     strong_ellipticity_check,
 )
 from cxkit.fixtures import symmetric_gradient_complex
-from cxkit.poly import Poly
+from cxkit.poly import Poly, PolyMatrix
+
+
+def _weight(mu, which, q):
+    """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
+    the identity with the weight applied."""
+    k = mu.cplx.rank(q + 1 if which == 0 else q - 1)
+    return mu.apply(which, q, mu.cplx.identity(k))
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +129,8 @@ def test_maxwell_weights_satisfy_defining_relations():
     p0, p1 = dn_weights_maxwell(cplx, mu)
     n = cplx.length
     m = [cplx.op(j).order() for j in range(n)]
-    mt = [max(mu.mu0(j).order(), 0) for j in range(n + 1)]   # order 2*mtilde
-    mh = [max(mu.mu1(j).order(), 0) for j in range(n + 1)]
+    mt = [max(_weight(mu, 0, j).order(), 0) for j in range(n + 1)]   # order 2*mtilde
+    mh = [max(_weight(mu, 1, j).order(), 0) for j in range(n + 1)]
     for plan, variant in ((p0, 0), (p1, 1)):
         s, t = plan.s, plan.t
         for j in range(1, n + 1):
@@ -150,8 +157,8 @@ def test_stokes_weights_satisfy_defining_relations(mtilde, mhat, balanced):
     mu = MuSet.laplace_powers(cplx, mtilde, mhat)
     n = cplx.length
     m = [cplx.op(j).order() for j in range(n)]
-    mt = [max(mu.mu0(j).order(), 0) // 2 for j in range(n + 1)]
-    mh = [max(mu.mu1(j).order(), 0) // 2 for j in range(n + 1)]
+    mt = [max(_weight(mu, 0, j).order(), 0) // 2 for j in range(n + 1)]
+    mh = [max(_weight(mu, 1, j).order(), 0) // 2 for j in range(n + 1)]
     checked = []
     for q in range(n + 1):
         if 0 < q < n and m[q] + mt[q] != m[q - 1] + mh[q]:
@@ -272,7 +279,7 @@ def _block_loop_dn_symbol(op, part, plan):
             c0, c1 = part.span(col_deg)
             blk = total.body.block(r0, r1, c0, c1).map(
                 lambda e: e.homogeneous_part(target, sig.derivative_vars))
-            out = out + SymbolMatrix(sig, blk.embed(n, n, r0, c0))
+            out = out + SymbolMatrix(sig, PolyMatrix.place(sig.vars, n, n, [(blk, r0, c0)]))
     return out
 
 

@@ -37,11 +37,15 @@ from cxkit.poly import (
     _poly,
     _split,
     _unpack,
-    grlex_key,
 )
 from cxkit.symbols import maxwell_parametrix_symbol, maxwell_symbol
 
 VARS = ("x", "y", "z")
+
+
+def grlex_key(exponent):
+    """Sort key realizing graded lexicographic order (ascending)."""
+    return (sum(exponent), exponent)
 
 
 # ---------------------------------------------------------------------------

@@ -40,6 +40,13 @@ from cxkit.symbols import (
 from cxkit.syzygy import extend_to_complex
 
 
+def _weight(mu, which, q):
+    """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
+    the identity with the weight applied."""
+    k = mu.cplx.rank(q + 1 if which == 0 else q - 1)
+    return mu.apply(which, q, mu.cplx.identity(k))
+
+
 CPLX3 = de_rham_complex(3)
 
 
@@ -263,13 +270,13 @@ def _ref_delta(cplx, q, mu=None):
         if mu is None:
             total = total + s.hermitian_transpose() @ s
         else:
-            total = total + s.hermitian_transpose() @ _ref_sigma_mu(mu.mu0(q)) @ s
+            total = total + s.hermitian_transpose() @ _ref_sigma_mu(_weight(mu, 0, q)) @ s
     if q > 0:
         s = sigma(cplx, q - 1)
         if mu is None:
             total = total + s @ s.hermitian_transpose()
         else:
-            total = total + s @ _ref_sigma_mu(mu.mu1(q)) @ s.hermitian_transpose()
+            total = total + s @ _ref_sigma_mu(_weight(mu, 1, q)) @ s.hermitian_transpose()
     return total
 
 
@@ -283,9 +290,9 @@ def _ref_maxwell_symbol(cplx, q, mu=None, variant=0):
     for j in range(q):
         s = sigma(cplx, j)
         if variant == 0:
-            down = _ref_sigma_mu(mu.mu0(j)) @ s
+            down = _ref_sigma_mu(_weight(mu, 0, j)) @ s
         else:
-            down = s @ _ref_sigma_mu(mu.mu1(j + 1))
+            down = s @ _ref_sigma_mu(_weight(mu, 1, j + 1))
         total = total + block_inject(part, down, j + 1, j)
         total = total + block_inject(part, s.hermitian_transpose(), j, j + 1)
     return total
@@ -300,7 +307,7 @@ def _ref_factorization_residual(cplx, q, mu=None):
     rhs = SymbolMatrix.zero(sig, part.size, part.size)
     if q > 0:
         s = sigma(cplx, q - 1)
-        top = s @ _ref_sigma_mu(mu.mu1(q)) @ s.hermitian_transpose()
+        top = s @ _ref_sigma_mu(_weight(mu, 1, q)) @ s.hermitian_transpose()
         rhs = rhs + block_inject(part, top, q, q)
     for j in range(q):
         rhs = rhs + block_inject(part, _ref_delta(cplx, j, mu), j, j)
@@ -322,8 +329,8 @@ def _ref_evolution_n_t(cplx, q, mu, scalar):
 
     sq = up(sigma(cplx, q))
     sq1 = up(sigma(cplx, q - 1))
-    mu0_sym = up(_ref_sigma_mu(mu.mu0(q)))
-    mu1_sym = up(_ref_sigma_mu(mu.mu1(q)))
+    mu0_sym = up(_ref_sigma_mu(_weight(mu, 0, q)))
+    mu1_sym = up(_ref_sigma_mu(_weight(mu, 1, q)))
 
     core = RationalSymbolMatrix(sq.hermitian_transpose() @ mu0_sym @ sq, resolvent_den)
     n_t = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)

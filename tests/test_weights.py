@@ -1,0 +1,179 @@
+"""Weights kept as structure: absent, scalar or matrix.
+
+``MuSet`` stores a scalar weight s as its polynomial and multiplies by it
+entry by entry (``MuSet.apply``).  The slow exact path is the same weight as
+an explicit matrix s I, multiplied out by matrix products; every builder must
+give the same matrices from both, down to the order in which each entry
+stores its terms, and the same verdicts.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cxkit import poly
+from cxkit.blockops import factorization_residual, maxwell, stokes
+from cxkit.complexes import (
+    MuSet,
+    check_coherence,
+    de_rham_complex,
+    dolbeault_complex,
+    generalized_laplacian,
+    laplacian,
+    powered_de_rham_complex,
+)
+from cxkit.ellipticity import dn_weights_maxwell, dn_weights_stokes
+from cxkit.poly import Poly
+from cxkit.symbols import HypothesisFailure, _check_stokes_hypotheses, _symbols
+
+CASES = {
+    "de_rham(3)": de_rham_complex(3, params=("mu",)),
+    "dolbeault(2)": dolbeault_complex(2, params=("mu",)),
+    "powered_de_rham(2, 2)": powered_de_rham_complex(2, 2, params=("mu",)),
+}
+
+
+def _minus_laplace(sig) -> Poly:
+    out = Poly.zero(sig.vars)
+    for v in sig.spatial:
+        out = out - Poly.variable(sig.vars, v) ** 2
+    return out
+
+
+def _scalars(cplx):
+    """0, 1, random fractions, the parameter mu and (-Laplace)^m."""
+    sig = cplx.signature
+    return st.one_of(
+        st.sampled_from([Poly.zero(sig.vars), Poly.one(sig.vars),
+                         Poly.variable(sig.vars, "mu")]),
+        st.fractions(min_value=-4, max_value=4, max_denominator=6).map(
+            lambda f: Poly.constant(sig.vars, f)),
+        st.integers(1, 2).map(lambda m: _minus_laplace(sig) ** m),
+    )
+
+
+def _explicit(cplx, mu0: dict, mu1: dict) -> MuSet:
+    """The same scalar weights as explicit matrices s I."""
+    return MuSet(cplx, {q: cplx.identity(cplx.rank(q + 1)).scale(s) for q, s in mu0.items()},
+                 {q: cplx.identity(cplx.rank(q - 1)).scale(s) for q, s in mu1.items()})
+
+
+def _stored(m):
+    """Every entry's stored terms, in storage order, and its denominator."""
+    return [[(list(p._num.items()), p._den) for p in row] for row in m.body.entries]
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the type and message of the error it raises."""
+    try:
+        return fn(*args)
+    except (ValueError, HypothesisFailure) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _hypotheses(cplx, q, mu):
+    sym, mus = _symbols(cplx, mu)
+    return _check_stokes_hypotheses(cplx, q, mu, sym, mus)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.data())
+def test_scalar_weights_match_explicit_matrices(name, data):
+    cplx = CASES[name]
+    n = cplx.length
+    given = st.lists(st.one_of(st.none(), _scalars(cplx)), min_size=n + 1, max_size=n + 1)
+
+    def weights() -> dict:
+        return {q: s for q, s in enumerate(data.draw(given)) if s is not None}
+
+    mu0, mu1 = weights(), weights()
+    fast, slow = MuSet(cplx, mu0, mu1), _explicit(cplx, mu0, mu1)
+    built = [generalized_laplacian(cplx, q, mu) for q in range(n + 1) for mu in (fast, slow)]
+    built += [maxwell(cplx, n, mu, v) for v in (0, 1) for mu in (fast, slow)]
+    built += [stokes(cplx, n, mu) for mu in (fast, slow)]
+    built += [factorization_residual(cplx, n, mu) for mu in (fast, slow)]
+    for a, b in zip(built[::2], built[1::2]):
+        assert a == b
+        assert _stored(a) == _stored(b)
+    for q in range(n + 1):
+        assert check_coherence(cplx, fast, q) == check_coherence(cplx, slow, q)
+        assert _outcome(dn_weights_stokes, cplx, q, fast) \
+            == _outcome(dn_weights_stokes, cplx, q, slow)
+        assert _outcome(_hypotheses, cplx, q, fast) == _outcome(_hypotheses, cplx, q, slow)
+    assert dn_weights_maxwell(cplx, fast) == dn_weights_maxwell(cplx, slow)
+
+
+def test_zero_scalar_stays_a_weight():
+    cplx = de_rham_complex(3)
+    mu = MuSet(cplx, {1: 0}, {})
+    assert not mu.trivial(1)
+    b = cplx.op(0)
+    assert generalized_laplacian(cplx, 1, mu) == b @ b.formal_adjoint()
+    assert generalized_laplacian(cplx, 1, mu) != laplacian(cplx, 1)
+
+
+def test_one_and_the_identity_are_absent():
+    cplx = de_rham_complex(3)
+    sig = cplx.signature
+    for mu in (MuSet.scalar(cplx, 1), MuSet.scalar(cplx, Fraction(1)),
+               MuSet.scalar(cplx, Poly.one(sig.vars)),
+               MuSet(cplx, {q: cplx.identity(cplx.rank(q + 1)) for q in range(4)},
+                     {q: cplx.identity(cplx.rank(q - 1)) for q in range(4)}),
+               MuSet.laplace_powers(cplx, {1: 0}, {2: 0})):
+        assert all(mu.trivial(q) for q in range(4))
+        assert mu.orders(1) == (0, 0)
+    # a weight on a rank-0 space is the 0x0 identity
+    assert MuSet.scalar(cplx, 7, degrees=[0]).trivial(0) is False
+    assert MuSet(cplx, {3: 7}, {0: 7}).trivial(3)
+    assert MuSet(cplx, {3: 7}, {0: 7}).trivial(0)
+
+
+def test_apply_keeps_each_form():
+    cplx = de_rham_complex(3, params=("mu",))
+    sig = cplx.signature
+    muval = Poly.variable(sig.vars, "mu")
+    a = cplx.op(1)
+    mu = MuSet(cplx, {1: muval, 0: cplx.op(1).formal_adjoint() @ cplx.op(1)})
+    assert MuSet.identity(cplx).apply(0, 1, a) is a
+    assert _stored(mu.apply(0, 1, a, left=True)) \
+        == _stored(cplx.identity(3).scale(muval) @ a)
+    assert _stored(mu.apply(0, 1, a.formal_adjoint())) \
+        == _stored(a.formal_adjoint() @ cplx.identity(3).scale(muval))
+    weight = cplx.op(1).formal_adjoint() @ cplx.op(1)
+    assert mu.apply(0, 0, cplx.op(0), left=True) == weight @ cplx.op(0)
+
+
+def test_orders_read_the_scalar_degree():
+    cplx = de_rham_complex(3, params=("mu",))
+    mu = MuSet.laplace_powers(cplx, {1: 2}, {2: 1})
+    assert mu.orders(1) == (4, 0) and mu.orders(2) == (0, 2)
+    assert MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu")).orders(1) == (0, 0)
+    assert MuSet.scalar(cplx, 0).orders(1) == (0, 0)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_no_product_has_a_constant_one_factor(monkeypatch, n):
+    """Without weights and with the default coupling, no builder multiplies
+    by an identity weight or scales by a = 1."""
+    calls = {"pairs": 0, "ones": 0}
+    dot = poly._dot
+
+    def counting(vars, pairs):
+        pairs = list(pairs)
+        one = Poly.one(vars)
+        calls["pairs"] += len(pairs)
+        calls["ones"] += sum(a == one or b == one for a, b in pairs)
+        return dot(vars, pairs)
+
+    cplx = de_rham_complex(n)  # its n = 3 basis change multiplies by ones
+    monkeypatch.setattr(poly, "_dot", counting)
+    for q in range(n + 1):
+        stokes(cplx, q)
+        laplacian(cplx, q)
+        check_coherence(cplx, MuSet.identity(cplx), q)
+    maxwell(cplx, n, None, 0)
+    maxwell(cplx, n, None, 1)
+    factorization_residual(cplx, n)
+    assert calls["pairs"] > 0
+    assert calls["ones"] == 0
