@@ -1,293 +1,38 @@
 """Sobol direction numbers for dimensions 0..254 (Joe and Kuo 2008).
 
-The first 255 rows of Joe and Kuo's 21 201-dimension table (search
-criterion 6), the table ``scipy.stats.qmc.Sobol`` draws from.  A ring has at
-most ``poly._MAX_VARS`` = 255 variables, so ``sphere._sobol`` reaches no
-later row.  The bits of ``POLY[d]`` are the coefficients of the primitive
-polynomial of dimension d, leading one first, so its degree is
+The first 255 rows of the table ``scipy.stats.qmc.Sobol`` draws from (a ring
+has at most 255 variables).  The bits of ``POLY[d]`` are the coefficients of
+dimension d's primitive polynomial, leading one first, of degree
 m = ``POLY[d].bit_length() - 1``; ``VINIT[d]`` holds its m initial direction
-numbers.  Dimension 0, whose direction numbers are all 1, has m = 0.
-``tests/test_sphere.py`` checks every value against scipy's copy of the
-table and gives the recipe that wrote this file.
+numbers, the k-th odd and below 2^k.  Both are decoded at import from base64
+bit fields: ``POLY[d]`` in 12 bits, the k-th number v in k - 1 bits as v // 2.
+``tests/test_sphere.py`` checks them against scipy's copy; this writes them::
+
+    with np.load(path) as t:  # scipy/stats/_sobol_direction_numbers.npz
+        poly = [int(p) for p in t["poly"][:255]]
+        vinit = [t["vinit"][d, :p.bit_length() - 1] for d, p in enumerate(poly)]
+    def pack(fields):  # (value, width) pairs -> base64 text of their bits
+        bits = "".join(format(v, f"0{w}b") for v, w in fields if w)
+        return b64encode(int(bits, 2).to_bytes((len(bits) + 7) // 8, "big")).decode()
+    _POLY = pack((p, 12) for p in poly)
+    _VINIT = pack((int(v) // 2, k) for row in vinit for k, v in enumerate(row))
 """
 
-POLY = (
-    1, 3, 7, 11, 13, 19, 25, 37, 41, 47, 55, 59, 61, 67, 91, 97, 103, 109, 115,
-    131, 137, 143, 145, 157, 167, 171, 185, 191, 193, 203, 211, 213, 229, 239,
-    241, 247, 253, 285, 299, 301, 333, 351, 355, 357, 361, 369, 391, 397, 425,
-    451, 463, 487, 501, 529, 539, 545, 557, 563, 601, 607, 617, 623, 631, 637,
-    647, 661, 675, 677, 687, 695, 701, 719, 721, 731, 757, 761, 787, 789, 799,
-    803, 817, 827, 847, 859, 865, 875, 877, 883, 895, 901, 911, 949, 953, 967,
-    971, 973, 981, 985, 995, 1001, 1019, 1033, 1051, 1063, 1069, 1125, 1135,
-    1153, 1163, 1221, 1239, 1255, 1267, 1279, 1293, 1305, 1315, 1329, 1341,
-    1347, 1367, 1387, 1413, 1423, 1431, 1441, 1479, 1509, 1527, 1531, 1555,
-    1557, 1573, 1591, 1603, 1615, 1627, 1657, 1663, 1673, 1717, 1729, 1747,
-    1759, 1789, 1815, 1821, 1825, 1849, 1863, 1869, 1877, 1881, 1891, 1917,
-    1933, 1939, 1969, 2011, 2035, 2041, 2053, 2071, 2091, 2093, 2119, 2147,
-    2149, 2161, 2171, 2189, 2197, 2207, 2217, 2225, 2255, 2257, 2273, 2279,
-    2283, 2293, 2317, 2323, 2341, 2345, 2363, 2365, 2373, 2377, 2385, 2395,
-    2419, 2421, 2431, 2435, 2447, 2475, 2477, 2489, 2503, 2521, 2533, 2551,
-    2561, 2567, 2579, 2581, 2601, 2633, 2657, 2669, 2681, 2687, 2693, 2705,
-    2717, 2727, 2731, 2739, 2741, 2773, 2783, 2793, 2799, 2801, 2811, 2819,
-    2825, 2833, 2867, 2879, 2881, 2891, 2905, 2911, 2917, 2927, 2941, 2951,
-    2955, 2963, 2965, 2991, 2999, 3005, 3017, 3035, 3037, 3047, 3053, 3083,
-    3085, 3097, 3103, 3159,
-)
+from binascii import a2b_base64
 
-VINIT = (
-    (),
-    (1,),
-    (1, 3),
-    (1, 3, 1),
-    (1, 1, 1),
-    (1, 1, 3, 3),
-    (1, 3, 5, 13),
-    (1, 1, 5, 5, 17),
-    (1, 1, 5, 5, 5),
-    (1, 1, 7, 11, 19),
-    (1, 1, 5, 1, 1),
-    (1, 1, 1, 3, 11),
-    (1, 3, 5, 5, 31),
-    (1, 3, 3, 9, 7, 49),
-    (1, 1, 1, 15, 21, 21),
-    (1, 3, 1, 13, 27, 49),
-    (1, 1, 1, 15, 7, 5),
-    (1, 3, 1, 15, 13, 25),
-    (1, 1, 5, 5, 19, 61),
-    (1, 3, 7, 11, 23, 15, 103),
-    (1, 3, 7, 13, 13, 15, 69),
-    (1, 1, 3, 13, 7, 35, 63),
-    (1, 3, 5, 9, 1, 25, 53),
-    (1, 3, 1, 13, 9, 35, 107),
-    (1, 3, 1, 5, 27, 61, 31),
-    (1, 1, 5, 11, 19, 41, 61),
-    (1, 3, 5, 3, 3, 13, 69),
-    (1, 1, 7, 13, 1, 19, 1),
-    (1, 3, 7, 5, 13, 19, 59),
-    (1, 1, 3, 9, 25, 29, 41),
-    (1, 3, 5, 13, 23, 1, 55),
-    (1, 3, 7, 3, 13, 59, 17),
-    (1, 3, 1, 3, 5, 53, 69),
-    (1, 1, 5, 5, 23, 33, 13),
-    (1, 1, 7, 7, 1, 61, 123),
-    (1, 1, 7, 9, 13, 61, 49),
-    (1, 3, 3, 5, 3, 55, 33),
-    (1, 3, 1, 15, 31, 13, 49, 245),
-    (1, 3, 5, 15, 31, 59, 63, 97),
-    (1, 3, 1, 11, 11, 11, 77, 249),
-    (1, 3, 1, 11, 27, 43, 71, 9),
-    (1, 1, 7, 15, 21, 11, 81, 45),
-    (1, 3, 7, 3, 25, 31, 65, 79),
-    (1, 3, 1, 1, 19, 11, 3, 205),
-    (1, 1, 5, 9, 19, 21, 29, 157),
-    (1, 3, 7, 11, 1, 33, 89, 185),
-    (1, 3, 3, 3, 15, 9, 79, 71),
-    (1, 3, 7, 11, 15, 39, 119, 27),
-    (1, 1, 3, 1, 11, 31, 97, 225),
-    (1, 1, 1, 3, 23, 43, 57, 177),
-    (1, 3, 7, 7, 17, 17, 37, 71),
-    (1, 3, 1, 5, 27, 63, 123, 213),
-    (1, 1, 3, 5, 11, 43, 53, 133),
-    (1, 3, 5, 5, 29, 17, 47, 173, 479),
-    (1, 3, 3, 11, 3, 1, 109, 9, 69),
-    (1, 1, 1, 5, 17, 39, 23, 5, 343),
-    (1, 3, 1, 5, 25, 15, 31, 103, 499),
-    (1, 1, 1, 11, 11, 17, 63, 105, 183),
-    (1, 1, 5, 11, 9, 29, 97, 231, 363),
-    (1, 1, 5, 15, 19, 45, 41, 7, 383),
-    (1, 3, 7, 7, 31, 19, 83, 137, 221),
-    (1, 1, 1, 3, 23, 15, 111, 223, 83),
-    (1, 1, 5, 13, 31, 15, 55, 25, 161),
-    (1, 1, 3, 13, 25, 47, 39, 87, 257),
-    (1, 1, 1, 11, 21, 53, 125, 249, 293),
-    (1, 1, 7, 11, 11, 7, 57, 79, 323),
-    (1, 1, 5, 5, 17, 13, 81, 3, 131),
-    (1, 1, 7, 13, 23, 7, 65, 251, 475),
-    (1, 3, 5, 1, 9, 43, 3, 149, 11),
-    (1, 1, 3, 13, 31, 13, 13, 255, 487),
-    (1, 3, 3, 1, 5, 63, 89, 91, 127),
-    (1, 1, 3, 3, 1, 19, 123, 127, 237),
-    (1, 1, 5, 7, 23, 31, 37, 243, 289),
-    (1, 1, 5, 11, 17, 53, 117, 183, 491),
-    (1, 1, 1, 5, 1, 13, 13, 209, 345),
-    (1, 1, 3, 15, 1, 57, 115, 7, 33),
-    (1, 3, 1, 11, 7, 43, 81, 207, 175),
-    (1, 3, 1, 1, 15, 27, 63, 255, 49),
-    (1, 3, 5, 3, 27, 61, 105, 171, 305),
-    (1, 1, 5, 3, 1, 3, 57, 249, 149),
-    (1, 1, 3, 5, 5, 57, 15, 13, 159),
-    (1, 1, 1, 11, 7, 11, 105, 141, 225),
-    (1, 3, 3, 5, 27, 59, 121, 101, 271),
-    (1, 3, 5, 9, 11, 49, 51, 59, 115),
-    (1, 1, 7, 1, 23, 45, 125, 71, 419),
-    (1, 1, 3, 5, 23, 5, 105, 109, 75),
-    (1, 1, 7, 15, 7, 11, 67, 121, 453),
-    (1, 3, 7, 3, 9, 13, 31, 27, 449),
-    (1, 3, 1, 15, 19, 39, 39, 89, 15),
-    (1, 1, 1, 1, 1, 33, 73, 145, 379),
-    (1, 3, 1, 15, 15, 43, 29, 13, 483),
-    (1, 1, 7, 3, 19, 27, 85, 131, 431),
-    (1, 3, 3, 3, 5, 35, 23, 195, 349),
-    (1, 3, 3, 7, 9, 27, 39, 59, 297),
-    (1, 1, 3, 9, 11, 17, 13, 241, 157),
-    (1, 3, 7, 15, 25, 57, 33, 189, 213),
-    (1, 1, 7, 1, 9, 55, 73, 83, 217),
-    (1, 3, 3, 13, 19, 27, 23, 113, 249),
-    (1, 3, 5, 3, 23, 43, 3, 253, 479),
-    (1, 1, 5, 5, 11, 5, 45, 117, 217),
-    (1, 3, 3, 7, 29, 37, 33, 123, 147),
-    (1, 3, 1, 15, 5, 5, 37, 227, 223, 459),
-    (1, 1, 7, 5, 5, 39, 63, 255, 135, 487),
-    (1, 3, 1, 7, 9, 7, 87, 249, 217, 599),
-    (1, 1, 3, 13, 9, 47, 7, 225, 363, 247),
-    (1, 3, 7, 13, 19, 13, 9, 67, 9, 737),
-    (1, 3, 5, 5, 19, 59, 7, 41, 319, 677),
-    (1, 1, 5, 3, 31, 63, 15, 43, 207, 789),
-    (1, 1, 7, 9, 13, 39, 3, 47, 497, 169),
-    (1, 3, 1, 7, 21, 17, 97, 19, 415, 905),
-    (1, 3, 7, 1, 3, 31, 71, 111, 165, 127),
-    (1, 1, 5, 11, 1, 61, 83, 119, 203, 847),
-    (1, 3, 3, 13, 9, 61, 19, 97, 47, 35),
-    (1, 1, 7, 7, 15, 29, 63, 95, 417, 469),
-    (1, 3, 1, 9, 25, 9, 71, 57, 213, 385),
-    (1, 3, 5, 13, 31, 47, 101, 57, 39, 341),
-    (1, 1, 3, 3, 31, 57, 125, 173, 365, 551),
-    (1, 3, 7, 1, 13, 57, 67, 157, 451, 707),
-    (1, 1, 1, 7, 21, 13, 105, 89, 429, 965),
-    (1, 1, 5, 9, 17, 51, 45, 119, 157, 141),
-    (1, 3, 7, 7, 13, 45, 91, 9, 129, 741),
-    (1, 3, 7, 1, 23, 57, 67, 141, 151, 571),
-    (1, 1, 3, 11, 17, 47, 93, 107, 375, 157),
-    (1, 3, 3, 5, 11, 21, 43, 51, 169, 915),
-    (1, 1, 5, 3, 15, 55, 101, 67, 455, 625),
-    (1, 3, 5, 9, 1, 23, 29, 47, 345, 595),
-    (1, 3, 7, 7, 5, 49, 29, 155, 323, 589),
-    (1, 3, 3, 7, 5, 41, 127, 61, 261, 717),
-    (1, 3, 7, 7, 17, 23, 117, 67, 129, 1009),
-    (1, 1, 3, 13, 11, 39, 21, 207, 123, 305),
-    (1, 1, 3, 9, 29, 3, 95, 47, 231, 73),
-    (1, 3, 1, 9, 1, 29, 117, 21, 441, 259),
-    (1, 3, 1, 13, 21, 39, 125, 211, 439, 723),
-    (1, 1, 7, 3, 17, 63, 115, 89, 49, 773),
-    (1, 3, 7, 13, 11, 33, 101, 107, 63, 73),
-    (1, 1, 5, 5, 13, 57, 63, 135, 437, 177),
-    (1, 1, 3, 7, 27, 63, 93, 47, 417, 483),
-    (1, 1, 3, 1, 23, 29, 1, 191, 49, 23),
-    (1, 1, 3, 15, 25, 55, 9, 101, 219, 607),
-    (1, 3, 1, 7, 7, 19, 51, 251, 393, 307),
-    (1, 3, 3, 3, 25, 55, 17, 75, 337, 3),
-    (1, 1, 1, 13, 25, 17, 65, 45, 479, 413),
-    (1, 1, 7, 7, 27, 49, 99, 161, 213, 727),
-    (1, 3, 5, 1, 23, 5, 43, 41, 251, 857),
-    (1, 3, 3, 7, 11, 61, 39, 87, 383, 835),
-    (1, 1, 3, 15, 13, 7, 29, 7, 505, 923),
-    (1, 3, 7, 1, 5, 31, 47, 157, 445, 501),
-    (1, 1, 3, 7, 1, 43, 9, 147, 115, 605),
-    (1, 3, 3, 13, 5, 1, 119, 211, 455, 1001),
-    (1, 1, 3, 5, 13, 19, 3, 243, 75, 843),
-    (1, 3, 7, 7, 1, 19, 91, 249, 357, 589),
-    (1, 1, 1, 9, 1, 25, 109, 197, 279, 411),
-    (1, 3, 1, 15, 23, 57, 59, 135, 191, 75),
-    (1, 1, 5, 15, 29, 21, 39, 253, 383, 349),
-    (1, 3, 3, 5, 19, 45, 61, 151, 199, 981),
-    (1, 3, 5, 13, 9, 61, 107, 141, 141, 1),
-    (1, 3, 1, 11, 27, 25, 85, 105, 309, 979),
-    (1, 3, 3, 11, 19, 7, 115, 223, 349, 43),
-    (1, 1, 7, 9, 21, 39, 123, 21, 275, 927),
-    (1, 1, 7, 13, 15, 41, 47, 243, 303, 437),
-    (1, 1, 1, 7, 7, 3, 15, 99, 409, 719),
-    (1, 3, 3, 15, 27, 49, 113, 123, 113, 67, 469),
-    (1, 3, 7, 11, 3, 23, 87, 169, 119, 483, 199),
-    (1, 1, 5, 15, 7, 17, 109, 229, 179, 213, 741),
-    (1, 1, 5, 13, 11, 17, 25, 135, 403, 557, 1433),
-    (1, 3, 1, 1, 1, 61, 67, 215, 189, 945, 1243),
-    (1, 1, 7, 13, 17, 33, 9, 221, 429, 217, 1679),
-    (1, 1, 3, 11, 27, 3, 15, 93, 93, 865, 1049),
-    (1, 3, 7, 7, 25, 41, 121, 35, 373, 379, 1547),
-    (1, 3, 3, 9, 11, 35, 45, 205, 241, 9, 59),
-    (1, 3, 1, 7, 3, 51, 7, 177, 53, 975, 89),
-    (1, 1, 3, 5, 27, 1, 113, 231, 299, 759, 861),
-    (1, 3, 3, 15, 25, 29, 5, 255, 139, 891, 2031),
-    (1, 3, 1, 1, 13, 9, 109, 193, 419, 95, 17),
-    (1, 1, 7, 9, 3, 7, 29, 41, 135, 839, 867),
-    (1, 1, 7, 9, 25, 49, 123, 217, 113, 909, 215),
-    (1, 1, 7, 3, 23, 15, 43, 133, 217, 327, 901),
-    (1, 1, 3, 3, 13, 53, 63, 123, 477, 711, 1387),
-    (1, 1, 3, 15, 7, 29, 75, 119, 181, 957, 247),
-    (1, 1, 1, 11, 27, 25, 109, 151, 267, 99, 1461),
-    (1, 3, 7, 15, 5, 5, 53, 145, 11, 725, 1501),
-    (1, 3, 7, 1, 9, 43, 71, 229, 157, 607, 1835),
-    (1, 3, 3, 13, 25, 1, 5, 27, 471, 349, 127),
-    (1, 1, 1, 1, 23, 37, 9, 221, 269, 897, 1685),
-    (1, 1, 3, 3, 31, 29, 51, 19, 311, 553, 1969),
-    (1, 3, 7, 5, 5, 55, 17, 39, 475, 671, 1529),
-    (1, 1, 7, 1, 1, 35, 47, 27, 437, 395, 1635),
-    (1, 1, 7, 3, 13, 23, 43, 135, 327, 139, 389),
-    (1, 3, 7, 3, 9, 25, 91, 25, 429, 219, 513),
-    (1, 1, 3, 5, 13, 29, 119, 201, 277, 157, 2043),
-    (1, 3, 5, 3, 29, 57, 13, 17, 167, 739, 1031),
-    (1, 3, 3, 5, 29, 21, 95, 27, 255, 679, 1531),
-    (1, 3, 7, 15, 9, 5, 21, 71, 61, 961, 1201),
-    (1, 3, 5, 13, 15, 57, 33, 93, 459, 867, 223),
-    (1, 1, 1, 15, 17, 43, 127, 191, 67, 177, 1073),
-    (1, 1, 1, 15, 23, 7, 21, 199, 75, 293, 1611),
-    (1, 3, 7, 13, 15, 39, 21, 149, 65, 741, 319),
-    (1, 3, 7, 11, 23, 13, 101, 89, 277, 519, 711),
-    (1, 3, 7, 15, 19, 27, 85, 203, 441, 97, 1895),
-    (1, 3, 1, 3, 29, 25, 21, 155, 11, 191, 197),
-    (1, 1, 7, 5, 27, 11, 81, 101, 457, 675, 1687),
-    (1, 3, 1, 5, 25, 5, 65, 193, 41, 567, 781),
-    (1, 3, 1, 5, 11, 15, 113, 77, 411, 695, 1111),
-    (1, 1, 3, 9, 11, 53, 119, 171, 55, 297, 509),
-    (1, 1, 1, 1, 11, 39, 113, 139, 165, 347, 595),
-    (1, 3, 7, 11, 9, 17, 101, 13, 81, 325, 1733),
-    (1, 3, 1, 1, 21, 43, 115, 9, 113, 907, 645),
-    (1, 1, 7, 3, 9, 25, 117, 197, 159, 471, 475),
-    (1, 3, 1, 9, 11, 21, 57, 207, 485, 613, 1661),
-    (1, 1, 7, 7, 27, 55, 49, 223, 89, 85, 1523),
-    (1, 1, 5, 3, 19, 41, 45, 51, 447, 299, 1355),
-    (1, 3, 1, 13, 1, 33, 117, 143, 313, 187, 1073),
-    (1, 1, 7, 7, 5, 11, 65, 97, 377, 377, 1501),
-    (1, 3, 1, 1, 21, 35, 95, 65, 99, 23, 1239),
-    (1, 1, 5, 9, 3, 37, 95, 167, 115, 425, 867),
-    (1, 3, 3, 13, 1, 37, 27, 189, 81, 679, 773),
-    (1, 1, 3, 11, 1, 61, 99, 233, 429, 969, 49),
-    (1, 1, 1, 7, 25, 63, 99, 165, 245, 793, 1143),
-    (1, 1, 5, 11, 11, 43, 55, 65, 71, 283, 273),
-    (1, 1, 5, 5, 9, 3, 101, 251, 355, 379, 1611),
-    (1, 1, 1, 15, 21, 63, 85, 99, 49, 749, 1335),
-    (1, 1, 5, 13, 27, 9, 121, 43, 255, 715, 289),
-    (1, 3, 1, 5, 27, 19, 17, 223, 77, 571, 1415),
-    (1, 1, 5, 3, 13, 59, 125, 251, 195, 551, 1737),
-    (1, 3, 3, 15, 13, 27, 49, 105, 389, 971, 755),
-    (1, 3, 5, 15, 23, 43, 35, 107, 447, 763, 253),
-    (1, 3, 5, 11, 21, 3, 17, 39, 497, 407, 611),
-    (1, 1, 7, 13, 15, 31, 113, 17, 23, 507, 1995),
-    (1, 1, 7, 15, 3, 15, 31, 153, 423, 79, 503),
-    (1, 1, 7, 9, 19, 25, 23, 171, 505, 923, 1989),
-    (1, 1, 5, 9, 21, 27, 121, 223, 133, 87, 697),
-    (1, 1, 5, 5, 9, 19, 107, 99, 319, 765, 1461),
-    (1, 1, 3, 3, 19, 25, 3, 101, 171, 729, 187),
-    (1, 1, 3, 1, 13, 23, 85, 93, 291, 209, 37),
-    (1, 1, 1, 15, 25, 25, 77, 253, 333, 947, 1073),
-    (1, 1, 3, 9, 17, 29, 55, 47, 255, 305, 2037),
-    (1, 3, 3, 9, 29, 63, 9, 103, 489, 939, 1523),
-    (1, 3, 7, 15, 7, 31, 89, 175, 369, 339, 595),
-    (1, 3, 7, 13, 25, 5, 71, 207, 251, 367, 665),
-    (1, 3, 3, 3, 21, 25, 75, 35, 31, 321, 1603),
-    (1, 1, 1, 9, 11, 1, 65, 5, 11, 329, 535),
-    (1, 1, 5, 3, 19, 13, 17, 43, 379, 485, 383),
-    (1, 3, 5, 13, 13, 9, 85, 147, 489, 787, 1133),
-    (1, 3, 1, 1, 5, 51, 37, 129, 195, 297, 1783),
-    (1, 1, 3, 15, 19, 57, 59, 181, 455, 697, 2033),
-    (1, 3, 7, 1, 27, 9, 65, 145, 325, 189, 201),
-    (1, 3, 1, 15, 31, 23, 19, 5, 485, 581, 539),
-    (1, 1, 7, 13, 11, 15, 65, 83, 185, 847, 831),
-    (1, 3, 5, 7, 7, 55, 73, 15, 303, 511, 1905),
-    (1, 3, 5, 9, 7, 21, 45, 15, 397, 385, 597),
-    (1, 3, 7, 3, 23, 13, 73, 221, 511, 883, 1265),
-    (1, 1, 3, 11, 1, 51, 73, 185, 33, 975, 1441),
-    (1, 3, 3, 9, 19, 59, 21, 39, 339, 37, 143),
-    (1, 1, 7, 1, 31, 33, 19, 167, 117, 635, 639),
-    (1, 1, 1, 3, 5, 13, 59, 83, 355, 349, 1967),
-)
+_POLY = "AAEAMAcAsA0BMBkCUCkC8DcDsD0EMFsGEGcG0HMIMIkI8JEJ0KcKsLkL8MEMsNMNUOUO8PEPcP0R0SsS0U0V8WMWUWkXEYcY0akcMc8ecfUhEhsiEi0jMlkl8mkm8ncn0ocpUqMqUq8rcr0s8tEtsvUvkxMxUx8yMzEzs081s2E2s203M384U487U7k8c8s809U9k+M+k/tAlBtCdC1GVG9IFItMVNdOdPNP9Q1RlSNTFT1UNVdWtYVY9ZdaFcdeVfdfthNhViVjdkNk9ltnln9olrVsFtNt9v1xdx1yFzl0d011V1l2N31415N7F9t/N/mAWBeCuC2EeGOGWHGHuI2JWJ+KmLGM+NGOGOeOuPWQ2ROSWSmTuT2UWUmVGVuXOXWX+YOY+aua2bmcedmeWfegGgehOhWimkmmGm2nmn+oWpGp2qequrOrWtWt+umu+vGvuwOwmxGzOz+0G0u1m1+2W2+324e4u5O5W6+7e728m9u92+e+3AvA3BnB/Fc="
+_VINIT = "AYCdkoSJ2UABXL7DwPSptwOYp2YlPvbPn8x4jji/oDGpkjrFvj1Zo9iJongSB0yXTMcptYG+W6RCWokrgM2HvXG8xUO0J/Mx63/r7CVSzfJdrGEfotBbnHwJ4JKDmUlR070IWXKXJOj9efY0hX4cAbq5Y7hCSOLf+6ilq1Cy5C9bvtEGwQiCiZYKriw57P5FVD7RbVR2HO1XmygO/79NMRuBs++8pW87YxQOy6auAFrX3ySdUbiehSg1AFBescH3twSoMoFO8w3/zoL9i0/JBPr92Tt6XmQVjXVv1CAw2isPDnIMQlOtGdXgdr/8Yx32lWYRALnxKKLg4ZPFMukZwq3vjKH0XDJ05Yu3yPRKsWjYlfMsLzi5Qx43gnmaawHACEki9nepwbxZltUHXpKJeGurRqZ2UMVA3hO/ziF5qYTcilsulpbh8xuoP7vSUSzpsr6SD1JnISXFvcrRTf/obzjQdfxslZyXD4Wp7+kwiEEuGU9DKT9SR/45VnxTjTBL/BUjpGAnP4nAvjbqQ/VD1Ltl09yeJYC4Rbdz6/QdUmEjONTA2++RwTVRP8+rW0T4bkM7hsIdG0Wa3iUjKztOI3bWtCIFy4vkMZLjpsXua3ZOqVSplU5KL7yQ8c40BZxeslPZYOm0MmrKn56Cs3cL6QoH4OWZWc9TBnBvLuYkkB3QrcQM1T+07dpZj/KwYwXywyaj4kSbj8PaLBe/uL6DxItwF8YBZ+bEZNsvjNLP3ETNObIS1ABGxEBbvZze4xoNVrwsSpR91la+TV3+hPYZwP85vBPXnbz6LCokk5l1xA708f0KZIPkl0vYJt+WUmEBm2KLZs98dhr4lX5Sf6/V1U2elsfq2T2sZGAEusqaTXptkfO+uCrlT9FRPPeei/mXbQZhHY5lnv3HD04EJ1eiuuodvEY1zRtyWTUuSyoMh5MWsyAPQ617sTa9EBN2sbNHN0I64u2EGd5TwjdL3BbFitmeAIDsY5DsDXnCwrQcc5W9tdfjgv6Lvf3gYm2DRF4EOCM4oh6NsXMx7sOOMNbNnVhNijcIltPve6x1qebpXa13h7F1m0uFGNtfkJqQC2q7uErHyTpfyt2ACG9auD8C5CbobgaUT7mRM3FPY6LZBPtp9+MBFcbtMXMWWWrDoyKYXKMtGaxtQApnd5Ionf7j3BhCncYDq5V41/qd+/oIpGPeCWNn4gu5diN48V/vkJYhgexlYyVJZL88ypRBcif9s2SyKgax/y2rLuDDs4eYVNBS+MTWloZclR0uLBQYBSNsNEp+E2bW4rMXXdUbSh/ALPiKpK1KfURkGKFFsUFV5CHHFUJlGdYk91nbIqnM/lMs+b3bG8sFV8ozRYzvpWpZgh1HnC7DDZFgYXi8u6Co3oDEFzWoMr6Zy1GxuCRt4oqbBGh7HpreQGA8/jSesZHaq1bQEaNIhJA5fbFe5KPX6mIxdqbW0nhV/spIRakjeTR2w0W799YYnsl7NYaYXlXne6otd++j9rQSCfwy0xed/AgLfvyvic+Zpic+3JYXV/Ob8SlN83oQrVxJE6sZ+/W0TLAWSrbBdIZdS6RNAJD4yb9TdmGDIc2Xf0x/VnfEZ+nVvn832V7hUpT9go876t1MppkpEPUGQiKCAECqRC0ZMQVvXkX+zEqk+mJjaAspQGFKb2fPHbXHXP440kEiiLwyT+skF5SJDXlPApXNOz+Z7kDy7/7jQ1LB8ZgJVzZpN3/uZ4NDMlwQ89oWT0onUhIR2PgTTOp6n4JGdU2Ku9c="
+
+
+def _fields(text: str, widths: list[int]) -> list[int]:
+    """The unsigned bit fields of ``widths``, first bits first, of base64 ``text``."""
+    bits, end, out = int.from_bytes(a2b_base64(text), "big"), sum(widths), []
+    for w in widths:
+        end -= w
+        out.append(bits >> end & ((1 << w) - 1))
+    return out
+
+
+POLY = tuple(_fields(_POLY, [12] * 255))
+_halves = iter(_fields(_VINIT, [k for p in POLY for k in range(p.bit_length() - 1)]))
+VINIT = tuple(tuple(2 * next(_halves) + 1 for _ in range(p.bit_length() - 1)) for p in POLY)

@@ -33,6 +33,7 @@ with the unweighted Maxwell off-diagonal scaled by a coupling flag ``a``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Mapping, Sequence
 
 from cxkit.complexes import Complex, MatrixT, MuSet, generalized_laplacian, perturbed_laplacian
@@ -133,6 +134,12 @@ def _as_scalar_poly(value, sig: Signature) -> Poly:
     return Poly.constant(sig.vars, value)
 
 
+def _product(*factors: Poly) -> Poly:
+    """The product of ``factors``, left to right, none multiplied by a one."""
+    one = Poly.one(factors[0].vars)
+    return reduce(Poly.__mul__, [f for f in factors if f != one] or [one])
+
+
 def _with_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None
                ) -> tuple[Complex, MuSet, list[Poly], Poly]:
     """The time lift of a degree-q block operator: the complex and the weights
@@ -186,7 +193,7 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     cplx, mu, b, dt = _with_time(cplx, q, b, mu)
     part = BlockPartition.for_degree(cplx, q)
     blocks = maxwell_blocks(cplx, q, mu, variant)
-    blocks.update({(j, j): cplx.identity(part.ranks[j]).scale(bj * dt)
+    blocks.update({(j, j): cplx.identity(part.ranks[j], _product(bj, dt))
                    for j, bj in enumerate(b)})
     return block_place(part, blocks)
 
@@ -215,10 +222,7 @@ def assemble_stokes(cplx: Complex, q: int,
     blocks = {(j, j): d.lift(sig) for j, d in enumerate(diagonal)}
     a_poly = _as_scalar_poly(a, sig)
     if not a_poly.is_zero:
-        coupling = maxwell_blocks(cplx, q)
-        if a_poly != Poly.one(sig.vars):
-            coupling = {rc: blk.scale(a_poly) for rc, blk in coupling.items()}
-        blocks.update(coupling)
+        blocks.update({rc: blk.scale(a_poly) for rc, blk in maxwell_blocks(cplx, q).items()})
     return block_place(part, blocks)
 
 
@@ -247,7 +251,7 @@ def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     lowers = {j: low.lift(cplx.signature) for j, low in (lowers or {}).items()}
     square = kind == "parabolic"
     time_term = dt if square else dt * dt
-    diagonal = [(d + cplx.identity(d.rows).scale(time_term)).scale(bj * bj if square else bj)
+    diagonal = [(d + cplx.identity(d.rows, time_term)).scale(_product(bj, bj) if square else bj)
                 for d, bj in zip(_diagonal_ops(cplx, q, mu, lowers), b)]
     return assemble_stokes(cplx, q, diagonal, a)
 
@@ -295,10 +299,10 @@ def wave_factorization_residual(cplx: Complex, q: int, b: Sequence,
     """
     cplx_t, mu_t, b, dt = _with_time(cplx, q, b, mu)
     i = Poly.constant(cplx_t.signature.vars, GaussianRational.i())
-    lhs = (maxwell_time(cplx, q, [bj.scale(-1) * i for bj in b], mu, 1)
-           @ maxwell_time(cplx, q, [bj * i for bj in b], mu, 0))
+    lhs = (maxwell_time(cplx, q, [_product(bj.scale(-1), i) for bj in b], mu, 1)
+           @ maxwell_time(cplx, q, [_product(bj, i) for bj in b], mu, 0))
     dtt = dt * dt
-    rhs = {j: blk + cplx_t.identity(blk.rows).scale(dtt * b[j] * b[j])
+    rhs = {j: blk + cplx_t.identity(blk.rows, _product(dtt, b[j], b[j]))
            for j, blk in _factorization_rhs(cplx_t, q, mu_t).items()}
     return lhs - block_diagonal(BlockPartition.for_degree(cplx_t, q), rhs)
 

@@ -7,7 +7,9 @@ fixture corpus.  All reports are emitted as deterministic JSON (sorted keys)
 plus a short human-readable summary on stderr; the exit status is 0 only when
 every requested verdict passes.  Only ``ellipticity`` takes ``--seed``;
 ``--budget`` counts Sobol samples for ``ellipticity`` and S-pairs for
-``syzygy`` and ``extend``, and no other command takes it.
+``syzygy`` and ``extend``, and no other command takes it.  Each command
+imports its own modules when it runs: ``verify`` and ``laplacian`` need only
+``dsl`` and ``complexes``, and numpy loads only for a numeric check.
 """
 
 from __future__ import annotations
@@ -16,8 +18,13 @@ import argparse
 import json
 import sys
 
-from cxkit import blockops, dsl, ellipticity, fixtures, symbols, syzygy
+from cxkit import dsl
 from cxkit.complexes import Complex, MuSet, check_coherence, generalized_laplacian
+
+# ``ellipticity.DEFAULT_SEED``, ``ellipticity.DEFAULT_BUDGET`` and
+# ``syzygy.DEFAULT_PAIR_BUDGET``, written out so that the parser imports
+# neither module (``tests/test_cli.py`` pins them to the library's).
+_DEFAULT_SEED, _DEFAULT_SAMPLES, _DEFAULT_PAIRS = 20240, 20_000, 10_000
 
 
 def _op_json(op) -> dict:
@@ -89,6 +96,7 @@ def cmd_laplacian(args) -> dict:
 
 
 def cmd_maxwell(args) -> dict:
+    from cxkit import blockops
     doc = _load_doc(args)
     name, cplx = _pick(doc, "complexes", args.name)
     q = args.degree if args.degree is not None else cplx.length
@@ -98,6 +106,7 @@ def cmd_maxwell(args) -> dict:
 
 
 def cmd_stokes(args) -> dict:
+    from cxkit import blockops
     doc = _load_doc(args)
     name, cplx = _pick(doc, "complexes", args.name)
     q = args.degree if args.degree is not None else cplx.length
@@ -107,6 +116,7 @@ def cmd_stokes(args) -> dict:
 
 
 def cmd_ellipticity(args) -> dict:
+    from cxkit import ellipticity
     doc = _load_doc(args)
     name, op = _pick(doc, "operators", args.name)
     kinds = {
@@ -123,6 +133,7 @@ def cmd_ellipticity(args) -> dict:
 def cmd_dn_weights(args) -> dict:
     if args.degree is not None and not args.stokes:
         raise ValueError("--degree needs --stokes: the Maxwell plans span every degree")
+    from cxkit import ellipticity
     doc = _load_doc(args)
     name, cplx = _pick(doc, "complexes", args.name)
     mu = doc.mu_set(name)
@@ -137,6 +148,7 @@ def cmd_dn_weights(args) -> dict:
 
 
 def cmd_parametrix(args) -> dict:
+    from cxkit import symbols
     doc = _load_doc(args)
     name, cplx = _pick(doc, "complexes", args.name)
     mu = doc.mu_set(name)
@@ -152,6 +164,7 @@ def cmd_parametrix(args) -> dict:
 
 
 def cmd_syzygy(args) -> dict:
+    from cxkit import syzygy
     doc = _load_doc(args)
     name, op = _pick(doc, "operators", args.name)
     b = syzygy.compatibility_operator(op, budget=args.budget)
@@ -161,6 +174,7 @@ def cmd_syzygy(args) -> dict:
 
 
 def cmd_extend(args) -> dict:
+    from cxkit import syzygy
     doc = _load_doc(args)
     name, op = _pick(doc, "operators", args.name)
     ops = syzygy.extend_to_complex(op, max_steps=args.max_steps, budget=args.budget)
@@ -174,6 +188,7 @@ def cmd_extend(args) -> dict:
 
 
 def cmd_fixtures(args) -> dict:
+    from cxkit import fixtures
     names = [args.suite] if args.suite else None
     if args.suite and args.suite not in fixtures.FIXTURES:
         raise ValueError(
@@ -218,9 +233,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("ellipticity", help="ellipticity checks"))
     p.add_argument("--name")
-    p.add_argument("--seed", type=int, default=ellipticity.DEFAULT_SEED,
+    p.add_argument("--seed", type=int, default=_DEFAULT_SEED,
                    help="Sobol scrambling seed of the numeric search")
-    p.add_argument("--budget", type=int, default=ellipticity.DEFAULT_BUDGET,
+    p.add_argument("--budget", type=int, default=_DEFAULT_SAMPLES,
                    help="Sobol samples of the numeric search")
     p.add_argument("--kind", default="petrovskii",
                    choices=("petrovskii", "strong", "injectivity"))
@@ -236,12 +251,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("syzygy", help="compatibility operator"))
     p.add_argument("--name")
-    p.add_argument("--budget", type=int, default=syzygy.DEFAULT_PAIR_BUDGET,
+    p.add_argument("--budget", type=int, default=_DEFAULT_PAIRS,
                    help="S-pairs Buchberger may process")
 
     p = common(sub.add_parser("extend", help="extend to a compatibility complex"))
     p.add_argument("--name")
-    p.add_argument("--budget", type=int, default=syzygy.DEFAULT_PAIR_BUDGET,
+    p.add_argument("--budget", type=int, default=_DEFAULT_PAIRS,
                    help="S-pairs Buchberger may process per step")
     p.add_argument("--max-steps", type=int, default=8,
                    help="compatibility operators to compute at most (at least 1)")
@@ -251,18 +266,16 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_COMMANDS = {
-    "verify": cmd_verify,
-    "laplacian": cmd_laplacian,
-    "maxwell": cmd_maxwell,
-    "stokes": cmd_stokes,
-    "ellipticity": cmd_ellipticity,
-    "dn-weights": cmd_dn_weights,
-    "parametrix": cmd_parametrix,
-    "syzygy": cmd_syzygy,
-    "extend": cmd_extend,
-    "fixtures": cmd_fixtures,
-}
+_COMMANDS = {name[4:].replace("_", "-"): fn
+             for name, fn in globals().items() if name.startswith("cmd_")}
+
+
+def _reported_errors() -> tuple[type[Exception], ...]:
+    """The errors a command reports as JSON.  The library's own two are taken
+    from loaded modules only: a module the command did not import raised none."""
+    library = (("cxkit.syzygy", "BudgetExceeded"), ("cxkit.symbols", "HypothesisFailure"))
+    return (ValueError, ArithmeticError, OSError,
+            *(getattr(sys.modules[mod], name) for mod, name in library if mod in sys.modules))
 
 
 def main(argv=None) -> int:
@@ -270,8 +283,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
-    except (ValueError, ArithmeticError, OSError,
-            syzygy.BudgetExceeded, symbols.HypothesisFailure) as exc:
+    except _reported_errors() as exc:
         report = {"command": args.command, "error": str(exc), "ok": False}
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "json_out", None):

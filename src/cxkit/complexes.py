@@ -83,9 +83,9 @@ class Complex:
         """A zero matrix of the operators' type over the complex's signature."""
         return type(self.ops[0]).zero(self.signature, rows, cols)
 
-    def identity(self, n: int) -> SignatureMatrix:
-        """An identity matrix of the operators' type over the complex's signature."""
-        return type(self.ops[0]).identity(self.signature, n)
+    def identity(self, n: int, scalar: Poly | None = None) -> SignatureMatrix:
+        """I_n, or ``scalar`` I_n, of the operators' type over the complex's signature."""
+        return type(self.ops[0]).identity(self.signature, n, scalar)
 
     def principal_symbols(self) -> "Complex":
         """The complex of spatial principal symbols sigma(A_0)..sigma(A_{N-1})."""
@@ -285,9 +285,9 @@ class MuSet:
 
     def apply(self, which: int, q: int, m: MatrixT, *, left: bool = False) -> MatrixT:
         """``m mu_q``, or ``mu_q m`` with ``left``, for mu0 (``which`` 0) or
-        mu1 (``which`` 1): ``m`` itself for an absent weight, each entry p as
-        ``p * s`` (``s * p`` on the left) for a scalar s, which are the
-        products s I would take, and the matrix product for a matrix."""
+        mu1 (``which`` 1): ``m`` itself for an absent weight, each nonzero
+        entry p as ``p * s`` (``s * p`` on the left) for a scalar s, which are
+        the products s I would take, and the matrix product for a matrix."""
         w = (self._mu0, self._mu1)[which].get(q)
         if w is None:
             return m
@@ -296,7 +296,7 @@ class MuSet:
         if not left:
             return m.scale(w)
         s = w.lift(m.signature.vars)
-        return type(m)(m.signature, m.body.map(lambda p: s * p))
+        return type(m)(m.signature, m.body.map(lambda p: s * p if p._num else p))
 
     def trivial(self, q: int) -> bool:
         """True when both weights at degree q are absent (the identity)."""

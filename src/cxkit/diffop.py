@@ -104,8 +104,11 @@ class SignatureMatrix:
         return cls(signature, PolyMatrix.zeros(signature.vars, rows, cols))
 
     @classmethod
-    def identity(cls, signature: Signature, n: int):
-        return cls(signature, PolyMatrix.identity(signature.vars, n))
+    def identity(cls, signature: Signature, n: int, scalar: Poly | None = None):
+        """I_n, or ``scalar`` I_n with the scalar on the diagonal."""
+        if scalar is not None:
+            scalar = scalar.lift(signature.vars)
+        return cls(signature, PolyMatrix.identity(signature.vars, n, scalar))
 
     @classmethod
     def from_entries(cls, signature: Signature, entries: Sequence[Sequence[Poly]]):
@@ -203,34 +206,22 @@ class OperatorMatrix(SignatureMatrix):
     def formal_adjoint(self) -> "OperatorMatrix":
         """Formal L2 adjoint: conjugate-transpose with a (-1)^|alpha| twist on
         each derivative monomial.  Parameters and zero entries are left untouched."""
-        sig = self.signature
-        return OperatorMatrix(sig, self.body.transpose().map(
-            lambda p: p if p.is_zero else p.twist(sig.derivative_vars, 2, conjugate=True)))
+        return OperatorMatrix(self.signature, self.body.transpose().twist(
+            self.signature.derivative_vars, 2, conjugate=True))
 
     # -- symbols -----------------------------------------------------------
 
-    def total_symbol(self) -> "SymbolMatrix":
-        """Replace d_j -> i*z_j and dt -> i*tau."""
+    def total_symbol(self, top: Sequence[str] | None = None) -> "SymbolMatrix":
+        """Replace d_j -> i*z_j and dt -> i*tau; with ``top``, only the terms
+        of the operator's highest degree in the ``top`` variables."""
         sig = self.signature
         sym_sig = sig.symbol_signature()
-        return SymbolMatrix(sym_sig, self.body.map(
-            lambda p: p.twist(sig.derivative_vars, 1, vars=sym_sig.vars), vars=sym_sig.vars))
+        return SymbolMatrix(sym_sig, self.body.twist(
+            sig.derivative_vars, 1, vars=sym_sig.vars, top=top))
 
     def principal_symbol(self, grading: str = ISOTROPIC) -> "SymbolMatrix":
         """Top-order part of the total symbol under the chosen grading."""
-        sym = self.total_symbol()
-        m = self.order(grading)
-        if m < 0:
-            return sym
-        grade = self.signature.grading_vars(grading)
-        sym_grade = tuple(
-            self.signature.symbol_signature().vars[self.signature.vars.index(v)]
-            for v in grade
-        )
-        return SymbolMatrix(
-            sym.signature,
-            sym.body.map(lambda p: p.homogeneous_part(m, sym_grade) if p.total_degree(sym_grade) == m else Poly.zero(p.vars)),
-        )
+        return self.total_symbol(self.signature.grading_vars(grading))
 
 
 class SymbolMatrix(SignatureMatrix):
@@ -253,7 +244,7 @@ class SymbolMatrix(SignatureMatrix):
         if self.rows != self.cols or self.rows == 0:
             return None
         s = self.body[0, 0]
-        if self == SymbolMatrix.identity(self.signature, self.rows).scale(s):
+        if self == SymbolMatrix.identity(self.signature, self.rows, s):
             return s
         return None
 
@@ -269,7 +260,6 @@ def tensor_identity(op: OperatorMatrix, n: int, *, outer: bool = True) -> Operat
     if outer:
         blocks = [(op.body, b * op.rows, b * op.cols) for b in range(n)]
     else:
-        ident = PolyMatrix.identity(sig.vars, n)
-        blocks = [(ident.scale(op[i, j]), i * n, j * n)
+        blocks = [(PolyMatrix.identity(sig.vars, n, op[i, j]), i * n, j * n)
                   for i in range(op.rows) for j in range(op.cols)]
     return OperatorMatrix(sig, PolyMatrix.place(sig.vars, n * op.rows, n * op.cols, blocks))

@@ -333,24 +333,17 @@ def parse(text: str) -> SpecDocument:
             continue
         p = _Parser(tokens, doc)
         head = p.expect("name")
-        if head.text == "vars":
+        if head.text in ("vars", "params"):
             p.expect("punct", ":")
             names = []
             while p.current.kind == "name":
                 names.append(p.expect("name").text)
             p.expect("end")
-            doc.spatial = tuple(names)
+            setattr(doc, "spatial" if head.text == "vars" else "params", tuple(names))
         elif head.text == "time":
             p.expect("punct", ":")
             doc.time = p.expect("name").text
             p.expect("end")
-        elif head.text == "params":
-            p.expect("punct", ":")
-            names = []
-            while p.current.kind == "name":
-                names.append(p.expect("name").text)
-            p.expect("end")
-            doc.params = tuple(names)
         elif head.text == "operator":
             name = p.expect("name").text
             p.expect("punct", "=")
@@ -403,27 +396,16 @@ def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:
         p.expect("punct", ")")
         doc.builders[name] = f"ops({', '.join(parts)})"
         return Complex(ops)
-    if kind == "de_rham":
-        n = _wedge_size(p)
+    if kind in _WEDGE_BUILDERS:
+        args = [_wedge_size(p)]
+        if kind == "power_de_rham":
+            p.expect("punct", ",")
+            args.append(_positive_int(p, MAX_EXPONENT,
+                                      f"power must be between 1 and {MAX_EXPONENT}"))
         p.expect("punct", ")")
-        doc.builders[name] = f"de_rham({n})"
-        _require_spatial(p, doc, n)
-        return de_rham_complex(n).lift(doc.signature)
-    if kind == "dolbeault":
-        n = _wedge_size(p)
-        p.expect("punct", ")")
-        doc.builders[name] = f"dolbeault({n})"
-        _require_spatial(p, doc, 2 * n)
-        return dolbeault_complex(n).lift(doc.signature)
-    if kind == "power_de_rham":
-        n = _wedge_size(p)
-        p.expect("punct", ",")
-        power = _positive_int(p, MAX_EXPONENT,
-                              f"power must be between 1 and {MAX_EXPONENT}")
-        p.expect("punct", ")")
-        doc.builders[name] = f"power_de_rham({n}, {power})"
-        _require_spatial(p, doc, n)
-        return powered_de_rham_complex(n, power).lift(doc.signature)
+        doc.builders[name] = f"{kind}({', '.join(map(str, args))})"
+        _require_spatial(p, doc, 2 * args[0] if kind == "dolbeault" else args[0])
+        return _WEDGE_BUILDERS[kind](*args).lift(doc.signature)
     if kind == "koszul":
         gens = [p.expression()]
         parts = [str(gens[-1])]
@@ -436,6 +418,10 @@ def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:
         doc.builders[name] = f"koszul({', '.join(parts)})"
         return koszul_complex(gens, doc.signature)
     raise p.error(f"unknown complex builder {kind!r}")
+
+
+_WEDGE_BUILDERS = {"de_rham": de_rham_complex, "dolbeault": dolbeault_complex,
+                   "power_de_rham": powered_de_rham_complex}
 
 
 def _positive_int(p: _Parser, high: int | None, message: str) -> int:

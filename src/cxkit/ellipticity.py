@@ -16,12 +16,14 @@ recurrence (``_plan``).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-from cxkit.blockops import BlockPartition
 from cxkit.complexes import Complex, MuSet
 from cxkit.diffop import OperatorMatrix, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
+
+if TYPE_CHECKING:  # annotations only: the checks need no block builders
+    from cxkit.blockops import BlockPartition
 
 PASS_THRESHOLD = 1e-9
 FAIL_THRESHOLD = 1e-12
@@ -56,16 +58,10 @@ class EllipticityReport:
             "check": self.check,
             "thresholds": {"pass": self.thresholds[0], "fail": self.thresholds[1]},
         }
-        if self.determinant is not None:
-            out["determinant"] = self.determinant
-        if self.certified_form is not None:
-            out["certified_form"] = self.certified_form
-        if self.minimum is not None:
-            out["minimum"] = self.minimum
-        if self.argmin is not None:
-            out["argmin"] = list(self.argmin)
-        if self.witness is not None:
-            out["witness"] = list(self.witness)
+        for key in ("determinant", "certified_form", "minimum", "argmin", "witness"):
+            value = getattr(self, key)
+            if value is not None:
+                out[key] = list(value) if isinstance(value, tuple) else value
         if self.seed is not None:
             out["seed"] = self.seed
             out["budget"] = self.budget

@@ -201,6 +201,21 @@ def _shifts(vars: tuple[str, ...], subset: Iterable[str]) -> list[int]:
     return [top - _WIDTH * vars.index(v) for v in subset]
 
 
+def _twisted(p: "Poly", vars: tuple[str, ...], shifts: list[int], turns: int,
+             conjugate: bool, keep: tuple[list[int], int] | None = None) -> "Poly":
+    """:meth:`Poly.twist` over the exponent fields at ``shifts``, renamed to
+    ``vars``; with ``keep = (grade, m)``, of the terms of degree m at ``grade``."""
+    out = {}
+    for key, (re, im) in p._num.items():
+        if keep and sum(key >> s & _FIELD for s in keep[0]) != keep[1]:
+            continue
+        if conjugate:
+            im = -im
+        k = turns * sum(key >> s & _FIELD for s in shifts) % 4
+        out[key] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
+    return _poly(vars, out, p._den)
+
+
 def _check_product(a: int, b: int, top: int) -> None:
     """Raise ``OverflowError`` if the product of keys ``a`` and ``b``, whose
     degree fields start at bit ``top``, passes ``MAX_DEGREE``."""
@@ -573,25 +588,12 @@ class Poly:
         new_vars = self.vars if vars is None else tuple(vars)
         if len(new_vars) != len(self.vars):
             raise ValueError(f"cannot rename {self.vars} to {new_vars}")
-        shifts = _shifts(self.vars, subset)
-        out = {}
-        for key, (re, im) in self._num.items():
-            if conjugate:
-                im = -im
-            k = quarter_turns * sum(key >> s & _FIELD for s in shifts) % 4
-            out[key] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
-        return _poly(new_vars, out, self._den)
+        return _twisted(self, new_vars, _shifts(self.vars, subset), quarter_turns, conjugate)
 
     def homogeneous_part(self, degree: int, subset: Iterable[str] | None = None) -> "Poly":
         """The sum of terms whose (subset-)total degree equals ``degree``."""
-        if subset is None:
-            top = _WIDTH * len(self.vars)
-            out = {k: c for k, c in self._num.items() if k >> top == degree}
-        else:
-            shifts = _shifts(self.vars, subset)
-            out = {k: c for k, c in self._num.items()
-                   if sum(k >> s & _FIELD for s in shifts) == degree}
-        return _poly(self.vars, out, self._den)
+        grade = _shifts(self.vars, self.vars if subset is None else subset)
+        return _twisted(self, self.vars, [], 0, False, (grade, degree))
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises ``ValueError`` if not divisible.
@@ -774,11 +776,12 @@ class PolyMatrix:
         return PolyMatrix.place(vars, rows, cols, ())
 
     @staticmethod
-    def identity(vars: Sequence[str], n: int) -> "PolyMatrix":
+    def identity(vars: Sequence[str], n: int, scalar: Poly | None = None) -> "PolyMatrix":
+        """I_n, or ``scalar`` I_n with the scalar placed on the diagonal."""
         z = Poly.zero(vars)
-        one = Poly.one(vars)
+        s = Poly.one(vars) if scalar is None else scalar
         return PolyMatrix(
-            vars, [[one if i == j else z for j in range(n)] for i in range(n)]
+            vars, [[s if i == j else z for j in range(n)] for i in range(n)]
         )
 
     @staticmethod
@@ -836,6 +839,26 @@ class PolyMatrix:
         degs = [p.total_degree(subset) for row in self.entries for p in row]
         return max(degs, default=-1)
 
+    def twist(self, subset: Iterable[str], quarter_turns: int, *, conjugate: bool = False,
+              vars: Sequence[str] | None = None, top: Iterable[str] | None = None
+              ) -> "PolyMatrix":
+        """Entrywise :meth:`Poly.twist`, the fields of ``subset`` located once.
+        Zero entries are not rewritten: they become the zero of the result's
+        ring.  With ``top``, a variable subset, each entry keeps only its terms
+        of the matrix's highest degree in ``top`` (its principal part)."""
+        new_vars = self.vars if vars is None else _ring(vars)
+        if len(new_vars) != len(self.vars):
+            raise ValueError(f"cannot rename {self.vars} to {new_vars}")
+        keep = None
+        if top is not None:
+            grade = _shifts(self.vars, top)
+            keep = grade, max((sum(k >> s & _FIELD for s in grade) for row in self.entries
+                               for p in row for k in p._num), default=-1)
+        shifts, zero = _shifts(self.vars, subset), Poly.zero(new_vars)
+        return PolyMatrix(new_vars, [
+            [_twisted(p, new_vars, shifts, quarter_turns, conjugate, keep) if p._num else zero
+             for p in row] for row in self.entries], shape=(self.rows, self.cols))
+
     # -- arithmetic --------------------------------------------------------
 
     def _entrywise(self, other: "PolyMatrix", op) -> "PolyMatrix":
@@ -880,9 +903,13 @@ class PolyMatrix:
         return PolyMatrix(vars, out, shape=(self.rows, other.cols))
 
     def scale(self, value) -> "PolyMatrix":
+        """Each entry times ``value``, a Poly or a constant.  Zero entries
+        stay as they are, and scaling by the Poly one is the matrix itself."""
         if isinstance(value, Poly):
-            return self.map(lambda p: p * value)
-        return self.map(lambda p: p.scale(value))
+            if value == Poly.one(value.vars):
+                return self
+            return self.map(lambda p: p * value if p._num else p)
+        return self.map(lambda p: p.scale(value) if p._num else p)
 
     def transpose(self) -> "PolyMatrix":
         return PolyMatrix(
@@ -892,7 +919,7 @@ class PolyMatrix:
         )
 
     def conjugate(self) -> "PolyMatrix":
-        return self.map(lambda p: p.conjugate())
+        return self.twist((), 0, conjugate=True)
 
     def hermitian_transpose(self) -> "PolyMatrix":
         return self.transpose().conjugate()
@@ -954,18 +981,15 @@ class PolyMatrix:
         come from one shared table (see ``_minor_table``)."""
         if not self.is_square:
             raise ValueError("adjugate of a non-square matrix")
-        n = self.rows
-        minor = self._minor_table()
+        n, minor = self.rows, self._minor_table()
         idx = tuple(range(n))
-        adj = []
-        for j in range(n):
-            cols = idx[:j] + idx[j + 1:]
-            row = []
-            for i in range(n):
-                m = minor(idx[:i] + idx[i + 1:], cols)
-                row.append(m if (i + j) % 2 == 0 else -m)
-            adj.append(row)
-        return PolyMatrix(self.vars, adj, shape=(n, n))
+
+        def cofactor(i: int, j: int) -> Poly:
+            m = minor(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
+            return m if (i + j) % 2 == 0 else -m
+
+        return PolyMatrix(self.vars, [[cofactor(i, j) for i in range(n)] for j in range(n)],
+                          shape=(n, n))
 
     def __str__(self) -> str:
         rows = ["[" + ", ".join(str(p) for p in row) + "]" for row in self.entries]

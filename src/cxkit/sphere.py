@@ -195,7 +195,7 @@ _EXP_M2 = 0.13533528323661269189  # exp(-2)
 _P0 = (-5.99633501014107895267e1, 9.80010754185999661536e1,
        -5.66762857469070293439e1, 1.39312609387279679503e1,
        -1.23916583867381258016e0)
-_Q0 = (1.95448858338141759834e0, 4.67627912898881538453e0,
+_Q0 = (1.0, 1.95448858338141759834e0, 4.67627912898881538453e0,
        8.63602421390890590575e1, -2.25462687854119370527e2,
        2.00260212380060660359e2, -8.20372256168333339912e1,
        1.59056225126211695515e1, -1.18331621121330003142e0)
@@ -205,23 +205,16 @@ _P1 = (4.05544892305962419923e0, 3.15251094599893866154e1,
        1.46849561928858024014e1, 2.18663306850790267539e0,
        -1.40256079171354495875e-1, -3.50424626827848203418e-2,
        -8.57456785154685413611e-4)
-_Q1 = (1.57799883256466749731e1, 4.53907635128879210584e1,
+_Q1 = (1.0, 1.57799883256466749731e1, 4.53907635128879210584e1,
        4.13172038254672030440e1, 1.50425385692907503408e1,
        2.50464946208309415979e0, -1.42182922854787788574e-1,
        -3.80806407691578277194e-2, -9.33259480895457427372e-4)
 
 
 def _polevl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
-    """Cephes ``polevl``: Horner's rule from the leading coefficient."""
+    """Cephes ``polevl``: Horner's rule from the leading coefficient.  Cephes
+    ``p1evl`` is this with a leading 1.0, since ``1.0 * x`` is ``x`` exactly."""
     ans = coefs[0]
-    for c in coefs[1:]:
-        ans = ans * x + c
-    return ans
-
-
-def _p1evl(x: np.ndarray, coefs: tuple[float, ...]) -> np.ndarray:
-    """Cephes ``p1evl``: ``polevl`` with an implicit leading coefficient 1."""
-    ans = x + coefs[0]
     for c in coefs[1:]:
         ans = ans * x + c
     return ans
@@ -246,12 +239,12 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     central = y > _EXP_M2
     yc = y[central] - 0.5
     y2 = yc * yc
-    x[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _p1evl(y2, _Q0))) * _S2PI
+    x[central] = (yc + yc * (y2 * _polevl(y2, _P0) / _polevl(y2, _Q0))) * _S2PI
     tail = ~central
     z = np.sqrt(-2.0 * np.fromiter(map(math.log, y[tail].tolist()), float))
     x0 = z - np.fromiter(map(math.log, z.tolist()), float) / z
     w = 1.0 / z
-    xt = x0 - w * _polevl(w, _P1) / _p1evl(w, _Q1)
+    xt = x0 - w * _polevl(w, _P1) / _polevl(w, _Q1)
     x[tail] = np.where(flip[tail], xt, -xt)
     return x
 

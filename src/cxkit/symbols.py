@@ -200,8 +200,7 @@ def _lcm(bases: Sequence[Mapping[Poly, int]]) -> dict[Poly, int]:
     out: dict[Poly, int] = {}
     for base in bases:
         for f, e in base.items():
-            if e > out.get(f, 0):
-                out[f] = e
+            out[f] = max(e, out.get(f, 0))
     return out
 
 
@@ -284,7 +283,7 @@ def _stokes_dn(sym: Complex, mus: MuSet, q: int, i_tau: Poly | None = None) -> S
     one placement; with ``i_tau``, plus ``B_q i tau B_q``."""
     top = generalized_laplacian(sym, q, mus)
     if i_tau is not None:
-        top = top + sym.identity(top.rows).scale(i_tau)
+        top = top + sym.identity(top.rows, i_tau)
     blocks = maxwell_blocks(sym, q)
     blocks[q, q] = top
     return block_place(BlockPartition.for_degree(sym, q), blocks)
@@ -457,7 +456,7 @@ def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
     lower = maxwell_blocks(sym, q - 1)
     plain = [sq1, mu1_adj, -(mu1_adj @ sq1), *lower.values()]
     if i_tau is not None:
-        plain.append(sym.identity(sq1.cols).scale(i_tau))
+        plain.append(sym.identity(sq1.cols, i_tau))
     (top, down, up, corner, *rest), num_factors, lcm = _over_common(
         [q_inverse @ (mus.apply(0, q, sq.hermitian_transpose()) @ sq)]
         + [RationalSymbolMatrix.from_symbol(b) for b in plain])

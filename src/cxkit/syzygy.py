@@ -254,13 +254,10 @@ def syzygies(rows: Sequence[Element], vars, *,
     """Generators of the syzygy module {b in R^k : sum_i b_i rows_i = 0}."""
     if not rows:
         return []
-    c = len(rows[0])
-    k = len(rows)
-    extended = []
-    for i, row in enumerate(rows):
-        tail = [Poly.zero(vars)] * k
-        tail[i] = Poly.one(vars)
-        extended.append(tuple(row) + tuple(tail))
+    c, k = len(rows[0]), len(rows)
+    zero, one = Poly.zero(vars), Poly.one(vars)
+    extended = [tuple(row) + tuple(one if j == i else zero for j in range(k))
+                for i, row in enumerate(rows)]
     gb = groebner_basis(extended, budget=budget)
     syz = [g[c:] for g in gb if all(p.is_zero for p in g[:c])]
     return interreduce(syz)

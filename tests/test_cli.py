@@ -239,6 +239,10 @@ def test_budget_defaults(command, budget):
     assert not hasattr(args, "tol")
 
 
+def test_seed_default():
+    assert _build_parser().parse_args(["ellipticity"]).seed == ellipticity.DEFAULT_SEED
+
+
 @pytest.mark.parametrize("command", ["verify", "laplacian", "maxwell", "stokes",
                                      "dn-weights", "parametrix", "syzygy",
                                      "extend", "fixtures"])

@@ -292,3 +292,37 @@ def test_adjoint_and_total_symbol_match_per_term_construction(op):
 def test_twist_renames_only_to_the_same_number_of_variables():
     with pytest.raises(ValueError, match="rename"):
         _d(SIG, "d1").twist(SIG.vars, 1, vars=("z1", "z2"))
+    with pytest.raises(ValueError, match="rename"):
+        _grad().body.twist(SIG.vars, 1, vars=("z1", "z2"))
+
+
+def _principal_symbol(op: OperatorMatrix, grading: str) -> SymbolMatrix:
+    """The earlier construction: the total symbol, then each entry's
+    homogeneous part of the operator's order, entry by entry."""
+    sym = op.total_symbol()
+    m = op.order(grading)
+    grade = [sym.signature.vars[op.signature.vars.index(v)]
+             for v in op.signature.grading_vars(grading)]
+    return SymbolMatrix(sym.signature, sym.body.map(
+        lambda p: p.homogeneous_part(m, grade) if p.total_degree(grade) == m
+        else Poly.zero(p.vars)))
+
+
+def _stored(m) -> list:
+    return [[(p.vars, list(p._num.items()), p._den) for p in row] for row in m.body.entries]
+
+
+@settings(max_examples=150, deadline=None)
+@given(operators(), st.sampled_from([ISOTROPIC, SPATIAL]))
+def test_principal_symbol_and_hermitian_transpose_store_the_same_terms(op, grading):
+    """One pass over the nonzero entries stores each entry's terms as the
+    entrywise construction does, in the same order, and zero entries are the
+    zero of the symbol ring."""
+    got = op.principal_symbol(grading)
+    assert _stored(got) == _stored(_principal_symbol(op, grading))
+    sym = op.total_symbol()
+    want = sym.body.transpose().map(lambda p: p.conjugate())
+    assert _stored(sym.hermitian_transpose()) == _stored(SymbolMatrix(sym.signature, want))
+    for row in got.body.entries:
+        for p in row:
+            assert p.vars == got.signature.vars

@@ -458,6 +458,17 @@ def test_sobol_matches_scipy(dim):
             assert np.array_equal(got, want), (dim, seed, n)
 
 
+def test_direction_table_structure():
+    """Without scipy: one row per dimension a ring can have, each primitive
+    polynomial of degree m (leading and constant bits set) with m initial
+    direction numbers, the k-th odd and below 2^k."""
+    assert len(POLY) == len(VINIT) == _MAX_VARS == 255
+    assert POLY[0] == 1 and VINIT[0] == ()
+    for p, row in zip(POLY, VINIT):
+        assert len(row) == p.bit_length() - 1
+        assert p & 1 and all(v & 1 and v < 2 ** k for k, v in enumerate(row, start=1))
+
+
 def test_direction_numbers_match_scipy():
     """The bundled rows are the first 255 of the table scipy ships, bit for
     bit.  Regenerate them with::
@@ -467,7 +478,8 @@ def test_direction_numbers_match_scipy():
             VINIT = tuple(tuple(int(v) for v in t["vinit"][d, :p.bit_length() - 1])
                           for d, p in enumerate(POLY))
 
-    and write both tuples as literals into ``cxkit/_sobol_directions.py``."""
+    and store them in ``cxkit/_sobol_directions.py`` by the recipe in its
+    docstring."""
     scipy = pytest.importorskip("scipy")
     path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
     with np.load(path) as table:

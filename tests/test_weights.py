@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cxkit import poly
-from cxkit.blockops import factorization_residual, maxwell, stokes
+from cxkit.blockops import (factorization_residual, maxwell, maxwell_time, stokes,
+                             stokes_time, wave_factorization_residual)
 from cxkit.complexes import (
     MuSet,
     check_coherence,
@@ -154,8 +155,9 @@ def test_orders_read_the_scalar_degree():
 
 @pytest.mark.parametrize("n", [3, 4])
 def test_no_product_has_a_constant_one_factor(monkeypatch, n):
-    """Without weights and with the default coupling, no builder multiplies
-    by an identity weight or scales by a = 1."""
+    """Without weights, with the default coupling and with time coefficients
+    b_j = 1, no builder multiplies by an identity weight, scales by a = 1 or
+    multiplies an identity by b_j dt."""
     calls = {"pairs": 0, "ones": 0}
     dot = poly._dot
 
@@ -175,5 +177,11 @@ def test_no_product_has_a_constant_one_factor(monkeypatch, n):
     maxwell(cplx, n, None, 0)
     maxwell(cplx, n, None, 1)
     factorization_residual(cplx, n)
+    ones = [1] * (n + 1)
+    for variant in (0, 1):
+        maxwell_time(cplx, n, ones, variant=variant)
+    for kind in ("parabolic", "hyperbolic"):
+        stokes_time(cplx, n, ones, kind=kind)
+    wave_factorization_residual(cplx, n, ones)
     assert calls["pairs"] > 0
     assert calls["ones"] == 0
