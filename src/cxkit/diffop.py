@@ -211,13 +211,16 @@ class OperatorMatrix(SignatureMatrix):
 
     # -- symbols -----------------------------------------------------------
 
-    def total_symbol(self, top: Sequence[str] | None = None) -> "SymbolMatrix":
+    def total_symbol(self, top: Sequence[str] | None = None,
+                     degrees: Sequence[Sequence[int]] | None = None) -> "SymbolMatrix":
         """Replace d_j -> i*z_j and dt -> i*tau; with ``top``, only the terms
-        of the operator's highest degree in the ``top`` variables."""
+        of the operator's highest degree in the ``top`` variables; with
+        ``degrees``, only the terms of entry (i, j) of derivative degree
+        ``degrees[i][j]`` (none where that is negative)."""
         sig = self.signature
         sym_sig = sig.symbol_signature()
         return SymbolMatrix(sym_sig, self.body.twist(
-            sig.derivative_vars, 1, vars=sym_sig.vars, top=top))
+            sig.derivative_vars, 1, vars=sym_sig.vars, top=top, degrees=degrees))
 
     def principal_symbol(self, grading: str = ISOTROPIC) -> "SymbolMatrix":
         """Top-order part of the total symbol under the chosen grading."""

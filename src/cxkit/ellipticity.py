@@ -291,16 +291,10 @@ def dn_symbol(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan
         raise ValueError(f"plan has {plan.size} blocks but the partition has {len(part.ranks)}")
     if (op.rows, op.cols) != (part.size, part.size):
         raise ValueError(f"a {op.rows}x{op.cols} operator does not fit partition size {part.size}")
-    total = op.total_symbol()
-    sig = total.signature
     ranks = tuple(reversed(part.ranks))
     s = [w for w, k in zip(plan.s, ranks) for _ in range(k)]
     t = [w for w, k in zip(plan.t, ranks) for _ in range(k)]
-    zero = Poly.zero(sig.vars)
-    return SymbolMatrix.from_entries(sig, [
-        [p.homogeneous_part(s[i] - t[j], sig.derivative_vars) if s[i] >= t[j] else zero
-         for j, p in enumerate(row)]
-        for i, row in enumerate(total.body.entries)])
+    return op.total_symbol(degrees=[[si - tj for tj in t] for si in s])
 
 
 def dn_check(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan, *,

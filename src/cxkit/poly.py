@@ -840,24 +840,32 @@ class PolyMatrix:
         return max(degs, default=-1)
 
     def twist(self, subset: Iterable[str], quarter_turns: int, *, conjugate: bool = False,
-              vars: Sequence[str] | None = None, top: Iterable[str] | None = None
-              ) -> "PolyMatrix":
+              vars: Sequence[str] | None = None, top: Iterable[str] | None = None,
+              degrees: Sequence[Sequence[int]] | None = None) -> "PolyMatrix":
         """Entrywise :meth:`Poly.twist`, the fields of ``subset`` located once.
         Zero entries are not rewritten: they become the zero of the result's
         ring.  With ``top``, a variable subset, each entry keeps only its terms
-        of the matrix's highest degree in ``top`` (its principal part)."""
+        of the matrix's highest degree in ``top`` (its principal part).  With
+        ``degrees``, a matrix of ints, entry (i, j) keeps only its terms of
+        degree ``degrees[i][j]`` in ``subset`` (none where that is negative)."""
         new_vars = self.vars if vars is None else _ring(vars)
         if len(new_vars) != len(self.vars):
             raise ValueError(f"cannot rename {self.vars} to {new_vars}")
-        keep = None
-        if top is not None:
-            grade = _shifts(self.vars, top)
-            keep = grade, max((sum(k >> s & _FIELD for s in grade) for row in self.entries
-                               for p in row for k in p._num), default=-1)
         shifts, zero = _shifts(self.vars, subset), Poly.zero(new_vars)
+        grade = shifts
+        if top is not None:
+            if degrees is not None:
+                raise ValueError("give top or degrees, not both")
+            grade = _shifts(self.vars, top)
+            m = max((sum(k >> s & _FIELD for s in grade) for row in self.entries
+                     for p in row for k in p._num), default=-1)
+            degrees = [[m] * self.cols] * self.rows
         return PolyMatrix(new_vars, [
-            [_twisted(p, new_vars, shifts, quarter_turns, conjugate, keep) if p._num else zero
-             for p in row] for row in self.entries], shape=(self.rows, self.cols))
+            [_twisted(p, new_vars, shifts, quarter_turns, conjugate,
+                      None if degrees is None else (grade, degrees[i][j]))
+             if p._num and (degrees is None or degrees[i][j] >= 0) else zero
+             for j, p in enumerate(row)] for i, row in enumerate(self.entries)],
+            shape=(self.rows, self.cols))
 
     # -- arithmetic --------------------------------------------------------
 

@@ -4,8 +4,20 @@ checks once their symbolic certificate does not apply.
 This is the only cxkit module that imports numpy, and
 :mod:`cxkit.ellipticity` imports it only on the numeric path, so exact work
 (complexes, block operators, parametrices, certified checks, syzygies) never
-loads it.  Nothing here needs scipy: the Joe-Kuo Sobol direction numbers of
-the 255 dimensions a ring can have ship in :mod:`cxkit._sobol_directions`.
+loads it.  It runs on numpy's core and ``numpy.linalg`` alone.  Nothing here
+needs scipy: the Joe-Kuo Sobol direction numbers of the 255 dimensions a
+ring can have ship in :mod:`cxkit._sobol_directions`.  Nor ``numpy.random``:
+the scramble bits, which scipy draws from ``np.random.default_rng(seed)``,
+come from a port of numpy's SeedSequence and PCG64 on Python ints
+(:func:`_scramble_bits`), which ``test_scramble_bits_match_numpy_random``
+pins to numpy's draws.  Nor ``numpy.ma``, which ``np.unique`` would load.
+``tests/test_sphere.py`` and ``tests/test_imports.py`` refuse or report all
+three.
+
+A search holds its sphere points and their kernel temporaries at once, ~60
+bytes per point coordinate, so the budget times the sphere variables is
+capped at ``_MAX_COORDINATES`` = 2**22 (~250 MB); the default budget of
+20 000 points fits up to 209 variables.
 
 A symbol matrix is compiled into one evaluation kernel.  Each variable is
 raised once to each distinct exponent of the matrix, a power table per
@@ -57,17 +69,21 @@ from cxkit.poly import _MAX_VARS, Poly, PolyMatrix
 _POLISH_COUNT = 16
 _POINTS_CACHED = 4  # scans whose sphere points are kept (_sphere_points)
 _SCAN_BLOCK = 2048  # rows valued per kernel call of the scan (_scan)
+# budget x sphere variables: a search peaks at ~60 bytes per point coordinate
+_MAX_COORDINATES = 2 ** 22
 
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation
 
 
-def _power_table(pts: np.ndarray, high: np.ndarray) -> np.ndarray:
+def _power_table(pts: np.ndarray, high: np.ndarray,
+                 exponents: np.ndarray | None = None) -> np.ndarray:
     """The (M, d, 2 + K) table of every coordinate of an (M, d) point array
     raised to 0, 1 and each of the K float exponents ``high`` (all at least
     2): the floats of ``pts[:, :, None] ** pw``, ``pw`` the int64 exponents
-    0, 1 and ``high``.
+    0, 1 and ``high``.  ``exponents``, if given, is ``high`` written out to
+    shape (M, d, K), kept by a caller that values many batches of M points.
 
     x ** 0 is 1.0 and x ** 1 is x exactly, so only ``high`` goes through
     ``**``, as a full array: numpy takes a repeated exponent (one that does
@@ -76,8 +92,9 @@ def _power_table(pts: np.ndarray, high: np.ndarray) -> np.ndarray:
     table = np.empty((*pts.shape, 2 + len(high)))
     table[:, :, 0] = 1.0
     table[:, :, 1] = pts
-    exponents = np.empty(table[:, :, 2:].shape)
-    exponents[...] = high
+    if exponents is None:
+        exponents = np.empty(table[:, :, 2:].shape)
+        exponents[...] = high
     table[:, :, 2:] = pts[:, :, None] ** exponents
     return table
 
@@ -100,7 +117,7 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
                 coeffs = np.array([complex(c) for c in terms.values()])
                 entries.setdefault((idx, coeffs.tobytes()), []).append((i, j))
     e = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(cols))
-    pw = np.union1d([0, 1], e).astype(np.int64)
+    pw = np.array(sorted({0, 1}.union(*rows)), dtype=np.int64)
     high = pw[2:].astype(float)
     # monomial j's factor for variable v is table entry (v, slot[j, v])
     variable, slot = np.arange(len(cols)), np.searchsorted(pw, e)
@@ -111,18 +128,28 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
              np.frombuffer(coeffs, dtype=complex))
             for (idx, coeffs), at in entries.items()]
 
+    exponents: dict[int, np.ndarray] = {}  # batch length -> high, written out
+
     def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
+        if not plan:
+            return np.zeros((len(pts), m.rows, m.cols), dtype=complex)
+        grid = exponents.get(len(pts))
+        if grid is None:
+            grid = exponents[len(pts)] = np.broadcast_to(
+                high, (*pts.shape, len(high))).copy()
+        table = _power_table(pts, high, grid)
+        # np.prod without its Python-level wrapper: the same reduction
+        monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
+        # (B, 1, k) stacks take one dot product per row, as one point does
+        stack = monomials[:, None, :] if _per_point else monomials
+        if m.rows == m.cols == 1:
+            (_, idx, c), = plan
+            return (stack[..., idx] @ c).reshape(-1, 1, 1)
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
-        if plan:
-            table = _power_table(pts, high)
-            # np.prod without its Python-level wrapper: the same reduction
-            monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
-            # (B, 1, k) stacks take one dot product per row, as one point does
-            stack = monomials[:, None, :] if _per_point else monomials
-            for at, idx, c in plan:
-                value = (stack[..., idx] @ c).reshape(-1)
-                for i, j in at:
-                    out[:, i, j] = value
+        for at, idx, c in plan:
+            value = (stack[..., idx] @ c).reshape(-1)
+            for i, j in at:
+                out[:, i, j] = value
         return out
 
     return evaluate
@@ -133,6 +160,73 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
 
 _SOBOL_BITS = 30
 _MAX_SAMPLES = 2 ** _SOBOL_BITS
+# the scramble bits: numpy's SeedSequence and PCG64, on Python ints
+_MASK32 = 0xFFFFFFFF
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+_PCG_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _seed_state(seed: int) -> list[int]:
+    """``SeedSequence(seed).generate_state(4, np.uint64)``: the seed's 32-bit
+    words, low first, hashed into a pool of four and mixed, then eight words
+    hashed out of the pool, read in pairs (low word first) as four 64-bit
+    ones (O'Neill's ``seed_seq_fe``, as numpy implements it)."""
+    words = [seed & _MASK32]
+    while seed >> 32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    const = 0x43B0D7E5
+
+    def hashmix(value: int) -> int:
+        nonlocal const
+        value ^= const
+        const = const * 0x931E8875 & _MASK32
+        value = value * const & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        r = (0xCA01F9DD * x - 0x4973F715 * y) & _MASK32
+        return r ^ r >> 16
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(4)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in words[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    const, out = 0x8B51F9DD, []
+    for i in range(8):
+        value = pool[i % 4] ^ const
+        const = const * 0x58F38DED & _MASK32
+        value = value * const & _MASK32
+        out.append(value ^ value >> 16)
+    return [out[k] | out[k + 1] << 32 for k in range(0, 8, 2)]
+
+
+def _scramble_bits(seed: int, n: int) -> list[int]:
+    """The first ``n`` 0/1 draws of ``np.random.default_rng(seed).integers(0,
+    2, dtype=np.uint32)``, read as one stream across calls.
+
+    The generator is PCG64 (O'Neill 2014): its 128-bit initial state and
+    stream are words 0-1 and 2-3 of :func:`_seed_state`, the first of each
+    pair the high half.  Each output is the XSL-RR of the
+    stepped state and serves two uint32 draws, its low half first; Lemire's
+    (2019) bounded draw over {0, 1} returns the top bit of a uint32.
+    ``tests/test_sphere.py`` pins these bits to numpy's."""
+    w = _seed_state(seed)
+    init, inc = w[0] << 64 | w[1], (w[2] << 64 | w[3]) << 1 & _MASK128 | 1
+    # seeding steps from 0, adds the initial state and steps again
+    state = (inc + init) * _PCG_MULTIPLIER + inc & _MASK128
+    out = []
+    for _ in range((n + 1) // 2):
+        state = state * _PCG_MULTIPLIER + inc & _MASK128
+        x, r = (state >> 64 ^ state) & _MASK64, state >> 122
+        x = (x >> r | x << (64 - r)) & _MASK64
+        out += (x >> 31 & 1, x >> 63)
+    return out[:n]
 
 
 def _direction_vectors(dim: int) -> np.ndarray:
@@ -164,10 +258,11 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
         raise ValueError(f"n must be between 1 and 2**{_SOBOL_BITS}, got {n}")
     bits = _SOBOL_BITS
     sv = _direction_vectors(dim)
-    rng = np.random.default_rng(seed)
-    shift = np.dot(rng.integers(0, 2, size=(dim, bits), dtype=np.uint32),
+    # the shift's (dim, 30) bits, then the LMS matrices' (dim, 30, 30)
+    draws = np.array(_scramble_bits(seed, dim * bits * (1 + bits)), dtype=np.uint32)
+    shift = np.dot(draws[:dim * bits].reshape(dim, bits),
                    2 ** np.arange(bits, dtype=np.uint32))
-    ltm = np.tril(rng.integers(0, 2, size=(dim, bits, bits), dtype=np.uint32))
+    ltm = np.tril(draws[dim * bits:].reshape(dim, bits, bits))
     ltm[:, range(bits), range(bits)] = 1
     # Bit q of a scrambled vector is the parity of the sum over k of
     # ltm[29 - q, 29 - k] times its bit k: scipy reads each matrix row
@@ -345,7 +440,7 @@ def _polish(objective: Callable[[np.ndarray], np.ndarray],
     sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     fsim = objective(sim.reshape(-1, N)).reshape(R, N + 1)
     results: list = [None] * R
-    live = np.arange(R)
+    live = index = np.arange(R)
 
     def finish(runs: np.ndarray, sims: np.ndarray, fsims: np.ndarray) -> None:
         for r, s, f in zip(runs, sims, fsims):
@@ -359,9 +454,10 @@ def _polish(objective: Callable[[np.ndarray], np.ndarray],
         sim, fsim = _reorder(*_reorder(sim, fsim))
         for _ in range(1, maxiter):
             # scipy's max(...) <= tol: a NaN fails it
-            done = ((np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).reshape(len(live), -1)
-                    .all(axis=1) & (np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol).all(axis=1))
-            if done.any():
+            done = (np.logical_and.reduce(
+                (np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).reshape(len(live), -1), axis=1)
+                & np.logical_and.reduce(np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol, axis=1))
+            if np.logical_or.reduce(done):
                 finish(live[done], sim[done], fsim[done])
                 sim, fsim, live = sim[~done], fsim[~done], live[~done]
                 if not len(live):
@@ -384,10 +480,10 @@ def _polish(objective: Callable[[np.ndarray], np.ndarray],
             step = np.where(near, np.where(expand & (fe < fr), _EXPAND, _REFLECT),
                             np.where(outside, _OUTSIDE, _INSIDE))
             accept = near | np.where(outside, fc <= fr, fcc < fsim[:, -1])
-            run = np.arange(len(live))
+            run = index[:len(live)]
             sim[:, -1] = np.where(accept[:, None], cand[step, run], sim[:, -1])
             fsim[:, -1] = np.where(accept, fcand[step, run], fsim[:, -1])
-            if not accept.all():
+            if not np.logical_and.reduce(accept):
                 # shrink towards the best vertex, sigma = 1/2
                 shrink = ~accept
                 best = sim[shrink, :1]
@@ -412,7 +508,7 @@ def _on_sphere(fn: Callable[..., np.ndarray]
         n = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
         # a NaN norm is evaluated, as a one-point call evaluates it
         near = n < 1e-9
-        if not near.any():
+        if not np.logical_or.reduce(near):
             return fn(xs / n[:, None], _per_point=True)
         out = np.full(len(xs), np.inf)
         out[~near] = fn(xs[~near] / n[~near, None], _per_point=True)
@@ -445,6 +541,10 @@ def _minimize(fn, sphere_vars: Sequence[str], param_vars: Sequence[str],
         raise ValueError(f"budget must be at least 1 sample, got {budget}")
     if budget > _MAX_SAMPLES:
         raise ValueError(f"budget must be at most 2**{_SOBOL_BITS} samples, got {budget}")
+    if budget * len(sphere_vars) > _MAX_COORDINATES:
+        raise ValueError(f"budget times the {len(sphere_vars)} sphere variables must be "
+                         f"at most 2**22 = {_MAX_COORDINATES} point coordinates, got "
+                         f"{budget * len(sphere_vars)}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
     return _sphere_minimize(_with_params(fn, len(param_vars)), len(sphere_vars),

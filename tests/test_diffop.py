@@ -296,6 +296,11 @@ def test_twist_renames_only_to_the_same_number_of_variables():
         _grad().body.twist(SIG.vars, 1, vars=("z1", "z2"))
 
 
+def test_twist_keeps_the_top_degree_or_given_degrees_not_both():
+    with pytest.raises(ValueError, match="not both"):
+        _grad().body.twist(SIG.vars, 1, top=SIG.vars, degrees=[[1]] * 3)
+
+
 def _principal_symbol(op: OperatorMatrix, grading: str) -> SymbolMatrix:
     """The earlier construction: the total symbol, then each entry's
     homogeneous part of the operator's order, entry by entry."""

@@ -2,15 +2,16 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cxkit import blockops, ellipticity, symbols
+from cxkit import blockops, ellipticity, poly, symbols
 from cxkit.complexes import (
     MuSet,
     de_rham_complex,
     generalized_laplacian,
     laplacian,
 )
-from cxkit.diffop import OperatorMatrix, spatial_signature
+from cxkit.diffop import OperatorMatrix, SymbolMatrix, spatial_signature
 from cxkit.ellipticity import (
     DEFAULT_SEED,
     WeightPlan,
@@ -23,7 +24,8 @@ from cxkit.ellipticity import (
     strong_ellipticity_check,
 )
 from cxkit.fixtures import symmetric_gradient_complex
-from cxkit.poly import Poly, PolyMatrix
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from test_diffop import _rationals, _stored
 
 
 def _weight(mu, which, q):
@@ -325,6 +327,61 @@ def test_dn_symbol_matches_block_loop_term_for_term():
                 assert list(got[i, j].terms.items()) == list(want[i, j].terms.items())
         cases += 1
     assert cases == 24
+
+
+def _entrywise_dn_symbol(op, part, plan):
+    """The earlier construction: the total symbol, then each entry's
+    homogeneous part of degree s_i - t_j, zero entries included."""
+    total = op.total_symbol()
+    sig = total.signature
+    ranks = tuple(reversed(part.ranks))
+    s = [w for w, k in zip(plan.s, ranks) for _ in range(k)]
+    t = [w for w, k in zip(plan.t, ranks) for _ in range(k)]
+    zero = Poly.zero(sig.vars)
+    return SymbolMatrix.from_entries(sig, [
+        [p.homogeneous_part(s[i] - t[j], sig.derivative_vars) if s[i] >= t[j] else zero
+         for j, p in enumerate(row)]
+        for i, row in enumerate(total.body.entries)])
+
+
+@st.composite
+def dn_cases(draw):
+    """A square operator on a partition of one to three blocks, sparse
+    entries of degree up to 4 in every variable, and weights that leave some
+    blocks below zero."""
+    sig = spatial_signature(draw(st.integers(1, 3)), time=draw(st.booleans()),
+                            params=["mu"][:draw(st.integers(0, 1))])
+    ranks = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
+    part = blockops.BlockPartition(ranks)
+    entries = [[Poly(sig.vars, {tuple(draw(st.integers(0, 4)) for _ in sig.vars):
+                                GaussianRational.of(draw(_rationals), draw(_rationals))
+                                for _ in range(draw(st.integers(0, 4)))})
+                for _ in range(part.size)] for _ in range(part.size)]
+    weights = st.tuples(*[st.integers(0, 4)] * len(ranks))
+    plan = WeightPlan(draw(weights), draw(weights), 0, "stokes")
+    return OperatorMatrix.from_entries(sig, entries), part, plan
+
+
+@settings(max_examples=150, deadline=None)
+@given(dn_cases())
+def test_dn_symbol_stores_the_entrywise_terms(case):
+    """One pass over the nonzero entries stores each entry's terms as the
+    entrywise construction does, in the same order."""
+    op, part, plan = case
+    got = dn_symbol(op, part, plan)
+    assert got.signature == op.signature.symbol_signature()
+    assert _stored(got) == _stored(_entrywise_dn_symbol(op, part, plan))
+
+
+def test_dn_symbol_locates_the_derivative_fields_once(monkeypatch):
+    calls = []
+    shifts = poly._shifts
+    monkeypatch.setattr(poly, "_shifts", lambda *args: calls.append(args) or shifts(*args))
+    cases = [_classical_stokes(), *_dn_cases()]
+    for op, part, plan in cases:
+        calls.clear()
+        dn_symbol(op, part, plan)
+        assert len(calls) == 1
 
 
 @pytest.mark.parametrize("size", [3, 5])

@@ -1,7 +1,8 @@
 """The numeric sphere search: its shared-monomial evaluation kernel against
 the earlier per-entry evaluation, its Sobol, ndtri and Nelder-Mead ports
-against scipy, its argument checks, and the boundary that keeps numpy out of
-exact work and scipy out of every command.
+against scipy, its scramble bits against ``numpy.random``, its argument
+checks, and the boundary that keeps numpy out of exact work and scipy,
+``numpy.random`` and ``numpy.ma`` out of every command.
 
 ``_compile_poly`` and ``_compile_matrix`` are the earlier evaluation, one
 numpy call chain per matrix entry, kept verbatim as the reference.  The
@@ -10,7 +11,8 @@ the fixture bundle are built from them.  For the same reason ``_sobol``,
 ``_ndtri`` and ``_polish`` must return the floats of
 ``scipy.stats.qmc.Sobol``, ``scipy.special.ndtri`` and
 ``scipy.optimize.minimize``, which they replace; scipy's ``stats``,
-``special`` and ``optimize`` are imported inside those tests only.
+``special`` and ``optimize`` are imported inside those tests only, and
+``numpy.random`` inside the test of the scramble bits.
 ``_power_table_reference`` is the earlier power table, one ``**`` over every
 exponent, kept to pin the table's numpy route.
 
@@ -458,6 +460,22 @@ def test_sobol_matches_scipy(dim):
             assert np.array_equal(got, want), (dim, seed, n)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 255])
+def test_scramble_bits_match_numpy_random(dim):
+    """The shift and LMS bits are the draws ``_sobol`` used to take from
+    ``np.random.default_rng(seed)``: (dim, 30) and then (dim, 30, 30)
+    ``integers(0, 2, dtype=np.uint32)`` from one generator.  Seeds of one,
+    two, three and five 32-bit words."""
+    import numpy.random
+
+    for seed in (0, 1, DEFAULT_SEED, 2**32 - 1, 2**32, 2**64 + 3, 2**130 + 7):
+        rng = numpy.random.default_rng(seed)
+        shift = rng.integers(0, 2, size=(dim, 30), dtype=np.uint32)
+        ltm = rng.integers(0, 2, size=(dim, 30, 30), dtype=np.uint32)
+        want = np.concatenate([shift.ravel(), ltm.ravel()]).tolist()
+        assert sphere._scramble_bits(seed, dim * 930) == want, seed
+
+
 def test_direction_table_structure():
     """Without scipy: one row per dimension a ring can have, each primitive
     polynomial of degree m (leading and constant bits set) with m initial
@@ -843,6 +861,16 @@ def test_budget_beyond_the_sobol_sequence_is_rejected():
         sphere._sobol(2, 2**30 + 1, 0)
 
 
+def test_budget_beyond_the_coordinate_cap_is_rejected():
+    """A search peaks at ~60 bytes per point coordinate, so budget times the
+    sphere variables is capped at 2**22 (~250 MB), before any point is
+    drawn."""
+    for check in (petrovskii_check, strong_ellipticity_check):
+        with pytest.raises(ValueError, match=r"at most 2\*\*22 = 4194304 point coordinates, "
+                                             r"got 4194306$"):
+            check(_numeric_form(), budget=2**21 + 1)
+
+
 def test_dimension_beyond_the_direction_table_is_rejected():
     """The bundled table ends at the most variables a ring can have."""
     assert len(POLY) == _MAX_VARS == 255
@@ -863,15 +891,16 @@ PROBE = """\
 import json, sys
 refused = []
 
-class NoScipy:
+class Refuse:
     def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy":
+        if name.partition(".")[0] == "scipy" or name in ("numpy.random", "numpy.ma"):
             refused.append(name)
             raise ImportError(f"{name} is blocked")
 
-sys.meta_path.insert(0, NoScipy())
-heavy = lambda: sorted(m for m in ("numpy", "scipy", "scipy.optimize", "scipy.special",
-                                   "scipy.stats") if m in sys.modules)
+sys.meta_path.insert(0, Refuse())
+heavy = lambda: sorted(m for m in ("numpy", "numpy.ma", "numpy.random", "scipy",
+                                   "scipy.optimize", "scipy.special", "scipy.stats")
+                       if m in sys.modules)
 import cxkit.cli as cli
 seen = {"import": heavy()}
 de_rham, quadratic, out = sys.argv[1:]
@@ -891,7 +920,8 @@ REFERENCE_BUNDLE = (Path(__file__).resolve().parents[1]
 
 def test_numpy_and_scipy_load_only_for_numeric_checks(tmp_path):
     """Exact commands load neither numpy nor scipy; numeric checks and the
-    bundle run, to the reference bytes, with every scipy import refused."""
+    bundle run, to the reference bytes, with every import of scipy,
+    ``numpy.random`` and ``numpy.ma`` refused."""
     de_rham, quadratic = tmp_path / "de_rham.spec", tmp_path / "quadratic.spec"
     de_rham.write_text(DE_RHAM)
     quadratic.write_text(QUADRATIC)
@@ -909,7 +939,7 @@ def test_numpy_and_scipy_load_only_for_numeric_checks(tmp_path):
     assert result["refused"] == []
     seen = result["seen"]
     assert seen["import"] == [] and seen["verify"] == [] and seen["parametrix"] == []
-    # the numeric path loads numpy and no scipy module at all
+    # the numeric path loads numpy core and linalg, and no scipy module at all
     assert seen["ellipticity"] == seen["fixtures"] == ["numpy"]
     rep = json.loads((tmp_path / "report.ellipticity").read_text())["report"]
     assert rep["verdict"] == "numeric-pass"
