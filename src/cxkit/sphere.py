@@ -16,8 +16,16 @@ three.
 
 A search holds its sphere points and their kernel temporaries at once, ~60
 bytes per point coordinate, so the budget times the sphere variables is
-capped at ``_MAX_COORDINATES`` = 2**22 (~250 MB); the default budget of
-20 000 points fits up to 209 variables.
+capped at ``_MAX_COORDINATES`` = 2**23 (~500 MB).  The default budget of
+20 000 points passes it at every dimension a ring can have (255 variables,
+5.1M coordinates), so the cap refuses only budgets above the default.
+
+The port draws ``d * 930`` bits at ``d`` sphere variables, which makes a
+fresh scan ~0.6 ms per variable slower than with numpy's generator (on one
+core of a 2 vCPU machine), while
+not importing ``numpy.random`` saves ~16 ms once per process.  A process that
+scans once comes out ahead up to ~27 sphere variables and behind above that
+(~160 ms behind at 255).
 
 A symbol matrix is compiled into one evaluation kernel.  Each variable is
 raised once to each distinct exponent of the matrix, a power table per
@@ -70,20 +78,19 @@ _POLISH_COUNT = 16
 _POINTS_CACHED = 4  # scans whose sphere points are kept (_sphere_points)
 _SCAN_BLOCK = 2048  # rows valued per kernel call of the scan (_scan)
 # budget x sphere variables: a search peaks at ~60 bytes per point coordinate
-_MAX_COORDINATES = 2 ** 22
+_COORDINATE_BITS = 23
+_MAX_COORDINATES = 2 ** _COORDINATE_BITS
 
 
 # ---------------------------------------------------------------------------
 # Vectorized evaluation
 
 
-def _power_table(pts: np.ndarray, high: np.ndarray,
-                 exponents: np.ndarray | None = None) -> np.ndarray:
+def _power_table(pts: np.ndarray, high: np.ndarray) -> np.ndarray:
     """The (M, d, 2 + K) table of every coordinate of an (M, d) point array
     raised to 0, 1 and each of the K float exponents ``high`` (all at least
     2): the floats of ``pts[:, :, None] ** pw``, ``pw`` the int64 exponents
-    0, 1 and ``high``.  ``exponents``, if given, is ``high`` written out to
-    shape (M, d, K), kept by a caller that values many batches of M points.
+    0, 1 and ``high``.
 
     x ** 0 is 1.0 and x ** 1 is x exactly, so only ``high`` goes through
     ``**``, as a full array: numpy takes a repeated exponent (one that does
@@ -92,9 +99,8 @@ def _power_table(pts: np.ndarray, high: np.ndarray,
     table = np.empty((*pts.shape, 2 + len(high)))
     table[:, :, 0] = 1.0
     table[:, :, 1] = pts
-    if exponents is None:
-        exponents = np.empty(table[:, :, 2:].shape)
-        exponents[...] = high
+    exponents = np.empty(table[:, :, 2:].shape)
+    exponents[...] = high
     table[:, :, 2:] = pts[:, :, None] ** exponents
     return table
 
@@ -128,28 +134,18 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
              np.frombuffer(coeffs, dtype=complex))
             for (idx, coeffs), at in entries.items()]
 
-    exponents: dict[int, np.ndarray] = {}  # batch length -> high, written out
-
     def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
-        if not plan:
-            return np.zeros((len(pts), m.rows, m.cols), dtype=complex)
-        grid = exponents.get(len(pts))
-        if grid is None:
-            grid = exponents[len(pts)] = np.broadcast_to(
-                high, (*pts.shape, len(high))).copy()
-        table = _power_table(pts, high, grid)
-        # np.prod without its Python-level wrapper: the same reduction
-        monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
-        # (B, 1, k) stacks take one dot product per row, as one point does
-        stack = monomials[:, None, :] if _per_point else monomials
-        if m.rows == m.cols == 1:
-            (_, idx, c), = plan
-            return (stack[..., idx] @ c).reshape(-1, 1, 1)
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
-        for at, idx, c in plan:
-            value = (stack[..., idx] @ c).reshape(-1)
-            for i, j in at:
-                out[:, i, j] = value
+        if plan:
+            table = _power_table(pts, high)
+            # np.prod without its Python-level wrapper: the same reduction
+            monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
+            # (B, 1, k) stacks take one dot product per row, as one point does
+            stack = monomials[:, None, :] if _per_point else monomials
+            for at, idx, c in plan:
+                value = (stack[..., idx] @ c).reshape(-1)
+                for i, j in at:
+                    out[:, i, j] = value
         return out
 
     return evaluate
@@ -440,7 +436,7 @@ def _polish(objective: Callable[[np.ndarray], np.ndarray],
     sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
     fsim = objective(sim.reshape(-1, N)).reshape(R, N + 1)
     results: list = [None] * R
-    live = index = np.arange(R)
+    live = np.arange(R)
 
     def finish(runs: np.ndarray, sims: np.ndarray, fsims: np.ndarray) -> None:
         for r, s, f in zip(runs, sims, fsims):
@@ -454,10 +450,9 @@ def _polish(objective: Callable[[np.ndarray], np.ndarray],
         sim, fsim = _reorder(*_reorder(sim, fsim))
         for _ in range(1, maxiter):
             # scipy's max(...) <= tol: a NaN fails it
-            done = (np.logical_and.reduce(
-                (np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).reshape(len(live), -1), axis=1)
-                & np.logical_and.reduce(np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol, axis=1))
-            if np.logical_or.reduce(done):
+            done = ((np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).reshape(len(live), -1)
+                    .all(axis=1) & (np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol).all(axis=1))
+            if done.any():
                 finish(live[done], sim[done], fsim[done])
                 sim, fsim, live = sim[~done], fsim[~done], live[~done]
                 if not len(live):
@@ -480,10 +475,10 @@ def _polish(objective: Callable[[np.ndarray], np.ndarray],
             step = np.where(near, np.where(expand & (fe < fr), _EXPAND, _REFLECT),
                             np.where(outside, _OUTSIDE, _INSIDE))
             accept = near | np.where(outside, fc <= fr, fcc < fsim[:, -1])
-            run = index[:len(live)]
+            run = np.arange(len(live))
             sim[:, -1] = np.where(accept[:, None], cand[step, run], sim[:, -1])
             fsim[:, -1] = np.where(accept, fcand[step, run], fsim[:, -1])
-            if not np.logical_and.reduce(accept):
+            if not accept.all():
                 # shrink towards the best vertex, sigma = 1/2
                 shrink = ~accept
                 best = sim[shrink, :1]
@@ -508,7 +503,7 @@ def _on_sphere(fn: Callable[..., np.ndarray]
         n = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
         # a NaN norm is evaluated, as a one-point call evaluates it
         near = n < 1e-9
-        if not np.logical_or.reduce(near):
+        if not near.any():
             return fn(xs / n[:, None], _per_point=True)
         out = np.full(len(xs), np.inf)
         out[~near] = fn(xs[~near] / n[~near, None], _per_point=True)
@@ -543,7 +538,7 @@ def _minimize(fn, sphere_vars: Sequence[str], param_vars: Sequence[str],
         raise ValueError(f"budget must be at most 2**{_SOBOL_BITS} samples, got {budget}")
     if budget * len(sphere_vars) > _MAX_COORDINATES:
         raise ValueError(f"budget times the {len(sphere_vars)} sphere variables must be "
-                         f"at most 2**22 = {_MAX_COORDINATES} point coordinates, got "
+                         f"at most 2**{_COORDINATE_BITS} = {_MAX_COORDINATES} point coordinates, got "
                          f"{budget * len(sphere_vars)}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")

@@ -267,7 +267,7 @@ QUADRATIC = "vars: d1 d2\noperator Q = [[-d1^2 - d1*d2 - d2^2]]\n"
     ("--seed", "-3", "seed must be non-negative, got -3"),
     # rejected before a point is drawn; the search would need ~120 GB
     ("--budget", "1000000000", "budget times the 2 sphere variables must be at most "
-                               "2**22 = 4194304 point coordinates, got 2000000000"),
+                               "2**23 = 8388608 point coordinates, got 2000000000"),
 ])
 def test_bad_sampling_arguments_are_json_errors(tmp_path, capsys, flag, value, message):
     spec = tmp_path / "q.spec"

@@ -1,7 +1,5 @@
 """Operator matrices: signatures, adjoints, symbols, gradings."""
 
-from fractions import Fraction
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -14,6 +12,7 @@ from cxkit.diffop import (
     spatial_signature,
     tensor_identity,
 )
+from _helpers import rationals, stored
 from cxkit.poly import GaussianRational, Poly
 
 SIG = spatial_signature(3)
@@ -256,9 +255,6 @@ def _total_symbol(self) -> "SymbolMatrix":
     return SymbolMatrix(sym_sig, self.body.map(entry_symbol, vars=sym_sig.vars))
 
 
-_rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 10]))
-
-
 @st.composite
 def operators(draw):
     sig = spatial_signature(draw(st.integers(1, 3)), time=draw(st.booleans()),
@@ -271,7 +267,7 @@ def operators(draw):
             terms = {}
             for _ in range(draw(st.integers(0, 5))):
                 exp = tuple(draw(st.integers(0, 5)) for _ in sig.vars)
-                terms[exp] = GaussianRational.of(draw(_rationals), draw(_rationals))
+                terms[exp] = GaussianRational.of(draw(rationals), draw(rationals))
             row.append(Poly(sig.vars, terms))
         entries.append(row)
     return OperatorMatrix.from_entries(sig, entries)
@@ -313,10 +309,6 @@ def _principal_symbol(op: OperatorMatrix, grading: str) -> SymbolMatrix:
         else Poly.zero(p.vars)))
 
 
-def _stored(m) -> list:
-    return [[(p.vars, list(p._num.items()), p._den) for p in row] for row in m.body.entries]
-
-
 @settings(max_examples=150, deadline=None)
 @given(operators(), st.sampled_from([ISOTROPIC, SPATIAL]))
 def test_principal_symbol_and_hermitian_transpose_store_the_same_terms(op, grading):
@@ -324,10 +316,10 @@ def test_principal_symbol_and_hermitian_transpose_store_the_same_terms(op, gradi
     entrywise construction does, in the same order, and zero entries are the
     zero of the symbol ring."""
     got = op.principal_symbol(grading)
-    assert _stored(got) == _stored(_principal_symbol(op, grading))
+    assert stored(got) == stored(_principal_symbol(op, grading))
     sym = op.total_symbol()
     want = sym.body.transpose().map(lambda p: p.conjugate())
-    assert _stored(sym.hermitian_transpose()) == _stored(SymbolMatrix(sym.signature, want))
+    assert stored(sym.hermitian_transpose()) == stored(SymbolMatrix(sym.signature, want))
     for row in got.body.entries:
         for p in row:
             assert p.vars == got.signature.vars

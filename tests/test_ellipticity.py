@@ -24,8 +24,8 @@ from cxkit.ellipticity import (
     strong_ellipticity_check,
 )
 from cxkit.fixtures import symmetric_gradient_complex
+from _helpers import rationals, stored
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
-from test_diffop import _rationals, _stored
 
 
 def _weight(mu, which, q):
@@ -354,7 +354,7 @@ def dn_cases(draw):
     ranks = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
     part = blockops.BlockPartition(ranks)
     entries = [[Poly(sig.vars, {tuple(draw(st.integers(0, 4)) for _ in sig.vars):
-                                GaussianRational.of(draw(_rationals), draw(_rationals))
+                                GaussianRational.of(draw(rationals), draw(rationals))
                                 for _ in range(draw(st.integers(0, 4)))})
                 for _ in range(part.size)] for _ in range(part.size)]
     weights = st.tuples(*[st.integers(0, 4)] * len(ranks))
@@ -370,7 +370,7 @@ def test_dn_symbol_stores_the_entrywise_terms(case):
     op, part, plan = case
     got = dn_symbol(op, part, plan)
     assert got.signature == op.signature.symbol_signature()
-    assert _stored(got) == _stored(_entrywise_dn_symbol(op, part, plan))
+    assert stored(got) == stored(_entrywise_dn_symbol(op, part, plan))
 
 
 def test_dn_symbol_locates_the_derivative_fields_once(monkeypatch):

@@ -42,7 +42,8 @@ import cxkit
 from cxkit import sphere
 from cxkit._sobol_directions import POLY, VINIT
 from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
-from cxkit.ellipticity import DEFAULT_SEED, petrovskii_check, strong_ellipticity_check
+from cxkit.ellipticity import (DEFAULT_BUDGET, DEFAULT_SEED, petrovskii_check,
+                               strong_ellipticity_check)
 from cxkit.poly import _MAX_VARS, GaussianRational, Poly, PolyMatrix
 
 # ---------------------------------------------------------------------------
@@ -863,12 +864,26 @@ def test_budget_beyond_the_sobol_sequence_is_rejected():
 
 def test_budget_beyond_the_coordinate_cap_is_rejected():
     """A search peaks at ~60 bytes per point coordinate, so budget times the
-    sphere variables is capped at 2**22 (~250 MB), before any point is
+    sphere variables is capped at 2**23 (~500 MB), before any point is
     drawn."""
     for check in (petrovskii_check, strong_ellipticity_check):
-        with pytest.raises(ValueError, match=r"at most 2\*\*22 = 4194304 point coordinates, "
-                                             r"got 4194306$"):
-            check(_numeric_form(), budget=2**21 + 1)
+        with pytest.raises(ValueError, match=r"at most 2\*\*23 = 8388608 point coordinates, "
+                                             r"got 8388610$"):
+            check(_numeric_form(), budget=2**22 + 1)
+
+
+def test_default_budget_passes_the_coordinate_cap_at_every_dimension(monkeypatch):
+    """The cap refuses only budgets that could not run: the default budget
+    reaches the search at the most sphere variables a ring can have.  The
+    search itself is stubbed out; only the argument checks run."""
+    searched = []
+    monkeypatch.setattr(sphere, "_sphere_minimize",
+                        lambda fn, dim, seed, budget: searched.append((dim, budget)))
+    names = [f"x{i}" for i in range(_MAX_VARS)]
+    sphere._minimize(None, names, [], 0, DEFAULT_BUDGET)
+    assert searched == [(_MAX_VARS, DEFAULT_BUDGET)]
+    with pytest.raises(ValueError, match=r"point coordinates"):
+        sphere._minimize(None, names, [], 0, sphere._MAX_COORDINATES // _MAX_VARS + 1)
 
 
 def test_dimension_beyond_the_direction_table_is_rejected():
