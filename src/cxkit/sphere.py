@@ -14,9 +14,11 @@ pins to numpy's draws.  Nor ``numpy.ma``, which ``np.unique`` would load.
 ``tests/test_sphere.py`` and ``tests/test_imports.py`` refuse or report all
 three.
 
-A search holds its sphere points and their kernel temporaries at once, ~60
-bytes per point coordinate, so the budget times the sphere variables is
-capped at ``_MAX_COORDINATES`` = 2**23 (~500 MB).  The default budget of
+A search holds its sphere points, its scan values and one block's kernel
+temporaries at once: its peak grew by 14-19 bytes per point coordinate at
+2**19 points of a quadratic in 2 to 4 variables (56 before the points were
+built in blocks).  The budget times the sphere variables is capped at
+``_MAX_COORDINATES`` = 2**23 (~160 MB).  The default budget of
 20 000 points passes it at every dimension a ring can have (255 variables,
 5.1M coordinates), so the cap refuses only budgets above the default.
 
@@ -39,7 +41,9 @@ exact (1.0 and the coordinate); only the exponents from 2 on go through
 ``**``, as a full exponent array.  A repeated exponent (a scalar, or one
 broadcast along the inner loop) would send float64 ``power`` to another
 route, where ``x ** 2`` is ``x * x``, which differs from the general route
-in the last bit for some ``x``.
+in the last bit for some ``x``.  Parameter variables are held at 1.0 by the
+kernel itself: their table columns are 1.0 at every exponent, the float
+``1.0 ** e`` is on that route.
 
 The scan draws a scrambled Sobol sequence mapped to the sphere through the
 inverse normal distribution function, values it ``_SCAN_BLOCK`` rows at a
@@ -48,9 +52,22 @@ polishes the best candidates with Nelder-Mead.  Sobol, the inverse normal
 and Nelder-Mead are ports that return the floats of
 ``scipy.stats.qmc.Sobol(scramble=True)``, ``scipy.special.ndtri`` and
 scipy's Nelder-Mead bit for bit, so reports do not depend on which of the
-two computed them.  The points of the last few scans are memoized
-read-only, since every check at the default seed and budget draws the same
-ones.  Parameter variables are held at 1.0.
+two computed them.  The points are built ``_SCAN_BLOCK`` rows at a time
+into the one array kept.
+
+Every check at the default seed and budget scans the same points, so the
+last ``_POINTS_CACHED`` scans' points are memoized read-only
+(:func:`_scan_memo`, keyed by (dim, budget, seed)), and with them the
+scan's power columns: ``points ** e`` for each exponent e >= 2 a scan of
+them needs, raised once on the table's route and read back by every later
+scan of the same key (:class:`_ScanMemo`); the columns go with their
+points when the key is evicted.  A column takes ``8 * budget * dim`` bytes
+(640 KB at the default budget in 4 variables); one is kept only while the
+columns of its key stay within ``_POWER_BYTES`` = 4 MB, so at most
+``_POINTS_CACHED`` times that in all, and none at the coordinate cap, where
+one would take 64 MB.  Only a process that scans one key more than once
+gains; a process that runs one check raises each column once, as it would
+without the memo.  The polish raises its own points on each call.
 
 The polishes run as one array of simplices.  Each iteration values the
 four candidate vertices (reflection, expansion and both contractions) of
@@ -67,7 +84,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -75,9 +92,13 @@ from cxkit._sobol_directions import POLY, VINIT
 from cxkit.poly import _MAX_VARS, Poly, PolyMatrix
 
 _POLISH_COUNT = 16
-_POINTS_CACHED = 4  # scans whose sphere points are kept (_sphere_points)
+_POINTS_CACHED = 4  # scan keys whose points and power columns are kept (_scan_memo)
+# bytes of power columns kept with each kept points array (_ScanMemo): a
+# column takes 8 * budget * dim bytes, 640 KB at the default budget in 4
+# variables, and none fits at the coordinate cap
+_POWER_BYTES = 2 ** 22
 _SCAN_BLOCK = 2048  # rows valued per kernel call of the scan (_scan)
-# budget x sphere variables: a search peaks at ~60 bytes per point coordinate
+# budget x sphere variables: a search peaks at ~20 bytes per point coordinate
 _COORDINATE_BITS = 23
 _MAX_COORDINATES = 2 ** _COORDINATE_BITS
 
@@ -86,31 +107,47 @@ _MAX_COORDINATES = 2 ** _COORDINATE_BITS
 # Vectorized evaluation
 
 
-def _power_table(pts: np.ndarray, high: np.ndarray) -> np.ndarray:
-    """The (M, d, 2 + K) table of every coordinate of an (M, d) point array
-    raised to 0, 1 and each of the K float exponents ``high`` (all at least
-    2): the floats of ``pts[:, :, None] ** pw``, ``pw`` the int64 exponents
-    0, 1 and ``high``.
+def _power_table(pts: np.ndarray, high: np.ndarray, params: int = 0,
+                 powers: Callable[[int], np.ndarray] | None = None) -> np.ndarray:
+    """The (M, d + params, 2 + K) table of every coordinate of an (M, d)
+    point array, then of ``params`` variables held at 1.0, raised to 0, 1
+    and each of the K float exponents ``high`` (all at least 2): the floats
+    of ``pts[:, :, None] ** pw``, ``pts`` with ``params`` columns of 1.0
+    appended and ``pw`` the int64 exponents 0, 1 and ``high``.
 
-    x ** 0 is 1.0 and x ** 1 is x exactly, so only ``high`` goes through
-    ``**``, as a full array: numpy takes a repeated exponent (one that does
-    not move along its inner loop) to another float64 ``power`` route, where
-    ``x ** 2`` is ``x * x``, which differs in the last bit for some x."""
-    table = np.empty((*pts.shape, 2 + len(high)))
-    table[:, :, 0] = 1.0
-    table[:, :, 1] = pts
-    exponents = np.empty(table[:, :, 2:].shape)
-    exponents[...] = high
-    table[:, :, 2:] = pts[:, :, None] ** exponents
+    x ** 0 is 1.0 and x ** 1 is x exactly, and so is 1.0 ** e on the route
+    below, so only the coordinates' ``high`` columns go through ``**``, as
+    a full array: numpy takes a repeated exponent (one that does not move
+    along its inner loop) to another float64 ``power`` route, where
+    ``x ** 2`` is ``x * x``, which differs in the last bit for some x.
+    ``powers`` maps each exponent e to the (M, d) floats of ``pts ** e`` on
+    that route: :func:`_raise` by default, the scan's memoized columns
+    (:meth:`_ScanMemo.rows`) in the scan."""
+    if powers is None:
+        powers = functools.partial(_raise, pts)
+    m, d = pts.shape
+    table = np.ones((m, d + params, 2 + len(high)))
+    table[:, :d, 1] = pts
+    for k, e in enumerate(high.tolist()):
+        table[:, :d, 2 + k] = powers(int(e))
     return table
 
 
-def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
-                   ) -> Callable[[np.ndarray], np.ndarray]:
+def _raise(pts: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:
+    """``pts ** e`` on the route of :func:`_power_table`: a full exponent
+    array, never a scalar or broadcast one."""
+    exponent = np.empty(pts.shape)
+    exponent.fill(e)  # np.full, through its Python wrapper, takes twice as long
+    return np.power(pts, exponent, out=out)
+
+
+def compile_matrix(m: PolyMatrix, var_order: Sequence[str],
+                   params: Sequence[str] = ()) -> Callable[..., np.ndarray]:
     """Return a function mapping an (M, d) point array, columns in
-    ``var_order``, to the (M, rows, cols) complex values of ``m``."""
+    ``var_order``, to the (M, rows, cols) complex values of ``m`` with each
+    variable of ``params`` held at 1.0."""
     index = {v: i for i, v in enumerate(m.vars)}
-    cols = [index[v] for v in var_order]
+    cols = [index[v] for v in [*var_order, *params]]
     rows: dict[tuple[int, ...], int] = {}  # distinct exponent row -> column
     # distinct (monomial columns, coefficient bytes) -> the entries holding it
     entries: dict[tuple[tuple[int, ...], bytes], list[tuple[int, int]]] = {}
@@ -134,10 +171,11 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str]
              np.frombuffer(coeffs, dtype=complex))
             for (idx, coeffs), at in entries.items()]
 
-    def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
+    def evaluate(pts: np.ndarray, _per_point: bool = False,
+                 _powers: Callable[[int], np.ndarray] | None = None) -> np.ndarray:
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
         if plan:
-            table = _power_table(pts, high)
+            table = _power_table(pts, high, len(params), _powers)
             # np.prod without its Python-level wrapper: the same reduction
             monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
             # (B, 1, k) stacks take one dot product per row, as one point does
@@ -243,11 +281,13 @@ def _direction_vectors(dim: int) -> np.ndarray:
     return (v << np.arange(bits - 1, -1, -1)).astype(np.uint32)
 
 
-def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+def _sobol_blocks(dim: int, n: int, seed: int) -> Iterator[tuple[int, np.ndarray]]:
     """The first ``n`` points of the ``dim``-dimensional Sobol sequence with
-    LMS+shift scrambling (Matousek 1998; Owen 2003) seeded by ``seed``: the
-    float64 array ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed)
-    .random(n)`` returns, bit for bit."""
+    LMS+shift scrambling (Matousek 1998; Owen 2003) seeded by ``seed``, as
+    (first row, float64 rows) blocks of ``_SCAN_BLOCK`` rows: the floats of
+    ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(n)``, bit
+    for bit.  The arguments are checked, and the scramble drawn, at the
+    call; the blocks are made as they are read."""
     if not 1 <= dim <= _MAX_VARS:
         raise ValueError(f"dim must be between 1 and {_MAX_VARS}, got {dim}")
     if not 1 <= n <= _MAX_SAMPLES:
@@ -270,11 +310,21 @@ def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
     # Gray-code order: point 0 is the shift and point k+1 is point k XOR the
     # direction vector of the lowest zero bit b of k.  ``~k & (k + 1)`` is
     # 2**b, whose binary exponent b + 1 is the row of that vector here, and
-    # 0, whose exponent 0 is the shift's row, for k = -1.
+    # 0, whose exponent 0 is the shift's row, for k = -1.  Each block
+    # starts from the last point of the block before (0 for the first).
     rows = np.vstack([shift, sv.T])
-    k = np.arange(-1, n - 1)
-    steps = rows[np.frexp(~k & (k + 1))[1]]
-    return np.bitwise_xor.accumulate(steps, axis=0) * (1.0 / 2 ** bits)
+
+    def blocks() -> Iterator[tuple[int, np.ndarray]]:
+        last = np.zeros(dim, dtype=np.uint32)
+        for a in range(0, n, _SCAN_BLOCK):
+            k = np.arange(a - 1, min(a + _SCAN_BLOCK, n) - 1)
+            steps = rows[np.frexp(~k & (k + 1))[1]]
+            steps[0] ^= last
+            block = np.bitwise_xor.accumulate(steps, axis=0)
+            last = block[-1]
+            yield a, block * (1.0 / 2 ** bits)
+
+    return blocks()
 
 
 # ---------------------------------------------------------------------------
@@ -344,33 +394,79 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
 # The search
 
 
-@functools.lru_cache(maxsize=_POINTS_CACHED)
 def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
     """The scan's (budget, dim) points on the unit sphere, read-only.
 
-    Every check at the default seed and budget draws the same points, so the
-    last ``_POINTS_CACHED`` arrays are kept: at most that many times
-    ``8 * budget * dim`` bytes, 2.5 MB at the default budget of 20 000 points
-    in up to 4 variables."""
+    The points are drawn, mapped and normalised ``_SCAN_BLOCK`` rows at a
+    time into the one array returned, so the build's temporaries do not
+    grow with the budget."""
     if dim == 1:
         pts = np.array([[1.0], [-1.0]])
     else:
-        u = np.clip(_sobol(dim, budget, seed), 1e-12, 1 - 1e-12)
-        g = _ndtri(u)
-        norms = np.linalg.norm(g, axis=1)
-        norms[norms == 0] = 1.0
-        pts = g / norms[:, None]
+        blocks = _sobol_blocks(dim, budget, seed)
+        pts = np.empty((budget, dim))
+        for a, u in blocks:
+            g = _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
+            norms = np.linalg.norm(g, axis=1)
+            norms[norms == 0] = 1.0
+            np.divide(g, norms[:, None], out=pts[a:a + len(g)])
     pts.flags.writeable = False
     return pts
 
 
-def _scan(fn: Callable[[np.ndarray], np.ndarray], pts: np.ndarray) -> np.ndarray:
-    """``fn(pts)``, valued ``_SCAN_BLOCK`` rows at a time, which bounds the
-    kernel's temporaries.  A row's float does not depend on the block, but
-    numpy takes a one-row matrix-vector product as a dot product, which sums
-    in another order, so a last block of one row joins the block before."""
+class _ScanMemo:
+    """Scan points, read-only, and the columns ``points ** e`` (e >= 2)
+    that scans of them have needed, each raised once, ``_SCAN_BLOCK`` rows
+    at a time on the route of :func:`_power_table`, and kept read-only.  A
+    column takes ``8 * budget * dim`` bytes; one that would take the columns
+    kept past ``_POWER_BYTES`` is not kept, and each block raises its rows
+    of it instead."""
+
+    def __init__(self, points: np.ndarray):
+        self.points = points
+        self.columns: dict[int, np.ndarray] = {}
+
+    def column(self, e: int) -> np.ndarray | None:
+        if e not in self.columns:
+            pts = self.points
+            if (len(self.columns) + 1) * pts.nbytes > _POWER_BYTES:
+                return None
+            col = np.empty_like(pts)
+            for a in range(0, len(pts), _SCAN_BLOCK):
+                _raise(pts[a:a + _SCAN_BLOCK], e, out=col[a:a + _SCAN_BLOCK])
+            col.flags.writeable = False
+            self.columns[e] = col
+        return self.columns[e]
+
+    def rows(self, a: int, b: int) -> Callable[[int], np.ndarray]:
+        """Each exponent's (b - a, dim) floats of rows a:b, as
+        :func:`_power_table` takes them."""
+        def power(e: int) -> np.ndarray:
+            col = self.column(e)
+            return _raise(self.points[a:b], e) if col is None else col[a:b]
+
+        return power
+
+
+@functools.lru_cache(maxsize=_POINTS_CACHED)
+def _scan_memo(dim: int, budget: int, seed: int) -> _ScanMemo:
+    """The points of (dim, budget, seed) and their power columns, kept for
+    the last ``_POINTS_CACHED`` keys: at most that many times
+    ``8 * budget * dim`` bytes of points (2.5 MB at the default budget of
+    20 000 points in up to 4 variables) and ``_POWER_BYTES`` of columns."""
+    return _ScanMemo(_sphere_points(dim, budget, seed))
+
+
+def _scan(fn: Callable[..., np.ndarray], memo: _ScanMemo) -> np.ndarray:
+    """``fn(memo.points)``, valued ``_SCAN_BLOCK`` rows at a time, which
+    bounds the kernel's temporaries, each block's power columns read from
+    ``memo``.  A row's float does not depend on the block, but numpy takes a
+    one-row matrix-vector product as a dot product, which sums in another
+    order, so a last block of one row joins the block before."""
+    pts = memo.points
     cuts = [*range(0, max(len(pts) - 1, 1), _SCAN_BLOCK), len(pts)]
-    return np.concatenate([fn(pts[a:b]) for a, b in zip(cuts, cuts[1:])])
+    return np.concatenate([fn(pts[a:b], _powers=memo.rows(a, b))
+                           for a, b in zip(cuts, cuts[1:])])
 
 
 def _canonical_point(x: np.ndarray) -> tuple[float, ...]:
@@ -381,18 +477,6 @@ def _canonical_point(x: np.ndarray) -> tuple[float, ...]:
                 x = -x
             break
     return tuple(round(float(v), 12) + 0.0 for v in x)
-
-
-def _with_params(fn, n_params: int):
-    """Append parameter columns fixed at 1.0 to sphere points."""
-    if n_params == 0:
-        return fn
-
-    def wrapped(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
-        cols = np.ones((len(pts), n_params))
-        return fn(np.hstack([pts, cols]), _per_point)
-
-    return wrapped
 
 
 # Nelder-Mead's four candidates a * centroid - b * worst vertex, with
@@ -516,8 +600,9 @@ def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
                      seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
     """Deterministic global-ish minimization of ``fn`` over the unit sphere:
     quasi-random scan, then local polish from the best candidates."""
-    pts = _sphere_points(dim, budget, seed)
-    values = _scan(fn, pts)
+    memo = _scan_memo(dim, budget, seed)
+    pts = memo.points
+    values = _scan(fn, memo)
     order = np.argsort(values, kind="stable")[:_POLISH_COUNT]
     found = [[(float(values[idx]), _canonical_point(pts[idx]))] for idx in order]
     if dim > 1:
@@ -530,8 +615,8 @@ def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
     return min((c for pair in found for c in pair), key=lambda vp: (vp[0], vp[1]))
 
 
-def _minimize(fn, sphere_vars: Sequence[str], param_vars: Sequence[str],
-              seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
+def _minimize(fn, sphere_vars: Sequence[str], seed: int, budget: int
+              ) -> tuple[float, tuple[float, ...]]:
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sample, got {budget}")
     if budget > _MAX_SAMPLES:
@@ -542,18 +627,16 @@ def _minimize(fn, sphere_vars: Sequence[str], param_vars: Sequence[str],
                          f"{budget * len(sphere_vars)}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
-    return _sphere_minimize(_with_params(fn, len(param_vars)), len(sphere_vars),
-                            seed, budget)
+    return _sphere_minimize(fn, len(sphere_vars), seed, budget)
 
 
 def abs_minimum(p: Poly, sphere_vars: Sequence[str], param_vars: Sequence[str],
                 *, seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
-    """(minimum, argmin) of ``|p|`` over the unit sphere of ``sphere_vars``."""
-    values = compile_matrix(PolyMatrix(p.vars, [[p]]),
-                            list(sphere_vars) + list(param_vars))
-    return _minimize(lambda pts, _per_point=False:
-                     np.abs(values(pts, _per_point)[:, 0, 0]),
-                     sphere_vars, param_vars, seed, budget)
+    """(minimum, argmin) of ``|p|`` over the unit sphere of ``sphere_vars``,
+    the parameters held at 1.0."""
+    values = compile_matrix(PolyMatrix(p.vars, [[p]]), sphere_vars, param_vars)
+    return _minimize(lambda pts, **layout: np.abs(values(pts, **layout)[:, 0, 0]),
+                     sphere_vars, seed, budget)
 
 
 def _least_eigenvalue(mats: np.ndarray) -> np.ndarray:
@@ -570,9 +653,7 @@ def eigenvalue_minimum(m: PolyMatrix, sphere_vars: Sequence[str],
                        param_vars: Sequence[str], *, seed: int, budget: int
                        ) -> tuple[float, tuple[float, ...]]:
     """(minimum, argmin) over the unit sphere of the least eigenvalue of the
-    Hermitian part of ``m``."""
-    values = compile_matrix(m, list(sphere_vars) + list(param_vars))
-
-    return _minimize(lambda pts, _per_point=False:
-                     _least_eigenvalue(values(pts, _per_point)),
-                     sphere_vars, param_vars, seed, budget)
+    Hermitian part of ``m``, the parameters held at 1.0."""
+    values = compile_matrix(m, sphere_vars, param_vars)
+    return _minimize(lambda pts, **layout: _least_eigenvalue(values(pts, **layout)),
+                     sphere_vars, seed, budget)

@@ -7,14 +7,17 @@ checks, and the boundary that keeps numpy out of exact work and scipy,
 ``_compile_poly`` and ``_compile_matrix`` are the earlier evaluation, one
 numpy call chain per matrix entry, kept verbatim as the reference.  The
 kernel must give the same floats bit for bit, since the numeric verdicts and
-the fixture bundle are built from them.  For the same reason ``_sobol``,
-``_ndtri`` and ``_polish`` must return the floats of
+the fixture bundle are built from them.  For the same reason
+``_sobol_blocks`` (joined by ``_sobol``), ``_ndtri`` and ``_polish`` must
+return the floats of
 ``scipy.stats.qmc.Sobol``, ``scipy.special.ndtri`` and
 ``scipy.optimize.minimize``, which they replace; scipy's ``stats``,
 ``special`` and ``optimize`` are imported inside those tests only, and
 ``numpy.random`` inside the test of the scramble bits.
 ``_power_table_reference`` is the earlier power table, one ``**`` over every
-exponent, kept to pin the table's numpy route.
+exponent, kept to pin the table's numpy route.  The scan's power columns,
+memoized with its points, must give the bits of fresh power tables, and a
+kernel that holds the parameters at 1.0 the bits of appended columns of 1.0.
 
 The search polishes its candidates as one array of simplices, valuing four
 speculative candidates per run in one batched call.  ``_nelder_mead_steps``
@@ -257,6 +260,7 @@ def var_order(sym: SymbolMatrix) -> list[str]:
 
 
 def batch(dim: int, size: int, seed: int) -> np.ndarray:
+    """Scan points, built afresh, outside the search's memo."""
     return sphere._sphere_points(dim, size, seed)
 
 
@@ -402,25 +406,222 @@ def test_blocked_scan_matches_one_call(rows, data):
     pts = _unit_rows(len(order), rows, data.draw(st.integers(0, 999)))
     kernel = sphere.compile_matrix(sym.body, order)
     want = kernel(pts)
-    got = sphere._scan(kernel, pts)
+    got = sphere._scan(kernel, sphere._ScanMemo(pts))
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
     fn = _values(sym)
-    assert sphere._scan(fn, pts).tobytes() == fn(pts).tobytes()
+    assert sphere._scan(fn, sphere._ScanMemo(pts)).tobytes() == fn(pts).tobytes()
 
 
 def test_sphere_points_are_memoized_read_only():
-    fresh = sphere._sphere_points.__wrapped__(3, 20_000, DEFAULT_SEED)
-    pts = sphere._sphere_points(3, 20_000, DEFAULT_SEED)
-    assert sphere._sphere_points(3, 20_000, DEFAULT_SEED) is pts
+    fresh = sphere._sphere_points(3, 20_000, DEFAULT_SEED)
+    memo = sphere._scan_memo(3, 20_000, DEFAULT_SEED)
+    assert sphere._scan_memo(3, 20_000, DEFAULT_SEED) is memo
+    pts = memo.points
     assert pts.shape == fresh.shape and pts.tobytes() == fresh.tobytes()
-    assert sphere._sphere_points.cache_info().maxsize == sphere._POINTS_CACHED
-    for points in (pts, sphere._sphere_points(1, 20_000, DEFAULT_SEED)):
+    assert sphere._scan_memo.cache_info().maxsize == sphere._POINTS_CACHED
+    for points in (pts, fresh, sphere._scan_memo(1, 20_000, DEFAULT_SEED).points):
         assert not points.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             points[0, 0] = 0.5
         with pytest.raises(ValueError, match="read-only"):
             points *= 2.0
     assert pts.tobytes() == fresh.tobytes()
+
+
+def test_one_to_every_power_is_one():
+    """A held parameter's table columns are 1.0 at every exponent, the float
+    an appended column of 1.0 gets through ``**`` on the full-array route:
+    1.0 ** e is 1.0 for e = 2 to 39, the exponents of a degree up to 39."""
+    ones = np.ones((2048, 3))
+    high = np.arange(2, 40, dtype=float)
+    pw = np.array([0, 1, *range(2, 40)], dtype=np.int64)
+    assert (_power_table_reference(ones, pw) == 1.0).all()
+    assert (sphere._power_table(ones, high) == 1.0).all()
+    for e in range(2, 40):
+        assert (sphere._raise(ones, e) == 1.0).all()
+    table = sphere._power_table(batch(2, 64, 3), high, params=3)
+    assert table.shape == (64, 5, 40) and (table[:, 2:] == 1.0).all()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_held_parameters_match_appended_ones(data):
+    """The kernel that holds the parameters at 1.0 gives the floats the
+    kernel over every variable gives with columns of 1.0 appended, in the
+    scan's layout and in the polish's."""
+    sym = data.draw(symbol_matrices(params=data.draw(st.integers(1, 2))))
+    sig = sym.signature
+    pts = _unit_rows(len(sig.derivative_vars), data.draw(st.sampled_from([1, 5, 300])),
+                     data.draw(st.integers(0, 999)))
+    held = sphere.compile_matrix(sym.body, sig.derivative_vars, sig.params)
+    every = sphere.compile_matrix(sym.body, var_order(sym))
+    ones = np.hstack([pts, np.ones((len(pts), len(sig.params)))])
+    for per_point in (False, True):
+        assert (held(pts, _per_point=per_point).tobytes()
+                == every(ones, _per_point=per_point).tobytes())
+
+
+# ---------------------------------------------------------------------------
+# The scan's power columns, memoized with the points
+
+
+@st.composite
+def scan_symbols(draw):
+    """Symbol matrices in 1 to 5 sphere variables, with up to two parameters,
+    whose terms have degree up to 12."""
+    n = draw(st.integers(1, 5))
+    sig = Signature(tuple(f"z{j + 1}" for j in range(n)), None,
+                    ("a", "b")[:draw(st.integers(0, 2))])
+    rows = cols = draw(st.integers(1, 3))
+
+    def term():
+        exp = [0] * len(sig.vars)
+        for _ in range(draw(st.integers(0, 12))):
+            exp[draw(st.integers(0, len(sig.vars) - 1))] += 1
+        return tuple(exp)
+
+    entries = [[Poly(sig.vars, {term(): draw(coefficients)
+                                for _ in range(draw(st.integers(0, 4)))})
+                for _ in range(cols)] for _ in range(rows)]
+    return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
+
+
+@settings(max_examples=40, deadline=None)
+@given(scan_symbols(), st.sampled_from([1, 2, 2049, 4097]), st.integers(0, 999))
+def test_memoized_scan_matches_fresh_power_tables(sym, rows, seed):
+    """The scan reading its power columns from the memo, first as it raises
+    them and then as it reads them back, gives the bits of one kernel call
+    over all the rows, which raises its table afresh.  A last block of one
+    row (2049 and 4097 rows) reads one row of each column."""
+    fn = _values(sym, held=True)
+    pts = _unit_rows(len(sym.signature.derivative_vars), rows, seed)
+    want = fn(pts).tobytes()
+    memo = sphere._ScanMemo(pts)
+    assert sphere._scan(fn, memo).tobytes() == want
+    kept = {e: c.tobytes() for e, c in memo.columns.items()}
+    assert sphere._scan(fn, memo).tobytes() == want
+    assert {e: c.tobytes() for e, c in memo.columns.items()} == kept
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
+def test_memo_columns_match_the_power_table(dim):
+    """Each kept column holds the bits of the earlier table's column for
+    its exponent, for the exponents 2 to 12 taken together and one at a
+    time."""
+    pts = _unit_rows(dim, 4097, dim)
+    memo = sphere._ScanMemo(pts)
+    table = _power_table_reference(pts, np.arange(13))
+    for e in range(2, 13):
+        col = memo.column(e)
+        assert col.tobytes() == np.ascontiguousarray(table[:, :, e]).tobytes(), e
+        one = _power_table_reference(pts, np.array([0, 1, e]))[:, :, 2]
+        assert col.tobytes() == np.ascontiguousarray(one).tobytes(), e
+
+
+def _cold_memo() -> None:
+    sphere._scan_memo.cache_clear()
+
+
+def _quadratic3() -> OperatorMatrix:
+    """A positive definite quadratic in three variables that no certificate
+    covers, so its checks take the numeric search."""
+    sig = spatial_signature(3)
+    d1, d2, d3 = (Poly.variable(sig.vars, v) for v in sig.vars)
+    form = (d1 * d1).scale(GaussianRational.of(3)) + (d1 * d2).scale(GaussianRational.of(2)) \
+        + (d2 * d2).scale(GaussianRational.of(2)) + (d2 * d3).scale(GaussianRational.of(2)) \
+        + (d3 * d3).scale(GaussianRational.of(4))
+    return OperatorMatrix.from_entries(sig, [[-form]])
+
+
+def test_second_check_raises_no_scan_coordinate(monkeypatch):
+    """The first check in three variables at the default seed and budget
+    passes its 60 000 scan coordinates to ``**`` once, for its one exponent;
+    a second check of that dimension passes none.  The polish, which raises
+    its own points, is stubbed out."""
+    _cold_memo()
+    raised = []
+    power = np.power
+
+    def counted(x, y, *args, **kwargs):
+        raised.append(np.broadcast(x, y).size)
+        return power(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "power", counted)
+    monkeypatch.setattr(sphere, "_polish", lambda *args, **kwargs: [])
+    assert petrovskii_check(_quadratic3()).verdict == "numeric-pass"
+    assert sum(raised) == DEFAULT_BUDGET * 3
+    raised.clear()
+    rep = strong_ellipticity_check(_lame(3, Fraction(-13, 10), Fraction(7, 5)))
+    assert rep.verdict == "numeric-pass"
+    assert raised == []
+
+
+def test_memo_entries_are_read_only_and_go_with_their_points():
+    _cold_memo()
+    key = (3, DEFAULT_BUDGET, DEFAULT_SEED)
+    strong_ellipticity_check(_quadratic3())
+    memo = sphere._scan_memo(*key)
+    assert list(memo.columns) == [2]
+    col = memo.columns[2]
+    assert not col.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        col[0, 0] = 0.5
+    fresh = sphere._sphere_points(*key)
+    assert memo.points.tobytes() == fresh.tobytes()
+    assert col.tobytes() == sphere._raise(fresh, 2).tobytes()
+    # the columns go with their points when the key is evicted
+    for seed in range(sphere._POINTS_CACHED):
+        sphere._scan_memo(2, 16, seed)
+    assert sphere._scan_memo.cache_info().currsize == sphere._POINTS_CACHED
+    again = sphere._scan_memo(*key)
+    assert again is not memo and again.columns == {}
+
+
+def test_checks_at_other_seeds_and_budgets_read_their_own_columns():
+    """Each (seed, budget) keeps columns of its own points, and a check run
+    after others reports what it reports with a cold memo."""
+    runs = [(DEFAULT_SEED, DEFAULT_BUDGET), (7, DEFAULT_BUDGET), (DEFAULT_SEED, 4097)]
+    cold = {}
+    for seed, budget in runs:
+        _cold_memo()
+        cold[seed, budget] = petrovskii_check(_quadratic3(), seed=seed, budget=budget)
+    _cold_memo()
+    for seed, budget in runs + runs[::-1]:
+        rep = petrovskii_check(_quadratic3(), seed=seed, budget=budget)
+        assert (rep.minimum, rep.argmin) == (cold[seed, budget].minimum,
+                                             cold[seed, budget].argmin)
+    memos = [sphere._scan_memo(3, budget, seed) for seed, budget in runs]
+    assert len({id(memo.columns[2]) for memo in memos}) == len(runs)
+    for (seed, budget), memo in zip(runs, memos):
+        pts = sphere._sphere_points(3, budget, seed)
+        assert memo.points.tobytes() == pts.tobytes()
+        assert memo.columns[2].tobytes() == sphere._raise(pts, 2).tobytes()
+        assert sum(c.nbytes for c in memo.columns.values()) <= sphere._POWER_BYTES
+
+
+def test_memo_keeps_no_column_past_its_bound_at_the_coordinate_cap(monkeypatch):
+    """At the cap one column would take 64 MB, past ``_POWER_BYTES``, so the
+    scan raises each block's rows instead and keeps nothing.  The points
+    are one unit vector broadcast to the cap, and the kernel and the polish
+    are stubbed out."""
+    _cold_memo()
+    dim = 2
+    budget = sphere._MAX_COORDINATES // dim
+    assert 8 * budget * dim > sphere._POWER_BYTES
+    pts = np.broadcast_to(np.array([0.6, 0.8]), (budget, dim))
+    memo = sphere._ScanMemo(pts)
+    monkeypatch.setattr(sphere, "_scan_memo", lambda *key: memo)
+    monkeypatch.setattr(sphere, "_polish", lambda *args, **kwargs: [])
+    blocks = []
+
+    def fn(block, _powers):
+        if not blocks:
+            blocks.append([_powers(e).tobytes() for e in (2, 3)])
+        return np.zeros(len(block))
+
+    sphere._minimize(fn, ["z1", "z2"], DEFAULT_SEED, budget)
+    assert blocks == [[sphere._raise(pts[:2048], e).tobytes() for e in (2, 3)]]
+    assert memo.columns == {}
 
 
 def test_one_by_one_least_eigenvalue_matches_eigvalsh():
@@ -448,6 +649,15 @@ def test_one_by_one_least_eigenvalue_matches_eigvalsh():
 # Sobol, ndtri and Nelder-Mead: bit identity with scipy
 
 
+def _sobol(dim: int, n: int, seed: int) -> np.ndarray:
+    """The (n, dim) points of ``sphere._sobol_blocks`` in one array."""
+    blocks = sphere._sobol_blocks(dim, n, seed)  # checks n before it is allocated
+    out = np.empty((n, dim))
+    for a, block in blocks:
+        out[a:a + len(block)] = block
+    return out
+
+
 @pytest.mark.parametrize("dim", [*range(1, 9), 40])
 def test_sobol_matches_scipy(dim):
     qmc = pytest.importorskip("scipy.stats").qmc
@@ -456,7 +666,7 @@ def test_sobol_matches_scipy(dim):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")  # n not a power of two
                 want = qmc.Sobol(d=dim, scramble=True, seed=seed).random(n)
-            got = sphere._sobol(dim, n, seed)
+            got = _sobol(dim, n, seed)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert np.array_equal(got, want), (dim, seed, n)
 
@@ -535,24 +745,28 @@ def test_ndtri_matches_scipy():
 def test_ndtri_matches_scipy_on_sobol_scan(dim):
     special = pytest.importorskip("scipy.special")
     for seed in (0, DEFAULT_SEED):
-        u = np.clip(sphere._sobol(dim, 20_000, seed), LOW, HIGH)
+        u = np.clip(_sobol(dim, 20_000, seed), LOW, HIGH)
         got = sphere._ndtri(u)
         assert got.shape == u.shape and np.array_equal(got, special.ndtri(u))
 
 
-def _values(sym: SymbolMatrix) -> Callable[..., np.ndarray]:
+def _values(sym: SymbolMatrix, held: bool = False) -> Callable[..., np.ndarray]:
     """The function the search minimizes for ``sym``: |entry (0, 0)| for a
     1x1 matrix, else the least eigenvalue of the Hermitian part of its
-    leading square block."""
+    leading square block.  Its points have a column per variable, or with
+    ``held`` a column per sphere variable, the parameters held at 1.0 as the
+    search holds them."""
     order = var_order(sym)
     n = min(sym.rows, sym.cols)
     body = sym.body if sym.rows == sym.cols else sym.body.block(0, n, 0, n)
-    values = sphere.compile_matrix(body, order)
+    sig = sym.signature
+    values = (sphere.compile_matrix(body, sig.derivative_vars, sig.params) if held
+              else sphere.compile_matrix(body, order))
     if n == 1:
-        return lambda pts, _per_point=False: np.abs(values(pts, _per_point)[:, 0, 0])
+        return lambda pts, **layout: np.abs(values(pts, **layout)[:, 0, 0])
 
-    def fn(pts, _per_point=False):
-        mats = values(pts, _per_point)
+    def fn(pts, **layout):
+        mats = values(pts, **layout)
         mats = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
         return np.linalg.eigvalsh(mats)[:, 0].real
 
@@ -726,12 +940,11 @@ def assert_polish_matches_one_point(fn, starts_, maxiter):
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
 def test_lock_step_polish_matches_one_point_search(data):
-    """Parameters are appended at 1.0 after the sphere variables, as the
-    search appends them."""
+    """Parameters are held at 1.0 after the sphere variables, as the search
+    holds them."""
     sym = data.draw(symbol_matrices())
-    sig = sym.signature
-    fn = sphere._with_params(_values(sym), len(sig.params))
-    dim = len(sig.derivative_vars)
+    fn = _values(sym, held=True)
+    dim = len(sym.signature.derivative_vars)
     starts_ = data.draw(st.lists(starts(dim), min_size=1, max_size=6))
     maxiter = data.draw(st.sampled_from([600, 600, 40, 3, 1]))
     assert_polish_matches_one_point(fn, starts_, maxiter)
@@ -766,7 +979,8 @@ def test_edge_starts_search_raises_no_warning(monkeypatch):
     edge starts, as the whole scan, go through the search with every warning
     an error."""
     pts = np.array(_edge_starts())
-    monkeypatch.setattr(sphere, "_sphere_points", lambda dim, budget, seed: pts)
+    monkeypatch.setattr(sphere, "_scan_memo",
+                        lambda dim, budget, seed: sphere._ScanMemo(pts))
     for fn in _edge_forms():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -859,12 +1073,12 @@ def test_budget_beyond_the_sobol_sequence_is_rejected():
         with pytest.raises(ValueError, match=r"budget must be at most 2\*\*30"):
             check(_numeric_form(), budget=2**30 + 1)
     with pytest.raises(ValueError, match=r"^n must be"):
-        sphere._sobol(2, 2**30 + 1, 0)
+        _sobol(2, 2**30 + 1, 0)
 
 
 def test_budget_beyond_the_coordinate_cap_is_rejected():
-    """A search peaks at ~60 bytes per point coordinate, so budget times the
-    sphere variables is capped at 2**23 (~500 MB), before any point is
+    """A search peaks at ~20 bytes per point coordinate, so budget times the
+    sphere variables is capped at 2**23 (~160 MB), before any point is
     drawn."""
     for check in (petrovskii_check, strong_ellipticity_check):
         with pytest.raises(ValueError, match=r"at most 2\*\*23 = 8388608 point coordinates, "
@@ -880,20 +1094,20 @@ def test_default_budget_passes_the_coordinate_cap_at_every_dimension(monkeypatch
     monkeypatch.setattr(sphere, "_sphere_minimize",
                         lambda fn, dim, seed, budget: searched.append((dim, budget)))
     names = [f"x{i}" for i in range(_MAX_VARS)]
-    sphere._minimize(None, names, [], 0, DEFAULT_BUDGET)
+    sphere._minimize(None, names, 0, DEFAULT_BUDGET)
     assert searched == [(_MAX_VARS, DEFAULT_BUDGET)]
     with pytest.raises(ValueError, match=r"point coordinates"):
-        sphere._minimize(None, names, [], 0, sphere._MAX_COORDINATES // _MAX_VARS + 1)
+        sphere._minimize(None, names, 0, sphere._MAX_COORDINATES // _MAX_VARS + 1)
 
 
 def test_dimension_beyond_the_direction_table_is_rejected():
     """The bundled table ends at the most variables a ring can have."""
     assert len(POLY) == _MAX_VARS == 255
-    assert sphere._sobol(_MAX_VARS, 2, 0).shape == (2, 255)
+    assert _sobol(_MAX_VARS, 2, 0).shape == (2, 255)
     with pytest.raises(ValueError, match=r"^dim must be between 1 and 255, got 256"):
-        sphere._sobol(_MAX_VARS + 1, 2, 0)
+        _sobol(_MAX_VARS + 1, 2, 0)
     with pytest.raises(ValueError, match=r"^dim must be"):
-        sphere._sobol(0, 2, 0)
+        _sobol(0, 2, 0)
 
 
 # ---------------------------------------------------------------------------
