@@ -29,15 +29,13 @@ exponent tuples the public form of a monomial: the read-only view
 ``leading_term`` and ``constant_value`` return them.  The storage format is
 private to this module.
 
-Three private kernel operations let Groebner-basis code in this package work
-on the keys and numerators without ever building a :class:`GaussianRational`
-or an exponent tuple: ``_leading_num`` reads the leading key, its numerator
-and the denominator straight from storage (optionally the leading one
-outside a set of keys, which lets a full reduction walk down the terms);
-``_scaled`` is the shifted scale ``((cr + ci*i)/cd) * x^s * p``; and
-``_sub_scaled`` is the fused reduction step ``p - ((cr + ci*i)/cd) * x^s *
-g``, which drops cancelled terms as it adds.  :func:`_key_divides` and
-:func:`_key_lcm` are divisibility and lcm of keys.
+Groebner-basis code in this package works on the storage itself, never
+building a :class:`GaussianRational` or an exponent tuple: ``cxkit.syzygy``
+packs a vector of polynomials into one dict of numerators over one
+denominator, each key tagged with its position above the degree field, and
+reduces it in place with its own fused step.  It takes from here
+:func:`_key_divides` and :func:`_key_lcm` (divisibility and lcm of keys),
+:func:`_cancel` and :func:`_poly_nonzero`.
 
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
@@ -51,7 +49,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
-from typing import AbstractSet, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 Exponent = tuple[int, ...]
 
@@ -284,8 +282,9 @@ def _poly(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
 
 
 def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
-    """:func:`_poly` for a ``num`` that has no zero numerator, such as the
-    fused reduction step builds: only the gcd is cancelled."""
+    """:func:`_poly` for a ``num`` that has no zero numerator, such as
+    :func:`_dot` and the unpacking in ``cxkit.syzygy`` build: only the gcd
+    is cancelled."""
     p = object.__new__(Poly)
     p.vars = vars
     p._num, p._den = _cancel(num, den)
@@ -444,16 +443,11 @@ class Poly:
             self._lead = _unpack(key, len(self.vars)), self._coeff(key)
         return self._lead
 
-    def _leading_num(self, skip: AbstractSet[int] = frozenset()
-                     ) -> tuple[int, tuple[int, int], int] | None:
+    def _leading_num(self) -> tuple[int, tuple[int, int], int] | None:
         """``(key, (re, im), den)`` of the leading term under graded lex
-        order among the keys not in ``skip``, read straight from storage:
-        its coefficient is ``(re + im*i) / den``.  None when no term is
-        left."""
-        if skip:
-            key = max((k for k in self._num if k not in skip), default=None)
-        else:
-            key = max(self._num, default=None)
+        order, read straight from storage: its coefficient is ``(re +
+        im*i) / den``.  None for the zero polynomial."""
+        key = max(self._num, default=None)
         if key is None:
             return None
         return key, self._num[key], self._den
@@ -525,50 +519,9 @@ class Poly:
         return result
 
     def scale(self, value) -> "Poly":
-        return self._scaled(*_split(_coerce_coeff(value)))
-
-    def _scaled(self, cr: int, ci: int, cd: int, shift: int = 0) -> "Poly":
-        """``((cr + ci*i)/cd) * x^shift * self`` on the numerators, for ints
-        with ``cd > 0`` and the key ``shift``."""
-        if shift and self._num:
-            _check_product(max(self._num), shift, _WIDTH * len(self.vars))
-        out = {k + shift: (re * cr - im * ci, re * ci + im * cr)
-               for k, (re, im) in self._num.items()}
+        cr, ci, cd = _split(_coerce_coeff(value))
+        out = {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self._num.items()}
         return _poly(self.vars, out, self._den * cd)
-
-    def _sub_scaled(self, g: "Poly", cr: int, ci: int, cd: int, shift: int = 0) -> "Poly":
-        """``self - ((cr + ci*i)/cd) * x^shift * g`` in one pass over the
-        numerators of both, over ``lcm(den, g.den * cd)``: the fused step of
-        a Groebner reduction, for ints with ``cd > 0`` and the key
-        ``shift``."""
-        self._check_vars(g)
-        if not g._num or not (cr or ci):
-            return self
-        if shift:
-            _check_product(max(g._num), shift, _WIDTH * len(self.vars))
-        gd = g._den * cd
-        den = lcm(self._den, gd)
-        fa, fg = den // self._den, den // gd
-        cr, ci = -cr * fg, -ci * fg  # negated, so the loop adds
-        if fa == 1:
-            out = dict(self._num)
-        else:
-            out = {k: (re * fa, im * fa) for k, (re, im) in self._num.items()}
-        get = out.get
-        for k, (re, im) in g._num.items():
-            k += shift
-            pr, pi = re * cr - im * ci, re * ci + im * cr
-            c = get(k)
-            if c is None:
-                out[k] = (pr, pi)
-            else:
-                pr += c[0]
-                pi += c[1]
-                if pr or pi:
-                    out[k] = (pr, pi)
-                else:
-                    del out[k]  # cancelled: out keeps no zero numerator
-        return _poly_nonzero(self.vars, out, den)
 
     def conjugate(self) -> "Poly":
         """Conjugate all coefficients (the variables are treated as real)."""

@@ -17,17 +17,26 @@ compatibility operator is the reduced Groebner basis of the syzygy module
 under POT+grlex: unique for the module and the order, whatever pairs the
 algorithm took.  The rows of the input fix the module's coordinates, so
 another row order or scaling of the input can give another operator.
+
+A vector of R^npos over n variables is packed once, where it enters, into
+one dict over one denominator: ``(npos - pos) << _WIDTH * (n + 1) | key``
+maps to the Gaussian-integer numerator of ``x^key`` at ``pos``.  The tag sits
+above the key's degree field, so int order is POT+grlex and ``max`` gives the
+leading term.  A reduction updates a private dict in place, one fused step
+over the reducer's terms per removed term, keeping each position's terms in
+the order its own ``Poly`` would; only outputs are unpacked.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import count
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from cxkit.diffop import OperatorMatrix
-from cxkit.poly import Poly, _key_divides, _key_lcm
+from cxkit.poly import (_FIELD, _WIDTH, MAX_DEGREE, Poly, _cancel, _degree_error,
+                        _key_divides, _key_lcm, _poly_nonzero)
 
 DEFAULT_PAIR_BUDGET = 10_000
 
@@ -40,27 +49,42 @@ class BudgetExceeded(Exception):
 
 
 # ---------------------------------------------------------------------------
-# Leading terms under position-over-term (POT) + graded lex
-#
-# All arithmetic below runs on the Gaussian-integer numerators of the
-# entries through the private ``Poly`` kernel (``_leading_num``, ``_scaled``,
-# ``_sub_scaled``): a lead is ``(pos, key, (re, im), den)`` with ``key`` the
-# packed monomial (int order is grlex, a product's key the sum of the keys)
-# and coefficient ``(re + im*i) / den``, and a coefficient factor is an int
-# triple ``(cr, ci, cd)`` standing for ``(cr + ci*i) / cd``.
+# Packed vectors ``(num, den)``, numerators ``(re, im)``.  A reducer is the
+# record ``(max(num), num, den, highest total degree)``; a coefficient factor
+# is an int triple ``(cr, ci, cd)`` standing for ``(cr + ci*i) / cd``.
 
 
-def _leading(elem: Element):
-    """(position, key, numerator, denominator) of the POT+grlex leading
-    term; None if zero.  Lower position dominates."""
+def _packed(elem: Element, n: int, npos: int | None = None) -> tuple[dict, int]:
+    """``elem`` over ``n`` variables packed, over the lcm of its denominators,
+    as the first positions of a vector of ``npos`` (by default its own)."""
+    npos, shift, den = npos or len(elem), _WIDTH * (n + 1), lcm(*(p._den for p in elem))
+    num = {}
     for pos, p in enumerate(elem):
-        if not p.is_zero:
-            return (pos, *p._leading_num())
-    return None
+        tag, f = npos - pos << shift, den // p._den
+        for k, (re, im) in p._num.items():
+            num[tag | k] = (re * f, im * f)
+    return num, den
 
 
-def _is_zero(elem: Element) -> bool:
-    return all(p.is_zero for p in elem)
+def _unpacked(vec: tuple[dict, int], vars: tuple[str, ...], npos: int) -> Element:
+    """The inverse of :func:`_packed`, each position in canonical form."""
+    shift = _WIDTH * (len(vars) + 1)
+    parts: list[dict] = [{} for _ in range(npos)]
+    for k, c in vec[0].items():
+        parts[npos - (k >> shift)][k & ((1 << shift) - 1)] = c
+    return tuple(_poly_nonzero(vars, part, vec[1]) for part in parts)
+
+
+def _record(num: dict, den: int, n: int) -> tuple:
+    return max(num), num, den, max(k >> _WIDTH * n & _FIELD for k in num)
+
+
+def _by_tag(records, n: int) -> dict[int, list]:
+    """Records grouped, in order, by the position tag of their lead."""
+    out: dict[int, list] = {}
+    for g in records:
+        out.setdefault(g[0] >> _WIDTH * (n + 1), []).append(g)
+    return out
 
 
 def _quotient(a: tuple[int, int], ad: int, b: tuple[int, int], bd: int):
@@ -72,66 +96,112 @@ def _quotient(a: tuple[int, int], ad: int, b: tuple[int, int], bd: int):
     return cr // g, ci // g, cd // g
 
 
-def _normalize(elem: Element) -> Element:
-    """Scale so the leading coefficient is one."""
-    lead = _leading(elem)
-    if lead is None:
-        return elem
-    _, _, num, den = lead
-    c = _quotient((1, 0), 1, num, den)
-    return tuple(p if p.is_zero else p._scaled(*c) for p in elem)
+def _normalized(num: dict, den: int) -> tuple[dict, int]:
+    """A new vector, scaled so the leading coefficient is one."""
+    cr, ci, cd = _quotient((1, 0), 1, num[max(num)], den)
+    return _cancel({k: (re * cr - im * ci, re * ci + im * cr)
+                    for k, (re, im) in num.items()}, den * cd)
 
 
-def _sub_shifted(elem: Element, g: Element, c: tuple[int, int, int],
-                 shift: int) -> Element:
-    """``elem - c * x^shift * g``, skipping the components where ``g`` is
-    zero."""
-    return tuple(p if q.is_zero else p._sub_scaled(q, *c, shift) for p, q in zip(elem, g))
+def _step(num: dict, den: int, g: tuple, cr: int, ci: int, cd: int, shift: int,
+          n: int) -> tuple[dict, int]:
+    """The fused step ``num/den - c * x^shift * g`` for a nonzero ``c``, over
+    ``lcm(den, g.den * cd)``, in place where the den stays: new keys appended
+    in ``g``'s order, cancelled ones deleted, one gcd cancel.  Past MAX_DEGREE,
+    ``OverflowError`` names the degree of x^shift * g's first position past it."""
+    top = _WIDTH * n
+    if g[3] + (shift >> top) > MAX_DEGREE:
+        raise _degree_error(next(d for k in sorted(g[1], reverse=True)
+                                 if (d := (k + shift) >> top & _FIELD) > MAX_DEGREE))
+    gd = g[2] * cd
+    new = lcm(den, gd)
+    if new != den:
+        f = new // den
+        num = {k: (re * f, im * f) for k, (re, im) in num.items()}
+    f = new // gd
+    cr, ci = -cr * f, -ci * f  # negated, so the loop adds
+    get = num.get
+    for k, (re, im) in g[1].items():
+        k += shift
+        c = get(k, (0, 0))  # a new key's sum is a nonzero product
+        pr, pi = c[0] + re * cr - im * ci, c[1] + re * ci + im * cr
+        if pr or pi:
+            num[k] = (pr, pi)
+        else:
+            del num[k]  # cancelled: num keeps no zero numerator
+    return _cancel(num, new)
 
 
-def _reduce(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element:
-    """Leading-term reduction: rewrite the leading term by ``basis`` (whose
-    elements have the leads ``leads``) until no basis leading term divides
-    it.  Lower terms are left unreduced; over a Groebner basis the result is
-    zero exactly when ``elem`` lies in the module the basis generates."""
-    result = elem
-    while True:
-        lead = _leading(result)
-        if lead is None:
-            return result
-        pos, exp, num, den = lead
-        for g, (gpos, gexp, gnum, gden) in zip(basis, leads):
-            if gpos == pos and _key_divides(gexp, exp):
-                result = _sub_shifted(result, g, _quotient(num, den, gnum, gden), exp - gexp)
+def _reduce(num: dict, den: int, reducers: dict, n: int, full=False) -> tuple[dict, int]:
+    """Reduce a private vector by ``reducers`` (:func:`_by_tag`; the first
+    whose leading term divides takes the step): its leading term until none
+    divides it, which over a Groebner basis leaves zero exactly for module
+    members; with ``full`` every term, from the leading one down, as a step
+    changes only terms below the one it removes."""
+    shift = _WIDTH * (n + 1)
+    key = max(num, default=None)
+    while key is not None:
+        tag = key >> shift
+        for g in reducers.get(tag, ()):
+            if _key_divides(g[0], key):
+                c = _quotient(num[key], den, g[1][g[0]], g[2])
+                num, den = _step(num, den, g, *c, key - g[0], n)
                 break
         else:
-            return result
-
-
-def _reduce_fully(elem: Element, basis: Sequence[Element], leads: Sequence) -> Element:
-    """Full reduction: rewrite every term of ``elem`` divisible by a leading
-    term of ``basis`` until none is.  Positions are done in order: a basis
-    element is zero before its leading position, so a step at one position
-    leaves the earlier ones alone, and within a position it changes only
-    terms below the one it removes."""
-    by_pos: dict[int, list] = {}
-    for g, (gpos, gexp, gnum, gden) in zip(basis, leads):
-        by_pos.setdefault(gpos, []).append((g, gexp, gnum, gden))
-    result = elem
-    for pos, reducers in sorted(by_pos.items()):
-        kept: set = set()  # keys at ``pos`` that no leading term divides
-        while True:
-            lead = result[pos]._leading_num(kept)
-            if lead is None:
+            if not full:
                 break
-            exp, num, den = lead
-            for g, gexp, gnum, gden in reducers:
-                if _key_divides(gexp, exp):
-                    result = _sub_shifted(result, g, _quotient(num, den, gnum, gden), exp - gexp)
-                    break
-            else:
-                kept.add(exp)
-    return result
+            key = key if tag in reducers else tag << shift  # skip a bare position
+        key = max((k for k in num if k < key), default=None) if full else max(num, default=None)
+    return num, den
+
+
+def _groebner(vecs, n: int, budget: int) -> list[tuple]:
+    """:func:`groebner_basis` on packed vectors over ``n`` variables; the
+    records of the result."""
+    if budget < 0:
+        raise ValueError(f"S-pair budget must be non-negative, got {budget}")
+    shift, seq, done = _WIDTH * (n + 1), count(), count(1)
+    low = (1 << shift) - 1
+    basis: list[tuple] = []
+    active: dict[int, list] = {}  # per tag, the records no later lead divides
+    pairs: list[tuple] = []  # (lcm, -tag, seq, gi, gj): lcm is a key
+
+    def add(num: dict, den: int) -> None:
+        g = _record(*_normalized(num, den), n)
+        basis.append(g)
+        tag, exp = g[0] >> shift, g[0] & low
+        olds = active.get(tag, [])
+        # B_k on the old pairs in the same position
+        old = len(pairs)
+        pairs[:] = [p for p in pairs if not (
+            p[1] == -tag and _key_divides(exp, p[0])
+            and _key_lcm(p[3][0], exp, n) != p[0]
+            and _key_lcm(p[4][0], exp, n) != p[0])]
+        if len(pairs) != old:
+            heapify(pairs)
+        # M and F on the new pairs
+        new = [(_key_lcm(h[0], exp, n), h) for h in olds]
+        lcms: set = set()
+        for m, h in new:
+            if m in lcms or any(o != m and _key_divides(o, m) for o, _ in new):
+                continue
+            lcms.add(m)
+            heappush(pairs, (m, -tag, next(seq), h, g))
+        active[tag] = [h for h in olds if not _key_divides(g[0], h[0])] + [g]
+
+    for num, den in vecs:
+        if num:
+            add(num, den)
+    while pairs:
+        m, _, _, gi, gj = heappop(pairs)
+        if next(done) > budget:  # S-pairs processed
+            raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
+        # basis elements are monic: s = x^si * gi - x^sj * gj
+        s = _step({}, 1, gi, -1, 0, 1, m - (gi[0] & low), n)
+        num, den = _reduce(*_step(*s, gj, 1, 0, 1, m - (gj[0] & low), n), active, n)
+        if num:
+            add(num, den)
+    return [g for g in basis if any(g is h for h in active[g[0] >> shift])]
 
 
 def groebner_basis(gens: Sequence[Element], *,
@@ -152,57 +222,28 @@ def groebner_basis(gens: Sequence[Element], *,
     out of the result.
 
     The budget counts S-pairs processed, not pairs a criterion removes;
-    raises BudgetExceeded past it."""
-    basis: list[Element] = []
-    leads: list = []
-    active: list[int] = []  # elements whose leading term no later one divides
-    pairs: list[tuple] = []  # (lcm, position, seq, i, j): lcm is a key
-    seq = count()
+    raises BudgetExceeded past it, and ValueError for a negative one."""
+    vars = next((p.vars for g in gens[:1] for p in g), ())
+    gb = _groebner([_packed(g, len(vars)) for g in gens], len(vars), budget)
+    return [_unpacked(g[1:3], vars, len(gens[0])) for g in gb]
 
-    def add(h: Element) -> None:
-        k = len(basis)
-        lead = _leading(h)
-        pos, exp = lead[0], lead[1]
-        n = len(h[pos].vars)
-        basis.append(h)
-        leads.append(lead)
-        # B_k on the old pairs in the same position
-        old = len(pairs)
-        pairs[:] = [p for p in pairs if not (
-            p[1] == pos and _key_divides(exp, p[0])
-            and _key_lcm(leads[p[3]][1], exp, n) != p[0]
-            and _key_lcm(leads[p[4]][1], exp, n) != p[0])]
-        if len(pairs) != old:
-            heapify(pairs)
-        # M and F on the new pairs
-        new = [(_key_lcm(leads[i][1], exp, n), i) for i in active if leads[i][0] == pos]
-        lcms: set = set()
-        for lcm, i in new:
-            if lcm in lcms or any(m != lcm and _key_divides(m, lcm) for m, _ in new):
-                continue
-            lcms.add(lcm)
-            heappush(pairs, (lcm, pos, next(seq), i, k))
-        active[:] = [i for i in active
-                     if not (leads[i][0] == pos and _key_divides(exp, leads[i][1]))]
-        active.append(k)
 
-    for g in gens:
-        if not _is_zero(g):
-            add(_normalize(g))
-    processed = 0
-    while pairs:
-        lcm, _, _, i, j = heappop(pairs)
-        processed += 1
-        if processed > budget:
-            raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
-        # basis elements are monic: s = x^si * basis[i] - x^sj * basis[j]
-        si, sj = lcm - leads[i][1], lcm - leads[j][1]
-        s = tuple(p if p.is_zero else p._scaled(1, 0, 1, si) for p in basis[i])
-        s = _sub_shifted(s, basis[j], (1, 0, 1), sj)
-        s = _reduce(s, [basis[k] for k in active], [leads[k] for k in active])
-        if not _is_zero(s):
-            add(_normalize(s))
-    return [basis[k] for k in active]
+def _interreduce(vecs, n: int) -> list[tuple[dict, int]]:
+    """:func:`interreduce` on packed vectors over ``n`` variables."""
+    items = [_record(*_normalized(*v), n) for v in vecs if v[0]]
+    shift = _WIDTH * (n + 1)
+    # of two equal leading terms the earlier is kept
+    kept = [b for i, b in enumerate(items) if not any(
+        j != i and o[0] >> shift == b[0] >> shift and _key_divides(o[0], b[0])
+        and (o[0] != b[0] or j < i) for j, o in enumerate(items))]
+    reduced = []
+    for i, b in enumerate(kept):
+        # keeps b's leading term; b reduces no later element, so may change
+        v = _reduce(b[1], b[2], _by_tag(reduced + kept[i + 1:], n), n, full=True)
+        reduced.append(_record(*v, n))
+    # leading position, then exponent from the highest down: a full order
+    reduced.sort(key=lambda g: -g[0])
+    return [g[1:3] for g in reduced]
 
 
 def interreduce(basis: Sequence[Element]) -> list[Element]:
@@ -212,37 +253,9 @@ def interreduce(basis: Sequence[Element]) -> list[Element]:
     any element is divisible by another element's leading term, and scale
     each to leading coefficient one.  That basis is unique for the module
     and the order; the output is sorted for determinism."""
-    items = [_normalize(b) for b in basis if not _is_zero(b)]
-    item_leads = [_leading(b) for b in items]
-    kept: list[Element] = []
-    leads = []
-    for i, (b, lb) in enumerate(zip(items, item_leads)):
-        redundant = False
-        for j, lo in enumerate(item_leads):
-            if i == j:
-                continue
-            if lo[0] == lb[0] and _key_divides(lo[1], lb[1]):
-                if lb[1] == lo[1] and j > i:
-                    continue  # keep the earlier of two equal leading terms
-                redundant = True
-                break
-        if not redundant:
-            kept.append(b)
-            leads.append(lb)
-    reduced = []
-    for i, b in enumerate(kept):
-        # no other leading term divides this one's, so the reduction keeps
-        # it: leads[:i] + leads[i + 1:] stay the leads of the others
-        reduced.append(_reduce_fully(b, reduced + kept[i + 1:], leads[:i] + leads[i + 1:]))
-    reduced.sort(key=_sort_key)
-    return reduced
-
-
-def _sort_key(elem: Element):
-    """Leading position, then leading exponent from the highest down: the
-    leading terms of a reduced basis differ, so this orders it fully."""
-    pos, key, _, _ = _leading(elem)
-    return pos, -key
+    vars = next((p.vars for b in basis[:1] for p in b), ())
+    return [_unpacked(v, vars, len(basis[0]))
+            for v in _interreduce([_packed(b, len(vars)) for b in basis], len(vars))]
 
 
 # ---------------------------------------------------------------------------
@@ -252,15 +265,14 @@ def _sort_key(elem: Element):
 def syzygies(rows: Sequence[Element], vars, *,
              budget: int = DEFAULT_PAIR_BUDGET) -> list[Element]:
     """Generators of the syzygy module {b in R^k : sum_i b_i rows_i = 0}."""
-    if not rows:
-        return []
-    c, k = len(rows[0]), len(rows)
-    zero, one = Poly.zero(vars), Poly.one(vars)
-    extended = [tuple(row) + tuple(one if j == i else zero for j in range(k))
-                for i, row in enumerate(rows)]
-    gb = groebner_basis(extended, budget=budget)
-    syz = [g[c:] for g in gb if all(p.is_zero for p in g[:c])]
-    return interreduce(syz)
+    k, n = len(rows), len(vars)
+    extended = [_packed(row, n, len(row) + k) for row in rows]
+    for i, (num, den) in enumerate(extended):
+        num[k - i << _WIDTH * (n + 1)] = (den, 0)  # the unit e_i
+    # the first part vanishes where the leading tag is at most k; each
+    # trailing position keeps its tag in R^k
+    syz = [g[1:3] for g in _groebner(extended, n, budget) if g[0] >> _WIDTH * (n + 1) <= k]
+    return [_unpacked(v, tuple(vars), k) for v in _interreduce(syz, n)]
 
 
 def _op_rows(op: OperatorMatrix) -> list[Element]:
@@ -271,8 +283,6 @@ def compatibility_operator(op: OperatorMatrix, *,
                            budget: int = DEFAULT_PAIR_BUDGET) -> OperatorMatrix:
     """A generating compatibility operator B with B op = 0 (rows of B generate
     the left kernel).  Returns a 0 x rows operator when the kernel is trivial."""
-    # Left kernel: syzygies of the rows of op viewed in R^cols... a row vector
-    # b satisfies b @ op = 0 iff sum_i b_i row_i = 0.
     syz = syzygies(_op_rows(op), op.signature.vars, budget=budget)
     sig = op.signature
     if not syz:
@@ -305,23 +315,12 @@ def module_equivalent(a: OperatorMatrix, b: OperatorMatrix, *,
     if a.cols != b.cols:
         return False
     vars = a.signature.vars
-    rows_a = _op_rows(a)
-    rows_b = [tuple(p.lift(vars) for p in row) for row in _op_rows(b)]
-    gb_a = groebner_basis(rows_a, budget=budget)
-    gb_b = groebner_basis(rows_b, budget=budget)
-    leads_a = [_leading(g) for g in gb_a]
-    leads_b = [_leading(g) for g in gb_b]
-    return (all(_is_zero(_reduce(r, gb_b, leads_b)) for r in rows_a)
-            and all(_is_zero(_reduce(r, gb_a, leads_a)) for r in rows_b))
+    rows = [[_packed(tuple(p.lift(vars) for p in r), len(vars)) for r in _op_rows(m)]
+            for m in (a, b)]
+    gbs = [_by_tag(_groebner(r, len(vars), budget), len(vars)) for r in rows]
+    return all(not _reduce(dict(r), d, gbs[1 - i], len(vars))[0]
+               for i in (0, 1) for r, d in rows[i])
 
 
-__all__ = [
-    "BudgetExceeded",
-    "DEFAULT_PAIR_BUDGET",
-    "groebner_basis",
-    "interreduce",
-    "syzygies",
-    "compatibility_operator",
-    "extend_to_complex",
-    "module_equivalent",
-]
+__all__ = ["BudgetExceeded", "DEFAULT_PAIR_BUDGET", "groebner_basis", "interreduce",
+           "syzygies", "compatibility_operator", "extend_to_complex", "module_equivalent"]

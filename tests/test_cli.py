@@ -304,6 +304,42 @@ def test_numeric_ellipticity_report_bytes(tmp_path, kind):
         assert out.read_bytes() == want.read_bytes(), run
 
 
+@pytest.mark.parametrize("command", ["syzygy", "extend"])
+@pytest.mark.parametrize("budget", ["-1", "-5"])
+def test_negative_pair_budget_is_json_error(spec_file, capsys, command, budget):
+    assert _run([command, "--spec", spec_file, "--budget", budget]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": command, "error": f"S-pair budget must be non-negative, got {budget}",
+                   "ok": False}
+
+
+def test_zero_pair_budget_is_an_argument_and_a_limit(tmp_path, capsys):
+    """Budget 0 is valid: a module with no S-pairs needs none, and grad has
+    some, so its limit is what stops it."""
+    spec = tmp_path / "d1.spec"
+    spec.write_text("vars: d1\noperator D = [[d1]]\n")
+    assert _run(["syzygy", "--spec", str(spec), "--budget", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["compatibility"]["rows"] == 0
+    spec.write_text("vars: d1 d2\noperator G = [[d1], [d2]]\n")
+    assert _run(["syzygy", "--spec", str(spec), "--budget", "0"]) == 1
+    rep = json.loads(capsys.readouterr().out)
+    assert rep == {"command": "syzygy", "error": "S-pair budget of 0 exceeded", "ok": False}
+
+
+# The 3-D symmetric gradient; the CI smoke step runs the installed entry
+# point on the same file, one fresh process per command.
+SYMGRAD3_SPEC = DATA / "symgrad3.spec"
+
+
+@pytest.mark.parametrize("command", ["syzygy", "extend"])
+def test_syzygy_report_bytes(tmp_path, command):
+    """The compatibility operator and the resolution of the symmetric
+    gradient are pinned byte for byte."""
+    out = tmp_path / "report.json"
+    assert _run([command, "--spec", str(SYMGRAD3_SPEC), "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{command}_symgrad3.json").read_bytes()
+
+
 def test_fixture_bundle_byte_identical(tmp_path):
     """Two independent subprocess runs must produce identical JSON bytes."""
     outs = []

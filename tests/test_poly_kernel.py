@@ -11,12 +11,12 @@ the references of the one-accumulator sums and of block placement.
 import copy
 import pickle
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from functools import reduce
 from operator import add
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cxkit.blockops import BlockPartition, block_place, maxwell
 from cxkit.complexes import de_rham_complex
@@ -39,6 +39,7 @@ from cxkit.poly import (
     _unpack,
 )
 from cxkit.symbols import maxwell_parametrix_symbol, maxwell_symbol
+from cxkit.syzygy import _packed, _record, _step, _unpacked
 
 VARS = ("x", "y", "z")
 
@@ -257,9 +258,13 @@ def test_exact_div_scales_the_remainder():
 
 
 # ---------------------------------------------------------------------------
-# Groebner kernel operations against monomial products
+# The packed vectors of cxkit.syzygy against monomial products: a vector of
+# polynomials is one dict over one denominator, each key tagged with its
+# position, and a Groebner reduction is one fused step on it
 
 shifts = st.one_of(st.none(), st.tuples(*(st.integers(0, 2) for _ in VARS)))
+N = len(VARS)
+TAG = _WIDTH * (N + 1)  # the first bit of a packed key's position tag
 
 
 def shift_key(shift) -> int:
@@ -277,62 +282,172 @@ def factors(draw):
     return cr * k, ci * k, cd * k, c
 
 
+# a reduction's factor is a quotient of nonzero coefficients
+nonzero_factors = factors().filter(lambda f: not f[3].is_zero)
+vectors = st.lists(polys(), min_size=1, max_size=3).map(tuple)
+
+
+@st.composite
+def vector_pairs(draw):
+    """``(p, g)``: vectors of one to three positions, ``g`` nonzero, as
+    every reducer is."""
+    p = draw(vectors)
+    g = tuple(draw(polys()) for _ in p)
+    assume(not all(q.is_zero for q in g))
+    return p, g
+
+
 def assert_same_poly(got: Poly, want: Poly) -> None:
     assert got == want and hash(got) == hash(want)
     assert str(got) == str(want)
     assert_canonical(got)
 
 
+def packed_step(p, g, cr, ci, cd, shift):
+    """``p - ((cr + ci*i)/cd) * x^shift * g`` through the packed step."""
+    step = _step(*_packed(p, N), _record(*_packed(g, N), N), cr, ci, cd, shift, N)
+    return _unpacked(step, VARS, len(p))
+
+
+def shifted_scale(g, cr, ci, cd, shift):
+    """``((cr + ci*i)/cd) * x^shift * g`` as an S-polynomial starts: a step
+    from the zero vector."""
+    step = _step({}, 1, _record(*_packed(g, N), N), -cr, -ci, cd, shift, N)
+    return _unpacked(step, VARS, len(g))
+
+
 @settings(max_examples=150, deadline=None)
-@given(polys(), polys(), factors(), shifts)
-def test_fused_step_and_shifted_scale_match_monomial_product(p, g, f, shift):
+@given(vector_pairs(), nonzero_factors, shifts)
+def test_packed_step_and_shifted_scale_match_monomial_products(pg, f, shift):
+    """At each position the step is ``p - mono * g``, canonical and in the
+    storage order of the exponent-tuple arithmetic (the reference shares
+    its loops), and the scale from zero is ``mono * g``."""
+    p, g = pg
     cr, ci, cd, c = f
-    mono = Poly(VARS, {shift or (0,) * len(VARS): c})
-    zero = Poly.zero(VARS)
+    mono = Poly(VARS, {shift or (0,) * N: c})
+    fmono = FractionPoly.monomial(VARS, shift or (0,) * N, c)
+    zero = tuple(Poly.zero(VARS) for _ in p)
     shift = shift_key(shift)
-    assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift), p - mono * g)
-    assert_same_poly(g._scaled(cr, ci, cd, shift), mono * g)
-    assert_same_poly(p._sub_scaled(zero, cr, ci, cd, shift), p)
-    assert_same_poly(zero._sub_scaled(g, cr, ci, cd, shift), -(mono * g))
+    for got, a, b in zip(packed_step(p, g, cr, ci, cd, shift), p, g):
+        assert_same_poly(got, a - mono * b)
+        assert list(got.terms) == list((ref(a) - fmono * ref(b)).terms)
+    for got, b in zip(shifted_scale(g, cr, ci, cd, shift), g):
+        assert_same_poly(got, mono * b)
+    for got, b in zip(packed_step(zero, g, cr, ci, cd, shift), g):
+        assert_same_poly(got, -(mono * b))
     # the reduction step cancels exactly what the shifted scale built
-    assert_same_poly((p + mono * g)._sub_scaled(g, cr, ci, cd, shift), p)
-    assert_same_poly((mono * g)._sub_scaled(g, cr, ci, cd, shift), zero)
+    built = tuple(a + mono * b for a, b in zip(p, g))
+    for got, a in zip(packed_step(built, g, cr, ci, cd, shift), p):
+        assert_same_poly(got, a)
+    for got in packed_step(tuple(mono * b for b in g), g, cr, ci, cd, shift):
+        assert_same_poly(got, Poly.zero(VARS))
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys(), polys(), factors(), shifts, st.data())
-def test_fused_step_drops_cancelled_terms(r, g, f, shift, data):
-    """``p = r + c*x^s*h`` with ``h`` some of the terms of ``g``: the step
-    cancels those terms exactly, and any of ``r`` it meets, and keeps no
-    zero numerator."""
+@given(vector_pairs(), nonzero_factors, shifts, st.data())
+def test_packed_step_drops_cancelled_terms(rg, f, shift, data):
+    """``p = r + c*x^s*h`` with ``h`` some of the terms of ``g`` at each
+    position: the step cancels those terms exactly, and any of ``r`` it
+    meets, and keeps no zero numerator."""
+    r, g = rg
     cr, ci, cd, c = f
-    mono = Poly(VARS, {shift or (0,) * len(VARS): c})
-    keep = data.draw(st.sets(st.sampled_from(sorted(g.terms)))) if g.terms else set()
-    p = r + mono * Poly(VARS, {e: v for e, v in g.terms.items() if e in keep})
-    assert_same_poly(p._sub_scaled(g, cr, ci, cd, shift_key(shift)), p - mono * g)
+    mono = Poly(VARS, {shift or (0,) * N: c})
+    p = []
+    for a, b in zip(r, g):
+        keep = data.draw(st.sets(st.sampled_from(sorted(b.terms)))) if b.terms else set()
+        p.append(a + mono * Poly(VARS, {e: v for e, v in b.terms.items() if e in keep}))
+    num, _ = _step(*_packed(tuple(p), N), _record(*_packed(g, N), N), cr, ci, cd,
+                   shift_key(shift), N)
+    assert (0, 0) not in num.values()
+    for got, a, b in zip(packed_step(tuple(p), g, cr, ci, cd, shift_key(shift)), p, g):
+        assert_same_poly(got, a - mono * b)
 
 
-def test_fused_step_cancels_terms_and_denominator():
+def test_packed_step_cancels_terms_and_denominator():
     x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    one, zero = Poly.one(VARS), Poly.zero(VARS)
     half = GaussianRational.of(Fraction(1, 2))
-    p = x * x + y.scale(half) + Poly.one(VARS).scale(GaussianRational.of(Fraction(1, 3)))
-    g = x - y.scale(GaussianRational.of(0, Fraction(1, 2))) + Poly.one(VARS).scale(
+    p = x * x + y.scale(half) + one.scale(GaussianRational.of(Fraction(1, 3)))
+    g = x - y.scale(GaussianRational.of(0, Fraction(1, 2))) + one.scale(
         GaussianRational.of(Fraction(1, 3)))
-    # p - x*g: x^2 cancels, leaving y/2 + i*x*y/2 + 1/3 - x/3 over den 6
-    step = p._sub_scaled(g, 1, 0, 1, _pack((1, 0, 0)))
-    assert_same_poly(step, p - x * g)
-    assert step._den == 6
-    # p - x*g - (1 - x)/3: the constant and x terms cancel, den drops to 2
+    # (p, x) - x*(g, 0): x^2 cancels, leaving y/2 + i*x*y/2 + 1/3 - x/3 over
+    # den 6 at position 0, and x over den 1 at position 1: one den 6
+    num, den = _step(*_packed((p, x), N), _record(*_packed((g, zero), N), N),
+                     1, 0, 1, _pack((1, 0, 0)), N)
+    step = _unpacked((num, den), VARS, 2)
+    assert den == 6 and step[0]._den == 6 and step[1]._den == 1
+    assert_same_poly(step[0], p - x * g)
+    assert_same_poly(step[1], x)
+    # minus (1 - x, 3x)/3: the constant and x terms cancel, den drops to 2
     half_y = y.scale(half) + (x * y).scale(GaussianRational.of(0, Fraction(1, 2)))
-    assert_same_poly(step._sub_scaled(Poly.one(VARS) - x, 1, 0, 3), half_y)
-    assert half_y._den == 2
-    # everything cancels: the zero polynomial, den 1
-    assert_same_poly(half_y._sub_scaled(half_y, 1, 0, 1), Poly.zero(VARS))
+    num, den = _step(num, den, _record(*_packed((one - x, x.scale(GaussianRational.of(3))), N), N),
+                     1, 0, 3, 0, N)
+    assert den == 2
+    assert _unpacked((num, den), VARS, 2) == (half_y, zero)
+    # everything cancels: the zero vector, den 1
+    assert _step(num, den, _record(dict(num), den, N), 1, 0, 1, 0, N) == ({}, 1)
+
+
+def test_packed_step_degree_limit_is_an_overflow_error():
+    """A shift that takes a term past ``MAX_DEGREE`` raises before anything
+    wraps; the degree named is that of the first position that passes, as a
+    check position by position finds it, not the highest."""
+    x, y, one = Poly.variable(VARS, "x"), Poly.variable(VARS, "y"), Poly.one(VARS)
+    with pytest.raises(OverflowError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        shifted_scale((y,), 1, 0, 1, _pack((MAX_DEGREE, 0, 0)))
+    with pytest.raises(OverflowError):
+        packed_step((x,), (y,), 1, 0, 1, _pack((0, 0, MAX_DEGREE)))
+    assert packed_step((x,), (y,), 1, 0, 1, _pack((0, 0, MAX_DEGREE - 1))) == \
+        (x - y * Poly(VARS, {(0, 0, MAX_DEGREE - 1): 1}),)
+    shift = _pack((0, MAX_DEGREE - 1, 0))
+    with pytest.raises(OverflowError, match=f"total degree {MAX_DEGREE + 1} exceeds"):
+        packed_step((one, one), (x ** 2, x ** 3), 1, 0, 1, shift)
+    with pytest.raises(OverflowError, match=f"total degree {MAX_DEGREE + 2} exceeds"):
+        packed_step((one, one), (one, x ** 3), 1, 0, 1, shift)
 
 
 @settings(max_examples=150, deadline=None)
-@given(polys(), st.data())
-def test_leading_num_matches_leading_term(p, data):
+@given(vectors, st.data())
+def test_packed_keys_sort_position_over_term(elem, data):
+    """From the highest down, the packed keys list the positions in order,
+    each with its terms leading-first (POT+grlex).  So among the keys not in
+    ``skip`` the largest is the leading term of what is left, with its
+    coefficient: the term a full reduction, walking down, takes next."""
+    num, den = _packed(elem, N)
+    mask = (1 << TAG) - 1
+    assert [(len(elem) - (k >> TAG), _unpack(k & mask, N)) for k in sorted(num, reverse=True)] \
+        == [(pos, e) for pos, p in enumerate(elem) for e, _ in p.sorted_terms()]
+    skip = data.draw(st.sets(st.sampled_from(sorted(num)))) if num else set()
+    key = max((k for k in num if k not in skip), default=None)
+    rest = [FractionPoly(VARS, {e: v for e, v in p.terms.items()
+                                if (len(elem) - pos) << TAG | _pack(e) not in skip})
+            for pos, p in enumerate(elem)]
+    first = next((pos for pos, r in enumerate(rest) if not r.is_zero), None)
+    if first is None:
+        assert key is None
+        return
+    re, im = num[key]
+    assert (len(elem) - (key >> TAG), _unpack(key & mask, N),
+            GaussianRational(Fraction(re, den), Fraction(im, den))) == \
+        (first, *rest[first].leading_term())
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(polys(), max_size=4).map(tuple))
+def test_pack_then_unpack_keeps_stored_terms(elem):
+    """Packing keeps every term over the lcm of the denominators, in lowest
+    terms; unpacking gives back each position's stored terms, their order
+    and its denominator."""
+    num, den = _packed(elem, N)
+    assert den == lcm(*(p._den for p in elem))
+    assert gcd(den, *(x for c in num.values() for x in c)) == 1
+    assert [(p.vars, list(p._num.items()), p._den) for p in _unpacked((num, den), VARS, len(elem))] \
+        == [(p.vars, list(p._num.items()), p._den) for p in elem]
+
+
+@settings(max_examples=150, deadline=None)
+@given(polys())
+def test_leading_num_matches_leading_term(p):
     if p.is_zero:
         assert p._leading_num() is None
         return
@@ -341,15 +456,6 @@ def test_leading_num_matches_leading_term(p, data):
     assert key == _pack(want_exp)
     assert _unpack(key, len(VARS)) == want_exp == p.leading_term()[0]
     assert GaussianRational(Fraction(re, den), Fraction(im, den)) == want_coeff
-    # outside ``skip``: the leading term of the remaining terms
-    skip = data.draw(st.sets(st.sampled_from(sorted(p.terms))))
-    rest = FractionPoly(VARS, {e: v for e, v in p.terms.items() if e not in skip})
-    if rest.is_zero:
-        assert p._leading_num({_pack(e) for e in skip}) is None
-    else:
-        key, (re, im), den = p._leading_num({_pack(e) for e in skip})
-        assert (_unpack(key, len(VARS)),
-                GaussianRational(Fraction(re, den), Fraction(im, den))) == rest.leading_term()
 
 
 # ---------------------------------------------------------------------------
@@ -445,8 +551,8 @@ def test_degree_views_match_exponent_tuples(p, subset, degree, turns, conjugate)
 
 
 @settings(max_examples=80, deadline=None)
-@given(polys(), polys(), factors(), shifts)
-def test_terms_in_tuple_kernel_storage_order(p, q, f, shift):
+@given(polys(), polys())
+def test_terms_in_tuple_kernel_storage_order(p, q):
     """``terms`` unpacks in storage order, which is the insertion order of
     the exponent-tuple arithmetic (the reference shares its loops): the
     floats of a numeric evaluation see the terms in the same order."""
@@ -455,10 +561,6 @@ def test_terms_in_tuple_kernel_storage_order(p, q, f, shift):
         assert list(got.terms) == list(want.terms)
     if not q.is_zero:
         assert list((p * q).exact_div(q).terms) == list((ref(p) * ref(q)).exact_div(ref(q)).terms)
-    cr, ci, cd, c = f
-    mono = FractionPoly.monomial(VARS, shift or (0,) * len(VARS), c)
-    assert list(p._sub_scaled(q, cr, ci, cd, shift_key(shift)).terms) == \
-        list((ref(p) - mono * ref(q)).terms)
 
 
 def test_degree_limit_is_an_overflow_error():
@@ -479,13 +581,7 @@ def test_degree_limit_is_an_overflow_error():
         x ** (MAX_DEGREE + 1)
     with pytest.raises(OverflowError):
         (x ** 5) * (y ** (MAX_DEGREE - 4) + Poly.one(VARS))
-    with pytest.raises(OverflowError):
-        y._scaled(1, 0, 1, _pack((MAX_DEGREE, 0, 0)))
-    with pytest.raises(OverflowError):
-        x._sub_scaled(y, 1, 0, 1, _pack((0, 0, MAX_DEGREE)))
     assert edge * Poly.one(VARS) == edge
-    assert x._sub_scaled(y, 1, 0, 1, _pack((0, 0, MAX_DEGREE - 1))) == \
-        x - y * Poly(VARS, {(0, 0, MAX_DEGREE - 1): 1})
 
 
 # ---------------------------------------------------------------------------

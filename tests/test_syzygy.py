@@ -1,6 +1,8 @@
 """Syzygies and compatibility complexes over the polynomial ring."""
 
+import hashlib
 import json
+from math import lcm
 from pathlib import Path
 
 import pytest
@@ -10,13 +12,16 @@ from cxkit import syzygy
 from cxkit.complexes import Complex, de_rham_complex
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.fixtures import planar_flow_complex, symmetric_gradient_complex
-from cxkit.poly import GaussianRational, Poly, _key_divides, _key_lcm
+from cxkit.poly import (_WIDTH, GaussianRational, Poly, _check_product, _key_divides,
+                        _key_lcm, _poly, _poly_nonzero)
+from _helpers import stored
 from cxkit.syzygy import (
     BudgetExceeded,
-    _is_zero,
-    _leading,
-    _normalize,
+    _by_tag,
+    _packed,
     _quotient,
+    _record,
+    _reduce,
     compatibility_operator,
     extend_to_complex,
     groebner_basis,
@@ -44,15 +49,12 @@ def test_groebner_basis_membership():
     x = Poly.variable(vars, "x")
     y = Poly.variable(vars, "y")
     gens = [(x * x - y,), (x * y - Poly.one(vars),)]
-    gb = groebner_basis(gens)
+    gb = _by_tag([_record(*_packed(g, 2), 2) for g in groebner_basis(gens)], 2)
     # x (xy - 1) - y (x^2 - y) = y^2 - x is in the ideal
-    from cxkit.syzygy import _is_zero, _leading, _reduce
-
-    leads = [_leading(g) for g in gb]
     member = (y * y - x,)
-    assert _is_zero(_reduce(member, gb, leads))
+    assert not _reduce(*_packed(member, 2), gb, 2)[0]
     non_member = (x + Poly.one(vars),)
-    assert not _is_zero(_reduce(non_member, gb, leads))
+    assert _reduce(*_packed(non_member, 2), gb, 2)[0]
 
 
 def test_interreduce_deterministic():
@@ -64,6 +66,33 @@ def test_interreduce_deterministic():
     r2 = interreduce(list(reversed(gens)))
     assert r1 == r2
     assert len(r1) == 2
+
+
+@pytest.mark.parametrize("budget", [-1, -5])
+def test_negative_budget_is_a_value_error(budget):
+    """A negative S-pair budget is an argument error, raised before any
+    work, also where the module has no S-pair to process."""
+    x = Poly.variable(("x",), "x")
+    d1 = OperatorMatrix.scalar(spatial_signature(1), Poly.variable(("d1",), "d1"))
+    runs = (lambda: groebner_basis([(x,)], budget=budget),
+            lambda: groebner_basis([], budget=budget),
+            lambda: compatibility_operator(_grad(), budget=budget),
+            lambda: compatibility_operator(d1, budget=budget),
+            lambda: extend_to_complex(_grad(), budget=budget),
+            lambda: module_equivalent(_grad(), _grad(), budget=budget))
+    for run in runs:
+        with pytest.raises(ValueError, match=f"^S-pair budget must be non-negative, got {budget}$"):
+            run()
+
+
+def test_zero_budget_covers_modules_without_pairs():
+    sig = spatial_signature(1)
+    d1 = OperatorMatrix.scalar(sig, Poly.variable(sig.vars, "d1"))
+    assert compatibility_operator(d1, budget=0).rows == 0
+    assert extend_to_complex(d1, budget=0) == [d1]
+    assert len(groebner_basis([(Poly.variable(("x",), "x"),)], budget=0)) == 1
+    with pytest.raises(BudgetExceeded, match="S-pair budget of 0 exceeded"):
+        compatibility_operator(_grad(), budget=0)
 
 
 def test_budget_exceeded():
@@ -155,7 +184,77 @@ def test_module_equivalent_shape_mismatch():
 
 
 # ---------------------------------------------------------------------------
-# Reference: first-in, first-out Buchberger without pair criteria
+# Reference: first-in, first-out Buchberger without pair criteria, on
+# elements stored as one Poly per position.  The leading term, the scaling,
+# the zero test and the per-component reduction step are the library's
+# earlier tuple-of-Poly code, kept here as an independent reference.
+
+
+def _leading(elem):
+    """(position, key, numerator, denominator) of the POT+grlex leading
+    term; None if zero.  Lower position dominates (reference)."""
+    for pos, p in enumerate(elem):
+        if not p.is_zero:
+            return (pos, *p._leading_num())
+    return None
+
+
+def _is_zero(elem) -> bool:
+    return all(p.is_zero for p in elem)
+
+
+def _normalize(elem):
+    """Scale so the leading coefficient is one (reference)."""
+    lead = _leading(elem)
+    if lead is None:
+        return elem
+    _, _, num, den = lead
+    c = _quotient((1, 0), 1, num, den)
+    return tuple(p if p.is_zero else _scaled(p, *c) for p in elem)
+
+
+def _scaled(p, cr, ci, cd, shift=0):
+    """``((cr + ci*i)/cd) * x^shift * p`` on the numerators, for ints with
+    ``cd > 0`` and the key ``shift`` (reference)."""
+    if shift and p._num:
+        _check_product(max(p._num), shift, _WIDTH * len(p.vars))
+    out = {k + shift: (re * cr - im * ci, re * ci + im * cr)
+           for k, (re, im) in p._num.items()}
+    return _poly(p.vars, out, p._den * cd)
+
+
+def _sub_scaled(p, g, cr, ci, cd, shift=0):
+    """``p - ((cr + ci*i)/cd) * x^shift * g`` in one pass over the numerators
+    of both, over ``lcm(den, g.den * cd)``: one component of a reduction step
+    (reference)."""
+    p._check_vars(g)
+    if not g._num or not (cr or ci):
+        return p
+    if shift:
+        _check_product(max(g._num), shift, _WIDTH * len(p.vars))
+    gd = g._den * cd
+    den = lcm(p._den, gd)
+    fa, fg = den // p._den, den // gd
+    cr, ci = -cr * fg, -ci * fg  # negated, so the loop adds
+    if fa == 1:
+        out = dict(p._num)
+    else:
+        out = {k: (re * fa, im * fa) for k, (re, im) in p._num.items()}
+    get = out.get
+    for k, (re, im) in g._num.items():
+        k += shift
+        pr, pi = re * cr - im * ci, re * ci + im * cr
+        c = get(k)
+        if c is None:
+            out[k] = (pr, pi)
+        else:
+            pr += c[0]
+            pi += c[1]
+            if pr or pi:
+                out[k] = (pr, pi)
+            else:
+                del out[k]  # cancelled: out keeps no zero numerator
+    return _poly_nonzero(p.vars, out, den)
 
 
 def _fifo_reduce(elem, basis, leads):
@@ -170,7 +269,7 @@ def _fifo_reduce(elem, basis, leads):
             if gpos == pos and _key_divides(gexp, exp):
                 c = _quotient(num, den, gnum, gden)
                 shift = exp - gexp
-                result = tuple(p._sub_scaled(q, *c, shift) for p, q in zip(result, g))
+                result = tuple(_sub_scaled(p, q, *c, shift) for p, q in zip(result, g))
                 break
         else:
             return result
@@ -194,10 +293,10 @@ def _fifo_groebner_basis(gens, *, budget=syzygy.DEFAULT_PAIR_BUDGET):
         processed += 1
         if processed > budget:
             raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
-        lcm = _key_lcm(ei, ej, len(basis[i][0].vars))
+        lcm_ = _key_lcm(ei, ej, len(basis[i][0].vars))
         ci, cj = _quotient((1, 0), 1, ni, di), _quotient((1, 0), 1, nj, dj)
-        si, sj = lcm - ei, lcm - ej
-        s = tuple(p._scaled(*ci, si)._sub_scaled(q, *cj, sj)
+        si, sj = lcm_ - ei, lcm_ - ej
+        s = tuple(_sub_scaled(_scaled(p, *ci, si), q, *cj, sj)
                   for p, q in zip(basis[i], basis[j]))
         s = _fifo_reduce(s, basis, leads)
         if not _is_zero(s):
@@ -209,33 +308,47 @@ def _fifo_groebner_basis(gens, *, budget=syzygy.DEFAULT_PAIR_BUDGET):
     return basis
 
 
+def _fifo_packed(vecs, n, budget):
+    """The reference Buchberger in place of the library's packed one: the
+    vectors unpacked to one Poly per position (over as many positions as
+    their highest tag names, which keeps the order of positions), the
+    reference run, its basis packed back into records."""
+    vecs = list(vecs)
+    shift = _WIDTH * (n + 1)
+    npos = max((k >> shift for num, _ in vecs for k in num), default=0)
+    vars = tuple(f"x{i}" for i in range(n))
+    gb = _fifo_groebner_basis([syzygy._unpacked(v, vars, npos) for v in vecs], budget=budget)
+    return [_record(*_packed(g, n), n) for g in gb]
+
+
 def _with_fifo(run):
     """``run()`` with the syzygies computed by the reference Buchberger; the
     library's full reduction (``interreduce``) still follows it."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(syzygy, "groebner_basis", _fifo_groebner_basis)
+        mp.setattr(syzygy, "_groebner", _fifo_packed)
         return run()
 
 
 def _counting_pairs(run):
-    """``run()`` and the S-pairs processed by each ``groebner_basis`` call in
-    it, in call order.  The library reduces each processed pair once with
-    ``_reduce`` and calls ``_reduce`` nowhere else on the way to a
-    compatibility operator; ``test_budget_exceeded_at_pinned_pair_count``
+    """``run()`` and the S-pairs processed by each Buchberger run in it (the
+    packed ``_groebner``), in call order.  The library reduces each processed
+    pair once with a leading-term ``_reduce``, and on the way to a
+    compatibility operator calls ``_reduce`` elsewhere only for the full
+    reductions of ``interreduce``; ``test_budget_exceeded_at_pinned_pair_count``
     checks the counts against the budget."""
     counts = []
-    real_gb, real_reduce = syzygy.groebner_basis, syzygy._reduce
+    real_gb, real_reduce = syzygy._groebner, syzygy._reduce
 
     def gb(*args, **kwargs):
         counts.append(0)
         return real_gb(*args, **kwargs)
 
-    def reduce(*args):
-        counts[-1] += 1
-        return real_reduce(*args)
+    def reduce(*args, full=False):
+        counts[-1] += not full
+        return real_reduce(*args, full=full)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(syzygy, "groebner_basis", gb)
+        mp.setattr(syzygy, "_groebner", gb)
         mp.setattr(syzygy, "_reduce", reduce)
         return run(), counts
 
@@ -358,14 +471,38 @@ def test_pinned_operators_are_reduced():
              min_size=len(_module(name)[1]), max_size=len(_module(name)[1])))))
 def test_criteria_match_fifo_reference(case):
     """On any row order and rescaling of the four benchmark modules, the
-    compatibility operator equals the reference's plus full reduction byte
-    for byte, and is reduced."""
+    compatibility operator equals the reference's plus full reduction in
+    every stored term and denominator, and is reduced.  The order in which
+    an entry stores its terms follows the reduction path, and the reference
+    takes other S-pairs, so that order is compared with the pinned one in
+    ``test_pinned_operators_store_their_terms_in_order`` instead."""
     name, order, scales = case
     op = _operator(name, order, scales)
     got = compatibility_operator(op)
-    assert str(got.body) == str(_with_fifo(lambda: compatibility_operator(op)).body)
+    want = _with_fifo(lambda: compatibility_operator(op))
+    assert _terms(got) == _terms(want)
+    assert str(got.body) == str(want.body)
     assert (got @ op).is_zero
     _assert_reduced(got)
+
+
+def _terms(op: OperatorMatrix) -> list:
+    """Each entry's variables, numerator terms by key and denominator."""
+    return [[(p.vars, sorted(p._num.items()), p._den) for p in row] for row in op.body.entries]
+
+
+# sha256 of the stored terms, in storage order, of each pinned resolution
+STORED_SHA256 = "5c093770c54c6b2984dd46758cea0c95923ac7fc468ebc9c059c97b24a0f066a"
+
+
+def test_pinned_operators_store_their_terms_in_order():
+    """The pinned bytes print each entry's terms sorted; this pins the order
+    the reductions store them in too, which a numeric evaluation of the
+    entries follows."""
+    digest = hashlib.sha256()
+    for key, op in _pinned_cases():
+        digest.update(repr((key, [stored(o) for o in extend_to_complex(op)[1:]])).encode())
+    assert digest.hexdigest() == STORED_SHA256
 
 
 def test_symmetric_gradient_3d_resolution():
