@@ -46,8 +46,8 @@ kernel itself: their table columns are 1.0 at every exponent, the float
 ``1.0 ** e`` is on that route.
 
 The scan draws a scrambled Sobol sequence mapped to the sphere through the
-inverse normal distribution function, values it ``_SCAN_BLOCK`` rows at a
-time (a row's float does not depend on the block; see :func:`_scan`), and
+inverse normal distribution function, values it ``_SCAN_BLOCK`` (2048) rows
+at a time (a row's float does not depend on the block; see :func:`_scan`), and
 polishes the best candidates with Nelder-Mead.  Sobol, the inverse normal
 and Nelder-Mead are ports that return the floats of
 ``scipy.stats.qmc.Sobol(scramble=True)``, ``scipy.special.ndtri`` and
@@ -69,22 +69,30 @@ one would take 64 MB.  Only a process that scans one key more than once
 gains; a process that runs one check raises each column once, as it would
 without the memo.  The polish raises its own points on each call.
 
-The polishes run as one array of simplices.  Each iteration values the
-four candidate vertices (reflection, expansion and both contractions) of
-every run still running in one batched objective call, though a run uses
-one or two of them, then takes each run's step by scipy's branch rules.
-Each row must get the float of a one-point call, so the polish evaluates the
-kernel with one dot product per row, and the speculation moves no float;
-the scan keeps its one matrix-vector product per entry, whose sums round
-differently in some rows, because its floats pick the candidates and are
-reported.
+The polishes of the best 16 scan points run in lock-step (:func:`_polish`)
+on one (R, N + 1, N + 1) array, each vertex followed by its value: a sort
+is one argsort and one gather, a step writes one row, and each iteration
+values the four candidates of every live run in one batched call, though a
+run uses one or two.  Each row must get the float of a one-point call, so
+the polish evaluates the kernel with one dot product per row and the
+speculation moves no float; the scan keeps its one matrix-vector product
+per entry, whose sums round differently in some rows, because its floats
+pick the candidates and are reported.  The small decisions (converged,
+which step, a row near the origin) are Python bools read through
+``tolist``: over at most 16 runs a numpy mask or reduction costs more to
+dispatch than its comparisons.  What an iteration still costs is the
+kernel's, whose bits every pinned report depends on: float64 ``power``
+takes a special-case route for negative bases (~150 ns per coordinate
+against ~4 ns for positive ones), and neither ``x * x``, sign times
+``|x| ** e`` nor the C library's ``pow`` gives its bits; each 3 x 3 least
+eigenvalue is one LAPACK ``zheevd`` call.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -489,13 +497,13 @@ _A = np.array([2.0, 3.0, 1.5, 0.5])[:, None, None]
 _B = np.array([1.0, 2.0, 0.5, -0.5])[:, None, None]
 
 
-def _reorder(sim: np.ndarray, fsim: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each run's vertices in the order ``np.argsort`` gives its values, as
-    scipy orders them: a row-wise argsort sorts each row as a one-row one
-    does, and its order of equal values differs from a stable sort's."""
-    ind = np.argsort(fsim, axis=1)
-    run = np.arange(len(fsim))[:, None]
-    return sim[run, ind], fsim[run, ind]
+def _reorder(state: np.ndarray) -> np.ndarray:
+    """Each run's vertices in the order ``np.argsort`` gives their values
+    (the last column), as scipy orders them: a row-wise argsort sorts each
+    row as a one-row one does, and its order of equal values differs from a
+    stable sort's."""
+    ind = np.argsort(state[..., -1], axis=1)
+    return state[np.arange(len(state))[:, None], ind]
 
 
 def _polish(objective: Callable[[np.ndarray], np.ndarray],
@@ -506,71 +514,79 @@ def _polish(objective: Callable[[np.ndarray], np.ndarray],
 
     Every floating-point operation of a run is the one, in the order, that
     scipy's ``minimize(method="Nelder-Mead")`` performs without bounds,
-    callback or ``maxfev``, so both return the same floats.  The runs are
-    held as one (R, N + 1, N) array of simplices.  Each iteration values the
-    four candidates of every run still running in one call of ``objective``
+    callback or ``maxfev``, so both return the same floats.  Row k of run r
+    of the state is vertex k followed by its value.  Each iteration values
+    the candidates of every run still running in one call of ``objective``
     (which maps a (B, N) array to its B values and must give a row the float
-    it gives that row alone), takes each run's step by scipy's branches, and
-    values the new vertices of the runs that shrink in a second call.  A run
-    that has converged drops out."""
+    it gives that row alone) and the new vertices of the runs that shrink in
+    a second.  A run that has converged drops out."""
     x0 = np.array(starts, dtype=float)
     R, N = x0.shape
-    sim = np.repeat(x0[:, None, :], N + 1, axis=1)
+    state = np.empty((R, N + 1, N + 1))
+    state[..., :N] = x0[:, None, :]
     k = np.arange(N)
-    sim[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
-    fsim = objective(sim.reshape(-1, N)).reshape(R, N + 1)
+    state[:, k + 1, k] = np.where(x0 != 0, (1 + 0.05) * x0, 0.00025)
+    state[..., N] = objective(state[..., :N].reshape(-1, N)).reshape(R, N + 1)
     results: list = [None] * R
-    live = np.arange(R)
+    live = list(range(R))
 
-    def finish(runs: np.ndarray, sims: np.ndarray, fsims: np.ndarray) -> None:
-        for r, s, f in zip(runs, sims, fsims):
-            results[r] = (np.min(f), s[0].copy())
+    def finish(rows: Iterable[int]) -> None:
+        for r in rows:
+            # the values copied, as scipy's np.min reads a contiguous row
+            results[live[r]] = (np.min(state[r, :, N].copy()), state[r, 0, :N].copy())
 
     # inf - inf in the convergence test and overflow at runaway vertices are
     # NaN and inf, as in scipy
     with np.errstate(invalid="ignore", over="ignore"):
         # sorted twice, as scipy does; an argsort of sorted values keeps
         # their order on numpy 2.4, but no numpy promises it
-        sim, fsim = _reorder(*_reorder(sim, fsim))
+        state = _reorder(_reorder(state))
         for _ in range(1, maxiter):
-            # scipy's max(...) <= tol: a NaN fails it
-            done = ((np.abs(sim[:, 1:] - sim[:, :1]) <= xatol).reshape(len(live), -1)
-                    .all(axis=1) & (np.abs(fsim[:, :1] - fsim[:, 1:]) <= fatol).all(axis=1))
-            if done.any():
-                finish(live[done], sim[done], fsim[done])
-                sim, fsim, live = sim[~done], fsim[~done], live[~done]
-                if not len(live):
-                    break
-            # the centroid of all but the worst vertex; numpy's add.reduce
-            # over the rows starts from 0.0, not the first row (the sums
-            # differ in the sign of a zero)
-            xbar = np.zeros((len(live), N))
-            for j in range(N):
-                xbar += sim[:, j]
-            xbar /= N
-            cand = _A * xbar - _B * sim[:, -1]
-            fcand = objective(cand.reshape(-1, N)).reshape(4, -1)
-            fr, fe, fc, fcc = fcand
-            # scipy's branches: expand if fr < f[0], else reflect if
-            # fr < f[-2], else contract outside if fr < f[-1], else inside
-            expand = fr < fsim[:, 0]
-            near = expand | (fr < fsim[:, -2])
-            outside = fr < fsim[:, -1]
-            step = np.where(near, np.where(expand & (fe < fr), _EXPAND, _REFLECT),
-                            np.where(outside, _OUTSIDE, _INSIDE))
-            accept = near | np.where(outside, fc <= fr, fcc < fsim[:, -1])
-            run = np.arange(len(live))
-            sim[:, -1] = np.where(accept[:, None], cand[step, run], sim[:, -1])
-            fsim[:, -1] = np.where(accept, fcand[step, run], fsim[:, -1])
-            if not accept.all():
+            # scipy's max(|f[0] - f[1:]|) <= fatol, a NaN failing it, is
+            # |f[-1] - f[0]| <= fatol on values sorted NaN last, as rounding
+            # is monotone; only runs whose values pass get the vertex test
+            f = state[..., N].tolist()
+            close = [abs(v[-1] - v[0]) <= fatol for v in f]
+            if True in close:
+                near = (np.abs(state[:, 1:, :N] - state[:, :1, :N]) <= xatol).reshape(len(f), -1)
+                done = [c and d for c, d in zip(close, near.all(axis=1).tolist())]
+                if True in done:
+                    finish(r for r, d in enumerate(done) if d)
+                    keep = [r for r, d in enumerate(done) if not d]
+                    state, live, f = state[keep], [live[r] for r in keep], [f[r] for r in keep]
+                    if not live:
+                        break
+            sim = state[..., :N]
+            # the centroid of all but the worst vertex: numpy's add.reduce
+            # starts from 0.0, as scipy's, and adds the rows in order
+            xbar = np.add.reduce(sim[:, :N], axis=1) / N
+            cand = np.empty((4, len(live), N + 1))
+            np.subtract(_A * xbar, _B * sim[:, -1], out=cand[..., :N])
+            cand[..., N] = objective(cand[..., :N].reshape(-1, N)).reshape(4, -1)
+            # scipy's branches: expand if fr < f[0], else reflect if fr < f[-2],
+            # else contract outside if fr < f[-1] (kept if fc <= fr), else
+            # inside (kept if fcc < f[-1]); a contraction not kept shrinks
+            step = []
+            for fr, fe, fc, fcc, fs in zip(*cand[..., N].tolist(), f):
+                if fr < fs[0]:
+                    step.append(_EXPAND if fe < fr else _REFLECT)
+                elif fr < fs[-2]:
+                    step.append(_REFLECT)
+                elif fr < fs[-1]:
+                    step.append(_OUTSIDE if fc <= fr else None)
+                else:
+                    step.append(_INSIDE if fcc < fs[-1] else None)
+            accept = [r for r, s in enumerate(step) if s is not None]
+            state[accept, -1] = cand[[step[r] for r in accept], accept]
+            shrink = [r for r, s in enumerate(step) if s is None]
+            if shrink:
                 # shrink towards the best vertex, sigma = 1/2
-                shrink = ~accept
-                best = sim[shrink, :1]
-                sim[shrink, 1:] = best + 0.5 * (sim[shrink, 1:] - best)
-                fsim[shrink, 1:] = objective(
-                    sim[shrink, 1:].reshape(-1, N)).reshape(-1, N)
-            sim, fsim = _reorder(sim, fsim)
-        finish(live, sim, fsim)
+                best = state[shrink, :1, :N]
+                new = best + 0.5 * (state[shrink, 1:, :N] - best)
+                state[shrink, 1:, :N] = new
+                state[shrink, 1:, N] = objective(new.reshape(-1, N)).reshape(-1, N)
+            state = _reorder(state)
+        finish(range(len(live)))
     return results
 
 
@@ -587,13 +603,24 @@ def _on_sphere(fn: Callable[..., np.ndarray]
         n = np.sqrt((xs[:, None, :] @ xs[:, :, None])[:, 0, 0])
         # a NaN norm is evaluated, as a one-point call evaluates it
         near = n < 1e-9
-        if not near.any():
+        if True not in near.tolist():
             return fn(xs / n[:, None], _per_point=True)
         out = np.full(len(xs), np.inf)
         out[~near] = fn(xs[~near] / n[~near, None], _per_point=True)
         return out
 
     return objective
+
+
+def _least(values: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(values, kind="stable")[:count]``, sorting only the values
+    up to the count-th least and its ties (all of them if that is a NaN,
+    which sorts last)."""
+    if len(values) <= count:
+        return np.argsort(values, kind="stable")
+    kth = values[np.argpartition(values, count - 1)[count - 1]]
+    at = np.flatnonzero(~(values > kth))
+    return at[np.argsort(values[at], kind="stable")[:count]]
 
 
 def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
@@ -603,7 +630,7 @@ def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
     memo = _scan_memo(dim, budget, seed)
     pts = memo.points
     values = _scan(fn, memo)
-    order = np.argsort(values, kind="stable")[:_POLISH_COUNT]
+    order = _least(values, _POLISH_COUNT)
     found = [[(float(values[idx]), _canonical_point(pts[idx]))] for idx in order]
     if dim > 1:
         polished = _polish(_on_sphere(fn), pts[order], xatol=1e-12,

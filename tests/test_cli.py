@@ -304,6 +304,24 @@ def test_numeric_ellipticity_report_bytes(tmp_path, kind):
         assert out.read_bytes() == want.read_bytes(), run
 
 
+# The polish's hard cases, pinned before its state moved into one array; the
+# CI smoke step runs the installed entry point on the same files.  In
+# quadratic4.spec (-sum a_ij d_i d_j, a positive definite) one of the 16
+# runs reaches the iteration limit; lame3.spec is the 3-D Lame operator at
+# lambda = -13/10, mu = 7/5, whose symbol's least eigenvalue is mu on the
+# whole sphere, a flat objective of 3x3 eigenvalues with shared entries.
+@pytest.mark.parametrize("name, kind", [("quadratic4", "petrovskii"), ("lame3", "strong")])
+def test_polish_hard_case_report_bytes(tmp_path, name, kind):
+    from cxkit import sphere
+
+    out = tmp_path / "report.json"
+    sphere._scan_memo.cache_clear()
+    for _ in range(2):
+        assert _run(["ellipticity", "--spec", str(DATA / f"{name}.spec"), "--kind", kind,
+                     "--json", str(out)]) == 0
+        assert out.read_bytes() == (DATA / f"ellipticity_{name}_{kind}.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["syzygy", "extend"])
 @pytest.mark.parametrize("budget", ["-1", "-5"])
 def test_negative_pair_budget_is_json_error(spec_file, capsys, command, budget):

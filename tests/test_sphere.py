@@ -24,7 +24,9 @@ speculative candidates per run in one batched call.  ``_nelder_mead_steps``
 and its runner ``_lock_step_polish`` are the earlier polish, one simplex
 of Python floats per run, and ``_on_sphere_one`` the earlier
 one-point polish objective, kept verbatim as the reference: each polish must
-end on the floats the one-point search gives.
+end on the floats the one-point search gives.  ``_reference_rounds`` replays
+each start alone through the reference to check which rows each batched call
+values.
 """
 
 import itertools
@@ -1008,6 +1010,116 @@ def test_polish_matches_reference_search(data):
         objective, dim = _row_by_row(one_point), data.draw(st.integers(2, 5))
     starts_ = data.draw(st.lists(starts(dim), min_size=1, max_size=16))
     assert_polish_matches_reference(objective, one_point, starts_, maxiter)
+
+
+def _reference_rounds(one_point: Callable[[np.ndarray], float],
+                      starts_: Sequence[np.ndarray], maxiter: int
+                      ) -> list[dict[int, list[list[float]]]]:
+    """Each start's reference one-point search, run alone: for each
+    iteration it reaches, the points it asks for in that iteration
+    (reflection first, then an expansion or contraction, then the N vertices
+    of a shrink), read off the generator's ``iterations`` counter."""
+    rounds = []
+    for x0 in starts_:
+        run, asked = _nelder_mead_steps(x0, 1e-12, 1e-14, maxiter), {}
+        ask = next(run)
+        try:
+            while True:
+                it = run.gi_frame.f_locals.get("iterations", 0)
+                asked.setdefault(it, []).append(ask)
+                ask = run.send([one_point(np.array(x)) for x in ask])
+        except StopIteration:
+            rounds.append(asked)
+    return rounds
+
+
+def assert_batches_match_rounds(objective, one_point, starts_, maxiter):
+    """The batched polish makes, per iteration, one call of 4 x (runs still
+    running) rows whose first block holds each such run's reflection, and,
+    when runs shrink, one of N x (shrinking runs) rows holding their new
+    vertices in run order: a run that has converged is never valued again.
+    Returns how many shrink calls were made."""
+    calls = []
+
+    def recording(xs):
+        calls.append(np.array(xs))
+        return objective(xs)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the reference's inf - inf
+        sphere._polish(recording, starts_, xatol=1e-12, fatol=1e-14, maxiter=maxiter)
+        rounds = _reference_rounds(one_point, starts_, maxiter)
+    R, N = len(starts_), len(starts_[0])
+    # (rows of the call, the rows it starts with)
+    want, shrinks = [(R * (N + 1), [x for asked in rounds for x in asked[0][0]])], 0
+    for it in range(1, max(max(asked) for asked in rounds) + 1):
+        live = [asked[it] for asked in rounds if it in asked]
+        want.append((4 * len(live), [ask[0][0] for ask in live]))  # the reflections
+        shrink = [x for ask in live for x in ask[-1] if len(ask[-1]) == N]
+        if shrink:
+            want.append((len(shrink), shrink))
+            shrinks += 1
+    assert [len(c) for c in calls] == [rows for rows, _ in want]
+    for got, (_, first) in zip(calls, want):
+        assert got[:len(first)].tobytes() == np.array(first).tobytes()
+    return shrinks
+
+
+def test_polish_batches_each_iteration_once():
+    """Runs that stop in different rounds, some at ``maxiter``, and runs
+    that shrink (on the plateaus, almost every round): one candidate call per
+    iteration over the live runs, one shrink call when any run shrinks."""
+    shrinks = 0
+    for fn in _edge_forms():
+        for maxiter in (600, 40, 3, 1):
+            shrinks += assert_batches_match_rounds(sphere._on_sphere(fn), _on_sphere_one(fn),
+                                                   _edge_starts(), maxiter)
+    for func in _PLATEAUS[1:]:
+        for maxiter in (40, 3):
+            shrinks += assert_batches_match_rounds(_row_by_row(func), func,
+                                                   [*_unit_rows(4, 5, 7), np.ones(4)], maxiter)
+    assert shrinks > 0
+
+
+# ---------------------------------------------------------------------------
+# The starts: the best scan values, stably ordered
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from([-1.5, 0.0, -0.0, 0.25, 2.0, 2.0 + 2**-51,
+                                 float("inf"), float("-inf"), float("nan")]),
+                min_size=1, max_size=40),
+       st.integers(1, 20))
+def test_least_matches_stable_argsort(values, count):
+    """Ties (a small pool of values, 0.0 and -0.0 among them), infinities and
+    NaN, with fewer values than starts and more."""
+    values = np.array(values)
+    want = np.argsort(values, kind="stable")[:count]
+    got = sphere._least(values, count)
+    assert got.dtype == want.dtype and got.tolist() == want.tolist()
+
+
+@pytest.mark.parametrize("dim, budget", [(1, 20_000), (3, 5), (3, 16), (3, 17), (2, 300)])
+def test_search_polishes_the_stably_sorted_best_starts(monkeypatch, dim, budget):
+    """The search polishes the scan points that a stable argsort of the scan
+    values puts first: all of them below 16 (a budget below 16, or the
+    two-point scan of one variable, which is not polished)."""
+    polished = []
+    monkeypatch.setattr(sphere, "_polish",
+                        lambda objective, starts_, **kw: polished.append(starts_) or [])
+    sig = spatial_signature(dim)
+    form = sum((Poly.variable(sig.vars, v) for v in sig.vars), Poly.zero(sig.vars))
+    fn = _values(SymbolMatrix(sig, PolyMatrix(sig.vars, [[form * form]])))
+    value, point = sphere._sphere_minimize(fn, dim, DEFAULT_SEED, budget)
+    memo = sphere._scan_memo(dim, budget, DEFAULT_SEED)
+    values = sphere._scan(fn, memo)
+    order = np.argsort(values, kind="stable")[:sphere._POLISH_COUNT]
+    assert value == min(values) and len(order) == min(budget if dim > 1 else 2, 16)
+    if dim == 1:
+        assert polished == []
+    else:
+        starts_, = polished
+        assert starts_.tobytes() == memo.points[order].tobytes()
 
 
 def _lame(n: int, lam: Fraction, mu: Fraction) -> OperatorMatrix:
