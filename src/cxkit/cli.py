@@ -270,20 +270,12 @@ _COMMANDS = {name[4:].replace("_", "-"): fn
              for name, fn in globals().items() if name.startswith("cmd_")}
 
 
-def _reported_errors() -> tuple[type[Exception], ...]:
-    """The errors a command reports as JSON.  The library's own two are taken
-    from loaded modules only: a module the command did not import raised none."""
-    library = (("cxkit.syzygy", "BudgetExceeded"), ("cxkit.symbols", "HypothesisFailure"))
-    return (ValueError, ArithmeticError, OSError,
-            *(getattr(sys.modules[mod], name) for mod, name in library if mod in sys.modules))
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         report = _COMMANDS[args.command](args)
-    except _reported_errors() as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         report = {"command": args.command, "error": str(exc), "ok": False}
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if getattr(args, "json_out", None):

@@ -303,10 +303,25 @@ class MuSet:
         return q not in self._mu0 and q not in self._mu1
 
     def orders(self, q: int) -> tuple[int, int]:
-        """(2*mtilde_q, 2*mhat_q): the orders of mu0_q and mu1_q (0 if absent)."""
+        """(mtilde_q, mhat_q): half the orders of mu0_q and mu1_q (0 if
+        absent); an odd order has no half and raises ``ValueError``."""
         derivs = self.cplx.signature.derivative_vars
-        return tuple(max(w.total_degree(derivs) if isinstance(w, Poly) else w.order(), 0)
-                     if w is not None else 0 for w in (self._mu0.get(q), self._mu1.get(q)))
+        halves = []
+        for name, w in (("mu0", self._mu0.get(q)), ("mu1", self._mu1.get(q))):
+            order = 0 if w is None else max(
+                w.total_degree(derivs) if isinstance(w, Poly) else w.order(), 0)
+            if order % 2:
+                raise ValueError(f"weight {name} at degree {q} has odd order {order}")
+            halves.append(order // 2)
+        return tuple(halves)
+
+    def delta_half_order(self, q: int) -> int:
+        """Half the order of delta_{q,mu}: m_q + mtilde_q below the top
+        degree, m_{N-1} + mhat_N at the top, m_q the order of A_q."""
+        mtilde, mhat = self.orders(q)
+        if q < self.cplx.length:
+            return self.cplx.op(q).order() + mtilde
+        return self.cplx.op(q - 1).order() + mhat
 
 
 # ---------------------------------------------------------------------------
@@ -345,16 +360,14 @@ def perturbed_laplacian(cplx: Complex, q: int, mu: MuSet,
                         lower: OperatorMatrix | None = None) -> OperatorMatrix:
     """Generalized Laplacian plus an explicitly lower-order perturbation.
 
-    The perturbation must have order at most ``2 (m_q + mtilde_q) - 1`` where
-    ``m_q`` is the order of A_q (of A_{q-1} at the top degree); a higher one
-    raises ``ValueError``.
+    The perturbation's order must be below delta_{q,mu}'s: at most
+    ``2 (m_q + mtilde_q) - 1``, or ``2 (m_{N-1} + mhat_N) - 1`` at the top
+    degree N (``MuSet.delta_half_order``); a higher one raises ``ValueError``.
     """
     top = generalized_laplacian(cplx, q, mu)
     if lower is None:
         return top
-    m_q = cplx.op(q).order() if q < cplx.length else cplx.op(q - 1).order()
-    mtilde2, _ = mu.orders(q)
-    limit = 2 * m_q + mtilde2 - 1
+    limit = 2 * mu.delta_half_order(q) - 1
     if lower.order() > limit:
         raise ValueError(f"perturbation order {lower.order()} exceeds the limit {limit}")
     return top + lower

@@ -19,8 +19,9 @@ product at most ``poly.MAX_DEGREE``, a bound on its term count at most
 ``MAX_COEFF_BITS`` and one on the term products of each multiply at most
 ``MAX_TERM_PRODUCTS``.  Builder sizes are at least 1 and at most what keeps
 every differential within ``MAX_MATRIX_ENTRIES`` entries, and the
-``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  Parse errors carry
-line/column.
+``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  A name is declared
+once across ``vars``, ``time`` and ``params``, and never ``i``; an operator
+or complex name is defined once.  Parse errors carry line/column.
 """
 
 from __future__ import annotations
@@ -337,21 +338,21 @@ def parse(text: str) -> SpecDocument:
             p.expect("punct", ":")
             names = []
             while p.current.kind == "name":
-                names.append(p.expect("name").text)
+                names.append(_new_name(p.expect("name"), doc.signature.vars + tuple(names)))
             p.expect("end")
             setattr(doc, "spatial" if head.text == "vars" else "params", tuple(names))
         elif head.text == "time":
             p.expect("punct", ":")
-            doc.time = p.expect("name").text
+            doc.time = _new_name(p.expect("name"), doc.signature.vars)
             p.expect("end")
         elif head.text == "operator":
-            name = p.expect("name").text
+            name = _new_name(p.expect("name"), doc.operators, "operator")
             p.expect("punct", "=")
             entries = p.matrix()
             p.expect("end")
             doc.operators[name] = OperatorMatrix.from_entries(doc.signature, entries)
         elif head.text == "complex":
-            name = p.expect("name").text
+            name = _new_name(p.expect("name"), doc.complexes, "complex")
             p.expect("punct", "=")
             doc.complexes[name] = _parse_complex(p, doc, name)
             p.expect("end")
@@ -377,6 +378,16 @@ def parse(text: str) -> SpecDocument:
         else:
             raise SpecError(f"unknown statement {head.text!r}", head.line, head.column)
     return doc
+
+
+def _new_name(tok: Token, taken, kind: str = "name") -> str:
+    """The name ``tok`` declares, else an error located at it: ``i`` always
+    parses as the imaginary unit, and a name in ``taken`` is declared."""
+    if kind == "name" and tok.text == "i":
+        raise SpecError("'i' is the imaginary unit and cannot be declared", tok.line, tok.column)
+    if tok.text in taken:
+        raise SpecError(f"{kind} {tok.text!r} already declared", tok.line, tok.column)
+    return tok.text
 
 
 def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:

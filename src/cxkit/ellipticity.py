@@ -219,14 +219,6 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
 # Douglis-Nirenberg weights
 
 
-def _complex_orders(cplx: Complex, mu: MuSet | None):
-    mu = mu or MuSet.identity(cplx)
-    m = [cplx.op(j).order() for j in range(cplx.length)]
-    mtilde = [mu.orders(j)[0] // 2 for j in range(cplx.length + 1)]
-    mhat = [mu.orders(j)[1] // 2 for j in range(cplx.length + 1)]
-    return m, mtilde, mhat
-
-
 def _plan(m: Sequence[int], down: Sequence[int], up: Sequence[int], top: int,
           s0: int, scheme: str) -> WeightPlan:
     """The weights solving, for j = 1..top at degree top - j,
@@ -257,25 +249,27 @@ def dn_weights_maxwell(cplx: Complex, mu: MuSet | None = None
     n = cplx.length
     if n < 1:
         raise ValueError("need a complex of length at least 1")
-    m, mtilde, mhat = _complex_orders(cplx, mu)
+    mu = mu or MuSet.identity(cplx)
+    m = [cplx.op(j).order() for j in range(n)]
+    mtilde, mhat = zip(*map(mu.orders, range(n + 1)))
     zero = [0] * (n + 1)
     # s_1 = m_{N-1} + down_{N-1} makes the first step give t_2 = 0
-    return (_plan(m, mtilde, zero, n, m[n - 1] + mtilde[n - 1], "maxwell"),
+    return (_plan(m, mtilde, zero, n, mu.delta_half_order(n - 1), "maxwell"),
             _plan(m, zero, mhat, n, m[n - 1], "maxwell"))
 
 
 def dn_weights_stokes(cplx: Complex, q: int, mu: MuSet | None = None) -> WeightPlan:
     """Weight plan for the Stokes operator at degree q, seeded with t_1 = 0 and
-    s_1 = 2(m_q + mtilde_q)."""
+    s_1 = 2(m_q + mtilde_q) (2(m_{N-1} + mhat_N) at the top degree)."""
     cplx.check_degree(q)
-    m, mtilde, mhat = _complex_orders(cplx, mu)
-    if 0 < q < cplx.length and m[q] + mtilde[q] != m[q - 1] + mhat[q]:
+    mu = mu or MuSet.identity(cplx)
+    half = mu.delta_half_order(q)
+    if 0 < q < cplx.length and half != cplx.op(q - 1).order() + mu.orders(q)[1]:
         raise ValueError(
             f"order balance m_q + mtilde_q = m_(q-1) + mhat_q violated at q={q}"
         )
-    s0 = 2 * (m[q] + mtilde[q]) if q < cplx.length else 2 * (m[q - 1] + mhat[q])
     zero = [0] * q
-    return _plan(m, zero, zero, q, s0, "stokes")
+    return _plan([cplx.op(j).order() for j in range(q)], zero, zero, q, 2 * half, "stokes")
 
 
 # ---------------------------------------------------------------------------

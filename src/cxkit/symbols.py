@@ -16,7 +16,8 @@ The symbol-level objects (delta_q, sigma(M0), sigma(M1), the factorization
 residual) are the operator builders of :mod:`cxkit.complexes` and
 :mod:`cxkit.blockops` run on ``Complex.principal_symbols()`` with the weights'
 ``MuSet.principal_symbols``: products sigma(mu) sigma(A), never sigma(mu A).
-Each routine computes those symbols once and passes them down.
+Each routine computes those symbols once and passes them down; a Stokes
+routine builds one table of delta_{j,mu}, j <= q, and passes its blocks down.
 """
 
 from __future__ import annotations
@@ -278,12 +279,8 @@ def maxwell_symbol(cplx: Complex, q: int, mu: MuSet | None = None,
     return maxwell(sym, q, mus, variant)
 
 
-def _stokes_dn(sym: Complex, mus: MuSet, q: int, i_tau: Poly | None = None) -> SymbolMatrix:
-    """``B_q delta_{q,mu} B_q + sigma(M0)``, unweighted off the diagonal, as
-    one placement; with ``i_tau``, plus ``B_q i tau B_q``."""
-    top = generalized_laplacian(sym, q, mus)
-    if i_tau is not None:
-        top = top + sym.identity(top.rows, i_tau)
+def _stokes_dn(sym: Complex, q: int, top: SymbolMatrix) -> SymbolMatrix:
+    """``B_q top B_q + sigma(M0)``, unweighted off the diagonal, as one placement."""
     blocks = maxwell_blocks(sym, q)
     blocks[q, q] = top
     return block_place(BlockPartition.for_degree(sym, q), blocks)
@@ -292,7 +289,8 @@ def _stokes_dn(sym: Complex, mus: MuSet, q: int, i_tau: Poly | None = None) -> S
 def stokes_dn_symbol(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMatrix:
     """DN principal symbol of the Stokes operator:
     ``B_q delta_{q,mu} B_q + maxwell_symbol``."""
-    return _stokes_dn(*_symbols(cplx, mu), q)
+    sym, mus = _symbols(cplx, mu)
+    return _stokes_dn(sym, q, generalized_laplacian(sym, q, mus))
 
 
 # ---------------------------------------------------------------------------
@@ -345,18 +343,13 @@ def verify_symbolic_factorization(cplx: Complex, q: int,
             "ok": res.is_zero}
 
 
-def _block_diagonal_inverse(sym: Complex, mus: MuSet, degrees: Sequence[int],
-                            known: Mapping[int, RationalSymbolMatrix] | None = None
+def _block_diagonal_inverse(sym: Complex, invs: Mapping[int, RationalSymbolMatrix]
                             ) -> RationalSymbolMatrix:
-    """``sum_j B_j delta_{j,mu}^{-1} B_j``; ``known`` holds inverses the
-    caller already has, by degree."""
-    if not degrees:
+    """``sum_j B_j invs_j B_j`` for the inverses of delta_{j,mu}, by degree."""
+    if not invs:
         raise ValueError("degrees is empty: need at least one degree")
-    known = known or {}
-    invs = {j: known[j] if j in known else invert_symbol(generalized_laplacian(sym, j, mus))
-            for j in degrees}
     cores, num_factors, lcm = _over_common(list(invs.values()))
-    part = BlockPartition.for_degree(sym, max(degrees))
+    part = BlockPartition.for_degree(sym, max(invs))
     return RationalSymbolMatrix._over(block_diagonal(part, dict(zip(invs, cores))),
                                       num_factors, lcm)
 
@@ -371,7 +364,9 @@ def block_diagonal_inverse(cplx: Complex, degrees: Sequence[int],
     all blocks share stay factors of the whole matrix, so a block of rank r
     keeps the constant core I/lc and (|zeta|^2)^(k-1) is one numerator
     factor."""
-    return _block_diagonal_inverse(*_symbols(cplx, mu), degrees)
+    sym, mus = _symbols(cplx, mu)
+    return _block_diagonal_inverse(
+        sym, {j: invert_symbol(generalized_laplacian(sym, j, mus)) for j in degrees})
 
 
 def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
@@ -387,7 +382,8 @@ def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
         raise ValueError("side must be 'right' or 'left'")
     n = cplx.length
     sym, mus = _symbols(cplx, mu)
-    diag_inv = _block_diagonal_inverse(sym, mus, range(n + 1))
+    diag_inv = _block_diagonal_inverse(
+        sym, {j: invert_symbol(generalized_laplacian(sym, j, mus)) for j in range(n + 1)})
     if side == "right":
         f = maxwell(sym, n, mus, 0) @ diag_inv
         product = maxwell(sym, n, mus, 1) @ f
@@ -404,7 +400,9 @@ def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
 
 
 @dataclass(frozen=True)
-class HypothesisFailure(Exception):
+class HypothesisFailure(ValueError):
+    """A hypothesis of the Stokes identities that the input does not meet."""
+
     condition: str
     detail: str
 
@@ -426,11 +424,9 @@ def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet, sym: Complex,
             raise HypothesisFailure(
                 "equal-orders", f"order of A_{j} is {cplx.op(j).order()}, expected {m}"
             )
-    mt2, _ = mu.orders(q)
-    if cplx.op(q).order() + mt2 // 2 != m:
-        raise HypothesisFailure(
-            "order-balance", f"m_q + mtilde_q = {cplx.op(q).order() + mt2 // 2} != m = {m}"
-        )
+    half = mu.delta_half_order(q)
+    if half != m:
+        raise HypothesisFailure("order-balance", f"m_q + mtilde_q = {half} != m = {m}")
     for j in range(q):
         if not mu.trivial(j):
             raise HypothesisFailure(
@@ -467,14 +463,6 @@ def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
         block_place(BlockPartition.for_degree(sym, q), placed), num_factors, lcm)
 
 
-def _stokes_rhs(sym: Complex, mus: MuSet, q: int) -> RationalSymbolMatrix:
-    """``sum_{j<=q} B_j delta_{j,mu} B_j``, the right side of the Stokes
-    identities (the weights below q are the identity)."""
-    blocks = {j: generalized_laplacian(sym, j, mus) for j in range(q + 1)}
-    return RationalSymbolMatrix.from_symbol(
-        block_diagonal(BlockPartition.for_degree(sym, q), blocks))
-
-
 def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
                               ) -> tuple[RationalSymbolMatrix, dict]:
     """Symbol of the right fundamental solution of the Stokes operator.
@@ -487,12 +475,13 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
     """
     sym, mus = _symbols(cplx, mu)
     _check_stokes_hypotheses(cplx, q, mu, sym, mus)
-    delta_q_inv = invert_symbol(generalized_laplacian(sym, q, mus))
-    core = _n_symbol(sym, q, mus, delta_q_inv)
-    s_dn = _stokes_dn(sym, mus, q)
-    intermediate_ok = (s_dn @ core) == _stokes_rhs(sym, mus, q)
+    deltas = {j: generalized_laplacian(sym, j, mus) for j in range(q + 1)}
+    invs = {j: invert_symbol(d) for j, d in deltas.items()}
+    core = _n_symbol(sym, q, mus, invs[q])
+    s_dn = _stokes_dn(sym, q, deltas[q])
+    intermediate_ok = (s_dn @ core) == block_diagonal(BlockPartition.for_degree(sym, q), deltas)
 
-    f = core @ _block_diagonal_inverse(sym, mus, range(q + 1), {q: delta_q_inv})
+    f = core @ _block_diagonal_inverse(sym, invs)
     product_ok = (s_dn @ f).is_identity()
     report = {
         "identity": "stokes-fundamental-symbol",
@@ -520,21 +509,21 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     """
     sym, mus = _symbols(cplx, mu)
     _check_stokes_hypotheses(cplx, q, mu, sym, mus)
-    scalar = generalized_laplacian(sym, q, mus).scalar_part()
+    sig = Signature(sym.signature.spatial, "tau", sym.signature.params)
+    sym = sym.lift(sig)
+    mus = mus.lift(sym)
+    deltas = {j: generalized_laplacian(sym, j, mus) for j in range(q + 1)}
+    scalar = deltas[q].scalar_part()
     if scalar is None:
         raise HypothesisFailure("scalar-delta", "delta_{q,mu} is not a scalar multiple of I")
 
-    sig0 = sym.signature
-    sig = Signature(sig0.spatial, "tau", sig0.params)
-    sym = sym.lift(sig)
-    mus = mus.lift(sym)
     part = BlockPartition.for_degree(sym, q)
     i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
-    resolvent_den = i_tau + scalar.lift(sig.vars)
-
+    resolvent_den = i_tau + scalar
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), resolvent_den)
     core = _n_symbol(sym, q, mus, resolvent, i_tau)
-    ok = (_stokes_dn(sym, mus, q, i_tau) @ core) == _stokes_rhs(sym, mus, q)
+    top = deltas[q] + sym.identity(part.ranks[q], i_tau)
+    ok = (_stokes_dn(sym, q, top) @ core) == block_diagonal(part, deltas)
     return {
         "identity": "stokes-evolution-symbol",
         "degree": q,

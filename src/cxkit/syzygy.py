@@ -43,7 +43,7 @@ DEFAULT_PAIR_BUDGET = 10_000
 Element = tuple[Poly, ...]
 
 
-class BudgetExceeded(Exception):
+class BudgetExceeded(ValueError):
     """Raised when Buchberger exceeds its S-pair budget, or a resolution its
     step limit."""
 

@@ -358,6 +358,29 @@ def test_syzygy_report_bytes(tmp_path, command):
     assert out.read_bytes() == (DATA / f"{command}_symgrad3.json").read_bytes()
 
 
+# de Rham(3) with scalar mu weights at degrees 1 and 2, the viscous flow's
+# weights; its weight plans and parametrices were pinned before the half
+# orders and the Laplacian tables had one derivation each.  The CI smoke step
+# runs the installed entry point on the same file, one fresh process per
+# command.
+FLOW3_SPEC = DATA / "flow3.spec"
+FLOW3_PINS = {
+    "dn_weights_flow3_maxwell.json": ["dn-weights"],
+    **{f"dn_weights_flow3_stokes{q}.json": ["dn-weights", "--stokes", "--degree", str(q)]
+       for q in range(4)},
+    **{f"parametrix_flow3_{side}.json": ["parametrix", "--side", side]
+       for side in ("right", "left")},
+}
+
+
+@pytest.mark.parametrize("pin", sorted(FLOW3_PINS))
+def test_flow3_report_bytes(tmp_path, pin):
+    out = tmp_path / "report.json"
+    args = FLOW3_PINS[pin]
+    assert _run([*args, "--spec", str(FLOW3_SPEC), "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / pin).read_bytes()
+
+
 def test_fixture_bundle_byte_identical(tmp_path):
     """Two independent subprocess runs must produce identical JSON bytes."""
     outs = []
@@ -408,3 +431,34 @@ def test_mu_statement_is_located_json_error(tmp_path, statement, column, message
     assert json.loads(out.read_text()) == {
         "command": "laplacian", "ok": False,
         "error": f"line {line}, column {column}: {message}"}
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("vars: d1 d1\noperator A = [[d1^2]]\n", "line 1, column 10: name 'd1' already declared"),
+    ("vars: d1 d2\ntime: d2\noperator A = [[d1^2 + d2^2]]\n",
+     "line 2, column 7: name 'd2' already declared"),
+])
+def test_repeated_name_is_located_json_error(tmp_path, capsys, spec, error):
+    """Both used to report ``fail``: the first with witness (0, 1), the
+    second with determinant ``z2^2``."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text(spec)
+    assert _run(["ellipticity", "--spec", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "ellipticity", "ok": False, "error": error}
+
+
+ODD_WEIGHT_SPEC = "vars: d1 d2 d3\ncomplex C = de_rham(3)\nmu C 1 scalar d1\n"
+
+
+@pytest.mark.parametrize("args", [["--stokes", "--degree", "1"], []])
+def test_odd_weight_order_is_json_error(tmp_path, capsys, args):
+    """delta_{1,mu} has order 3 here; the Stokes plan at degree 1 used to
+    floor it to s = (2, 1), t = (0, 1), whose DN symbol is singular."""
+    spec = tmp_path / "odd.spec"
+    spec.write_text(ODD_WEIGHT_SPEC)
+    assert _run(["dn-weights", "--spec", str(spec), *args]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "dn-weights", "ok": False,
+        "error": "weight mu0 at degree 1 has odd order 1"}
+    assert _run(["verify", "--spec", str(spec)]) == 0

@@ -256,6 +256,21 @@ def test_perturbed_laplacian_order_limit():
         perturbed_laplacian(cplx, 0, mu, too_big)
 
 
+def test_perturbed_laplacian_top_degree_limit():
+    """At the top degree delta_{N,mu} = A_{N-1} mu1_N A_{N-1}^* has order
+    2 (m_{N-1} + mhat_N), 4 here: an order-3 perturbation is lower order (the
+    limit used to ignore mu1_N and read 1) and an order-4 one is refused."""
+    cplx = de_rham_complex(3)
+    mu = MuSet.laplace_powers(cplx, mhat={3: 1})
+    sig = cplx.signature
+    d1 = Poly.variable(sig.vars, "d1")
+    third = OperatorMatrix.scalar(sig, d1 ** 3)
+    assert generalized_laplacian(cplx, 3, mu).order() == 4
+    assert perturbed_laplacian(cplx, 3, mu, third) == generalized_laplacian(cplx, 3, mu) + third
+    with pytest.raises(ValueError, match="perturbation order 4 exceeds the limit 3"):
+        perturbed_laplacian(cplx, 3, mu, OperatorMatrix.scalar(sig, d1 ** 4))
+
+
 # ---------------------------------------------------------------------------
 # Structural
 

@@ -396,3 +396,32 @@ def test_mu_degrees_zero_to_top_are_accepted():
     ident = mu.cplx.identity(3)
     assert mu.apply(0, 0, ident) == ident.scale(2)
     assert mu.apply(1, 3, ident) == ident.scale(5)
+
+
+@pytest.mark.parametrize("text, line, column, message", [
+    ("vars: d1 d1\noperator A = [[d1^2]]\n", 1, 10, "name 'd1' already declared"),
+    ("vars: d1 d2\ntime: d2\n", 2, 7, "name 'd2' already declared"),
+    ("vars: d1\nparams: mu d1\n", 2, 12, "name 'd1' already declared"),
+    ("vars: d1\ntime: dt\nparams: dt\n", 3, 9, "name 'dt' already declared"),
+    ("vars: d1 i\n", 1, 10, "'i' is the imaginary unit and cannot be declared"),
+    ("vars: d1\ntime: i\n", 2, 7, "'i' is the imaginary unit and cannot be declared"),
+    ("vars: d1\nparams: i\n", 2, 9, "'i' is the imaginary unit and cannot be declared"),
+    ("vars: d1\noperator A = [[d1]]\noperator A = [[d1^2]]\n", 3, 10,
+     "operator 'A' already declared"),
+    ("vars: d1 d2\ncomplex C = de_rham(2)\ncomplex C = de_rham(1)\n", 3, 9,
+     "complex 'C' already declared"),
+])
+def test_error_name_declared_twice_or_unusable(text, line, column, message):
+    """Each of these used to parse: a repeated variable made a signature
+    whose operators fail every ellipticity check, a declared ``i`` could
+    never be read back, and a second operator or complex replaced the first
+    silently (its ``mu`` statements keeping the old complex's degrees)."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert str(exc.value) == f"line {line}, column {column}: {message}"
+    assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_operator_and_complex_may_share_a_name():
+    doc = dsl.parse("vars: d1 d2\noperator C = [[d1], [d2]]\ncomplex C = ops(C)\n")
+    assert doc.complexes["C"].ops == (doc.operators["C"],)

@@ -9,6 +9,10 @@ matrices exactly, down to the order in which each polynomial stores its
 terms, since the numeric ellipticity route sums terms in that order.
 """
 
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from cxkit import symbols
@@ -245,6 +249,26 @@ def test_evolution_identity_requires_scalar_delta():
     assert info.value.condition == "scalar-delta"
 
 
+@pytest.mark.parametrize("n, q", [(3, 1), (3, 2), (4, 1)])
+def test_each_delta_is_built_once(monkeypatch, n, q):
+    """Each Stokes routine builds delta_{j,mu} once for each j <= q (2q + 3
+    and q + 3 builds before the one table), and the parametrix once per
+    degree."""
+    built = []
+    real = symbols.generalized_laplacian
+    monkeypatch.setattr(symbols, "generalized_laplacian",
+                        lambda c, j, mu: built.append(j) or real(c, j, mu))
+    cplx = de_rham_complex(n, params=("mu",))
+    mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"), degrees=[q])
+    for routine in (stokes_fundamental_symbol, verify_evolution_identity):
+        built.clear()
+        routine(cplx, q, mu)
+        assert built == list(range(q + 1)), routine.__name__
+    built.clear()
+    maxwell_parametrix_symbol(cplx, MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu")))
+    assert built == list(range(n + 1))
+
+
 def test_maxwell_symbol_rejects_unknown_variant():
     with pytest.raises(ValueError, match="variant"):
         maxwell_symbol(CPLX3, 3, None, 2)
@@ -423,3 +447,68 @@ def test_builders_on_symbol_complex_match_reference(name, weights):
         n_t = _evolution_n_t(cplx, q, mu, scalar)
         ref = _ref_evolution_n_t(cplx, q, mu or MuSet.identity(cplx), scalar)
         assert n_t.num == ref.num and n_t.den == ref.den
+
+
+# ---------------------------------------------------------------------------
+# Pinned Stokes symbols: the fundamental symbol's printed fraction (by its
+# SHA-256, the largest prints 2 MB) and the evolution report, or the error
+# either raises, for scalar and Laplace-power weights at degree q.  Regenerate
+# the data file with ``PYTHONPATH=src python tests/test_symbols.py`` only for
+# a deliberate change of an output.
+
+STOKES_PINNED = Path(__file__).parent / "data" / "stokes_pinned.json"
+STOKES_COMPLEXES = {
+    "de-rham-3": (lambda: de_rham_complex(3, params=("mu",)), (1, 2)),
+    "de-rham-4": (lambda: de_rham_complex(4, params=("mu",)), (1, 2)),
+    "dolbeault-2": (lambda: dolbeault_complex(2, params=("mu",)), (1,)),
+}
+STOKES_WEIGHTS = {
+    "scalar-mu": lambda c, q: MuSet.scalar(c, Poly.variable(c.signature.vars, "mu"),
+                                           degrees=[q]),
+    "laplace-mhat": lambda c, q: MuSet.laplace_powers(c, mhat={q: 1}),
+    "laplace-mtilde": lambda c, q: MuSet.laplace_powers(c, mtilde={q: 1}),
+}
+# The one case left out: the de Rham(4) q = 2 fundamental symbol with the
+# Laplace-power weight takes about 15 s.
+STOKES_SLOW = {("de-rham-4", 2, "laplace-mhat")}
+
+
+def _stokes_cases():
+    return [(name, q, weight) for name, (_, degrees) in sorted(STOKES_COMPLEXES.items())
+            for q in degrees for weight in sorted(STOKES_WEIGHTS)
+            if (name, q, weight) not in STOKES_SLOW]
+
+
+def _outcome_json(fn):
+    """``fn()``, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except (ValueError, ArithmeticError, HypothesisFailure) as exc:
+        return {"error": f"{type(exc).__name__}: {exc}"}
+
+
+def _stokes_pin(name, q, weight) -> dict:
+    build, _ = STOKES_COMPLEXES[name]
+    c = build()
+    mu = STOKES_WEIGHTS[weight](c, q)
+
+    def fundamental():
+        f, report = stokes_fundamental_symbol(c, q, mu)
+        text = json.dumps(f.to_json(), sort_keys=True)
+        return {"sha256": hashlib.sha256(text.encode()).hexdigest(), "report": report}
+
+    return {"fundamental": _outcome_json(fundamental),
+            "evolution": _outcome_json(lambda: verify_evolution_identity(c, q, mu))}
+
+
+@pytest.mark.parametrize("name, q, weight", _stokes_cases())
+def test_stokes_symbols_are_pinned(name, q, weight):
+    pinned = json.loads(STOKES_PINNED.read_text(encoding="utf-8"))
+    assert _stokes_pin(name, q, weight) == pinned[f"{name}/q{q}/{weight}"]
+
+
+if __name__ == "__main__":
+    STOKES_PINNED.write_text(json.dumps(
+        {f"{name}/q{q}/{weight}": _stokes_pin(name, q, weight)
+         for name, q, weight in _stokes_cases()}, indent=1, sort_keys=True) + "\n",
+        encoding="utf-8")

@@ -22,6 +22,7 @@ from cxkit.complexes import (
     dolbeault_complex,
     generalized_laplacian,
     laplacian,
+    perturbed_laplacian,
     powered_de_rham_complex,
 )
 from cxkit.ellipticity import dn_weights_maxwell, dn_weights_stokes
@@ -146,11 +147,33 @@ def test_apply_keeps_each_form():
 
 
 def test_orders_read_the_scalar_degree():
+    """``orders`` gives half orders, mtilde and mhat, as every reader uses."""
     cplx = de_rham_complex(3, params=("mu",))
     mu = MuSet.laplace_powers(cplx, {1: 2}, {2: 1})
-    assert mu.orders(1) == (4, 0) and mu.orders(2) == (0, 2)
+    assert mu.orders(1) == (2, 0) and mu.orders(2) == (0, 1)
     assert MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu")).orders(1) == (0, 0)
     assert MuSet.scalar(cplx, 0).orders(1) == (0, 0)
+
+
+@pytest.mark.parametrize("which", ["mu0", "mu1"])
+def test_odd_weight_order_is_refused(which):
+    """An odd weight order has no half order.  Flooring it made the Stokes
+    plan at degree 1 of ``mu C 1 scalar d1`` s = (2, 1), t = (0, 1), whose
+    DN symbol has determinant 0 (delta_{1,mu} has order 3)."""
+    cplx = de_rham_complex(3)
+    sig = cplx.signature
+    d1 = Poly.variable(sig.vars, "d1")
+    mu = MuSet(cplx, {1: d1}) if which == "mu0" else MuSet(cplx, {}, {1: d1})
+    message = f"weight {which} at degree 1 has odd order 1"
+    lower = cplx.identity(cplx.rank(1))
+    for refused in (lambda: mu.orders(1), lambda: mu.delta_half_order(1),
+                    lambda: dn_weights_stokes(cplx, 1, mu), lambda: dn_weights_maxwell(cplx, mu),
+                    lambda: perturbed_laplacian(cplx, 1, mu, lower),
+                    lambda: _hypotheses(cplx, 1, mu)):
+        with pytest.raises(ValueError, match=message):
+            refused()
+    assert mu.orders(2) == (0, 0)
+    assert check_coherence(cplx, mu, 1)
 
 
 @pytest.mark.parametrize("n", [3, 4])
