@@ -32,24 +32,26 @@ with the unweighted Maxwell off-diagonal scaled by a coupling flag ``a``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import reduce
 from typing import Mapping, Sequence
 
+from cxkit._record import Record
 from cxkit.complexes import Complex, MatrixT, MuSet, generalized_laplacian, perturbed_laplacian
 from cxkit.diffop import OperatorMatrix, Signature, SignatureMatrix
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 
-@dataclass(frozen=True)
-class BlockPartition:
+class BlockPartition(Record):
     """Rank profile (k_0, ..., k_q) of the degrees entering a block operator.
 
     Rows/columns are laid out by descending degree: degree q occupies the
     leading block, degree 0 the trailing one.
     """
 
-    ranks: tuple[int, ...]
+    __slots__ = ("ranks",)
+
+    def __init__(self, ranks: tuple[int, ...]):
+        object.__setattr__(self, "ranks", ranks)
 
     @staticmethod
     def for_degree(cplx: Complex, q: int) -> "BlockPartition":

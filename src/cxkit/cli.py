@@ -9,7 +9,9 @@ every requested verdict passes.  Only ``ellipticity`` takes ``--seed``;
 ``--budget`` counts Sobol samples for ``ellipticity`` and S-pairs for
 ``syzygy`` and ``extend``, and no other command takes it.  Each command
 imports its own modules when it runs: ``verify`` and ``laplacian`` need only
-``dsl`` and ``complexes``, and numpy loads only for a numeric check.
+``dsl`` and ``complexes``.  Only the commands that import ``cxkit.ellipticity``
+(``ellipticity``, ``dn-weights`` and ``fixtures``) load ``dataclasses``, and
+numpy loads only for a numeric check (``ellipticity`` and ``fixtures``).
 """
 
 from __future__ import annotations

@@ -14,22 +14,25 @@ spatial one, ``"spatial"`` gives it weight zero.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from cxkit._record import Record
 from cxkit.poly import Poly, PolyMatrix
 
 ISOTROPIC = "isotropic"
 SPATIAL = "spatial"
 
 
-@dataclass(frozen=True)
-class Signature:
+class Signature(Record):
     """Names and roles of the variables an operator is written in."""
 
-    spatial: tuple[str, ...]
-    time: str | None = None
-    params: tuple[str, ...] = ()
+    __slots__ = ("spatial", "time", "params")
+
+    def __init__(self, spatial: tuple[str, ...], time: str | None = None,
+                 params: tuple[str, ...] = ()):
+        object.__setattr__(self, "spatial", spatial)
+        object.__setattr__(self, "time", time)
+        object.__setattr__(self, "params", params)
 
     @property
     def vars(self) -> tuple[str, ...]:

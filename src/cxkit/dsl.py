@@ -26,10 +26,10 @@ or complex name is defined once.  Parse errors carry line/column.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import comb
 
+from cxkit._record import Record, field_repr
 from cxkit.complexes import (
     Complex,
     MuSet,
@@ -71,15 +71,25 @@ class SpecError(ValueError):
         self.column = column
 
 
-@dataclass
 class SpecDocument:
-    spatial: tuple[str, ...] = ()
-    time: str | None = None
-    params: tuple[str, ...] = ()
-    operators: dict[str, OperatorMatrix] = field(default_factory=dict)
-    complexes: dict[str, Complex] = field(default_factory=dict)
-    mu_specs: dict[str, list[tuple[int, str, Poly]]] = field(default_factory=dict)
-    builders: dict[str, str] = field(default_factory=dict)  # for printing
+    _FIELDS = ("spatial", "time", "params", "operators", "complexes", "mu_specs", "builders")
+
+    def __init__(self, spatial: tuple[str, ...] = (), time: str | None = None,
+                 params: tuple[str, ...] = (),
+                 operators: dict[str, OperatorMatrix] | None = None,
+                 complexes: dict[str, Complex] | None = None,
+                 mu_specs: dict[str, list[tuple[int, str, Poly]]] | None = None,
+                 builders: dict[str, str] | None = None):
+        self.spatial = spatial
+        self.time = time
+        self.params = params
+        self.operators = {} if operators is None else operators
+        self.complexes = {} if complexes is None else complexes
+        self.mu_specs = {} if mu_specs is None else mu_specs
+        self.builders = {} if builders is None else builders  # for printing
+
+    def __repr__(self) -> str:
+        return field_repr(self, self._FIELDS)
 
     @property
     def signature(self) -> Signature:
@@ -112,12 +122,14 @@ class SpecDocument:
 # Tokenizer
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # name | int | punct | end
-    text: str
-    line: int
-    column: int
+class Token(Record):
+    __slots__ = ("kind", "text", "line", "column")
+
+    def __init__(self, kind: str, text: str, line: int, column: int):
+        object.__setattr__(self, "kind", kind)  # name | int | punct | end
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "line", line)
+        object.__setattr__(self, "column", column)
 
 
 _PUNCT = set("[](),+-*^/=:")

@@ -37,6 +37,14 @@ DEFAULT_SEED = 20240
 
 @dataclass(frozen=True)
 class EllipticityReport:
+    """The verdict of one check and the evidence behind it.
+
+    It and :class:`WeightPlan` stay dataclasses, unlike the package's other
+    value types (:mod:`cxkit._record`): the benchmark's self-tests build
+    corrupted reports with ``dataclasses.replace``.  Only the commands that
+    import this module pay for ``dataclasses``.
+    """
+
     verdict: str  # certified-symbolic | numeric-pass | fail | inconclusive
     check: str
     determinant: str | None = None

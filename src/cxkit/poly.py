@@ -44,12 +44,13 @@ canonical serialization.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
+
+from cxkit._record import Record
 
 Exponent = tuple[int, ...]
 
@@ -64,12 +65,14 @@ def _as_fraction(value) -> Fraction:
     raise TypeError(f"cannot coerce {value!r} to Fraction")
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class GaussianRational(Record):
     """An exact complex number a + b*i with rational real and imaginary parts."""
 
-    re: Fraction = Fraction(0)
-    im: Fraction = Fraction(0)
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
 
     @staticmethod
     def of(re, im=0) -> "GaussianRational":

@@ -22,9 +22,9 @@ routine builds one table of delta_{j,mu}, j <= q, and passes its blocks down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from cxkit._record import Record
 from cxkit.blockops import (
     BlockPartition,
     block_diagonal,
@@ -399,12 +399,15 @@ def maxwell_parametrix_symbol(cplx: Complex, mu: MuSet | None = None,
 # Stokes fundamental symbols
 
 
-@dataclass(frozen=True)
-class HypothesisFailure(ValueError):
+class HypothesisFailure(Record, ValueError):
     """A hypothesis of the Stokes identities that the input does not meet."""
 
-    condition: str
-    detail: str
+    __slots__ = ("condition", "detail")
+
+    def __init__(self, condition: str, detail: str):
+        ValueError.__init__(self, condition, detail)
+        object.__setattr__(self, "condition", condition)
+        object.__setattr__(self, "detail", detail)
 
     def __str__(self):
         return f"{self.condition}: {self.detail}"

@@ -360,11 +360,17 @@ def test_syzygy_report_bytes(tmp_path, command):
 
 # de Rham(3) with scalar mu weights at degrees 1 and 2, the viscous flow's
 # weights; its weight plans and parametrices were pinned before the half
-# orders and the Laplacian tables had one derivation each.  The CI smoke step
-# runs the installed entry point on the same file, one fresh process per
-# command.
+# orders and the Laplacian tables had one derivation each, and its verify,
+# Laplacian, Maxwell and Stokes reports (which print through ``Signature``
+# and ``GaussianRational``) before those stopped being dataclasses.  The CI
+# smoke steps run the installed entry point on the same file, one fresh
+# process per command.
 FLOW3_SPEC = DATA / "flow3.spec"
 FLOW3_PINS = {
+    "verify_flow3.json": ["verify"],
+    "laplacian_flow3.json": ["laplacian", "--degree", "1"],
+    "maxwell_flow3.json": ["maxwell", "--degree", "2"],
+    "stokes_flow3.json": ["stokes", "--degree", "1"],
     "dn_weights_flow3_maxwell.json": ["dn-weights"],
     **{f"dn_weights_flow3_stokes{q}.json": ["dn-weights", "--stokes", "--degree", str(q)]
        for q in range(4)},

@@ -1,9 +1,10 @@
 """Each ``cxkit`` command loads only the modules it runs.
 
 Every case is a fresh interpreter that runs one command through
-``cxkit.cli.main`` and then lists the ``cxkit`` modules it has loaded and
-which of numpy, ``numpy.random`` and ``numpy.ma`` are among them: the
-numeric commands run on numpy's core and linalg alone.
+``cxkit.cli.main`` and then lists the ``cxkit`` modules it has loaded, which
+of numpy, ``numpy.random`` and ``numpy.ma`` are among them (the numeric
+commands run on numpy's core and linalg alone) and which of ``dataclasses``
+and ``inspect`` (the exact commands build no dataclass).
 """
 
 import json
@@ -27,7 +28,8 @@ except SystemExit:  # --help
 mods = sorted(m for m in sys.modules if m == "cxkit" or m.startswith("cxkit."))
 with open(out, "w") as fh:
     json.dump({"cxkit": mods, "numpy": sorted(m for m in ("numpy", "numpy.ma", "numpy.random")
-                                               if m in sys.modules)}, fh)
+                                               if m in sys.modules),
+               "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}, fh)
 """
 
 SPEC = """\
@@ -36,10 +38,15 @@ operator Q = [[-3*d1^2 - 2*d1*d2 - 2*d2^2 - 2*d2*d3 - 4*d3^2]]
 complex C = de_rham(3)
 """
 
-EXACT = {"cxkit", "cxkit.cli", "cxkit.dsl", "cxkit.complexes", "cxkit.diffop", "cxkit.poly"}
+EXACT = {"cxkit", "cxkit.cli", "cxkit.dsl", "cxkit.complexes", "cxkit.diffop", "cxkit.poly",
+         "cxkit._record"}
 ALL = {"cxkit"} | {f"cxkit.{name}" for name in
-                   ("_sobol_directions", "blockops", "cli", "complexes", "diffop", "dsl",
-                    "ellipticity", "fixtures", "poly", "sphere", "symbols", "syzygy")}
+                   ("_record", "_sobol_directions", "blockops", "cli", "complexes", "diffop",
+                    "dsl", "ellipticity", "fixtures", "poly", "sphere", "symbols", "syzygy")}
+# ``cxkit.ellipticity`` alone keeps two dataclasses, ``EllipticityReport`` and
+# ``WeightPlan``: the benchmark's self-tests build corrupted reports with
+# ``dataclasses.replace``.  Every other command loads neither module.
+DATACLASSES = ["dataclasses", "inspect"]
 
 
 def _loaded(tmp_path, *argv: str) -> dict:
@@ -60,16 +67,20 @@ def _loaded(tmp_path, *argv: str) -> dict:
 @pytest.mark.parametrize("argv, modules, numpy", [
     (["--help"], EXACT, False),
     (["verify", "--spec", "SPEC", "--json", "OUT"], EXACT, False),
+    (["laplacian", "--spec", "SPEC", "--json", "OUT"], EXACT, False),
     (["parametrix", "--spec", "SPEC", "--json", "OUT"],
      EXACT | {"cxkit.blockops", "cxkit.symbols"}, False),
+    (["syzygy", "--spec", "SPEC", "--json", "OUT"],
+     EXACT | {"cxkit.syzygy"}, False),
     (["ellipticity", "--spec", "SPEC", "--budget", "64", "--json", "OUT"],
      EXACT | {"cxkit.ellipticity", "cxkit.sphere", "cxkit._sobol_directions"}, True),
     (["fixtures", "--json", "OUT"], ALL, True),
-], ids=["help", "verify", "parametrix", "ellipticity", "fixtures"])
+], ids=["help", "verify", "laplacian", "parametrix", "syzygy", "ellipticity", "fixtures"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules, numpy):
     loaded = _loaded(tmp_path, *argv)
     assert set(loaded["cxkit"]) == modules
     assert loaded["numpy"] == (["numpy"] if numpy else [])
+    assert loaded["stdlib"] == (DATACLASSES if "cxkit.ellipticity" in modules else [])
 
 
 def test_every_module_is_listed():

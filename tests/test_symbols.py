@@ -11,6 +11,8 @@ terms, since the numeric ellipticity route sums terms in that order.
 
 import hashlib
 import json
+import pickle
+from copy import deepcopy
 from pathlib import Path
 
 import pytest
@@ -237,6 +239,21 @@ def test_stokes_hypothesis_nontrivial_lower_weights():
     mu_all = MuSet.scalar(cplx, muval)
     with pytest.raises(HypothesisFailure):
         stokes_fundamental_symbol(cplx, 2, mu_all)
+
+
+def test_hypothesis_failure_pickles_and_copies():
+    """Exceptions cross process boundaries by pickle; a frozen dataclass
+    exception could not be rebuilt, since ``BaseException.__setstate__``
+    assigns its fields."""
+    cplx, mu = _oseen_setup(3)
+    with pytest.raises(HypothesisFailure) as info:
+        stokes_fundamental_symbol(cplx, 0, mu)
+    exc = info.value
+    for copy in (pickle.loads(pickle.dumps(exc)), deepcopy(exc)):
+        assert type(copy) is HypothesisFailure and copy == exc
+        assert copy.args == exc.args == ("degree-range", exc.detail)
+        assert (copy.condition, copy.detail) == (exc.condition, exc.detail)
+        assert str(copy) == str(exc) == f"degree-range: {exc.detail}"
 
 
 def test_evolution_identity_requires_scalar_delta():
