@@ -86,19 +86,18 @@ def block_place(part: BlockPartition,
     if not blocks:
         raise ValueError("blocks is empty")
     ops = list(blocks.values())
-    sig = ops[0].signature
     for op in ops:
         if type(op) is not type(ops[0]):
             raise TypeError(f"cannot place a {type(op).__name__} block "
                             f"among {type(ops[0]).__name__} blocks")
-        sig = sig.merge(op.signature)
+    sig = Signature.merge(*(op.signature for op in ops))
     placed = []
     for (r, c), op in blocks.items():
         (r0, r1), (c0, c1) = part.span(r), part.span(c)
         if (op.rows, op.cols) != (r1 - r0, c1 - c0):
             raise ValueError(
                 f"block ({r},{c}) expects {r1 - r0}x{c1 - c0}, got {op.rows}x{op.cols}")
-        placed.append(((op if op.signature == sig else op.lift(sig)).body, r0, c0))
+        placed.append((op.lift(sig).body, r0, c0))
     return type(ops[0])(sig, PolyMatrix.place(sig.vars, part.size, part.size, placed))
 
 
@@ -130,12 +129,6 @@ def block_diagonal(part: BlockPartition, blocks: Mapping[int, MatrixT]) -> Matri
     return block_place(part, {(j, j): blk for j, blk in blocks.items()})
 
 
-def _as_scalar_poly(value, sig: Signature) -> Poly:
-    if isinstance(value, Poly):
-        return value.lift(sig.vars)
-    return Poly.constant(sig.vars, value)
-
-
 def _product(*factors: Poly) -> Poly:
     """The product of ``factors``, left to right, none multiplied by a one."""
     one = Poly.one(factors[0].vars)
@@ -153,10 +146,10 @@ def _with_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None
     sig = cplx.signature
     time = sig.time or "dt"
     params = set(sig.params).union(*(c.vars for c in b if isinstance(c, Poly)))
-    sig = Signature(sig.spatial, time, tuple(sorted(params - set(sig.spatial) - {time})))
+    sig = Signature(sig.spatial, time, params - set(sig.spatial) - {time})
     cplx = cplx.lift(sig)
     mu = MuSet.identity(cplx) if mu is None else mu.lift(cplx)
-    return cplx, mu, [_as_scalar_poly(c, sig) for c in b], Poly.variable(sig.vars, time)
+    return cplx, mu, [sig.as_poly(c) for c in b], Poly.variable(sig.vars, time)
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +209,11 @@ def assemble_stokes(cplx: Complex, q: int,
                     diagonal: Sequence[OperatorMatrix], a=1) -> OperatorMatrix:
     """Generic Stokes-type assembly: given diagonal blocks per degree, add the
     unweighted Maxwell off-diagonal scaled by ``a``."""
-    sig = cplx.signature
-    for d in diagonal:
-        sig = sig.merge(d.signature)
-    cplx = cplx.lift(sig) if cplx.signature != sig else cplx
+    sig = cplx.signature.merge(*(d.signature for d in diagonal))
+    cplx = cplx.lift(sig)
     part = BlockPartition.for_degree(cplx, q)
-    blocks = {(j, j): d.lift(sig) for j, d in enumerate(diagonal)}
-    a_poly = _as_scalar_poly(a, sig)
+    blocks = {(j, j): d for j, d in enumerate(diagonal)}
+    a_poly = sig.as_poly(a)
     if not a_poly.is_zero:
         blocks.update({rc: blk.scale(a_poly) for rc, blk in maxwell_blocks(cplx, q).items()})
     return block_place(part, blocks)

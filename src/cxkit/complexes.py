@@ -43,10 +43,8 @@ class Complex:
     def __init__(self, ops: Sequence[SignatureMatrix]):
         if not ops:
             raise ValueError("a complex needs at least one operator")
-        sig = ops[0].signature
-        for op in ops[1:]:
-            sig = sig.merge(op.signature)
-        ops = [op.lift(sig) if op.signature != sig else op for op in ops]
+        sig = Signature.merge(*(op.signature for op in ops))
+        ops = [op.lift(sig) for op in ops]
         for a, b in zip(ops, ops[1:]):
             if b.cols != a.rows:
                 raise ValueError(
@@ -83,8 +81,8 @@ class Complex:
         """A zero matrix of the operators' type over the complex's signature."""
         return type(self.ops[0]).zero(self.signature, rows, cols)
 
-    def identity(self, n: int, scalar: Poly | None = None) -> SignatureMatrix:
-        """I_n, or ``scalar`` I_n, of the operators' type over the complex's signature."""
+    def identity(self, n: int, scalar=1) -> SignatureMatrix:
+        """``scalar`` I_n of the operators' type over the complex's signature."""
         return type(self.ops[0]).identity(self.signature, n, scalar)
 
     def principal_symbols(self) -> "Complex":
@@ -92,6 +90,8 @@ class Complex:
         return Complex([op.principal_symbol(SPATIAL) for op in self.ops])
 
     def lift(self, signature: Signature) -> "Complex":
+        if signature == self.signature:
+            return self
         return Complex([op.lift(signature) for op in self.ops])
 
     def verify(self) -> list[tuple[int, bool]]:
@@ -231,7 +231,7 @@ class MuSet:
         for q, w in given.items():
             k = self.cplx.rank(q + step)
             if not isinstance(w, SignatureMatrix):
-                w = w.lift(vars) if isinstance(w, Poly) else Poly.constant(vars, w)
+                w = self.cplx.signature.as_poly(w)
             elif (w.rows, w.cols) != (k, k):
                 raise ValueError(f"{name}[{q}] must be {k}x{k}, got {w.rows}x{w.cols}")
             one = Poly.one(vars) if isinstance(w, Poly) else type(w).identity(w.signature, k)

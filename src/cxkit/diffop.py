@@ -24,12 +24,19 @@ SPATIAL = "spatial"
 
 
 class Signature(Record):
-    """Names and roles of the variables an operator is written in."""
+    """Names and roles of the variables an operator is written in, one role
+    per name (else ``ValueError``); the parameters are kept sorted."""
 
     __slots__ = ("spatial", "time", "params")
 
     def __init__(self, spatial: tuple[str, ...], time: str | None = None,
-                 params: tuple[str, ...] = ()):
+                 params: Sequence[str] = ()):
+        params = tuple(sorted(params))
+        names = spatial + (() if time is None else (time,)) + params
+        if len(set(names)) < len(names):
+            twice = next(v for v in names if names.count(v) > 1)
+            raise ValueError(f"variable {twice!r} has two roles: spatial {spatial}, "
+                             f"time {time!r}, params {params}")
         object.__setattr__(self, "spatial", spatial)
         object.__setattr__(self, "time", time)
         object.__setattr__(self, "params", params)
@@ -62,15 +69,23 @@ class Signature(Record):
             params=self.params,
         )
 
-    def merge(self, other: "Signature") -> "Signature":
-        """Common refinement: same spatial block, union of time/params."""
-        if self.spatial != other.spatial:
-            raise ValueError(f"spatial variables differ: {self.spatial} vs {other.spatial}")
-        if self.time is not None and other.time is not None and self.time != other.time:
-            raise ValueError("conflicting time variable names")
-        time = self.time if self.time is not None else other.time
-        params = tuple(sorted(set(self.params) | set(other.params)))
+    def merge(self, *others: "Signature") -> "Signature":
+        """Common refinement: same spatial block, union of time/params; ``self`` if all equal."""
+        if all(map(self.__eq__, others)):
+            return self
+        time, params = self.time, set(self.params)
+        for other in others:
+            if other.spatial != self.spatial:
+                raise ValueError(f"spatial variables differ: {self.spatial} vs {other.spatial}")
+            if time and other.time and time != other.time:
+                raise ValueError("conflicting time variable names")
+            time = time or other.time
+            params.update(other.params)
         return Signature(self.spatial, time, params)
+
+    def as_poly(self, value) -> Poly:
+        """A :class:`Poly` lifted onto these variables, anything else a constant."""
+        return value.lift(self.vars) if isinstance(value, Poly) else Poly.constant(self.vars, value)
 
 
 def spatial_signature(n: int, *, time: bool = False, params: Sequence[str] = ()) -> Signature:
@@ -78,7 +93,7 @@ def spatial_signature(n: int, *, time: bool = False, params: Sequence[str] = ())
     return Signature(
         spatial=tuple(f"d{j + 1}" for j in range(n)),
         time="dt" if time else None,
-        params=tuple(sorted(params)),
+        params=params,
     )
 
 
@@ -107,11 +122,9 @@ class SignatureMatrix:
         return cls(signature, PolyMatrix.zeros(signature.vars, rows, cols))
 
     @classmethod
-    def identity(cls, signature: Signature, n: int, scalar: Poly | None = None):
-        """I_n, or ``scalar`` I_n with the scalar on the diagonal."""
-        if scalar is not None:
-            scalar = scalar.lift(signature.vars)
-        return cls(signature, PolyMatrix.identity(signature.vars, n, scalar))
+    def identity(cls, signature: Signature, n: int, scalar=1):
+        """``scalar`` I_n, a :class:`Poly` or a constant on the diagonal."""
+        return cls(signature, PolyMatrix.identity(signature.vars, n, signature.as_poly(scalar)))
 
     @classmethod
     def from_entries(cls, signature: Signature, entries: Sequence[Sequence[Poly]]):
@@ -136,9 +149,9 @@ class SignatureMatrix:
 
     def lift(self, signature: Signature):
         """Re-express over a richer signature (more params and/or a time axis)."""
-        merged = self.signature.merge(signature)
-        if merged != signature:
-            # The target must contain everything this matrix mentions.
+        if signature == self.signature:
+            return self
+        if self.signature.merge(signature) != signature:
             raise ValueError(f"cannot lift {self.signature} into {signature}")
         return type(self)(
             signature,
@@ -147,17 +160,13 @@ class SignatureMatrix:
 
     # -- algebra -----------------------------------------------------------
 
-    def _aligned(self, other):
-        if self.signature == other.signature:
-            return self, other
-        sig = self.signature.merge(other.signature)
-        return self.lift(sig), other.lift(sig)
-
     def _binary(self, other, op):
         if type(other) is not type(self):
             return NotImplemented
-        a, b = self._aligned(other)
-        return type(self)(a.signature, op(a.body, b.body))
+        if other.signature == self.signature:
+            return type(self)(self.signature, op(self.body, other.body))
+        sig = self.signature.merge(other.signature)
+        return type(self)(sig, op(self.lift(sig).body, other.lift(sig).body))
 
     def __add__(self, other):
         return self._binary(other, PolyMatrix.__add__)
@@ -196,7 +205,7 @@ class OperatorMatrix(SignatureMatrix):
     @classmethod
     def scalar(cls, signature: Signature, p: Poly) -> "OperatorMatrix":
         """A 1x1 operator."""
-        return cls(signature, PolyMatrix(signature.vars, [[p.lift(signature.vars)]]))
+        return cls(signature, PolyMatrix(signature.vars, [[signature.as_poly(p)]]))
 
     def poly(self, name: str) -> Poly:
         """The polynomial for a single variable of this operator's ring."""

@@ -20,8 +20,10 @@ product at most ``poly.MAX_DEGREE``, a bound on its term count at most
 ``MAX_TERM_PRODUCTS``.  Builder sizes are at least 1 and at most what keeps
 every differential within ``MAX_MATRIX_ENTRIES`` entries, and the
 ``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  A name is declared
-once across ``vars``, ``time`` and ``params``, and never ``i``; an operator
-or complex name is defined once.  Parse errors carry line/column.
+once across ``vars``, ``time`` and ``params``, and never ``i``; no parameter
+is a variable of the principal symbol (z1..zn for n spatial variables, tau
+with a time variable); an operator or complex name is defined once.  Parse
+errors carry line/column.
 """
 
 from __future__ import annotations
@@ -340,6 +342,7 @@ def _check_size(degree: int, terms: int, bits: int, products: int, nvars: int,
 
 def parse(text: str) -> SpecDocument:
     doc = SpecDocument()
+    declared: dict[str, Token] = {}  # the token of each vars and params name
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, line_no)
         if tokens[0].kind == "end":
@@ -350,13 +353,17 @@ def parse(text: str) -> SpecDocument:
             p.expect("punct", ":")
             names = []
             while p.current.kind == "name":
-                names.append(_new_name(p.expect("name"), doc.signature.vars + tuple(names)))
+                tok = p.expect("name")
+                names.append(_new_name(tok, doc.signature.vars + tuple(names)))
+                declared[tok.text] = tok
             p.expect("end")
             setattr(doc, "spatial" if head.text == "vars" else "params", tuple(names))
+            _check_symbol_names(doc, declared)
         elif head.text == "time":
             p.expect("punct", ":")
             doc.time = _new_name(p.expect("name"), doc.signature.vars)
             p.expect("end")
+            _check_symbol_names(doc, declared)
         elif head.text == "operator":
             name = _new_name(p.expect("name"), doc.operators, "operator")
             p.expect("punct", "=")
@@ -400,6 +407,19 @@ def _new_name(tok: Token, taken, kind: str = "name") -> str:
     if tok.text in taken:
         raise SpecError(f"{kind} {tok.text!r} already declared", tok.line, tok.column)
     return tok.text
+
+
+def _check_symbol_names(doc: SpecDocument, declared: dict[str, Token]) -> None:
+    """An error located at a parameter the principal symbol also names:
+    z1..zn for n spatial variables, or tau with a time variable
+    (``Signature.symbol_signature``), whatever the statement order."""
+    try:
+        doc.signature.symbol_signature()
+    except ValueError:
+        symbol_vars = Signature(doc.spatial, doc.time).symbol_signature().vars
+        tok = next(declared[v] for v in doc.params if v in symbol_vars)
+        raise SpecError(f"parameter {tok.text!r} is also a variable of the principal symbol",
+                        tok.line, tok.column) from None
 
 
 def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:

@@ -118,16 +118,15 @@ class RationalSymbolMatrix:
             raise TypeError(
                 f"cannot combine a rational symbol matrix with {type(other).__name__}"
             )
-        if self.signature == other.signature:
-            return self, other
         sig = self.signature.merge(other.signature)
         return self._lift(sig), other._lift(sig)
 
     def _lift(self, sig: Signature) -> "RationalSymbolMatrix":
-        def lift(exps: Mapping[Poly, int]) -> dict[Poly, int]:
-            return {f.lift(sig.vars): e for f, e in exps.items()}
-        return RationalSymbolMatrix._over(
-            self.core.lift(sig), lift(self.num_factors), lift(self.factors))
+        if sig == self.signature:
+            return self
+        num_factors, factors = ({f.lift(sig.vars): e for f, e in exps.items()}
+                                for exps in (self.num_factors, self.factors))
+        return RationalSymbolMatrix._over(self.core.lift(sig), num_factors, factors)
 
     def __add__(self, other) -> "RationalSymbolMatrix":
         (a, b), num_factors, lcm = _over_common(self._align(other))
@@ -445,23 +444,22 @@ def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet, sym: Complex,
 
 
 def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
-              i_tau: Poly | None = None) -> RationalSymbolMatrix:
+              time_term: RationalSymbolMatrix | None = None) -> RationalSymbolMatrix:
     """N + sigma(M_{q-1}) around an inverse for the degree-q block, its
     blocks over one denominator and placed (those of sigma(M_{q-1}) are
-    disjoint from N's); with ``i_tau``, N - B_{q-1} i tau B_{q-1}."""
+    disjoint from N's); with ``time_term``, N - B_{q-1} time_term B_{q-1}."""
     sq = sym.op(q)
     sq1 = sym.op(q - 1)
     mu1_adj = mus.apply(1, q, sq1.hermitian_transpose(), left=True)
     lower = maxwell_blocks(sym, q - 1)
     plain = [sq1, mu1_adj, -(mu1_adj @ sq1), *lower.values()]
-    if i_tau is not None:
-        plain.append(sym.identity(sq1.cols, i_tau))
     (top, down, up, corner, *rest), num_factors, lcm = _over_common(
         [q_inverse @ (mus.apply(0, q, sq.hermitian_transpose()) @ sq)]
-        + [RationalSymbolMatrix.from_symbol(b) for b in plain])
+        + [RationalSymbolMatrix.from_symbol(b) for b in plain]
+        + ([] if time_term is None else [time_term]))
     placed = dict(zip(lower, rest))
     placed.update({(q, q): top, (q, q - 1): down, (q - 1, q): up,
-                   (q - 1, q - 1): corner - rest[-1] if i_tau is not None else corner})
+                   (q - 1, q - 1): corner if time_term is None else corner - rest[-1]})
     return RationalSymbolMatrix._over(
         block_place(BlockPartition.for_degree(sym, q), placed), num_factors, lcm)
 
@@ -506,7 +504,11 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     With b = (0,...,0,1) the evolution Stokes symbol is
     ``S_t = S_dn + B_q i tau B_q``; the degree-q inverse is the scalar
     rational ``1/(i tau + s)`` which requires delta_{q,mu} = s I, and N_t is N
-    built around it, minus ``B_{q-1} i tau B_{q-1}``.  The verified identity is
+    built around it, minus ``B_{q-1} i tau sigma_{q-1}^* sigma_{q-1}
+    delta_{q-1}^{-1} B_{q-1}``: i tau I at q = 1, where delta_0 =
+    sigma_0^* sigma_0.  That term cancels the shift in row q, since
+    sigma_{q-1} sigma_{q-1}^* sigma_{q-1} = sigma_{q-1} delta_{q-1}, and
+    vanishes against sigma_{q-2}^* in row q - 2.  The verified identity is
 
         S_t (N_t + sigma(M_{q-1})) = B_q delta_{q,mu} B_q + sum_{j<q} B_j delta_j B_j.
     """
@@ -524,7 +526,9 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
     resolvent_den = i_tau + scalar
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), resolvent_den)
-    core = _n_symbol(sym, q, mus, resolvent, i_tau)
+    sq1 = sym.op(q - 1)
+    time_term = (sq1.hermitian_transpose() @ sq1).scale(i_tau) @ invert_symbol(deltas[q - 1])
+    core = _n_symbol(sym, q, mus, resolvent, time_term)
     top = deltas[q] + sym.identity(part.ranks[q], i_tau)
     ok = (_stokes_dn(sym, q, top) @ core) == block_diagonal(part, deltas)
     return {

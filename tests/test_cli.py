@@ -468,3 +468,20 @@ def test_odd_weight_order_is_json_error(tmp_path, capsys, args):
         "command": "dn-weights", "ok": False,
         "error": "weight mu0 at degree 1 has odd order 1"}
     assert _run(["verify", "--spec", str(spec)]) == 0
+
+
+@pytest.mark.parametrize("param", ["z1", "z2"])
+@pytest.mark.parametrize("command", ["ellipticity", "parametrix"])
+def test_parameter_named_like_a_symbol_variable_is_json_error(tmp_path, capsys, command, param):
+    """With ``z1`` ``ellipticity`` used to report numeric-pass with minimum
+    0.7929 (0.5 with the parameter named ``p``): the parameter and the
+    symbol's z1 were one variable, as in the printed ``parametrix``
+    denominator ``z1^6*z1^2 + ...``."""
+    spec = tmp_path / "clash.spec"
+    spec.write_text(f"vars: d1 d2\nparams: {param}\noperator Q = [[d1^2 + d2^2 - {param}*d1*d2]]\n"
+                    f"complex C = de_rham(2)\nmu C 1 scalar {param}\n")
+    assert _run([command, "--spec", str(spec)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": command, "ok": False,
+        "error": (f"line 2, column 9: parameter {param!r} is also a variable "
+                  "of the principal symbol")}

@@ -1,7 +1,14 @@
 """Operator matrices: signatures, adjoints, symbols, gradings."""
 
+import pickle
+from copy import deepcopy
+from functools import reduce
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings, strategies as st
+
+from cxkit.complexes import de_rham_complex
 
 from cxkit.diffop import (
     ISOTROPIC,
@@ -14,6 +21,7 @@ from cxkit.diffop import (
 )
 from _helpers import rationals, stored
 from cxkit.poly import GaussianRational, Poly
+from cxkit.symbols import invert_symbol
 
 SIG = spatial_signature(3)
 SIG_T = spatial_signature(3, time=True, params=("mu",))
@@ -43,6 +51,83 @@ def test_signature_merge():
     assert merged.vars == SIG_T.vars
     other = Signature(("d1", "d2", "d3"), None, ("nu",))
     assert SIG_T.merge(other).params == ("mu", "nu")
+
+
+def test_signature_merge_conflicts_still_raise():
+    with pytest.raises(ValueError, match="spatial variables differ"):
+        SIG.merge(spatial_signature(2))
+    with pytest.raises(ValueError, match="conflicting time variable names"):
+        SIG_T.merge(SIG, Signature(SIG.spatial, "dtt"))
+
+
+def test_signature_refuses_a_name_in_two_roles():
+    for spatial, time, params in [(("d1", "d2"), None, ("d2",)), (("d1",), "d1", ()),
+                                  (("d1",), "dt", ("mu", "dt")), (("d1", "d1"), None, ())]:
+        with pytest.raises(ValueError, match="has two roles"):
+            Signature(spatial, time, params)
+    with pytest.raises(ValueError, match="variable 'z1' has two roles"):
+        Signature(("d1", "d2"), None, ("z1",)).symbol_signature()
+    with pytest.raises(ValueError, match="variable 'tau' has two roles"):
+        Signature(("d1",), "dt", ("tau",)).symbol_signature()
+    # no clash in the symbol's variables: z3 with two spatial ones, tau without time
+    Signature(("d1", "d2"), None, ("z3",)).symbol_signature()
+    Signature(("d1",), None, ("tau",)).symbol_signature()
+
+
+def test_operands_with_a_name_in_two_roles_do_not_merge():
+    """The sum used to be 2*dt, of order 1 with principal symbol 2*i*tau:
+    the parameter dt became the time derivative dt."""
+    as_param = Signature(("d1",), None, ("dt",))
+    as_time = Signature(("d1",), "dt", ())
+    a = OperatorMatrix.scalar(as_param, _d(as_param, "dt"))
+    b = OperatorMatrix.scalar(as_time, _d(as_time, "dt"))
+    with pytest.raises(ValueError, match="variable 'dt' has two roles"):
+        a + b
+    with pytest.raises(ValueError, match="variable 'dt' has two roles"):
+        as_param.merge(as_time)
+
+
+def test_signature_sorts_params_pickles_and_copies():
+    sig = Signature(("d1", "d2"), "dt", ("nu", "mu"))
+    assert sig.params == ("mu", "nu") and sig == Signature(("d1", "d2"), "dt", ("mu", "nu"))
+    for copy in (pickle.loads(pickle.dumps(sig)), deepcopy(sig)):
+        assert copy == sig and hash(copy) == hash(sig)
+
+
+_SIGNATURES = st.builds(
+    Signature, st.just(("d1", "d2")), st.sampled_from([None, "dt"]),
+    st.lists(st.sampled_from(["a", "b", "mu"]), unique=True).map(tuple))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_SIGNATURES, min_size=1, max_size=4))
+def test_merge_is_the_pairwise_fold_in_every_order(sigs):
+    merged = sigs[0].merge(*sigs[1:])
+    for order in permutations(sigs):
+        assert order[0].merge(*order[1:]) == reduce(Signature.merge, order) == merged
+    assert merged.params == tuple(sorted({v for s in sigs for v in s.params}))
+    assert merged.time == ("dt" if any(s.time for s in sigs) else None)
+    first = sigs[0]
+    assert first.merge(*[Signature(first.spatial, first.time, first.params)] * len(sigs)) is first
+    assert sigs[0].merge() is sigs[0]
+
+
+def test_lift_onto_own_signature_is_the_same_object():
+    cplx = de_rham_complex(2, params=("mu",))
+    op = cplx.op(0)
+    sym = op.principal_symbol()
+    rational = invert_symbol(sym.hermitian_transpose() @ sym)
+    assert op[0, 0].lift(op.signature.vars) is op[0, 0]
+    for x in (op, sym, cplx):
+        assert x.lift(x.signature) is x
+    assert rational._lift(rational.signature) is rational
+
+
+def test_as_poly_lifts_a_poly_and_makes_a_constant():
+    mu = _d(SIG_T, "mu")
+    assert SIG_T.as_poly(mu) is mu
+    assert SIG_T.as_poly(_d(spatial_signature(3), "d1")) == _d(SIG_T, "d1")
+    assert SIG_T.as_poly(2) == Poly.constant(SIG_T.vars, 2)
 
 
 def test_params_do_not_count_toward_order():

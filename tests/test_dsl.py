@@ -422,6 +422,41 @@ def test_error_name_declared_twice_or_unusable(text, line, column, message):
     assert (exc.value.line, exc.value.column) == (line, column)
 
 
+@pytest.mark.parametrize("text, line, column, name", [
+    ("vars: d1 d2\nparams: z1\n", 2, 9, "z1"),
+    ("params: z2\nvars: d1 d2\n", 1, 9, "z2"),
+    ("vars: d1 d2\nparams: mu z2\n", 2, 12, "z2"),
+    ("vars: d1\ntime: dt\nparams: tau\n", 3, 9, "tau"),
+    ("params: tau\nvars: d1\ntime: dt\n", 1, 9, "tau"),
+])
+def test_error_parameter_is_a_symbol_variable(text, line, column, name):
+    """Each of these used to parse, and the principal symbol then held one
+    variable both as z_k (or tau) and as the parameter, so ``ellipticity``
+    measured the wrong form."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert str(exc.value) == (f"line {line}, column {column}: "
+                              f"parameter {name!r} is also a variable of the principal symbol")
+
+
+def test_params_in_any_order_give_one_signature():
+    """``params: nu mu`` beside a builder complex used to fail with "cannot
+    lift": the built complex went into the declared order, which no merge
+    of signatures gives."""
+    text = "vars: d1 d2 d3\nparams: {}\ncomplex C = de_rham(3)\nmu C 1 scalar mu*nu\n"
+    doc, same = dsl.parse(text.format("nu mu")), dsl.parse(text.format("mu nu"))
+    assert doc.params == ("nu", "mu") and doc.signature == same.signature
+    assert doc.complexes["C"].ops == same.complexes["C"].ops
+    assert dsl.print_document(doc) == text.format("nu mu")
+
+
+@pytest.mark.parametrize("text", ["vars: d1 d2\nparams: z3\n", "vars: d1\nparams: tau\n",
+                                  "params: z1\ntime: dt\n"])
+def test_parameter_free_of_the_symbol_variables_parses(text):
+    doc = dsl.parse(text)
+    assert doc.signature.symbol_signature().params == doc.params
+
+
 def test_operator_and_complex_may_share_a_name():
     doc = dsl.parse("vars: d1 d2\noperator C = [[d1], [d2]]\ncomplex C = ops(C)\n")
     assert doc.complexes["C"].ops == (doc.operators["C"],)

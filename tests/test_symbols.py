@@ -224,6 +224,22 @@ def test_evolution_identity(n):
     assert "tau" in rep["denominator"] and "mu" in rep["denominator"]
 
 
+@pytest.mark.parametrize("build", [lambda: de_rham_complex(3, params=("mu",)),
+                                   lambda: de_rham_complex(4, params=("mu",)),
+                                   lambda: de_rham_complex(5, params=("mu",)),
+                                   lambda: dolbeault_complex(2, params=("mu",)),
+                                   lambda: dolbeault_complex(3, params=("mu",))],
+                         ids=["de-rham-3", "de-rham-4", "de-rham-5", "dolbeault-2", "dolbeault-3"])
+def test_evolution_identity_at_every_degree(build):
+    """The i tau term of N_t's (q-1, q-1) block used to be i tau I, which
+    sigma_{q-2}^* meets in row q - 2: every q >= 2 reported ``ok: false``."""
+    cplx = build()
+    mu_var = Poly.variable(cplx.signature.vars, "mu")
+    for q in range(1, cplx.length):
+        for mu in (MuSet.identity(cplx), MuSet.scalar(cplx, mu_var, degrees=[q])):
+            assert verify_evolution_identity(cplx, q, mu)["ok"], q
+
+
 def test_stokes_hypothesis_degree_range():
     cplx, mu = _oseen_setup(3)
     with pytest.raises(HypothesisFailure):
@@ -377,9 +393,12 @@ def _ref_evolution_n_t(cplx, q, mu, scalar):
     n_t = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
     n_t = n_t + block_inject(part, sq1, q, q - 1)
     n_t = n_t + block_inject(part, mu1_sym @ sq1.hermitian_transpose(), q - 1, q)
-    last = mu1_sym @ sq1.hermitian_transpose() @ sq1 \
-        + SymbolMatrix.identity(sig, part.ranks[q - 1]).scale(i_tau)
-    n_t = n_t - block_inject(part, last, q - 1, q - 1)
+    n_t = n_t - block_inject(part, mu1_sym @ sq1.hermitian_transpose() @ sq1, q - 1, q - 1)
+    # i tau sigma_{q-1}^* sigma_{q-1} delta_{q-1}^{-1}: i tau I at q = 1
+    time_term = ((sq1.hermitian_transpose() @ sq1).scale(i_tau)
+                 @ invert_symbol(up(_ref_delta(cplx, q - 1, mu))))
+    n_t = n_t - RationalSymbolMatrix(block_inject(part, time_term.num, q - 1, q - 1),
+                                     time_term.den)
     for j in range(q - 1):  # sigma(M_{q-1}), unweighted
         s = up(sigma(cplx, j))
         n_t = n_t + block_inject(part, s, j + 1, j)
@@ -390,7 +409,7 @@ def _ref_evolution_n_t(cplx, q, mu, scalar):
 def _evolution_n_t(cplx, q, mu, scalar):
     """N_t + sigma(M_{q-1}) as ``verify_evolution_identity`` builds it:
     ``_n_symbol`` on the lifted symbol complex around I/(i tau + scalar),
-    with the i tau block placed in its corner."""
+    with the i tau term placed in its corner."""
     sym, mus = symbols._symbols(cplx, mu)
     sig = Signature(sym.signature.spatial, "tau", sym.signature.params)
     sym = sym.lift(sig)
@@ -398,7 +417,10 @@ def _evolution_n_t(cplx, q, mu, scalar):
     part = BlockPartition.for_degree(sym, q)
     i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), i_tau + scalar.lift(sig.vars))
-    return symbols._n_symbol(sym, q, mus, resolvent, i_tau)
+    sq1 = sym.op(q - 1)
+    time_term = ((sq1.hermitian_transpose() @ sq1).scale(i_tau)
+                 @ invert_symbol(symbols.generalized_laplacian(sym, q - 1, mus)))
+    return symbols._n_symbol(sym, q, mus, resolvent, time_term)
 
 
 def _symmetric_gradient_3d() -> Complex:
