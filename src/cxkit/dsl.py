@@ -5,11 +5,22 @@ Grammar (one statement per line, ``#`` comments)::
     vars: d1 d2 d3            # spatial derivative symbols
     time: dt                  # optional time symbol
     params: mu c              # named parameters
-    operator A = [[d1, 0], [d2, d1], [0, d2]]
+    operator A = [[d1], [d2], [d3]]
+    operator S = [[dt - mu*(d1^2 + d2^2 + d3^2), A], [[[d1, d2, d3]], 0]]
+    operator N = -i*S         # an operator negated or times a polynomial
     complex C = ops(A, B)     # or de_rham(3), koszul(d1, d2), dolbeault(2),
                               #    power_de_rham(3, 2)
     mu C 1 scalar mu          # weight assignment: complex, degree (0..N, once
                               #    each), kind (only scalar), value
+
+Each of ``vars``, ``time`` and ``params`` is stated at most once.  An
+operator is a literal, a grid of blocks: each entry is a polynomial, an
+operator named before, or a nested literal.  A block row takes its height,
+and a block column its width, from the operators in it (1 where it holds
+none); a polynomial p is p*I in a square block and the zero block when
+p = 0.  A whole operator may be negated or multiplied by a polynomial, and
+nothing else: no sum with it, no product of two operators, no power.  A
+literal with operator blocks has at most ``MAX_MATRIX_ENTRIES`` entries.
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
@@ -17,7 +28,8 @@ constants and the imaginary unit ``i``; exponents are at most
 product at most ``poly.MAX_DEGREE``, a bound on its term count at most
 ``MAX_TERMS``, one on its coefficients' bit length at most
 ``MAX_COEFF_BITS`` and one on the term products of each multiply at most
-``MAX_TERM_PRODUCTS``.  Builder sizes are at least 1 and at most what keeps
+``MAX_TERM_PRODUCTS``; an operator times a polynomial is held to the same
+bounds entry by entry.  Builder sizes are at least 1 and at most what keeps
 every differential within ``MAX_MATRIX_ENTRIES`` entries, and the
 ``power_de_rham`` power lies in 1..``MAX_EXPONENT``.  A name is declared
 once across ``vars``, ``time`` and ``params``, and never ``i``; no parameter
@@ -41,7 +53,7 @@ from cxkit.complexes import (
     powered_de_rham_complex,
 )
 from cxkit.diffop import OperatorMatrix, Signature
-from cxkit.poly import MAX_DEGREE, GaussianRational, Poly
+from cxkit.poly import MAX_DEGREE, GaussianRational, Poly, PolyMatrix
 
 # Largest exponent ``^`` accepts: a power's size grows with it without bound.
 MAX_EXPONENT = 64
@@ -59,10 +71,12 @@ MAX_COEFF_BITS = 1024
 # the result, and (d1^0 + d1 + ... + d1^64)^64, 4097 terms, squares a
 # 2049-term polynomial on its way (about 3 s).
 MAX_TERM_PRODUCTS = 1_000_000
-# Most entries a builder's largest differential may have.  The builders are
-# wedge (Koszul) complexes on n generators, whose largest differential is
-# C(n, q + 1) x C(n, q) at q = (n - 1) // 2: 3920 entries at n = 8, and
-# 853 776 at n = 12, where ``cxkit verify`` runs past two minutes.
+# Most entries a builder's largest differential, or a literal with operator
+# blocks, may have.  The builders are wedge (Koszul) complexes on n
+# generators, whose largest differential is C(n, q + 1) x C(n, q) at
+# q = (n - 1) // 2: 3920 entries at n = 8, and 853 776 at n = 12, where
+# ``cxkit verify`` runs past two minutes.  k lines of ``[[A, A], [A, A]]``
+# would make 4^k entries.
 MAX_MATRIX_ENTRIES = 10_000
 
 
@@ -170,12 +184,15 @@ def _tokenize(text: str, line_no: int) -> list[Token]:
 
 
 class _Parser:
-    """Recursive-descent expression parser over one token stream."""
+    """Recursive-descent expression parser over one token stream.  An
+    expression is a :class:`Poly`, or, where ``operators`` names the
+    operators it may use, an :class:`OperatorMatrix`."""
 
     def __init__(self, tokens: list[Token], doc: SpecDocument):
         self.tokens = tokens
         self.pos = 0
         self.doc = doc
+        self.operators: dict[str, OperatorMatrix] | None = None
 
     @property
     def current(self) -> Token:
@@ -199,36 +216,43 @@ class _Parser:
             raise self.error(f"expected {want!r}, found {self.current.text!r}")
         return tok
 
-    # expression := term (('+'|'-') term)*
-    def expression(self) -> Poly:
+    # expression := '-'? term (('+'|'-') term)*
+    def expression(self) -> Poly | OperatorMatrix:
         if self.accept("punct", "-"):
             total = -self.term()
         else:
             total = self.term()
-        while True:
-            if self.accept("punct", "+"):
-                total = total + self.term()
-            elif self.accept("punct", "-"):
-                total = total - self.term()
-            else:
-                return total
+        while sign := self.accept("punct", "+") or self.accept("punct", "-"):
+            right = self.term()
+            if not isinstance(total, Poly) or not isinstance(right, Poly):
+                raise SpecError("no sum with an operator", sign.line, sign.column)
+            total = total + right if sign.text == "+" else total - right
+        return total
 
     # term := factor ('*' factor)*
-    def term(self) -> Poly:
+    def term(self) -> Poly | OperatorMatrix:
         total = self.factor()
         while star := self.accept("punct", "*"):
             factor = self.factor()
-            products = len(total.terms) * len(factor.terms)
-            _check_size(total.total_degree() + factor.total_degree(), products,
-                        total._coeff_bits() + factor._coeff_bits(), products,
-                        len(total.vars), star)
-            total = total * factor
+            if isinstance(total, Poly) and isinstance(factor, Poly):
+                _check_product(total, factor, star)
+                total = total * factor
+                continue
+            op, scalar = (total, factor) if isinstance(factor, Poly) else (factor, total)
+            if not isinstance(scalar, Poly):
+                raise SpecError("no product of two operators", star.line, star.column)
+            for row in op.body.entries:
+                for entry in row:
+                    _check_product(entry, scalar, star)
+            total = op.scale(scalar)
         return total
 
     # factor := atom ('^' int)?
-    def factor(self) -> Poly:
+    def factor(self) -> Poly | OperatorMatrix:
         atom = self.atom()
-        if self.accept("punct", "^"):
+        if caret := self.accept("punct", "^"):
+            if not isinstance(atom, Poly):
+                raise SpecError("no power of an operator", caret.line, caret.column)
             exp = self.expect("int")
             if int(exp.text) > MAX_EXPONENT:
                 raise SpecError(f"exponent {exp.text} exceeds {MAX_EXPONENT}",
@@ -240,14 +264,16 @@ class _Parser:
             return atom ** e
         return atom
 
-    # atom := rational | 'i' | variable | '(' expression ')'
-    def atom(self) -> Poly:
+    # atom := rational | 'i' | variable | '(' expression ')' | operator | literal
+    def atom(self) -> Poly | OperatorMatrix:
         vars = self.doc.signature.vars
         if self.accept("punct", "("):
             inner = self.expression()
             self.expect("punct", ")")
             return inner
         tok = self.current
+        if self.operators is not None and tok.text == "[":
+            return self.literal()
         if tok.kind == "int":
             self.pos += 1
             value = Fraction(int(tok.text))
@@ -263,29 +289,74 @@ class _Parser:
                 return Poly.constant(vars, GaussianRational.i())
             if tok.text in vars:
                 return Poly.variable(vars, tok.text)
+            if self.operators and tok.text in self.operators:
+                try:
+                    return self.operators[tok.text].lift(self.doc.signature)
+                except ValueError:
+                    raise SpecError(f"operator {tok.text!r} is over other spatial variables",
+                                    tok.line, tok.column) from None
             raise SpecError(f"unknown symbol {tok.text!r}", tok.line, tok.column)
         raise self.error("expected a polynomial atom")
 
-    # matrix := '[' row (',' row)* ']'
-    def matrix(self) -> list[list[Poly]]:
-        self.expect("punct", "[")
-        rows = [self.matrix_row()]
+    # literal := '[' row (',' row)* ']'    row := '[' expression (',' expression)* ']'
+    def literal(self) -> OperatorMatrix:
+        start = self.expect("punct", "[")
+        rows = [self.literal_row()]
         while self.accept("punct", ","):
-            rows.append(self.matrix_row())
+            rows.append(self.literal_row())
         self.expect("punct", "]")
-        width = len(rows[0])
-        for row in rows:
-            if len(row) != width:
-                raise self.error("ragged matrix row")
-        return rows
+        if any(len(row) != len(rows[0]) for row in rows):
+            raise self.error("ragged matrix row")
+        sig = self.doc.signature
+        if not any(isinstance(v, OperatorMatrix) for row in rows for _, v in row):
+            return OperatorMatrix.from_entries(sig, [[v for _, v in row] for row in rows])
+        heights = [_block_size(row, "rows", "row") for row in rows]
+        widths = [_block_size(col, "cols", "column") for col in zip(*rows)]
+        if sum(heights) * sum(widths) > MAX_MATRIX_ENTRIES:
+            raise SpecError(f"{sum(heights)}x{sum(widths)} operator would pass "
+                            f"{MAX_MATRIX_ENTRIES} entries", start.line, start.column)
+        placed, r0 = [], 0
+        for row, height in zip(rows, heights):
+            c0 = 0
+            for (tok, value), width in zip(row, widths):
+                if isinstance(value, OperatorMatrix):
+                    placed.append((value.body, r0, c0))
+                elif not value.is_zero:
+                    if height != width:
+                        raise SpecError(f"polynomial in a {height}x{width} block: only "
+                                        "a square block is a multiple of I",
+                                        tok.line, tok.column)
+                    placed.append((PolyMatrix.identity(sig.vars, height, value), r0, c0))
+                c0 += width
+            r0 += height
+        return OperatorMatrix(sig, PolyMatrix.place(sig.vars, r0, c0, placed))
 
-    def matrix_row(self) -> list[Poly]:
+    def literal_row(self) -> list[tuple[Token, Poly | OperatorMatrix]]:
         self.expect("punct", "[")
-        row = [self.expression()]
+        row = [(self.current, self.expression())]
         while self.accept("punct", ","):
-            row.append(self.expression())
+            row.append((self.current, self.expression()))
         self.expect("punct", "]")
         return row
+
+
+def _block_size(cells, dim: str, kind: str) -> int:
+    """The height (``dim`` "rows") or width ("cols") of a block row or
+    column: that of each operator in it, 1 where it holds none, else an
+    error located at the first operator of another size."""
+    sizes = [(tok, getattr(v, dim)) for tok, v in cells if isinstance(v, OperatorMatrix)]
+    for tok, size in sizes:
+        if size != sizes[0][1]:
+            raise SpecError(f"ragged block {kind}: {size} {dim} where the first "
+                            f"operator has {sizes[0][1]}", tok.line, tok.column)
+    return sizes[0][1] if sizes else 1
+
+
+def _check_product(a: Poly, b: Poly, tok: Token) -> None:
+    """``_check_size`` on the product ``a * b``."""
+    products = len(a.terms) * len(b.terms)
+    _check_size(a.total_degree() + b.total_degree(), products,
+                a._coeff_bits() + b._coeff_bits(), products, len(a.vars), tok)
 
 
 def _power_products(atom: Poly, e: int) -> int:
@@ -343,12 +414,17 @@ def _check_size(degree: int, terms: int, bits: int, products: int, nvars: int,
 def parse(text: str) -> SpecDocument:
     doc = SpecDocument()
     declared: dict[str, Token] = {}  # the token of each vars and params name
+    stated: set[str] = set()  # the declaration statements read
     for line_no, raw in enumerate(text.splitlines(), start=1):
         tokens = _tokenize(raw, line_no)
         if tokens[0].kind == "end":
             continue
         p = _Parser(tokens, doc)
         head = p.expect("name")
+        if head.text in ("vars", "time", "params"):
+            if head.text in stated:
+                raise SpecError(f"second {head.text!r} statement", head.line, head.column)
+            stated.add(head.text)
         if head.text in ("vars", "params"):
             p.expect("punct", ":")
             names = []
@@ -367,9 +443,13 @@ def parse(text: str) -> SpecDocument:
         elif head.text == "operator":
             name = _new_name(p.expect("name"), doc.operators, "operator")
             p.expect("punct", "=")
-            entries = p.matrix()
+            p.operators, start = doc.operators, p.current
+            value = p.expression()
             p.expect("end")
-            doc.operators[name] = OperatorMatrix.from_entries(doc.signature, entries)
+            if not isinstance(value, OperatorMatrix):
+                raise SpecError("an operator is a matrix literal, not a polynomial",
+                                start.line, start.column)
+            doc.operators[name] = value
         elif head.text == "complex":
             name = _new_name(p.expect("name"), doc.complexes, "complex")
             p.expect("punct", "=")

@@ -322,6 +322,19 @@ def test_polish_hard_case_report_bytes(tmp_path, name, kind):
         assert out.read_bytes() == (DATA / f"ellipticity_{name}_{kind}.json").read_bytes()
 
 
+# The classical Stokes system [[(dt - mu*Laplace) I_3, grad], [div, 0]], entered
+# entry by entry (its report pinned before the spec language had block
+# literals) and as a block literal: one operator, so one report.  Its verdict
+# is a fail, and rightly: the isotropic principal symbol keeps only the
+# second-order diagonal, so the determinant is 0.
+@pytest.mark.parametrize("form", ["flat", "block"])
+def test_stokes_display_report_bytes(tmp_path, form):
+    out = tmp_path / "report.json"
+    assert _run(["ellipticity", "--spec", str(DATA / f"stokes3_{form}.spec"), "--name", "S",
+                 "--kind", "petrovskii", "--json", str(out)]) == 1
+    assert out.read_bytes() == (DATA / "ellipticity_stokes3_petrovskii.json").read_bytes()
+
+
 @pytest.mark.parametrize("command", ["syzygy", "extend"])
 @pytest.mark.parametrize("budget", ["-1", "-5"])
 def test_negative_pair_budget_is_json_error(spec_file, capsys, command, budget):

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from cxkit import dsl
 from cxkit.complexes import laplacian
-from cxkit.poly import MAX_DEGREE, GaussianRational, Poly
+from cxkit.poly import MAX_DEGREE, GaussianRational, Poly, PolyMatrix
 
 
 EXAMPLE = """\
@@ -460,3 +460,209 @@ def test_parameter_free_of_the_symbol_variables_parses(text):
 def test_operator_and_complex_may_share_a_name():
     doc = dsl.parse("vars: d1 d2\noperator C = [[d1], [d2]]\ncomplex C = ops(C)\n")
     assert doc.complexes["C"].ops == (doc.operators["C"],)
+
+
+@pytest.mark.parametrize("text, line, column, head", [
+    ("vars: d1 d2\noperator A = [[d1^2 + d2^2]]\nvars: d3\n", 3, 1, "vars"),
+    ("vars: d1\ntime: dt\ntime: ds\n", 3, 1, "time"),
+    ("params: mu\nvars: d1\n  params: nu\n", 3, 3, "params"),
+    ("vars:\nvars: d1\n", 2, 1, "vars"),
+])
+def test_error_declaration_repeated(text, line, column, head):
+    """A second ``vars``, ``time`` or ``params`` statement used to replace the
+    first silently: the first case parsed to the signature ('d3',) while A
+    stayed over ('d1', 'd2'), and printed only ``vars: d3``."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert str(exc.value) == f"line {line}, column {column}: second {head!r} statement"
+
+
+# ---------------------------------------------------------------------------
+# Block literals
+
+BLOCK_HEAD = """\
+vars: d1 d2 d3
+time: dt
+params: mu
+operator grad = [[d1], [d2], [d3]]
+operator div = [[d1, d2, d3]]
+"""
+
+
+def _ops(text: str) -> dict:
+    return dsl.parse(BLOCK_HEAD + text).operators
+
+
+def test_block_literal_places_blocks_and_scalar_identities():
+    """A polynomial is p*I in a square block and the zero block for 0; each
+    block row and column takes its size from its operators."""
+    ops = _ops("operator S = [[dt - mu*(d1^2 + d2^2 + d3^2), grad], [div, 0]]\n"
+               "operator F = [[dt - mu*(d1^2 + d2^2 + d3^2), 0, 0, d1], "
+               "[0, dt - mu*(d1^2 + d2^2 + d3^2), 0, d2], "
+               "[0, 0, dt - mu*(d1^2 + d2^2 + d3^2), d3], [d1, d2, d3, 0]]\n")
+    assert ops["S"] == ops["F"] and (ops["S"].rows, ops["S"].cols) == (4, 4)
+
+
+def test_block_literal_nests_negates_and_scales():
+    ops = _ops("operator N = [[[[d1, d2]], 0], [0, [[dt], [mu]]]]\n"
+               "operator M = -i*[[grad, -grad]]\n"
+               "operator P = (1 - mu)*div\n")
+    sig = ops["N"].signature
+    d1, d2, d3, dt, mu = (Poly.variable(sig.vars, v) for v in ("d1", "d2", "d3", "dt", "mu"))
+    zero, i = Poly.zero(sig.vars), GaussianRational.i()
+    assert ops["N"].body.entries == ((d1, d2, zero), (zero, zero, dt), (zero, zero, mu))
+    assert ops["M"].body.entries == tuple((d.scale(-i), d.scale(i)) for d in (d1, d2, d3))
+    one = Poly.one(sig.vars)
+    assert ops["P"].body.entries == (tuple(d * (one - mu) for d in (d1, d2, d3)),)
+
+
+def test_flat_literals_keep_their_operator():
+    """Where no block row or column holds an operator every block is 1x1, so
+    a flat literal is its entry table, as before block literals."""
+    doc = dsl.parse(EXAMPLE)
+    sig = doc.signature
+    d1, d2 = (Poly.variable(sig.vars, v) for v in ("d1", "d2"))
+    assert doc.operators["B"].body == PolyMatrix(sig.vars, [[d2 ** 2, -(d1 * d2), d1 ** 2]])
+
+
+def test_named_operator_lifts_onto_later_parameters():
+    doc = dsl.parse("vars: d1\noperator A = [[d1]]\nparams: mu\noperator B = [[A, mu]]\n")
+    assert doc.operators["A"].signature.params == ()
+    assert str(doc.operators["B"][0, 1]) == "mu"
+
+
+@pytest.mark.parametrize("value, at, message", [
+    ("[[grad, div]]", "div", "ragged block row: 1 rows where the first operator has 3"),
+    ("[[grad], [div]]", "div", "ragged block column: 3 cols where the first operator has 1"),
+    ("[[grad, mu]]", "mu", "polynomial in a 3x1 block: only a square block is a multiple of I"),
+    ("[[div^2]]", "^", "no power of an operator"),
+    ("[[grad + grad]]", "+", "no sum with an operator"),
+    ("[[1 - div]]", "-", "no sum with an operator"),
+    ("div*grad", "*", "no product of two operators"),
+    ("d1 + d2", "d1", "an operator is a matrix literal, not a polynomial"),
+    ("[[curl]]", "curl", "unknown symbol 'curl'"),
+])
+def test_block_literal_errors_are_located(value, at, message):
+    text = BLOCK_HEAD + f"operator X = {value}\n"
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    column = text.split("\n")[5].index(at, len("operator X = ")) + 1
+    assert str(exc.value) == f"line 6, column {column}: {message}"
+
+
+@pytest.mark.parametrize("statement, at, message", [
+    ("complex K = koszul(d1, grad)", "grad", "unknown symbol 'grad'"),
+    ("mu C 1 scalar grad", "grad", "unknown symbol 'grad'"),
+    ("mu C 1 scalar [[d1]]", "[", "expected a polynomial atom"),
+])
+def test_operators_stay_out_of_polynomial_contexts(statement, at, message):
+    """Koszul generators and ``mu`` values are polynomials: an operator's
+    name is unknown there, and a literal is no polynomial atom."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(BLOCK_HEAD + f"complex C = de_rham(3)\n{statement}\n")
+    assert str(exc.value) == f"line 7, column {statement.index(at) + 1}: {message}"
+
+
+def test_operator_over_other_spatial_variables_is_located():
+    """An operator entered before ``vars`` cannot be lifted onto them."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse("operator A = [[1]]\nvars: d1\noperator B = [[A, d1]]\n")
+    assert str(exc.value) == "line 3, column 16: operator 'A' is over other spatial variables"
+
+
+def test_block_literal_entry_limit_is_located():
+    """Each line of [[A, A], [A, A]] quadruples the entries: the line that
+    would pass ``MAX_MATRIX_ENTRIES`` is refused at its literal, quickly."""
+    lines = ["vars: d1", "operator A0 = [[d1]]"]
+    lines += [f"operator A{k} = [[A{k - 1}, A{k - 1}], [A{k - 1}, A{k - 1}]]"
+              for k in range(1, 12)]
+    t0 = time.perf_counter()
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse("\n".join(lines) + "\n")
+    assert time.perf_counter() - t0 < 2.0
+    # A6, 64 x 64 = 4096 entries, parses; A7, 128 x 128 = 16384, does not
+    assert str(exc.value) == (f"line 9, column 15: 128x128 operator would pass "
+                              f"{dsl.MAX_MATRIX_ENTRIES} entries")
+
+
+def test_operator_scaling_checks_each_entry_product():
+    """An operator times a polynomial is held to the polynomial bounds entry
+    by entry, at its ``*``, before any multiply."""
+    text = "vars: d1 d2\noperator A = [[d1, (d2^64)^64]]\noperator B = ((d1^64)^64)^7 * A\n"
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    column = text.split("\n")[2].rindex("*") + 1
+    assert str(exc.value) == f"line 3, column {column}: total degree 32768 exceeds {MAX_DEGREE}"
+    doc = dsl.parse(text.replace("(d2^64)^64", "(d2^64)^63*d2^63"))
+    assert doc.operators["B"][0, 1].total_degree() == MAX_DEGREE
+
+
+# ---------------------------------------------------------------------------
+# Round trip over generated specs
+
+_POLY_ATOMS = ["0", "1", "2", "1/2", "3*i", "i", "d1", "d2^2", "mu", "(d1 - i*d2)", "d1*mu"]
+
+
+def _signed_sum(terms: list[tuple[bool, str]]) -> str:
+    """``a - b + c`` from ``[(False, "a"), (True, "b"), (False, "c")]``."""
+    (negative, first), rest = terms[0], terms[1:]
+    return ("-" if negative else "") + first + "".join(
+        f" {'-' if neg else '+'} {atom}" for neg, atom in rest)
+
+
+@st.composite
+def _specs(draw) -> str:
+    """A spec of declarations, flat and block-literal operators, builder and
+    ``ops`` complexes and ``mu`` statements, over d1 d2 (and dt, mu, nu)."""
+    lines = ["vars: d1 d2"]
+    time_var = draw(st.booleans())
+    if time_var:
+        lines.append("time: dt")
+    params = draw(st.sampled_from([[], ["mu"], ["nu", "mu"]]))
+    if params:
+        lines.append("params: " + " ".join(params))
+    atoms = [a for a in _POLY_ATOMS if "mu" not in a or params] + (["dt"] if time_var else [])
+    poly = st.lists(st.tuples(st.booleans(), st.sampled_from(atoms)),
+                    min_size=1, max_size=3).map(_signed_sum)
+    ops = {}  # name -> (rows, cols)
+    for k in range(draw(st.integers(1, 4))):
+        name = f"A{k}"
+        if ops and draw(st.booleans()):
+            # a block literal, scaled: a square operator beside a polynomial
+            # times I, any other above a nested zero row
+            other, (r, c) = draw(st.sampled_from(sorted(ops.items())))
+            scale = draw(st.sampled_from(["", "-", "i*", "(1/2 - d1)*"]))
+            if r == c:
+                value, ops[name] = f"{scale}[[{other}, 0], [0, {draw(poly)}]]", (2 * r, 2 * c)
+            else:
+                zeros = ", ".join(["0"] * c)
+                value, ops[name] = f"{scale}[[{other}], [[[{zeros}]]]]", (r + 1, c)
+        else:
+            r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+            value = "[" + ", ".join("[" + ", ".join(draw(poly) for _ in range(c)) + "]"
+                                    for _ in range(r)) + "]"
+            ops[name] = (r, c)
+        lines.append(f"operator {name} = {value}")
+    complexes = {"C": 2}  # name -> length
+    lines.append("complex C = de_rham(2)")
+    if draw(st.booleans()):
+        lines.append("complex K = koszul(d1 + i*d2, d2^2)")
+        complexes["K"] = 2
+    lines.append(f"complex O = ops({draw(st.sampled_from(sorted(ops)))})")
+    complexes["O"] = 1
+    for cname, length in complexes.items():
+        for q in draw(st.sets(st.integers(0, length))):
+            lines.append(f"mu {cname} {q} scalar {draw(poly)}")
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(_specs())
+def test_printed_document_parses_back(text):
+    """Printing a parsed spec and parsing it again gives the same document,
+    and the printed text is a fixed point."""
+    doc = dsl.parse(text)
+    printed = dsl.print_document(doc)
+    again = dsl.parse(printed)
+    assert again == doc
+    assert dsl.print_document(again) == printed

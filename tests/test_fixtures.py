@@ -1,9 +1,10 @@
-"""Block gluing helpers of the fixture corpus, against plain entry tables."""
+"""Block literals of the spec language, the way the fixture corpus enters its
+displays, against plain entry tables."""
 
 import pytest
 
+from cxkit import dsl
 from cxkit.diffop import OperatorMatrix, spatial_signature
-from cxkit.fixtures import _assemble, _reverse_blocks, _scale_last_row
 from cxkit.poly import Poly
 
 SIG = spatial_signature(2)
@@ -17,6 +18,19 @@ def numbered(rows: int, cols: int, start: int = 1) -> OperatorMatrix:
         for i in range(rows)])
 
 
+def spec_text(blocks: dict[str, OperatorMatrix], value: str) -> str:
+    """A spec that enters each of ``blocks`` flat, then ``X = value``."""
+    lines = ["vars: d1 d2"]
+    for name, op in blocks.items():
+        rows = ", ".join("[" + ", ".join(str(p) for p in row) + "]" for row in table(op))
+        lines.append(f"operator {name} = [{rows}]")
+    return "\n".join(lines + [f"operator X = {value}", ""])
+
+
+def literal(blocks: dict[str, OperatorMatrix], value: str) -> OperatorMatrix:
+    return dsl.parse(spec_text(blocks, value)).operators["X"]
+
+
 def table(op: OperatorMatrix) -> list[list[Poly]]:
     return [[op[i, j] for j in range(op.cols)] for i in range(op.rows)]
 
@@ -24,36 +38,60 @@ def table(op: OperatorMatrix) -> list[list[Poly]]:
 def test_assemble_glues_block_rows():
     a, b = numbered(1, 2, 1), numbered(1, 3, 10)
     c, d = numbered(2, 2, 20), numbered(2, 3, 30)
-    glued = _assemble(SIG, [[a, b], [c, d]])
+    glued = literal({"a": a, "b": b, "c": c, "d": d}, "[[a, b], [c, d]]")
     want = [table(a)[0] + table(b)[0]] + [x + y for x, y in zip(table(c), table(d))]
     assert glued == OperatorMatrix.from_entries(SIG, want)
 
 
+BLOCKS = {"A12": numbered(1, 2), "A21": numbered(2, 1), "A13": numbered(1, 3),
+          "A11": numbered(1, 1)}
+
+
 @pytest.mark.parametrize("rows", [
-    [[numbered(1, 2), numbered(2, 1)]],                  # heights differ
-    [[numbered(1, 2)], [numbered(1, 3)]],                # widths differ
-    [[numbered(1, 2), numbered(1, 1)], [numbered(1, 2)]],  # short second row
+    [["A12", "A21"]],            # heights differ: a ragged block row
+    [["A12"], ["A13"]],          # widths differ: a ragged block column
+    [["A12", "A11"], ["A12"]],   # short second row: a ragged matrix row
 ])
 def test_assemble_rejects_ragged_rows(rows):
-    with pytest.raises(ValueError, match="ragged"):
-        _assemble(SIG, rows)
+    value = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    with pytest.raises(dsl.SpecError, match="ragged") as exc:
+        literal(BLOCKS, value)
+    assert exc.value.line == len(BLOCKS) + 2
+
+
+def _quarters(op: OperatorMatrix, k: int) -> dict[str, OperatorMatrix]:
+    """The blocks P, Q, R, S of ``op`` = [[P, Q], [R, S]], P being k x k."""
+    n = op.rows
+    return {name: OperatorMatrix(SIG, op.body.block(r0, r1, c0, c1))
+            for name, (r0, r1, c0, c1) in (("P", (0, k, 0, k)), ("Q", (0, k, k, n)),
+                                           ("R", (k, n, 0, k)), ("S", (k, n, k, n)))}
 
 
 def test_reverse_blocks_permutes_entries():
+    """A display entered in the other block order is the same matrix with
+    its rows and columns permuted."""
     op = numbered(5, 5)
     perm = [3, 4, 0, 1, 2]  # blocks (3, 2) become (2, 3)
-    got = _reverse_blocks(op, (3, 2))
+    blocks = _quarters(op, 3)
+    assert literal(blocks, "[[P, Q], [R, S]]") == op
+    got = literal(blocks, "[[S, R], [Q, P]]")
     assert table(got) == [[op[perm[i], perm[j]] for j in range(5)] for i in range(5)]
-    assert _reverse_blocks(got, (2, 3)) == op
 
 
 def test_reverse_blocks_rejects_bad_profile():
-    with pytest.raises(ValueError, match="rank profile"):
-        _reverse_blocks(numbered(4, 4), (3, 2))
+    """Blocks whose sizes do not line up are refused at the first misfit."""
+    blocks = _quarters(numbered(5, 5), 3)
+    text = spec_text(blocks, "[[S, Q], [R, P]]")
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse(text)
+    assert str(exc.value) == (f"line 6, column {text.split(chr(10))[5].index('Q') + 1}: "
+                              "ragged block row: 3 rows where the first operator has 2")
 
 
 def test_scale_last_row():
     op = numbered(3, 2)
     want = table(op)
     want[-1] = [p.scale(-1) for p in want[-1]]
-    assert _scale_last_row(op, -1) == OperatorMatrix.from_entries(SIG, want)
+    blocks = {"top": OperatorMatrix(SIG, op.body.block(0, 2, 0, 2)),
+              "last": OperatorMatrix(SIG, op.body.block(2, 3, 0, 2))}
+    assert literal(blocks, "[[top], [-last]]") == OperatorMatrix.from_entries(SIG, want)

@@ -3,8 +3,9 @@
 Every case is a fresh interpreter that runs one command through
 ``cxkit.cli.main`` and then lists the ``cxkit`` modules it has loaded, which
 of numpy, ``numpy.random`` and ``numpy.ma`` are among them (the numeric
-commands run on numpy's core and linalg alone) and which of ``dataclasses``
-and ``inspect`` (the exact commands build no dataclass).
+commands run on numpy's core and linalg alone), which of ``dataclasses``
+and ``inspect`` (the exact commands build no dataclass), and whether sympy,
+a test-only oracle, is (no command loads it).
 """
 
 import json
@@ -29,7 +30,8 @@ mods = sorted(m for m in sys.modules if m == "cxkit" or m.startswith("cxkit."))
 with open(out, "w") as fh:
     json.dump({"cxkit": mods, "numpy": sorted(m for m in ("numpy", "numpy.ma", "numpy.random")
                                                if m in sys.modules),
-               "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}, fh)
+               "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+               "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}, fh)
 """
 
 SPEC = """\
@@ -81,6 +83,7 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, modules, numpy):
     assert set(loaded["cxkit"]) == modules
     assert loaded["numpy"] == (["numpy"] if numpy else [])
     assert loaded["stdlib"] == (DATACLASSES if "cxkit.ellipticity" in modules else [])
+    assert loaded["sympy"] == []
 
 
 def test_every_module_is_listed():
