@@ -13,14 +13,17 @@ Grammar (one statement per line, ``#`` comments)::
     mu C 1 scalar mu          # weight assignment: complex, degree (0..N, once
                               #    each), kind (only scalar), value
 
-Each of ``vars``, ``time`` and ``params`` is stated at most once.  An
-operator is a literal, a grid of blocks: each entry is a polynomial, an
-operator named before, or a nested literal.  A block row takes its height,
-and a block column its width, from the operators in it (1 where it holds
-none); a polynomial p is p*I in a square block and the zero block when
-p = 0.  A whole operator may be negated or multiplied by a polynomial, and
-nothing else: no sum with it, no product of two operators, no power.  A
-literal with operator blocks has at most ``MAX_MATRIX_ENTRIES`` entries.
+Each of ``vars``, ``time`` and ``params`` is stated at most once, in any
+order: a ``time`` or ``params`` statement lifts the operators, complexes and
+``mu`` values read before it onto the new variables (not those read before
+``vars``, which stay over other spatial variables).  An operator is a
+literal, a grid of blocks: each entry is a polynomial, an operator named
+before, or a nested literal.  A block row takes its height, and a block
+column its width, from the operators in it (1 where it holds none); a
+polynomial p is p*I in a square block and the zero block when p = 0.  A
+whole operator may be negated or multiplied by a polynomial, and nothing
+else: no sum with it, no product of two operators, no power.  A literal
+with operator blocks has at most ``MAX_MATRIX_ENTRIES`` entries.
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
 constants and the imaginary unit ``i``; exponents are at most
@@ -99,6 +102,7 @@ class SpecDocument:
         self.spatial = spatial
         self.time = time
         self.params = params
+        self.signature = Signature(spatial, time, params)  # rebuilt by each declaration
         self.operators = {} if operators is None else operators
         self.complexes = {} if complexes is None else complexes
         self.mu_specs = {} if mu_specs is None else mu_specs
@@ -106,10 +110,6 @@ class SpecDocument:
 
     def __repr__(self) -> str:
         return field_repr(self, self._FIELDS)
-
-    @property
-    def signature(self) -> Signature:
-        return Signature(self.spatial, self.time, self.params)
 
     def mu_set(self, name: str) -> MuSet | None:
         """Materialize the weight assignments for a complex, if any."""
@@ -290,11 +290,11 @@ class _Parser:
             if tok.text in vars:
                 return Poly.variable(vars, tok.text)
             if self.operators and tok.text in self.operators:
-                try:
-                    return self.operators[tok.text].lift(self.doc.signature)
-                except ValueError:
+                op = self.operators[tok.text]  # over doc.signature, see _declare
+                if op.signature != self.doc.signature:
                     raise SpecError(f"operator {tok.text!r} is over other spatial variables",
-                                    tok.line, tok.column) from None
+                                    tok.line, tok.column)
+                return op
             raise SpecError(f"unknown symbol {tok.text!r}", tok.line, tok.column)
         raise self.error("expected a polynomial atom")
 
@@ -425,21 +425,18 @@ def parse(text: str) -> SpecDocument:
             if head.text in stated:
                 raise SpecError(f"second {head.text!r} statement", head.line, head.column)
             stated.add(head.text)
-        if head.text in ("vars", "params"):
             p.expect("punct", ":")
-            names = []
-            while p.current.kind == "name":
-                tok = p.expect("name")
-                names.append(_new_name(tok, doc.signature.vars + tuple(names)))
-                declared[tok.text] = tok
+            if head.text == "time":
+                doc.time = _new_name(p.expect("name"), doc.signature.vars)
+            else:
+                names = []
+                while p.current.kind == "name":
+                    tok = p.expect("name")
+                    names.append(_new_name(tok, doc.signature.vars + tuple(names)))
+                    declared[tok.text] = tok
+                setattr(doc, "spatial" if head.text == "vars" else "params", tuple(names))
             p.expect("end")
-            setattr(doc, "spatial" if head.text == "vars" else "params", tuple(names))
-            _check_symbol_names(doc, declared)
-        elif head.text == "time":
-            p.expect("punct", ":")
-            doc.time = _new_name(p.expect("name"), doc.signature.vars)
-            p.expect("end")
-            _check_symbol_names(doc, declared)
+            _declare(doc, declared)
         elif head.text == "operator":
             name = _new_name(p.expect("name"), doc.operators, "operator")
             p.expect("punct", "=")
@@ -489,17 +486,29 @@ def _new_name(tok: Token, taken, kind: str = "name") -> str:
     return tok.text
 
 
-def _check_symbol_names(doc: SpecDocument, declared: dict[str, Token]) -> None:
-    """An error located at a parameter the principal symbol also names:
-    z1..zn for n spatial variables, or tau with a time variable
+def _declare(doc: SpecDocument, declared: dict[str, Token]) -> None:
+    """After a declaration: rebuild ``doc.signature`` once, and lift what was
+    read over its spatial variables (operators, complexes and their ``mu``
+    values) onto it, as ``print_document``, which declares first, would
+    read them.  What was read before ``vars`` stays over other spatial
+    variables.  An error located at a parameter the principal symbol also
+    names: z1..zn for n spatial variables, or tau with a time variable
     (``Signature.symbol_signature``), whatever the statement order."""
+    sig = doc.signature = Signature(doc.spatial, doc.time, doc.params)
     try:
-        doc.signature.symbol_signature()
+        sig.symbol_signature()
     except ValueError:
         symbol_vars = Signature(doc.spatial, doc.time).symbol_signature().vars
         tok = next(declared[v] for v in doc.params if v in symbol_vars)
         raise SpecError(f"parameter {tok.text!r} is also a variable of the principal symbol",
                         tok.line, tok.column) from None
+    doc.operators.update({name: op.lift(sig) for name, op in doc.operators.items()
+                          if op.signature.spatial == sig.spatial})
+    lifted = {name: c.lift(sig) for name, c in doc.complexes.items()
+              if c.signature.spatial == sig.spatial}
+    doc.complexes.update(lifted)
+    doc.mu_specs.update({name: [(q, kind, value.lift(sig.vars)) for q, kind, value in specs]
+                         for name, specs in doc.mu_specs.items() if name in lifted})
 
 
 def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:

@@ -29,13 +29,14 @@ exponent tuples the public form of a monomial: the read-only view
 ``leading_term`` and ``constant_value`` return them.  The storage format is
 private to this module.
 
-Groebner-basis code in this package works on the storage itself, never
-building a :class:`GaussianRational` or an exponent tuple: ``cxkit.syzygy``
-packs a vector of polynomials into one dict of numerators over one
-denominator, each key tagged with its position above the degree field, and
-reduces it in place with its own fused step.  It takes from here
-:func:`_key_divides` and :func:`_key_lcm` (divisibility and lcm of keys),
-:func:`_cancel` and :func:`_poly_nonzero`.
+Reduction works on the storage itself, never building a
+:class:`GaussianRational` or an exponent tuple: its one operation is the
+fused step :func:`_step`, which subtracts ``c * x^s * g`` (``c`` from
+:func:`_quotient`) from a dict of numerators in place.  :meth:`Poly.exact_div`
+runs it, and so does Buchberger in ``cxkit.syzygy`` on vectors packed into
+one dict over one denominator, each key tagged with its position above the
+degree field; that module also takes :func:`_key_divides`, :func:`_key_lcm`
+(divisibility and lcm of keys), :func:`_cancel` and :func:`_poly_nonzero`.
 
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
@@ -45,7 +46,6 @@ canonical serialization.
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -269,6 +269,47 @@ def _cancel(num: dict, den: int) -> tuple[dict, int]:
     return {e: (re // g, im // g) for e, (re, im) in num.items()}, den // g
 
 
+def _quotient(a: tuple[int, int], ad: int, b: tuple[int, int], bd: int):
+    """``(cr, ci, cd)`` in lowest terms with ``(cr + ci*i)/cd`` equal to
+    ``(a/ad) / (b/bd) = a * conj(b) * bd / (ad * |b|^2)``."""
+    (ar, ai), (br, bi) = a, b
+    cr, ci, cd = (ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd, ad * (br * br + bi * bi)
+    g = gcd(cr, ci, cd)
+    return cr // g, ci // g, cd // g
+
+
+def _step(num: dict, den: int, g: tuple, cr: int, ci: int, cd: int, shift: int,
+          n: int) -> tuple[dict, int]:
+    """The fused step ``num/den - c * x^shift * g``, ``c = (cr + ci*i)/cd``
+    nonzero, for a reducer record ``g = (max(g_num), g_num, g_den, highest
+    total degree)`` over ``n`` variables (in ``cxkit.syzygy`` its keys carry a
+    position tag).  Over ``lcm(den, g_den * cd)``, in place where the den
+    stays: new keys appended in ``g``'s order, cancelled ones deleted, one gcd
+    cancel.  Past MAX_DEGREE, ``OverflowError`` names the degree of x^shift *
+    g's first key past it."""
+    top = _WIDTH * n
+    if g[3] + (shift >> top) > MAX_DEGREE:
+        raise _degree_error(next(d for k in sorted(g[1], reverse=True)
+                                 if (d := (k + shift) >> top & _FIELD) > MAX_DEGREE))
+    gd = g[2] * cd
+    new = lcm(den, gd)
+    if new != den:
+        f = new // den
+        num = {k: (re * f, im * f) for k, (re, im) in num.items()}
+    f = new // gd
+    cr, ci = -cr * f, -ci * f  # negated, so the loop adds
+    get = num.get
+    for k, (re, im) in g[1].items():
+        k += shift
+        c = get(k, (0, 0))  # a new key's sum is a nonzero product
+        pr, pi = c[0] + re * cr - im * ci, c[1] + re * ci + im * cr
+        if pr or pi:
+            num[k] = (pr, pi)
+        else:
+            del num[k]  # cancelled: num keeps no zero numerator
+    return _cancel(num, new)
+
+
 def _poly(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
     """The trusted constructor: every arithmetic result is built here.
 
@@ -446,15 +487,6 @@ class Poly:
             self._lead = _unpack(key, len(self.vars)), self._coeff(key)
         return self._lead
 
-    def _leading_num(self) -> tuple[int, tuple[int, int], int] | None:
-        """``(key, (re, im), den)`` of the leading term under graded lex
-        order, read straight from storage: its coefficient is ``(re +
-        im*i) / den``.  None for the zero polynomial."""
-        key = max(self._num, default=None)
-        if key is None:
-            return None
-        return key, self._num[key], self._den
-
     def _coeff_bits(self) -> int:
         """The least ``b`` with ``2**b`` at least the denominator and the
         1-norm ``sum |re| + |im|`` of the numerators: a product's ``b`` is at
@@ -554,65 +586,26 @@ class Poly:
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises ``ValueError`` if not divisible.
 
-        The remainder is one dict of Gaussian-integer numerators over a
-        denominator ``rd``, keyed like storage; a heap of the negated keys
-        yields its leading term.  With ``lc`` the divisor's leading numerator, a
-        quotient term is ``r * conj(lc) / |lc|^2`` for the remainder's leading
-        numerator ``r``; only when that is not a Gaussian integer are the
-        remainder and ``rd`` scaled up, by the smallest factor that makes it one.
-        """
+        Fused steps (:func:`_step`) on a private copy of the dividend: each
+        removes the remainder's leading term, whose factor is the next
+        quotient term, until none is left or the divisor's leading term does
+        not divide it."""
         self._check_vars(divisor)
         if divisor.is_zero:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return Poly.zero(self.vars)
-        d_key, (lr, li), _ = divisor._leading_num()
-        norm = lr * lr + li * li
-        rest = [(k, c) for k, c in divisor._num.items() if k != d_key]
-        rem = dict(self._num)
-        heap = [-k for k in rem]
-        heapify(heap)
-        rd = self._den
-        quotient = []  # (diff, q_k.re, q_k.im, rd_k): rd when q_k was found
-        while heap:
-            key = -heappop(heap)
-            lead = rem.pop(key, None)
-            if lead is None:
-                continue  # a key whose term has cancelled since it was pushed
-            if not _key_divides(d_key, key):
+        n, key = len(self.vars), max(divisor._num)
+        g = key, divisor._num, divisor._den, key >> _WIDTH * n
+        num, den, quotient = dict(self._num), self._den, []
+        while num:
+            lead = max(num)
+            if not _key_divides(key, lead):
                 raise ValueError("division is not exact")
-            diff = key - d_key
-            rr, ri = lead
-            tr, ti = rr * lr + ri * li, ri * lr - rr * li  # lead * conj(lc)
-            if norm != 1:
-                if tr % norm or ti % norm:
-                    f = norm // gcd(norm, tr, ti)
-                    for k, (re, im) in rem.items():
-                        rem[k] = (re * f, im * f)
-                    rd *= f
-                    tr *= f
-                    ti *= f
-                tr //= norm
-                ti //= norm
-            quotient.append((diff, tr, ti, rd))
-            for k, (dr, di) in rest:
-                k += diff
-                pr, pi = tr * dr - ti * di, tr * di + ti * dr
-                c = rem.get(k)
-                if c is None:
-                    rem[k] = (-pr, -pi)
-                    heappush(heap, -k)
-                elif c[0] == pr and c[1] == pi:
-                    del rem[k]
-                else:
-                    rem[k] = (c[0] - pr, c[1] - pi)
-        # term k of the quotient is q_k * divisor._den / rd_k: bring every
-        # term over the final rd, a multiple of each rd_k
-        out = {}
-        for diff, qr, qi, qd in quotient:
-            f = divisor._den * (rd // qd)
-            out[diff] = (qr * f, qi * f)
-        return _poly(self.vars, out, rd)
+            c = _quotient(num[lead], den, divisor._num[key], divisor._den)
+            quotient.append((lead - key, *c))
+            num, den = _step(num, den, g, *c, lead - key, n)
+        qd = lcm(*(cd for *_, cd in quotient))
+        return _poly_nonzero(self.vars, {k: (cr * (qd // cd), ci * (qd // cd))
+                                         for k, cr, ci, cd in quotient}, qd)
 
     # -- substitutions and evaluation --------------------------------------
 

@@ -23,20 +23,21 @@ one dict over one denominator: ``(npos - pos) << _WIDTH * (n + 1) | key``
 maps to the Gaussian-integer numerator of ``x^key`` at ``pos``.  The tag sits
 above the key's degree field, so int order is POT+grlex and ``max`` gives the
 leading term.  A reduction updates a private dict in place, one fused step
-over the reducer's terms per removed term, keeping each position's terms in
-the order its own ``Poly`` would; only outputs are unpacked.
+(``cxkit.poly._step``, the step ``Poly.exact_div`` takes) over the reducer's
+terms per removed term, keeping each position's terms in the order its own
+``Poly`` would; only outputs are unpacked.
 """
 
 from __future__ import annotations
 
 from heapq import heapify, heappop, heappush
 from itertools import count
-from math import gcd, lcm
+from math import lcm
 from typing import Sequence
 
 from cxkit.diffop import OperatorMatrix
-from cxkit.poly import (_FIELD, _WIDTH, MAX_DEGREE, Poly, _cancel, _degree_error,
-                        _key_divides, _key_lcm, _poly_nonzero)
+from cxkit.poly import (_FIELD, _WIDTH, Poly, _cancel, _key_divides, _key_lcm,
+                        _poly_nonzero, _quotient, _step)
 
 DEFAULT_PAIR_BUDGET = 10_000
 
@@ -87,49 +88,11 @@ def _by_tag(records, n: int) -> dict[int, list]:
     return out
 
 
-def _quotient(a: tuple[int, int], ad: int, b: tuple[int, int], bd: int):
-    """``(cr, ci, cd)`` in lowest terms with ``(cr + ci*i)/cd`` equal to
-    ``(a/ad) / (b/bd) = a * conj(b) * bd / (ad * |b|^2)``."""
-    (ar, ai), (br, bi) = a, b
-    cr, ci, cd = (ar * br + ai * bi) * bd, (ai * br - ar * bi) * bd, ad * (br * br + bi * bi)
-    g = gcd(cr, ci, cd)
-    return cr // g, ci // g, cd // g
-
-
 def _normalized(num: dict, den: int) -> tuple[dict, int]:
     """A new vector, scaled so the leading coefficient is one."""
     cr, ci, cd = _quotient((1, 0), 1, num[max(num)], den)
     return _cancel({k: (re * cr - im * ci, re * ci + im * cr)
                     for k, (re, im) in num.items()}, den * cd)
-
-
-def _step(num: dict, den: int, g: tuple, cr: int, ci: int, cd: int, shift: int,
-          n: int) -> tuple[dict, int]:
-    """The fused step ``num/den - c * x^shift * g`` for a nonzero ``c``, over
-    ``lcm(den, g.den * cd)``, in place where the den stays: new keys appended
-    in ``g``'s order, cancelled ones deleted, one gcd cancel.  Past MAX_DEGREE,
-    ``OverflowError`` names the degree of x^shift * g's first position past it."""
-    top = _WIDTH * n
-    if g[3] + (shift >> top) > MAX_DEGREE:
-        raise _degree_error(next(d for k in sorted(g[1], reverse=True)
-                                 if (d := (k + shift) >> top & _FIELD) > MAX_DEGREE))
-    gd = g[2] * cd
-    new = lcm(den, gd)
-    if new != den:
-        f = new // den
-        num = {k: (re * f, im * f) for k, (re, im) in num.items()}
-    f = new // gd
-    cr, ci = -cr * f, -ci * f  # negated, so the loop adds
-    get = num.get
-    for k, (re, im) in g[1].items():
-        k += shift
-        c = get(k, (0, 0))  # a new key's sum is a nonzero product
-        pr, pi = c[0] + re * cr - im * ci, c[1] + re * ci + im * cr
-        if pr or pi:
-            num[k] = (pr, pi)
-        else:
-            del num[k]  # cancelled: num keeps no zero numerator
-    return _cancel(num, new)
 
 
 def _reduce(num: dict, den: int, reducers: dict, n: int, full=False) -> tuple[dict, int]:

@@ -526,9 +526,25 @@ def test_flat_literals_keep_their_operator():
 
 
 def test_named_operator_lifts_onto_later_parameters():
-    doc = dsl.parse("vars: d1\noperator A = [[d1]]\nparams: mu\noperator B = [[A, mu]]\n")
-    assert doc.operators["A"].signature.params == ()
+    """A ``params`` statement lifts the operators read before it, as the
+    printed document, which declares first, reads them: ``A`` used to stay
+    without ``mu``, so the reparse of the printed text differed."""
+    text = "vars: d1\noperator A = [[d1]]\nparams: mu\noperator B = [[A, mu]]\n"
+    doc = dsl.parse(text)
+    assert doc.operators["A"].signature.params == ("mu",)
     assert str(doc.operators["B"][0, 1]) == "mu"
+    assert dsl.parse(dsl.print_document(doc)) == doc
+
+
+def test_late_time_lifts_complexes_and_weights():
+    doc = dsl.parse("vars: d1 d2\ncomplex C = de_rham(2)\nmu C 1 scalar 2*d1\n"
+                    "operator A = [[d1]]\ncomplex O = ops(A)\ntime: dt\nparams: mu\n")
+    sig = doc.signature
+    assert sig.vars == ("d1", "d2", "dt", "mu")
+    assert all(c.signature == sig for c in doc.complexes.values())
+    assert doc.mu_specs["C"][0][2].vars == sig.vars
+    assert doc.mu_set("C").cplx is doc.complexes["C"]
+    assert dsl.parse(dsl.print_document(doc)) == doc
 
 
 @pytest.mark.parametrize("value, at, message", [
@@ -613,17 +629,26 @@ def _signed_sum(terms: list[tuple[bool, str]]) -> str:
 @st.composite
 def _specs(draw) -> str:
     """A spec of declarations, flat and block-literal operators, builder and
-    ``ops`` complexes and ``mu`` statements, over d1 d2 (and dt, mu, nu)."""
+    ``ops`` complexes and ``mu`` statements, over d1 d2 (and dt, mu, nu, declared first, after
+    the operators, after the complexes or last)."""
     lines = ["vars: d1 d2"]
     time_var = draw(st.booleans())
-    if time_var:
-        lines.append("time: dt")
     params = draw(st.sampled_from([[], ["mu"], ["nu", "mu"]]))
-    if params:
-        lines.append("params: " + " ".join(params))
-    atoms = [a for a in _POLY_ATOMS if "mu" not in a or params] + (["dt"] if time_var else [])
-    poly = st.lists(st.tuples(st.booleans(), st.sampled_from(atoms)),
-                    min_size=1, max_size=3).map(_signed_sum)
+    declarations = (["time: dt"] if time_var else []) + (
+        ["params: " + " ".join(params)] if params else [])
+    # the time and parameter declarations come first, after the operators
+    # (which then cannot use them), after the complexes or last
+    late = draw(st.sampled_from(["", "operators", "complexes", "end"]))
+    if not late:
+        lines += declarations
+
+    def sums(atoms):
+        return st.lists(st.tuples(st.booleans(), st.sampled_from(atoms)),
+                        min_size=1, max_size=3).map(_signed_sum)
+
+    poly = sums([a for a in _POLY_ATOMS if "mu" not in a or params] + (["dt"] if time_var else []))
+    early = sums([a for a in _POLY_ATOMS if "mu" not in a])
+    op_poly = early if late else poly
     ops = {}  # name -> (rows, cols)
     for k in range(draw(st.integers(1, 4))):
         name = f"A{k}"
@@ -633,16 +658,18 @@ def _specs(draw) -> str:
             other, (r, c) = draw(st.sampled_from(sorted(ops.items())))
             scale = draw(st.sampled_from(["", "-", "i*", "(1/2 - d1)*"]))
             if r == c:
-                value, ops[name] = f"{scale}[[{other}, 0], [0, {draw(poly)}]]", (2 * r, 2 * c)
+                value, ops[name] = f"{scale}[[{other}, 0], [0, {draw(op_poly)}]]", (2 * r, 2 * c)
             else:
                 zeros = ", ".join(["0"] * c)
                 value, ops[name] = f"{scale}[[{other}], [[[{zeros}]]]]", (r + 1, c)
         else:
             r, c = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-            value = "[" + ", ".join("[" + ", ".join(draw(poly) for _ in range(c)) + "]"
+            value = "[" + ", ".join("[" + ", ".join(draw(op_poly) for _ in range(c)) + "]"
                                     for _ in range(r)) + "]"
             ops[name] = (r, c)
         lines.append(f"operator {name} = {value}")
+    if late == "operators":
+        lines += declarations
     complexes = {"C": 2}  # name -> length
     lines.append("complex C = de_rham(2)")
     if draw(st.booleans()):
@@ -650,9 +677,13 @@ def _specs(draw) -> str:
         complexes["K"] = 2
     lines.append(f"complex O = ops({draw(st.sampled_from(sorted(ops)))})")
     complexes["O"] = 1
+    if late == "complexes":
+        lines += declarations
     for cname, length in complexes.items():
         for q in draw(st.sets(st.integers(0, length))):
-            lines.append(f"mu {cname} {q} scalar {draw(poly)}")
+            lines.append(f"mu {cname} {q} scalar {draw(early if late == 'end' else poly)}")
+    if late == "end":
+        lines += declarations
     return "\n".join(lines) + "\n"
 
 

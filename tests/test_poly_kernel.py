@@ -2,8 +2,8 @@
 
 ``FractionPoly`` is the earlier ``Poly`` arithmetic, one ``GaussianRational``
 (two ``Fraction``s) per term, kept verbatim up to the class name as the
-reference the kernel is compared with.  Determinants are also compared with
-sympy where it is installed.  The earlier product, sum-of-products loop and
+reference the kernel is compared with.  Exact division and determinants are
+also compared with sympy where it is installed.  The earlier product, sum-of-products loop and
 ``embed`` (``old_mul``, ``old_sum``, ``old_embed``) are kept verbatim too, as
 the references of the one-accumulator sums and of block placement.
 """
@@ -20,7 +20,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from cxkit.blockops import BlockPartition, block_place, maxwell
 from cxkit.complexes import de_rham_complex
-from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix
+from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
 from cxkit.ellipticity import petrovskii_check
 from cxkit.poly import (
     _WIDTH,
@@ -36,10 +36,11 @@ from cxkit.poly import (
     _pack,
     _poly,
     _split,
+    _step,
     _unpack,
 )
 from cxkit.symbols import maxwell_parametrix_symbol, maxwell_symbol
-from cxkit.syzygy import _packed, _record, _step, _unpacked
+from cxkit.syzygy import _packed, _record, _unpacked
 
 VARS = ("x", "y", "z")
 
@@ -166,13 +167,27 @@ coefficients = st.one_of(
 
 
 @st.composite
-def polys(draw, max_terms=5, max_exp=3):
+def polys(draw, max_terms=5, max_exp=3, vars=VARS):
     n = draw(st.integers(0, max_terms))
     terms = {}
     for _ in range(n):
-        exp = tuple(draw(st.integers(0, max_exp)) for _ in VARS)
+        exp = tuple(draw(st.integers(0, max_exp)) for _ in vars)
         terms[exp] = draw(coefficients)
-    return Poly(VARS, terms)
+    return Poly(vars, terms)
+
+
+def to_sympy(p: Poly, syms):
+    """``p`` as a sympy expression in ``syms``, one symbol per variable."""
+    import sympy
+
+    total = sympy.Integer(0)
+    for exp, c in p.terms.items():
+        mono = sympy.Integer(1)
+        for s, e in zip(syms, exp):
+            mono *= s ** e
+        total += (sympy.Rational(c.re.numerator, c.re.denominator)
+                  + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * mono
+    return total
 
 
 def assert_canonical(p: Poly) -> None:
@@ -246,6 +261,38 @@ def test_exact_div_roundtrip_and_failure(p, q, data):
         r = Poly(VARS, {low: data.draw(coefficients.filter(lambda c: not c.is_zero))})
         with pytest.raises(ValueError):
             (p * q + r).exact_div(q)
+
+
+# A ring with a parameter, as the weighted symbols have: d1 d2 and mu.
+PARAM_VARS = spatial_signature(2, params=["mu"]).vars
+gaussian_leads = st.builds(GaussianRational.of, st.integers(-4, 4), st.integers(-4, 4)).filter(
+    lambda c: c.re * c.re + c.im * c.im > 1)
+
+
+@settings(max_examples=20, deadline=None)
+@given(polys(max_terms=3, max_exp=2, vars=PARAM_VARS),
+       polys(max_terms=2, max_exp=1, vars=PARAM_VARS).filter(lambda q: not q.is_zero),
+       coefficients, gaussian_leads, coefficients.filter(lambda c: not c.is_zero))
+def test_exact_div_matches_sympy(p, q, r, lead, c):
+    """sympy's ``exquo`` over QQ_I as the oracle.  The divisor q * (mu + r)
+    uses the parameter and is scaled to the leading coefficient ``lead``, of
+    norm above 1, so quotient terms need not be Gaussian integers; adding the
+    constant ``c`` to a multiple of it, of degree at least 1, leaves a
+    remainder, which both refuse."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(PARAM_VARS)
+
+    def sym(x: Poly):
+        return sympy.Poly(to_sympy(x, syms), *syms, domain=sympy.QQ_I)
+
+    d = q * (Poly.variable(PARAM_VARS, "mu") + Poly.constant(PARAM_VARS, r))
+    d = d.scale(lead / d.leading_term()[1])
+    assert sym((p * d).exact_div(d)) == sym(p * d).exquo(sym(d)) == sym(p)
+    f = p * d + Poly.constant(PARAM_VARS, c)
+    with pytest.raises(ValueError, match="not exact"):
+        f.exact_div(d)
+    with pytest.raises(sympy.ExactQuotientFailed):
+        sym(f).exquo(sym(d))
 
 
 def test_exact_div_scales_the_remainder():
@@ -447,15 +494,14 @@ def test_pack_then_unpack_keeps_stored_terms(elem):
 
 @settings(max_examples=150, deadline=None)
 @given(polys())
-def test_leading_num_matches_leading_term(p):
+def test_leading_term_matches_reference(p):
+    """The largest stored key is the leading monomial, as the fused step and
+    ``exact_div`` read it."""
     if p.is_zero:
-        assert p._leading_num() is None
         return
-    key, (re, im), den = Poly(VARS, p.terms)._leading_num()
     want_exp, want_coeff = ref(p).leading_term()
-    assert key == _pack(want_exp)
-    assert _unpack(key, len(VARS)) == want_exp == p.leading_term()[0]
-    assert GaussianRational(Fraction(re, den), Fraction(im, den)) == want_coeff
+    assert max(p._num) == _pack(want_exp)
+    assert Poly(VARS, p.terms).leading_term() == (want_exp, want_coeff)
 
 
 # ---------------------------------------------------------------------------
@@ -640,20 +686,10 @@ def test_sparse_matmul_matches_dense_loop(ab):
 def test_determinant_matches_sympy(entries):
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(VARS)
-
-    def to_sympy(p: Poly):
-        total = sympy.Integer(0)
-        for exp, c in p.terms.items():
-            mono = sympy.Integer(1)
-            for s, e in zip(syms, exp):
-                mono *= s ** e
-            total += (sympy.Rational(c.re.numerator, c.re.denominator)
-                      + sympy.I * sympy.Rational(c.im.numerator, c.im.denominator)) * mono
-        return total
-
     m = PolyMatrix(VARS, entries)
-    want = sympy.Matrix([[to_sympy(p) for p in row] for row in entries]).det(method="berkowitz")
-    assert sympy.expand(to_sympy(m.determinant()) - want) == 0
+    want = sympy.Matrix([[to_sympy(p, syms) for p in row] for row in entries]).det(
+        method="berkowitz")
+    assert sympy.expand(to_sympy(m.determinant(), syms) - want) == 0
 
 
 # ---------------------------------------------------------------------------

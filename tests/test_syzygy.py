@@ -13,13 +13,12 @@ from cxkit.complexes import Complex, de_rham_complex
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.fixtures import planar_flow_complex, symmetric_gradient_complex
 from cxkit.poly import (_WIDTH, GaussianRational, Poly, _check_product, _key_divides,
-                        _key_lcm, _poly, _poly_nonzero)
+                        _key_lcm, _poly, _poly_nonzero, _quotient)
 from _helpers import stored
 from cxkit.syzygy import (
     BudgetExceeded,
     _by_tag,
     _packed,
-    _quotient,
     _record,
     _reduce,
     compatibility_operator,
@@ -195,7 +194,8 @@ def _leading(elem):
     term; None if zero.  Lower position dominates (reference)."""
     for pos, p in enumerate(elem):
         if not p.is_zero:
-            return (pos, *p._leading_num())
+            key = max(p._num)
+            return pos, key, p._num[key], p._den
     return None
 
 
