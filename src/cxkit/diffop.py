@@ -10,6 +10,13 @@ The (total) symbol replaces each spatial derivative d_j by i*z_j and the time
 derivative by i*tau; the principal symbol keeps only the top-order part.  Two
 gradings are supported: ``"isotropic"`` counts the time derivative like a
 spatial one, ``"spatial"`` gives it weight zero.
+
+A matrix keeps what it derives: its formal adjoint, its principal symbol
+under each grading and (for a symbol) its conjugate transpose are made on
+the first request and kept in one private slot, created then, and an
+adjoint keeps the matrix as its own adjoint.  Matrices are immutable by
+convention, so a kept matrix is what a new request would make, and sharing
+it is safe; equality and hashing ignore the slot, copies carry it.
 """
 
 from __future__ import annotations
@@ -105,7 +112,7 @@ class SignatureMatrix:
     subclasses return ``NotImplemented``.
     """
 
-    __slots__ = ("signature", "body")
+    __slots__ = ("signature", "body", "_derived")
 
     def __init__(self, signature: Signature, body: PolyMatrix):
         if body.vars != signature.vars:
@@ -129,6 +136,20 @@ class SignatureMatrix:
     @classmethod
     def from_entries(cls, signature: Signature, entries: Sequence[Sequence[Poly]]):
         return cls(signature, PolyMatrix(signature.vars, entries))
+
+    def _kept(self, key, make):
+        """The derived matrix ``key``: ``make()`` on the first request, kept
+        in ``_derived`` (a slot set then); a made adjoint keeps ``self`` as
+        its own adjoint."""
+        try:
+            kept = self._derived
+        except AttributeError:
+            kept = self._derived = {}
+        if key not in kept:
+            kept[key] = made = make()
+            if key == "adjoint":
+                made._derived = {"adjoint": self}
+        return kept[key]
 
     # -- views -------------------------------------------------------------
 
@@ -218,8 +239,9 @@ class OperatorMatrix(SignatureMatrix):
     def formal_adjoint(self) -> "OperatorMatrix":
         """Formal L2 adjoint: conjugate-transpose with a (-1)^|alpha| twist on
         each derivative monomial.  Parameters and zero entries are left untouched."""
-        return OperatorMatrix(self.signature, self.body.transpose().twist(
-            self.signature.derivative_vars, 2, conjugate=True))
+        return self._kept("adjoint", lambda: OperatorMatrix(
+            self.signature,
+            self.body.transpose().twist(self.signature.derivative_vars, 2, conjugate=True)))
 
     # -- symbols -----------------------------------------------------------
 
@@ -236,7 +258,8 @@ class OperatorMatrix(SignatureMatrix):
 
     def principal_symbol(self, grading: str = ISOTROPIC) -> "SymbolMatrix":
         """Top-order part of the total symbol under the chosen grading."""
-        return self.total_symbol(self.signature.grading_vars(grading))
+        return self._kept(("principal", grading),
+                          lambda: self.total_symbol(self.signature.grading_vars(grading)))
 
 
 class SymbolMatrix(SignatureMatrix):
@@ -247,7 +270,8 @@ class SymbolMatrix(SignatureMatrix):
     def hermitian_transpose(self) -> "SymbolMatrix":
         """Conjugate transpose; equals the symbol of the formal adjoint for
         real symbol variables."""
-        return SymbolMatrix(self.signature, self.body.hermitian_transpose())
+        return self._kept("adjoint", lambda: SymbolMatrix(self.signature,
+                                                          self.body.hermitian_transpose()))
 
     def formal_adjoint(self) -> "SymbolMatrix":
         """The conjugate transpose: the symbol-level formal adjoint, so the

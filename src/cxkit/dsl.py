@@ -14,9 +14,9 @@ Grammar (one statement per line, ``#`` comments)::
                               #    each), kind (only scalar), value
 
 Each of ``vars``, ``time`` and ``params`` is stated at most once, in any
-order: a ``time`` or ``params`` statement lifts the operators, complexes and
-``mu`` values read before it onto the new variables (not those read before
-``vars``, which stay over other spatial variables).  An operator is a
+order, but ``vars`` before every operator and complex: a ``time`` or
+``params`` statement lifts the operators, complexes and ``mu`` values read
+before it onto the new variables.  An operator is a
 literal, a grid of blocks: each entry is a polynomial, an operator named
 before, or a nested literal.  A block row takes its height, and a block
 column its width, from the operators in it (1 where it holds none); a
@@ -290,11 +290,7 @@ class _Parser:
             if tok.text in vars:
                 return Poly.variable(vars, tok.text)
             if self.operators and tok.text in self.operators:
-                op = self.operators[tok.text]  # over doc.signature, see _declare
-                if op.signature != self.doc.signature:
-                    raise SpecError(f"operator {tok.text!r} is over other spatial variables",
-                                    tok.line, tok.column)
-                return op
+                return self.operators[tok.text]  # over doc.signature, see _declare
             raise SpecError(f"unknown symbol {tok.text!r}", tok.line, tok.column)
         raise self.error("expected a polynomial atom")
 
@@ -425,6 +421,9 @@ def parse(text: str) -> SpecDocument:
             if head.text in stated:
                 raise SpecError(f"second {head.text!r} statement", head.line, head.column)
             stated.add(head.text)
+            if head.text == "vars" and (doc.operators or doc.complexes):
+                raise SpecError("'vars' must come before every operator and complex",
+                                head.line, head.column)
             p.expect("punct", ":")
             if head.text == "time":
                 doc.time = _new_name(p.expect("name"), doc.signature.vars)
@@ -488,11 +487,10 @@ def _new_name(tok: Token, taken, kind: str = "name") -> str:
 
 def _declare(doc: SpecDocument, declared: dict[str, Token]) -> None:
     """After a declaration: rebuild ``doc.signature`` once, and lift what was
-    read over its spatial variables (operators, complexes and their ``mu``
-    values) onto it, as ``print_document``, which declares first, would
-    read them.  What was read before ``vars`` stays over other spatial
-    variables.  An error located at a parameter the principal symbol also
-    names: z1..zn for n spatial variables, or tau with a time variable
+    read (operators, complexes and their ``mu`` values, all after ``vars``)
+    onto it, as ``print_document``, which declares first, would read them.
+    An error located at a parameter the principal symbol also names: z1..zn
+    for n spatial variables, or tau with a time variable
     (``Signature.symbol_signature``), whatever the statement order."""
     sig = doc.signature = Signature(doc.spatial, doc.time, doc.params)
     try:
@@ -502,13 +500,10 @@ def _declare(doc: SpecDocument, declared: dict[str, Token]) -> None:
         tok = next(declared[v] for v in doc.params if v in symbol_vars)
         raise SpecError(f"parameter {tok.text!r} is also a variable of the principal symbol",
                         tok.line, tok.column) from None
-    doc.operators.update({name: op.lift(sig) for name, op in doc.operators.items()
-                          if op.signature.spatial == sig.spatial})
-    lifted = {name: c.lift(sig) for name, c in doc.complexes.items()
-              if c.signature.spatial == sig.spatial}
-    doc.complexes.update(lifted)
+    doc.operators.update({name: op.lift(sig) for name, op in doc.operators.items()})
+    doc.complexes.update({name: c.lift(sig) for name, c in doc.complexes.items()})
     doc.mu_specs.update({name: [(q, kind, value.lift(sig.vars)) for q, kind, value in specs]
-                         for name, specs in doc.mu_specs.items() if name in lifted})
+                         for name, specs in doc.mu_specs.items()})
 
 
 def _parse_complex(p: _Parser, doc: SpecDocument, name: str) -> Complex:

@@ -104,25 +104,15 @@ class WeightPlan:
 
 def _certify_power(det: Poly, spatial: Sequence[str]) -> tuple[GaussianRational, int] | None:
     """If det == gamma * (|zeta|^2)^k for a nonzero constant gamma, return
-    (gamma, k); else None."""
-    if det.is_zero:
+    (gamma, k); else None.  Then 2k is det's degree in ``spatial`` and gamma
+    its leading coefficient, as (|zeta|^2)^k leads with 1, so one comparison
+    decides; an odd degree (-1 for det = 0) has no certificate."""
+    degree = det.total_degree(spatial)
+    if degree % 2:
         return None
-    r2 = Poly.zero(det.vars)
-    for v in spatial:
-        z = Poly.variable(det.vars, v)
-        r2 = r2 + z * z
-    current = det
-    k = 0
-    while True:
-        if current.total_degree(spatial) == 0:
-            if current.is_constant:
-                return current.constant_value(), k
-            return None  # depends on parameters only: not certified
-        try:
-            current = current.exact_div(r2)
-        except ValueError:
-            return None
-        k += 1
+    r2 = sum((Poly.variable(det.vars, v) ** 2 for v in spatial), Poly.zero(det.vars))
+    gamma = det.leading_term()[1]
+    return (gamma, degree // 2) if det == (r2 ** (degree // 2)).scale(gamma) else None
 
 
 def _axis(sphere_vars: Sequence[str]) -> tuple[float, ...]:

@@ -38,6 +38,14 @@ one dict over one denominator, each key tagged with its position above the
 degree field; that module also takes :func:`_key_divides`, :func:`_key_lcm`
 (divisibility and lcm of keys), :func:`_cancel` and :func:`_poly_nonzero`.
 
+Printing reads the storage too: :func:`_coeff_str` formats a numerator over
+``den`` with one gcd per part, for ``str`` of a :class:`Poly` and of a
+:class:`GaussianRational`.  A :class:`PolyMatrix` built from entries over
+its variables (products, entrywise operations, twists, blocks, placements,
+transposes) comes from the trusted constructor :func:`_matrix`, as every
+:class:`Poly` result from :func:`_poly`; only the public constructor checks
+each entry.
+
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
 canonical serialization.
@@ -129,21 +137,22 @@ class GaussianRational(Record):
         return complex(self.re) + 1j * float(self.im)
 
     def __str__(self) -> str:
-        """Canonical form ``a/b``, ``c/d*i`` or ``a/b+c/d*i``."""
-        if self.is_zero:
-            return "0"
-        if not self.im:
-            return str(self.re)
-        if self.im == 1:
-            imag = "i"
-        elif self.im == -1:
-            imag = "-i"
-        else:
-            imag = f"{self.im}*i"
-        if not self.re:
-            return imag
-        sign = "+" if self.im > 0 else ""
-        return f"{self.re}{sign}{imag}"
+        """Canonical form, see :func:`_coeff_str`."""
+        return _coeff_str(*_split(self))
+
+
+def _part_str(n: int, den: int) -> str:
+    g = gcd(n, den)
+    return str(n // g) if g == den else f"{n // g}/{den // g}"
+
+
+def _coeff_str(re: int, im: int, den: int) -> str:
+    """The canonical text ``a/b``, ``c/d*i`` or ``a/b+c/d*i`` of ``(re +
+    im*i)/den``, each part in lowest terms by one gcd, as ``str(Fraction)``."""
+    if not im:
+        return _part_str(re, den) if re else "0"
+    imag = "i" if im == den else "-i" if im == -den else f"{_part_str(im, den)}*i"
+    return f"{_part_str(re, den)}{'+' if im > 0 else ''}{imag}" if re else imag
 
 
 _GR_ZERO = GaussianRational()
@@ -665,13 +674,16 @@ class Poly:
         return "*".join(parts) if parts else "1"
 
     def __str__(self) -> str:
+        """Leading term first, each coefficient printed from its numerator
+        over ``den`` (:func:`_coeff_str`)."""
         if self.is_zero:
             return "0"
-        chunks = []
-        for exp, coeff in self.sorted_terms():
-            mono = self._monomial_str(exp)
-            text = str(coeff)
-            needs_parens = coeff.re and coeff.im
+        chunks, n = [], len(self.vars)
+        for key in sorted(self._num, reverse=True):
+            re, im = self._num[key]
+            mono = self._monomial_str(_unpack(key, n))
+            text = _coeff_str(re, im, self._den)
+            needs_parens = re and im
             if mono == "1":
                 piece = f"({text})" if needs_parens and chunks else text
             elif text == "1":
@@ -693,6 +705,15 @@ class Poly:
 
     def __repr__(self) -> str:
         return f"Poly({self})"
+
+
+def _matrix(vars: tuple[str, ...], entries: tuple, rows: int, cols: int) -> "PolyMatrix":
+    """The trusted constructor, as :func:`_poly` is for a :class:`Poly`: every
+    result built from entries already over ``vars`` is built here.
+    ``entries``, ``rows`` tuples of ``cols`` entries, is taken over unchecked."""
+    m = object.__new__(PolyMatrix)
+    m.vars, m.entries, m.rows, m.cols = vars, entries, rows, cols
+    return m
 
 
 class PolyMatrix:
@@ -739,9 +760,12 @@ class PolyMatrix:
         """The rows x cols matrix with each block ``(matrix, r0, c0)`` written
         at ``(r0, c0)``, zero elsewhere, with no entry added.  A block that
         does not fit or overlaps raises."""
+        vars = tuple(vars)
         z = Poly.zero(vars)  # no block holds this object
         table = [[z] * cols for _ in range(rows)]
         for blk, r0, c0 in blocks:
+            if blk.vars != vars:
+                raise ValueError("entry variables do not match the matrix")
             r1, c1 = r0 + blk.rows, c0 + blk.cols
             if not (0 <= r0 and r1 <= rows and 0 <= c0 and c1 <= cols):
                 raise ValueError(f"a {blk.rows}x{blk.cols} block at ({r0}, {c0}) "
@@ -750,7 +774,7 @@ class PolyMatrix:
                 if any(p is not z for p in row[c0:c1]):
                     raise ValueError(f"the block at ({r0}, {c0}) overlaps another block")
                 row[c0:c1] = src
-        return PolyMatrix(vars, table, shape=(rows, cols))
+        return _matrix(vars, tuple(map(tuple, table)), rows, cols)
 
     def __getitem__(self, key: tuple[int, int]) -> Poly:
         i, j = key
@@ -770,18 +794,16 @@ class PolyMatrix:
             raise ValueError(
                 f"block [{r0}:{r1}, {c0}:{c1}] outside a {self.rows}x{self.cols} matrix"
             )
-        return PolyMatrix(
-            self.vars, [row[c0:c1] for row in self.entries[r0:r1]],
-            shape=(r1 - r0, c1 - c0),
-        )
+        return _matrix(self.vars, tuple(row[c0:c1] for row in self.entries[r0:r1]),
+                       r1 - r0, c1 - c0)
 
     def map(self, fn, vars: Sequence[str] | None = None) -> "PolyMatrix":
         """Apply ``fn`` entrywise; pass ``vars`` if ``fn`` changes the ring."""
-        return PolyMatrix(
-            self.vars if vars is None else vars,
-            [[fn(p) for p in row] for row in self.entries],
-            shape=(self.rows, self.cols),
-        )
+        if vars is None:
+            return _matrix(self.vars, tuple(tuple(map(fn, row)) for row in self.entries),
+                           self.rows, self.cols)
+        return PolyMatrix(vars, [list(map(fn, row)) for row in self.entries],
+                          shape=(self.rows, self.cols))
 
     def total_degree(self, subset: Iterable[str] | None = None) -> int:
         """Max entry degree (-1 for the zero matrix)."""
@@ -809,12 +831,12 @@ class PolyMatrix:
             m = max((sum(k >> s & _FIELD for s in grade) for row in self.entries
                      for p in row for k in p._num), default=-1)
             degrees = [[m] * self.cols] * self.rows
-        return PolyMatrix(new_vars, [
-            [_twisted(p, new_vars, shifts, quarter_turns, conjugate,
-                      None if degrees is None else (grade, degrees[i][j]))
-             if p._num and (degrees is None or degrees[i][j] >= 0) else zero
-             for j, p in enumerate(row)] for i, row in enumerate(self.entries)],
-            shape=(self.rows, self.cols))
+        return _matrix(new_vars, tuple(
+            tuple(_twisted(p, new_vars, shifts, quarter_turns, conjugate,
+                           None if degrees is None else (grade, degrees[i][j]))
+                  if p._num and (degrees is None or degrees[i][j] >= 0) else zero
+                  for j, p in enumerate(row)) for i, row in enumerate(self.entries)),
+            self.rows, self.cols)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -823,9 +845,9 @@ class PolyMatrix:
             raise ValueError("variable mismatch between matrices")
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch between matrices")
-        return PolyMatrix(self.vars, [list(map(op, ra, rb))
-                                      for ra, rb in zip(self.entries, other.entries)],
-                          shape=(self.rows, self.cols))
+        return _matrix(self.vars, tuple(tuple(map(op, ra, rb))
+                                        for ra, rb in zip(self.entries, other.entries)),
+                       self.rows, self.cols)
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
         return self._entrywise(other, Poly.__add__)
@@ -856,8 +878,8 @@ class PolyMatrix:
             for col in cols:
                 pairs = [(a, col[k]) for k, a in nonzero if k in col]
                 row.append(_dot(vars, pairs) if pairs else zero)
-            out.append(row)
-        return PolyMatrix(vars, out, shape=(self.rows, other.cols))
+            out.append(tuple(row))
+        return _matrix(vars, tuple(out), self.rows, other.cols)
 
     def scale(self, value) -> "PolyMatrix":
         """Each entry times ``value``, a Poly or a constant.  Zero entries
@@ -869,11 +891,8 @@ class PolyMatrix:
         return self.map(lambda p: p.scale(value) if p._num else p)
 
     def transpose(self) -> "PolyMatrix":
-        return PolyMatrix(
-            self.vars,
-            [[self.entries[i][j] for i in range(self.rows)] for j in range(self.cols)],
-            shape=(self.cols, self.rows),
-        )
+        return _matrix(self.vars, tuple(tuple(row[j] for row in self.entries)
+                                        for j in range(self.cols)), self.cols, self.rows)
 
     def conjugate(self) -> "PolyMatrix":
         return self.twist((), 0, conjugate=True)
@@ -945,8 +964,8 @@ class PolyMatrix:
             m = minor(idx[:i] + idx[i + 1:], idx[:j] + idx[j + 1:])
             return m if (i + j) % 2 == 0 else -m
 
-        return PolyMatrix(self.vars, [[cofactor(i, j) for i in range(n)] for j in range(n)],
-                          shape=(n, n))
+        return _matrix(self.vars, tuple(tuple(cofactor(i, j) for i in range(n))
+                                        for j in range(n)), n, n)
 
     def __str__(self) -> str:
         rows = ["[" + ", ".join(str(p) for p in row) + "]" for row in self.entries]

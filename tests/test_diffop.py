@@ -370,6 +370,45 @@ def test_adjoint_and_total_symbol_match_per_term_construction(op):
                 assert got[i, j] == want[i, j] and hash(got[i, j]) == hash(want[i, j])
 
 
+@settings(max_examples=60, deadline=None)
+@given(operators())
+def test_derived_matrices_are_kept_and_equal_a_fresh_copys(op):
+    """An adjoint, principal symbol or conjugate transpose is made on the
+    first request and kept: a repeated one returns the same object, stored
+    as a fresh copy of the matrix (or the total symbol's top part) makes it,
+    and an adjoint's adjoint is the matrix itself."""
+    fresh = OperatorMatrix(op.signature, op.body)
+    requests = [(op.formal_adjoint, fresh.formal_adjoint)]
+    for grading in (ISOTROPIC, SPATIAL):
+        sym = op.principal_symbol(grading)
+        fresh_sym = SymbolMatrix(sym.signature, sym.body)
+        requests += [(lambda g=grading: op.principal_symbol(g),
+                      lambda g=grading: op.total_symbol(op.signature.grading_vars(g))),
+                     (sym.hermitian_transpose, fresh_sym.hermitian_transpose),
+                     (sym.formal_adjoint, fresh_sym.formal_adjoint)]
+        assert sym.formal_adjoint().hermitian_transpose() is sym
+    for kept, made in requests:
+        first = kept()
+        assert kept() is first
+        assert first == made() and stored(first) == stored(made())
+    assert op.formal_adjoint().formal_adjoint() is op
+
+
+def test_kept_derived_matrices_survive_pickle_and_deepcopy():
+    """Copies keep equal derived matrices, each under its own grading."""
+    op = OperatorMatrix.scalar(SIG_T, _d(SIG_T, "dt") ** 2 - _d(SIG_T, "d1"))
+    sym = op.principal_symbol(SPATIAL)
+    derived = (op.formal_adjoint(), op.principal_symbol(), sym.hermitian_transpose())
+    for m in (op, sym, *derived):
+        for copy in (pickle.loads(pickle.dumps(m)), deepcopy(m)):
+            assert copy == m and stored(copy) == stored(m)
+            assert copy.formal_adjoint() == m.formal_adjoint()
+            assert copy.formal_adjoint().formal_adjoint() is copy
+    for copy in (pickle.loads(pickle.dumps(op)), deepcopy(op)):
+        assert copy.principal_symbol(SPATIAL) == sym
+        assert copy.principal_symbol() == derived[1] != sym
+
+
 def test_twist_renames_only_to_the_same_number_of_variables():
     with pytest.raises(ValueError, match="rename"):
         _d(SIG, "d1").twist(SIG.vars, 1, vars=("z1", "z2"))

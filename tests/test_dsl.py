@@ -580,10 +580,15 @@ def test_operators_stay_out_of_polynomial_contexts(statement, at, message):
 
 
 def test_operator_over_other_spatial_variables_is_located():
-    """An operator entered before ``vars`` cannot be lifted onto them."""
-    with pytest.raises(dsl.SpecError) as exc:
-        dsl.parse("operator A = [[1]]\nvars: d1\noperator B = [[A, d1]]\n")
-    assert str(exc.value) == "line 3, column 16: operator 'A' is over other spatial variables"
+    """An operator entered before ``vars`` could not be lifted onto them, and
+    the printed document, which declares first, would read it over them: a
+    ``vars`` statement after an operator or complex is refused at ``vars``."""
+    for text in ("operator A = [[1]]\nvars: d1\noperator B = [[A, d1]]\n",
+                 "complex K = koszul(1)\nvars: d1\n"):
+        with pytest.raises(dsl.SpecError) as exc:
+            dsl.parse(text)
+        assert str(exc.value) == (
+            "line 2, column 1: 'vars' must come before every operator and complex")
 
 
 def test_block_literal_entry_limit_is_located():
@@ -630,8 +635,10 @@ def _signed_sum(terms: list[tuple[bool, str]]) -> str:
 def _specs(draw) -> str:
     """A spec of declarations, flat and block-literal operators, builder and
     ``ops`` complexes and ``mu`` statements, over d1 d2 (and dt, mu, nu, declared first, after
-    the operators, after the complexes or last)."""
-    lines = ["vars: d1 d2"]
+    the operators, after the complexes or last).  Sometimes ``vars`` follows
+    a definition that needs no variable, and the spec is to be refused."""
+    lines = draw(st.sampled_from([[], [], ["operator Z = [[1, i]]"],
+                                  ["complex Z = koszul(1)"]])) + ["vars: d1 d2"]
     time_var = draw(st.booleans())
     params = draw(st.sampled_from([[], ["mu"], ["nu", "mu"]]))
     declarations = (["time: dt"] if time_var else []) + (
@@ -691,7 +698,16 @@ def _specs(draw) -> str:
 @given(_specs())
 def test_printed_document_parses_back(text):
     """Printing a parsed spec and parsing it again gives the same document,
-    and the printed text is a fixed point."""
+    and the printed text is a fixed point.  A ``vars`` statement after an
+    operator or complex is refused, located at ``vars``."""
+    lines = text.splitlines()
+    at = lines.index("vars: d1 d2")
+    if any(line.startswith(("operator ", "complex ")) for line in lines[:at]):
+        with pytest.raises(dsl.SpecError) as exc:
+            dsl.parse(text)
+        assert str(exc.value) == (f"line {at + 1}, column 1: "
+                                  "'vars' must come before every operator and complex")
+        return
     doc = dsl.parse(text)
     printed = dsl.print_document(doc)
     again = dsl.parse(printed)

@@ -47,6 +47,63 @@ def test_laplacian_certified_symbolically():
         assert "|zeta|^2" in (rep.certified_form or "")
 
 
+def _certify_by_division(det: Poly, spatial) -> tuple[GaussianRational, int] | None:
+    """The earlier certificate, kept as the reference for the one comparison:
+    divide by |zeta|^2 until no spatial variable is left."""
+    if det.is_zero:
+        return None
+    r2 = Poly.zero(det.vars)
+    for v in spatial:
+        z = Poly.variable(det.vars, v)
+        r2 = r2 + z * z
+    current, k = det, 0
+    while True:
+        if current.total_degree(spatial) == 0:
+            return (current.constant_value(), k) if current.is_constant else None
+        try:
+            current = current.exact_div(r2)
+        except ValueError:
+            return None
+        k += 1
+
+
+_CERT_VARS = ("z1", "z2", "tau", "mu")
+
+
+@st.composite
+def _power_candidates(draw):
+    """gamma * (|zeta|^2)^k, with gamma a constant (zero too) or depending
+    on the parameter mu, perhaps plus one term (of odd degree, constant,
+    ...), over some of z1, z2, tau."""
+    spatial = draw(st.sampled_from([(), ("z1",), ("z1", "z2"), ("z1", "z2", "tau")]))
+    z = {v: Poly.variable(_CERT_VARS, v) for v in _CERT_VARS}
+    r2 = sum((z[v] * z[v] for v in spatial), Poly.zero(_CERT_VARS))
+    c = Poly.constant(_CERT_VARS, GaussianRational.of(draw(rationals), draw(rationals)))
+    gamma = draw(st.sampled_from([c, c, c * z["mu"], c + z["mu"]]))
+    det = gamma * r2 ** draw(st.integers(0, 3))
+    if draw(st.sampled_from([False, False, True])):
+        exp = tuple(draw(st.integers(0, 2)) for _ in _CERT_VARS)
+        det = det + Poly(_CERT_VARS, {exp: GaussianRational.of(draw(rationals))})
+    return det, spatial
+
+
+@settings(max_examples=200, deadline=None)
+@given(_power_candidates())
+def test_certify_power_matches_repeated_division(case):
+    det, spatial = case
+    assert ellipticity._certify_power(det, spatial) == _certify_by_division(det, spatial)
+
+
+def test_certify_power_edges():
+    z1, z2 = (Poly.variable(_CERT_VARS, v) for v in ("z1", "z2"))
+    r2 = z1 * z1 + z2 * z2
+    three = GaussianRational.of(3)
+    assert ellipticity._certify_power((r2 ** 3).scale(three), ("z1", "z2")) == (three, 3)
+    assert ellipticity._certify_power(Poly.constant(_CERT_VARS, three), ()) == (three, 0)
+    for det in (Poly.zero(_CERT_VARS), z1 * r2, r2 + z1, Poly.variable(_CERT_VARS, "mu") * r2):
+        assert ellipticity._certify_power(det, ("z1", "z2")) is None
+
+
 def test_gradient_injectivity_certified():
     cplx = de_rham_complex(3)
     rep = injectivity_check(cplx.op(0))

@@ -146,6 +146,57 @@ def test_str_parseable_roundtrip():
     assert doc.operators["P"][0, 0] == p
 
 
+# ``_str_reference`` is the earlier printing, kept as the reference for the
+# one that reads the packed storage: ``sorted_terms()`` and each coefficient's
+# text from its two ``Fraction`` parts.
+
+
+def _coeff_reference(c: GaussianRational) -> str:
+    if c.is_zero:
+        return "0"
+    if not c.im:
+        return str(c.re)
+    imag = "i" if c.im == 1 else "-i" if c.im == -1 else f"{c.im}*i"
+    return f"{c.re}{'+' if c.im > 0 else ''}{imag}" if c.re else imag
+
+
+def _str_reference(p: Poly) -> str:
+    if p.is_zero:
+        return "0"
+    chunks = []
+    for exp, coeff in p.sorted_terms():
+        mono, text = p._monomial_str(exp), _coeff_reference(coeff)
+        needs_parens = coeff.re and coeff.im
+        if mono == "1":
+            piece = f"({text})" if needs_parens and chunks else text
+        elif text in ("1", "-1"):
+            piece = text[:-1] + mono
+        else:
+            piece = f"({text})*{mono}" if needs_parens else f"{text}*{mono}"
+        chunks.append(piece)
+    out = chunks[0]
+    for piece in chunks[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
+
+
+# negative, +-1, zero (so purely real or imaginary) and non-unit denominators
+_parts = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), fractions,
+                   st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
+_coeffs = st.builds(GaussianRational, _parts, _parts)
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _coeffs, max_size=5))
+def test_str_matches_the_fraction_printing(terms):
+    """Printing from the numerators over ``den`` gives the text the
+    ``Fraction`` parts of each coefficient gave, byte for byte."""
+    p = Poly(VARS, terms)
+    assert str(p) == _str_reference(p)
+    for c in terms.values():
+        assert str(c) == _coeff_reference(c)
+
+
 # ---------------------------------------------------------------------------
 # Determinants and adjugates against cofactor expansion
 
