@@ -287,13 +287,14 @@ class MuSet:
         """``m mu_q``, or ``mu_q m`` with ``left``, for mu0 (``which`` 0) or
         mu1 (``which`` 1): ``m`` itself for an absent weight, each nonzero
         entry p as ``p * s`` (``s * p`` on the left) for a scalar s, which are
-        the products s I would take, and the matrix product for a matrix."""
+        the products s I would take, and the matrix product for a matrix.  A
+        constant s commutes, so it scales the coefficients on either side."""
         w = (self._mu0, self._mu1)[which].get(q)
         if w is None:
             return m
         if not isinstance(w, Poly):
             return w @ m if left else m @ w
-        if not left:
+        if not left or w.is_constant:
             return m.scale(w)
         s = w.lift(m.signature.vars)
         return type(m)(m.signature, m.body.map(lambda p: s * p if p._num else p))

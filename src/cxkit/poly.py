@@ -49,6 +49,14 @@ each entry.
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
 canonical serialization.
+
+A determinant is a memoized Laplace expansion (``PolyMatrix._minor_table``),
+split first along the block structure of the matrix's nonzero pattern:
+:meth:`PolyMatrix.determinant` expands each connected component of the
+row/column graph on its own and multiplies the results.  The paper's Maxwell
+symbols couple only neighbouring degrees, so each falls into an even-to-odd
+and an odd-to-even block.  The adjugate needs every cofactor of the whole
+matrix and is left unsplit: one expansion table serves all its minors.
 """
 
 from __future__ import annotations
@@ -883,11 +891,15 @@ class PolyMatrix:
 
     def scale(self, value) -> "PolyMatrix":
         """Each entry times ``value``, a Poly or a constant.  Zero entries
-        stay as they are, and scaling by the Poly one is the matrix itself."""
+        stay as they are, and scaling by the Poly one is the matrix itself.
+        A constant Poly over these variables scales the coefficients, which
+        stores what the product would."""
         if isinstance(value, Poly):
             if value == Poly.one(value.vars):
                 return self
-            return self.map(lambda p: p * value if p._num else p)
+            if not value.is_constant or value.vars != self.vars:
+                return self.map(lambda p: p * value if p._num else p)
+            value = value.constant_value()
         return self.map(lambda p: p.scale(value) if p._num else p)
 
     def transpose(self) -> "PolyMatrix":
@@ -922,7 +934,9 @@ class PolyMatrix:
         function.  Its cost grows with the number of distinct nonzero minors
         the expansion reaches: few for the sparse block symbols of a complex,
         but 2^n for a dense n x n matrix, where fraction-free elimination
-        would be cheaper from n of about 8."""
+        would be cheaper from n of about 8.  :meth:`determinant` calls it once
+        per block of the nonzero pattern, which keeps each expansion to the
+        size of its block; :meth:`adjugate` calls it on the whole matrix."""
         entries = self.entries
         one = Poly.one(self.vars)
         table: dict[tuple[tuple[int, ...], tuple[int, ...]], Poly] = {}
@@ -944,11 +958,43 @@ class PolyMatrix:
         return minor
 
     def determinant(self) -> Poly:
-        """Exact determinant, by memoized Laplace expansion (see ``_minor_table``)."""
+        """Exact determinant.  Rows and columns are the nodes of a graph with
+        an edge for each nonzero entry.  The determinant is zero when one of
+        its connected components has more rows than columns, and otherwise
+        the sign of the row and column orders times the product of the
+        components' memoized Laplace expansions (``_minor_table``), taken in
+        order of their smallest row, each on its rows and columns ascending."""
         if not self.is_square:
             raise ValueError("determinant of a non-square matrix")
-        idx = tuple(range(self.rows))
-        return self._minor_table()(idx, idx)
+        n, minor = self.rows, self._minor_table()
+        link = list(range(2 * n))  # union-find over rows i and columns n + j
+
+        def root(v: int) -> int:
+            while link[v] != v:
+                link[v] = link[link[v]]
+                v = link[v]
+            return v
+
+        for i, row in enumerate(self.entries):
+            for j, p in enumerate(row):
+                if p._num:
+                    link[root(n + j)] = root(i)
+        parts: dict[int, tuple[list[int], list[int]]] = {}
+        for v in range(2 * n):
+            parts.setdefault(root(v), ([], []))[v >= n].append(v % n)
+        if len(parts) <= 1:
+            idx = tuple(range(n))
+            return minor(idx, idx)
+        if any(len(rows) != len(cols) for rows, cols in parts.values()):
+            return Poly.zero(self.vars)
+        det, order = None, [[], []]
+        for rows, cols in parts.values():  # rows 0..n-1 were keyed first
+            order[0] += rows
+            order[1] += cols
+            d = minor(tuple(rows), tuple(cols))
+            det = d if det is None else det * d
+        odd = sum(a > b for seq in order for k, a in enumerate(seq) for b in seq[k + 1:])
+        return -det if odd % 2 else det
 
     def adjugate(self) -> "PolyMatrix":
         """Adjugate matrix, satisfying ``self @ adj == det * identity``.

@@ -1,9 +1,13 @@
 """Helpers shared by the symbol tests: a Hypothesis strategy of small
-rationals and the stored form of a symbol matrix, term order included."""
+rationals and the stored form of a symbol matrix, term order included; and
+shared by the determinant tests: the block-by-block reference of a split
+determinant."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
+
+from cxkit.poly import Poly, PolyMatrix
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 10]))
 
@@ -12,3 +16,54 @@ def stored(m) -> list:
     """Each entry's variables, numerator terms in storage order and
     denominator: equal only where the entries are stored alike."""
     return [[(p.vars, list(p._num.items()), p._den) for p in row] for row in m.body.entries]
+
+
+def _odd(order: list) -> bool:
+    """True when ``order``, a permutation of 0..n-1, is odd."""
+    seen, swaps = set(), 0
+    for start in range(len(order)):
+        k, j = 0, start
+        while j not in seen:
+            seen.add(j)
+            j, k = order[j], k + 1
+        swaps += max(k - 1, 0)
+    return swaps % 2 == 1
+
+
+def split_determinant(m, det, mul):
+    """The determinant of the square PolyMatrix ``m`` as stored when it is
+    split into blocks, from a reference ``det`` of one block and ``mul`` of
+    two polynomials.  The blocks are the connected components of the graph
+    whose nodes are rows and columns and whose edges are nonzero entries,
+    found by a search from each row in turn.  A component with more rows
+    than columns gives zero; otherwise each block is ``det`` of the
+    submatrix on its ascending rows and columns, the blocks are multiplied
+    in order with ``mul``, and the sign of the row and column orders is
+    applied last."""
+    n = m.rows
+    parts, reached = [], set()
+    for start in range(n):
+        if start in reached:
+            continue
+        rows, cols, todo = {start}, set(), [start]
+        while todo:
+            i = todo.pop()
+            for j in range(n):
+                if j in cols or m[i, j].is_zero:
+                    continue
+                cols.add(j)
+                found = {r for r in range(n) if not m[r, j].is_zero} - rows
+                rows |= found
+                todo += found
+        reached |= rows
+        if len(rows) > len(cols):
+            return Poly.zero(m.vars)
+        parts.append((sorted(rows), sorted(cols)))
+    total = Poly.one(m.vars) if not parts else None
+    for rows, cols in parts:
+        d = det(PolyMatrix(m.vars, [[m[i, j] for j in cols] for i in rows],
+                           shape=(len(rows), len(cols))))
+        total = d if total is None else mul(total, d)
+    row_order = [i for rows, _ in parts for i in rows]
+    col_order = [j for _, cols in parts for j in cols]
+    return -total if _odd(row_order) != _odd(col_order) else total

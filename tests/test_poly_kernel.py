@@ -10,6 +10,7 @@ the references of the one-accumulator sums and of block placement.
 
 import copy
 import pickle
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd, lcm
 from functools import reduce
@@ -18,8 +19,9 @@ from operator import add
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from cxkit import poly
 from cxkit.blockops import BlockPartition, block_place, maxwell
-from cxkit.complexes import de_rham_complex
+from cxkit.complexes import de_rham_complex, dolbeault_complex
 from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
 from cxkit.ellipticity import petrovskii_check
 from cxkit.poly import (
@@ -41,6 +43,8 @@ from cxkit.poly import (
 )
 from cxkit.symbols import maxwell_parametrix_symbol, maxwell_symbol
 from cxkit.syzygy import _packed, _record, _unpacked
+
+from _helpers import split_determinant
 
 VARS = ("x", "y", "z")
 
@@ -679,16 +683,36 @@ def test_sparse_matmul_matches_dense_loop(ab):
 # Determinants against sympy
 
 
+@st.composite
+def split_matrices(draw, max_n=7):
+    """An n x n matrix, n <= 7, block-diagonal with up to three blocks, a
+    quarter of each block's entries zero, its rows and columns then
+    shuffled.  In about a quarter of the draws the row and column cuts of
+    the blocks differ, so that some blocks have more rows than columns, or
+    rows and no columns (zero rows).  (Zeros are drawn by an integer, not
+    ``one_of``, which drew them far more often.)"""
+    n = draw(st.integers(0, max_n))
+    cuts = st.lists(st.integers(0, n), min_size=2, max_size=2).map(sorted)
+    row_cuts = draw(cuts)
+    col_cuts = draw(cuts) if draw(st.integers(0, 3)) == 3 else row_cuts
+    nonzero = polys(max_terms=2, max_exp=1).filter(lambda p: not p.is_zero)
+    zero = Poly.zero(VARS)
+    table = [[draw(nonzero) if bisect_right(row_cuts, i) == bisect_right(col_cuts, j)
+              and draw(st.integers(0, 3)) < 3 else zero for j in range(n)] for i in range(n)]
+    rows, cols = draw(st.permutations(range(n))), draw(st.permutations(range(n)))
+    return PolyMatrix(VARS, [[table[i][j] for j in cols] for i in rows], shape=(n, n))
+
+
 @settings(max_examples=10, deadline=None)
-@given(st.integers(2, 5).flatmap(
+@given(st.one_of(st.integers(2, 5).flatmap(
     lambda n: st.lists(st.lists(polys(max_terms=2, max_exp=1), min_size=n, max_size=n),
-                       min_size=n, max_size=n)))
-def test_determinant_matches_sympy(entries):
+                       min_size=n, max_size=n).map(lambda e: PolyMatrix(VARS, e))),
+    split_matrices()))
+def test_determinant_matches_sympy(m):
     sympy = pytest.importorskip("sympy")
     syms = sympy.symbols(VARS)
-    m = PolyMatrix(VARS, entries)
-    want = sympy.Matrix([[to_sympy(p, syms) for p in row] for row in entries]).det(
-        method="berkowitz")
+    want = sympy.Matrix(m.rows, m.cols, [to_sympy(p, syms) for row in m.entries
+                                         for p in row]).det(method="berkowitz")
     assert sympy.expand(to_sympy(m.determinant(), syms) - want) == 0
 
 
@@ -706,6 +730,22 @@ def test_de_rham_4_right_parametrix_exact():
     cplx = de_rham_complex(4)
     f1 = maxwell_parametrix_symbol(cplx, None, "right")
     assert (maxwell_symbol(cplx, 4, None, 1) @ f1).is_identity()
+
+
+def test_de_rham_5_petrovskii_certified():
+    """The 32x32 symbol splits into its even-to-odd and odd-to-even 16x16
+    blocks; expanded whole, it did not finish in 40 s."""
+    rep = petrovskii_check(maxwell(de_rham_complex(5), 5))
+    assert rep.verdict == "certified-symbolic"
+    assert rep.certified_form == "(1)*(|zeta|^2)^16"
+
+
+@pytest.mark.parametrize("variant", [0, 1])
+def test_dolbeault_3_petrovskii_certified(variant):
+    cplx = dolbeault_complex(3)
+    rep = petrovskii_check(maxwell(cplx, cplx.length, None, variant))
+    assert rep.verdict == "certified-symbolic"
+    assert rep.certified_form == "(1/256)*(|zeta|^2)^4"
 
 
 # ---------------------------------------------------------------------------
@@ -877,8 +917,24 @@ def test_matmul_matches_the_old_loop(ab):
     st.lists(st.one_of(st.just(Poly.zero(VARS)), polys(max_terms=2, max_exp=1)),
              min_size=n, max_size=n), min_size=n, max_size=n)))
 def test_determinant_matches_the_old_loop(entries):
+    """A matrix of one block stores what the old loop stores; a split one
+    the old loop's block determinants multiplied in order with ``old_mul``."""
     m = PolyMatrix(VARS, entries)
-    assert stored(m.determinant()) == stored(old_determinant(m))
+    det = m.determinant()
+    assert det == old_determinant(m)
+    assert stored(det) == stored(split_determinant(m, old_determinant, old_mul))
+
+
+@settings(max_examples=150, deadline=None)
+@given(split_matrices())
+def test_split_determinant_matches_the_unsplit_expansion(m):
+    idx = tuple(range(m.rows))
+    det = m.determinant()
+    assert det == m._minor_table()(idx, idx)
+    assert stored(det) == stored(split_determinant(m, old_determinant, old_mul))
+    assert_canonical(det)
+    if not m.rows:
+        assert stored(det) == stored(Poly.one(VARS))
 
 
 # ---------------------------------------------------------------------------
@@ -992,3 +1048,43 @@ def test_block_place_rejects_bad_degrees_and_shapes():
         with pytest.raises(TypeError, match="cannot place a SymbolMatrix block "
                                             "among OperatorMatrix blocks"):
             block_place(part, {(0, 0): one, (2, 2): other})
+
+
+# ---------------------------------------------------------------------------
+# Constant weights scale the coefficients, stored as the product
+
+
+weights = st.one_of(
+    st.sampled_from([GaussianRational.i(), GaussianRational.of(-1),
+                     GaussianRational.of(Fraction(-3, 2), Fraction(1, 6))]),
+    coefficients)
+
+
+@settings(max_examples=80, deadline=None)
+@given(sparse_matrices(3, 4), weights)
+def test_constant_scale_stores_the_product(m, c):
+    w = Poly.constant(VARS, c)
+    got = m.scale(w)
+    assert stored_matrix(got) == stored_matrix(m.map(lambda p: p * w if p._num else p))
+    assert stored_matrix(got) == stored_matrix(m.scale(c))
+
+
+def test_only_a_polynomial_weight_multiplies(monkeypatch):
+    x, zero, one = Poly.variable(VARS, "x"), Poly.zero(VARS), Poly.one(VARS)
+    m = PolyMatrix(VARS, [[x + one, zero], [x * x, Poly.constant(VARS, GaussianRational.i())]])
+    w = x - Poly.constant(VARS, Fraction(1, 2))
+    want = m.map(lambda p: p * w if p._num else p)
+    calls = []
+    real = poly._dot
+    monkeypatch.setattr(poly, "_dot", lambda vars, pairs: calls.append(pairs) or real(vars, pairs))
+    m.scale(Poly.constant(VARS, Fraction(-2, 3)))
+    assert not calls
+    assert stored_matrix(m.scale(w)) == stored_matrix(want)
+    assert len(calls) == 3  # one product per nonzero entry
+    # a weight over other variables raises as its product does
+    other = Poly.constant(("x",), 2)
+    with pytest.raises(ValueError) as product:
+        x * other
+    with pytest.raises(ValueError) as scaled:
+        m.scale(other)
+    assert str(scaled.value) == str(product.value)

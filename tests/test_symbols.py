@@ -13,6 +13,7 @@ import hashlib
 import json
 import pickle
 from copy import deepcopy
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -38,6 +39,7 @@ from cxkit.symbols import (
     maxwell_parametrix_symbol,
     maxwell_symbol,
     sigma,
+    stokes_dn_symbol,
     stokes_fundamental_symbol,
     symbolic_factorization_residual,
     verify_evolution_identity,
@@ -199,6 +201,14 @@ def test_stokes_fundamental_symbol(n):
     cplx, mu = _oseen_setup(n)
     f, rep = stokes_fundamental_symbol(cplx, 1, mu)
     assert rep["intermediate_ok"] and rep["product_ok"] and rep["ok"]
+
+
+@pytest.mark.parametrize("n, q", [(3, 1), (3, 2), (4, 1)])
+def test_stokes_dn_symbol_times_the_fundamental_symbol_is_the_identity(n, q):
+    cplx = de_rham_complex(n)
+    mu = MuSet.scalar(cplx, Fraction(3, 2), degrees=[q])
+    f, _ = stokes_fundamental_symbol(cplx, q, mu)
+    assert (stokes_dn_symbol(cplx, q, mu) @ f).is_identity()
 
 
 def test_stokes_fundamental_symbol_q2(monkeypatch):

@@ -26,7 +26,7 @@ from cxkit.complexes import (
     powered_de_rham_complex,
 )
 from cxkit.ellipticity import dn_weights_maxwell, dn_weights_stokes
-from cxkit.poly import Poly
+from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import HypothesisFailure, _check_stokes_hypotheses, _symbols
 
 CASES = {
@@ -208,3 +208,21 @@ def test_no_product_has_a_constant_one_factor(monkeypatch, n):
     wave_factorization_residual(cplx, n, ones)
     assert calls["pairs"] > 0
     assert calls["ones"] == 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.sampled_from([GaussianRational.i(), GaussianRational.of(-3),
+                     GaussianRational.of(Fraction(5, 7), -2)]),
+    st.builds(GaussianRational.of, st.fractions(-4, 4, max_denominator=6),
+              st.fractions(-4, 4, max_denominator=6))), st.booleans())
+def test_constant_weight_stores_the_product(c, left):
+    """A constant scalar s scales the coefficients on either side, stored as
+    each nonzero entry's product ``p * s`` (``s * p`` on the left)."""
+    cplx = de_rham_complex(3, params=("mu",))
+    s = Poly.constant(cplx.signature.vars, c)
+    mu = MuSet(cplx, {1: c}, {2: c})
+    a = cplx.op(1)
+    for which, q, m in ((0, 1, a), (0, 1, a.formal_adjoint()), (1, 2, a)):
+        want = m.body.map(lambda p: (s * p if left else p * s) if p._num else p)
+        assert _stored(mu.apply(which, q, m, left=left)) == _stored(type(m)(m.signature, want))
