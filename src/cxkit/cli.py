@@ -290,5 +290,8 @@ def main(argv=None) -> int:
     return 0 if report.get("ok") else 1
 
 
+__all__ = ["main"] + [fn.__name__ for fn in _COMMANDS.values()]
+
+
 if __name__ == "__main__":
     raise SystemExit(main())

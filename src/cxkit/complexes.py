@@ -11,11 +11,23 @@ lexicographic order, and the entry from I to J = I + {i} carries the sign
 For n = 3 the de Rham builder uses the vector-calculus basis at degree two
 (the cyclic pairing e1 ~ dx2^dx3, e2 ~ dx3^dx1, e3 ~ dx1^dx2), so that the
 three operators are literally gradient, curl and divergence.
+
+Each public builder returns one shared, immutable :class:`Complex` per
+argument set, normalized first (``params`` as a sorted tuple, ``time`` as a
+bool, Koszul generators with their stored term order), from a
+``functools.lru_cache`` of ``SHARED_COMPLEXES`` entries per builder.  What a
+shared complex derives (its operators' adjoints and principal symbols, its
+complex of symbols) is made once and serves every later caller, so callers
+must not mutate it or its matrices.  The largest complex the spec language
+can ask for, de Rham(8), builds in ~4 ms, derives its symbols and adjoints in
+~35 ms more and then keeps ~1.7 MB; a full cache of complexes that size
+would hold ~27 MB.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from typing import Mapping, Sequence, TypeVar
 
@@ -31,14 +43,20 @@ from cxkit.poly import GaussianRational, Poly
 
 MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
+# Entries of each builder's cache; a run of the fixture bundle uses at most
+# seven argument sets of one builder
+SHARED_COMPLEXES = 16
+
 
 class Complex:
     """A chain of operators E_0 -> E_1 -> ... -> E_N with A_{q+1} A_q = 0.
 
     The chain holds operator matrices or symbol matrices, all of one type.
+    A complex is immutable: it keeps its complex of principal symbols once
+    made, and the builders share it between callers.
     """
 
-    __slots__ = ("ops", "signature", "ranks")
+    __slots__ = ("ops", "signature", "ranks", "_symbols")
 
     def __init__(self, ops: Sequence[SignatureMatrix]):
         if not ops:
@@ -54,6 +72,16 @@ class Complex:
         object.__setattr__(self, "signature", sig)
         ranks = tuple(op.cols for op in ops) + (ops[-1].rows,)
         object.__setattr__(self, "ranks", ranks)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"a Complex is immutable: cannot assign {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"a Complex is immutable: cannot delete {name!r}")
+
+    def __reduce__(self):
+        # rebuilt from its operators; the kept symbols are not pickled
+        return Complex, (self.ops,)
 
     @property
     def length(self) -> int:
@@ -86,8 +114,14 @@ class Complex:
         return type(self.ops[0]).identity(self.signature, n, scalar)
 
     def principal_symbols(self) -> "Complex":
-        """The complex of spatial principal symbols sigma(A_0)..sigma(A_{N-1})."""
-        return Complex([op.principal_symbol(SPATIAL) for op in self.ops])
+        """The complex of spatial principal symbols sigma(A_0)..sigma(A_{N-1}),
+        made on the first call and kept."""
+        try:
+            return self._symbols
+        except AttributeError:
+            sym = Complex([op.principal_symbol(SPATIAL) for op in self.ops])
+            object.__setattr__(self, "_symbols", sym)
+            return sym
 
     def lift(self, signature: Signature) -> "Complex":
         if signature == self.signature:
@@ -114,12 +148,8 @@ def _wedge_bases(n: int) -> list[list[tuple[int, ...]]]:
     return [sorted(combinations(range(n), q)) for q in range(n + 1)]
 
 
-def koszul_complex(generators: Sequence[Poly], signature: Signature) -> Complex:
-    """The wedge complex generated by commuting scalar operators Q_1..Q_n.
-
-    The degree-q operator sends the basis element e_I to
-    ``sum_i sign(i, I) Q_i e_{I + {i}}``.
-    """
+def _wedge(generators: Sequence[Poly], signature: Signature) -> Complex:
+    """The wedge complex of :func:`koszul_complex`, built anew."""
     n = len(generators)
     if n == 0:
         raise ValueError("need at least one generator")
@@ -141,17 +171,38 @@ def koszul_complex(generators: Sequence[Poly], signature: Signature) -> Complex:
     return Complex(ops)
 
 
+def koszul_complex(generators: Sequence[Poly], signature: Signature) -> Complex:
+    """The wedge complex generated by commuting scalar operators Q_1..Q_n.
+
+    The degree-q operator sends the basis element e_I to
+    ``sum_i sign(i, I) Q_i e_{I + {i}}``.  Shared per generators and
+    signature; a generator equal in value but stored in another term order
+    builds its own complex, so each caller gets what a fresh build makes.
+    """
+    return _koszul(tuple((g, tuple(g._num)) for g in generators), signature)
+
+
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def _koszul(generators: tuple, signature: Signature) -> Complex:
+    return _wedge([g for g, _ in generators], signature)
+
+
 def de_rham_complex(n: int, *, time: bool = False, params: Sequence[str] = ()) -> Complex:
     """The de Rham complex on R^n in derivative symbols d1..dn.
 
     For n = 3 the degree-two basis is re-ordered to the cyclic pairing so the
     operators are exactly (grad, curl, div).
     """
+    return _de_rham(n, bool(time), tuple(sorted(params)))
+
+
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def _de_rham(n: int, time: bool, params: tuple[str, ...]) -> Complex:
     if n < 1:
         raise ValueError("need n >= 1")
     sig = spatial_signature(n, time=time, params=params)
     gens = [Poly.variable(sig.vars, f"d{j + 1}") for j in range(n)]
-    cplx = koszul_complex(gens, sig)
+    cplx = _wedge(gens, sig)
     if n != 3:
         return cplx
     # Change of basis at degree 2: (c12, c13, c23) -> (c23, -c13, c12), an
@@ -165,11 +216,16 @@ def de_rham_complex(n: int, *, time: bool = False, params: Sequence[str] = ()) -
 
 def powered_de_rham_complex(n: int, p: int, *, params: Sequence[str] = ()) -> Complex:
     """The wedge complex generated by the pure powers d_j^p."""
+    return _powered_de_rham(n, p, tuple(sorted(params)))
+
+
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def _powered_de_rham(n: int, p: int, params: tuple[str, ...]) -> Complex:
     if p < 1:
         raise ValueError("need p >= 1")
     sig = spatial_signature(n, params=params)
     gens = [Poly.variable(sig.vars, f"d{j + 1}") ** p for j in range(n)]
-    return koszul_complex(gens, sig)
+    return _wedge(gens, sig)
 
 
 def dolbeault_complex(n: int, *, params: Sequence[str] = ()) -> Complex:
@@ -177,6 +233,11 @@ def dolbeault_complex(n: int, *, params: Sequence[str] = ()) -> Complex:
 
     The generators are d/d(conj z_j) = (d_{2j-1} + i d_{2j}) / 2.
     """
+    return _dolbeault(n, tuple(sorted(params)))
+
+
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def _dolbeault(n: int, params: tuple[str, ...]) -> Complex:
     sig = spatial_signature(2 * n, params=params)
     half = GaussianRational.of(Fraction(1, 2))
     half_i = GaussianRational.of(0, Fraction(1, 2))
@@ -185,7 +246,7 @@ def dolbeault_complex(n: int, *, params: Sequence[str] = ()) -> Complex:
         re = Poly.variable(sig.vars, f"d{2 * j + 1}").scale(half)
         im = Poly.variable(sig.vars, f"d{2 * j + 2}").scale(half_i)
         gens.append(re + im)
-    return koszul_complex(gens, sig)
+    return _wedge(gens, sig)
 
 
 def imaginary_de_rham_complex(n: int, *, time: bool = False, params: Sequence[str] = ()) -> Complex:
@@ -195,9 +256,13 @@ def imaginary_de_rham_complex(n: int, *, time: bool = False, params: Sequence[st
     i*(A_q transposed): this is the complex underlying the self-adjoint
     field-theory block operators.
     """
-    base = de_rham_complex(n, time=time, params=params)
+    return _imaginary_de_rham(n, bool(time), tuple(sorted(params)))
+
+
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def _imaginary_de_rham(n: int, time: bool, params: tuple[str, ...]) -> Complex:
     i = GaussianRational.i()
-    return Complex([op.scale(i) for op in base.ops])
+    return Complex([op.scale(i) for op in _de_rham(n, time, params).ops])
 
 
 # ---------------------------------------------------------------------------
@@ -377,6 +442,7 @@ def perturbed_laplacian(cplx: Complex, q: int, mu: MuSet,
 __all__ = [
     "Complex",
     "MuSet",
+    "SHARED_COMPLEXES",
     "koszul_complex",
     "de_rham_complex",
     "imaginary_de_rham_complex",

@@ -302,3 +302,15 @@ def tensor_identity(op: OperatorMatrix, n: int, *, outer: bool = True) -> Operat
         blocks = [(PolyMatrix.identity(sig.vars, n, op[i, j]), i * n, j * n)
                   for i in range(op.rows) for j in range(op.cols)]
     return OperatorMatrix(sig, PolyMatrix.place(sig.vars, n * op.rows, n * op.cols, blocks))
+
+
+__all__ = [
+    "ISOTROPIC",
+    "SPATIAL",
+    "Signature",
+    "spatial_signature",
+    "SignatureMatrix",
+    "OperatorMatrix",
+    "SymbolMatrix",
+    "tensor_identity",
+]

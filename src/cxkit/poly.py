@@ -1019,3 +1019,6 @@ class PolyMatrix:
 
     def __repr__(self) -> str:
         return f"PolyMatrix({self.rows}x{self.cols}, {self})"
+
+
+__all__ = ["MAX_DEGREE", "GaussianRational", "Poly", "PolyMatrix"]

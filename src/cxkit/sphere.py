@@ -684,3 +684,6 @@ def eigenvalue_minimum(m: PolyMatrix, sphere_vars: Sequence[str],
     values = compile_matrix(m, sphere_vars, param_vars)
     return _minimize(lambda pts, **layout: _least_eigenvalue(values(pts, **layout)),
                      sphere_vars, seed, budget)
+
+
+__all__ = ["compile_matrix", "abs_minimum", "eigenvalue_minimum"]

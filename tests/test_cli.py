@@ -400,6 +400,26 @@ def test_flow3_report_bytes(tmp_path, pin):
     assert out.read_bytes() == (DATA / pin).read_bytes()
 
 
+# Two complexes of one spec from one builder call, de_rham(3): the builder
+# hands both names the same shared complex, and only B carries weights, so
+# B's weights must not reach A.  Both reports were pinned before the builders
+# shared their complexes; the CI smoke step runs the installed entry point on
+# the same file.
+SHARED_SPEC = DATA / "shared_de_rham3.spec"
+SHARED_PINS = {
+    "verify_shared_de_rham3.json": ["verify"],
+    "parametrix_shared_de_rham3_B_right.json": ["parametrix", "--name", "B", "--side", "right"],
+}
+
+
+@pytest.mark.parametrize("pin", sorted(SHARED_PINS))
+def test_shared_complex_report_bytes(tmp_path, pin):
+    out = tmp_path / "report.json"
+    for _ in range(2):
+        assert _run([*SHARED_PINS[pin], "--spec", str(SHARED_SPEC), "--json", str(out)]) == 0
+        assert out.read_bytes() == (DATA / pin).read_bytes()
+
+
 def test_fixture_bundle_byte_identical(tmp_path):
     """Two independent subprocess runs must produce identical JSON bytes."""
     outs = []

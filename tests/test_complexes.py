@@ -1,9 +1,15 @@
 """Complex families, weight sets, and (generalized) Laplacians."""
 
+import pickle
+from copy import deepcopy
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cxkit import complexes, symbols
 from cxkit.complexes import (
+    SHARED_COMPLEXES,
     Complex,
     MuSet,
     check_coherence,
@@ -16,10 +22,12 @@ from cxkit.complexes import (
     perturbed_laplacian,
     powered_de_rham_complex,
 )
-from cxkit.diffop import OperatorMatrix, Signature, spatial_signature
+from cxkit.diffop import SPATIAL, OperatorMatrix, Signature, spatial_signature
 from cxkit.poly import GaussianRational, Poly
 
 from math import comb
+
+from _helpers import stored
 
 
 def _weight(mu, which, q):
@@ -287,3 +295,112 @@ def test_op_outside_range_is_zero():
     cplx = de_rham_complex(2)
     assert cplx.op(-1).is_zero
     assert cplx.op(5).is_zero
+
+
+# ---------------------------------------------------------------------------
+# Shared complexes: one immutable complex per normalized argument set
+
+
+def test_equal_arguments_share_one_complex():
+    sig = spatial_signature(2)
+    d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
+    assert de_rham_complex(3, params=["mu", "M"]) is de_rham_complex(3, params=("M", "mu"))
+    assert de_rham_complex(3) is de_rham_complex(3, time=False) is de_rham_complex(3, params=[])
+    assert imaginary_de_rham_complex(3, time=True, params=["b", "a"]) \
+        is imaginary_de_rham_complex(3, time=1, params=("a", "b"))
+    assert powered_de_rham_complex(3, 2, params=["mu"]) is powered_de_rham_complex(3, 2, params=("mu",))
+    assert dolbeault_complex(2) is dolbeault_complex(2, params=())
+    assert koszul_complex([d1, d2 * d2], sig) is koszul_complex((d1, d2 * d2), sig)
+    cplx = de_rham_complex(3)
+    assert cplx.principal_symbols() is cplx.principal_symbols()
+
+
+def test_different_arguments_build_different_complexes():
+    builds = [de_rham_complex(3), de_rham_complex(3, params=["mu"]),
+              de_rham_complex(3, params=["M", "mu"]), de_rham_complex(3, time=True),
+              de_rham_complex(4), imaginary_de_rham_complex(3),
+              powered_de_rham_complex(3, 2), powered_de_rham_complex(3, 3),
+              powered_de_rham_complex(3, 2, params=["mu"]), powered_de_rham_complex(2, 2),
+              dolbeault_complex(2), dolbeault_complex(2, params=["mu"]), dolbeault_complex(1)]
+    assert len({id(c) for c in builds}) == len(builds)
+    assert de_rham_complex(3).signature.params == ()
+    assert de_rham_complex(3, params=["mu"]).signature.params == ("mu",)
+
+
+def test_koszul_generators_equal_in_value_keep_their_term_order():
+    """A generator equal in value but stored in another term order builds its
+    own complex, stored as a fresh build stores it."""
+    sig = spatial_signature(2)
+    p = Poly(sig.vars, {(1, 0): 1, (0, 1): 1})
+    q = Poly(sig.vars, {(0, 1): 1, (1, 0): 1})
+    assert p == q and list(p._num) != list(q._num)
+    a, b = koszul_complex([p, p], sig), koszul_complex([q, q], sig)
+    assert a is not b
+    for cplx, g in ((a, p), (b, q)):
+        assert [stored(op) for op in cplx.ops] == \
+            [stored(op) for op in complexes._wedge([g, g], sig).ops]
+
+
+@pytest.mark.parametrize("cached", [complexes._de_rham, complexes._powered_de_rham,
+                                    complexes._dolbeault, complexes._imaginary_de_rham,
+                                    complexes._koszul])
+def test_each_builder_cache_is_bounded(cached):
+    assert cached.cache_info().maxsize == SHARED_COMPLEXES
+
+
+def test_cache_keeps_to_its_bound():
+    for k in range(SHARED_COMPLEXES + 3):
+        de_rham_complex(1, params=[f"p{k}"])
+    assert complexes._de_rham.cache_info().currsize == SHARED_COMPLEXES
+
+
+def test_shared_complex_is_immutable():
+    cplx = de_rham_complex(2)
+    for name in ("ops", "signature", "ranks", "_symbols", "extra"):
+        with pytest.raises(AttributeError, match="immutable"):
+            setattr(cplx, name, None)
+    with pytest.raises(AttributeError, match="immutable"):
+        del cplx.ops
+    for copy in (pickle.loads(pickle.dumps(cplx)), deepcopy(cplx)):
+        assert copy is not cplx and copy.ops == cplx.ops and copy.ranks == cplx.ranks
+
+
+# Each shared complex beside a fresh build by the builder's uncached function
+SHARED_AND_FRESH = {
+    "de-rham-2": (lambda: de_rham_complex(2), lambda: complexes._de_rham.__wrapped__(2, False, ())),
+    "de-rham-3": (lambda: de_rham_complex(3), lambda: complexes._de_rham.__wrapped__(3, False, ())),
+    "de-rham-4": (lambda: de_rham_complex(4), lambda: complexes._de_rham.__wrapped__(4, False, ())),
+    "dolbeault-2": (lambda: dolbeault_complex(2), lambda: complexes._dolbeault.__wrapped__(2, ())),
+    "dolbeault-3": (lambda: dolbeault_complex(3), lambda: complexes._dolbeault.__wrapped__(3, ())),
+    "powered-de-rham-3-2": (lambda: powered_de_rham_complex(3, 2),
+                            lambda: complexes._powered_de_rham.__wrapped__(3, 2, ())),
+}
+
+
+def _derived(cplx: Complex, weight) -> list:
+    """Every principal symbol, adjoint and delta_j of ``cplx`` and both sides
+    of its parametrix, with no weight and with the scalar ``weight``, each in
+    its stored form."""
+    sym = cplx.principal_symbols()
+    out = [stored(m) for q in range(cplx.length) for m in (
+        cplx.op(q).principal_symbol(SPATIAL), sym.op(q), cplx.op(q).formal_adjoint(),
+        sym.op(q).hermitian_transpose())]
+    for mu in (None, MuSet.scalar(cplx, weight)):
+        out += [stored(symbols.delta(cplx, j, mu)) for j in range(cplx.length + 1)]
+        for side in ("right", "left"):
+            par = symbols.maxwell_parametrix_symbol(cplx, mu, side)
+            out += [stored(par.num), (list(par.den._num.items()), par.den._den)]
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(SHARED_AND_FRESH))
+def test_shared_complex_derives_what_a_fresh_build_derives(name):
+    """The derivations a shared complex keeps, read by a second caller, equal
+    those of a fresh build entry for entry and in stored term order."""
+    shared, fresh = SHARED_AND_FRESH[name]
+    weight = Fraction(3, 2)
+    first = _derived(shared(), weight)
+    again = shared()
+    assert again is shared() and again.principal_symbols() is shared().principal_symbols()
+    assert fresh() is not again
+    assert _derived(again, weight) == first == _derived(fresh(), weight)

@@ -1,4 +1,5 @@
-"""Every name a cxkit module exports in ``__all__`` resolves.
+"""Every public cxkit module declares ``__all__``, and every name in it
+resolves.
 
 A deleted class or function whose name stays in ``__all__`` breaks
 ``from cxkit.<module> import *`` only when someone runs it; this finds the
@@ -26,3 +27,8 @@ def test_all_names_resolve(name):
     assert len(set(exported)) == len(exported), "repeated name in __all__"
     missing = [n for n in exported if not hasattr(mod, n)]
     assert not missing, f"{name}.__all__ names {missing}"
+
+
+@pytest.mark.parametrize("name", [m for m in MODULES if not m.rpartition(".")[2].startswith("_")])
+def test_public_modules_declare_all(name):
+    assert isinstance(getattr(importlib.import_module(name), "__all__", None), list), name

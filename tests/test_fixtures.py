@@ -1,9 +1,12 @@
 """Block literals of the spec language, the way the fixture corpus enters its
-displays, against plain entry tables."""
+displays, against plain entry tables; and the bundle of a warm run against
+that of a cold one."""
+
+from pathlib import Path
 
 import pytest
 
-from cxkit import dsl
+from cxkit import cli, complexes, dsl
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.poly import Poly
 
@@ -95,3 +98,22 @@ def test_scale_last_row():
     blocks = {"top": OperatorMatrix(SIG, op.body.block(0, 2, 0, 2)),
               "last": OperatorMatrix(SIG, op.body.block(2, 3, 0, 2))}
     assert literal(blocks, "[[top], [-last]]") == OperatorMatrix.from_entries(SIG, want)
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "fixtures.json"
+
+
+def test_warm_bundle_equals_cold_bundle(tmp_path):
+    """``cxkit fixtures`` twice in one process: the first run builds every
+    complex, the second reuses the shared ones and what they keep, and both
+    write the reference bundle byte for byte."""
+    for cached in (complexes._de_rham, complexes._powered_de_rham, complexes._dolbeault,
+                   complexes._imaginary_de_rham, complexes._koszul):
+        cached.cache_clear()
+    cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
+    assert cli.main(["fixtures", "--json", str(cold)]) == 0
+    assert complexes._de_rham.cache_info().hits > 0
+    hits = complexes._de_rham.cache_info().hits
+    assert cli.main(["fixtures", "--json", str(warm)]) == 0
+    assert complexes._de_rham.cache_info().hits > hits
+    assert warm.read_bytes() == cold.read_bytes() == REFERENCE.read_bytes()

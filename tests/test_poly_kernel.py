@@ -2,10 +2,11 @@
 
 ``FractionPoly`` is the earlier ``Poly`` arithmetic, one ``GaussianRational``
 (two ``Fraction``s) per term, kept verbatim up to the class name as the
-reference the kernel is compared with.  Exact division and determinants are
-also compared with sympy where it is installed.  The earlier product, sum-of-products loop and
-``embed`` (``old_mul``, ``old_sum``, ``old_embed``) are kept verbatim too, as
-the references of the one-accumulator sums and of block placement.
+reference the kernel is compared with.  Exact division, determinants, matrix
+products and adjugates are also compared with sympy where it is installed.
+The earlier product, sum-of-products loop and ``embed`` (``old_mul``,
+``old_sum``, ``old_embed``) are kept verbatim too, as the references of the
+one-accumulator sums and of block placement.
 """
 
 import copy
@@ -714,6 +715,46 @@ def test_determinant_matches_sympy(m):
     want = sympy.Matrix(m.rows, m.cols, [to_sympy(p, syms) for row in m.entries
                                          for p in row]).det(method="berkowitz")
     assert sympy.expand(to_sympy(m.determinant(), syms) - want) == 0
+
+
+gaussian_integers = st.builds(GaussianRational.of, st.integers(-9, 9), st.integers(-9, 9))
+
+
+@st.composite
+def gaussian_matrices(draw, rows: int, cols: int) -> PolyMatrix:
+    """A rows x cols matrix over x, y, z of Gaussian-integer polynomials of
+    one or two terms, about a third of its entries zero."""
+    zero = Poly.zero(VARS)
+
+    def entry():
+        n = draw(st.integers(1, 2))
+        return Poly(VARS, {tuple(draw(st.integers(0, 2)) for _ in VARS): draw(gaussian_integers)
+                           for _ in range(n)})
+
+    return PolyMatrix(VARS, [[entry() if draw(st.integers(0, 2)) else zero for _ in range(cols)]
+                             for _ in range(rows)], shape=(rows, cols))
+
+
+def sympy_matrix(m: PolyMatrix, syms):
+    import sympy
+
+    return sympy.Matrix(m.rows, m.cols, [to_sympy(p, syms) for row in m.entries for p in row])
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.tuples(st.integers(1, 4), st.integers(1, 4), st.integers(1, 4)).flatmap(
+    lambda s: st.tuples(gaussian_matrices(s[0], s[1]), gaussian_matrices(s[1], s[2]))),
+    st.integers(1, 4).flatmap(lambda n: gaussian_matrices(n, n)))
+def test_product_and_adjugate_match_sympy(ab, m):
+    """sympy's ``Matrix`` product and ``adjugate`` as the oracle, after
+    ``expand``, on matrices of at most 4x4 over three variables."""
+    sympy = pytest.importorskip("sympy")
+    syms = sympy.symbols(VARS)
+    a, b = ab
+    want = sympy_matrix(a, syms) * sympy_matrix(b, syms)
+    assert (sympy_matrix(a @ b, syms) - want).expand() == sympy.zeros(a.rows, b.cols)
+    want = sympy_matrix(m, syms).adjugate(method="bareiss")
+    assert (sympy_matrix(m.adjugate(), syms) - want).expand() == sympy.zeros(m.rows, m.rows)
 
 
 # ---------------------------------------------------------------------------
