@@ -21,7 +21,9 @@ complex of symbols) is made once and serves every later caller, so callers
 must not mutate it or its matrices.  The largest complex the spec language
 can ask for, de Rham(8), builds in ~4 ms, derives its symbols and adjoints in
 ~35 ms more and then keeps ~1.7 MB; a full cache of complexes that size
-would hold ~27 MB.
+would hold ~27 MB.  An operator compared by ``cxkit.syzygy.module_equivalent``
+also keeps its packed rows and their Groebner basis: for every operator of
+de Rham(8) ~0.33 MB more (~5 MB for a full cache), a few KiB for de Rham(3).
 """
 
 from __future__ import annotations

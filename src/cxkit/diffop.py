@@ -138,7 +138,8 @@ class SignatureMatrix:
         return cls(signature, PolyMatrix(signature.vars, entries))
 
     def _kept(self, key, make):
-        """The derived matrix ``key``: ``make()`` on the first request, kept
+        """The derived value ``key`` (a matrix, or what ``cxkit.syzygy``
+        derives from an operator): ``make()`` on the first request, kept
         in ``_derived`` (a slot set then); a made adjoint keeps ``self`` as
         its own adjoint."""
         try:

@@ -70,12 +70,14 @@ from cxkit._record import Record
 
 Exponent = tuple[int, ...]
 
+_FRACTION_ZERO = Fraction(0)  # every zero part coerced from an int
+
 
 def _as_fraction(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
-        return Fraction(value)
+        return Fraction(value) if value else _FRACTION_ZERO
     if isinstance(value, str):
         return Fraction(value)
     raise TypeError(f"cannot coerce {value!r} to Fraction")
@@ -86,7 +88,7 @@ class GaussianRational(Record):
 
     __slots__ = ("re", "im")
 
-    def __init__(self, re: Fraction = Fraction(0), im: Fraction = Fraction(0)):
+    def __init__(self, re: Fraction = _FRACTION_ZERO, im: Fraction = _FRACTION_ZERO):
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -266,6 +268,8 @@ def _key_lcm(a: int, b: int, n: int) -> int:
 
 def _split(c: GaussianRational) -> tuple[int, int, int]:
     """``(re, im, den)`` with ``c == (re + im*i) / den`` and ``den > 0``."""
+    if not c.im:
+        return c.re.numerator, 0, c.re.denominator
     re_den, im_den = c.re.denominator, c.im.denominator
     den = lcm(re_den, im_den)
     return c.re.numerator * (den // re_den), c.im.numerator * (den // im_den), den
@@ -571,9 +575,15 @@ class Poly:
         return result
 
     def scale(self, value) -> "Poly":
-        cr, ci, cd = _split(_coerce_coeff(value))
+        return self._scaled(*_split(_coerce_coeff(value)))
+
+    def _scaled(self, cr: int, ci: int, cd: int) -> "Poly":
+        """``self * (cr + ci*i)/cd``.  A nonzero Gaussian integer times a
+        nonzero numerator is nonzero, so only the zero factor drops terms."""
+        if not (cr or ci):
+            return _poly_nonzero(self.vars, {}, 1)
         out = {k: (re * cr - im * ci, re * ci + im * cr) for k, (re, im) in self._num.items()}
-        return _poly(self.vars, out, self._den * cd)
+        return _poly_nonzero(self.vars, out, self._den * cd)
 
     def conjugate(self) -> "Poly":
         """Conjugate all coefficients (the variables are treated as real)."""
@@ -893,14 +903,17 @@ class PolyMatrix:
         """Each entry times ``value``, a Poly or a constant.  Zero entries
         stay as they are, and scaling by the Poly one is the matrix itself.
         A constant Poly over these variables scales the coefficients, which
-        stores what the product would."""
+        stores what the product would; the constant is split once, its
+        canonical numerator over its denominator, for every entry."""
         if isinstance(value, Poly):
-            if value == Poly.one(value.vars):
+            if value._den == 1 and value._num == {0: (1, 0)}:  # the Poly one
                 return self
             if not value.is_constant or value.vars != self.vars:
                 return self.map(lambda p: p * value if p._num else p)
-            value = value.constant_value()
-        return self.map(lambda p: p.scale(value) if p._num else p)
+            c = (*value._num.get(0, (0, 0)), value._den)
+        else:
+            c = _split(_coerce_coeff(value))
+        return self.map(lambda p: p._scaled(*c) if p._num else p)
 
     def transpose(self) -> "PolyMatrix":
         return _matrix(self.vars, tuple(tuple(row[j] for row in self.entries)

@@ -26,6 +26,16 @@ leading term.  A reduction updates a private dict in place, one fused step
 (``cxkit.poly._step``, the step ``Poly.exact_div`` takes) over the reducer's
 terms per removed term, keeping each position's terms in the order its own
 ``Poly`` would; only outputs are unpacked.
+
+For :func:`module_equivalent` an operator keeps its rows packed over a ring's
+variables and their Groebner basis, in the slot where ``cxkit.diffop`` keeps
+its adjoint and symbols, so an operator compared again (a reference that
+many results are checked against) is packed and reduced to a basis once.
+The basis is kept with the number of S-pairs its computation processed and
+reused only when a call's budget is at least that count; below it the call
+raises BudgetExceeded as a fresh one would, since Buchberger takes the same
+pairs whatever the budget.  Kept rows and records are only read: each
+reduction steps on a copy.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ from math import lcm
 from typing import Sequence
 
 from cxkit.diffop import OperatorMatrix
-from cxkit.poly import (_FIELD, _WIDTH, Poly, _cancel, _key_divides, _key_lcm,
+from cxkit.poly import (_WIDTH, Poly, _cancel, _key_divides, _key_lcm,
                         _poly_nonzero, _quotient, _step)
 
 DEFAULT_PAIR_BUDGET = 10_000
@@ -68,16 +78,20 @@ def _packed(elem: Element, n: int, npos: int | None = None) -> tuple[dict, int]:
 
 
 def _unpacked(vec: tuple[dict, int], vars: tuple[str, ...], npos: int) -> Element:
-    """The inverse of :func:`_packed`, each position in canonical form."""
+    """The inverse of :func:`_packed`, each position in canonical form; the
+    zero positions share one zero."""
     shift = _WIDTH * (len(vars) + 1)
+    untagged = (1 << shift) - 1
     parts: list[dict] = [{} for _ in range(npos)]
     for k, c in vec[0].items():
-        parts[npos - (k >> shift)][k & ((1 << shift) - 1)] = c
-    return tuple(_poly_nonzero(vars, part, vec[1]) for part in parts)
+        parts[npos - (k >> shift)][k & untagged] = c
+    zero = _poly_nonzero(vars, {}, 1)
+    return tuple(_poly_nonzero(vars, part, vec[1]) if part else zero for part in parts)
 
 
 def _record(num: dict, den: int, n: int) -> tuple:
-    return max(num), num, den, max(k >> _WIDTH * n & _FIELD for k in num)
+    untagged = (1 << _WIDTH * (n + 1)) - 1  # a key below its position tag
+    return max(num), num, den, max(map(untagged.__and__, num)) >> _WIDTH * n
 
 
 def _by_tag(records, n: int) -> dict[int, list]:
@@ -118,9 +132,9 @@ def _reduce(num: dict, den: int, reducers: dict, n: int, full=False) -> tuple[di
     return num, den
 
 
-def _groebner(vecs, n: int, budget: int) -> list[tuple]:
-    """:func:`groebner_basis` on packed vectors over ``n`` variables; the
-    records of the result."""
+def _groebner(vecs, n: int, budget: int) -> tuple[list[tuple], int]:
+    """:func:`groebner_basis` on packed vectors over ``n`` variables: the
+    records of the result and the number of S-pairs processed."""
     if budget < 0:
         raise ValueError(f"S-pair budget must be non-negative, got {budget}")
     shift, seq, done = _WIDTH * (n + 1), count(), count(1)
@@ -164,7 +178,7 @@ def _groebner(vecs, n: int, budget: int) -> list[tuple]:
         num, den = _reduce(*_step(*s, gj, 1, 0, 1, m - (gj[0] & low), n), active, n)
         if num:
             add(num, den)
-    return [g for g in basis if any(g is h for h in active[g[0] >> shift])]
+    return [g for g in basis if any(g is h for h in active[g[0] >> shift])], next(done) - 1
 
 
 def groebner_basis(gens: Sequence[Element], *,
@@ -187,13 +201,13 @@ def groebner_basis(gens: Sequence[Element], *,
     The budget counts S-pairs processed, not pairs a criterion removes;
     raises BudgetExceeded past it, and ValueError for a negative one."""
     vars = next((p.vars for g in gens[:1] for p in g), ())
-    gb = _groebner([_packed(g, len(vars)) for g in gens], len(vars), budget)
+    gb, _ = _groebner([_packed(g, len(vars)) for g in gens], len(vars), budget)
     return [_unpacked(g[1:3], vars, len(gens[0])) for g in gb]
 
 
-def _interreduce(vecs, n: int) -> list[tuple[dict, int]]:
-    """:func:`interreduce` on packed vectors over ``n`` variables."""
-    items = [_record(*_normalized(*v), n) for v in vecs if v[0]]
+def _interreduce(items: list[tuple], n: int) -> list[tuple[dict, int]]:
+    """:func:`interreduce` on the records of monic packed vectors over ``n``
+    variables, such as :func:`_groebner` returns; their dicts may change."""
     shift = _WIDTH * (n + 1)
     # of two equal leading terms the earlier is kept
     kept = [b for i, b in enumerate(items) if not any(
@@ -217,8 +231,9 @@ def interreduce(basis: Sequence[Element]) -> list[Element]:
     each to leading coefficient one.  That basis is unique for the module
     and the order; the output is sorted for determinism."""
     vars = next((p.vars for b in basis[:1] for p in b), ())
-    return [_unpacked(v, vars, len(basis[0]))
-            for v in _interreduce([_packed(b, len(vars)) for b in basis], len(vars))]
+    n = len(vars)
+    items = [_record(*_normalized(*v), n) for v in (_packed(b, n) for b in basis) if v[0]]
+    return [_unpacked(v, vars, len(basis[0])) for v in _interreduce(items, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -233,20 +248,16 @@ def syzygies(rows: Sequence[Element], vars, *,
     for i, (num, den) in enumerate(extended):
         num[k - i << _WIDTH * (n + 1)] = (den, 0)  # the unit e_i
     # the first part vanishes where the leading tag is at most k; each
-    # trailing position keeps its tag in R^k
-    syz = [g[1:3] for g in _groebner(extended, n, budget) if g[0] >> _WIDTH * (n + 1) <= k]
+    # trailing position keeps its tag in R^k; Buchberger's records are monic
+    syz = [g for g in _groebner(extended, n, budget)[0] if g[0] >> _WIDTH * (n + 1) <= k]
     return [_unpacked(v, tuple(vars), k) for v in _interreduce(syz, n)]
-
-
-def _op_rows(op: OperatorMatrix) -> list[Element]:
-    return [tuple(op[i, j] for j in range(op.cols)) for i in range(op.rows)]
 
 
 def compatibility_operator(op: OperatorMatrix, *,
                            budget: int = DEFAULT_PAIR_BUDGET) -> OperatorMatrix:
     """A generating compatibility operator B with B op = 0 (rows of B generate
     the left kernel).  Returns a 0 x rows operator when the kernel is trivial."""
-    syz = syzygies(_op_rows(op), op.signature.vars, budget=budget)
+    syz = syzygies(op.body.entries, op.signature.vars, budget=budget)
     sig = op.signature
     if not syz:
         return OperatorMatrix.zero(sig, 0, op.rows)
@@ -272,15 +283,40 @@ def extend_to_complex(op: OperatorMatrix, *, max_steps: int = 8,
     return ops
 
 
+def _packed_rows(op: OperatorMatrix, vars: tuple[str, ...]) -> tuple:
+    """The rows of ``op`` lifted to ``vars`` and packed, kept on ``op``; they
+    cost no S-pairs, so no budget applies."""
+    return op._kept(("rows", vars), lambda: tuple(
+        _packed(tuple(p.lift(vars) for p in r), len(vars)) for r in op.body.entries))
+
+
+def _rows_basis(op: OperatorMatrix, vars: tuple[str, ...], budget: int) -> dict:
+    """The Groebner basis of :func:`_packed_rows`, grouped by :func:`_by_tag`,
+    kept on ``op`` with the S-pairs it cost; a call that runs out of budget
+    keeps nothing."""
+    if budget < 0:
+        raise ValueError(f"S-pair budget must be non-negative, got {budget}")
+
+    def make():
+        gb, pairs = _groebner(_packed_rows(op, vars), len(vars), budget)
+        return _by_tag(gb, len(vars)), pairs
+
+    value, pairs = op._kept(("groebner", vars), make)
+    if pairs > budget:
+        raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
+    return value
+
+
 def module_equivalent(a: OperatorMatrix, b: OperatorMatrix, *,
                       budget: int = DEFAULT_PAIR_BUDGET) -> bool:
-    """Do the rows of a and b generate the same submodule?"""
+    """Do the rows of a and b generate the same submodule?  Each operator
+    keeps its rows packed over a's variables and their Groebner basis."""
     if a.cols != b.cols:
         return False
     vars = a.signature.vars
-    rows = [[_packed(tuple(p.lift(vars) for p in r), len(vars)) for r in _op_rows(m)]
-            for m in (a, b)]
-    gbs = [_by_tag(_groebner(r, len(vars), budget), len(vars)) for r in rows]
+    rows = [_packed_rows(m, vars) for m in (a, b)]
+    gbs = [_rows_basis(m, vars, budget) for m in (a, b)]
+    # each reduction steps on a copy: kept rows and records are only read
     return all(not _reduce(dict(r), d, gbs[1 - i], len(vars))[0]
                for i in (0, 1) for r, d in rows[i])
 

@@ -371,6 +371,19 @@ def test_syzygy_report_bytes(tmp_path, command):
     assert out.read_bytes() == (DATA / f"{command}_symgrad3.json").read_bytes()
 
 
+# The four-generator module of ROADMAP item 5, whose resolution has five
+# steps; both reports were pinned before operators kept their Groebner bases.
+# The CI smoke step runs the installed entry point on the same file.
+ROADMAP4_SPEC = DATA / "roadmap4.spec"
+
+
+@pytest.mark.parametrize("command", ["syzygy", "extend"])
+def test_roadmap4_report_bytes(tmp_path, command):
+    out = tmp_path / "report.json"
+    assert _run([command, "--spec", str(ROADMAP4_SPEC), "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"{command}_roadmap4.json").read_bytes()
+
+
 # de Rham(3) with scalar mu weights at degrees 1 and 2, the viscous flow's
 # weights; its weight plans and parametrices were pinned before the half
 # orders and the Laplacian tables had one derivation each, and its verify,

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+from copy import deepcopy
 from math import lcm
 from pathlib import Path
 
@@ -278,7 +279,7 @@ def _fifo_reduce(elem, basis, leads):
 def _fifo_groebner_basis(gens, *, budget=syzygy.DEFAULT_PAIR_BUDGET):
     """Buchberger with POT+grlex; S-pairs only between elements sharing the
     leading position, taken first in, first out, every one processed
-    (reference)."""
+    (reference); the basis and the number of S-pairs processed."""
     basis = [_normalize(g) for g in gens if not _is_zero(g)]
     leads = [_leading(g) for g in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -305,20 +306,22 @@ def _fifo_groebner_basis(gens, *, budget=syzygy.DEFAULT_PAIR_BUDGET):
             basis.append(s)
             leads.append(_leading(s))
             pairs.extend((idx, k) for idx in range(k))
-    return basis
+    return basis, processed
 
 
 def _fifo_packed(vecs, n, budget):
     """The reference Buchberger in place of the library's packed one: the
     vectors unpacked to one Poly per position (over as many positions as
     their highest tag names, which keeps the order of positions), the
-    reference run, its basis packed back into records."""
+    reference run, its basis packed back into records, with the S-pairs it
+    processed."""
     vecs = list(vecs)
     shift = _WIDTH * (n + 1)
     npos = max((k >> shift for num, _ in vecs for k in num), default=0)
     vars = tuple(f"x{i}" for i in range(n))
-    gb = _fifo_groebner_basis([syzygy._unpacked(v, vars, npos) for v in vecs], budget=budget)
-    return [_record(*_packed(g, n), n) for g in gb]
+    gb, processed = _fifo_groebner_basis([syzygy._unpacked(v, vars, npos) for v in vecs],
+                                         budget=budget)
+    return [_record(*_packed(g, n), n) for g in gb], processed
 
 
 def _with_fifo(run):
@@ -523,6 +526,125 @@ def test_budget_exceeded_at_pinned_pair_count(key, pairs):
     with pytest.raises(BudgetExceeded):
         compatibility_operator(op, budget=pairs - 1)
     assert json.loads(PINNED.read_text())[key]["pairs"][0] == pairs
+
+
+# ---------------------------------------------------------------------------
+# Kept bases: for ``module_equivalent`` an operator keeps its packed rows and
+# their Groebner basis, the basis with the S-pairs it cost.
+
+
+def _frozen(x):
+    """``x`` with every dict as its items in storage order, so ``==``
+    compares term order too."""
+    if isinstance(x, dict):
+        return [(k, _frozen(v)) for k, v in x.items()]
+    if isinstance(x, (list, tuple)):
+        return [_frozen(v) for v in x]
+    return x
+
+
+def _buchberger_runs(run):
+    """``run()`` and the number of Buchberger runs (``_groebner`` calls) in it."""
+    runs = []
+    real = syzygy._groebner
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syzygy, "_groebner", lambda *args: runs.append(1) or real(*args))
+        return run(), len(runs)
+
+
+def _mapped_back(order, scales, b: OperatorMatrix) -> OperatorMatrix:
+    """``b``, a compatibility operator of ``_operator(name, order, scales)``,
+    over the module's own rows: column j is scales[j] times the column of
+    the position that holds row j."""
+    where = {src: pos for pos, src in enumerate(order)}
+    return OperatorMatrix.from_entries(b.signature, [
+        [b[i, where[j]].scale(GaussianRational.of(scales[j])) for j in range(len(order))]
+        for i in range(b.rows)])
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_equivalence_against_a_kept_reference(name):
+    """The compatibility operators of permuted, rescaled inputs, mapped back
+    to the module's rows, are equivalent to one long-lived reference, as to
+    a fresh copy of it.  Buchberger runs for the reference once, then once
+    per mapped operator, and not at all for a repeated call."""
+    rows = len(_module(name)[1])
+    reference = compatibility_operator(_operator(name, range(rows)))
+    if name == "four-generator":
+        cases = [(o, s) for s in ("1111", RESCALE) for o in LATIN_ORDERS]
+    else:
+        cases = [(tuple(reversed(range(rows))), (RESCALE * 3)[:rows]),
+                 (tuple(range(1, rows)) + (0,), ("5",) + ("1",) * (rows - 1))]
+    runs = []
+    for order, scales in cases:
+        back = _mapped_back(order, scales, compatibility_operator(_operator(name, order, scales)))
+        got, n = _buchberger_runs(lambda: module_equivalent(back, reference))
+        assert got
+        runs.append(n)
+        assert module_equivalent(back, OperatorMatrix(reference.signature, reference.body))
+        assert _buchberger_runs(lambda: module_equivalent(back, reference)) == (True, 0)
+    assert runs == [2] + [1] * (len(cases) - 1)
+    # a smaller module, the reference's rows times d1: the kept bases say so
+    sig = reference.signature
+    other = OperatorMatrix(sig, reference.body.scale(Poly.variable(sig.vars, sig.spatial[0])))
+    assert not module_equivalent(other, reference)
+    assert not module_equivalent(reference, other)
+
+
+def _rows_pairs(op: OperatorMatrix) -> int:
+    """The S-pairs a Groebner basis of the rows of ``op`` costs, on a copy."""
+    vars = op.signature.vars
+    rows = syzygy._packed_rows(OperatorMatrix(op.signature, op.body), vars)
+    return syzygy._groebner(rows, len(vars), syzygy.DEFAULT_PAIR_BUDGET)[1]
+
+
+@pytest.mark.parametrize("key", ["four-generator 3210", "four-generator 2301 rescaled",
+                                 "symgrad3"])
+def test_kept_basis_is_reused_exactly_within_its_cost(key):
+    """A Groebner basis of the rows that cost q S-pairs is reused at budget
+    q; at q - 1 the call raises BudgetExceeded with the message a fresh call
+    gives, and the kept basis stays."""
+    op = dict(_pinned_cases())[key]
+    q = _rows_pairs(op)
+    assert q > 0
+    assert module_equivalent(op, op, budget=q)
+    assert _buchberger_runs(lambda: module_equivalent(op, op, budget=q)) == (True, 0)
+    basis = op._derived[("groebner", op.signature.vars)]
+    with pytest.raises(BudgetExceeded) as fresh:
+        module_equivalent(*[dict(_pinned_cases())[key]] * 2, budget=q - 1)
+    with pytest.raises(BudgetExceeded) as kept:
+        module_equivalent(op, op, budget=q - 1)
+    assert str(kept.value) == str(fresh.value) == f"S-pair budget of {q - 1} exceeded"
+    assert op._derived[("groebner", op.signature.vars)] is basis
+    assert _buchberger_runs(lambda: module_equivalent(op, op)) == (True, 0)
+
+
+def test_a_call_out_of_budget_keeps_nothing():
+    """A call that runs out of budget keeps no basis, so a later call with
+    enough budget computes it."""
+    op = dict(_pinned_cases())["symgrad3"]
+    with pytest.raises(BudgetExceeded):
+        module_equivalent(op, op, budget=0)
+    assert ("groebner", op.signature.vars) not in op._derived
+    assert module_equivalent(op, op)
+
+
+def test_kept_rows_and_bases_are_never_mutated():
+    """Rows and Groebner records that operators keep equal, term order
+    included, a deep copy taken before they served as reducers and as
+    reduced rows in further calls, equivalent or not."""
+    ops = dict(_pinned_cases())
+    a, b = ops["four-generator 0123"], ops["four-generator 1032 rescaled"]
+    assert module_equivalent(a, b)
+    before = [deepcopy(m._derived) for m in (a, b)]
+    for key in ("four-generator 2301", "four-generator 3210 rescaled"):
+        assert module_equivalent(ops[key], a) and module_equivalent(a, ops[key])
+        assert module_equivalent(b, ops[key])
+    # three of a's rows: reductions that leave a remainder
+    part = OperatorMatrix(a.signature, a.body.block(0, 3, 0, 2))
+    assert not module_equivalent(a, part) and not module_equivalent(part, b)
+    for m, kept in zip((a, b), before):
+        assert _frozen({k: m._derived[k] for k in kept}) == _frozen(kept)
 
 
 if __name__ == "__main__":
