@@ -26,7 +26,9 @@ else: no sum with it, no product of two operators, no power.  A literal
 with operator blocks has at most ``MAX_MATRIX_ENTRIES`` entries.
 
 Polynomial expressions use ``+ - * ^`` with integer or rational (``a/b``)
-constants and the imaginary unit ``i``; exponents are at most
+constants and the imaginary unit ``i``.  An integer is a run of decimal
+digits of any script (``str.isdecimal``, what ``int`` reads), of no more
+digits than ``int`` converts; exponents are at most
 ``MAX_EXPONENT``, denominators nonzero, the total degree of a power or
 product at most ``poly.MAX_DEGREE``, a bound on its term count at most
 ``MAX_TERMS``, one on its coefficients' bit length at most
@@ -162,10 +164,15 @@ def _tokenize(text: str, line_no: int) -> list[Token]:
         if ch == "#":
             break
         col = i + 1
-        if ch.isdigit():
+        if ch.isdecimal():  # the digits int() reads, in any script
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and text[j].isdecimal():
                 j += 1
+            try:
+                int(text[i:j])
+            except ValueError:  # more digits than int() converts
+                raise SpecError(f"integer literal of {j - i} digits is too long",
+                                line_no, col) from None
             tokens.append(Token("int", text[i:j], line_no, col))
             i = j
         elif ch.isalpha() or ch == "_":

@@ -1,16 +1,16 @@
 """Ellipticity checks and Douglis-Nirenberg weight computation.
 
 Four check flavours (Petrovskii, injectivity, strong ellipticity and
-Douglis-Nirenberg) share the same two-stage strategy: first attempt an exact
-symbolic certificate of the narrow form ``gamma * (|zeta|^2)^k`` (optionally
-times the identity), and only fall back to a deterministic numeric
-minimization over the unit sphere when the certificate does not apply.
-Numeric verdicts use a three-way threshold: minimum > 1e-9 passes, a point
-below 1e-12 fails, anything between is inconclusive.  The numeric search
-lives in :mod:`cxkit.sphere`, which is imported only when a certificate
-fails, so certified checks do not load numpy; no check loads scipy.  The
-Douglis-Nirenberg weights of the Maxwell and Stokes operators come from one
-recurrence (``_plan``).
+Douglis-Nirenberg) reach their verdicts through one route, ``_verdict``: a
+zero determinant fails at once; then an exact symbolic certificate of the
+narrow form ``gamma * (|zeta|^2)^k`` (times the identity for a Hermitian
+part) decides where it applies; only otherwise does a deterministic numeric
+minimization over the unit sphere run.  Numeric verdicts use a three-way
+threshold: minimum > 1e-9 passes, a point below 1e-12 fails, anything
+between is inconclusive.  The numeric search lives in :mod:`cxkit.sphere`,
+which is imported only on that last step, so certified checks do not load
+numpy; no check loads scipy.  The Douglis-Nirenberg weights of the Maxwell
+and Stokes operators come from one recurrence (``_plan``).
 """
 
 from __future__ import annotations
@@ -120,9 +120,35 @@ def _axis(sphere_vars: Sequence[str]) -> tuple[float, ...]:
     return tuple(1.0 if i == 0 else 0.0 for i in range(len(sphere_vars)))
 
 
-def _numeric_verdict(minimum: float, argmin: tuple[float, ...], *, check: str,
-                     determinant: str | None, seed: int, budget: int
-                     ) -> EllipticityReport:
+def _verdict(check: str, sym: SymbolMatrix, *, hermitian: bool = False,
+             seed: int, budget: int) -> EllipticityReport:
+    """The one route to every check's verdict, on the determinant of ``sym``
+    or, with ``hermitian``, on ``sym`` as a Hermitian part, through its
+    scalar part when it is one.  A zero determinant fails at the axis; then
+    a gamma * (|zeta|^2)^k certificate decides: a determinant is certified
+    for any gamma, a Hermitian part for a real gamma > 0, and fails for a
+    real gamma < 0 with minimum gamma at the axis.  Otherwise the numeric
+    search runs, and ``sphere`` is imported."""
+    sphere_vars = sym.signature.derivative_vars
+    form = sym.scalar_part() if hermitian else sym.body.determinant()
+    determinant = None if hermitian else str(form)
+    if not hermitian and form.is_zero:
+        return EllipticityReport("fail", check, determinant=determinant,
+                                 minimum=0.0, witness=_axis(sphere_vars))
+    cert = None if form is None else _certify_power(form, sphere_vars)
+    if cert is not None:
+        gamma, k = cert
+        shown = f"({gamma})*(|zeta|^2)^{k}" + ("*I" if hermitian else "")
+        if not hermitian or gamma.is_real and gamma.re > 0:
+            return EllipticityReport("certified-symbolic", check,
+                                     determinant=determinant, certified_form=shown)
+        if gamma.is_real and gamma.re < 0:
+            return EllipticityReport("fail", check, certified_form=shown,
+                                     minimum=float(gamma.re), witness=_axis(sphere_vars))
+    from cxkit import sphere
+    search, target = ((sphere.eigenvalue_minimum, sym.body) if hermitian
+                      else (sphere.abs_minimum, form))
+    minimum, argmin = search(target, sphere_vars, sym.signature.params, seed=seed, budget=budget)
     verdict = ("numeric-pass" if minimum > PASS_THRESHOLD
                else "fail" if minimum < FAIL_THRESHOLD else "inconclusive")
     return EllipticityReport(verdict, check, determinant=determinant,
@@ -135,38 +161,12 @@ def _numeric_verdict(minimum: float, argmin: tuple[float, ...], *, check: str,
 # The checks
 
 
-def _petrovskii_on_symbol(sym: SymbolMatrix, *, check: str,
-                          seed: int = DEFAULT_SEED,
-                          budget: int = DEFAULT_BUDGET) -> EllipticityReport:
-    if sym.rows != sym.cols:
-        raise ValueError("Petrovskii check needs a square symbol")
-    det = sym.body.determinant()
-    det_str = str(det)
-    sphere_vars = sym.signature.derivative_vars
-    if det.is_zero:
-        return EllipticityReport("fail", check, determinant=det_str,
-                                 minimum=0.0, witness=_axis(sphere_vars))
-    cert = _certify_power(det, sphere_vars)
-    if cert is not None:
-        gamma, k = cert
-        return EllipticityReport(
-            "certified-symbolic", check, determinant=det_str,
-            certified_form=f"({gamma})*(|zeta|^2)^{k}",
-        )
-    from cxkit import sphere
-    minimum, argmin = sphere.abs_minimum(det, sphere_vars, sym.signature.params,
-                                         seed=seed, budget=budget)
-    return _numeric_verdict(minimum, argmin, check=check, determinant=det_str,
-                            seed=seed, budget=budget)
-
-
 def petrovskii_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
                      budget: int = DEFAULT_BUDGET) -> EllipticityReport:
     """Invertibility of the principal symbol away from zero."""
     if op.rows != op.cols:
         raise ValueError("Petrovskii check needs a square operator")
-    return _petrovskii_on_symbol(op.principal_symbol(), check="petrovskii",
-                                 seed=seed, budget=budget)
+    return _verdict("petrovskii", op.principal_symbol(), seed=seed, budget=budget)
 
 
 def injectivity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
@@ -175,9 +175,7 @@ def injectivity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
     if op.rows < op.cols:
         raise ValueError("injectivity check needs rows >= cols")
     s = op.principal_symbol()
-    gram = s.hermitian_transpose() @ s
-    return _petrovskii_on_symbol(gram, check="injectivity", seed=seed,
-                                 budget=budget)
+    return _verdict("injectivity", s.hermitian_transpose() @ s, seed=seed, budget=budget)
 
 
 def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
@@ -189,28 +187,7 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
         raise ValueError("strong ellipticity check needs an even-order operator")
     s = op.principal_symbol()
     herm = (s + s.hermitian_transpose()).scale(GaussianRational.of(1, 0) / GaussianRational.of(2, 0))
-    sphere_vars = herm.signature.derivative_vars
-    scalar = herm.scalar_part()
-    if scalar is not None:
-        cert = _certify_power(scalar, sphere_vars)
-        if cert is not None:
-            gamma, k = cert
-            if gamma.is_real and gamma.re > 0:
-                return EllipticityReport(
-                    "certified-symbolic", "strong-ellipticity",
-                    certified_form=f"({gamma})*(|zeta|^2)^{k}*I",
-                )
-            if gamma.is_real and gamma.re < 0:
-                return EllipticityReport("fail", "strong-ellipticity",
-                                         certified_form=f"({gamma})*(|zeta|^2)^{k}*I",
-                                         minimum=float(gamma.re),
-                                         witness=_axis(sphere_vars))
-    from cxkit import sphere
-    minimum, argmin = sphere.eigenvalue_minimum(herm.body, sphere_vars,
-                                                herm.signature.params,
-                                                seed=seed, budget=budget)
-    return _numeric_verdict(minimum, argmin, check="strong-ellipticity",
-                            determinant=None, seed=seed, budget=budget)
+    return _verdict("strong-ellipticity", herm, hermitian=True, seed=seed, budget=budget)
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +270,8 @@ def dn_check(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan, *,
              seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET
              ) -> EllipticityReport:
     """Douglis-Nirenberg ellipticity: Petrovskii check of the DN symbol."""
-    sym = dn_symbol(op, part, plan)
-    return _petrovskii_on_symbol(sym, check="douglis-nirenberg", seed=seed,
-                                 budget=budget)
+    return _verdict("douglis-nirenberg", dn_symbol(op, part, plan), seed=seed,
+                    budget=budget)
 
 
 __all__ = [

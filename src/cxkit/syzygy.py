@@ -207,16 +207,12 @@ def groebner_basis(gens: Sequence[Element], *,
 
 def _interreduce(items: list[tuple], n: int) -> list[tuple[dict, int]]:
     """:func:`interreduce` on the records of monic packed vectors over ``n``
-    variables, such as :func:`_groebner` returns; their dicts may change."""
-    shift = _WIDTH * (n + 1)
-    # of two equal leading terms the earlier is kept
-    kept = [b for i, b in enumerate(items) if not any(
-        j != i and o[0] >> shift == b[0] >> shift and _key_divides(o[0], b[0])
-        and (o[0] != b[0] or j < i) for j, o in enumerate(items))]
+    variables, no leading term dividing another's, such as the syzygy
+    positions of :func:`_groebner`'s records; their dicts may change."""
     reduced = []
-    for i, b in enumerate(kept):
+    for i, b in enumerate(items):
         # keeps b's leading term; b reduces no later element, so may change
-        v = _reduce(b[1], b[2], _by_tag(reduced + kept[i + 1:], n), n, full=True)
+        v = _reduce(b[1], b[2], _by_tag(reduced + items[i + 1:], n), n, full=True)
         reduced.append(_record(*v, n))
     # leading position, then exponent from the highest down: a full order
     reduced.sort(key=lambda g: -g[0])
@@ -231,9 +227,13 @@ def interreduce(basis: Sequence[Element]) -> list[Element]:
     each to leading coefficient one.  That basis is unique for the module
     and the order; the output is sorted for determinism."""
     vars = next((p.vars for b in basis[:1] for p in b), ())
-    n = len(vars)
+    n, shift = len(vars), _WIDTH * (len(vars) + 1)
     items = [_record(*_normalized(*v), n) for v in (_packed(b, n) for b in basis) if v[0]]
-    return [_unpacked(v, vars, len(basis[0])) for v in _interreduce(items, n)]
+    # of two equal leading terms the earlier is kept
+    kept = [b for i, b in enumerate(items) if not any(
+        j != i and o[0] >> shift == b[0] >> shift and _key_divides(o[0], b[0])
+        and (o[0] != b[0] or j < i) for j, o in enumerate(items))]
+    return [_unpacked(v, vars, len(basis[0])) for v in _interreduce(kept, n)]
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +248,9 @@ def syzygies(rows: Sequence[Element], vars, *,
     for i, (num, den) in enumerate(extended):
         num[k - i << _WIDTH * (n + 1)] = (den, 0)  # the unit e_i
     # the first part vanishes where the leading tag is at most k; each
-    # trailing position keeps its tag in R^k; Buchberger's records are monic
+    # trailing position keeps its tag in R^k; Buchberger's records are monic,
+    # and no lead of them divides another's: each is reduced by the older
+    # ones and drops those it divides, and the inputs there are distinct e_i
     syz = [g for g in _groebner(extended, n, budget)[0] if g[0] >> _WIDTH * (n + 1) <= k]
     return [_unpacked(v, tuple(vars), k) for v in _interreduce(syz, n)]
 

@@ -1,5 +1,6 @@
 """Command-line interface: exit codes, JSON reports, determinism."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -228,6 +229,29 @@ def test_threads_env_not_an_integer(spec_file, tmp_path, monkeypatch):
                          "abc") == plain
 
 
+def _options(parser: argparse.ArgumentParser) -> dict:
+    """The parser's description and each subcommand's help and options, in
+    order, as argparse holds them."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    helps = {a.dest: a.help for a in sub._choices_actions}
+    return {"description": parser.description, "commands": [
+        {"command": name, "help": helps[name], "options": [
+            {"flags": a.option_strings, "dest": a.dest, "action": type(a).__name__,
+             "type": getattr(a.type, "__name__", a.type), "default": a.default,
+             "choices": None if a.choices is None else list(a.choices),
+             "help": a.help, "metavar": a.metavar, "nargs": a.nargs,
+             "const": a.const, "required": a.required}
+            for a in p._actions]}
+        for name, p in sub.choices.items()]}
+
+
+def test_options_as_pinned():
+    """Every subcommand's flags, types, defaults, choices and help strings,
+    captured before the options came from one table."""
+    pinned = json.loads((DATA / "cli_options.json").read_text())
+    assert _options(_build_parser()) == pinned
+
+
 @pytest.mark.parametrize("command, budget", [
     ("ellipticity", ellipticity.DEFAULT_BUDGET),
     ("syzygy", syzygy.DEFAULT_PAIR_BUDGET),
@@ -431,6 +455,27 @@ def test_shared_complex_report_bytes(tmp_path, pin):
     for _ in range(2):
         assert _run([*SHARED_PINS[pin], "--spec", str(SHARED_SPEC), "--json", str(out)]) == 0
         assert out.read_bytes() == (DATA / pin).read_bytes()
+
+
+def test_unicode_digit_report_bytes(tmp_path):
+    """An Arabic-Indic digit reads as its value; a superscript digit, which
+    ``int`` refuses, is a located error.  The CI smoke step runs the
+    installed entry point on the same file, in a fresh process."""
+    out = tmp_path / "report.json"
+    spec = DATA / "unicode_digit.spec"
+    assert _run(["verify", "--spec", str(spec), "--json", str(out)]) == 1
+    assert out.read_bytes() == (DATA / "verify_unicode_digit.json").read_bytes()
+
+
+def test_long_integer_literal_is_located_json_error(tmp_path, capsys):
+    """Python's own digit limit used to end here in an error with no
+    location."""
+    bad = tmp_path / "bad.spec"
+    bad.write_text("vars: d1\noperator A = [[d1^" + "7" * 4301 + "]]\n")
+    assert _run(["verify", "--spec", str(bad)]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "verify", "ok": False,
+        "error": "line 2, column 19: integer literal of 4301 digits is too long"}
 
 
 def test_fixture_bundle_byte_identical(tmp_path):

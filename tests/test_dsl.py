@@ -1,6 +1,7 @@
 """Spec-document language: parsing, round-trips, error positions."""
 
 import time
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -146,6 +147,43 @@ def test_error_zero_denominator(text, line, column):
         dsl.parse(text)
     assert "zero denominator" in str(exc.value)
     assert (exc.value.line, exc.value.column) == (line, column)
+
+
+def test_integers_are_decimal_digits_of_any_script():
+    """Every character ``str.isdecimal`` accepts is a digit of an integer
+    literal, read as ``int`` reads it; ``d1^٣`` is ``d1^3``."""
+    digits = [c for c in map(chr, range(0x110000)) if c.isdecimal()]
+    text = " + ".join(f"{c}*d{k % 2 + 1}^{c}" for k, c in enumerate(digits))
+    ascii = " + ".join(f"{unicodedata.decimal(c)}*d{k % 2 + 1}^{unicodedata.decimal(c)}"
+                       for k, c in enumerate(digits))
+    assert dsl.parse(f"vars: d1 d2\noperator A = [[{text}]]\n") \
+        == dsl.parse(f"vars: d1 d2\noperator A = [[{ascii}]]\n")
+
+
+def test_error_non_decimal_digit_is_located():
+    """A digit that ``int`` does not read, such as a superscript, is an
+    unexpected character where it stands, not an error with no location."""
+    others = [c for c in map(chr, range(0x110000)) if c.isdigit() and not c.isdecimal()]
+    assert "\u00b2" in others
+    for c in others:
+        for body, column in ((f"d1^{c}", 19), (f"2{c}", 17)):
+            with pytest.raises(dsl.SpecError) as exc:
+                dsl.parse(f"vars: d1\noperator A = [[{body}]]\n")
+            assert str(exc.value) == f"line 2, column {column}: unexpected character {c!r}"
+
+
+@pytest.mark.parametrize("text, column", [
+    ("operator A = [[{digits}*d1]]", 16),
+    ("operator A = [[d1^{digits}]]", 19),
+    ("operator A = [[1/{digits}*d1]]", 18),
+    ("complex C = de_rham({digits})", 21),
+])
+def test_error_integer_literal_too_long(text, column):
+    """More digits than ``int`` converts (4300 by default) is a located
+    error, not Python's conversion limit with no location."""
+    with pytest.raises(dsl.SpecError) as exc:
+        dsl.parse("vars: d1\n" + text.format(digits="1" * 5000) + "\n")
+    assert str(exc.value) == f"line 2, column {column}: integer literal of 5000 digits is too long"
 
 
 @pytest.mark.parametrize("builder, column, message", [

@@ -1,10 +1,13 @@
 """Ellipticity certification: symbolic powers, numeric minima, weight plans."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cxkit import blockops, ellipticity, poly, symbols
+from cxkit import blockops, dsl, ellipticity, poly, symbols
 from cxkit.complexes import (
     MuSet,
     de_rham_complex,
@@ -115,6 +118,44 @@ def test_strong_ellipticity_sign():
     lap = laplacian(cplx, 0)
     assert strong_ellipticity_check(lap).ok          # -Delta is positive
     assert not strong_ellipticity_check(-lap).ok     # +Delta is not
+
+
+# Every branch of the verdict route, as (check, operator literal over d1 d2).
+# ``strong-nonreal`` reads the Hermitian part's scalar times i, so that the
+# certificate finds a non-real gamma, which no operator's Hermitian part has.
+VERDICT_CASES = {
+    "zero-determinant": ("petrovskii", "[[d1, d2], [d1, d2]]"),
+    "certified-determinant": ("petrovskii", "[[d1^2 + d2^2]]"),
+    "certified-determinant-nonreal": ("petrovskii", "[[i*(d1^2 + d2^2)]]"),
+    "numeric-determinant": ("petrovskii", "[[-d1^2 - d1*d2 - d2^2]]"),
+    "injectivity-numeric-fail": ("injectivity", "[[d1], [d1]]"),
+    "strong-positive": ("strong", "[[-(d1^2 + d2^2)]]"),
+    "strong-negative": ("strong", "[[d1^2 + d2^2]]"),
+    "strong-nonreal": ("strong", "[[-(d1^2 + d2^2)]]"),
+    "strong-zero": ("strong", "[[i*(d1^2 + d2^2)]]"),
+    "strong-non-scalar": ("strong", "[[-2*d1^2 - d2^2, d1*d2], [d1*d2, -d1^2 - 2*d2^2]]"),
+}
+VERDICT_PINS = Path(__file__).parent / "data" / "verdict_reports.json"
+
+
+def _verdict_report(case: str, monkeypatch) -> dict:
+    kind, body = VERDICT_CASES[case]
+    op = dsl.parse(f"vars: d1 d2\noperator A = {body}\n").operators["A"]
+    if case == "strong-nonreal":
+        scalar = SymbolMatrix.scalar_part
+        monkeypatch.setattr(SymbolMatrix, "scalar_part",
+                            lambda self: scalar(self).scale(GaussianRational.i()))
+    check = {"petrovskii": petrovskii_check, "injectivity": injectivity_check,
+             "strong": strong_ellipticity_check}[kind]
+    return check(op, budget=256).to_json()
+
+
+@pytest.mark.parametrize("case", sorted(VERDICT_CASES))
+def test_verdict_report_as_pinned(case, monkeypatch):
+    """The full report of each branch, captured before the four checks
+    shared one route to their verdict."""
+    pinned = json.loads(VERDICT_PINS.read_text())
+    assert _verdict_report(case, monkeypatch) == pinned[case]
 
 
 def test_rank_deficient_fails_with_witness():

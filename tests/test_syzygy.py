@@ -313,15 +313,19 @@ def _fifo_packed(vecs, n, budget):
     """The reference Buchberger in place of the library's packed one: the
     vectors unpacked to one Poly per position (over as many positions as
     their highest tag names, which keeps the order of positions), the
-    reference run, its basis packed back into records, with the S-pairs it
-    processed."""
+    reference run, its basis packed back into records and cut to the
+    minimal leads as ``_groebner``'s are (of two equal ones the earlier
+    stays), with the S-pairs it processed."""
     vecs = list(vecs)
     shift = _WIDTH * (n + 1)
     npos = max((k >> shift for num, _ in vecs for k in num), default=0)
     vars = tuple(f"x{i}" for i in range(n))
     gb, processed = _fifo_groebner_basis([syzygy._unpacked(v, vars, npos) for v in vecs],
                                          budget=budget)
-    return [_record(*_packed(g, n), n) for g in gb], processed
+    records = [_record(*_packed(g, n), n) for g in gb]
+    return [b for i, b in enumerate(records) if not any(
+        j != i and o[0] >> shift == b[0] >> shift and _key_divides(o[0], b[0])
+        and (o[0] != b[0] or j < i) for j, o in enumerate(records))], processed
 
 
 def _with_fifo(run):
@@ -458,6 +462,25 @@ def test_fifo_reference_gives_the_pinned_operators():
     for key, op in _pinned_cases():
         want = {k: pinned[key][k] for k in ("operators", "ranks")}
         assert _with_fifo(lambda: _resolution(op)) == want, key
+
+
+def test_syzygy_records_reach_interreduce_minimal(monkeypatch):
+    """``syzygies`` hands Buchberger's records to ``_interreduce`` without the
+    filter of non-minimal leads that ``interreduce`` runs: among them no
+    leading term divides another's, so that filter would drop nothing."""
+    inner, sizes = syzygy._interreduce, []
+
+    def checked(items, n):
+        shift = _WIDTH * (n + 1)
+        sizes.append(len(items))
+        assert not any(i != j and a[0] >> shift == b[0] >> shift and _key_divides(a[0], b[0])
+                       for i, a in enumerate(items) for j, b in enumerate(items))
+        return inner(items, n)
+
+    monkeypatch.setattr(syzygy, "_interreduce", checked)
+    for _, op in _pinned_cases():
+        extend_to_complex(op)
+    assert sum(sizes) > 100
 
 
 def test_pinned_operators_are_reduced():
