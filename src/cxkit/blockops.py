@@ -27,7 +27,7 @@ The two Maxwell families interleave a complex with its formal adjoints::
     M1 = sum_j B_{j+1} A_j mu1_{j+1} B_j  +  B_j A_j* B_{j+1}
 
 and the Stokes family puts (perturbed) generalized Laplacians on the diagonal
-with the unweighted Maxwell off-diagonal scaled by a coupling flag ``a``.
+with the unweighted Maxwell off-diagonal.
 """
 
 from __future__ import annotations
@@ -206,35 +206,30 @@ def _diagonal_ops(cplx: Complex, q: int, mu: MuSet,
 
 
 def assemble_stokes(cplx: Complex, q: int,
-                    diagonal: Sequence[OperatorMatrix], a=1) -> OperatorMatrix:
+                    diagonal: Sequence[OperatorMatrix]) -> OperatorMatrix:
     """Generic Stokes-type assembly: given diagonal blocks per degree, add the
-    unweighted Maxwell off-diagonal scaled by ``a``."""
-    sig = cplx.signature.merge(*(d.signature for d in diagonal))
-    cplx = cplx.lift(sig)
-    part = BlockPartition.for_degree(cplx, q)
+    unweighted Maxwell off-diagonal."""
+    cplx = cplx.lift(cplx.signature.merge(*(d.signature for d in diagonal)))
     blocks = {(j, j): d for j, d in enumerate(diagonal)}
-    a_poly = sig.as_poly(a)
-    if not a_poly.is_zero:
-        blocks.update({rc: blk.scale(a_poly) for rc, blk in maxwell_blocks(cplx, q).items()})
-    return block_place(part, blocks)
+    blocks.update(maxwell_blocks(cplx, q))
+    return block_place(BlockPartition.for_degree(cplx, q), blocks)
 
 
 def stokes(cplx: Complex, q: int, mu: MuSet | None = None,
-           lowers: Mapping[int, OperatorMatrix] | None = None,
-           a=1) -> OperatorMatrix:
+           lowers: Mapping[int, OperatorMatrix] | None = None) -> OperatorMatrix:
     """The degree-q Stokes operator: perturbed generalized Laplacians on the
-    diagonal, coupling off-diagonal scaled by ``a``."""
+    diagonal, the Maxwell coupling off it."""
     mu = mu or MuSet.identity(cplx)
-    return assemble_stokes(cplx, q, _diagonal_ops(cplx, q, mu, lowers), a)
+    return assemble_stokes(cplx, q, _diagonal_ops(cplx, q, mu, lowers))
 
 
 def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
                 lowers: Mapping[int, OperatorMatrix] | None = None,
-                a=1, kind: str = "parabolic") -> OperatorMatrix:
+                kind: str = "parabolic") -> OperatorMatrix:
     """Evolution Stokes operators.
 
-    parabolic:  sum_j B_j b_j^2 (d/dt + D_j) B_j + a * Maxwell off-diagonal
-    hyperbolic: sum_j B_j b_j  (d^2/dt^2 + D_j) B_j + a * Maxwell off-diagonal
+    parabolic:  sum_j B_j b_j^2 (d/dt + D_j) B_j + Maxwell off-diagonal
+    hyperbolic: sum_j B_j b_j  (d^2/dt^2 + D_j) B_j + Maxwell off-diagonal
 
     A zero ``b_j`` removes the whole diagonal block at degree j.
     """
@@ -246,7 +241,7 @@ def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     time_term = dt if square else dt * dt
     diagonal = [(d + cplx.identity(d.rows, time_term)).scale(_product(bj, bj) if square else bj)
                 for d, bj in zip(_diagonal_ops(cplx, q, mu, lowers), b)]
-    return assemble_stokes(cplx, q, diagonal, a)
+    return assemble_stokes(cplx, q, diagonal)
 
 
 # ---------------------------------------------------------------------------

@@ -52,6 +52,8 @@ def _pick(args, kind: str | None = None):
         return doc, None, None
     found, name = getattr(doc, kind), args.name
     if name is None:
+        if not found:
+            raise ValueError(f"the spec defines no {_SINGULAR[kind]}")
         if len(found) != 1:
             raise ValueError(f"--name required when the spec defines several {kind}")
         name = next(iter(found))

@@ -12,10 +12,10 @@ For n = 3 the de Rham builder uses the vector-calculus basis at degree two
 (the cyclic pairing e1 ~ dx2^dx3, e2 ~ dx3^dx1, e3 ~ dx1^dx2), so that the
 three operators are literally gradient, curl and divergence.
 
-Each public builder returns one shared, immutable :class:`Complex` per
-argument set, normalized first (``params`` as a sorted tuple, ``time`` as a
-bool, Koszul generators with their stored term order), from a
-``functools.lru_cache`` of ``SHARED_COMPLEXES`` entries per builder.  What a
+Each named builder returns one shared, immutable :class:`Complex` per
+argument set (de Rham's ``params`` normalized to a sorted tuple and ``time``
+to a bool), from a ``functools.lru_cache`` of ``SHARED_COMPLEXES`` entries
+per builder; :func:`koszul_complex` builds anew on every call.  What a
 shared complex derives (its operators' adjoints and principal symbols, its
 complex of symbols) is made once and serves every later caller, so callers
 must not mutate it or its matrices.  The largest complex the spec language
@@ -177,16 +177,9 @@ def koszul_complex(generators: Sequence[Poly], signature: Signature) -> Complex:
     """The wedge complex generated by commuting scalar operators Q_1..Q_n.
 
     The degree-q operator sends the basis element e_I to
-    ``sum_i sign(i, I) Q_i e_{I + {i}}``.  Shared per generators and
-    signature; a generator equal in value but stored in another term order
-    builds its own complex, so each caller gets what a fresh build makes.
+    ``sum_i sign(i, I) Q_i e_{I + {i}}``.  Built anew on every call.
     """
-    return _koszul(tuple((g, tuple(g._num)) for g in generators), signature)
-
-
-@lru_cache(maxsize=SHARED_COMPLEXES)
-def _koszul(generators: tuple, signature: Signature) -> Complex:
-    return _wedge([g for g, _ in generators], signature)
+    return _wedge(generators, signature)
 
 
 def de_rham_complex(n: int, *, time: bool = False, params: Sequence[str] = ()) -> Complex:
@@ -216,31 +209,23 @@ def _de_rham(n: int, time: bool, params: tuple[str, ...]) -> Complex:
                     OperatorMatrix.from_entries(sig, [[c, -b, a] for a, b, c in a2.body.entries])])
 
 
-def powered_de_rham_complex(n: int, p: int, *, params: Sequence[str] = ()) -> Complex:
-    """The wedge complex generated by the pure powers d_j^p."""
-    return _powered_de_rham(n, p, tuple(sorted(params)))
-
-
 @lru_cache(maxsize=SHARED_COMPLEXES)
-def _powered_de_rham(n: int, p: int, params: tuple[str, ...]) -> Complex:
+def powered_de_rham_complex(n: int, p: int, /) -> Complex:
+    """The wedge complex generated by the pure powers d_j^p."""
     if p < 1:
         raise ValueError("need p >= 1")
-    sig = spatial_signature(n, params=params)
+    sig = spatial_signature(n)
     gens = [Poly.variable(sig.vars, f"d{j + 1}") ** p for j in range(n)]
     return _wedge(gens, sig)
 
 
-def dolbeault_complex(n: int, *, params: Sequence[str] = ()) -> Complex:
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def dolbeault_complex(n: int, /) -> Complex:
     """The Dolbeault complex on C^n written in 2n real derivative symbols.
 
     The generators are d/d(conj z_j) = (d_{2j-1} + i d_{2j}) / 2.
     """
-    return _dolbeault(n, tuple(sorted(params)))
-
-
-@lru_cache(maxsize=SHARED_COMPLEXES)
-def _dolbeault(n: int, params: tuple[str, ...]) -> Complex:
-    sig = spatial_signature(2 * n, params=params)
+    sig = spatial_signature(2 * n)
     half = GaussianRational.of(Fraction(1, 2))
     half_i = GaussianRational.of(0, Fraction(1, 2))
     gens = []

@@ -233,9 +233,9 @@ class OperatorMatrix(SignatureMatrix):
         """The polynomial for a single variable of this operator's ring."""
         return Poly.variable(self.signature.vars, name)
 
-    def order(self, grading: str = ISOTROPIC) -> int:
+    def order(self) -> int:
         """Max total degree in the derivative symbols (-1 for the zero operator)."""
-        return self.body.total_degree(self.signature.grading_vars(grading))
+        return self.body.total_degree(self.signature.derivative_vars)
 
     def formal_adjoint(self) -> "OperatorMatrix":
         """Formal L2 adjoint: conjugate-transpose with a (-1)^|alpha| twist on
@@ -289,19 +289,13 @@ class SymbolMatrix(SignatureMatrix):
         return None
 
 
-def tensor_identity(op: OperatorMatrix, n: int, *, outer: bool = True) -> OperatorMatrix:
-    """Kronecker product ``I_n (x) op`` (outer) or ``op (x) I_n``, placed.
-
-    With ``outer=True`` the result repeats ``op`` down a block diagonal.
-    """
+def tensor_identity(op: OperatorMatrix, n: int) -> OperatorMatrix:
+    """The Kronecker product ``I_n (x) op``: ``op`` repeated down a block
+    diagonal, placed."""
     if n < 0:
         raise ValueError(f"tensor_identity needs n >= 0, got n = {n}")
     sig = op.signature
-    if outer:
-        blocks = [(op.body, b * op.rows, b * op.cols) for b in range(n)]
-    else:
-        blocks = [(PolyMatrix.identity(sig.vars, n, op[i, j]), i * n, j * n)
-                  for i in range(op.rows) for j in range(op.cols)]
+    blocks = [(op.body, b * op.rows, b * op.cols) for b in range(n)]
     return OperatorMatrix(sig, PolyMatrix.place(sig.vars, n * op.rows, n * op.cols, blocks))
 
 

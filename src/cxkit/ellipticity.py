@@ -183,6 +183,8 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
     """Positivity of the Hermitian part of the principal symbol on the sphere."""
     if op.rows != op.cols:
         raise ValueError("strong ellipticity check needs a square operator")
+    if op.is_zero:
+        raise ValueError("strong ellipticity check is undefined for the zero operator")
     if op.order() % 2 != 0:
         raise ValueError("strong ellipticity check needs an even-order operator")
     s = op.principal_symbol()
@@ -266,12 +268,10 @@ def dn_symbol(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan
     return op.total_symbol(degrees=[[si - tj for tj in t] for si in s])
 
 
-def dn_check(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan, *,
-             seed: int = DEFAULT_SEED, budget: int = DEFAULT_BUDGET
-             ) -> EllipticityReport:
+def dn_check(op: OperatorMatrix, part: BlockPartition, plan: WeightPlan) -> EllipticityReport:
     """Douglis-Nirenberg ellipticity: Petrovskii check of the DN symbol."""
-    return _verdict("douglis-nirenberg", dn_symbol(op, part, plan), seed=seed,
-                    budget=budget)
+    return _verdict("douglis-nirenberg", dn_symbol(op, part, plan),
+                    seed=DEFAULT_SEED, budget=DEFAULT_BUDGET)
 
 
 __all__ = [

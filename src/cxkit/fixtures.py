@@ -198,7 +198,7 @@ def acoustics() -> dict:
             real_c, j, MuSet.scalar(real_c, mu)).scale(cinv)
         diagonal.append(OperatorMatrix.identity(sig, real_c.rank(j), cinv * dt).scale(I)
                         + steady.scale(I))
-    built_viscous = blockops.assemble_stokes(c, 3, diagonal, a=1)
+    built_viscous = blockops.assemble_stokes(c, 3, diagonal)
     checks["viscous-display"] = field.operators["viscous"] == built_viscous
     return _report("acoustics", checks)
 
@@ -210,7 +210,7 @@ def mass_quanta() -> dict:
     field = _spec("field")
     sig = field.signature
     base = de_rham_complex(3, time=True, params=sig.params)
-    c = Complex([tensor_identity(base.op(q), 4, outer=True).scale(I)
+    c = Complex([tensor_identity(base.op(q), 4).scale(I)
                  for q in range(base.length)])
     d0, d1 = field.operators["D0"], field.operators["D1"]
     checks = {
@@ -220,7 +220,7 @@ def mass_quanta() -> dict:
     cinv_dt = Poly.variable(sig.vars, "cinv") * Poly.variable(sig.vars, "dt")
     time0 = OperatorMatrix.identity(sig, 4, cinv_dt).scale(I)
     time1 = OperatorMatrix.identity(sig, 12, cinv_dt).scale(I)
-    stokes_block = blockops.assemble_stokes(c, 1, [time0 + d0, time1 + d1], a=1)
+    stokes_block = blockops.assemble_stokes(c, 1, [time0 + d0, time1 + d1])
     checks["display-equals-stokes"] = field.operators["mass_quanta"] == stokes_block.scale(-I)
     return _report("mass-quanta", checks)
 

@@ -31,11 +31,7 @@ For :func:`module_equivalent` an operator keeps its rows packed over a ring's
 variables and their Groebner basis, in the slot where ``cxkit.diffop`` keeps
 its adjoint and symbols, so an operator compared again (a reference that
 many results are checked against) is packed and reduced to a basis once.
-The basis is kept with the number of S-pairs its computation processed and
-reused only when a call's budget is at least that count; below it the call
-raises BudgetExceeded as a fresh one would, since Buchberger takes the same
-pairs whatever the budget.  Kept rows and records are only read: each
-reduction steps on a copy.
+Kept rows and records are only read: each reduction steps on a copy.
 """
 
 from __future__ import annotations
@@ -132,9 +128,9 @@ def _reduce(num: dict, den: int, reducers: dict, n: int, full=False) -> tuple[di
     return num, den
 
 
-def _groebner(vecs, n: int, budget: int) -> tuple[list[tuple], int]:
+def _groebner(vecs, n: int, budget: int) -> list[tuple]:
     """:func:`groebner_basis` on packed vectors over ``n`` variables: the
-    records of the result and the number of S-pairs processed."""
+    records of the result."""
     if budget < 0:
         raise ValueError(f"S-pair budget must be non-negative, got {budget}")
     shift, seq, done = _WIDTH * (n + 1), count(), count(1)
@@ -178,7 +174,7 @@ def _groebner(vecs, n: int, budget: int) -> tuple[list[tuple], int]:
         num, den = _reduce(*_step(*s, gj, 1, 0, 1, m - (gj[0] & low), n), active, n)
         if num:
             add(num, den)
-    return [g for g in basis if any(g is h for h in active[g[0] >> shift])], next(done) - 1
+    return [g for g in basis if any(g is h for h in active[g[0] >> shift])]
 
 
 def groebner_basis(gens: Sequence[Element], *,
@@ -201,7 +197,7 @@ def groebner_basis(gens: Sequence[Element], *,
     The budget counts S-pairs processed, not pairs a criterion removes;
     raises BudgetExceeded past it, and ValueError for a negative one."""
     vars = next((p.vars for g in gens[:1] for p in g), ())
-    gb, _ = _groebner([_packed(g, len(vars)) for g in gens], len(vars), budget)
+    gb = _groebner([_packed(g, len(vars)) for g in gens], len(vars), budget)
     return [_unpacked(g[1:3], vars, len(gens[0])) for g in gb]
 
 
@@ -251,7 +247,7 @@ def syzygies(rows: Sequence[Element], vars, *,
     # trailing position keeps its tag in R^k; Buchberger's records are monic,
     # and no lead of them divides another's: each is reduced by the older
     # ones and drops those it divides, and the inputs there are distinct e_i
-    syz = [g for g in _groebner(extended, n, budget)[0] if g[0] >> _WIDTH * (n + 1) <= k]
+    syz = [g for g in _groebner(extended, n, budget) if g[0] >> _WIDTH * (n + 1) <= k]
     return [_unpacked(v, tuple(vars), k) for v in _interreduce(syz, n)]
 
 
@@ -286,38 +282,26 @@ def extend_to_complex(op: OperatorMatrix, *, max_steps: int = 8,
 
 
 def _packed_rows(op: OperatorMatrix, vars: tuple[str, ...]) -> tuple:
-    """The rows of ``op`` lifted to ``vars`` and packed, kept on ``op``; they
-    cost no S-pairs, so no budget applies."""
+    """The rows of ``op`` lifted to ``vars`` and packed, kept on ``op``."""
     return op._kept(("rows", vars), lambda: tuple(
         _packed(tuple(p.lift(vars) for p in r), len(vars)) for r in op.body.entries))
 
 
-def _rows_basis(op: OperatorMatrix, vars: tuple[str, ...], budget: int) -> dict:
+def _rows_basis(op: OperatorMatrix, vars: tuple[str, ...]) -> dict:
     """The Groebner basis of :func:`_packed_rows`, grouped by :func:`_by_tag`,
-    kept on ``op`` with the S-pairs it cost; a call that runs out of budget
-    keeps nothing."""
-    if budget < 0:
-        raise ValueError(f"S-pair budget must be non-negative, got {budget}")
-
-    def make():
-        gb, pairs = _groebner(_packed_rows(op, vars), len(vars), budget)
-        return _by_tag(gb, len(vars)), pairs
-
-    value, pairs = op._kept(("groebner", vars), make)
-    if pairs > budget:
-        raise BudgetExceeded(f"S-pair budget of {budget} exceeded")
-    return value
+    kept on ``op``; a call that runs out of budget keeps nothing."""
+    return op._kept(("groebner", vars), lambda: _by_tag(
+        _groebner(_packed_rows(op, vars), len(vars), DEFAULT_PAIR_BUDGET), len(vars)))
 
 
-def module_equivalent(a: OperatorMatrix, b: OperatorMatrix, *,
-                      budget: int = DEFAULT_PAIR_BUDGET) -> bool:
+def module_equivalent(a: OperatorMatrix, b: OperatorMatrix) -> bool:
     """Do the rows of a and b generate the same submodule?  Each operator
     keeps its rows packed over a's variables and their Groebner basis."""
     if a.cols != b.cols:
         return False
     vars = a.signature.vars
     rows = [_packed_rows(m, vars) for m in (a, b)]
-    gbs = [_rows_basis(m, vars, budget) for m in (a, b)]
+    gbs = [_rows_basis(m, vars) for m in (a, b)]
     # each reduction steps on a copy: kept rows and records are only read
     return all(not _reduce(dict(r), d, gbs[1 - i], len(vars))[0]
                for i in (0, 1) for r, d in rows[i])

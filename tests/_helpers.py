@@ -1,12 +1,13 @@
 """Helpers shared by the symbol tests: a Hypothesis strategy of small
-rationals and the stored form of a symbol matrix, term order included; and
-shared by the determinant tests: the block-by-block reference of a split
-determinant."""
+rationals, the stored form of a symbol matrix, term order included, and a
+complex lifted to carry the parameter ``mu``; and shared by the determinant
+tests: the block-by-block reference of a split determinant."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from cxkit.diffop import Signature
 from cxkit.poly import Poly, PolyMatrix
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 10]))
@@ -16,6 +17,12 @@ def stored(m) -> list:
     """Each entry's variables, numerator terms in storage order and
     denominator: equal only where the entries are stored alike."""
     return [[(p.vars, list(p._num.items()), p._den) for p in row] for row in m.body.entries]
+
+
+def with_mu(cplx):
+    """``cplx`` over its spatial variables and the parameter ``mu``, for the
+    builders that take no parameters."""
+    return cplx.lift(Signature(cplx.signature.spatial, None, ("mu",)))
 
 
 def _odd(order: list) -> bool:

@@ -230,18 +230,11 @@ def test_stokes_time_lifts_lowers():
         part, stokes_time(CPLX3, 1, [1, 2], kind="hyperbolic"), 0, 0)
 
 
-def test_stokes_coupling_scale():
-    part = BlockPartition.for_degree(CPLX3, 1)
-    s = stokes(CPLX3, 1, a=0)
-    assert block_extract(part, s, 1, 0).is_zero
-    assert block_extract(part, s, 0, 1).is_zero
-
-
 def test_assemble_stokes_custom_diagonal():
     sig = CPLX3.signature
     diag = [OperatorMatrix.identity(sig, CPLX3.rank(j)) for j in range(2)]
     part = BlockPartition.for_degree(CPLX3, 1)
-    s = assemble_stokes(CPLX3, 1, diag, a=1)
+    s = assemble_stokes(CPLX3, 1, diag)
     assert block_extract(part, s, 0, 0) == diag[0]
     assert block_extract(part, s, 1, 1) == diag[1]
     assert block_extract(part, s, 1, 0) == CPLX3.op(0)

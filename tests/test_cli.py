@@ -467,6 +467,45 @@ def test_unicode_digit_report_bytes(tmp_path):
     assert out.read_bytes() == (DATA / "verify_unicode_digit.json").read_bytes()
 
 
+# The plane symmetric-gradient complex: its delta blocks are not scalar, so
+# its parametrix inverts them through the adjugate.  Pinned before the
+# library options this command never sets were removed.
+@pytest.mark.parametrize("side", ["right", "left"])
+def test_symgrad2_parametrix_report_bytes(tmp_path, side):
+    out = tmp_path / "report.json"
+    spec = DATA / "symgrad2.spec"
+    assert _run(["parametrix", "--spec", str(spec), "--side", side, "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / f"parametrix_symgrad2_{side}.json").read_bytes()
+
+
+def test_spec_without_an_operator_report_bytes(tmp_path):
+    """flow3.spec holds only a complex: an operator command says so."""
+    out = tmp_path / "report.json"
+    assert _run(["syzygy", "--spec", str(FLOW3_SPEC), "--json", str(out)]) == 1
+    assert out.read_bytes() == (DATA / "syzygy_flow3.json").read_bytes()
+
+
+@pytest.mark.parametrize("spec, error", [
+    ("vars: d1\noperator A = [[d1]]\n", "the spec defines no complex"),
+    ("vars: d1\ncomplex A = de_rham(1)\ncomplex B = de_rham(1)\n",
+     "--name required when the spec defines several complexes"),
+])
+def test_pick_names_what_the_spec_lacks(tmp_path, capsys, spec, error):
+    path = tmp_path / "doc.spec"
+    path.write_text(spec)
+    assert _run(["maxwell", "--spec", str(path)]) == 1
+    assert json.loads(capsys.readouterr().out) == {"command": "maxwell", "error": error, "ok": False}
+
+
+def test_strong_check_of_the_zero_operator_is_json_error(tmp_path, capsys):
+    path = tmp_path / "zero.spec"
+    path.write_text("vars: d1 d2\noperator Z = [[0, 0], [0, 0]]\n")
+    assert _run(["ellipticity", "--spec", str(path), "--kind", "strong"]) == 1
+    assert json.loads(capsys.readouterr().out) == {
+        "command": "ellipticity", "ok": False,
+        "error": "strong ellipticity check is undefined for the zero operator"}
+
+
 def test_long_integer_literal_is_located_json_error(tmp_path, capsys):
     """Python's own digit limit used to end here in an error with no
     location."""

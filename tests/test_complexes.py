@@ -302,26 +302,32 @@ def test_op_outside_range_is_zero():
 
 
 def test_equal_arguments_share_one_complex():
-    sig = spatial_signature(2)
-    d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
     assert de_rham_complex(3, params=["mu", "M"]) is de_rham_complex(3, params=("M", "mu"))
     assert de_rham_complex(3) is de_rham_complex(3, time=False) is de_rham_complex(3, params=[])
     assert imaginary_de_rham_complex(3, time=True, params=["b", "a"]) \
         is imaginary_de_rham_complex(3, time=1, params=("a", "b"))
-    assert powered_de_rham_complex(3, 2, params=["mu"]) is powered_de_rham_complex(3, 2, params=("mu",))
-    assert dolbeault_complex(2) is dolbeault_complex(2, params=())
-    assert koszul_complex([d1, d2 * d2], sig) is koszul_complex((d1, d2 * d2), sig)
+    assert powered_de_rham_complex(3, 2) is powered_de_rham_complex(3, 2)
+    assert dolbeault_complex(2) is dolbeault_complex(2)
+    # their arguments are positional only, so one key per argument set
+    with pytest.raises(TypeError):
+        powered_de_rham_complex(3, p=2)
+    with pytest.raises(TypeError):
+        dolbeault_complex(n=2)
     cplx = de_rham_complex(3)
     assert cplx.principal_symbols() is cplx.principal_symbols()
 
 
 def test_different_arguments_build_different_complexes():
+    """Different arguments build different complexes; so does every Koszul
+    call, which keeps no cache."""
+    sig = spatial_signature(2)
+    d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
     builds = [de_rham_complex(3), de_rham_complex(3, params=["mu"]),
               de_rham_complex(3, params=["M", "mu"]), de_rham_complex(3, time=True),
               de_rham_complex(4), imaginary_de_rham_complex(3),
               powered_de_rham_complex(3, 2), powered_de_rham_complex(3, 3),
-              powered_de_rham_complex(3, 2, params=["mu"]), powered_de_rham_complex(2, 2),
-              dolbeault_complex(2), dolbeault_complex(2, params=["mu"]), dolbeault_complex(1)]
+              powered_de_rham_complex(2, 2), dolbeault_complex(2), dolbeault_complex(1),
+              koszul_complex([d1, d2 * d2], sig), koszul_complex((d1, d2 * d2), sig)]
     assert len({id(c) for c in builds}) == len(builds)
     assert de_rham_complex(3).signature.params == ()
     assert de_rham_complex(3, params=["mu"]).signature.params == ("mu",)
@@ -341,9 +347,8 @@ def test_koszul_generators_equal_in_value_keep_their_term_order():
             [stored(op) for op in complexes._wedge([g, g], sig).ops]
 
 
-@pytest.mark.parametrize("cached", [complexes._de_rham, complexes._powered_de_rham,
-                                    complexes._dolbeault, complexes._imaginary_de_rham,
-                                    complexes._koszul])
+@pytest.mark.parametrize("cached", [complexes._de_rham, complexes.powered_de_rham_complex,
+                                    complexes.dolbeault_complex, complexes._imaginary_de_rham])
 def test_each_builder_cache_is_bounded(cached):
     assert cached.cache_info().maxsize == SHARED_COMPLEXES
 
@@ -370,10 +375,10 @@ SHARED_AND_FRESH = {
     "de-rham-2": (lambda: de_rham_complex(2), lambda: complexes._de_rham.__wrapped__(2, False, ())),
     "de-rham-3": (lambda: de_rham_complex(3), lambda: complexes._de_rham.__wrapped__(3, False, ())),
     "de-rham-4": (lambda: de_rham_complex(4), lambda: complexes._de_rham.__wrapped__(4, False, ())),
-    "dolbeault-2": (lambda: dolbeault_complex(2), lambda: complexes._dolbeault.__wrapped__(2, ())),
-    "dolbeault-3": (lambda: dolbeault_complex(3), lambda: complexes._dolbeault.__wrapped__(3, ())),
+    "dolbeault-2": (lambda: dolbeault_complex(2), lambda: dolbeault_complex.__wrapped__(2)),
+    "dolbeault-3": (lambda: dolbeault_complex(3), lambda: dolbeault_complex.__wrapped__(3)),
     "powered-de-rham-3-2": (lambda: powered_de_rham_complex(3, 2),
-                            lambda: complexes._powered_de_rham.__wrapped__(3, 2, ())),
+                            lambda: powered_de_rham_complex.__wrapped__(3, 2)),
 }
 
 

@@ -136,7 +136,7 @@ def test_params_do_not_count_toward_order():
     assert op.order() == 1
     op2 = OperatorMatrix.scalar(SIG_T, mu * _d(SIG_T, "dt"))
     assert op2.order() == 1
-    assert op2.order(SPATIAL) == 0
+    assert op2.body.total_degree(SIG_T.grading_vars(SPATIAL)) == 0
 
 
 # ---------------------------------------------------------------------------
@@ -251,20 +251,15 @@ def test_tensor_identity_layouts():
     d1, d2 = _d(SIG, "d1"), _d(SIG, "d2")
     op = OperatorMatrix.from_entries(SIG, [[d1], [d2]])
     zero = Poly.zero(SIG.vars)
-    outer = tensor_identity(op, 2)
-    assert outer == OperatorMatrix.from_entries(
+    assert tensor_identity(op, 2) == OperatorMatrix.from_entries(
         SIG, [[d1, zero], [d2, zero], [zero, d1], [zero, d2]])
-    inner = tensor_identity(op, 2, outer=False)
-    assert inner == OperatorMatrix.from_entries(
-        SIG, [[d1, zero], [zero, d1], [d2, zero], [zero, d2]])
 
 
 def test_tensor_identity_rejects_a_negative_count():
     op = OperatorMatrix.scalar(SIG, _d(SIG, "d1"))
     assert tensor_identity(op, 0).rows == 0
-    for outer in (True, False):
-        with pytest.raises(ValueError, match="n >= 0, got n = -1"):
-            tensor_identity(op, -1, outer=outer)
+    with pytest.raises(ValueError, match="n >= 0, got n = -1"):
+        tensor_identity(op, -1)
 
 
 def test_operator_and_symbol_do_not_mix():
@@ -425,7 +420,7 @@ def _principal_symbol(op: OperatorMatrix, grading: str) -> SymbolMatrix:
     """The earlier construction: the total symbol, then each entry's
     homogeneous part of the operator's order, entry by entry."""
     sym = op.total_symbol()
-    m = op.order(grading)
+    m = op.body.total_degree(op.signature.grading_vars(grading))
     grade = [sym.signature.vars[op.signature.vars.index(v)]
              for v in op.signature.grading_vars(grading)]
     return SymbolMatrix(sym.signature, sym.body.map(

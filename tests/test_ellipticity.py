@@ -120,6 +120,19 @@ def test_strong_ellipticity_sign():
     assert not strong_ellipticity_check(-lap).ok     # +Delta is not
 
 
+@pytest.mark.parametrize("body, error", [
+    ("[[d1, d2]]", "needs a square operator"),
+    ("[[0, 0], [0, 0]]", "is undefined for the zero operator"),
+    ("[[d1, 0], [0, d2]]", "needs an even-order operator"),
+])
+def test_strong_check_argument_errors(body, error):
+    """The zero operator, whose order is -1, is named as itself, not as an
+    operator of odd order."""
+    op = dsl.parse(f"vars: d1 d2\noperator A = {body}\n").operators["A"]
+    with pytest.raises(ValueError, match=f"^strong ellipticity check {error}$"):
+        strong_ellipticity_check(op)
+
+
 # Every branch of the verdict route, as (check, operator literal over d1 d2).
 # ``strong-nonreal`` reads the Hermitian part's scalar times i, so that the
 # certificate finds a non-real gamma, which no operator's Hermitian part has.

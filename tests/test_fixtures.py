@@ -107,8 +107,8 @@ def test_warm_bundle_equals_cold_bundle(tmp_path):
     """``cxkit fixtures`` twice in one process: the first run builds every
     complex, the second reuses the shared ones and what they keep, and both
     write the reference bundle byte for byte."""
-    for cached in (complexes._de_rham, complexes._powered_de_rham, complexes._dolbeault,
-                   complexes._imaginary_de_rham, complexes._koszul):
+    for cached in (complexes._de_rham, complexes.powered_de_rham_complex,
+                   complexes.dolbeault_complex, complexes._imaginary_de_rham):
         cached.cache_clear()
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     assert cli.main(["fixtures", "--json", str(cold)]) == 0

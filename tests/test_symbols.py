@@ -47,6 +47,8 @@ from cxkit.symbols import (
 )
 from cxkit.syzygy import extend_to_complex
 
+from _helpers import with_mu
+
 
 def _weight(mu, which, q):
     """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
@@ -237,8 +239,8 @@ def test_evolution_identity(n):
 @pytest.mark.parametrize("build", [lambda: de_rham_complex(3, params=("mu",)),
                                    lambda: de_rham_complex(4, params=("mu",)),
                                    lambda: de_rham_complex(5, params=("mu",)),
-                                   lambda: dolbeault_complex(2, params=("mu",)),
-                                   lambda: dolbeault_complex(3, params=("mu",))],
+                                   lambda: with_mu(dolbeault_complex(2)),
+                                   lambda: with_mu(dolbeault_complex(3))],
                          ids=["de-rham-3", "de-rham-4", "de-rham-5", "dolbeault-2", "dolbeault-3"])
 def test_evolution_identity_at_every_degree(build):
     """The i tau term of N_t's (q-1, q-1) block used to be i tau I, which
@@ -509,7 +511,7 @@ STOKES_PINNED = Path(__file__).parent / "data" / "stokes_pinned.json"
 STOKES_COMPLEXES = {
     "de-rham-3": (lambda: de_rham_complex(3, params=("mu",)), (1, 2)),
     "de-rham-4": (lambda: de_rham_complex(4, params=("mu",)), (1, 2)),
-    "dolbeault-2": (lambda: dolbeault_complex(2, params=("mu",)), (1,)),
+    "dolbeault-2": (lambda: with_mu(dolbeault_complex(2)), (1,)),
 }
 STOKES_WEIGHTS = {
     "scalar-mu": lambda c, q: MuSet.scalar(c, Poly.variable(c.signature.vars, "mu"),

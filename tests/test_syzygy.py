@@ -78,8 +78,7 @@ def test_negative_budget_is_a_value_error(budget):
             lambda: groebner_basis([], budget=budget),
             lambda: compatibility_operator(_grad(), budget=budget),
             lambda: compatibility_operator(d1, budget=budget),
-            lambda: extend_to_complex(_grad(), budget=budget),
-            lambda: module_equivalent(_grad(), _grad(), budget=budget))
+            lambda: extend_to_complex(_grad(), budget=budget))
     for run in runs:
         with pytest.raises(ValueError, match=f"^S-pair budget must be non-negative, got {budget}$"):
             run()
@@ -279,7 +278,7 @@ def _fifo_reduce(elem, basis, leads):
 def _fifo_groebner_basis(gens, *, budget=syzygy.DEFAULT_PAIR_BUDGET):
     """Buchberger with POT+grlex; S-pairs only between elements sharing the
     leading position, taken first in, first out, every one processed
-    (reference); the basis and the number of S-pairs processed."""
+    (reference)."""
     basis = [_normalize(g) for g in gens if not _is_zero(g)]
     leads = [_leading(g) for g in basis]
     pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
@@ -306,7 +305,7 @@ def _fifo_groebner_basis(gens, *, budget=syzygy.DEFAULT_PAIR_BUDGET):
             basis.append(s)
             leads.append(_leading(s))
             pairs.extend((idx, k) for idx in range(k))
-    return basis, processed
+    return basis
 
 
 def _fifo_packed(vecs, n, budget):
@@ -315,17 +314,16 @@ def _fifo_packed(vecs, n, budget):
     their highest tag names, which keeps the order of positions), the
     reference run, its basis packed back into records and cut to the
     minimal leads as ``_groebner``'s are (of two equal ones the earlier
-    stays), with the S-pairs it processed."""
+    stays)."""
     vecs = list(vecs)
     shift = _WIDTH * (n + 1)
     npos = max((k >> shift for num, _ in vecs for k in num), default=0)
     vars = tuple(f"x{i}" for i in range(n))
-    gb, processed = _fifo_groebner_basis([syzygy._unpacked(v, vars, npos) for v in vecs],
-                                         budget=budget)
+    gb = _fifo_groebner_basis([syzygy._unpacked(v, vars, npos) for v in vecs], budget=budget)
     records = [_record(*_packed(g, n), n) for g in gb]
     return [b for i, b in enumerate(records) if not any(
         j != i and o[0] >> shift == b[0] >> shift and _key_divides(o[0], b[0])
-        and (o[0] != b[0] or j < i) for j, o in enumerate(records))], processed
+        and (o[0] != b[0] or j < i) for j, o in enumerate(records))]
 
 
 def _with_fifo(run):
@@ -553,7 +551,7 @@ def test_budget_exceeded_at_pinned_pair_count(key, pairs):
 
 # ---------------------------------------------------------------------------
 # Kept bases: for ``module_equivalent`` an operator keeps its packed rows and
-# their Groebner basis, the basis with the S-pairs it cost.
+# their Groebner basis.
 
 
 def _frozen(x):
@@ -614,40 +612,26 @@ def test_equivalence_against_a_kept_reference(name):
     assert not module_equivalent(reference, other)
 
 
-def _rows_pairs(op: OperatorMatrix) -> int:
-    """The S-pairs a Groebner basis of the rows of ``op`` costs, on a copy."""
-    vars = op.signature.vars
-    rows = syzygy._packed_rows(OperatorMatrix(op.signature, op.body), vars)
-    return syzygy._groebner(rows, len(vars), syzygy.DEFAULT_PAIR_BUDGET)[1]
-
-
 @pytest.mark.parametrize("key", ["four-generator 3210", "four-generator 2301 rescaled",
                                  "symgrad3"])
-def test_kept_basis_is_reused_exactly_within_its_cost(key):
-    """A Groebner basis of the rows that cost q S-pairs is reused at budget
-    q; at q - 1 the call raises BudgetExceeded with the message a fresh call
-    gives, and the kept basis stays."""
+def test_kept_basis_is_reused(key):
+    """An operator compared with itself runs Buchberger once, for its rows;
+    later calls reuse the basis it keeps, which stays the same object."""
     op = dict(_pinned_cases())[key]
-    q = _rows_pairs(op)
-    assert q > 0
-    assert module_equivalent(op, op, budget=q)
-    assert _buchberger_runs(lambda: module_equivalent(op, op, budget=q)) == (True, 0)
+    assert _buchberger_runs(lambda: module_equivalent(op, op)) == (True, 1)
     basis = op._derived[("groebner", op.signature.vars)]
-    with pytest.raises(BudgetExceeded) as fresh:
-        module_equivalent(*[dict(_pinned_cases())[key]] * 2, budget=q - 1)
-    with pytest.raises(BudgetExceeded) as kept:
-        module_equivalent(op, op, budget=q - 1)
-    assert str(kept.value) == str(fresh.value) == f"S-pair budget of {q - 1} exceeded"
-    assert op._derived[("groebner", op.signature.vars)] is basis
     assert _buchberger_runs(lambda: module_equivalent(op, op)) == (True, 0)
+    assert op._derived[("groebner", op.signature.vars)] is basis
 
 
 def test_a_call_out_of_budget_keeps_nothing():
     """A call that runs out of budget keeps no basis, so a later call with
     enough budget computes it."""
     op = dict(_pinned_cases())["symgrad3"]
-    with pytest.raises(BudgetExceeded):
-        module_equivalent(op, op, budget=0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(syzygy, "DEFAULT_PAIR_BUDGET", 0)
+        with pytest.raises(BudgetExceeded, match="S-pair budget of 0 exceeded"):
+            module_equivalent(op, op)
     assert ("groebner", op.signature.vars) not in op._derived
     assert module_equivalent(op, op)
 

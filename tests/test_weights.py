@@ -29,10 +29,12 @@ from cxkit.ellipticity import dn_weights_maxwell, dn_weights_stokes
 from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import HypothesisFailure, _check_stokes_hypotheses, _symbols
 
+from _helpers import with_mu
+
 CASES = {
     "de_rham(3)": de_rham_complex(3, params=("mu",)),
-    "dolbeault(2)": dolbeault_complex(2, params=("mu",)),
-    "powered_de_rham(2, 2)": powered_de_rham_complex(2, 2, params=("mu",)),
+    "dolbeault(2)": with_mu(dolbeault_complex(2)),
+    "powered_de_rham(2, 2)": with_mu(powered_de_rham_complex(2, 2)),
 }
 
 
