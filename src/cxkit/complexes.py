@@ -13,17 +13,19 @@ For n = 3 the de Rham builder uses the vector-calculus basis at degree two
 three operators are literally gradient, curl and divergence.
 
 Each named builder returns one shared, immutable :class:`Complex` per
-argument set (de Rham's ``params`` normalized to a sorted tuple and ``time``
-to a bool), from a ``functools.lru_cache`` of ``SHARED_COMPLEXES`` entries
-per builder; :func:`koszul_complex` builds anew on every call.  What a
-shared complex derives (its operators' adjoints and principal symbols, its
-complex of symbols) is made once and serves every later caller, so callers
-must not mutate it or its matrices.  The largest complex the spec language
-can ask for, de Rham(8), builds in ~4 ms, derives its symbols and adjoints in
-~35 ms more and then keeps ~1.7 MB; a full cache of complexes that size
-would hold ~27 MB.  An operator compared by ``cxkit.syzygy.module_equivalent``
-also keeps its packed rows and their Groebner basis: for every operator of
-de Rham(8) ~0.33 MB more (~5 MB for a full cache), a few KiB for de Rham(3).
+(positional-only) argument set, from a ``functools.lru_cache`` of
+``SHARED_COMPLEXES`` entries per builder; :func:`koszul_complex` builds anew
+on every call.  Parameters and time enter only through :meth:`Complex.lift`,
+which keeps up to ``SHARED_COMPLEXES`` lifts per complex (their cost is given
+there).  What a shared complex derives (its operators' adjoints and principal
+symbols, its complex of symbols, its lifts) is made once and serves every
+later caller, so callers must not mutate it or its matrices.  The largest
+complex the spec language can ask for, de Rham(8), builds in ~4 ms, derives
+its symbols and adjoints in ~35 ms more and then keeps ~1.7 MB; a full cache
+of complexes that size would hold ~27 MB.  An operator compared by
+``cxkit.syzygy.module_equivalent`` also keeps its packed rows and their
+Groebner basis: for every operator of de Rham(8) ~0.33 MB more (~5 MB for a
+full cache), a few KiB for de Rham(3).
 """
 
 from __future__ import annotations
@@ -45,8 +47,9 @@ from cxkit.poly import GaussianRational, Poly
 
 MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
-# Entries of each builder's cache; a run of the fixture bundle uses at most
-# seven argument sets of one builder
+# Entries of each builder's cache and lifts kept per complex (the fixture bundle
+# needs seven and two); a kept lift of de Rham(8) onto time and a parameter, with
+# its symbols and adjoints, takes ~110 ms and holds ~4.8 MB: ~77 MB for sixteen
 SHARED_COMPLEXES = 16
 
 
@@ -54,11 +57,11 @@ class Complex:
     """A chain of operators E_0 -> E_1 -> ... -> E_N with A_{q+1} A_q = 0.
 
     The chain holds operator matrices or symbol matrices, all of one type.
-    A complex is immutable: it keeps its complex of principal symbols once
-    made, and the builders share it between callers.
+    A complex is immutable: it keeps its complex of principal symbols and
+    its lifts once made, and the builders share it between callers.
     """
 
-    __slots__ = ("ops", "signature", "ranks", "_symbols")
+    __slots__ = ("ops", "signature", "ranks", "_derived")
 
     def __init__(self, ops: Sequence[SignatureMatrix]):
         if not ops:
@@ -74,6 +77,7 @@ class Complex:
         object.__setattr__(self, "signature", sig)
         ranks = tuple(op.cols for op in ops) + (ops[-1].rows,)
         object.__setattr__(self, "ranks", ranks)
+        object.__setattr__(self, "_derived", {})
 
     def __setattr__(self, name, value):
         raise AttributeError(f"a Complex is immutable: cannot assign {name!r}")
@@ -82,8 +86,10 @@ class Complex:
         raise AttributeError(f"a Complex is immutable: cannot delete {name!r}")
 
     def __reduce__(self):
-        # rebuilt from its operators; the kept symbols are not pickled
+        # rebuilt from its operators; the kept derivations are not pickled
         return Complex, (self.ops,)
+
+    _kept = SignatureMatrix._kept  # one keeper of derived values, in ``_derived``
 
     @property
     def length(self) -> int:
@@ -118,17 +124,18 @@ class Complex:
     def principal_symbols(self) -> "Complex":
         """The complex of spatial principal symbols sigma(A_0)..sigma(A_{N-1}),
         made on the first call and kept."""
-        try:
-            return self._symbols
-        except AttributeError:
-            sym = Complex([op.principal_symbol(SPATIAL) for op in self.ops])
-            object.__setattr__(self, "_symbols", sym)
-            return sym
+        return self._kept("symbols", lambda: Complex(
+            [op.principal_symbol(SPATIAL) for op in self.ops]))
 
     def lift(self, signature: Signature) -> "Complex":
+        """This complex over a richer signature (more parameters, time), made
+        once and kept; beyond ``SHARED_COMPLEXES`` lifts a new one drops the oldest."""
         if signature == self.signature:
             return self
-        return Complex([op.lift(signature) for op in self.ops])
+        lifts = [k for k in self._derived if k != "symbols"]
+        if signature not in self._derived and len(lifts) == SHARED_COMPLEXES:
+            del self._derived[lifts[0]]
+        return self._kept(signature, lambda: Complex([op.lift(signature) for op in self.ops]))
 
     def verify(self) -> list[tuple[int, bool]]:
         """Check A_{q+1} A_q = 0 for every q; returns (q, ok) pairs."""
@@ -182,20 +189,16 @@ def koszul_complex(generators: Sequence[Poly], signature: Signature) -> Complex:
     return _wedge(generators, signature)
 
 
-def de_rham_complex(n: int, *, time: bool = False, params: Sequence[str] = ()) -> Complex:
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def de_rham_complex(n: int, /) -> Complex:
     """The de Rham complex on R^n in derivative symbols d1..dn.
 
     For n = 3 the degree-two basis is re-ordered to the cyclic pairing so the
     operators are exactly (grad, curl, div).
     """
-    return _de_rham(n, bool(time), tuple(sorted(params)))
-
-
-@lru_cache(maxsize=SHARED_COMPLEXES)
-def _de_rham(n: int, time: bool, params: tuple[str, ...]) -> Complex:
     if n < 1:
         raise ValueError("need n >= 1")
-    sig = spatial_signature(n, time=time, params=params)
+    sig = spatial_signature(n)
     gens = [Poly.variable(sig.vars, f"d{j + 1}") for j in range(n)]
     cplx = _wedge(gens, sig)
     if n != 3:
@@ -236,20 +239,16 @@ def dolbeault_complex(n: int, /) -> Complex:
     return _wedge(gens, sig)
 
 
-def imaginary_de_rham_complex(n: int, *, time: bool = False, params: Sequence[str] = ()) -> Complex:
+@lru_cache(maxsize=SHARED_COMPLEXES)
+def imaginary_de_rham_complex(n: int, /) -> Complex:
     """The de Rham complex with every operator multiplied by i.
 
     Each composition stays zero, while the formal adjoint of i*A_q is
     i*(A_q transposed): this is the complex underlying the self-adjoint
     field-theory block operators.
     """
-    return _imaginary_de_rham(n, bool(time), tuple(sorted(params)))
-
-
-@lru_cache(maxsize=SHARED_COMPLEXES)
-def _imaginary_de_rham(n: int, time: bool, params: tuple[str, ...]) -> Complex:
     i = GaussianRational.i()
-    return Complex([op.scale(i) for op in _de_rham(n, time, params).ops])
+    return Complex([op.scale(i) for op in de_rham_complex(n).ops])
 
 
 # ---------------------------------------------------------------------------

@@ -138,10 +138,10 @@ class SignatureMatrix:
         return cls(signature, PolyMatrix(signature.vars, entries))
 
     def _kept(self, key, make):
-        """The derived value ``key`` (a matrix, or what ``cxkit.syzygy``
-        derives from an operator): ``make()`` on the first request, kept
-        in ``_derived`` (a slot set then); a made adjoint keeps ``self`` as
-        its own adjoint."""
+        """The derived value ``key`` (a matrix, what ``cxkit.syzygy`` derives
+        from an operator, or a ``cxkit.complexes.Complex``'s symbols or lift):
+        ``make()`` on the first request, kept in ``_derived`` (a slot set
+        then); a made adjoint keeps ``self`` as its own adjoint."""
         try:
             kept = self._derived
         except AttributeError:

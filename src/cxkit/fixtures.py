@@ -159,7 +159,7 @@ def electromagnetic() -> dict:
     imaginary de Rham complex, and the wave factorization diagonalizes it."""
     field = _spec("field")
     sig = field.signature
-    c = imaginary_de_rham_complex(3, time=True, params=sig.params)
+    c = imaginary_de_rham_complex(3).lift(sig)
     cinv = Poly.variable(sig.vars, "cinv")
     b = [cinv.scale(I)] * 4
     built = blockops.maxwell_time(c, 3, b)
@@ -180,7 +180,7 @@ def acoustics() -> dict:
     leading minor, and the viscous variant is a Stokes-type assembly."""
     field = _spec("field")
     sig = field.signature
-    c = imaginary_de_rham_complex(3, time=True, params=sig.params)
+    c = imaginary_de_rham_complex(3).lift(sig)
     cinv, mu, dt = (Poly.variable(sig.vars, v) for v in ("cinv", "mu", "dt"))
     built = blockops.maxwell_time(c, 3, [cinv.scale(I)] * 4).scale(-I)
     checks = {"vortex-display": field.operators["vortex"] == built}
@@ -191,7 +191,7 @@ def acoustics() -> dict:
     m3 = blockops.maxwell_time(c, 3, [cinv.scale(I)] * 4)
     checks["trailing-minor"] = blockops.trailing_minor(m3, 7) == m2
 
-    real_c = de_rham_complex(3, time=True, params=sig.params)
+    real_c = de_rham_complex(3).lift(sig)
     diagonal = []
     for j in range(4):
         steady = generalized_laplacian(
@@ -209,7 +209,7 @@ def mass_quanta() -> dict:
     equals -i times the degree-1 Stokes-type assembly."""
     field = _spec("field")
     sig = field.signature
-    base = de_rham_complex(3, time=True, params=sig.params)
+    base = de_rham_complex(3).lift(sig)
     c = Complex([tensor_identity(base.op(q), 4).scale(I)
                  for q in range(base.length)])
     d0, d1 = field.operators["D0"], field.operators["D1"]
@@ -229,7 +229,7 @@ def stokes_classical() -> dict:
     """The classical viscous-flow system [[ (dt - mu L) I_3, grad ], [-div, 0]]
     is the parabolic degree-1 Stokes operator with b = (0, 1)."""
     field = _spec("field")
-    c = de_rham_complex(3, time=True, params=field.signature.params)
+    c = de_rham_complex(3).lift(field.signature)
     mu_set = MuSet.scalar(c, c.op(0).poly("mu"), degrees=[1])
     built = blockops.stokes_time(c, 1, [0, 1], mu_set, kind="parabolic")
     checks = {"display-equals-stokes": field.operators["stokes"] == built}
@@ -242,7 +242,7 @@ def stokes_block_3() -> dict:
     """Degree-3 Stokes operator on the de Rham complex: block layout matches
     the displayed pattern (div / -grad / curl / curl / grad / -div couplings
     around generalized-Laplacian diagonal blocks)."""
-    c = de_rham_complex(3, params=["mu"])
+    c = de_rham_complex(3).lift(spatial_signature(3, params=["mu"]))
     mu_set = MuSet.scalar(c, c.op(0).poly("mu"))
     s3 = blockops.stokes(c, 3, mu_set)
     part = blockops.BlockPartition.for_degree(c, 3)
@@ -273,7 +273,7 @@ def oseen_symbol() -> dict:
     checks = {}
     extras = {}
     for n in (3, 2):
-        c = de_rham_complex(n, params=["mu"])
+        c = de_rham_complex(n).lift(spatial_signature(n, params=["mu"]))
         mu_set = MuSet.scalar(c, c.op(0).poly("mu"), degrees=[1])
         f, rep = symbols.stokes_fundamental_symbol(c, 1, mu_set)
         checks[f"fundamental-r{n}"] = rep["ok"]
@@ -296,7 +296,7 @@ def parametrix_family() -> dict:
                 checks[f"{name}-{side}"] = True
             except ArithmeticError:
                 checks[f"{name}-{side}"] = False
-    cp = de_rham_complex(3, params=["mu"])
+    cp = de_rham_complex(3).lift(spatial_signature(3, params=["mu"]))
     mu = MuSet.scalar(cp, cp.op(0).poly("mu"))
     for q in (1, 2, 3):
         checks[f"factorization-q{q}"] = symbols.verify_symbolic_factorization(
@@ -313,7 +313,7 @@ def dn_weights() -> dict:
         p0.s == (1, 1, 1, 1) and p0.t == (0, 0, 0, 0)
         and p1.s == (1, 1, 1, 1) and p1.t == (0, 0, 0, 0)
     )
-    cp = de_rham_complex(3, params=["mu"])
+    cp = de_rham_complex(3).lift(spatial_signature(3, params=["mu"]))
     plan1 = ellipticity.dn_weights_stokes(cp, 1)
     plan2 = ellipticity.dn_weights_stokes(cp, 2)
     checks["stokes-q1"] = plan1.s == (2, 1) and plan1.t == (0, 1)

@@ -26,6 +26,8 @@ from cxkit.complexes import (
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.poly import Poly
 
+from _helpers import with_mu
+
 REFERENCE_BUNDLE = (Path(__file__).resolve().parents[1]
                     / "perfbench" / "reference" / "fixtures.json")
 
@@ -129,7 +131,7 @@ def test_criterion_7_dn_weights():
     cplx = de_rham_complex(3)
     p0, p1 = ellipticity.dn_weights_maxwell(cplx)
     assert p0.s == (1, 1, 1, 1) and p0.t == (0, 0, 0, 0)
-    cp = de_rham_complex(3, params=("mu",))
+    cp = with_mu(de_rham_complex(3))
     plan = ellipticity.dn_weights_stokes(cp, 1)
     assert plan.s == (2, 1) and plan.t == (0, 1)
     # DN determinant of the classical degree-1 system: numeric pass, with the

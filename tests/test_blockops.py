@@ -2,6 +2,7 @@
 
 import pytest
 
+from cxkit import blockops
 from cxkit.blockops import (
     BlockPartition,
     assemble_stokes,
@@ -26,6 +27,8 @@ from cxkit.complexes import (
 )
 from cxkit.diffop import OperatorMatrix, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
+
+from _helpers import with_mu
 
 
 CPLX3 = de_rham_complex(3)
@@ -128,7 +131,7 @@ def test_maxwell_is_self_adjoint_with_identity_weights():
 
 
 def test_maxwell_variants_weight_placement():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     muval = Poly.variable(cplx.signature.vars, "mu")
     mu = MuSet.scalar(cplx, muval)
     part = BlockPartition.for_degree(cplx, 2)
@@ -157,6 +160,14 @@ def test_maxwell_time_coefficient_count():
         maxwell_time(CPLX3, 3, [1, 1])
 
 
+def test_time_lift_is_kept():
+    """Two evolution operators of one complex share one time lift of it."""
+    cplx = with_mu(de_rham_complex(3))
+    first = blockops._with_time(cplx, 2, [1, 1, 1], None)[0]
+    assert blockops._with_time(cplx, 2, [1, 1, 1], None)[0] is first
+    assert first is cplx.lift(first.signature) and first.signature.time == "dt"
+
+
 # ---------------------------------------------------------------------------
 # Stokes structure
 
@@ -171,7 +182,7 @@ def test_stokes_diagonal_is_laplacian():
 
 
 def test_stokes_weighted_diagonal():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     muval = Poly.variable(cplx.signature.vars, "mu")
     mu = MuSet.scalar(cplx, muval)
     part = BlockPartition.for_degree(cplx, 1)
@@ -241,7 +252,7 @@ def test_assemble_stokes_custom_diagonal():
 
 
 def test_stokes_time_parabolic_structure():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"),
                       degrees=[1])
     s = stokes_time(cplx, 1, [0, 1], mu, kind="parabolic")
@@ -285,7 +296,7 @@ def test_factorization_identity_weights(n):
 def test_factorization_at_degree_zero():
     """At q = 0 both sides are the k_0 x k_0 zero: M0 and M1 are zero and
     the top block A_{-1} mu1_0 A_{-1}* is empty."""
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
     for weights in (None, mu):
         assert verify_factorization(cplx, 0, weights)
@@ -302,7 +313,7 @@ def test_wave_factorization_at_degree_zero():
 
 
 def test_factorization_scalar_weights():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
     for q in range(1, 4):
         assert verify_factorization(cplx, q, mu)

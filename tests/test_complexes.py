@@ -27,7 +27,7 @@ from cxkit.poly import GaussianRational, Poly
 
 from math import comb
 
-from _helpers import stored
+from _helpers import stored, with_mu
 
 
 def _weight(mu, which, q):
@@ -115,6 +115,35 @@ def test_imaginary_de_rham():
         assert laplacian(cplx, q) == laplacian(real, q).lift(cplx.signature)
 
 
+def _de_rham_over(n: int, sig: Signature) -> Complex:
+    """de Rham(n) built directly over ``sig``: the wedge complex of d1..dn
+    and, for n = 3, the change of basis to (grad, curl, div)."""
+    gens = [Poly.variable(sig.vars, f"d{j + 1}") for j in range(n)]
+    cplx = complexes._wedge(gens, sig)
+    if n != 3:
+        return cplx
+    a0, a1, a2 = cplx.ops
+    r0, r1, r2 = a1.body.entries
+    return Complex([a0, OperatorMatrix.from_entries(sig, [r2, [-p for p in r1], r0]),
+                    OperatorMatrix.from_entries(sig, [[c, -b, a] for a, b, c in a2.body.entries])])
+
+
+@pytest.mark.parametrize("params", [(), ("mu",), ("a", "mu")])
+@pytest.mark.parametrize("time", [False, True])
+@pytest.mark.parametrize("n", range(1, 9))
+def test_lift_stores_what_a_build_over_the_signature_stores(n, time, params):
+    """A lift of the (imaginary) de Rham complex onto time and parameters is
+    stored, term order included, as a build directly over that signature."""
+    sig = spatial_signature(n, time=time, params=params)
+    built = _de_rham_over(n, sig)
+    i = GaussianRational.i()
+    for lifted, want in ((de_rham_complex(n).lift(sig), built),
+                         (imaginary_de_rham_complex(n).lift(sig),
+                          Complex([op.scale(i) for op in built.ops]))):
+        assert lifted.signature == sig
+        assert [stored(op) for op in lifted.ops] == [stored(op) for op in want.ops]
+
+
 # ---------------------------------------------------------------------------
 # Laplacians (exact oracles)
 
@@ -177,7 +206,7 @@ def test_mu_identity_reproduces_laplacian():
 
 
 def test_mu_scalar_scales_both_halves():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     muval = Poly.variable(cplx.signature.vars, "mu")
     mu = MuSet.scalar(cplx, muval)
     for q in range(4):
@@ -185,14 +214,14 @@ def test_mu_scalar_scales_both_halves():
 
 
 def test_mu_coherence():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
     for q in range(cplx.length - 1):
         assert check_coherence(cplx, mu, q)
 
 
 def test_mu_degree_restriction():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     muval = Poly.variable(cplx.signature.vars, "mu")
     mu = MuSet.scalar(cplx, muval, degrees=[1])
     # only degree 1 carries weights
@@ -200,7 +229,7 @@ def test_mu_degree_restriction():
 
 
 def test_mu_lift_to_richer_signature():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"), degrees=[1])
     sig = Signature(cplx.signature.spatial, "dt", ("c", "mu"))
     cplx_t = cplx.lift(sig)
@@ -223,7 +252,7 @@ def test_laplace_powers_weights():
 
 
 def test_scalar_weights_place_value_identity_and_skip_rank_zero():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     sig = cplx.signature
     muval = Poly.variable(sig.vars, "mu")
     mu = MuSet(cplx, {0: muval, 3: muval}, {0: 5, 2: muval})
@@ -247,7 +276,7 @@ def test_scalar_weights_place_value_identity_and_skip_rank_zero():
 
 
 def test_perturbed_laplacian_lower_order():
-    cplx = de_rham_complex(3, params=("c",))
+    cplx = de_rham_complex(3).lift(spatial_signature(3, params=("c",)))
     mu = MuSet.identity(cplx)
     c = Poly.variable(cplx.signature.vars, "c")
     pot = OperatorMatrix.scalar(cplx.signature, c)
@@ -298,23 +327,38 @@ def test_op_outside_range_is_zero():
 
 
 # ---------------------------------------------------------------------------
-# Shared complexes: one immutable complex per normalized argument set
+# Shared complexes: one immutable complex per argument set, one kept lift per
+# signature
 
 
 def test_equal_arguments_share_one_complex():
-    assert de_rham_complex(3, params=["mu", "M"]) is de_rham_complex(3, params=("M", "mu"))
-    assert de_rham_complex(3) is de_rham_complex(3, time=False) is de_rham_complex(3, params=[])
-    assert imaginary_de_rham_complex(3, time=True, params=["b", "a"]) \
-        is imaginary_de_rham_complex(3, time=1, params=("a", "b"))
+    assert de_rham_complex(3) is de_rham_complex(3)
+    assert imaginary_de_rham_complex(3) is imaginary_de_rham_complex(3)
     assert powered_de_rham_complex(3, 2) is powered_de_rham_complex(3, 2)
     assert dolbeault_complex(2) is dolbeault_complex(2)
-    # their arguments are positional only, so one key per argument set
-    with pytest.raises(TypeError):
-        powered_de_rham_complex(3, p=2)
-    with pytest.raises(TypeError):
-        dolbeault_complex(n=2)
+    # their arguments are positional only, so one key per argument set;
+    # parameters and time enter through a lift
+    for call in (lambda: de_rham_complex(3, params=("mu",)), lambda: de_rham_complex(n=3),
+                 lambda: imaginary_de_rham_complex(3, time=True),
+                 lambda: powered_de_rham_complex(3, p=2), lambda: dolbeault_complex(n=2)):
+        with pytest.raises(TypeError):
+            call()
     cplx = de_rham_complex(3)
     assert cplx.principal_symbols() is cplx.principal_symbols()
+
+
+def test_equal_signatures_share_one_lift():
+    """Two lifts of one complex onto equal signatures are one complex, which
+    keeps one complex of symbols; a lift onto the complex's own signature is
+    the complex itself."""
+    cplx = de_rham_complex(3)
+    sig = spatial_signature(3, time=True, params=["mu", "M"])
+    lifted = cplx.lift(sig)
+    assert lifted is cplx.lift(spatial_signature(3, time=True, params=("M", "mu")))
+    assert lifted.signature == sig and lifted is not cplx
+    assert lifted.principal_symbols() is cplx.lift(sig).principal_symbols()
+    assert cplx.lift(cplx.signature) is cplx
+    assert with_mu(imaginary_de_rham_complex(2)) is with_mu(imaginary_de_rham_complex(2))
 
 
 def test_different_arguments_build_different_complexes():
@@ -322,15 +366,16 @@ def test_different_arguments_build_different_complexes():
     call, which keeps no cache."""
     sig = spatial_signature(2)
     d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
-    builds = [de_rham_complex(3), de_rham_complex(3, params=["mu"]),
-              de_rham_complex(3, params=["M", "mu"]), de_rham_complex(3, time=True),
-              de_rham_complex(4), imaginary_de_rham_complex(3),
+    builds = [de_rham_complex(3), with_mu(de_rham_complex(3)),
+              de_rham_complex(3).lift(spatial_signature(3, params=["M", "mu"])),
+              de_rham_complex(3).lift(spatial_signature(3, time=True)),
+              de_rham_complex(4), imaginary_de_rham_complex(3), with_mu(imaginary_de_rham_complex(3)),
               powered_de_rham_complex(3, 2), powered_de_rham_complex(3, 3),
               powered_de_rham_complex(2, 2), dolbeault_complex(2), dolbeault_complex(1),
               koszul_complex([d1, d2 * d2], sig), koszul_complex((d1, d2 * d2), sig)]
     assert len({id(c) for c in builds}) == len(builds)
     assert de_rham_complex(3).signature.params == ()
-    assert de_rham_complex(3, params=["mu"]).signature.params == ("mu",)
+    assert with_mu(de_rham_complex(3)).signature.params == ("mu",)
 
 
 def test_koszul_generators_equal_in_value_keep_their_term_order():
@@ -347,21 +392,31 @@ def test_koszul_generators_equal_in_value_keep_their_term_order():
             [stored(op) for op in complexes._wedge([g, g], sig).ops]
 
 
-@pytest.mark.parametrize("cached", [complexes._de_rham, complexes.powered_de_rham_complex,
-                                    complexes.dolbeault_complex, complexes._imaginary_de_rham])
+@pytest.mark.parametrize("cached", [complexes.de_rham_complex, complexes.powered_de_rham_complex,
+                                    complexes.dolbeault_complex,
+                                    complexes.imaginary_de_rham_complex])
 def test_each_builder_cache_is_bounded(cached):
     assert cached.cache_info().maxsize == SHARED_COMPLEXES
 
 
 def test_cache_keeps_to_its_bound():
-    for k in range(SHARED_COMPLEXES + 3):
-        de_rham_complex(1, params=[f"p{k}"])
-    assert complexes._de_rham.cache_info().currsize == SHARED_COMPLEXES
+    """A builder's cache keeps at most ``SHARED_COMPLEXES`` complexes, and a
+    complex at most ``SHARED_COMPLEXES`` lifts, the oldest dropped first."""
+    for p in range(1, SHARED_COMPLEXES + 4):
+        powered_de_rham_complex(1, p)
+    assert powered_de_rham_complex.cache_info().currsize == SHARED_COMPLEXES
+    cplx = de_rham_complex(1)
+    sigs = [spatial_signature(1, params=[f"p{k}"]) for k in range(SHARED_COMPLEXES + 3)]
+    first = cplx.lift(sigs[0])
+    lifts = [cplx.lift(sig) for sig in sigs]
+    assert [k for k in cplx._derived if k != "symbols"] == sigs[-SHARED_COMPLEXES:]
+    assert lifts[0] is first and lifts[-1] is cplx.lift(sigs[-1])
+    assert cplx.lift(sigs[0]) is not first
 
 
 def test_shared_complex_is_immutable():
     cplx = de_rham_complex(2)
-    for name in ("ops", "signature", "ranks", "_symbols", "extra"):
+    for name in ("ops", "signature", "ranks", "_derived", "extra"):
         with pytest.raises(AttributeError, match="immutable"):
             setattr(cplx, name, None)
     with pytest.raises(AttributeError, match="immutable"):
@@ -370,11 +425,20 @@ def test_shared_complex_is_immutable():
         assert copy is not cplx and copy.ops == cplx.ops and copy.ranks == cplx.ranks
 
 
-# Each shared complex beside a fresh build by the builder's uncached function
+TIME_MU2 = spatial_signature(2, time=True, params=["mu"])
+
+# Each shared complex (or kept lift) beside a fresh build by the builder's
+# uncached function (lifted afresh)
 SHARED_AND_FRESH = {
-    "de-rham-2": (lambda: de_rham_complex(2), lambda: complexes._de_rham.__wrapped__(2, False, ())),
-    "de-rham-3": (lambda: de_rham_complex(3), lambda: complexes._de_rham.__wrapped__(3, False, ())),
-    "de-rham-4": (lambda: de_rham_complex(4), lambda: complexes._de_rham.__wrapped__(4, False, ())),
+    "de-rham-2": (lambda: de_rham_complex(2), lambda: de_rham_complex.__wrapped__(2)),
+    "de-rham-3": (lambda: de_rham_complex(3), lambda: de_rham_complex.__wrapped__(3)),
+    "de-rham-4": (lambda: de_rham_complex(4), lambda: de_rham_complex.__wrapped__(4)),
+    "de-rham-3-mu": (lambda: with_mu(de_rham_complex(3)),
+                     lambda: with_mu(de_rham_complex.__wrapped__(3))),
+    "de-rham-2-time-mu": (lambda: de_rham_complex(2).lift(TIME_MU2),
+                          lambda: de_rham_complex.__wrapped__(2).lift(TIME_MU2)),
+    "imaginary-de-rham-3-mu": (lambda: with_mu(imaginary_de_rham_complex(3)),
+                               lambda: with_mu(imaginary_de_rham_complex.__wrapped__(3))),
     "dolbeault-2": (lambda: dolbeault_complex(2), lambda: dolbeault_complex.__wrapped__(2)),
     "dolbeault-3": (lambda: dolbeault_complex(3), lambda: dolbeault_complex.__wrapped__(3)),
     "powered-de-rham-3-2": (lambda: powered_de_rham_complex(3, 2),

@@ -19,7 +19,7 @@ from cxkit.diffop import (
     spatial_signature,
     tensor_identity,
 )
-from _helpers import rationals, stored
+from _helpers import rationals, stored, with_mu
 from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import invert_symbol
 
@@ -113,7 +113,7 @@ def test_merge_is_the_pairwise_fold_in_every_order(sigs):
 
 
 def test_lift_onto_own_signature_is_the_same_object():
-    cplx = de_rham_complex(2, params=("mu",))
+    cplx = with_mu(de_rham_complex(2))
     op = cplx.op(0)
     sym = op.principal_symbol()
     rational = invert_symbol(sym.hermitian_transpose() @ sym)

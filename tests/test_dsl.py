@@ -2,6 +2,7 @@
 
 import time
 import unicodedata
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -583,6 +584,17 @@ def test_late_time_lifts_complexes_and_weights():
     assert doc.mu_specs["C"][0][2].vars == sig.vars
     assert doc.mu_set("C").cplx is doc.complexes["C"]
     assert dsl.parse(dsl.print_document(doc)) == doc
+
+
+@pytest.mark.parametrize("name", ["flow3", "late_params3", "flow3_time"])
+def test_parsing_a_spec_twice_shares_its_lifted_complex(name):
+    """A builder complex under ``params`` or ``time``, declared before or
+    after it, is the builder's kept lift: a second parse returns the same
+    complex, with the same kept complex of symbols."""
+    text = (Path(__file__).parent / "data" / f"{name}.spec").read_text()
+    first, again = dsl.parse(text).complexes["C"], dsl.parse(text).complexes["C"]
+    assert first.signature.params == ("mu",)
+    assert again is first and again.principal_symbols() is first.principal_symbols()
 
 
 @pytest.mark.parametrize("value, at, message", [

@@ -27,7 +27,7 @@ from cxkit.ellipticity import (
     strong_ellipticity_check,
 )
 from cxkit.fixtures import symmetric_gradient_complex
-from _helpers import rationals, stored
+from _helpers import rationals, stored, with_mu
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 
@@ -334,7 +334,7 @@ def test_weight_plan_validation():
 
 
 def _classical_stokes():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"),
                       degrees=[1])
     op = blockops.stokes(cplx, 1, mu)

@@ -107,13 +107,13 @@ def test_warm_bundle_equals_cold_bundle(tmp_path):
     """``cxkit fixtures`` twice in one process: the first run builds every
     complex, the second reuses the shared ones and what they keep, and both
     write the reference bundle byte for byte."""
-    for cached in (complexes._de_rham, complexes.powered_de_rham_complex,
-                   complexes.dolbeault_complex, complexes._imaginary_de_rham):
+    for cached in (complexes.de_rham_complex, complexes.powered_de_rham_complex,
+                   complexes.dolbeault_complex, complexes.imaginary_de_rham_complex):
         cached.cache_clear()
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     assert cli.main(["fixtures", "--json", str(cold)]) == 0
-    assert complexes._de_rham.cache_info().hits > 0
-    hits = complexes._de_rham.cache_info().hits
+    assert complexes.de_rham_complex.cache_info().hits > 0
+    hits = complexes.de_rham_complex.cache_info().hits
     assert cli.main(["fixtures", "--json", str(warm)]) == 0
-    assert complexes._de_rham.cache_info().hits > hits
+    assert complexes.de_rham_complex.cache_info().hits > hits
     assert warm.read_bytes() == cold.read_bytes() == REFERENCE.read_bytes()

@@ -27,6 +27,8 @@ from cxkit.symbols import (
     stokes_fundamental_symbol,
 )
 
+from _helpers import with_mu
+
 SIG0 = Signature(("z1", "z2"), None, ())
 SIG1 = Signature(("z1", "z2"), None, ("mu",))
 
@@ -303,7 +305,7 @@ def test_oseen_denominator_is_the_full_product():
     then their product, and F = core @ (block inverse) has the denominator of
     the earlier arithmetic, mu^6 |zeta|^14.  The ``oseen-symbol`` fixture
     prints it, and the fixture bundle is pinned byte for byte."""
-    c = de_rham_complex(3, params=["mu"])
+    c = with_mu(de_rham_complex(3))
     mu = c.op(0).poly("mu")
     f, report = stokes_fundamental_symbol(c, 1, MuSet.scalar(c, mu, degrees=[1]))
     assert report["ok"]

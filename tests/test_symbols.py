@@ -145,7 +145,7 @@ def test_symbolic_factorization_identity_weights(q):
 
 
 def test_symbolic_factorization_with_mu():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
     for q in (1, 2, 3):
         assert verify_symbolic_factorization(cplx, q, mu)["ok"]
@@ -163,7 +163,7 @@ def test_maxwell_parametrix_dolbeault(side):
 
 
 def test_maxwell_parametrix_scalar_mu():
-    cplx = de_rham_complex(2, params=("mu",))
+    cplx = with_mu(de_rham_complex(2))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
     maxwell_parametrix_symbol(cplx, mu, "right")
 
@@ -173,7 +173,7 @@ def test_maxwell_parametrix_scalar_mu():
 
 
 def _oseen_setup(n):
-    cplx = de_rham_complex(n, params=("mu",))
+    cplx = with_mu(de_rham_complex(n))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"),
                       degrees=[1])
     return cplx, mu
@@ -182,7 +182,7 @@ def _oseen_setup(n):
 @pytest.mark.parametrize("degrees", [range(4), [0, 2], [3]])
 def test_block_diagonal_inverse_inverts_weighted_deltas(degrees):
     # times sum_j B_j delta_{j,mu} B_j it is the identity on the blocks given
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
     inv = block_diagonal_inverse(cplx, degrees, mu)
     part = BlockPartition.for_degree(cplx, max(degrees))
@@ -214,7 +214,7 @@ def test_stokes_dn_symbol_times_the_fundamental_symbol_is_the_identity(n, q):
 
 
 def test_stokes_fundamental_symbol_q2(monkeypatch):
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"),
                       degrees=[2])
     inverted = []
@@ -236,9 +236,9 @@ def test_evolution_identity(n):
     assert "tau" in rep["denominator"] and "mu" in rep["denominator"]
 
 
-@pytest.mark.parametrize("build", [lambda: de_rham_complex(3, params=("mu",)),
-                                   lambda: de_rham_complex(4, params=("mu",)),
-                                   lambda: de_rham_complex(5, params=("mu",)),
+@pytest.mark.parametrize("build", [lambda: with_mu(de_rham_complex(3)),
+                                   lambda: with_mu(de_rham_complex(4)),
+                                   lambda: with_mu(de_rham_complex(5)),
                                    lambda: with_mu(dolbeault_complex(2)),
                                    lambda: with_mu(dolbeault_complex(3))],
                          ids=["de-rham-3", "de-rham-4", "de-rham-5", "dolbeault-2", "dolbeault-3"])
@@ -261,7 +261,7 @@ def test_stokes_hypothesis_degree_range():
 
 
 def test_stokes_hypothesis_nontrivial_lower_weights():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     muval = Poly.variable(cplx.signature.vars, "mu")
     # weights below q must be trivial: weighting every degree violates this
     mu_all = MuSet.scalar(cplx, muval)
@@ -303,7 +303,7 @@ def test_each_delta_is_built_once(monkeypatch, n, q):
     real = symbols.generalized_laplacian
     monkeypatch.setattr(symbols, "generalized_laplacian",
                         lambda c, j, mu: built.append(j) or real(c, j, mu))
-    cplx = de_rham_complex(n, params=("mu",))
+    cplx = with_mu(de_rham_complex(n))
     mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"), degrees=[q])
     for routine in (stokes_fundamental_symbol, verify_evolution_identity):
         built.clear()
@@ -509,8 +509,8 @@ def test_builders_on_symbol_complex_match_reference(name, weights):
 
 STOKES_PINNED = Path(__file__).parent / "data" / "stokes_pinned.json"
 STOKES_COMPLEXES = {
-    "de-rham-3": (lambda: de_rham_complex(3, params=("mu",)), (1, 2)),
-    "de-rham-4": (lambda: de_rham_complex(4, params=("mu",)), (1, 2)),
+    "de-rham-3": (lambda: with_mu(de_rham_complex(3)), (1, 2)),
+    "de-rham-4": (lambda: with_mu(de_rham_complex(4)), (1, 2)),
     "dolbeault-2": (lambda: with_mu(dolbeault_complex(2)), (1,)),
 }
 STOKES_WEIGHTS = {

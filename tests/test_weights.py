@@ -32,7 +32,7 @@ from cxkit.symbols import HypothesisFailure, _check_stokes_hypotheses, _symbols
 from _helpers import with_mu
 
 CASES = {
-    "de_rham(3)": de_rham_complex(3, params=("mu",)),
+    "de_rham(3)": with_mu(de_rham_complex(3)),
     "dolbeault(2)": with_mu(dolbeault_complex(2)),
     "powered_de_rham(2, 2)": with_mu(powered_de_rham_complex(2, 2)),
 }
@@ -134,7 +134,7 @@ def test_one_and_the_identity_are_absent():
 
 
 def test_apply_keeps_each_form():
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     sig = cplx.signature
     muval = Poly.variable(sig.vars, "mu")
     a = cplx.op(1)
@@ -150,7 +150,7 @@ def test_apply_keeps_each_form():
 
 def test_orders_read_the_scalar_degree():
     """``orders`` gives half orders, mtilde and mhat, as every reader uses."""
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     mu = MuSet.laplace_powers(cplx, {1: 2}, {2: 1})
     assert mu.orders(1) == (2, 0) and mu.orders(2) == (0, 1)
     assert MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu")).orders(1) == (0, 0)
@@ -221,7 +221,7 @@ def test_no_product_has_a_constant_one_factor(monkeypatch, n):
 def test_constant_weight_stores_the_product(c, left):
     """A constant scalar s scales the coefficients on either side, stored as
     each nonzero entry's product ``p * s`` (``s * p`` on the left)."""
-    cplx = de_rham_complex(3, params=("mu",))
+    cplx = with_mu(de_rham_complex(3))
     s = Poly.constant(cplx.signature.vars, c)
     mu = MuSet(cplx, {1: c}, {2: c})
     a = cplx.op(1)
