@@ -16,16 +16,17 @@ Each named builder returns one shared, immutable :class:`Complex` per
 (positional-only) argument set, from a ``functools.lru_cache`` of
 ``SHARED_COMPLEXES`` entries per builder; :func:`koszul_complex` builds anew
 on every call.  Parameters and time enter only through :meth:`Complex.lift`,
-which keeps up to ``SHARED_COMPLEXES`` lifts per complex (their cost is given
-there).  What a shared complex derives (its operators' adjoints and principal
-symbols, its complex of symbols, its lifts) is made once and serves every
-later caller, so callers must not mutate it or its matrices.  The largest
-complex the spec language can ask for, de Rham(8), builds in ~4 ms, derives
-its symbols and adjoints in ~35 ms more and then keeps ~1.7 MB; a full cache
-of complexes that size would hold ~27 MB.  An operator compared by
-``cxkit.syzygy.module_equivalent`` also keeps its packed rows and their
-Groebner basis: for every operator of de Rham(8) ~0.33 MB more (~5 MB for a
-full cache), a few KiB for de Rham(3).
+which keeps up to ``SHARED_COMPLEXES`` lifts per complex (one of de Rham(8)
+onto time and a parameter takes ~5 ms and holds ~1.4 MB with its symbols
+and adjoints).  What a shared complex derives (its operators' adjoints and
+principal symbols, its complex of symbols, its lifts) is made once and
+serves every later caller, so callers must not mutate it or its matrices.
+The largest complex the spec language can ask for, de Rham(8), builds in
+~4 ms, derives its symbols and adjoints in ~35 ms more and then keeps
+~1.7 MB; a full cache of complexes that size would hold ~27 MB.  An
+operator compared by ``cxkit.syzygy.module_equivalent`` also keeps its
+packed rows and their Groebner basis: for every operator of de Rham(8)
+~0.33 MB more (~5 MB for a full cache), a few KiB for de Rham(3).
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
 # Entries of each builder's cache and lifts kept per complex (the fixture bundle
 # needs seven and two); a kept lift of de Rham(8) onto time and a parameter, with
-# its symbols and adjoints, takes ~110 ms and holds ~4.8 MB: ~77 MB for sixteen
+# its symbols and adjoints, takes ~5 ms and holds ~1.4 MB: ~23 MB for sixteen
 SHARED_COMPLEXES = 16
 
 
@@ -152,18 +153,18 @@ class Complex:
 # Wedge-pattern builders
 
 
-def _wedge_bases(n: int) -> list[list[tuple[int, ...]]]:
-    """Strictly increasing index tuples per degree, in lexicographic order."""
-    return [sorted(combinations(range(n), q)) for q in range(n + 1)]
+def koszul_complex(generators: Sequence[Poly], signature: Signature) -> Complex:
+    """The wedge complex generated by commuting scalar operators Q_1..Q_n.
 
-
-def _wedge(generators: Sequence[Poly], signature: Signature) -> Complex:
-    """The wedge complex of :func:`koszul_complex`, built anew."""
+    The degree-q operator sends the basis element e_I to
+    ``sum_i sign(i, I) Q_i e_{I + {i}}``.  Built anew on every call.
+    """
     n = len(generators)
     if n == 0:
         raise ValueError("need at least one generator")
     gens = [g.lift(signature.vars) for g in generators]
-    bases = _wedge_bases(n)
+    # strictly increasing index tuples per degree, in lexicographic order
+    bases = [list(combinations(range(n), q)) for q in range(n + 1)]
     zero = Poly.zero(signature.vars)
     ops = []
     for q in range(n):
@@ -180,15 +181,6 @@ def _wedge(generators: Sequence[Poly], signature: Signature) -> Complex:
     return Complex(ops)
 
 
-def koszul_complex(generators: Sequence[Poly], signature: Signature) -> Complex:
-    """The wedge complex generated by commuting scalar operators Q_1..Q_n.
-
-    The degree-q operator sends the basis element e_I to
-    ``sum_i sign(i, I) Q_i e_{I + {i}}``.  Built anew on every call.
-    """
-    return _wedge(generators, signature)
-
-
 @lru_cache(maxsize=SHARED_COMPLEXES)
 def de_rham_complex(n: int, /) -> Complex:
     """The de Rham complex on R^n in derivative symbols d1..dn.
@@ -200,7 +192,7 @@ def de_rham_complex(n: int, /) -> Complex:
         raise ValueError("need n >= 1")
     sig = spatial_signature(n)
     gens = [Poly.variable(sig.vars, f"d{j + 1}") for j in range(n)]
-    cplx = _wedge(gens, sig)
+    cplx = koszul_complex(gens, sig)
     if n != 3:
         return cplx
     # Change of basis at degree 2: (c12, c13, c23) -> (c23, -c13, c12), an
@@ -219,7 +211,7 @@ def powered_de_rham_complex(n: int, p: int, /) -> Complex:
         raise ValueError("need p >= 1")
     sig = spatial_signature(n)
     gens = [Poly.variable(sig.vars, f"d{j + 1}") ** p for j in range(n)]
-    return _wedge(gens, sig)
+    return koszul_complex(gens, sig)
 
 
 @lru_cache(maxsize=SHARED_COMPLEXES)
@@ -236,7 +228,7 @@ def dolbeault_complex(n: int, /) -> Complex:
         re = Poly.variable(sig.vars, f"d{2 * j + 1}").scale(half)
         im = Poly.variable(sig.vars, f"d{2 * j + 2}").scale(half_i)
         gens.append(re + im)
-    return _wedge(gens, sig)
+    return koszul_complex(gens, sig)
 
 
 @lru_cache(maxsize=SHARED_COMPLEXES)

@@ -175,10 +175,7 @@ class SignatureMatrix:
             return self
         if self.signature.merge(signature) != signature:
             raise ValueError(f"cannot lift {self.signature} into {signature}")
-        return type(self)(
-            signature,
-            self.body.map(lambda p: p.lift(signature.vars), vars=signature.vars),
-        )
+        return type(self)(signature, self.body.lift(signature.vars))
 
     # -- algebra -----------------------------------------------------------
 

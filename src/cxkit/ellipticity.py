@@ -54,7 +54,6 @@ class EllipticityReport:
     witness: tuple[float, ...] | None = None
     seed: int | None = None
     budget: int | None = None
-    thresholds: tuple[float, float] = (PASS_THRESHOLD, FAIL_THRESHOLD)
 
     @property
     def ok(self) -> bool:
@@ -64,7 +63,7 @@ class EllipticityReport:
         out = {
             "verdict": self.verdict,
             "check": self.check,
-            "thresholds": {"pass": self.thresholds[0], "fail": self.thresholds[1]},
+            "thresholds": {"pass": PASS_THRESHOLD, "fail": FAIL_THRESHOLD},
         }
         for key in ("determinant", "certified_form", "minimum", "argmin", "witness"):
             value = getattr(self, key)

@@ -41,10 +41,11 @@ degree field; that module also takes :func:`_key_divides`, :func:`_key_lcm`
 Printing reads the storage too: :func:`_coeff_str` formats a numerator over
 ``den`` with one gcd per part, for ``str`` of a :class:`Poly` and of a
 :class:`GaussianRational`.  A :class:`PolyMatrix` built from entries over
-its variables (products, entrywise operations, twists, blocks, placements,
-transposes) comes from the trusted constructor :func:`_matrix`, as every
-:class:`Poly` result from :func:`_poly`; only the public constructor checks
-each entry.
+its variables (products, entrywise operations, twists, lifts, blocks,
+placements, transposes) comes from the trusted constructor :func:`_matrix`,
+as every :class:`Poly` result from :func:`_poly`; only the public
+constructor checks each entry.  A lift or twist of a :class:`Poly` is the
+1x1 case of the matrix's, so each rewrite of the keys exists once.
 
 Monomials are ordered by graded lexicographic order (total degree first, then
 lexicographic by exponent tuple), which fixes a canonical leading term and a
@@ -219,21 +220,6 @@ def _shifts(vars: tuple[str, ...], subset: Iterable[str]) -> list[int]:
     """Bit offsets of the exponent fields of ``subset`` in a key over ``vars``."""
     top = _WIDTH * (len(vars) - 1)
     return [top - _WIDTH * vars.index(v) for v in subset]
-
-
-def _twisted(p: "Poly", vars: tuple[str, ...], shifts: list[int], turns: int,
-             conjugate: bool, keep: tuple[list[int], int] | None = None) -> "Poly":
-    """:meth:`Poly.twist` over the exponent fields at ``shifts``, renamed to
-    ``vars``; with ``keep = (grade, m)``, of the terms of degree m at ``grade``."""
-    out = {}
-    for key, (re, im) in p._num.items():
-        if keep and sum(key >> s & _FIELD for s in keep[0]) != keep[1]:
-            continue
-        if conjugate:
-            im = -im
-        k = turns * sum(key >> s & _FIELD for s in shifts) % 4
-        out[key] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
-    return _poly(vars, out, p._den)
 
 
 def _check_product(a: int, b: int, top: int) -> None:
@@ -593,22 +579,21 @@ class Poly:
               conjugate: bool = False, vars: Sequence[str] | None = None) -> "Poly":
         """``p(i^q x)`` for the variables ``x`` in ``subset``: the term of
         subset-degree ``k`` is multiplied by ``i^(q*k)``, after every
-        coefficient is conjugated if ``conjugate`` is set.
+        coefficient is conjugated if ``conjugate`` is set; the 1x1 case of
+        :meth:`PolyMatrix.twist`.
 
         ``vars`` renames the result's variables position by position.  With
         the derivative variables as ``subset``, ``twist(subset, 1)`` is the
         total symbol (``d_j -> i*z_j``) and ``twist(subset, 2,
         conjugate=True)`` the formal adjoint of a scalar operator.
         """
-        new_vars = self.vars if vars is None else tuple(vars)
-        if len(new_vars) != len(self.vars):
-            raise ValueError(f"cannot rename {self.vars} to {new_vars}")
-        return _twisted(self, new_vars, _shifts(self.vars, subset), quarter_turns, conjugate)
+        return _matrix(self.vars, ((self,),), 1, 1).twist(
+            subset, quarter_turns, conjugate=conjugate, vars=vars)[0, 0]
 
     def homogeneous_part(self, degree: int, subset: Iterable[str] | None = None) -> "Poly":
         """The sum of terms whose (subset-)total degree equals ``degree``."""
-        grade = _shifts(self.vars, self.vars if subset is None else subset)
-        return _twisted(self, self.vars, [], 0, False, (grade, degree))
+        return _matrix(self.vars, ((self,),), 1, 1).twist(
+            self.vars if subset is None else subset, 0, degrees=((degree,),))[0, 0]
 
     def exact_div(self, divisor: "Poly") -> "Poly":
         """Exact polynomial division; raises ``ValueError`` if not divisible.
@@ -637,22 +622,12 @@ class Poly:
     # -- substitutions and evaluation --------------------------------------
 
     def lift(self, new_vars: Sequence[str]) -> "Poly":
-        """Embed into a polynomial ring with a superset of the variables."""
-        new_vars = _ring(new_vars)
+        """Embed into a polynomial ring with a superset of the variables:
+        ``self`` onto its own ring, else the 1x1 case of :meth:`PolyMatrix.lift`."""
+        new_vars = tuple(new_vars)
         if self.vars == new_vars:
             return self
-        for v in self.vars:
-            if v not in new_vars:
-                raise ValueError(f"variable {v!r} missing from {new_vars}")
-        moves = list(zip(_shifts(self.vars, self.vars), _shifts(new_vars, self.vars)))
-        top, new_top = _WIDTH * len(self.vars), _WIDTH * len(new_vars)
-        out = {}
-        for key, c in self._num.items():
-            new_key = key >> top << new_top  # the degree field
-            for old, new in moves:
-                new_key |= (key >> old & _FIELD) << new
-            out[new_key] = c
-        return _poly(new_vars, out, self._den)
+        return _matrix(self.vars, ((self,),), 1, 1).lift(new_vars)[0, 0]
 
     def evaluate(self, values: Mapping[str, complex]) -> complex:
         """Numeric evaluation; every variable must be assigned a value."""
@@ -815,13 +790,36 @@ class PolyMatrix:
         return _matrix(self.vars, tuple(row[c0:c1] for row in self.entries[r0:r1]),
                        r1 - r0, c1 - c0)
 
-    def map(self, fn, vars: Sequence[str] | None = None) -> "PolyMatrix":
-        """Apply ``fn`` entrywise; pass ``vars`` if ``fn`` changes the ring."""
-        if vars is None:
-            return _matrix(self.vars, tuple(tuple(map(fn, row)) for row in self.entries),
-                           self.rows, self.cols)
-        return PolyMatrix(vars, [list(map(fn, row)) for row in self.entries],
-                          shape=(self.rows, self.cols))
+    def map(self, fn) -> "PolyMatrix":
+        """Apply ``fn``, which keeps the ring, entrywise."""
+        return _matrix(self.vars, tuple(tuple(map(fn, row)) for row in self.entries),
+                       self.rows, self.cols)
+
+    def lift(self, vars: Sequence[str]) -> "PolyMatrix":
+        """Embed into a polynomial ring with a superset of the variables,
+        the field moves found once: each nonzero entry's keys move in its
+        term order, and the zero entries share one zero of the new ring."""
+        new_vars = _ring(vars)
+        if new_vars == self.vars:
+            return self
+        for v in self.vars:
+            if v not in new_vars:
+                raise ValueError(f"variable {v!r} missing from {new_vars}")
+        moves = list(zip(_shifts(self.vars, self.vars), _shifts(new_vars, self.vars)))
+        top, new_top = _WIDTH * len(self.vars), _WIDTH * len(new_vars)
+        zero = _poly(new_vars, {}, 1)
+
+        def lifted(p: Poly) -> Poly:
+            out = {}
+            for key, c in p._num.items():
+                new_key = key >> top << new_top  # the degree field
+                for old, new in moves:
+                    new_key |= (key >> old & _FIELD) << new
+                out[new_key] = c
+            return _poly_nonzero(new_vars, out, p._den) if out else zero
+
+        return _matrix(new_vars, tuple(tuple(map(lifted, row)) for row in self.entries),
+                       self.rows, self.cols)
 
     def total_degree(self, subset: Iterable[str] | None = None) -> int:
         """Max entry degree (-1 for the zero matrix)."""
@@ -831,7 +829,8 @@ class PolyMatrix:
     def twist(self, subset: Iterable[str], quarter_turns: int, *, conjugate: bool = False,
               vars: Sequence[str] | None = None, top: Iterable[str] | None = None,
               degrees: Sequence[Sequence[int]] | None = None) -> "PolyMatrix":
-        """Entrywise :meth:`Poly.twist`, the fields of ``subset`` located once.
+        """Each entry's ``p(i^q x)`` for the variables ``x`` in ``subset``
+        (:meth:`Poly.twist` is the 1x1 case), the fields located once.
         Zero entries are not rewritten: they become the zero of the result's
         ring.  With ``top``, a variable subset, each entry keeps only its terms
         of the matrix's highest degree in ``top`` (its principal part).  With
@@ -849,9 +848,20 @@ class PolyMatrix:
             m = max((sum(k >> s & _FIELD for s in grade) for row in self.entries
                      for p in row for k in p._num), default=-1)
             degrees = [[m] * self.cols] * self.rows
+
+        def twisted(p: Poly, degree: int | None) -> Poly:
+            out = {}
+            for key, (re, im) in p._num.items():
+                if degree is not None and sum(key >> s & _FIELD for s in grade) != degree:
+                    continue
+                if conjugate:
+                    im = -im
+                k = quarter_turns * sum(key >> s & _FIELD for s in shifts) % 4
+                out[key] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
+            return _poly(new_vars, out, p._den)
+
         return _matrix(new_vars, tuple(
-            tuple(_twisted(p, new_vars, shifts, quarter_turns, conjugate,
-                           None if degrees is None else (grade, degrees[i][j]))
+            tuple(twisted(p, None if degrees is None else degrees[i][j])
                   if p._num and (degrees is None or degrees[i][j] >= 0) else zero
                   for j, p in enumerate(row)) for i, row in enumerate(self.entries)),
             self.rows, self.cols)

@@ -284,7 +284,7 @@ def extend_to_complex(op: OperatorMatrix, *, max_steps: int = 8,
 def _packed_rows(op: OperatorMatrix, vars: tuple[str, ...]) -> tuple:
     """The rows of ``op`` lifted to ``vars`` and packed, kept on ``op``."""
     return op._kept(("rows", vars), lambda: tuple(
-        _packed(tuple(p.lift(vars) for p in r), len(vars)) for r in op.body.entries))
+        _packed(r, len(vars)) for r in op.body.lift(vars).entries))
 
 
 def _rows_basis(op: OperatorMatrix, vars: tuple[str, ...]) -> dict:

@@ -119,7 +119,7 @@ def _de_rham_over(n: int, sig: Signature) -> Complex:
     """de Rham(n) built directly over ``sig``: the wedge complex of d1..dn
     and, for n = 3, the change of basis to (grad, curl, div)."""
     gens = [Poly.variable(sig.vars, f"d{j + 1}") for j in range(n)]
-    cplx = complexes._wedge(gens, sig)
+    cplx = koszul_complex(gens, sig)
     if n != 3:
         return cplx
     a0, a1, a2 = cplx.ops
@@ -389,7 +389,7 @@ def test_koszul_generators_equal_in_value_keep_their_term_order():
     assert a is not b
     for cplx, g in ((a, p), (b, q)):
         assert [stored(op) for op in cplx.ops] == \
-            [stored(op) for op in complexes._wedge([g, g], sig).ops]
+            [stored(op) for op in koszul_complex([g, g], sig).ops]
 
 
 @pytest.mark.parametrize("cached", [complexes.de_rham_complex, complexes.powered_de_rham_complex,

@@ -332,7 +332,8 @@ def _total_symbol(self) -> "SymbolMatrix":
             out[exp] = coeff * i_pow[deg % 4]
         return Poly(sym_sig.vars, out)
 
-    return SymbolMatrix(sym_sig, self.body.map(entry_symbol, vars=sym_sig.vars))
+    return SymbolMatrix.from_entries(
+        sym_sig, [[entry_symbol(p) for p in row] for row in self.body.entries])
 
 
 @st.composite

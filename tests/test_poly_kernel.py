@@ -4,9 +4,10 @@
 (two ``Fraction``s) per term, kept verbatim up to the class name as the
 reference the kernel is compared with.  Exact division, determinants, matrix
 products and adjugates are also compared with sympy where it is installed.
-The earlier product, sum-of-products loop and ``embed`` (``old_mul``,
-``old_sum``, ``old_embed``) are kept verbatim too, as the references of the
-one-accumulator sums and of block placement.
+The earlier product, sum-of-products loop, ``embed`` and ``Poly.lift``
+(``old_mul``, ``old_sum``, ``old_embed``, ``old_lift``) are kept verbatim
+too, as the references of the one-accumulator sums, of block placement and
+of whole-matrix lifts.
 """
 
 import copy
@@ -1163,3 +1164,102 @@ def test_only_a_polynomial_weight_multiplies(monkeypatch):
     with pytest.raises(ValueError) as scaled:
         m.scale(other)
     assert str(scaled.value) == str(product.value)
+
+
+# ---------------------------------------------------------------------------
+# Whole-matrix lifts against the earlier entry-by-entry lift
+
+
+def old_lift(self: Poly, new_vars) -> Poly:
+    """The earlier ``Poly.lift``, verbatim (reference)."""
+    new_vars = poly._ring(new_vars)
+    if self.vars == new_vars:
+        return self
+    for v in self.vars:
+        if v not in new_vars:
+            raise ValueError(f"variable {v!r} missing from {new_vars}")
+    moves = list(zip(poly._shifts(self.vars, self.vars), poly._shifts(new_vars, self.vars)))
+    top, new_top = _WIDTH * len(self.vars), _WIDTH * len(new_vars)
+    out = {}
+    for key, c in self._num.items():
+        new_key = key >> top << new_top  # the degree field
+        for old, new in moves:
+            new_key |= (key >> old & poly._FIELD) << new
+        out[new_key] = c
+    return _poly(new_vars, out, self._den)
+
+
+@st.composite
+def lift_targets(draw):
+    """A ring holding VARS: new variables interleaved with VARS in order or
+    in any order, or a signature with VARS as its spatial variables and a
+    time variable or parameters."""
+    kind = draw(st.sampled_from(("interleaved", "permuted", "signature")))
+    if kind == "signature":
+        return Signature(VARS, draw(st.sampled_from((None, "dt"))),
+                         draw(st.lists(st.sampled_from(("mu", "nu", "a")), unique=True))).vars
+    extra = draw(st.lists(st.sampled_from(("u", "v", "w", "t")), unique=True))
+    if kind == "permuted":
+        return tuple(draw(st.permutations(VARS + tuple(extra))))
+    new_vars = list(VARS)
+    for v in extra:
+        new_vars.insert(draw(st.integers(0, len(new_vars))), v)
+    return tuple(new_vars)
+
+
+lift_entries = st.one_of(st.just(Poly.zero(VARS)), polys(), polys(max_exp=MAX_DEGREE // len(VARS)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda c: st.lists(st.lists(lift_entries, min_size=c, max_size=c),
+                                                    min_size=1, max_size=3)),
+       lift_targets())
+def test_matrix_lift_is_the_entrywise_lift(rows, new_vars):
+    """Each entry of a lifted matrix is stored as the earlier lift of that
+    entry stores it, term order included, and every zero entry of a lift
+    that changes the ring is one object."""
+    m = PolyMatrix(VARS, rows)
+    lifted = m.lift(new_vars)
+    assert (lifted.vars, lifted.rows, lifted.cols) == (new_vars, m.rows, m.cols)
+    assert stored_matrix(lifted) == [[stored(old_lift(p, new_vars)) for p in row] for row in rows]
+    assert all(p.vars == new_vars for row in lifted.entries for p in row)
+    if new_vars == VARS:
+        assert lifted is m
+        return
+    zeros = [p for row in lifted.entries for p in row if p.is_zero]
+    assert all(z is zeros[0] for z in zeros)
+
+
+def test_zero_entries_of_a_lift_are_one_object():
+    op = de_rham_complex(3).op(1)
+    lifted = op.lift(spatial_signature(3, time=True, params=("mu",))).body
+    zeros = {id(p) for row in lifted.entries for p in row if p.is_zero}
+    assert len(zeros) == 1 and sum(p.is_zero for row in lifted.entries for p in row) == 3
+    assert zeros != {id(p) for row in op.body.entries for p in row if p.is_zero}
+
+
+def test_lift_onto_a_ring_without_a_variable_raises_as_before():
+    p = Poly.variable(VARS, "y")
+    errors = []
+    for lift in (PolyMatrix(VARS, [[Poly.one(VARS), p]]).lift, p.lift,
+                 lambda vars: old_lift(p, vars)):
+        with pytest.raises(ValueError) as e:
+            lift(("x", "z", "t"))
+        errors.append(str(e.value))
+    assert errors == ["variable 'y' missing from ('x', 'z', 't')"] * 3
+
+
+@settings(max_examples=100, deadline=None)
+@given(polys(), lift_targets(), st.lists(st.sampled_from(VARS), unique=True),
+       st.integers(-1, 6), st.booleans(), st.booleans())
+def test_poly_lift_and_twist_are_their_1x1_matrix_cases(p, new_vars, subset, turns,
+                                                        conjugate, rename):
+    cell = PolyMatrix(VARS, [[p]])
+    assert p.lift(VARS) is p and cell.lift(VARS) is cell
+    assert stored(p.lift(new_vars)) == stored(cell.lift(new_vars)[0, 0])
+    assert stored(p.lift(iter(new_vars))) == stored(old_lift(p, new_vars))
+    vars = ("a", "b", "c") if rename else None
+    twisted = p.twist(subset, turns, conjugate=conjugate, vars=vars)
+    assert twisted.vars == (vars or VARS)
+    assert stored(twisted) == stored(cell.twist(subset, turns, conjugate=conjugate,
+                                                vars=vars)[0, 0])
