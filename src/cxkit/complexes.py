@@ -306,12 +306,18 @@ class MuSet:
                      {q: minus_lap ** m for q, m in (mhat or {}).items()})
 
     def _map(self, cplx: Complex, fn) -> "MuSet":
-        """These weights over ``cplx``: a matrix m as ``fn(m)`` and a scalar
-        s as the entry of ``fn`` of the 1x1 operator [s]."""
+        """These weights over ``cplx``: a matrix m as ``fn(m)``, a constant
+        scalar as the same constant over ``cplx``'s ring (what ``fn`` makes
+        of it, both for a principal symbol and for a lift) and any other
+        scalar s as the entry of ``fn`` of the 1x1 operator [s]."""
         sig = self.cplx.signature
 
         def one(w):
-            return fn(OperatorMatrix.scalar(sig, w))[0, 0] if isinstance(w, Poly) else fn(w)
+            if not isinstance(w, Poly):
+                return fn(w)
+            if w.is_constant:
+                return cplx.signature.as_poly(w.constant_value())
+            return fn(OperatorMatrix.scalar(sig, w))[0, 0]
 
         return MuSet(cplx, {q: one(w) for q, w in self._mu0.items()},
                      {q: one(w) for q, w in self._mu1.items()})

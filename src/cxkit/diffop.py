@@ -277,13 +277,16 @@ class SymbolMatrix(SignatureMatrix):
         return self.hermitian_transpose()
 
     def scalar_part(self) -> Poly | None:
-        """The scalar s when this matrix is s*I, else None."""
+        """The scalar s when this matrix is s*I, else None: every diagonal
+        entry equals the first and every other entry is zero."""
         if self.rows != self.cols or self.rows == 0:
             return None
-        s = self.body[0, 0]
-        if self == SymbolMatrix.identity(self.signature, self.rows, s):
-            return s
-        return None
+        entries = self.body.entries
+        s = entries[0][0]
+        for i, row in enumerate(entries):
+            if row[i] != s or any(not p.is_zero for p in row[:i] + row[i + 1:]):
+                return None
+        return s
 
 
 def tensor_identity(op: OperatorMatrix, n: int) -> OperatorMatrix:

@@ -21,7 +21,8 @@ is at most ``MAX_DEGREE = 2^(_WIDTH - 1) - 1``, no sum of two keys carries
 from one field into the next, and ``b - a`` leaves every guard bit clear
 exactly when ``x^a`` divides ``x^b`` (:func:`_key_divides`).  A polynomial
 whose total degree would pass ``MAX_DEGREE`` is never built: packing an
-exponent and every product check the degree and raise ``OverflowError``.
+exponent and every product check the degree and raise ``OverflowError``; a
+matrix product checks it once, from the top entry degrees of its operands.
 
 :class:`GaussianRational` stays the public value type of a coefficient and
 exponent tuples the public form of a monomial: the read-only view
@@ -334,8 +335,8 @@ def _poly(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
 
 def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
     """:func:`_poly` for a ``num`` that has no zero numerator, such as
-    :func:`_dot` and the unpacking in ``cxkit.syzygy`` build: only the gcd
-    is cancelled."""
+    :func:`_sum_products` and the unpacking in ``cxkit.syzygy`` build: only
+    the gcd is cancelled."""
     p = object.__new__(Poly)
     p.vars = vars
     p._num, p._den = _cancel(num, den)
@@ -344,18 +345,29 @@ def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
 
 
 def _dot(vars: tuple[str, ...], pairs: Sequence[tuple["Poly", "Poly"]]) -> "Poly":
-    """``sum(a * b for a, b in pairs)`` in one dict over a running common
-    denominator, stored as adding the products one by one to zero stores it:
-    new keys in order of first occurrence, a key whose sum is zero after a
-    product deleted then (a later product appends it anew), the gcd cancelled
-    once.  Each product checks its variables and ``MAX_DEGREE``; ``a * b`` is
-    the lone pair."""
+    """``sum(a * b for a, b in pairs)``, each pair checked first: its
+    variables, and ``MAX_DEGREE`` against the sum of its top degrees (the
+    first pair past it raises ``OverflowError``), then summed by
+    :func:`_sum_products`; ``a * b`` is the lone pair.  A matrix product
+    guards its degree once for all its entries and sums them unchecked
+    (:meth:`PolyMatrix.__matmul__`)."""
     top = _WIDTH * len(vars)
-    out: dict[int, tuple[int, int]] = {}
-    den = 1
     for a, b in pairs:
         a._check_vars(b)
         _check_product(max(a._num, default=0), max(b._num, default=0), top)
+    return _sum_products(vars, pairs)
+
+
+def _sum_products(vars: tuple[str, ...], pairs: Sequence[tuple["Poly", "Poly"]]) -> "Poly":
+    """``sum(a * b for a, b in pairs)`` for pairs over ``vars`` whose
+    products stay within ``MAX_DEGREE``, unchecked: one dict over a running
+    common denominator, stored as adding the products one by one to zero
+    stores it: new keys in order of first occurrence, a key whose sum is zero
+    after a product deleted then (a later product appends it anew), the gcd
+    cancelled once."""
+    out: dict[int, tuple[int, int]] = {}
+    den = 1
+    for a, b in pairs:
         d = a._den * b._den
         if den % d:
             f = d // gcd(den, d)  # the new den is lcm(den, d)
@@ -740,12 +752,15 @@ class PolyMatrix:
 
     @staticmethod
     def identity(vars: Sequence[str], n: int, scalar: Poly | None = None) -> "PolyMatrix":
-        """I_n, or ``scalar`` I_n with the scalar placed on the diagonal."""
+        """I_n, or ``scalar`` I_n with the scalar (over ``vars``) placed on
+        the diagonal."""
+        vars = tuple(vars)
         z = Poly.zero(vars)
         s = Poly.one(vars) if scalar is None else scalar
-        return PolyMatrix(
-            vars, [[s if i == j else z for j in range(n)] for i in range(n)]
-        )
+        if n and s.vars != vars:
+            raise ValueError("entry variables do not match the matrix")
+        return _matrix(vars, tuple(tuple(s if i == j else z for j in range(n))
+                                   for i in range(n)), n, n)
 
     @staticmethod
     def place(vars: Sequence[str], rows: int, cols: int,
@@ -823,6 +838,9 @@ class PolyMatrix:
 
     def total_degree(self, subset: Iterable[str] | None = None) -> int:
         """Max entry degree (-1 for the zero matrix)."""
+        if subset is None:  # the degree field of the largest key
+            keys = [max(p._num) for row in self.entries for p in row if p._num]
+            return max(keys) >> (_WIDTH * len(self.vars)) if keys else -1
         degs = [p.total_degree(subset) for row in self.entries for p in row]
         return max(degs, default=-1)
 
@@ -894,18 +912,25 @@ class PolyMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         # Entry (i, j) sums the products of the nonzero entries of row i and
-        # column j in increasing k, in one accumulator (``_dot``): the term
-        # order of every entry is that of the full k loop of ``acc + a * b``.
+        # column j in increasing k, in one accumulator: the term order of
+        # every entry is that of the full k loop of ``acc + a * b``.  The
+        # degree is guarded once for the whole product: when the highest
+        # entry degrees of the two operands sum to at most MAX_DEGREE, no
+        # pair can pass it and every entry is summed unchecked
+        # (``_sum_products``); otherwise each entry takes the checked
+        # ``_dot``, which raises at the first pair past the bound.
         vars, zero = self.vars, Poly.zero(self.vars)
-        rows = [[(k, a) for k, a in enumerate(row) if not a.is_zero] for row in self.entries]
-        cols = [{k: row[j] for k, row in enumerate(other.entries) if not row[j].is_zero}
+        rows = [[(k, a) for k, a in enumerate(row) if a._num] for row in self.entries]
+        cols = [{k: row[j] for k, row in enumerate(other.entries) if row[j]._num}
                 for j in range(other.cols)]
+        guarded = self.total_degree() + other.total_degree() <= MAX_DEGREE
+        dot = _sum_products if guarded else _dot
         out = []
         for nonzero in rows:
             row = []
             for col in cols:
                 pairs = [(a, col[k]) for k, a in nonzero if k in col]
-                row.append(_dot(vars, pairs) if pairs else zero)
+                row.append(dot(vars, pairs) if pairs else zero)
             out.append(tuple(row))
         return _matrix(vars, tuple(out), self.rows, other.cols)
 

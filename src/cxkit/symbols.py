@@ -5,10 +5,13 @@ algebraic identities between principal symbols, with the inverse Laplacian
 symbols represented as rational matrices whose numerator and denominator are
 both kept as powers of monic factors: a scalar block s I_k inverts to the
 constant core I/lc(s) times monic(s)^(k-1) over monic(s)^k, any other block
-to its adjugate over monic(det).  Products add exponents.  Sums are taken
-over the lcm of the denominators by raising the numerator factors; the powers
-all operands then share stay factors and only the rest is expanded, so the
-parametrix and Stokes products multiply constant diagonals.  Factors are
+to its adjugate over monic(det).  The reciprocal 1/lc is taken once, in
+packed Gaussian integers from the leading numerator, and the same constant
+makes the factor monic and is the core's diagonal.  Products add exponents.
+Sums are taken over the lcm of the denominators by raising the numerator
+factors; the powers all operands then share stay factors and only the rest
+is expanded, so the parametrix and Stokes products multiply constant
+diagonals.  Factors are
 never split or cancelled.  Every identity is checked exactly on the cores,
 with the common powers left out; no analysis is involved.
 
@@ -24,6 +27,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
+from cxkit import poly
 from cxkit._record import Record
 from cxkit.blockops import (
     BlockPartition,
@@ -62,9 +66,9 @@ class RationalSymbolMatrix:
         den = den.lift(num.signature.vars)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        base, lc = _monic(den)
-        if lc != GaussianRational.one():
-            num = num.scale(GaussianRational.one() / lc)
+        base, inv = _monic(den)
+        if base is not den:
+            num = num.scale(inv)
         self.core, self.num_factors, self._num, self._den = num, {}, None, None
         self.factors = {} if base.is_constant else {base: 1}
 
@@ -189,10 +193,14 @@ class RationalSymbolMatrix:
         }
 
 
-def _monic(p: Poly) -> tuple[Poly, GaussianRational]:
-    """``p`` over its leading coefficient, and that coefficient."""
-    lc = p.leading_term()[1]
-    return (p if lc == GaussianRational.one() else p.scale(GaussianRational.one() / lc)), lc
+def _monic(p: Poly) -> tuple[Poly, Poly]:
+    """``p`` over its leading coefficient lc (``p`` itself when lc is one),
+    and the constant 1/lc.  The reciprocal is taken once, in packed integers
+    from the leading numerator over ``p``'s denominator, and scales both."""
+    inv = poly._quotient((1, 0), 1, p._num[max(p._num)], p._den)
+    if inv == (1, 0, 1):
+        return p, Poly.one(p.vars)
+    return p._scaled(*inv), Poly.one(p.vars)._scaled(*inv)
 
 
 def _lcm(bases: Sequence[Mapping[Poly, int]]) -> dict[Poly, int]:
@@ -302,9 +310,10 @@ def invert_symbol(m: SymbolMatrix) -> RationalSymbolMatrix:
     A scalar block s I_k is inverted as monic(s)^(k-1) I / lc(s) over the
     factor monic(s)^k: the adjugate/determinant fraction, with the
     determinant kept as a power.  The numerator power stays a factor too
-    (``num_factors`` {monic(s): k-1}) of the constant core I / lc(s).  Any
-    other block is adjugate over determinant, with the single factor
-    monic(det).
+    (``num_factors`` {monic(s): k-1}) of the constant core I / lc(s),
+    built as the scaled identity: 1/lc(s) is one packed reciprocal of the
+    leading numerator, which also makes s monic.  Any other block is
+    adjugate over determinant, with the single factor monic(det).
     """
     if m.rows != m.cols:
         raise ValueError("cannot invert a non-square symbol")
@@ -316,9 +325,9 @@ def invert_symbol(m: SymbolMatrix) -> RationalSymbolMatrix:
         return RationalSymbolMatrix(SymbolMatrix(m.signature, m.body.adjugate()), det)
     if s.is_zero:
         raise ValueError("symbol is identically singular")
-    base, lc = _monic(s)
+    base, inv = _monic(s)
     k = m.rows
-    core = SymbolMatrix.identity(m.signature, k).scale(GaussianRational.one() / lc)
+    core = SymbolMatrix.identity(m.signature, k, inv)
     if base.is_constant:
         return RationalSymbolMatrix.from_symbol(core)
     return RationalSymbolMatrix._over(core, {base: k - 1} if k > 1 else {}, {base: k})
@@ -498,6 +507,20 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
 # Evolution identity
 
 
+def _evolution_corner(sym: Complex, q: int, delta: SymbolMatrix,
+                      i_tau: Poly) -> RationalSymbolMatrix:
+    """i tau sigma_{q-1}^* sigma_{q-1} delta_{q-1}^{-1}, for ``delta`` the
+    weighted delta_{q-1}: the polynomial i tau I when sigma_{q-1}^*
+    sigma_{q-1} equals delta_{q-1} exactly, which holds at q = 1 (the
+    hypotheses make the degree-0 weights trivial), else the product with
+    the inverse."""
+    sq1 = sym.op(q - 1)
+    gram = sq1.hermitian_transpose() @ sq1
+    if gram == delta:
+        return RationalSymbolMatrix.from_symbol(sym.identity(gram.rows, i_tau))
+    return gram.scale(i_tau) @ invert_symbol(delta)
+
+
 def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     """Exact symbol-level check of the parabolic fundamental-solution identity.
 
@@ -505,8 +528,9 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     ``S_t = S_dn + B_q i tau B_q``; the degree-q inverse is the scalar
     rational ``1/(i tau + s)`` which requires delta_{q,mu} = s I, and N_t is N
     built around it, minus ``B_{q-1} i tau sigma_{q-1}^* sigma_{q-1}
-    delta_{q-1}^{-1} B_{q-1}``: i tau I at q = 1, where delta_0 =
-    sigma_0^* sigma_0.  That term cancels the shift in row q, since
+    delta_{q-1}^{-1} B_{q-1}``: the polynomial i tau I wherever delta_{q-1}
+    = sigma_{q-1}^* sigma_{q-1}, as at q = 1 (:func:`_evolution_corner`).
+    That term cancels the shift in row q, since
     sigma_{q-1} sigma_{q-1}^* sigma_{q-1} = sigma_{q-1} delta_{q-1}, and
     vanishes against sigma_{q-2}^* in row q - 2.  The verified identity is
 
@@ -526,9 +550,7 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
     resolvent_den = i_tau + scalar
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), resolvent_den)
-    sq1 = sym.op(q - 1)
-    time_term = (sq1.hermitian_transpose() @ sq1).scale(i_tau) @ invert_symbol(deltas[q - 1])
-    core = _n_symbol(sym, q, mus, resolvent, time_term)
+    core = _n_symbol(sym, q, mus, resolvent, _evolution_corner(sym, q, deltas[q - 1], i_tau))
     top = deltas[q] + sym.identity(part.ranks[q], i_tau)
     ok = (_stokes_dn(sym, q, top) @ core) == block_diagonal(part, deltas)
     return {

@@ -20,7 +20,7 @@ from cxkit.diffop import (
     tensor_identity,
 )
 from _helpers import rationals, stored, with_mu
-from cxkit.poly import GaussianRational, Poly
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
 from cxkit.symbols import invert_symbol
 
 SIG = spatial_signature(3)
@@ -280,6 +280,45 @@ def test_symbol_scalar_part():
     assert _grad().principal_symbol().scalar_part() is None
     off = SymbolMatrix.from_entries(sig, [[z1, z1], [Poly.zero(sig.vars), z1]])
     assert off.scalar_part() is None
+
+
+def _ref_scalar_part(m: SymbolMatrix):
+    """s when m == s I, compared with the identity scaled by m[0, 0] (reference)."""
+    if m.rows != m.cols or m.rows == 0:
+        return None
+    s = m.body[0, 0]
+    return s if m == SymbolMatrix.identity(m.signature, m.rows, s) else None
+
+
+@st.composite
+def _near_scalar(draw):
+    """A rows x cols symbol matrix over z1..z3: s I, s I with one entry
+    changed (an off-diagonal nonzero or an unequal diagonal entry), or any
+    matrix of a few small entries; square or not, 0x0 included."""
+    sig = SIG.symbol_signature()
+    z = [Poly.variable(sig.vars, v) for v in sig.vars]
+    entry = st.builds(lambda c, i, e: (z[i] ** e).scale(c),
+                      st.sampled_from([0, 1, -1, 2]), st.integers(0, 2), st.integers(0, 2))
+    rows = draw(st.integers(0, 4))
+    cols = rows if draw(st.integers(0, 3)) else draw(st.integers(0, 4))
+    shape = draw(st.sampled_from(["scalar", "changed", "any"]))
+    if shape == "any" or rows != cols or rows == 0:
+        table = [[draw(entry) for _ in range(cols)] for _ in range(rows)]
+    else:
+        s = draw(entry)
+        table = [[s if i == j else Poly.zero(sig.vars) for j in range(cols)] for i in range(rows)]
+        if shape == "changed":
+            i, j = draw(st.integers(0, rows - 1)), draw(st.integers(0, cols - 1))
+            table[i][j] = table[i][j] + draw(entry)
+    return SymbolMatrix(sig, PolyMatrix(sig.vars, table, shape=(rows, cols)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_near_scalar())
+def test_scalar_part_matches_the_identity_comparison(m):
+    got, want = m.scalar_part(), _ref_scalar_part(m)
+    assert got == want
+    assert (got is None) == (want is None)
 
 
 def test_lift_preserves_entries():

@@ -665,6 +665,21 @@ def dense_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
     return PolyMatrix(a.vars, out, shape=(a.rows, b.cols))
 
 
+def checked_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The product with every entry summed by the checked ``_dot``, entry by
+    entry in row-major order, over the nonzero pairs in increasing k: each
+    pair checks its variables and ``MAX_DEGREE`` (reference)."""
+    zero = Poly.zero(a.vars)
+    return PolyMatrix(a.vars, [[_dot(a.vars, pairs) if (pairs := [
+        (a[i, k], b[k, j]) for k in range(a.cols)
+        if not a[i, k].is_zero and not b[k, j].is_zero]) else zero
+        for j in range(b.cols)] for i in range(a.rows)], shape=(a.rows, b.cols))
+
+
+def stored_entries(m: PolyMatrix) -> list:
+    return [[(list(p._num.items()), p._den) for p in row] for row in m.entries]
+
+
 @st.composite
 def sparse_matrices(draw, rows: int, cols: int) -> PolyMatrix:
     """A rows x cols matrix with about two thirds of its entries zero."""
@@ -679,12 +694,82 @@ def sparse_matrices(draw, rows: int, cols: int) -> PolyMatrix:
     lambda s: st.tuples(sparse_matrices(s[0], s[1]), sparse_matrices(s[1], s[2]))))
 def test_sparse_matmul_matches_dense_loop(ab):
     """Every entry keeps its value and its storage order: the same products,
-    summed in the same increasing k."""
+    summed in the same increasing k, as the dense loop and as each entry's
+    checked ``_dot`` (one degree guard per product changes no entry)."""
     a, b = ab
-    got, want = a @ b, dense_matmul(a, b)
-    assert got == want
-    assert [[(list(p._num.items()), p._den) for p in row] for row in got.entries] == \
-        [[(list(p._num.items()), p._den) for p in row] for row in want.entries]
+    got = a @ b
+    for want in (dense_matmul(a, b), checked_matmul(a, b)):
+        assert got == want
+        assert stored_entries(got) == stored_entries(want)
+
+
+@st.composite
+def high_degree_matrices(draw, rows: int, cols: int) -> PolyMatrix:
+    """A matrix, a third of its entries zero, whose nonzero entries are
+    small polynomials or, in about half of them, a term of degree near
+    ``MAX_DEGREE / 2``."""
+    zero = Poly.zero(VARS)
+
+    def entry():
+        if draw(st.booleans()):
+            return draw(polys(max_terms=2, max_exp=2))
+        x, y = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+        exp = [0, 0, 0]
+        exp[x] += draw(st.integers(MAX_DEGREE // 2 - 3, MAX_DEGREE // 2 + 3))
+        exp[y] += draw(st.integers(0, 2))
+        return Poly(VARS, {tuple(exp): draw(coefficients)})
+
+    return PolyMatrix(VARS, [[entry() if draw(st.integers(0, 2)) else zero
+                              for _ in range(cols)] for _ in range(rows)], shape=(rows, cols))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.tuples(st.integers(1, 3), st.integers(1, 3), st.integers(1, 3)).flatmap(
+    lambda s: st.tuples(high_degree_matrices(s[0], s[1]), high_degree_matrices(s[1], s[2]))))
+def test_matmul_past_the_degree_bound_raises_as_the_checked_dot(ab):
+    """Operands whose top degrees sum past ``MAX_DEGREE`` take the checked
+    path: the first pair past the bound raises the reference's
+    ``OverflowError``, and a product whose high entries never meet is the
+    reference's, stored alike."""
+    a, b = ab
+    try:
+        want = checked_matmul(a, b)
+    except OverflowError as exc:
+        with pytest.raises(OverflowError) as info:
+            a @ b
+        assert str(info.value) == str(exc)
+    else:
+        assert stored_entries(a @ b) == stored_entries(want)
+
+
+def test_matmul_degree_bound_message():
+    """Past ``MAX_DEGREE`` the message names the degree of the first pair
+    past it, row by row; at the bound the product is held, and operands
+    whose top entries never meet multiply."""
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    zero, one = Poly.zero(VARS), Poly.one(VARS)
+    half = MAX_DEGREE // 2  # 2 * half + 1 == MAX_DEGREE
+    a = PolyMatrix(VARS, [[one, zero], [x ** half, y]])
+    b = PolyMatrix(VARS, [[y ** (half + 3) + one, zero], [zero, x ** MAX_DEGREE]])
+    with pytest.raises(OverflowError, match=f"^total degree {MAX_DEGREE + 2} exceeds "
+                                            f"the limit {MAX_DEGREE}$"):
+        a @ b
+    held = PolyMatrix(VARS, [[one, zero], [x ** (half - 2), one]])
+    assert stored_entries(held @ b) == stored_entries(checked_matmul(held, b))
+    assert (held @ b).total_degree() == MAX_DEGREE
+    apart = PolyMatrix(VARS, [[x ** MAX_DEGREE, zero], [zero, one]])
+    other = PolyMatrix(VARS, [[one, zero], [zero, y ** MAX_DEGREE]])
+    assert stored_entries(apart @ other) == stored_entries(checked_matmul(apart, other))
+
+
+def test_identity_keeps_the_check_of_the_scalar_ring():
+    z = Poly.variable(("z",), "z")
+    with pytest.raises(ValueError, match="entry variables do not match the matrix"):
+        PolyMatrix.identity(VARS, 2, z)
+    m = PolyMatrix.identity(VARS, 3, Poly.variable(VARS, "y"))
+    assert m == PolyMatrix(VARS, [[Poly.variable(VARS, "y") if i == j else Poly.zero(VARS)
+                                   for j in range(3)] for i in range(3)])
+    assert PolyMatrix.identity(VARS, 0).entries == ()
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cxkit.cli import main
 from cxkit.complexes import MuSet, de_rham_complex, dolbeault_complex
@@ -27,7 +27,7 @@ from cxkit.symbols import (
     stokes_fundamental_symbol,
 )
 
-from _helpers import with_mu
+from _helpers import stored, with_mu
 
 SIG0 = Signature(("z1", "z2"), None, ())
 SIG1 = Signature(("z1", "z2"), None, ("mu",))
@@ -241,6 +241,67 @@ def test_scalar_block_inverse_keeps_the_power():
         assert const.factors == {} and const.num_factors == {}
         assert const.num == ident.scale(Fraction(-2, 3))
         assert const.den == Poly.one(SIG0.vars)
+
+
+def _parent_inverse(m: SymbolMatrix, s: Poly) -> tuple[SymbolMatrix, dict, dict]:
+    """The core and factor maps of the inverse of m = s I_k as they were
+    built from the coefficient 1/lc(s) in Fractions: ``s.scale(1/lc)`` for
+    the factor and ``identity(...).scale(1/lc)`` for the core (reference)."""
+    one = GaussianRational.one()
+    lc = s.leading_term()[1]
+    base = s if lc == one else s.scale(one / lc)
+    core = SymbolMatrix.identity(m.signature, m.rows).scale(one / lc)
+    if base.is_constant:
+        return core, {}, {}
+    return core, ({base: m.rows - 1} if m.rows > 1 else {}), {base: m.rows}
+
+
+def _stored_factors(factors: dict) -> list:
+    return [(f.vars, list(f._num.items()), f._den, e) for f, e in factors.items()]
+
+
+# leading coefficients off the real line, not one, and one
+_LEADS = st.one_of(
+    st.builds(GaussianRational.of, st.fractions(-5, 5, max_denominator=7),
+              st.fractions(-5, 5, max_denominator=7)),
+    st.sampled_from([GaussianRational.one(), GaussianRational.i(),
+                     GaussianRational.of(0, -3), GaussianRational.of(Fraction(2, 3), 1)]))
+
+
+@st.composite
+def _scalar_blocks(draw) -> tuple[SymbolMatrix, Poly]:
+    """s I_k for k in 1..4 and a nonzero s over z1, z2 (and mu): a sum of
+    monomials times Gaussian rationals, a random one of them leading."""
+    sig = draw(st.sampled_from([SIG0, SIG1]))
+    v = _vars(sig)
+    monomials = [Poly.one(sig.vars), v["z1"], v["z2"], v["z1"] * v["z1"] + v["z2"] * v["z2"],
+                 v["z1"] * v["z2"]] + ([v["mu"] * v["z1"]] if "mu" in v else [])
+    picked = draw(st.lists(st.sampled_from(monomials), min_size=1, max_size=3))
+    s = Poly.zero(sig.vars)
+    for m in picked:
+        s = s + m.scale(draw(_LEADS))
+    assume(not s.is_zero)
+    k = draw(st.integers(1, 4))
+    return SymbolMatrix.identity(sig, k, s), s
+
+
+@settings(max_examples=100, deadline=None)
+@given(_scalar_blocks())
+def test_scalar_inverse_matches_the_fraction_reciprocal(block):
+    """One packed reciprocal 1/lc builds the same core and factor maps,
+    stored alike, as scaling by the Fraction 1/lc did; and a fraction over
+    s keeps that construction's core."""
+    m, s = block
+    inv = invert_symbol(m)
+    core, num_factors, factors = _parent_inverse(m, s)
+    assert stored(inv.core) == stored(core)
+    assert _stored_factors(inv.num_factors) == _stored_factors(num_factors)
+    assert _stored_factors(inv.factors) == _stored_factors(factors)
+    assert (inv @ m).is_identity()
+    lc = s.leading_term()[1]
+    over = RationalSymbolMatrix(m, s)
+    assert stored(over.core) == stored(m.scale(GaussianRational.one() / lc))
+    assert _stored_factors(over.factors) == _stored_factors({f: 1 for f in factors})
 
 
 def _norm2(sig: Signature) -> Poly:

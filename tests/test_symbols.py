@@ -252,6 +252,35 @@ def test_evolution_identity_at_every_degree(build):
             assert verify_evolution_identity(cplx, q, mu)["ok"], q
 
 
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_evolution_corner_is_the_polynomial_where_delta_is_the_gram(monkeypatch, n):
+    """The corner i tau sigma_{q-1}^* sigma_{q-1} delta_{q-1}^{-1} is built
+    as the polynomial i tau I, inverting nothing, exactly where
+    sigma_{q-1}^* sigma_{q-1} equals delta_{q-1}: at q = 1 of de Rham(n),
+    not at q >= 2 (delta_{q-1} has a sigma_{q-2} sigma_{q-2}^* part there).
+    Either way the corner equals the product and the identity holds."""
+    cplx = with_mu(de_rham_complex(n))
+    inverted = []
+    invert = symbols.invert_symbol
+    monkeypatch.setattr(symbols, "invert_symbol", lambda m: inverted.append(m) or invert(m))
+    mu_var = Poly.variable(cplx.signature.vars, "mu")
+    for q in range(1, n):
+        for mu in (MuSet.identity(cplx), MuSet.scalar(cplx, mu_var, degrees=[q]),
+                   MuSet.scalar(cplx, GaussianRational.of(Fraction(1, 2), 2), degrees=[q])):
+            inverted.clear()
+            assert verify_evolution_identity(cplx, q, mu)["ok"], q
+            assert len(inverted) == (q > 1), q
+            sym, mus = symbols._symbols(cplx, mu)
+            sig = Signature(sym.signature.spatial, "tau", sym.signature.params)
+            sym = sym.lift(sig)
+            d = symbols.generalized_laplacian(sym, q - 1, mus.lift(sym))
+            i_tau = Poly.variable(sig.vars, "tau").scale(GaussianRational.i())
+            corner = symbols._evolution_corner(sym, q, d, i_tau)
+            sq1 = sym.op(q - 1)
+            assert corner == (sq1.hermitian_transpose() @ sq1).scale(i_tau) @ invert(d)
+            assert (corner.factors == {}) == (q == 1)
+
+
 def test_stokes_hypothesis_degree_range():
     cplx, mu = _oseen_setup(3)
     with pytest.raises(HypothesisFailure):
@@ -419,9 +448,12 @@ def _ref_evolution_n_t(cplx, q, mu, scalar):
 
 
 def _evolution_n_t(cplx, q, mu, scalar):
-    """N_t + sigma(M_{q-1}) as ``verify_evolution_identity`` builds it:
-    ``_n_symbol`` on the lifted symbol complex around I/(i tau + scalar),
-    with the i tau term placed in its corner."""
+    """N_t + sigma(M_{q-1}) as ``verify_evolution_identity`` builds it where
+    sigma_{q-1}^* sigma_{q-1} differs from delta_{q-1}: ``_n_symbol`` on the
+    lifted symbol complex around I/(i tau + scalar), with the i tau term
+    i tau sigma_{q-1}^* sigma_{q-1} delta_{q-1}^{-1} placed in its corner
+    (at q = 1 the routine takes that term as the polynomial i tau I, which
+    the test of ``_evolution_corner`` compares with this product)."""
     sym, mus = symbols._symbols(cplx, mu)
     sig = Signature(sym.signature.spatial, "tau", sym.signature.params)
     sym = sym.lift(sig)

@@ -25,6 +25,7 @@ from cxkit.complexes import (
     perturbed_laplacian,
     powered_de_rham_complex,
 )
+from cxkit.diffop import SPATIAL, OperatorMatrix, Signature
 from cxkit.ellipticity import dn_weights_maxwell, dn_weights_stokes
 from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import HypothesisFailure, _check_stokes_hypotheses, _symbols
@@ -228,3 +229,67 @@ def test_constant_weight_stores_the_product(c, left):
     for which, q, m in ((0, 1, a), (0, 1, a.formal_adjoint()), (1, 2, a)):
         want = m.body.map(lambda p: (s * p if left else p * s) if p._num else p)
         assert _stored(mu.apply(which, q, m, left=left)) == _stored(type(m)(m.signature, want))
+
+
+_CONSTANTS = st.one_of(
+    st.sampled_from([0, 1, 2, GaussianRational.i(), GaussianRational.of(Fraction(2, 3), -1)]),
+    st.builds(GaussianRational.of, st.fractions(-4, 4, max_denominator=6),
+              st.fractions(-4, 4, max_denominator=6)))
+
+
+def _one_by_one(mu: MuSet, target, fn) -> MuSet:
+    """``mu`` over ``target`` with every scalar weight s taken as the entry of
+    ``fn`` of the 1x1 operator [s], a matrix m as ``fn(m)`` (reference)."""
+    sig = mu.cplx.signature
+
+    def one(w):
+        return fn(OperatorMatrix.scalar(sig, w))[0, 0] if isinstance(w, Poly) else fn(w)
+
+    return MuSet(target, {q: one(w) for q, w in mu._mu0.items()},
+                 {q: one(w) for q, w in mu._mu1.items()})
+
+
+def _stored_weights(mu: MuSet) -> list:
+    return [sorted((q, (w.vars, list(w._num.items()), w._den)) for q, w in ws.items())
+            for ws in (mu._mu0, mu._mu1)]
+
+
+def _time_lift(cplx):
+    sig = cplx.signature
+    return cplx.lift(Signature(sig.spatial, "dt", sig.params))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(CASES)), st.data())
+def test_constant_weights_map_as_the_one_by_one_operator(name, data):
+    """The symbols and the lift of a constant scalar weight are the same
+    constant over the new ring, as the principal symbol and the lift of the
+    1x1 operator [s] are; a parameter or a Laplace power takes that route."""
+    cplx = CASES[name]
+    n = cplx.length
+    scalar = st.one_of(_CONSTANTS, _CONSTANTS, _scalars(cplx))
+    given = st.lists(st.one_of(st.none(), scalar), min_size=n + 1, max_size=n + 1)
+    mu = MuSet(cplx, *({q: s for q, s in enumerate(data.draw(given)) if s is not None}
+                       for _ in range(2)))
+    sym, lifted = cplx.principal_symbols(), _time_lift(cplx)
+    assert _stored_weights(mu.principal_symbols(sym)) == _stored_weights(
+        _one_by_one(mu, sym, lambda m: m.principal_symbol(SPATIAL)))
+    assert _stored_weights(mu.lift(lifted)) == _stored_weights(
+        _one_by_one(mu, lifted, lambda m: m.lift(lifted.signature)))
+
+
+def test_only_a_non_constant_scalar_builds_a_one_by_one_operator(monkeypatch):
+    cplx = with_mu(de_rham_complex(3))
+    made = []
+    scalar = OperatorMatrix.scalar
+    monkeypatch.setattr(OperatorMatrix, "scalar",
+                        staticmethod(lambda sig, p: made.append(p) or scalar(sig, p)))
+    constants = MuSet(cplx, {0: 2, 1: GaussianRational.i()}, {2: 0, 3: Fraction(1, 3)})
+    constants.principal_symbols(cplx.principal_symbols())
+    constants.lift(_time_lift(cplx))
+    assert made == []
+    mu_var = Poly.variable(cplx.signature.vars, "mu")
+    param = MuSet(cplx, {1: mu_var}, {2: 3})
+    param.principal_symbols(cplx.principal_symbols())
+    param.lift(_time_lift(cplx))
+    assert made == [mu_var, mu_var]
