@@ -36,7 +36,8 @@ from functools import reduce
 from typing import Mapping, Sequence
 
 from cxkit._record import Record
-from cxkit.complexes import Complex, MatrixT, MuSet, generalized_laplacian, perturbed_laplacian
+from cxkit.complexes import (Complex, MatrixT, MuSet, _gram, generalized_laplacian,
+                              perturbed_laplacian)
 from cxkit.diffop import OperatorMatrix, Signature, SignatureMatrix
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
@@ -251,9 +252,8 @@ def stokes_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
 def _factorization_rhs(cplx: Complex, q: int, mu: MuSet) -> dict[int, SignatureMatrix]:
     """The diagonal blocks ``{j: P_j}`` of ``B_q A_{q-1} mu1_q A_{q-1}* B_q +
     sum_{j<q} B_j GL_j B_j``; at q = 0 the top block is the k_0 x k_0 zero."""
-    a = cplx.op(q - 1)
     blocks = {j: generalized_laplacian(cplx, j, mu) for j in range(q)}
-    blocks[q] = mu.apply(1, q, a) @ a.formal_adjoint()
+    blocks[q] = _gram(cplx, 1, q, mu)
     return blocks
 
 

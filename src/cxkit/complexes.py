@@ -19,11 +19,16 @@ on every call.  Parameters and time enter only through :meth:`Complex.lift`,
 which keeps up to ``SHARED_COMPLEXES`` lifts per complex (one of de Rham(8)
 onto time and a parameter takes ~5 ms and holds ~1.4 MB with its symbols
 and adjoints).  What a shared complex derives (its operators' adjoints and
-principal symbols, its complex of symbols, its lifts) is made once and
-serves every later caller, so callers must not mutate it or its matrices.
+principal symbols, its complex of symbols, its lifts, and the Gram products
+A_q* A_q and A_{q-1} A_{q-1}* of every degree a Laplacian has asked for) is
+made once and serves every later caller, so callers must not mutate it or
+its matrices.  A Laplacian with absent or constant scalar weights reads the
+Gram products and scales them; other weights form their products anew.
 The largest complex the spec language can ask for, de Rham(8), builds in
 ~4 ms, derives its symbols and adjoints in ~35 ms more and then keeps
-~1.7 MB; a full cache of complexes that size would hold ~27 MB.  An
+~1.7 MB; its complex of symbols keeps ~3.4 MB more of Gram products once
+all nine deltas are taken (~47 ms the first time, ~15 ms after), and a full
+cache of complexes that size would hold ~80 MB.  An
 operator compared by ``cxkit.syzygy.module_equivalent`` also keeps its
 packed rows and their Groebner basis: for every operator of de Rham(8)
 ~0.33 MB more (~5 MB for a full cache), a few KiB for de Rham(3).
@@ -50,7 +55,9 @@ MatrixT = TypeVar("MatrixT", bound=SignatureMatrix)
 
 # Entries of each builder's cache and lifts kept per complex (the fixture bundle
 # needs seven and two); a kept lift of de Rham(8) onto time and a parameter, with
-# its symbols and adjoints, takes ~5 ms and holds ~1.4 MB: ~23 MB for sixteen
+# its symbols and adjoints, takes ~5 ms and holds ~1.4 MB: ~23 MB for sixteen.
+# The Gram products a complex keeps are not lifts and count against no bound:
+# at most 2N per complex (~3.4 MB for de Rham(8)'s symbols, ~20 KB for de Rham(3))
 SHARED_COMPLEXES = 16
 
 
@@ -130,10 +137,11 @@ class Complex:
 
     def lift(self, signature: Signature) -> "Complex":
         """This complex over a richer signature (more parameters, time), made
-        once and kept; beyond ``SHARED_COMPLEXES`` lifts a new one drops the oldest."""
+        once and kept; beyond ``SHARED_COMPLEXES`` lifts a new one drops the
+        oldest lift (the kept symbols and Gram products stay)."""
         if signature == self.signature:
             return self
-        lifts = [k for k in self._derived if k != "symbols"]
+        lifts = [k for k in self._derived if isinstance(k, Signature)]
         if signature not in self._derived and len(lifts) == SHARED_COMPLEXES:
             del self._derived[lifts[0]]
         return self._kept(signature, lambda: Complex([op.lift(signature) for op in self.ops]))
@@ -269,16 +277,19 @@ class MuSet:
 
     def _weights(self, given: Mapping[int, object], step: int, name: str) -> dict:
         """The given weights other than the identity, a matrix checked
-        against the rank k of E_{q+step}."""
-        out, vars = {}, self.cplx.signature.vars
+        against the rank k of E_{q+step}; a scalar is the identity when its
+        packed form is the one's (the test ``PolyMatrix.scale`` makes)."""
+        out = {}
         for q, w in given.items():
             k = self.cplx.rank(q + step)
-            if not isinstance(w, SignatureMatrix):
+            if isinstance(w, SignatureMatrix):
+                if (w.rows, w.cols) != (k, k):
+                    raise ValueError(f"{name}[{q}] must be {k}x{k}, got {w.rows}x{w.cols}")
+                one = k and w == type(w).identity(w.signature, k)
+            else:
                 w = self.cplx.signature.as_poly(w)
-            elif (w.rows, w.cols) != (k, k):
-                raise ValueError(f"{name}[{q}] must be {k}x{k}, got {w.rows}x{w.cols}")
-            one = Poly.one(vars) if isinstance(w, Poly) else type(w).identity(w.signature, k)
-            if k and w != one:
+                one = w._den == 1 and w._num == {0: (1, 0)}
+            if k and not one:
                 out[q] = w
         return out
 
@@ -309,7 +320,9 @@ class MuSet:
         """These weights over ``cplx``: a matrix m as ``fn(m)``, a constant
         scalar as the same constant over ``cplx``'s ring (what ``fn`` makes
         of it, both for a principal symbol and for a lift) and any other
-        scalar s as the entry of ``fn`` of the 1x1 operator [s]."""
+        scalar s as the entry of ``fn`` of the 1x1 operator [s].  The set is
+        built as it is, without ``_weights``: a weight of a checked set maps
+        to a weight of the same shape that is not the identity either."""
         sig = self.cplx.signature
 
         def one(w):
@@ -317,10 +330,13 @@ class MuSet:
                 return fn(w)
             if w.is_constant:
                 return cplx.signature.as_poly(w.constant_value())
-            return fn(OperatorMatrix.scalar(sig, w))[0, 0]
+            return cplx.signature.as_poly(fn(OperatorMatrix.scalar(sig, w))[0, 0])
 
-        return MuSet(cplx, {q: one(w) for q, w in self._mu0.items()},
-                     {q: one(w) for q, w in self._mu1.items()})
+        out = object.__new__(MuSet)
+        out.cplx = cplx
+        out._mu0 = {q: one(w) for q, w in self._mu0.items()}
+        out._mu1 = {q: one(w) for q, w in self._mu1.items()}
+        return out
 
     def principal_symbols(self, sym: Complex) -> "MuSet":
         """The spatial principal symbols of these weights, over ``sym``, the
@@ -383,20 +399,44 @@ def laplacian(cplx: Complex, q: int) -> SignatureMatrix:
     return generalized_laplacian(cplx, q, MuSet.identity(cplx))
 
 
+def _gram(cplx: Complex, side: int, q: int, mu: MuSet | None = None,
+          weight: tuple[int, int] | None = None, *, left: bool = False) -> SignatureMatrix:
+    """The inner product ``A_q* mu0_q A_q`` (``side`` 0) or the outer one
+    ``A_{q-1} mu1_q A_{q-1}*`` (``side`` 1), both on E_q, for the weights
+    ``mu`` (unweighted for ``None``); ``weight`` (which, degree) names
+    another weight of ``mu``, taken on the left with ``left`` (``MuSet.apply``).
+
+    An absent weight reads the unweighted product, formed on the first
+    request and kept by the complex (key ``("gram", side, q)``); a constant
+    scalar c scales it, since c (X Y) is stored as (c X) Y is: a nonzero c
+    keeps every sum's term order and cancellations, and a zero c gives the
+    zero entries both ways.  Any other weight (a scalar with variables, a
+    matrix) takes the weighted product."""
+    a = cplx.op(q if side == 0 else q - 1)
+    which, at = weight or (side, q)
+    w = None if mu is None else (mu._mu0, mu._mu1)[which].get(at)
+    if w is None or isinstance(w, Poly) and w.is_constant:
+        gram = cplx._kept(("gram", side, q), lambda: a.formal_adjoint() @ a if side == 0
+                          else a @ a.formal_adjoint())
+        return gram if w is None else gram.scale(w)
+    if side == 0:
+        return mu.apply(which, at, a.formal_adjoint(), left=left) @ a
+    return mu.apply(which, at, a, left=left) @ a.formal_adjoint()
+
+
 def generalized_laplacian(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:
     """``A_q* mu0_q A_q + A_{q-1} mu1_q A_{q-1}*``; on the complex of
     principal symbols, with the weights' symbols, this is delta_{q,mu}.
-    Raises ``ValueError`` for a degree outside 0..N."""
+    Each product is the complex's kept Gram product, scaled by a constant
+    scalar weight, or the weighted product for any other weight
+    (``_gram``).  The result may be a kept matrix itself, which callers
+    must not mutate.  Raises ``ValueError`` for a degree outside 0..N."""
     cplx.check_degree(q)
-    k = cplx.rank(q)
-    total = cplx.zero(k, k)
-    if q < cplx.length:
-        a = cplx.op(q)
-        total = total + mu.apply(0, q, a.formal_adjoint()) @ a
-    if q > 0:
-        b = cplx.op(q - 1)
-        total = total + mu.apply(1, q, b) @ b.formal_adjoint()
-    return total
+    if q == 0:
+        return _gram(cplx, 0, q, mu)
+    if q == cplx.length:
+        return _gram(cplx, 1, q, mu)
+    return _gram(cplx, 0, q, mu) + _gram(cplx, 1, q, mu)
 
 
 def check_coherence(cplx: Complex, mu: MuSet, q: int) -> bool:

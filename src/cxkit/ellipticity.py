@@ -16,6 +16,7 @@ and Stokes operators come from one recurrence (``_plan``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
 from cxkit.complexes import Complex, MuSet
@@ -109,9 +110,17 @@ def _certify_power(det: Poly, spatial: Sequence[str]) -> tuple[GaussianRational,
     degree = det.total_degree(spatial)
     if degree % 2:
         return None
-    r2 = sum((Poly.variable(det.vars, v) ** 2 for v in spatial), Poly.zero(det.vars))
     gamma = det.leading_term()[1]
-    return (gamma, degree // 2) if det == (r2 ** (degree // 2)).scale(gamma) else None
+    power = _radius_power(det.vars, tuple(spatial), degree // 2)
+    return (gamma, degree // 2) if det == power.scale(gamma) else None
+
+
+@lru_cache(maxsize=32)
+def _radius_power(vars: tuple[str, ...], spatial: tuple[str, ...], k: int) -> Poly:
+    """(|zeta|^2)^k over ``vars``, |zeta|^2 the sum of the squares of the
+    ``spatial`` variables: built on the first request and kept."""
+    r2 = sum((Poly.variable(vars, v) ** 2 for v in spatial), Poly.zero(vars))
+    return r2 ** k
 
 
 def _axis(sphere_vars: Sequence[str]) -> tuple[float, ...]:

@@ -37,7 +37,7 @@ from cxkit.blockops import (
     maxwell,
     maxwell_blocks,
 )
-from cxkit.complexes import Complex, MuSet, generalized_laplacian
+from cxkit.complexes import Complex, MuSet, _gram, generalized_laplacian
 from cxkit.diffop import SPATIAL, Signature, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
 
@@ -457,13 +457,12 @@ def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
     """N + sigma(M_{q-1}) around an inverse for the degree-q block, its
     blocks over one denominator and placed (those of sigma(M_{q-1}) are
     disjoint from N's); with ``time_term``, N - B_{q-1} time_term B_{q-1}."""
-    sq = sym.op(q)
     sq1 = sym.op(q - 1)
     mu1_adj = mus.apply(1, q, sq1.hermitian_transpose(), left=True)
     lower = maxwell_blocks(sym, q - 1)
-    plain = [sq1, mu1_adj, -(mu1_adj @ sq1), *lower.values()]
+    plain = [sq1, mu1_adj, -_gram(sym, 0, q - 1, mus, (1, q), left=True), *lower.values()]
     (top, down, up, corner, *rest), num_factors, lcm = _over_common(
-        [q_inverse @ (mus.apply(0, q, sq.hermitian_transpose()) @ sq)]
+        [q_inverse @ _gram(sym, 0, q, mus)]
         + [RationalSymbolMatrix.from_symbol(b) for b in plain]
         + ([] if time_term is None else [time_term]))
     placed = dict(zip(lower, rest))
@@ -514,8 +513,7 @@ def _evolution_corner(sym: Complex, q: int, delta: SymbolMatrix,
     sigma_{q-1} equals delta_{q-1} exactly, which holds at q = 1 (the
     hypotheses make the degree-0 weights trivial), else the product with
     the inverse."""
-    sq1 = sym.op(q - 1)
-    gram = sq1.hermitian_transpose() @ sq1
+    gram = _gram(sym, 0, q - 1)
     if gram == delta:
         return RationalSymbolMatrix.from_symbol(sym.identity(gram.rows, i_tau))
     return gram.scale(i_tau) @ invert_symbol(delta)
