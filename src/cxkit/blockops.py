@@ -8,9 +8,11 @@ characteristic pattern ``B_r P B_c`` of placing an operator P into one block
 of the big matrix.  Blocks of distinct degree pairs are disjoint, so a sum
 ``sum B_r P B_c`` is a placement, not an addition: ``block_place`` writes
 every block into one entry table, zero elsewhere, and each entry is its
-block's as stored.  The Maxwell, Stokes and time builders and
-``block_diagonal`` (Laplacians or time terms on the diagonal) build on it.
-The block helpers take operator and symbol matrices alike.
+block's as stored.  One assembler, ``_assemble``, places the Maxwell blocks
+with a diagonal on one partition: the Maxwell, Stokes and time builders
+and the DN Stokes symbols of :mod:`cxkit.symbols` are each one call to it,
+and ``block_diagonal`` places a diagonal alone.  The block helpers take
+operator and symbol matrices alike.
 
 The evolution builders share one time lift: the complex and its weights are
 lifted to a signature with a time variable ``dt`` (plus the parameters of
@@ -171,12 +173,20 @@ def maxwell_blocks(cplx: Complex, q: int, mu: MuSet | None = None,
     return blocks
 
 
+def _assemble(cplx: Complex, q: int, diagonal: Mapping[int, MatrixT],
+              mu: MuSet | None = None, variant: int = 0) -> MatrixT:
+    """The degree-q Maxwell blocks (``maxwell_blocks``) plus ``diagonal[j]``
+    at (j, j), in one ``block_place``; the zero matrix with no blocks."""
+    blocks = maxwell_blocks(cplx, q, mu, variant)
+    blocks.update({(j, j): d for j, d in diagonal.items()})
+    part = BlockPartition.for_degree(cplx, q)
+    return block_place(part, blocks) if blocks else cplx.zero(part.size, part.size)
+
+
 def maxwell(cplx: Complex, q: int, mu: MuSet | None = None,
             variant: int = 0) -> SignatureMatrix:
     """The degree-q Maxwell operator M0 (variant 0) or M1 (variant 1)."""
-    blocks = maxwell_blocks(cplx, q, mu, variant)
-    part = BlockPartition.for_degree(cplx, q)
-    return block_place(part, blocks) if blocks else cplx.zero(part.size, part.size)
+    return _assemble(cplx, q, {}, mu, variant)
 
 
 def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
@@ -187,11 +197,8 @@ def maxwell_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None = None,
     or parameter polynomials.
     """
     cplx, mu, b, dt = _with_time(cplx, q, b, mu)
-    part = BlockPartition.for_degree(cplx, q)
-    blocks = maxwell_blocks(cplx, q, mu, variant)
-    blocks.update({(j, j): cplx.identity(part.ranks[j], _product(bj, dt))
-                   for j, bj in enumerate(b)})
-    return block_place(part, blocks)
+    return _assemble(cplx, q, {j: cplx.identity(cplx.rank(j), _product(bj, dt))
+                               for j, bj in enumerate(b)}, mu, variant)
 
 
 # ---------------------------------------------------------------------------
@@ -211,9 +218,7 @@ def assemble_stokes(cplx: Complex, q: int,
     """Generic Stokes-type assembly: given diagonal blocks per degree, add the
     unweighted Maxwell off-diagonal."""
     cplx = cplx.lift(cplx.signature.merge(*(d.signature for d in diagonal)))
-    blocks = {(j, j): d for j, d in enumerate(diagonal)}
-    blocks.update(maxwell_blocks(cplx, q))
-    return block_place(BlockPartition.for_degree(cplx, q), blocks)
+    return _assemble(cplx, q, dict(enumerate(diagonal)))
 
 
 def stokes(cplx: Complex, q: int, mu: MuSet | None = None,

@@ -399,29 +399,27 @@ def laplacian(cplx: Complex, q: int) -> SignatureMatrix:
     return generalized_laplacian(cplx, q, MuSet.identity(cplx))
 
 
-def _gram(cplx: Complex, side: int, q: int, mu: MuSet | None = None,
-          weight: tuple[int, int] | None = None, *, left: bool = False) -> SignatureMatrix:
+def _gram(cplx: Complex, side: int, q: int, mu: MuSet | None = None) -> SignatureMatrix:
     """The inner product ``A_q* mu0_q A_q`` (``side`` 0) or the outer one
     ``A_{q-1} mu1_q A_{q-1}*`` (``side`` 1), both on E_q, for the weights
-    ``mu`` (unweighted for ``None``); ``weight`` (which, degree) names
-    another weight of ``mu``, taken on the left with ``left`` (``MuSet.apply``).
+    ``mu`` (unweighted for ``None``).
 
     An absent weight reads the unweighted product, formed on the first
     request and kept by the complex (key ``("gram", side, q)``); a constant
     scalar c scales it, since c (X Y) is stored as (c X) Y is: a nonzero c
     keeps every sum's term order and cancellations, and a zero c gives the
     zero entries both ways.  Any other weight (a scalar with variables, a
-    matrix) takes the weighted product."""
+    matrix) takes the weighted product.  A caller that weights the product
+    by another weight applies it (``MuSet.apply``) to the unweighted one."""
     a = cplx.op(q if side == 0 else q - 1)
-    which, at = weight or (side, q)
-    w = None if mu is None else (mu._mu0, mu._mu1)[which].get(at)
+    w = None if mu is None else (mu._mu0, mu._mu1)[side].get(q)
     if w is None or isinstance(w, Poly) and w.is_constant:
         gram = cplx._kept(("gram", side, q), lambda: a.formal_adjoint() @ a if side == 0
                           else a @ a.formal_adjoint())
         return gram if w is None else gram.scale(w)
     if side == 0:
-        return mu.apply(which, at, a.formal_adjoint(), left=left) @ a
-    return mu.apply(which, at, a, left=left) @ a.formal_adjoint()
+        return mu.apply(0, q, a.formal_adjoint()) @ a
+    return mu.apply(1, q, a) @ a.formal_adjoint()
 
 
 def generalized_laplacian(cplx: Complex, q: int, mu: MuSet) -> SignatureMatrix:

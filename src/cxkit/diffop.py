@@ -95,13 +95,9 @@ class Signature(Record):
         return value.lift(self.vars) if isinstance(value, Poly) else Poly.constant(self.vars, value)
 
 
-def spatial_signature(n: int, *, time: bool = False, params: Sequence[str] = ()) -> Signature:
-    """The standard signature d1..dn (plus ``dt`` and sorted parameters)."""
-    return Signature(
-        spatial=tuple(f"d{j + 1}" for j in range(n)),
-        time="dt" if time else None,
-        params=params,
-    )
+def spatial_signature(n: int, *, params: Sequence[str] = ()) -> Signature:
+    """The standard signature d1..dn (plus sorted parameters)."""
+    return Signature(spatial=tuple(f"d{j + 1}" for j in range(n)), params=params)
 
 
 class SignatureMatrix:

@@ -134,9 +134,10 @@ def _verdict(check: str, sym: SymbolMatrix, *, hermitian: bool = False,
     or, with ``hermitian``, on ``sym`` as a Hermitian part, through its
     scalar part when it is one.  A zero determinant fails at the axis; then
     a gamma * (|zeta|^2)^k certificate decides: a determinant is certified
-    for any gamma, a Hermitian part for a real gamma > 0, and fails for a
-    real gamma < 0 with minimum gamma at the axis.  Otherwise the numeric
-    search runs, and ``sphere`` is imported."""
+    for any gamma, a Hermitian part for gamma > 0, and fails for gamma < 0
+    with minimum gamma at the axis.  A Hermitian part's gamma is real: each
+    diagonal entry of (s + s^H) / 2 has real coefficients.  Otherwise the
+    numeric search runs, and ``sphere`` is imported."""
     sphere_vars = sym.signature.derivative_vars
     form = sym.scalar_part() if hermitian else sym.body.determinant()
     determinant = None if hermitian else str(form)
@@ -147,10 +148,10 @@ def _verdict(check: str, sym: SymbolMatrix, *, hermitian: bool = False,
     if cert is not None:
         gamma, k = cert
         shown = f"({gamma})*(|zeta|^2)^{k}" + ("*I" if hermitian else "")
-        if not hermitian or gamma.is_real and gamma.re > 0:
+        if not hermitian or gamma.re > 0:
             return EllipticityReport("certified-symbolic", check,
                                      determinant=determinant, certified_form=shown)
-        if gamma.is_real and gamma.re < 0:
+        if gamma.re < 0:
             return EllipticityReport("fail", check, certified_form=shown,
                                      minimum=float(gamma.re), witness=_axis(sphere_vars))
     from cxkit import sphere

@@ -118,7 +118,7 @@ def symmetric_gradient_plane() -> dict:
             generalized_laplacian(c, q, mu) == _spec("r2").operators[f"W{q}"])
 
     # det sigma(A*A) = |zeta|^4 - zeta1^2 zeta2^2, exactly
-    gram = (c.op(0).formal_adjoint() @ c.op(0)).principal_symbol()
+    gram = laplacian(c, 0).principal_symbol()
     det = gram.body.determinant()
     ssig = c.signature.symbol_signature()
     z1, z2 = (Poly.variable(ssig.vars, v) for v in ssig.spatial)

@@ -31,6 +31,7 @@ from cxkit import poly
 from cxkit._record import Record
 from cxkit.blockops import (
     BlockPartition,
+    _assemble,
     block_diagonal,
     block_place,
     factorization_residual,
@@ -175,14 +176,8 @@ class RationalSymbolMatrix:
         return hash((self.signature, self.rows, self.cols))
 
     def is_identity(self) -> bool:
-        """True iff num == den * I exactly: core * prod f^(c-m) against
-        prod f^(d-m) * I, with m = min(c, d) for each factor."""
-        if self.rows != self.cols:
-            return False
-        num, den = self.num_factors, self.factors
-        shared = {f: min(c, den[f]) for f, c in num.items() if f in den}
-        ident = SymbolMatrix.identity(self.signature, self.rows)
-        return _times(self.core, _quotient(num, shared)) == _times(ident, _quotient(den, shared))
+        """True iff num == den * I exactly, by the arithmetic of ``==``."""
+        return self.rows == self.cols and self == SymbolMatrix.identity(self.signature, self.rows)
 
     def to_json(self) -> dict:
         return {
@@ -286,18 +281,11 @@ def maxwell_symbol(cplx: Complex, q: int, mu: MuSet | None = None,
     return maxwell(sym, q, mus, variant)
 
 
-def _stokes_dn(sym: Complex, q: int, top: SymbolMatrix) -> SymbolMatrix:
-    """``B_q top B_q + sigma(M0)``, unweighted off the diagonal, as one placement."""
-    blocks = maxwell_blocks(sym, q)
-    blocks[q, q] = top
-    return block_place(BlockPartition.for_degree(sym, q), blocks)
-
-
 def stokes_dn_symbol(cplx: Complex, q: int, mu: MuSet | None = None) -> SymbolMatrix:
     """DN principal symbol of the Stokes operator:
     ``B_q delta_{q,mu} B_q + maxwell_symbol``."""
     sym, mus = _symbols(cplx, mu)
-    return _stokes_dn(sym, q, generalized_laplacian(sym, q, mus))
+    return _assemble(sym, q, {q: generalized_laplacian(sym, q, mus)})
 
 
 # ---------------------------------------------------------------------------
@@ -351,15 +339,26 @@ def verify_symbolic_factorization(cplx: Complex, q: int,
             "ok": res.is_zero}
 
 
+def _placed(part: BlockPartition,
+            blocks: Mapping[tuple[int, int], RationalSymbolMatrix | SymbolMatrix]
+            ) -> RationalSymbolMatrix:
+    """``sum B_r P B_c`` of rational and symbol blocks: all over one
+    denominator (``_over_common``), their cores placed in one ``block_place``
+    and the whole over the shared numerator factors and the lcm."""
+    cores, num_factors, lcm = _over_common(
+        [b if isinstance(b, RationalSymbolMatrix) else RationalSymbolMatrix.from_symbol(b)
+         for b in blocks.values()])
+    return RationalSymbolMatrix._over(block_place(part, dict(zip(blocks, cores))),
+                                      num_factors, lcm)
+
+
 def _block_diagonal_inverse(sym: Complex, invs: Mapping[int, RationalSymbolMatrix]
                             ) -> RationalSymbolMatrix:
     """``sum_j B_j invs_j B_j`` for the inverses of delta_{j,mu}, by degree."""
     if not invs:
         raise ValueError("degrees is empty: need at least one degree")
-    cores, num_factors, lcm = _over_common(list(invs.values()))
-    part = BlockPartition.for_degree(sym, max(invs))
-    return RationalSymbolMatrix._over(block_diagonal(part, dict(zip(invs, cores))),
-                                      num_factors, lcm)
+    return _placed(BlockPartition.for_degree(sym, max(invs)),
+                   {(j, j): inv for j, inv in invs.items()})
 
 
 def block_diagonal_inverse(cplx: Complex, degrees: Sequence[int],
@@ -453,23 +452,21 @@ def _check_stokes_hypotheses(cplx: Complex, q: int, mu: MuSet, sym: Complex,
 
 
 def _n_symbol(sym: Complex, q: int, mus: MuSet, q_inverse: RationalSymbolMatrix,
-              time_term: RationalSymbolMatrix | None = None) -> RationalSymbolMatrix:
-    """N + sigma(M_{q-1}) around an inverse for the degree-q block, its
-    blocks over one denominator and placed (those of sigma(M_{q-1}) are
-    disjoint from N's); with ``time_term``, N - B_{q-1} time_term B_{q-1}."""
+              time_term: RationalSymbolMatrix | SymbolMatrix | None = None
+              ) -> RationalSymbolMatrix:
+    """N + sigma(M_{q-1}) around an inverse for the degree-q block, placed
+    in one ``_placed`` (the blocks of sigma(M_{q-1}) are disjoint from N's).
+    The corner -sigma(mu1_q) sigma_{q-1}^* sigma_{q-1} is mu1_q applied to
+    the kept product; with ``time_term``, that term is subtracted from the
+    corner before placement: N - B_{q-1} time_term B_{q-1}."""
     sq1 = sym.op(q - 1)
-    mu1_adj = mus.apply(1, q, sq1.hermitian_transpose(), left=True)
-    lower = maxwell_blocks(sym, q - 1)
-    plain = [sq1, mu1_adj, -_gram(sym, 0, q - 1, mus, (1, q), left=True), *lower.values()]
-    (top, down, up, corner, *rest), num_factors, lcm = _over_common(
-        [q_inverse @ _gram(sym, 0, q, mus)]
-        + [RationalSymbolMatrix.from_symbol(b) for b in plain]
-        + ([] if time_term is None else [time_term]))
-    placed = dict(zip(lower, rest))
-    placed.update({(q, q): top, (q, q - 1): down, (q - 1, q): up,
-                   (q - 1, q - 1): corner if time_term is None else corner - rest[-1]})
-    return RationalSymbolMatrix._over(
-        block_place(BlockPartition.for_degree(sym, q), placed), num_factors, lcm)
+    corner = -mus.apply(1, q, _gram(sym, 0, q - 1), left=True)
+    return _placed(BlockPartition.for_degree(sym, q), {
+        (q, q): q_inverse @ _gram(sym, 0, q, mus),
+        (q, q - 1): sq1,
+        (q - 1, q): mus.apply(1, q, sq1.hermitian_transpose(), left=True),
+        (q - 1, q - 1): corner if time_term is None else corner - time_term,
+        **maxwell_blocks(sym, q - 1)})
 
 
 def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
@@ -487,7 +484,7 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
     deltas = {j: generalized_laplacian(sym, j, mus) for j in range(q + 1)}
     invs = {j: invert_symbol(d) for j, d in deltas.items()}
     core = _n_symbol(sym, q, mus, invs[q])
-    s_dn = _stokes_dn(sym, q, deltas[q])
+    s_dn = _assemble(sym, q, {q: deltas[q]})
     intermediate_ok = (s_dn @ core) == block_diagonal(BlockPartition.for_degree(sym, q), deltas)
 
     f = core @ _block_diagonal_inverse(sym, invs)
@@ -507,7 +504,7 @@ def stokes_fundamental_symbol(cplx: Complex, q: int, mu: MuSet
 
 
 def _evolution_corner(sym: Complex, q: int, delta: SymbolMatrix,
-                      i_tau: Poly) -> RationalSymbolMatrix:
+                      i_tau: Poly) -> RationalSymbolMatrix | SymbolMatrix:
     """i tau sigma_{q-1}^* sigma_{q-1} delta_{q-1}^{-1}, for ``delta`` the
     weighted delta_{q-1}: the polynomial i tau I when sigma_{q-1}^*
     sigma_{q-1} equals delta_{q-1} exactly, which holds at q = 1 (the
@@ -515,7 +512,7 @@ def _evolution_corner(sym: Complex, q: int, delta: SymbolMatrix,
     the inverse."""
     gram = _gram(sym, 0, q - 1)
     if gram == delta:
-        return RationalSymbolMatrix.from_symbol(sym.identity(gram.rows, i_tau))
+        return sym.identity(gram.rows, i_tau)
     return gram.scale(i_tau) @ invert_symbol(delta)
 
 
@@ -550,7 +547,7 @@ def verify_evolution_identity(cplx: Complex, q: int, mu: MuSet) -> dict:
     resolvent = RationalSymbolMatrix(sym.identity(part.ranks[q]), resolvent_den)
     core = _n_symbol(sym, q, mus, resolvent, _evolution_corner(sym, q, deltas[q - 1], i_tau))
     top = deltas[q] + sym.identity(part.ranks[q], i_tau)
-    ok = (_stokes_dn(sym, q, top) @ core) == block_diagonal(part, deltas)
+    ok = (_assemble(sym, q, {q: top}) @ core) == block_diagonal(part, deltas)
     return {
         "identity": "stokes-evolution-symbol",
         "degree": q,

@@ -134,7 +134,7 @@ def _de_rham_over(n: int, sig: Signature) -> Complex:
 def test_lift_stores_what_a_build_over_the_signature_stores(n, time, params):
     """A lift of the (imaginary) de Rham complex onto time and parameters is
     stored, term order included, as a build directly over that signature."""
-    sig = spatial_signature(n, time=time, params=params)
+    sig = Signature(spatial_signature(n).spatial, "dt" if time else None, params)
     built = _de_rham_over(n, sig)
     i = GaussianRational.i()
     for lifted, want in ((de_rham_complex(n).lift(sig), built),
@@ -352,9 +352,9 @@ def test_equal_signatures_share_one_lift():
     keeps one complex of symbols; a lift onto the complex's own signature is
     the complex itself."""
     cplx = de_rham_complex(3)
-    sig = spatial_signature(3, time=True, params=["mu", "M"])
+    sig = Signature(("d1", "d2", "d3"), "dt", ["mu", "M"])
     lifted = cplx.lift(sig)
-    assert lifted is cplx.lift(spatial_signature(3, time=True, params=("M", "mu")))
+    assert lifted is cplx.lift(Signature(("d1", "d2", "d3"), "dt", ("M", "mu")))
     assert lifted.signature == sig and lifted is not cplx
     assert lifted.principal_symbols() is cplx.lift(sig).principal_symbols()
     assert cplx.lift(cplx.signature) is cplx
@@ -368,7 +368,7 @@ def test_different_arguments_build_different_complexes():
     d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
     builds = [de_rham_complex(3), with_mu(de_rham_complex(3)),
               de_rham_complex(3).lift(spatial_signature(3, params=["M", "mu"])),
-              de_rham_complex(3).lift(spatial_signature(3, time=True)),
+              de_rham_complex(3).lift(Signature(("d1", "d2", "d3"), "dt")),
               de_rham_complex(4), imaginary_de_rham_complex(3), with_mu(imaginary_de_rham_complex(3)),
               powered_de_rham_complex(3, 2), powered_de_rham_complex(3, 3),
               powered_de_rham_complex(2, 2), dolbeault_complex(2), dolbeault_complex(1),
@@ -425,7 +425,7 @@ def test_shared_complex_is_immutable():
         assert copy is not cplx and copy.ops == cplx.ops and copy.ranks == cplx.ranks
 
 
-TIME_MU2 = spatial_signature(2, time=True, params=["mu"])
+TIME_MU2 = Signature(("d1", "d2"), "dt", ["mu"])
 
 # Each shared complex (or kept lift) beside a fresh build by the builder's
 # uncached function (lifted afresh)

@@ -24,7 +24,7 @@ from cxkit.poly import GaussianRational, Poly, PolyMatrix
 from cxkit.symbols import invert_symbol
 
 SIG = spatial_signature(3)
-SIG_T = spatial_signature(3, time=True, params=("mu",))
+SIG_T = Signature(SIG.spatial, "dt", ("mu",))
 
 
 def _d(sig, name):
@@ -377,8 +377,9 @@ def _total_symbol(self) -> "SymbolMatrix":
 
 @st.composite
 def operators(draw):
-    sig = spatial_signature(draw(st.integers(1, 3)), time=draw(st.booleans()),
-                            params=["mu", "nu"][:draw(st.integers(0, 2))])
+    sig = Signature(spatial_signature(draw(st.integers(1, 3))).spatial,
+                    "dt" if draw(st.booleans()) else None,
+                    ["mu", "nu"][:draw(st.integers(0, 2))])
     rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
     entries = []
     for _ in range(rows):

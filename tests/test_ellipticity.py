@@ -14,7 +14,7 @@ from cxkit.complexes import (
     generalized_laplacian,
     laplacian,
 )
-from cxkit.diffop import OperatorMatrix, SymbolMatrix, spatial_signature
+from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
 from cxkit.ellipticity import (
     DEFAULT_SEED,
     WeightPlan,
@@ -120,6 +120,40 @@ def test_strong_ellipticity_sign():
     assert not strong_ellipticity_check(-lap).ok     # +Delta is not
 
 
+@st.composite
+def symbol_squares(draw):
+    """A square symbol with Gaussian-rational coefficients over one to three
+    spatial variables and maybe a parameter: either any such matrix, or
+    p I + m - m^H, whose Hermitian part is the scalar Re(p) I."""
+    sig = spatial_signature(draw(st.integers(1, 3)),
+                            params=["mu"][:draw(st.integers(0, 1))]).symbol_signature()
+
+    def poly():
+        return Poly(sig.vars, {tuple(draw(st.integers(0, 2)) for _ in sig.vars):
+                               GaussianRational.of(draw(rationals), draw(rationals))
+                               for _ in range(draw(st.integers(0, 3)))})
+
+    k = draw(st.integers(1, 3))
+    m = SymbolMatrix.from_entries(sig, [[poly() for _ in range(k)] for _ in range(k)])
+    if draw(st.booleans()):
+        return m
+    return SymbolMatrix.identity(sig, k, poly()) + m - m.hermitian_transpose()
+
+
+@settings(max_examples=150, deadline=None)
+@given(symbol_squares())
+def test_hermitian_part_has_a_real_scalar_part(s):
+    """The Hermitian part (s + s^H) / 2 the strong check passes to
+    ``_verdict`` has real coefficients on its diagonal, so its scalar part,
+    whenever it has one, and the certificate's gamma are real."""
+    herm = (s + s.hermitian_transpose()).scale(GaussianRational.of(1, 0) / GaussianRational.of(2, 0))
+    for i in range(herm.rows):
+        assert all(c.is_real for c in herm.body[i, i].terms.values())
+    scalar = herm.scalar_part()
+    if scalar is not None:
+        assert all(c.is_real for c in scalar.terms.values())
+
+
 @pytest.mark.parametrize("body, error", [
     ("[[d1, d2]]", "needs a square operator"),
     ("[[0, 0], [0, 0]]", "is undefined for the zero operator"),
@@ -135,7 +169,8 @@ def test_strong_check_argument_errors(body, error):
 
 # Every branch of the verdict route, as (check, operator literal over d1 d2).
 # ``strong-nonreal`` reads the Hermitian part's scalar times i, so that the
-# certificate finds a non-real gamma, which no operator's Hermitian part has.
+# certificate finds a non-real gamma, which no operator's Hermitian part has:
+# its real part is zero, neither sign test holds and the numeric search runs.
 VERDICT_CASES = {
     "zero-determinant": ("petrovskii", "[[d1, d2], [d1, d2]]"),
     "certified-determinant": ("petrovskii", "[[d1^2 + d2^2]]"),
@@ -460,8 +495,8 @@ def dn_cases(draw):
     """A square operator on a partition of one to three blocks, sparse
     entries of degree up to 4 in every variable, and weights that leave some
     blocks below zero."""
-    sig = spatial_signature(draw(st.integers(1, 3)), time=draw(st.booleans()),
-                            params=["mu"][:draw(st.integers(0, 1))])
+    sig = Signature(spatial_signature(draw(st.integers(1, 3))).spatial,
+                    "dt" if draw(st.booleans()) else None, ["mu"][:draw(st.integers(0, 1))])
     ranks = tuple(draw(st.lists(st.integers(1, 2), min_size=1, max_size=3)))
     part = blockops.BlockPartition(ranks)
     entries = [[Poly(sig.vars, {tuple(draw(st.integers(0, 4)) for _ in sig.vars):

@@ -1317,7 +1317,7 @@ def test_matrix_lift_is_the_entrywise_lift(rows, new_vars):
 
 def test_zero_entries_of_a_lift_are_one_object():
     op = de_rham_complex(3).op(1)
-    lifted = op.lift(spatial_signature(3, time=True, params=("mu",))).body
+    lifted = op.lift(Signature(("d1", "d2", "d3"), "dt", ("mu",))).body
     zeros = {id(p) for row in lifted.entries for p in row if p.is_zero}
     assert len(zeros) == 1 and sum(p.is_zero for row in lifted.entries for p in row) == 3
     assert zeros != {id(p) for row in op.body.entries for p in row if p.is_zero}
