@@ -134,8 +134,8 @@ def block_diagonal(part: BlockPartition, blocks: Mapping[int, MatrixT]) -> Matri
 
 def _product(*factors: Poly) -> Poly:
     """The product of ``factors``, left to right, none multiplied by a one."""
-    one = Poly.one(factors[0].vars)
-    return reduce(Poly.__mul__, [f for f in factors if f != one] or [one])
+    return reduce(Poly.__mul__, [f for f in factors if not f.is_one]
+                  or [Poly.one(factors[0].vars)])
 
 
 def _with_time(cplx: Complex, q: int, b: Sequence, mu: MuSet | None

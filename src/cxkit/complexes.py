@@ -277,8 +277,8 @@ class MuSet:
 
     def _weights(self, given: Mapping[int, object], step: int, name: str) -> dict:
         """The given weights other than the identity, a matrix checked
-        against the rank k of E_{q+step}; a scalar is the identity when its
-        packed form is the one's (the test ``PolyMatrix.scale`` makes)."""
+        against the rank k of E_{q+step}; a scalar is the identity when it
+        is the polynomial one (the test ``PolyMatrix.scale`` makes)."""
         out = {}
         for q, w in given.items():
             k = self.cplx.rank(q + step)
@@ -288,7 +288,7 @@ class MuSet:
                 one = k and w == type(w).identity(w.signature, k)
             else:
                 w = self.cplx.signature.as_poly(w)
-                one = w._den == 1 and w._num == {0: (1, 0)}
+                one = w.is_one
             if k and not one:
                 out[q] = w
         return out
@@ -362,7 +362,7 @@ class MuSet:
         if not left or w.is_constant:
             return m.scale(w)
         s = w.lift(m.signature.vars)
-        return type(m)(m.signature, m.body.map(lambda p: s * p if p._num else p))
+        return type(m)(m.signature, m.body.map(lambda p: p if p.is_zero else s * p))
 
     def trivial(self, q: int) -> bool:
         """True when both weights at degree q are absent (the identity)."""

@@ -16,6 +16,7 @@ and Stokes operators come from one recurrence (``_plan``).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from typing import TYPE_CHECKING, Sequence
 
@@ -197,7 +198,7 @@ def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
     if op.order() % 2 != 0:
         raise ValueError("strong ellipticity check needs an even-order operator")
     s = op.principal_symbol()
-    herm = (s + s.hermitian_transpose()).scale(GaussianRational.of(1, 0) / GaussianRational.of(2, 0))
+    herm = (s + s.hermitian_transpose()).scale(Fraction(1, 2))
     return _verdict("strong-ellipticity", herm, hermitian=True, seed=seed, budget=budget)
 
 

@@ -237,12 +237,18 @@ def stokes_classical() -> dict:
     return _report("stokes-classical-3", checks, {"plan": plan.to_json()})
 
 
+def _viscous_flow(n: int, degrees: Sequence[int] | None = None) -> tuple[Complex, MuSet]:
+    """de Rham(n) lifted onto the parameter mu, with the viscosity mu as a
+    scalar weight at ``degrees`` (every degree for ``None``)."""
+    c = de_rham_complex(n).lift(spatial_signature(n, params=["mu"]))
+    return c, MuSet.scalar(c, c.op(0).poly("mu"), degrees=degrees)
+
+
 def stokes_block_3() -> dict:
     """Degree-3 Stokes operator on the de Rham complex: block layout matches
     the displayed pattern (div / -grad / curl / curl / grad / -div couplings
     around generalized-Laplacian diagonal blocks)."""
-    c = de_rham_complex(3).lift(spatial_signature(3, params=["mu"]))
-    mu_set = MuSet.scalar(c, c.op(0).poly("mu"))
+    c, mu_set = _viscous_flow(3)
     s3 = blockops.stokes(c, 3, mu_set)
     part = blockops.BlockPartition.for_degree(c, 3)
     grad, div, curl = (_spec("r3").operators[k].lift(c.signature)
@@ -272,8 +278,7 @@ def oseen_symbol() -> dict:
     checks = {}
     extras = {}
     for n in (3, 2):
-        c = de_rham_complex(n).lift(spatial_signature(n, params=["mu"]))
-        mu_set = MuSet.scalar(c, c.op(0).poly("mu"), degrees=[1])
+        c, mu_set = _viscous_flow(n, degrees=[1])
         f, rep = symbols.stokes_fundamental_symbol(c, 1, mu_set)
         checks[f"fundamental-r{n}"] = rep["ok"]
         ev = symbols.verify_evolution_identity(c, 1, mu_set)
@@ -295,8 +300,7 @@ def parametrix_family() -> dict:
                 checks[f"{name}-{side}"] = True
             except ArithmeticError:
                 checks[f"{name}-{side}"] = False
-    cp = de_rham_complex(3).lift(spatial_signature(3, params=["mu"]))
-    mu = MuSet.scalar(cp, cp.op(0).poly("mu"))
+    cp, mu = _viscous_flow(3)
     for q in (1, 2, 3):
         checks[f"factorization-q{q}"] = symbols.verify_symbolic_factorization(
             cp, q, mu)["ok"]
@@ -312,13 +316,12 @@ def dn_weights() -> dict:
         p0.s == (1, 1, 1, 1) and p0.t == (0, 0, 0, 0)
         and p1.s == (1, 1, 1, 1) and p1.t == (0, 0, 0, 0)
     )
-    cp = de_rham_complex(3).lift(spatial_signature(3, params=["mu"]))
+    cp, mu_set = _viscous_flow(3, degrees=[1])
     plan1 = ellipticity.dn_weights_stokes(cp, 1)
     plan2 = ellipticity.dn_weights_stokes(cp, 2)
     checks["stokes-q1"] = plan1.s == (2, 1) and plan1.t == (0, 1)
     checks["stokes-q2"] = plan2.s == (2, 1, 2) and plan2.t == (0, 1, 0)
 
-    mu_set = MuSet.scalar(cp, cp.op(0).poly("mu"), degrees=[1])
     s1 = blockops.stokes(cp, 1, mu_set)
     part = blockops.BlockPartition.for_degree(cp, 1)
     rep = ellipticity.dn_check(s1, part, ellipticity.dn_weights_stokes(cp, 1, mu_set))

@@ -475,6 +475,10 @@ class Poly:
         return not self._num
 
     @property
+    def is_one(self) -> bool:
+        return self._den == 1 and self._num == {0: (1, 0)}
+
+    @property
     def is_constant(self) -> bool:
         return not any(self._num)  # the constant monomial's key is 0
 
@@ -941,7 +945,7 @@ class PolyMatrix:
         stores what the product would; the constant is split once, its
         canonical numerator over its denominator, for every entry."""
         if isinstance(value, Poly):
-            if value._den == 1 and value._num == {0: (1, 0)}:  # the Poly one
+            if value.is_one:
                 return self
             if not value.is_constant or value.vars != self.vars:
                 return self.map(lambda p: p * value if p._num else p)

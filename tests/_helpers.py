@@ -1,14 +1,17 @@
 """Helpers shared by the symbol tests: a Hypothesis strategy of small
-rationals, the stored form of a symbol matrix, term order included, and a
-complex lifted to carry the parameter ``mu``; and shared by the determinant
-tests: the block-by-block reference of a split determinant."""
+rationals, the stored form of a symbol matrix, term order included, a
+complex lifted to carry the parameter ``mu``, a weight as a matrix, a
+constant matrix weight and |zeta|^2; shared by the determinant tests: the
+block-by-block reference of a split determinant; and shared by the cold
+runs: emptying the builders' caches of shared complexes."""
 
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
+from cxkit import complexes
 from cxkit.diffop import Signature
-from cxkit.poly import Poly, PolyMatrix
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 10]))
 
@@ -23,6 +26,31 @@ def with_mu(cplx):
     """``cplx`` over its spatial variables and the parameter ``mu``, for the
     builders that take no parameters."""
     return cplx.lift(Signature(cplx.signature.spatial, None, ("mu",)))
+
+
+def mu_matrix(mu, which, q):
+    """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
+    the identity with the weight applied."""
+    k = mu.cplx.rank(q + 1 if which == 0 else q - 1)
+    return mu.apply(which, q, mu.cplx.identity(k))
+
+
+def matrix_weight(cplx, k: int):
+    """A k x k constant matrix, neither the identity nor a scalar multiple
+    of it."""
+    sig = cplx.signature
+    return type(cplx.ops[0]).from_entries(sig, [
+        [Poly.constant(sig.vars, GaussianRational.of(Fraction(r + 2 * c + 1, 3), r - c))
+         for c in range(k)] for r in range(k)])
+
+
+def norm2(sig: Signature) -> Poly:
+    """|zeta|^2, the sum of the squares of ``sig``'s spatial variables."""
+    total = Poly.zero(sig.vars)
+    for v in sig.spatial:
+        z = Poly.variable(sig.vars, v)
+        total = total + z * z
+    return total
 
 
 def _odd(order: list) -> bool:
@@ -74,3 +102,11 @@ def split_determinant(m, det, mul):
     row_order = [i for rows, _ in parts for i in rows]
     col_order = [j for _, cols in parts for j in cols]
     return -total if _odd(row_order) != _odd(col_order) else total
+
+
+def clear_shared_complexes() -> None:
+    """Empty the builders' caches of shared complexes, so that each next
+    build is a fresh complex that keeps nothing yet."""
+    for cached in (complexes.de_rham_complex, complexes.powered_de_rham_complex,
+                   complexes.dolbeault_complex, complexes.imaginary_de_rham_complex):
+        cached.cache_clear()

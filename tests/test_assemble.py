@@ -27,7 +27,7 @@ from cxkit.complexes import (
 )
 from cxkit.poly import GaussianRational, Poly
 
-from _helpers import stored, with_mu
+from _helpers import matrix_weight, stored, with_mu
 
 COMPLEXES = {
     "de-rham-2": lambda: with_mu(de_rham_complex(2)),
@@ -36,15 +36,6 @@ COMPLEXES = {
     "dolbeault-2": lambda: with_mu(dolbeault_complex(2)),
 }
 WEIGHTS = ["absent", "constant", "mu", "laplace-power", "matrix"]
-
-
-def _matrix_weight(cplx, k: int):
-    """A k x k constant matrix, neither the identity nor a scalar multiple
-    of it."""
-    sig = cplx.signature
-    return type(cplx.ops[0]).from_entries(sig, [
-        [Poly.constant(sig.vars, GaussianRational.of(Fraction(r + 2 * c + 1, 3), r - c))
-         for c in range(k)] for r in range(k)])
 
 
 def _weights(cplx, kind: str) -> MuSet | None:
@@ -59,8 +50,8 @@ def _weights(cplx, kind: str) -> MuSet | None:
         return MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
     if kind == "laplace-power":
         return MuSet.laplace_powers(cplx, dict.fromkeys(degrees, 1), dict.fromkeys(degrees, 1))
-    return MuSet(cplx, {q: _matrix_weight(cplx, cplx.rank(q + 1)) for q in degrees},
-                 {q: _matrix_weight(cplx, cplx.rank(q - 1)) for q in degrees})
+    return MuSet(cplx, {q: matrix_weight(cplx, cplx.rank(q + 1)) for q in degrees},
+                 {q: matrix_weight(cplx, cplx.rank(q - 1)) for q in degrees})
 
 
 def _targets(name: str, kind: str):

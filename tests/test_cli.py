@@ -9,8 +9,13 @@ from pathlib import Path
 
 import pytest
 
-from cxkit import ellipticity, syzygy
+from cxkit import ellipticity, sphere, syzygy
 from cxkit.cli import _build_parser, main
+
+from _helpers import clear_shared_complexes
+
+ROOT = Path(__file__).resolve().parents[1]
+DATA = ROOT / "tests" / "data"
 
 SPEC = """\
 vars: d1 d2 d3
@@ -301,11 +306,39 @@ def test_bad_sampling_arguments_are_json_errors(tmp_path, capsys, flag, value, m
     assert rep == {"command": "ellipticity", "error": message, "ok": False}
 
 
-DATA = Path(__file__).parent / "data"
+def _pin_rows() -> list:
+    """The rows of the pin table ``cli_pins.txt``, read as CI's shell loop
+    reads them: words split on whitespace, ``#`` lines and blank lines
+    skipped.  A row's id is its command, the spec named by its file name."""
+    rows = []
+    for line in (DATA / "cli_pins.txt").read_text().splitlines():
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        pin, status, bar, *args = line.split()
+        assert bar == "|", line
+        rows.append(pytest.param(pin, int(status), args,
+                                 id=" ".join(args).replace("--spec tests/data/", "")))
+    return rows
+
+
+@pytest.mark.parametrize("pin, status, args", _pin_rows())
+def test_pinned_report(tmp_path, monkeypatch, pin, status, args):
+    """One row of the pin table, run in-process from the repository root
+    twice: cold, with no shared complex built and no sphere scan memoized,
+    then warm, reading back what the first run kept.  Both runs end with the
+    row's exit status and write its pinned bytes."""
+    monkeypatch.chdir(ROOT)
+    clear_shared_complexes()
+    sphere._scan_memo.cache_clear()
+    out = tmp_path / pin
+    for run in ("cold", "warm"):
+        assert _run([*args, "--json", str(out)]) == status, run
+        assert out.read_bytes() == (DATA / pin).read_bytes(), run
+
+
 # A positive definite quadratic in three variables with cross terms, the shape
 # of the corpus's ellipticity specs: no symbolic certificate applies, so both
 # checks run the full numeric search (Sobol scan and 16 Nelder-Mead polishes).
-# The CI smoke step runs the installed entry point on the same file.
 QUADRATIC3_SPEC = DATA / "quadratic3.spec"
 
 
@@ -316,8 +349,6 @@ def test_numeric_ellipticity_report_bytes(tmp_path, kind):
     kinds run twice in one process, ``kind`` first: its first report comes
     from a cold memo of points and power columns, the others read them
     back."""
-    from cxkit import sphere
-
     out = tmp_path / "report.json"
     other = {"petrovskii": "strong", "strong": "petrovskii"}[kind]
     sphere._scan_memo.cache_clear()
@@ -326,37 +357,6 @@ def test_numeric_ellipticity_report_bytes(tmp_path, kind):
                      "--json", str(out)]) == 0
         want = DATA / f"ellipticity_quadratic3_{run}.json"
         assert out.read_bytes() == want.read_bytes(), run
-
-
-# The polish's hard cases, pinned before its state moved into one array; the
-# CI smoke step runs the installed entry point on the same files.  In
-# quadratic4.spec (-sum a_ij d_i d_j, a positive definite) one of the 16
-# runs reaches the iteration limit; lame3.spec is the 3-D Lame operator at
-# lambda = -13/10, mu = 7/5, whose symbol's least eigenvalue is mu on the
-# whole sphere, a flat objective of 3x3 eigenvalues with shared entries.
-@pytest.mark.parametrize("name, kind", [("quadratic4", "petrovskii"), ("lame3", "strong")])
-def test_polish_hard_case_report_bytes(tmp_path, name, kind):
-    from cxkit import sphere
-
-    out = tmp_path / "report.json"
-    sphere._scan_memo.cache_clear()
-    for _ in range(2):
-        assert _run(["ellipticity", "--spec", str(DATA / f"{name}.spec"), "--kind", kind,
-                     "--json", str(out)]) == 0
-        assert out.read_bytes() == (DATA / f"ellipticity_{name}_{kind}.json").read_bytes()
-
-
-# The classical Stokes system [[(dt - mu*Laplace) I_3, grad], [div, 0]], entered
-# entry by entry (its report pinned before the spec language had block
-# literals) and as a block literal: one operator, so one report.  Its verdict
-# is a fail, and rightly: the isotropic principal symbol keeps only the
-# second-order diagonal, so the determinant is 0.
-@pytest.mark.parametrize("form", ["flat", "block"])
-def test_stokes_display_report_bytes(tmp_path, form):
-    out = tmp_path / "report.json"
-    assert _run(["ellipticity", "--spec", str(DATA / f"stokes3_{form}.spec"), "--name", "S",
-                 "--kind", "petrovskii", "--json", str(out)]) == 1
-    assert out.read_bytes() == (DATA / "ellipticity_stokes3_petrovskii.json").read_bytes()
 
 
 @pytest.mark.parametrize("command", ["syzygy", "extend"])
@@ -379,110 +379,6 @@ def test_zero_pair_budget_is_an_argument_and_a_limit(tmp_path, capsys):
     assert _run(["syzygy", "--spec", str(spec), "--budget", "0"]) == 1
     rep = json.loads(capsys.readouterr().out)
     assert rep == {"command": "syzygy", "error": "S-pair budget of 0 exceeded", "ok": False}
-
-
-# The 3-D symmetric gradient; the CI smoke step runs the installed entry
-# point on the same file, one fresh process per command.
-SYMGRAD3_SPEC = DATA / "symgrad3.spec"
-
-
-@pytest.mark.parametrize("command", ["syzygy", "extend"])
-def test_syzygy_report_bytes(tmp_path, command):
-    """The compatibility operator and the resolution of the symmetric
-    gradient are pinned byte for byte."""
-    out = tmp_path / "report.json"
-    assert _run([command, "--spec", str(SYMGRAD3_SPEC), "--json", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"{command}_symgrad3.json").read_bytes()
-
-
-# The four-generator module of ROADMAP item 5, whose resolution has five
-# steps; both reports were pinned before operators kept their Groebner bases.
-# The CI smoke step runs the installed entry point on the same file.
-ROADMAP4_SPEC = DATA / "roadmap4.spec"
-
-
-@pytest.mark.parametrize("command", ["syzygy", "extend"])
-def test_roadmap4_report_bytes(tmp_path, command):
-    out = tmp_path / "report.json"
-    assert _run([command, "--spec", str(ROADMAP4_SPEC), "--json", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"{command}_roadmap4.json").read_bytes()
-
-
-# de Rham(3) with scalar mu weights at degrees 1 and 2, the viscous flow's
-# weights; its weight plans and parametrices were pinned before the half
-# orders and the Laplacian tables had one derivation each, and its verify,
-# Laplacian, Maxwell and Stokes reports (which print through ``Signature``
-# and ``GaussianRational``) before those stopped being dataclasses.  The CI
-# smoke steps run the installed entry point on the same file, one fresh
-# process per command.
-FLOW3_SPEC = DATA / "flow3.spec"
-FLOW3_PINS = {
-    "verify_flow3.json": ["verify"],
-    "laplacian_flow3.json": ["laplacian", "--degree", "1"],
-    "maxwell_flow3.json": ["maxwell", "--degree", "2"],
-    "stokes_flow3.json": ["stokes", "--degree", "1"],
-    "dn_weights_flow3_maxwell.json": ["dn-weights"],
-    **{f"dn_weights_flow3_stokes{q}.json": ["dn-weights", "--stokes", "--degree", str(q)]
-       for q in range(4)},
-    **{f"parametrix_flow3_{side}.json": ["parametrix", "--side", side]
-       for side in ("right", "left")},
-}
-
-
-@pytest.mark.parametrize("pin", sorted(FLOW3_PINS))
-def test_flow3_report_bytes(tmp_path, pin):
-    out = tmp_path / "report.json"
-    args = FLOW3_PINS[pin]
-    assert _run([*args, "--spec", str(FLOW3_SPEC), "--json", str(out)]) == 0
-    assert out.read_bytes() == (DATA / pin).read_bytes()
-
-
-# Two complexes of one spec from one builder call, de_rham(3): the builder
-# hands both names the same shared complex, and only B carries weights, so
-# B's weights must not reach A.  Both reports were pinned before the builders
-# shared their complexes; the CI smoke step runs the installed entry point on
-# the same file.
-SHARED_SPEC = DATA / "shared_de_rham3.spec"
-SHARED_PINS = {
-    "verify_shared_de_rham3.json": ["verify"],
-    "parametrix_shared_de_rham3_B_right.json": ["parametrix", "--name", "B", "--side", "right"],
-}
-
-
-@pytest.mark.parametrize("pin", sorted(SHARED_PINS))
-def test_shared_complex_report_bytes(tmp_path, pin):
-    out = tmp_path / "report.json"
-    for _ in range(2):
-        assert _run([*SHARED_PINS[pin], "--spec", str(SHARED_SPEC), "--json", str(out)]) == 0
-        assert out.read_bytes() == (DATA / pin).read_bytes()
-
-
-def test_unicode_digit_report_bytes(tmp_path):
-    """An Arabic-Indic digit reads as its value; a superscript digit, which
-    ``int`` refuses, is a located error.  The CI smoke step runs the
-    installed entry point on the same file, in a fresh process."""
-    out = tmp_path / "report.json"
-    spec = DATA / "unicode_digit.spec"
-    assert _run(["verify", "--spec", str(spec), "--json", str(out)]) == 1
-    assert out.read_bytes() == (DATA / "verify_unicode_digit.json").read_bytes()
-
-
-# The plane symmetric-gradient complex: its delta blocks are not scalar, so
-# its parametrix inverts them through the adjugate.  Pinned before the
-# library options this command never sets were removed.
-@pytest.mark.parametrize("side", ["right", "left"])
-def test_symgrad2_parametrix_report_bytes(tmp_path, side):
-    out = tmp_path / "report.json"
-    spec = DATA / "symgrad2.spec"
-    assert _run(["parametrix", "--spec", str(spec), "--side", side, "--json", str(out)]) == 0
-    assert out.read_bytes() == (DATA / f"parametrix_symgrad2_{side}.json").read_bytes()
-
-
-def test_spec_without_an_operator_report_bytes(tmp_path):
-    """flow3.spec holds only a complex: an operator command says so."""
-    out = tmp_path / "report.json"
-    assert _run(["syzygy", "--spec", str(FLOW3_SPEC), "--json", str(out)]) == 1
-    assert out.read_bytes() == (DATA / "syzygy_flow3.json").read_bytes()
 
 
 @pytest.mark.parametrize("spec, error", [

@@ -27,14 +27,7 @@ from cxkit.poly import GaussianRational, Poly
 
 from math import comb
 
-from _helpers import stored, with_mu
-
-
-def _weight(mu, which, q):
-    """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
-    the identity with the weight applied."""
-    k = mu.cplx.rank(q + 1 if which == 0 else q - 1)
-    return mu.apply(which, q, mu.cplx.identity(k))
+from _helpers import mu_matrix, stored, with_mu
 
 
 # ---------------------------------------------------------------------------
@@ -236,8 +229,8 @@ def test_mu_lift_to_richer_signature():
     lifted = mu.lift(cplx_t)
     assert lifted.cplx is cplx_t
     for q in range(cplx.length + 1):
-        assert _weight(lifted, 0, q) == _weight(mu, 0, q).lift(sig)
-        assert _weight(lifted, 1, q) == _weight(mu, 1, q).lift(sig)
+        assert mu_matrix(lifted, 0, q) == mu_matrix(mu, 0, q).lift(sig)
+        assert mu_matrix(lifted, 1, q) == mu_matrix(mu, 1, q).lift(sig)
 
 
 def test_laplace_powers_weights():
@@ -258,9 +251,9 @@ def test_scalar_weights_place_value_identity_and_skip_rank_zero():
     mu = MuSet(cplx, {0: muval, 3: muval}, {0: 5, 2: muval})
     # mu0 at degree 3 and mu1 at degree 0 act on rank-0 spaces: no entry
     assert set(mu._mu0) == {0} and set(mu._mu1) == {2}
-    assert _weight(mu, 0, 0) == OperatorMatrix.identity(sig, 3).scale(muval)
-    assert _weight(mu, 1, 2) == OperatorMatrix.identity(sig, 3).scale(muval)
-    assert _weight(mu, 0, 1) == OperatorMatrix.identity(sig, 3)
+    assert mu_matrix(mu, 0, 0) == OperatorMatrix.identity(sig, 3).scale(muval)
+    assert mu_matrix(mu, 1, 2) == OperatorMatrix.identity(sig, 3).scale(muval)
+    assert mu_matrix(mu, 0, 1) == OperatorMatrix.identity(sig, 3)
     # the scalar builders and the spec's mu statements are this constructor
     lap = Poly.zero(sig.vars)
     for v in sig.spatial:
@@ -272,7 +265,7 @@ def test_scalar_weights_place_value_identity_and_skip_rank_zero():
          MuSet(cplx, {1: lap, 3: lap ** 2}, {2: lap})),
     ):
         for q in range(cplx.length + 1):
-            assert _weight(got, 0, q) == _weight(want, 0, q) and _weight(got, 1, q) == _weight(want, 1, q)
+            assert mu_matrix(got, 0, q) == mu_matrix(want, 0, q) and mu_matrix(got, 1, q) == mu_matrix(want, 1, q)
 
 
 def test_perturbed_laplacian_lower_order():

@@ -27,15 +27,8 @@ from cxkit.ellipticity import (
     strong_ellipticity_check,
 )
 from cxkit.fixtures import symmetric_gradient_complex
-from _helpers import rationals, stored, with_mu
+from _helpers import mu_matrix, rationals, stored, with_mu
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
-
-
-def _weight(mu, which, q):
-    """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
-    the identity with the weight applied."""
-    k = mu.cplx.rank(q + 1 if which == 0 else q - 1)
-    return mu.apply(which, q, mu.cplx.identity(k))
 
 
 # ---------------------------------------------------------------------------
@@ -277,8 +270,8 @@ def test_maxwell_weights_satisfy_defining_relations():
     p0, p1 = dn_weights_maxwell(cplx, mu)
     n = cplx.length
     m = [cplx.op(j).order() for j in range(n)]
-    mt = [max(_weight(mu, 0, j).order(), 0) for j in range(n + 1)]   # order 2*mtilde
-    mh = [max(_weight(mu, 1, j).order(), 0) for j in range(n + 1)]
+    mt = [max(mu_matrix(mu, 0, j).order(), 0) for j in range(n + 1)]   # order 2*mtilde
+    mh = [max(mu_matrix(mu, 1, j).order(), 0) for j in range(n + 1)]
     for plan, variant in ((p0, 0), (p1, 1)):
         s, t = plan.s, plan.t
         for j in range(1, n + 1):
@@ -305,8 +298,8 @@ def test_stokes_weights_satisfy_defining_relations(mtilde, mhat, balanced):
     mu = MuSet.laplace_powers(cplx, mtilde, mhat)
     n = cplx.length
     m = [cplx.op(j).order() for j in range(n)]
-    mt = [max(_weight(mu, 0, j).order(), 0) // 2 for j in range(n + 1)]
-    mh = [max(_weight(mu, 1, j).order(), 0) // 2 for j in range(n + 1)]
+    mt = [max(mu_matrix(mu, 0, j).order(), 0) // 2 for j in range(n + 1)]
+    mh = [max(mu_matrix(mu, 1, j).order(), 0) // 2 for j in range(n + 1)]
     checked = []
     for q in range(n + 1):
         if 0 < q < n and m[q] + mt[q] != m[q - 1] + mh[q]:

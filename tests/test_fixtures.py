@@ -10,6 +10,8 @@ from cxkit import cli, complexes, dsl
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.poly import Poly
 
+from _helpers import clear_shared_complexes
+
 SIG = spatial_signature(2)
 
 
@@ -107,9 +109,7 @@ def test_warm_bundle_equals_cold_bundle(tmp_path):
     """``cxkit fixtures`` twice in one process: the first run builds every
     complex, the second reuses the shared ones and what they keep, and both
     write the reference bundle byte for byte."""
-    for cached in (complexes.de_rham_complex, complexes.powered_de_rham_complex,
-                   complexes.dolbeault_complex, complexes.imaginary_de_rham_complex):
-        cached.cache_clear()
+    clear_shared_complexes()
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     assert cli.main(["fixtures", "--json", str(cold)]) == 0
     assert complexes.de_rham_complex.cache_info().hits > 0

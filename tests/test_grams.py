@@ -21,7 +21,7 @@ from cxkit.complexes import (
 from cxkit.diffop import Signature, spatial_signature
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
-from _helpers import stored
+from _helpers import matrix_weight, stored
 
 # Fresh builds (the builders' uncached functions), so each test sees its
 # complexes without Gram products kept by other tests
@@ -48,15 +48,6 @@ def _variants(name: str) -> dict:
             "ops-time-mu": (lifted, lifted), "symbols-time-mu": (lifted, lifted.principal_symbols())}
 
 
-def _matrix_weight(cplx, k: int):
-    """A k x k constant matrix, neither the identity nor a scalar multiple
-    of it."""
-    sig = cplx.signature
-    return type(cplx.ops[0]).from_entries(sig, [
-        [Poly.constant(sig.vars, GaussianRational.of(Fraction(r + 2 * c + 1, 3), r - c))
-         for c in range(k)] for r in range(k)])
-
-
 def _weights(cplx, kind: str) -> MuSet:
     """Weights of one kind at every degree, over the operator complex."""
     degrees = range(cplx.length + 1)
@@ -65,8 +56,8 @@ def _weights(cplx, kind: str) -> MuSet:
     if kind == "laplace-power":
         return MuSet.laplace_powers(cplx, dict.fromkeys(degrees, 1), dict.fromkeys(degrees, 1))
     if kind == "matrix":
-        return MuSet(cplx, {q: _matrix_weight(cplx, cplx.rank(q + 1)) for q in degrees},
-                     {q: _matrix_weight(cplx, cplx.rank(q - 1)) for q in degrees})
+        return MuSet(cplx, {q: matrix_weight(cplx, cplx.rank(q + 1)) for q in degrees},
+                     {q: matrix_weight(cplx, cplx.rank(q - 1)) for q in degrees})
     mu = Poly.variable(cplx.signature.vars, "mu") if "mu" in cplx.signature.vars else None
     value = {"rational": Fraction(3, 2), "gaussian": GaussianRational.of(2, Fraction(-1, 3)),
              "zero": 0, "mu": mu,

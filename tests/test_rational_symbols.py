@@ -27,7 +27,7 @@ from cxkit.symbols import (
     stokes_fundamental_symbol,
 )
 
-from _helpers import stored, with_mu
+from _helpers import norm2, stored, with_mu
 
 SIG0 = Signature(("z1", "z2"), None, ())
 SIG1 = Signature(("z1", "z2"), None, ("mu",))
@@ -304,13 +304,6 @@ def test_scalar_inverse_matches_the_fraction_reciprocal(block):
     assert _stored_factors(over.factors) == _stored_factors({f: 1 for f in factors})
 
 
-def _norm2(sig: Signature) -> Poly:
-    total = Poly.zero(sig.vars)
-    for z in sig.spatial:
-        total = total + Poly.variable(sig.vars, z) ** 2
-    return total
-
-
 PARAMETRIX_COMPLEXES = {
     "de-rham-3": lambda: de_rham_complex(3),
     "de-rham-4": lambda: de_rham_complex(4),
@@ -329,7 +322,7 @@ def test_parametrix_denominator_is_the_top_block_power(name, top_rank, side):
     cplx = PARAMETRIX_COMPLEXES[name]()
     assert top_rank == max(cplx.rank(j) for j in range(cplx.length + 1))
     f = maxwell_parametrix_symbol(cplx, None, side)
-    n2 = _norm2(f.signature)
+    n2 = norm2(f.signature)
     assert f.factors == {n2: top_rank}
     assert f.den == n2 ** top_rank
 
@@ -341,7 +334,7 @@ def test_block_diagonal_inverse_pulls_out_the_shared_power():
     constant identity: the parametrix products multiply constants."""
     cplx = de_rham_complex(5)
     inv = block_diagonal_inverse(cplx, range(6))
-    n2 = _norm2(inv.signature)
+    n2 = norm2(inv.signature)
     assert inv.factors == {n2: 10} and inv.num_factors == {n2: 9}
     assert inv.core == SymbolMatrix.identity(inv.signature, 32)
 
@@ -356,7 +349,7 @@ def test_de_rham_5_stokes_fundamental_symbol(q):
     c = de_rham_complex(5)
     f, report = stokes_fundamental_symbol(c, q, MuSet.scalar(c, Fraction(3, 2), degrees=[q]))
     assert report["ok"] and report["intermediate_ok"] and report["product_ok"]
-    assert set(f.factors) == {_norm2(f.signature)}
+    assert set(f.factors) == {norm2(f.signature)}
 
 
 def test_oseen_denominator_is_the_full_product():
@@ -370,7 +363,7 @@ def test_oseen_denominator_is_the_full_product():
     mu = c.op(0).poly("mu")
     f, report = stokes_fundamental_symbol(c, 1, MuSet.scalar(c, mu, degrees=[1]))
     assert report["ok"]
-    n2 = _norm2(f.signature)
+    n2 = norm2(f.signature)
     mu_n2 = Poly.variable(f.signature.vars, "mu") * n2
     assert f.factors == {mu_n2: 6, n2: 1}
     assert f.den == mu_n2 ** 6 * n2

@@ -47,25 +47,10 @@ from cxkit.symbols import (
 )
 from cxkit.syzygy import extend_to_complex
 
-from _helpers import with_mu
-
-
-def _weight(mu, which, q):
-    """The weight mu0_q (``which`` 0) or mu1_q (``which`` 1) as a matrix:
-    the identity with the weight applied."""
-    k = mu.cplx.rank(q + 1 if which == 0 else q - 1)
-    return mu.apply(which, q, mu.cplx.identity(k))
+from _helpers import mu_matrix, norm2, with_mu
 
 
 CPLX3 = de_rham_complex(3)
-
-
-def _norm2(sig):
-    total = Poly.zero(sig.vars)
-    for v in sig.spatial:
-        z = Poly.variable(sig.vars, v)
-        total = total + z * z
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -74,7 +59,7 @@ def _norm2(sig):
 
 def test_rational_symbol_algebra():
     s = sigma(CPLX3, 0)  # symbol of grad: 3x1
-    den = _norm2(s.signature)
+    den = norm2(s.signature)
     r = RationalSymbolMatrix(s, den)
     # r + r == 2 r (cross-multiplied equality)
     two = RationalSymbolMatrix(s.scale(2), den)
@@ -84,7 +69,7 @@ def test_rational_symbol_algebra():
 
 def test_rational_symbol_cross_multiplied_equality():
     s = sigma(CPLX3, 0)
-    den = _norm2(s.signature)
+    den = norm2(s.signature)
     a = RationalSymbolMatrix(s, den)
     b = RationalSymbolMatrix(s.scale(3), den.scale(3))
     assert a == b
@@ -93,7 +78,7 @@ def test_rational_symbol_cross_multiplied_equality():
 
 def test_rational_symbol_mixed_matmul():
     s = sigma(CPLX3, 0)
-    den = _norm2(s.signature)
+    den = norm2(s.signature)
     r = RationalSymbolMatrix(s, den)
     adj = sigma(CPLX3, 0).hermitian_transpose()
     prod = adj @ r  # SymbolMatrix @ RationalSymbolMatrix via reflected op
@@ -122,7 +107,7 @@ def test_invert_symbol_singular():
 def test_delta_is_norm_squared_identity():
     for q in range(4):
         sym = delta(CPLX3, q)
-        n2 = _norm2(sym.signature)
+        n2 = norm2(sym.signature)
         assert sym == SymbolMatrix.identity(sym.signature,
                                             CPLX3.rank(q)).scale(n2)
 
@@ -368,13 +353,13 @@ def _ref_delta(cplx, q, mu=None):
         if mu is None:
             total = total + s.hermitian_transpose() @ s
         else:
-            total = total + s.hermitian_transpose() @ _ref_sigma_mu(_weight(mu, 0, q)) @ s
+            total = total + s.hermitian_transpose() @ _ref_sigma_mu(mu_matrix(mu, 0, q)) @ s
     if q > 0:
         s = sigma(cplx, q - 1)
         if mu is None:
             total = total + s @ s.hermitian_transpose()
         else:
-            total = total + s @ _ref_sigma_mu(_weight(mu, 1, q)) @ s.hermitian_transpose()
+            total = total + s @ _ref_sigma_mu(mu_matrix(mu, 1, q)) @ s.hermitian_transpose()
     return total
 
 
@@ -388,9 +373,9 @@ def _ref_maxwell_symbol(cplx, q, mu=None, variant=0):
     for j in range(q):
         s = sigma(cplx, j)
         if variant == 0:
-            down = _ref_sigma_mu(_weight(mu, 0, j)) @ s
+            down = _ref_sigma_mu(mu_matrix(mu, 0, j)) @ s
         else:
-            down = s @ _ref_sigma_mu(_weight(mu, 1, j + 1))
+            down = s @ _ref_sigma_mu(mu_matrix(mu, 1, j + 1))
         total = total + block_inject(part, down, j + 1, j)
         total = total + block_inject(part, s.hermitian_transpose(), j, j + 1)
     return total
@@ -405,7 +390,7 @@ def _ref_factorization_residual(cplx, q, mu=None):
     rhs = SymbolMatrix.zero(sig, part.size, part.size)
     if q > 0:
         s = sigma(cplx, q - 1)
-        top = s @ _ref_sigma_mu(_weight(mu, 1, q)) @ s.hermitian_transpose()
+        top = s @ _ref_sigma_mu(mu_matrix(mu, 1, q)) @ s.hermitian_transpose()
         rhs = rhs + block_inject(part, top, q, q)
     for j in range(q):
         rhs = rhs + block_inject(part, _ref_delta(cplx, j, mu), j, j)
@@ -427,8 +412,8 @@ def _ref_evolution_n_t(cplx, q, mu, scalar):
 
     sq = up(sigma(cplx, q))
     sq1 = up(sigma(cplx, q - 1))
-    mu0_sym = up(_ref_sigma_mu(_weight(mu, 0, q)))
-    mu1_sym = up(_ref_sigma_mu(_weight(mu, 1, q)))
+    mu0_sym = up(_ref_sigma_mu(mu_matrix(mu, 0, q)))
+    mu1_sym = up(_ref_sigma_mu(mu_matrix(mu, 1, q)))
 
     core = RationalSymbolMatrix(sq.hermitian_transpose() @ mu0_sym @ sq, resolvent_den)
     n_t = RationalSymbolMatrix(block_inject(part, core.num, q, q), core.den)
@@ -525,7 +510,7 @@ def test_builders_on_symbol_complex_match_reference(name, weights):
                          _ref_maxwell_symbol(cplx, q, mu, variant))
         _assert_same(symbolic_factorization_residual(cplx, q, mu),
                      _ref_factorization_residual(cplx, q, mu))
-    scalar = _norm2(cplx.signature.symbol_signature())
+    scalar = norm2(cplx.signature.symbol_signature())
     for q in range(1, cplx.length + 1):
         n_t = _evolution_n_t(cplx, q, mu, scalar)
         ref = _ref_evolution_n_t(cplx, q, mu or MuSet.identity(cplx), scalar)
