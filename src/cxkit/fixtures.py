@@ -1,13 +1,13 @@
 """Fixture corpus: the paper's reference systems and their reconstruction.
 
 Every display (electromagnetic field system, acoustics, mass-quanta field
-system, classical Stokes, ...) and every expected Laplacian over the
-derivative symbols is spec text in ``corpus/*.spec``, one document per
-signature, read by :func:`cxkit.dsl.parse` once per process: block literals
-in the block order and sign of :mod:`cxkit.blockops`.  Each fixture rebuilds
-the same operators through the package API and checks exact equality plus the
-associated identities; expected values over the symbol variables z1..zn,
-which a spec cannot name, stay here.  Each fixture function returns a
+system, classical Stokes, ...), every expected Laplacian over the derivative
+symbols and every expected value over the symbol variables z1..zn (a
+document whose ``vars`` are z1..zn) is spec text in ``corpus/*.spec``, one
+document per signature, read by :func:`cxkit.dsl.parse` once per process:
+block literals in the block order and sign of :mod:`cxkit.blockops`.  Each
+fixture rebuilds the same operators through the package API and checks exact
+equality plus the associated identities.  Each fixture function returns a
 JSON-friendly report ``{"name", "checks", "ok"}``; ``run_all`` collects them
 in a deterministic bundle.
 """
@@ -117,13 +117,8 @@ def symmetric_gradient_plane() -> dict:
         checks[f"weighted-laplacian-{q}"] = (
             generalized_laplacian(c, q, mu) == _spec("r2").operators[f"W{q}"])
 
-    # det sigma(A*A) = |zeta|^4 - zeta1^2 zeta2^2, exactly
     gram = laplacian(c, 0).principal_symbol()
-    det = gram.body.determinant()
-    ssig = c.signature.symbol_signature()
-    z1, z2 = (Poly.variable(ssig.vars, v) for v in ssig.spatial)
-    target = (z1 * z1 + z2 * z2) ** 2 - z1 * z1 * z2 * z2
-    checks["gram-determinant"] = det == target
+    checks["gram-determinant"] = gram.body.determinant() == _scalar("z2", "gram_det")
 
     report = _symmetric_gradient_injectivity()
     checks["injectivity-numeric"] = (
@@ -335,9 +330,8 @@ def ellipticity_suite() -> dict:
     extras = {}
     c3 = de_rham_complex(3)
     ssig = c3.signature.symbol_signature()
-    zeta2 = sum((Poly.variable(ssig.vars, z) ** 2 for z in ssig.spatial), Poly.zero(ssig.vars))
     checks["de-rham-delta-certified"] = all(
-        symbols.delta(c3, q) == SymbolMatrix.identity(ssig, c3.rank(q), zeta2)
+        symbols.delta(c3, q) == SymbolMatrix.identity(ssig, c3.rank(q), _scalar("z3", "norm2"))
         for q in range(c3.length + 1))
 
     rep = _symmetric_gradient_injectivity()

@@ -2,14 +2,14 @@
 rationals, the stored form of a symbol matrix, term order included, a
 complex lifted to carry the parameter ``mu``, a weight as a matrix, a
 constant matrix weight and |zeta|^2; shared by the determinant tests: the
-block-by-block reference of a split determinant; and shared by the cold
-runs: emptying the builders' caches of shared complexes."""
+block-by-block reference of a split determinant; and shared by every cold
+run: ``cold_start``, which empties each cache cxkit keeps."""
 
+import sys
 from fractions import Fraction
 
 from hypothesis import strategies as st
 
-from cxkit import complexes
 from cxkit.diffop import Signature
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
@@ -104,9 +104,13 @@ def split_determinant(m, det, mul):
     return -total if _odd(row_order) != _odd(col_order) else total
 
 
-def clear_shared_complexes() -> None:
-    """Empty the builders' caches of shared complexes, so that each next
-    build is a fresh complex that keeps nothing yet."""
-    for cached in (complexes.de_rham_complex, complexes.powered_de_rham_complex,
-                   complexes.dolbeault_complex, complexes.imaginary_de_rham_complex):
-        cached.cache_clear()
+def cold_start() -> None:
+    """Empty every cache of the loaded ``cxkit`` modules, each object there
+    with a ``cache_clear``: the builders' shared complexes, the sphere's
+    scan memo, the fixture corpus and whatever a later module keeps, so the
+    next run derives everything afresh."""
+    for name, module in list(sys.modules.items()):
+        if name == "cxkit" or name.startswith("cxkit."):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()

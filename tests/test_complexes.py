@@ -5,7 +5,6 @@ from copy import deepcopy
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from cxkit import complexes, symbols
 from cxkit.complexes import (

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cxkit import blockops, dsl, ellipticity, poly, symbols
+from cxkit import blockops, dsl, ellipticity, poly
 from cxkit.complexes import (
     MuSet,
     de_rham_complex,

@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from cxkit import cli, complexes, dsl
+from cxkit import cli, complexes, dsl, fixtures, sphere
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.poly import Poly
 
-from _helpers import clear_shared_complexes
+from _helpers import cold_start
 
 SIG = spatial_signature(2)
 
@@ -106,12 +106,16 @@ REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" /
 
 
 def test_warm_bundle_equals_cold_bundle(tmp_path):
-    """``cxkit fixtures`` twice in one process: the first run builds every
-    complex, the second reuses the shared ones and what they keep, and both
+    """``cxkit fixtures`` twice in one process: the first run starts from
+    ``cold_start``, so it builds every complex and runs every numeric search,
+    the second reuses the shared complexes and what they keep, and both
     write the reference bundle byte for byte."""
-    clear_shared_complexes()
+    cold_start()
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     assert cli.main(["fixtures", "--json", str(cold)]) == 0
+    searched = fixtures._symmetric_gradient_injectivity.cache_info()
+    assert (searched.misses, searched.hits) == (1, 1)  # searched once, read once
+    assert sphere._scan_memo.cache_info().misses >= 1
     assert complexes.de_rham_complex.cache_info().hits > 0
     hits = complexes.de_rham_complex.cache_info().hits
     assert cli.main(["fixtures", "--json", str(warm)]) == 0

@@ -1,13 +1,19 @@
-"""Each ``cxkit`` command loads only the modules it runs.
+"""Each ``cxkit`` command loads only the modules it runs, and every module
+uses each name it imports.
 
-Every case is a fresh interpreter that runs one command through
-``cxkit.cli.main`` and then lists the ``cxkit`` modules it has loaded, which
-of numpy, ``numpy.random`` and ``numpy.ma`` are among them (the numeric
-commands run on numpy's core and linalg alone), which of ``dataclasses``
-and ``inspect`` (the exact commands build no dataclass), and whether sympy,
-a test-only oracle, is (no command loads it).
+The probe, ``probe``, is a fresh interpreter that refuses every import of
+scipy, ``numpy.random`` and ``numpy.ma`` (the numeric commands run on
+numpy's core and linalg alone), runs one or more commands through
+``cxkit.cli.main``, one after another, and then lists the exit status of
+each, the imports it refused, the ``cxkit`` modules it has loaded, which of
+numpy and scipy (the "heavy" modules) are among them after each command,
+which of ``dataclasses`` and ``inspect`` (the exact commands build no
+dataclass), and whether sympy, a test-only oracle, is (no command loads
+it).  Each command still ends as it does unrefused: the numeric check
+passes and the bundle is the reference bundle, byte for byte.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -20,16 +26,30 @@ import cxkit
 
 PROBE = """
 import json, sys
+refused = []
+
+class Refuse:
+    def find_spec(self, name, path=None, target=None):
+        if name.partition(".")[0] == "scipy" or name in ("numpy.random", "numpy.ma"):
+            refused.append(name)
+            raise ImportError(f"{name} is blocked")
+
+sys.meta_path.insert(0, Refuse())
+heavy = lambda: sorted(m for m in ("numpy", "numpy.ma", "numpy.random", "scipy",
+                                   "scipy.optimize", "scipy.special", "scipy.stats")
+                       if m in sys.modules)
 from cxkit.cli import main
-out, argv = sys.argv[1], sys.argv[2:]
-try:
-    main(argv)
-except SystemExit:  # --help
-    pass
+out, commands = sys.argv[1], json.loads(sys.argv[2])
+codes, seen = [], []
+for argv in commands:
+    try:
+        codes.append(main(argv))
+    except SystemExit as exit:  # --help
+        codes.append(exit.code)
+    seen.append(heavy())
 mods = sorted(m for m in sys.modules if m == "cxkit" or m.startswith("cxkit."))
 with open(out, "w") as fh:
-    json.dump({"cxkit": mods, "numpy": sorted(m for m in ("numpy", "numpy.ma", "numpy.random")
-                                               if m in sys.modules),
+    json.dump({"codes": codes, "refused": refused, "cxkit": mods, "heavy": seen,
                "stdlib": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
                "sympy": sorted(m for m in sys.modules if m.split(".")[0] == "sympy")}, fh)
 """
@@ -38,8 +58,11 @@ SPEC = """\
 vars: d1 d2 d3
 operator Q = [[-3*d1^2 - 2*d1*d2 - 2*d2^2 - 2*d2*d3 - 4*d3^2]]
 complex C = de_rham(3)
+mu C 1 scalar 2
 """
 
+ROOT = Path(__file__).resolve().parents[1]
+REFERENCE_BUNDLE = ROOT / "perfbench" / "reference" / "fixtures.json"
 EXACT = {"cxkit", "cxkit.cli", "cxkit.dsl", "cxkit.complexes", "cxkit.diffop", "cxkit.poly",
          "cxkit._record"}
 ALL = {"cxkit"} | {f"cxkit.{name}" for name in
@@ -51,16 +74,19 @@ ALL = {"cxkit"} | {f"cxkit.{name}" for name in
 DATACLASSES = ["dataclasses", "inspect"]
 
 
-def _loaded(tmp_path, *argv: str) -> dict:
+def probe(tmp_path, *commands: list) -> dict:
+    """What the probe saw running ``commands``, each an argv in which
+    ``SPEC`` stands for a file of ``SPEC`` and ``OUT`` for
+    ``<command>.json`` in ``tmp_path``."""
     spec = tmp_path / "doc.spec"
     spec.write_text(SPEC)
     src = str(Path(cxkit.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
     out = tmp_path / "loaded.json"
-    args = [a.replace("SPEC", str(spec)).replace("OUT", str(tmp_path / "report.json"))
-            for a in argv]
-    proc = subprocess.run([sys.executable, "-c", PROBE, str(out), *args],
+    argvs = [[{"SPEC": str(spec), "OUT": str(tmp_path / f"{argv[0]}.json")}.get(a, a)
+              for a in argv] for argv in commands]
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(out), json.dumps(argvs)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(out.read_text())
@@ -79,11 +105,18 @@ def _loaded(tmp_path, *argv: str) -> dict:
     (["fixtures", "--json", "OUT"], ALL, True),
 ], ids=["help", "verify", "laplacian", "parametrix", "syzygy", "ellipticity", "fixtures"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules, numpy):
-    loaded = _loaded(tmp_path, *argv)
+    loaded = probe(tmp_path, argv)
+    assert loaded["codes"] == [0]
+    assert loaded["refused"] == []
     assert set(loaded["cxkit"]) == modules
-    assert loaded["numpy"] == (["numpy"] if numpy else [])
+    assert loaded["heavy"] == [["numpy"] if numpy else []]
     assert loaded["stdlib"] == (DATACLASSES if "cxkit.ellipticity" in modules else [])
     assert loaded["sympy"] == []
+    report = tmp_path / f"{argv[0]}.json"
+    if argv[0] == "ellipticity":
+        assert json.loads(report.read_text())["report"]["verdict"] == "numeric-pass"
+    if argv[0] == "fixtures":
+        assert report.read_bytes() == REFERENCE_BUNDLE.read_bytes()
 
 
 def test_every_module_is_listed():
@@ -91,3 +124,27 @@ def test_every_module_is_listed():
     package = Path(cxkit.__file__).parent
     assert ALL == {"cxkit"} | {f"cxkit.{p.stem}" for p in package.glob("*.py")
                                if p.stem != "__init__"}
+
+
+def _unused_imports(path: Path) -> list:
+    """The names ``path`` imports and never reads, ``from __future__``
+    imports and the names its ``__all__`` lists aside."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    imported, read = {}, set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update({a.asname or a.name.partition(".")[0]: node.lineno for a in node.names})
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update({a.asname or a.name: node.lineno for a in node.names})
+        elif isinstance(node, ast.Name):
+            read.add(node.id)
+        elif isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            read |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return [f"{path.relative_to(ROOT)}:{line}: {name}"
+            for name, line in sorted(imported.items()) if name not in read]
+
+
+def test_every_imported_name_is_read():
+    modules = sorted((ROOT / "src" / "cxkit").glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
+    assert [unused for path in modules for unused in _unused_imports(path)] == []

@@ -1,8 +1,9 @@
 """The numeric sphere search: its shared-monomial evaluation kernel against
 the earlier per-entry evaluation, its Sobol, ndtri and Nelder-Mead ports
-against scipy, its scramble bits against ``numpy.random``, its argument
-checks, and the boundary that keeps numpy out of exact work and scipy,
-``numpy.random`` and ``numpy.ma`` out of every command.
+against scipy, its scramble bits against ``numpy.random`` and its
+argument checks, and the boundary that keeps numpy out of exact work and
+scipy, ``numpy.random`` and ``numpy.ma`` out of every command, through the
+import probe of ``tests/test_imports.py``.
 
 ``_compile_poly`` and ``_compile_matrix`` are the earlier evaluation, one
 numpy call chain per matrix entry, kept verbatim as the reference.  The
@@ -31,9 +32,6 @@ values.
 
 import itertools
 import json
-import os
-import subprocess
-import sys
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -43,13 +41,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import cxkit
 from cxkit import sphere
 from cxkit._sobol_directions import POLY, VINIT
 from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
 from cxkit.ellipticity import (DEFAULT_BUDGET, DEFAULT_SEED, petrovskii_check,
                                strong_ellipticity_check)
 from cxkit.poly import _MAX_VARS, GaussianRational, Poly, PolyMatrix
+
+from _helpers import cold_start
+from test_imports import REFERENCE_BUNDLE, probe
 
 # ---------------------------------------------------------------------------
 # Reference: per-entry evaluation
@@ -520,10 +520,6 @@ def test_memo_columns_match_the_power_table(dim):
         assert col.tobytes() == np.ascontiguousarray(one).tobytes(), e
 
 
-def _cold_memo() -> None:
-    sphere._scan_memo.cache_clear()
-
-
 def _quadratic3() -> OperatorMatrix:
     """A positive definite quadratic in three variables that no certificate
     covers, so its checks take the numeric search."""
@@ -540,7 +536,7 @@ def test_second_check_raises_no_scan_coordinate(monkeypatch):
     passes its 60 000 scan coordinates to ``**`` once, for its one exponent;
     a second check of that dimension passes none.  The polish, which raises
     its own points, is stubbed out."""
-    _cold_memo()
+    cold_start()
     raised = []
     power = np.power
 
@@ -559,7 +555,7 @@ def test_second_check_raises_no_scan_coordinate(monkeypatch):
 
 
 def test_memo_entries_are_read_only_and_go_with_their_points():
-    _cold_memo()
+    cold_start()
     key = (3, DEFAULT_BUDGET, DEFAULT_SEED)
     strong_ellipticity_check(_quadratic3())
     memo = sphere._scan_memo(*key)
@@ -585,9 +581,9 @@ def test_checks_at_other_seeds_and_budgets_read_their_own_columns():
     runs = [(DEFAULT_SEED, DEFAULT_BUDGET), (7, DEFAULT_BUDGET), (DEFAULT_SEED, 4097)]
     cold = {}
     for seed, budget in runs:
-        _cold_memo()
+        cold_start()
         cold[seed, budget] = petrovskii_check(_quadratic3(), seed=seed, budget=budget)
-    _cold_memo()
+    cold_start()
     for seed, budget in runs + runs[::-1]:
         rep = petrovskii_check(_quadratic3(), seed=seed, budget=budget)
         assert (rep.minimum, rep.argmin) == (cold[seed, budget].minimum,
@@ -606,7 +602,7 @@ def test_memo_keeps_no_column_past_its_bound_at_the_coordinate_cap(monkeypatch):
     scan raises each block's rows instead and keeps nothing.  The points
     are one unit vector broadcast to the cap, and the kernel and the polish
     are stubbed out."""
-    _cold_memo()
+    cold_start()
     dim = 2
     budget = sphere._MAX_COORDINATES // dim
     assert 8 * budget * dim > sphere._POWER_BYTES
@@ -1228,61 +1224,25 @@ def test_dimension_beyond_the_direction_table_is_rejected():
 DE_RHAM = "vars: d1 d2 d3\ncomplex C = de_rham(3)\nmu C 1 scalar 2\n"
 QUADRATIC = "vars: d1 d2\noperator Q = [[-d1^2 - d1*d2 - d2^2]]\n"
 
-PROBE = """\
-import json, sys
-refused = []
-
-class Refuse:
-    def find_spec(self, name, path=None, target=None):
-        if name.partition(".")[0] == "scipy" or name in ("numpy.random", "numpy.ma"):
-            refused.append(name)
-            raise ImportError(f"{name} is blocked")
-
-sys.meta_path.insert(0, Refuse())
-heavy = lambda: sorted(m for m in ("numpy", "numpy.ma", "numpy.random", "scipy",
-                                   "scipy.optimize", "scipy.special", "scipy.stats")
-                       if m in sys.modules)
-import cxkit.cli as cli
-seen = {"import": heavy()}
-de_rham, quadratic, out = sys.argv[1:]
-codes = {}
-for name, argv in (("verify", ["verify", "--spec", de_rham]),
-                   ("parametrix", ["parametrix", "--spec", de_rham]),
-                   ("ellipticity", ["ellipticity", "--spec", quadratic,
-                                    "--kind", "petrovskii", "--budget", "256"]),
-                   ("fixtures", ["fixtures"])):
-    codes[name] = cli.main(argv + ["--json", out + "." + name])
-    seen[name] = heavy()
-print(json.dumps({"seen": seen, "codes": codes, "refused": refused}))
-"""
-REFERENCE_BUNDLE = (Path(__file__).resolve().parents[1]
-                    / "perfbench" / "reference" / "fixtures.json")
-
 
 def test_numpy_and_scipy_load_only_for_numeric_checks(tmp_path):
     """Exact commands load neither numpy nor scipy; numeric checks and the
     bundle run, to the reference bytes, with every import of scipy,
-    ``numpy.random`` and ``numpy.ma`` refused."""
+    ``numpy.random`` and ``numpy.ma`` refused, one after another in one
+    interpreter."""
     de_rham, quadratic = tmp_path / "de_rham.spec", tmp_path / "quadratic.spec"
     de_rham.write_text(DE_RHAM)
     quadratic.write_text(QUADRATIC)
-    src = str(Path(cxkit.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
-    out = tmp_path / "report"
-    proc = subprocess.run(
-        [sys.executable, "-c", PROBE, str(de_rham), str(quadratic), str(out)],
-        capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    result = json.loads(proc.stdout)
-    assert result["codes"] == {"verify": 0, "parametrix": 0, "ellipticity": 0,
-                               "fixtures": 0}
-    assert result["refused"] == []
-    seen = result["seen"]
-    assert seen["import"] == [] and seen["verify"] == [] and seen["parametrix"] == []
+    loaded = probe(tmp_path,
+                   ["verify", "--spec", str(de_rham), "--json", "OUT"],
+                   ["parametrix", "--spec", str(de_rham), "--json", "OUT"],
+                   ["ellipticity", "--spec", str(quadratic), "--kind", "petrovskii",
+                    "--budget", "256", "--json", "OUT"],
+                   ["fixtures", "--json", "OUT"])
+    assert loaded["codes"] == [0, 0, 0, 0]
+    assert loaded["refused"] == []
     # the numeric path loads numpy core and linalg, and no scipy module at all
-    assert seen["ellipticity"] == seen["fixtures"] == ["numpy"]
-    rep = json.loads((tmp_path / "report.ellipticity").read_text())["report"]
+    assert loaded["heavy"] == [[], [], ["numpy"], ["numpy"]]
+    rep = json.loads((tmp_path / "ellipticity.json").read_text())["report"]
     assert rep["verdict"] == "numeric-pass"
-    assert (tmp_path / "report.fixtures").read_bytes() == REFERENCE_BUNDLE.read_bytes()
-
+    assert (tmp_path / "fixtures.json").read_bytes() == REFERENCE_BUNDLE.read_bytes()
