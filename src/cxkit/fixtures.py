@@ -148,13 +148,18 @@ def planar_flow() -> dict:
     return _report("planar-flow", checks, {"ellipticity": rep.to_json()})
 
 
+def _imaginary_field() -> tuple:
+    """The field document, its signature and the imaginary de Rham(3)
+    complex lifted onto it."""
+    field = _spec("field")
+    return field, field.signature, imaginary_de_rham_complex(3).lift(field.signature)
+
+
 def electromagnetic() -> dict:
     """Field equations for the electromagnetic field: the displayed 8x8
     self-adjoint system equals the top-degree Maxwell operator of the
     imaginary de Rham complex, and the wave factorization diagonalizes it."""
-    field = _spec("field")
-    sig = field.signature
-    c = imaginary_de_rham_complex(3).lift(sig)
+    field, sig, c = _imaginary_field()
     cinv = Poly.variable(sig.vars, "cinv")
     b = [cinv.scale(I)] * 4
     built = blockops.maxwell_time(c, 3, b)
@@ -172,9 +177,7 @@ def acoustics() -> dict:
     """Vortex and vortex-free compressible-flow systems: the 8x8 display is
     -i times the electromagnetic pattern, the 7x7 vortex-free system is its
     leading minor, and the viscous variant is a Stokes-type assembly."""
-    field = _spec("field")
-    sig = field.signature
-    c = imaginary_de_rham_complex(3).lift(sig)
+    field, sig, c = _imaginary_field()
     cinv, mu, dt = (Poly.variable(sig.vars, v) for v in ("cinv", "mu", "dt"))
     m3 = blockops.maxwell_time(c, 3, [cinv.scale(I)] * 4)
     built = m3.scale(-I)

@@ -44,7 +44,7 @@ Printing reads the storage too: :func:`_coeff_str` formats a numerator over
 :class:`GaussianRational`.  A :class:`PolyMatrix` built from entries over
 its variables (products, entrywise operations, twists, lifts, blocks,
 placements, transposes) comes from the trusted constructor :func:`_matrix`,
-as every :class:`Poly` result from :func:`_poly`; only the public
+as every :class:`Poly` result from :func:`_poly_nonzero`; only the public
 constructor checks each entry.  A lift or twist of a :class:`Poly` is the
 1x1 case of the matrix's, so each rewrite of the keys exists once.
 
@@ -113,10 +113,6 @@ class GaussianRational(Record):
     @property
     def is_zero(self) -> bool:
         return not self.re and not self.im
-
-    @property
-    def is_real(self) -> bool:
-        return not self.im
 
     def __add__(self, other: "GaussianRational") -> "GaussianRational":
         return GaussianRational(self.re + other.re, self.im + other.im)
@@ -318,25 +314,16 @@ def _step(num: dict, den: int, g: tuple, cr: int, ci: int, cd: int, shift: int,
     return _cancel(num, new)
 
 
-def _poly(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
-    """The trusted constructor: every arithmetic result is built here.
-
-    ``num`` maps valid keys to integer pairs, ``den`` is positive,
-    and the new polynomial takes ``num`` over.  Nothing is validated; the
-    result is brought to canonical form: zero numerators are dropped (from
-    ``num`` itself) and the gcd of ``den`` with every numerator part is
-    cancelled.
-    """
-    zeros = [e for e, c in num.items() if c == (0, 0)]
-    for e in zeros:
-        del num[e]
-    return _poly_nonzero(vars, num, den)
-
-
 def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
-    """:func:`_poly` for a ``num`` that has no zero numerator, such as
-    :func:`_sum_products` and the unpacking in ``cxkit.syzygy`` build: only
-    the gcd is cancelled."""
+    """The trusted constructor: every arithmetic result is built here, and
+    so is the unpacking in ``cxkit.syzygy``.
+
+    ``num`` maps valid keys to nonzero integer pairs, ``den`` is positive,
+    and the new polynomial takes ``num`` over.  Nothing is validated; the
+    gcd of ``den`` with every numerator part is cancelled.  Every caller
+    keeps zeros out of ``num``: a sum deletes a cancelled key as it adds,
+    and a product of nonzero Gaussian integers is nonzero.
+    """
     p = object.__new__(Poly)
     p.vars = vars
     p._num, p._den = _cancel(num, den)
@@ -434,16 +421,16 @@ class Poly:
 
     @staticmethod
     def zero(vars: Sequence[str]) -> "Poly":
-        return _poly(_ring(vars), {}, 1)
+        return _poly_nonzero(_ring(vars), {}, 1)
 
     @staticmethod
     def constant(vars: Sequence[str], value) -> "Poly":
         re, im, den = _split(_coerce_coeff(value))
-        return _poly(_ring(vars), {0: (re, im)}, den)
+        return _poly_nonzero(_ring(vars), {0: (re, im)} if re or im else {}, den)
 
     @staticmethod
     def one(vars: Sequence[str]) -> "Poly":
-        return _poly(_ring(vars), {0: (1, 0)}, 1)
+        return _poly_nonzero(_ring(vars), {0: (1, 0)}, 1)
 
     @staticmethod
     def variable(vars: Sequence[str], name: str) -> "Poly":
@@ -451,7 +438,7 @@ class Poly:
         if name not in vars:
             raise ValueError(f"unknown variable {name!r}; have {vars}")
         shift, = _shifts(vars, [name])
-        return _poly(vars, {1 << (_WIDTH * len(vars)) | 1 << shift: (1, 0)}, 1)
+        return _poly_nonzero(vars, {1 << (_WIDTH * len(vars)) | 1 << shift: (1, 0)}, 1)
 
     # -- predicates and views ----------------------------------------------
 
@@ -510,6 +497,16 @@ class Poly:
             self._lead = _unpack(key, len(self.vars)), self._coeff(key)
         return self._lead
 
+    def _monic(self) -> tuple["Poly", "Poly"]:
+        """A nonzero ``self`` over its leading coefficient lc (``self``
+        itself when lc is one), and the constant 1/lc.  The reciprocal is
+        taken once, in packed integers from the leading numerator over the
+        denominator, and scales both."""
+        inv = _quotient((1, 0), 1, self._num[max(self._num)], self._den)
+        if inv == (1, 0, 1):
+            return self, Poly.one(self.vars)
+        return self._scaled(*inv), Poly.one(self.vars)._scaled(*inv)
+
     def _coeff_bits(self) -> int:
         """The least ``b`` with ``2**b`` at least the denominator and the
         1-norm ``sum |re| + |im|`` of the numerators: a product's ``b`` is at
@@ -548,9 +545,11 @@ class Poly:
             c = get(e)
             if c is None:
                 out[e] = (re * fb, im * fb)
+            elif (total := (c[0] + re * fb, c[1] + im * fb)) != (0, 0):
+                out[e] = total
             else:
-                out[e] = (c[0] + re * fb, c[1] + im * fb)
-        return _poly(self.vars, out, den)
+                del out[e]  # cancelled: out keeps no zero numerator
+        return _poly_nonzero(self.vars, out, den)
 
     def __add__(self, other: "Poly") -> "Poly":
         return self._combine(other, 1)
@@ -559,7 +558,8 @@ class Poly:
         return self._combine(other, -1)
 
     def __neg__(self) -> "Poly":
-        return _poly(self.vars, {e: (-re, -im) for e, (re, im) in self._num.items()}, self._den)
+        return _poly_nonzero(self.vars, {e: (-re, -im) for e, (re, im) in self._num.items()},
+                             self._den)
 
     def __mul__(self, other: "Poly") -> "Poly":
         return _dot(self.vars, ((self, other),))
@@ -589,7 +589,8 @@ class Poly:
 
     def conjugate(self) -> "Poly":
         """Conjugate all coefficients (the variables are treated as real)."""
-        return _poly(self.vars, {e: (re, -im) for e, (re, im) in self._num.items()}, self._den)
+        return _poly_nonzero(self.vars, {e: (re, -im) for e, (re, im) in self._num.items()},
+                             self._den)
 
     def twist(self, subset: Iterable[str], quarter_turns: int, *,
               conjugate: bool = False, vars: Sequence[str] | None = None) -> "Poly":
@@ -671,7 +672,7 @@ class Poly:
 
     def __reduce__(self):
         # the cached views (a mappingproxy among them) are not pickled
-        return _poly, (self.vars, dict(self._num), self._den)
+        return _poly_nonzero, (self.vars, dict(self._num), self._den)
 
     def _monomial_str(self, exp: Exponent) -> str:
         parts = []
@@ -717,8 +718,9 @@ class Poly:
 
 
 def _matrix(vars: tuple[str, ...], entries: tuple, rows: int, cols: int) -> "PolyMatrix":
-    """The trusted constructor, as :func:`_poly` is for a :class:`Poly`: every
-    result built from entries already over ``vars`` is built here.
+    """The trusted constructor, as :func:`_poly_nonzero` is for a
+    :class:`Poly`: every result built from entries already over ``vars`` is
+    built here.
     ``entries``, ``rows`` tuples of ``cols`` entries, is taken over unchecked."""
     m = object.__new__(PolyMatrix)
     m.vars, m.entries, m.rows, m.cols = vars, entries, rows, cols
@@ -826,7 +828,7 @@ class PolyMatrix:
                 raise ValueError(f"variable {v!r} missing from {new_vars}")
         moves = list(zip(_shifts(self.vars, self.vars), _shifts(new_vars, self.vars)))
         top, new_top = _WIDTH * len(self.vars), _WIDTH * len(new_vars)
-        zero = _poly(new_vars, {}, 1)
+        zero = _poly_nonzero(new_vars, {}, 1)
 
         def lifted(p: Poly) -> Poly:
             out = {}
@@ -880,7 +882,7 @@ class PolyMatrix:
                     im = -im
                 k = quarter_turns * sum(key >> s & _FIELD for s in shifts) % 4
                 out[key] = ((re, im), (-im, re), (-re, -im), (im, -re))[k]
-            return _poly(new_vars, out, p._den)
+            return _poly_nonzero(new_vars, out, p._den)
 
         return _matrix(new_vars, tuple(
             tuple(twisted(p, None if degrees is None else degrees[i][j])

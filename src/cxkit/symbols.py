@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from cxkit import poly
 from cxkit._record import Record
 from cxkit.blockops import (
     BlockPartition,
@@ -67,7 +66,7 @@ class RationalSymbolMatrix:
         den = den.lift(num.signature.vars)
         if den.is_zero:
             raise ZeroDivisionError("zero denominator")
-        base, inv = _monic(den)
+        base, inv = den._monic()
         if base is not den:
             num = num.scale(inv)
         self.core, self.num_factors, self._num, self._den = num, {}, None, None
@@ -188,16 +187,6 @@ class RationalSymbolMatrix:
         }
 
 
-def _monic(p: Poly) -> tuple[Poly, Poly]:
-    """``p`` over its leading coefficient lc (``p`` itself when lc is one),
-    and the constant 1/lc.  The reciprocal is taken once, in packed integers
-    from the leading numerator over ``p``'s denominator, and scales both."""
-    inv = poly._quotient((1, 0), 1, p._num[max(p._num)], p._den)
-    if inv == (1, 0, 1):
-        return p, Poly.one(p.vars)
-    return p._scaled(*inv), Poly.one(p.vars)._scaled(*inv)
-
-
 def _lcm(bases: Sequence[Mapping[Poly, int]]) -> dict[Poly, int]:
     """The highest power of each factor in any of the bases."""
     out: dict[Poly, int] = {}
@@ -313,7 +302,7 @@ def invert_symbol(m: SymbolMatrix) -> RationalSymbolMatrix:
         return RationalSymbolMatrix(SymbolMatrix(m.signature, m.body.adjugate()), det)
     if s.is_zero:
         raise ValueError("symbol is identically singular")
-    base, inv = _monic(s)
+    base, inv = s._monic()
     k = m.rows
     core = SymbolMatrix.identity(m.signature, k, inv)
     if base.is_constant:

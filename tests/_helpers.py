@@ -1,31 +1,131 @@
-"""Helpers shared by the symbol tests: a Hypothesis strategy of small
-rationals, the stored form of a symbol matrix, term order included, a
-complex lifted to carry the parameter ``mu``, a weight as a matrix, a
-constant matrix weight and |zeta|^2; shared by the determinant tests: the
-block-by-block reference of a split determinant; and shared by every cold
-run: ``cold_start``, which empties each cache cxkit keeps."""
+"""Helpers shared by the tests.
+
+The fast-path tests take their complexes from one table, ``COMPLEXES``
+(``build`` makes a shared or a fresh complex from a row, ``with_mu`` lifts it
+onto ``mu`` or onto time and ``mu``), and their weights from one builder,
+``weights(cplx, kind)`` for each kind of ``WEIGHTS``; they compare stored
+forms, term order included, with ``stored``.  Also shared: a Hypothesis
+strategy of small rationals, a weight as a matrix, |zeta|^2, the
+block-by-block reference of a split determinant, and ``cold_start``, which
+empties each cache cxkit keeps before a cold run."""
 
 import sys
 from fractions import Fraction
+from functools import cache
 
 from hypothesis import strategies as st
 
-from cxkit.diffop import Signature
+from cxkit.complexes import (
+    Complex,
+    MuSet,
+    de_rham_complex,
+    dolbeault_complex,
+    imaginary_de_rham_complex,
+    koszul_complex,
+    powered_de_rham_complex,
+)
+from cxkit.diffop import OperatorMatrix, Signature, spatial_signature
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.syzygy import extend_to_complex
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 7, 10]))
 
 
-def stored(m) -> list:
-    """Each entry's variables, numerator terms in storage order and
-    denominator: equal only where the entries are stored alike."""
-    return [[(p.vars, list(p._num.items()), p._den) for p in row] for row in m.body.entries]
+def stored(x) -> tuple | list:
+    """The stored form of a Poly (its variables, numerator terms in storage
+    order and denominator), of a PolyMatrix (each entry's) or of a signature
+    matrix (its type, signature and body's): equal only where stored
+    alike."""
+    if isinstance(x, Poly):
+        return x.vars, list(x._num.items()), x._den
+    if isinstance(x, PolyMatrix):
+        return [[stored(p) for p in row] for row in x.entries]
+    return type(x), x.signature, stored(x.body)
 
 
-def with_mu(cplx):
-    """``cplx`` over its spatial variables and the parameter ``mu``, for the
-    builders that take no parameters."""
-    return cplx.lift(Signature(cplx.signature.spatial, None, ("mu",)))
+@cache
+def _symmetric_gradient_3() -> Complex:
+    """Symmetric gradient on R^3 and its resolution: orders (1, 2, 1)."""
+    sig = spatial_signature(3)
+    d = [Poly.variable(sig.vars, v) for v in sig.spatial]
+    rows = []
+    for i in range(3):
+        for j in range(i, 3):
+            row = [Poly.zero(sig.vars)] * 3
+            row[i], row[j] = d[j], d[i]
+            rows.append(row)
+    return Complex(extend_to_complex(OperatorMatrix.from_entries(sig, rows)))
+
+
+@cache
+def _koszul_3() -> Complex:
+    """The Koszul complex of d1^2, d2 + d3 and d1 d3: mixed orders."""
+    sig = spatial_signature(3)
+    d1, d2, d3 = (Poly.variable(sig.vars, v) for v in sig.spatial)
+    return koszul_complex([d1 * d1, d2 + d3, d1 * d3], sig)
+
+
+# Every complex the fast-path tests sweep: {name: (builder, *arguments)}.
+# Each builder keeps one complex per argument set, its uncached function is
+# its ``__wrapped__``.
+COMPLEXES = {
+    "de-rham-2": (de_rham_complex, 2),
+    "de-rham-3": (de_rham_complex, 3),
+    "de-rham-4": (de_rham_complex, 4),
+    "de-rham-5": (de_rham_complex, 5),
+    "dolbeault-2": (dolbeault_complex, 2),
+    "dolbeault-3": (dolbeault_complex, 3),
+    "powered-de-rham-2-2": (powered_de_rham_complex, 2, 2),
+    "powered-de-rham-3-2": (powered_de_rham_complex, 3, 2),
+    "imaginary-de-rham-3": (imaginary_de_rham_complex, 3),
+    "symmetric-gradient-3": (_symmetric_gradient_3,),
+    "koszul-3": (_koszul_3,),
+}
+
+
+def build(name: str, fresh: bool = False) -> Complex:
+    """The complex of row ``name``: the shared one, or with ``fresh`` a new
+    build by the builder's uncached function (it keeps no derivation another
+    test made)."""
+    builder, *args = COMPLEXES[name]
+    return (builder.__wrapped__ if fresh else builder)(*args)
+
+
+def with_mu(cplx, time: str | None = None):
+    """``cplx`` over its spatial variables, the time variable ``time`` if
+    one is given, and the parameter ``mu``."""
+    return cplx.lift(Signature(cplx.signature.spatial, time, ("mu",)))
+
+
+# The constant scalar weights, by kind
+CONSTANTS = {"rational": Fraction(3, 2), "gaussian": GaussianRational.of(2, Fraction(-1, 3)),
+             "zero": 0}
+WEIGHTS = ["absent", *CONSTANTS, "mu", "mu-polynomial", "laplace-power",
+           "alternating-laplace-powers", "matrix"]
+
+
+def weights(cplx, kind: str) -> MuSet | None:
+    """Weights of one kind of ``WEIGHTS`` over ``cplx``: ``None`` when
+    absent; a constant, the parameter mu or mu^2 - mu/2 + 1 at every degree
+    (the last two need ``mu`` among ``cplx``'s variables); -Laplace at every
+    degree on both sides; -Laplace in mu0 at degrees 0 and 2 and in mu1 at
+    degrees 1 and 3; or a constant matrix at every degree."""
+    degrees = range(cplx.length + 1)
+    if kind == "absent":
+        return None
+    if kind in CONSTANTS:
+        return MuSet.scalar(cplx, CONSTANTS[kind])
+    if kind == "laplace-power":
+        return MuSet.laplace_powers(cplx, dict.fromkeys(degrees, 1), dict.fromkeys(degrees, 1))
+    if kind == "alternating-laplace-powers":
+        return MuSet.laplace_powers(cplx, mtilde={0: 1, 2: 1}, mhat={1: 1, 3: 1})
+    if kind == "matrix":
+        return MuSet(cplx, {q: _matrix_weight(cplx, cplx.rank(q + 1)) for q in degrees},
+                     {q: _matrix_weight(cplx, cplx.rank(q - 1)) for q in degrees})
+    vars = cplx.signature.vars
+    mu = Poly.variable(vars, "mu")
+    return MuSet.scalar(cplx, mu if kind == "mu" else
+                        mu * mu - mu.scale(Fraction(1, 2)) + Poly.one(vars))
 
 
 def mu_matrix(mu, which, q):
@@ -35,12 +135,14 @@ def mu_matrix(mu, which, q):
     return mu.apply(which, q, mu.cplx.identity(k))
 
 
-def matrix_weight(cplx, k: int):
-    """A k x k constant matrix, neither the identity nor a scalar multiple
-    of it."""
+def _matrix_weight(cplx, k: int):
+    """A k x k invertible constant matrix, for k > 1 neither Hermitian nor
+    a scalar multiple of the identity: r + 2 at (r, r), 1 + i at (r, r + 1)
+    and zero elsewhere, so its determinant is (k + 1)!."""
     sig = cplx.signature
     return type(cplx.ops[0]).from_entries(sig, [
-        [Poly.constant(sig.vars, GaussianRational.of(Fraction(r + 2 * c + 1, 3), r - c))
+        [Poly.constant(sig.vars, GaussianRational.of(r + 2, 0) if c == r else
+                       GaussianRational.of(1, 1) if c == r + 1 else 0)
          for c in range(k)] for r in range(k)])
 
 

@@ -28,7 +28,7 @@ from cxkit.complexes import (
 from cxkit.diffop import OperatorMatrix, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
 
-from _helpers import with_mu
+from _helpers import weights, with_mu
 
 
 CPLX3 = de_rham_complex(3)
@@ -314,16 +314,14 @@ def test_wave_factorization_at_degree_zero():
 
 def test_factorization_scalar_weights():
     cplx = with_mu(de_rham_complex(3))
-    mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
+    mu = weights(cplx, "mu")
     for q in range(1, 4):
         assert verify_factorization(cplx, q, mu)
 
 
 def test_factorization_laplace_power_weights():
     cplx = de_rham_complex(3)
-    mu = MuSet.laplace_powers(cplx, {j: 1 for j in range(4)},
-                              {j: 1 for j in range(4)})
-    assert verify_factorization(cplx, 3, mu)
+    assert verify_factorization(cplx, 3, weights(cplx, "laplace-power"))
 
 
 def test_wave_factorization_constant_profile():

@@ -2,7 +2,6 @@
 
 import pickle
 from copy import deepcopy
-from fractions import Fraction
 
 import pytest
 
@@ -26,7 +25,7 @@ from cxkit.poly import GaussianRational, Poly
 
 from math import comb
 
-from _helpers import mu_matrix, stored, with_mu
+from _helpers import CONSTANTS, build, mu_matrix, norm2, stored, weights, with_mu
 
 
 # ---------------------------------------------------------------------------
@@ -186,10 +185,6 @@ def test_dolbeault_laplacian_quarter_delta():
 # Weight sets
 
 
-def _scalar_mu(cplx, value):
-    return MuSet.scalar(cplx, value)
-
-
 def test_mu_identity_reproduces_laplacian():
     cplx = de_rham_complex(3)
     mu = MuSet.identity(cplx)
@@ -207,7 +202,7 @@ def test_mu_scalar_scales_both_halves():
 
 def test_mu_coherence():
     cplx = with_mu(de_rham_complex(3))
-    mu = MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu"))
+    mu = weights(cplx, "mu")
     for q in range(cplx.length - 1):
         assert check_coherence(cplx, mu, q)
 
@@ -236,8 +231,7 @@ def test_laplace_powers_weights():
     cplx = de_rham_complex(3)
     mu = MuSet.laplace_powers(cplx, {0: 1})
     sig = cplx.signature
-    delta = sum((Poly.variable(sig.vars, f"d{k}") ** 2 for k in (1, 2, 3)),
-                Poly.zero(sig.vars))
+    delta = norm2(sig)
     g = generalized_laplacian(cplx, 0, mu)
     # grad* (-Delta) grad = Delta^2 as a scalar operator
     assert g[0, 0] == delta * delta
@@ -254,9 +248,7 @@ def test_scalar_weights_place_value_identity_and_skip_rank_zero():
     assert mu_matrix(mu, 1, 2) == OperatorMatrix.identity(sig, 3).scale(muval)
     assert mu_matrix(mu, 0, 1) == OperatorMatrix.identity(sig, 3)
     # the scalar builders and the spec's mu statements are this constructor
-    lap = Poly.zero(sig.vars)
-    for v in sig.spatial:
-        lap = lap - Poly.variable(sig.vars, v) ** 2
+    lap = -norm2(sig)
     for got, want in (
         (MuSet.scalar(cplx, muval), MuSet(cplx, dict.fromkeys(range(4), muval),
                                           dict.fromkeys(range(4), muval))),
@@ -417,25 +409,13 @@ def test_shared_complex_is_immutable():
         assert copy is not cplx and copy.ops == cplx.ops and copy.ranks == cplx.ranks
 
 
-TIME_MU2 = Signature(("d1", "d2"), "dt", ["mu"])
-
 # Each shared complex (or kept lift) beside a fresh build by the builder's
-# uncached function (lifted afresh)
-SHARED_AND_FRESH = {
-    "de-rham-2": (lambda: de_rham_complex(2), lambda: de_rham_complex.__wrapped__(2)),
-    "de-rham-3": (lambda: de_rham_complex(3), lambda: de_rham_complex.__wrapped__(3)),
-    "de-rham-4": (lambda: de_rham_complex(4), lambda: de_rham_complex.__wrapped__(4)),
-    "de-rham-3-mu": (lambda: with_mu(de_rham_complex(3)),
-                     lambda: with_mu(de_rham_complex.__wrapped__(3))),
-    "de-rham-2-time-mu": (lambda: de_rham_complex(2).lift(TIME_MU2),
-                          lambda: de_rham_complex.__wrapped__(2).lift(TIME_MU2)),
-    "imaginary-de-rham-3-mu": (lambda: with_mu(imaginary_de_rham_complex(3)),
-                               lambda: with_mu(imaginary_de_rham_complex.__wrapped__(3))),
-    "dolbeault-2": (lambda: dolbeault_complex(2), lambda: dolbeault_complex.__wrapped__(2)),
-    "dolbeault-3": (lambda: dolbeault_complex(3), lambda: dolbeault_complex.__wrapped__(3)),
-    "powered-de-rham-3-2": (lambda: powered_de_rham_complex(3, 2),
-                            lambda: powered_de_rham_complex.__wrapped__(3, 2)),
-}
+# uncached function (lifted afresh): (row, lift), the lift none, onto mu or
+# onto time and mu
+LIFTS = {None: lambda c: c, "mu": with_mu, "time-mu": lambda c: with_mu(c, "dt")}
+SHARED = [("de-rham-2", None), ("de-rham-3", None), ("de-rham-4", None), ("de-rham-3", "mu"),
+          ("de-rham-2", "time-mu"), ("imaginary-de-rham-3", "mu"), ("dolbeault-2", None),
+          ("dolbeault-3", None), ("powered-de-rham-3-2", None)]
 
 
 def _derived(cplx: Complex, weight) -> list:
@@ -450,18 +430,20 @@ def _derived(cplx: Complex, weight) -> list:
         out += [stored(symbols.delta(cplx, j, mu)) for j in range(cplx.length + 1)]
         for side in ("right", "left"):
             par = symbols.maxwell_parametrix_symbol(cplx, mu, side)
-            out += [stored(par.num), (list(par.den._num.items()), par.den._den)]
+            out += [stored(par.num), stored(par.den)]
     return out
 
 
-@pytest.mark.parametrize("name", sorted(SHARED_AND_FRESH))
-def test_shared_complex_derives_what_a_fresh_build_derives(name):
+@pytest.mark.parametrize("name, lift", SHARED, ids=["-".join(filter(None, r)) for r in SHARED])
+def test_shared_complex_derives_what_a_fresh_build_derives(name, lift):
     """The derivations a shared complex keeps, read by a second caller, equal
     those of a fresh build entry for entry and in stored term order."""
-    shared, fresh = SHARED_AND_FRESH[name]
-    weight = Fraction(3, 2)
-    first = _derived(shared(), weight)
-    again = shared()
-    assert again is shared() and again.principal_symbols() is shared().principal_symbols()
-    assert fresh() is not again
-    assert _derived(again, weight) == first == _derived(fresh(), weight)
+    weight = CONSTANTS["rational"]
+    lifted = LIFTS[lift]
+    first = _derived(lifted(build(name)), weight)
+    again = lifted(build(name))
+    assert again is lifted(build(name))
+    assert again.principal_symbols() is lifted(build(name)).principal_symbols()
+    fresh = lifted(build(name, fresh=True))
+    assert fresh is not again
+    assert _derived(again, weight) == first == _derived(fresh, weight)

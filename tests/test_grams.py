@@ -3,73 +3,30 @@ an absent or constant scalar weight reads them (scaled), and every other
 weight takes the weighted product; the fast path is checked against the
 explicit products, stored form and term order included."""
 
-from fractions import Fraction
-
 import pytest
 
 from cxkit import symbols
 from cxkit.blockops import factorization_residual
-from cxkit.complexes import (
-    SHARED_COMPLEXES,
-    MuSet,
-    _gram,
-    de_rham_complex,
-    dolbeault_complex,
-    generalized_laplacian,
-    powered_de_rham_complex,
-)
+from cxkit.complexes import (SHARED_COMPLEXES, MuSet, _gram, de_rham_complex,
+                             generalized_laplacian)
 from cxkit.diffop import Signature, spatial_signature
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import PolyMatrix
 
-from _helpers import matrix_weight, stored
+from _helpers import CONSTANTS, WEIGHTS, build, stored, weights, with_mu
 
-# Fresh builds (the builders' uncached functions), so each test sees its
-# complexes without Gram products kept by other tests
-COMPLEXES = {
-    "de-rham-2": lambda: de_rham_complex.__wrapped__(2),
-    "de-rham-3": lambda: de_rham_complex.__wrapped__(3),
-    "de-rham-4": lambda: de_rham_complex.__wrapped__(4),
-    "dolbeault-2": lambda: dolbeault_complex.__wrapped__(2),
-    "powered-de-rham-3-2": lambda: powered_de_rham_complex.__wrapped__(3, 2),
-}
-
-
-def _time_mu(cplx):
-    """``cplx`` lifted onto time and the parameter ``mu``."""
-    return cplx.lift(Signature(cplx.signature.spatial, "dt", ("mu",)))
+# The rows swept, each a fresh build (the builder's uncached function), so
+# each test sees its complexes without Gram products kept by other tests
+NAMES = ["de-rham-2", "de-rham-3", "de-rham-4", "dolbeault-2", "powered-de-rham-3-2",
+         "symmetric-gradient-3", "koszul-3"]
 
 
 def _variants(name: str) -> dict:
     """The complex as operators and as symbols, each also lifted onto time
     and ``mu``: {label: (operator complex, complex the weights act on)}."""
-    cplx = COMPLEXES[name]()
-    lifted = _time_mu(cplx)
+    cplx = build(name, fresh=True)
+    lifted = with_mu(cplx, "dt")
     return {"ops": (cplx, cplx), "symbols": (cplx, cplx.principal_symbols()),
             "ops-time-mu": (lifted, lifted), "symbols-time-mu": (lifted, lifted.principal_symbols())}
-
-
-def _weights(cplx, kind: str) -> MuSet:
-    """Weights of one kind at every degree, over the operator complex."""
-    degrees = range(cplx.length + 1)
-    if kind == "absent":
-        return MuSet.identity(cplx)
-    if kind == "laplace-power":
-        return MuSet.laplace_powers(cplx, dict.fromkeys(degrees, 1), dict.fromkeys(degrees, 1))
-    if kind == "matrix":
-        return MuSet(cplx, {q: matrix_weight(cplx, cplx.rank(q + 1)) for q in degrees},
-                     {q: matrix_weight(cplx, cplx.rank(q - 1)) for q in degrees})
-    mu = Poly.variable(cplx.signature.vars, "mu") if "mu" in cplx.signature.vars else None
-    value = {"rational": Fraction(3, 2), "gaussian": GaussianRational.of(2, Fraction(-1, 3)),
-             "zero": 0, "mu": mu,
-             "mu-polynomial": None if mu is None else
-             mu * mu - mu.scale(Fraction(1, 2)) + Poly.one(cplx.signature.vars),
-             }[kind]
-    return None if value is None else MuSet.scalar(cplx, value)
-
-
-WEIGHTS = ["absent", "rational", "gaussian", "zero", "mu", "mu-polynomial",
-           "laplace-power", "matrix"]
-CONSTANT = {"absent", "rational", "gaussian", "zero"}
 
 
 def _reference(cplx, q: int, mu: MuSet):
@@ -79,7 +36,7 @@ def _reference(cplx, q: int, mu: MuSet):
 
 
 @pytest.mark.parametrize("kind", WEIGHTS)
-@pytest.mark.parametrize("name", sorted(COMPLEXES))
+@pytest.mark.parametrize("name", NAMES)
 def test_generalized_laplacian_matches_the_explicit_products(name, kind):
     """Every delta, on operators and symbols, unlifted and lifted, for each
     weight kind, is stored as the explicit products store it; so are the
@@ -89,9 +46,9 @@ def test_generalized_laplacian_matches_the_explicit_products(name, kind):
     product for every kind and is stored alike for absent and constant
     weights."""
     for label, (cplx, target) in _variants(name).items():
-        mu = _weights(cplx, kind)
-        if mu is None:  # a parameter weight needs the parameter
-            continue
+        if kind.startswith("mu") and "mu" not in cplx.signature.vars:
+            continue  # a parameter weight needs the parameter
+        mu = weights(cplx, kind) or MuSet.identity(cplx)
         if target is not cplx:
             mu = mu.principal_symbols(target)
         for q in range(target.length + 1):
@@ -105,7 +62,7 @@ def test_generalized_laplacian_matches_the_explicit_products(name, kind):
                 corner = mu.apply(1, q, _gram(target, 0, q - 1), left=True)
                 explicit = mu.apply(1, q, b.formal_adjoint(), left=True) @ b
                 assert corner == explicit, (label, q)
-                if kind in CONSTANT:
+                if kind == "absent" or kind in CONSTANTS:
                     assert stored(corner) == stored(explicit), (label, q)
 
 
@@ -126,25 +83,32 @@ def _count_products(monkeypatch) -> list:
     return calls
 
 
+# The sides (mu0_q or mu1_q, as (0, q) or (1, q)) of de Rham(3) each kind
+# weighs: none for an absent or constant weight, all six for every other
+# kind but the alternating Laplace powers, which weigh mu0 at degrees 0 and
+# 2 and mu1 at degrees 1 and 3
+SIDES = {(0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (1, 3)}
+WEIGHTED = {"absent": set(), **dict.fromkeys(CONSTANTS, set()),
+            "alternating-laplace-powers": {(0, 0), (0, 2), (1, 1), (1, 3)}}
+
+
 @pytest.mark.parametrize("kind", WEIGHTS)
 def test_only_absent_and_constant_weights_read_kept_grams(kind, monkeypatch):
     """An absent or constant weight forms no product once the complex keeps
     its Grams; a parameter, Laplace-power or matrix weight takes the
-    weighted product and keeps nothing."""
-    cplx = _time_mu(COMPLEXES["de-rham-3"]())
-    mu = _weights(cplx, kind)
+    weighted product on each side it weighs and keeps no Gram there."""
+    cplx = with_mu(build("de-rham-3", fresh=True), "dt")
+    mu = weights(cplx, kind) or MuSet.identity(cplx)
     degrees = range(cplx.length + 1)
     first = [generalized_laplacian(cplx, q, mu) for q in degrees]
     grams = _kept_grams(cplx)
     calls = _count_products(monkeypatch)
     again = [generalized_laplacian(cplx, q, mu) for q in degrees]
     assert [stored(d) for d in again] == [stored(d) for d in first]
-    if kind in CONSTANT:
-        assert calls == [] and set(grams) == \
-            {("gram", 0, q) for q in degrees[:-1]} | {("gram", 1, q) for q in degrees[1:]}
-    else:
-        # one product per side, and a matrix weight's own product before it
-        assert len(calls) == (4 if kind == "matrix" else 2) * cplx.length and grams == {}
+    weighted = WEIGHTED.get(kind, SIDES)
+    assert set(grams) == {("gram", w, q) for w, q in SIDES - weighted}
+    # one product per weighted side, and a matrix weight's own product before it
+    assert len(calls) == (2 if kind == "matrix" else 1) * len(weighted)
 
 
 def test_two_weight_sets_read_one_kept_gram():
@@ -172,7 +136,7 @@ def test_lifts_evict_lifts_and_keep_the_grams():
     """After ``SHARED_COMPLEXES + 1`` lifts of a complex that keeps its Gram
     products, the Grams are still kept and exactly ``SHARED_COMPLEXES``
     lifts, the newest."""
-    cplx = COMPLEXES["de-rham-2"]()
+    cplx = build("de-rham-2", fresh=True)
     for q in range(cplx.length + 1):
         generalized_laplacian(cplx, q, MuSet.identity(cplx))
     grams = _kept_grams(cplx)
@@ -184,12 +148,12 @@ def test_lifts_evict_lifts_and_keep_the_grams():
     assert [k for k in cplx._derived if isinstance(k, Signature)] == sigs[1:]
 
 
-@pytest.mark.parametrize("value", [Fraction(3, 2), GaussianRational.of(2, Fraction(-1, 3)), 0])
+@pytest.mark.parametrize("value", list(CONSTANTS.values()))
 def test_factorization_and_stokes_read_the_kept_grams(value):
     """The factorization residual and the Stokes fundamental symbol with a
     constant weight hold on a complex whose Grams are kept, as on a fresh
     one, and the Stokes symbol is stored alike."""
-    fresh, kept = COMPLEXES["de-rham-3"](), COMPLEXES["de-rham-3"]()
+    fresh, kept = build("de-rham-3", fresh=True), build("de-rham-3", fresh=True)
     for c in (kept, kept.principal_symbols()):
         for q in range(4):
             generalized_laplacian(c, q, MuSet.identity(c))
@@ -207,8 +171,8 @@ def test_factorization_and_stokes_read_the_kept_grams(value):
 def test_mapped_weights_are_what_the_checked_constructor_keeps(kind):
     """The symbols and a lift of a weight set, built without the weight
     checks, hold the weights the checked constructor keeps of them."""
-    cplx = _time_mu(COMPLEXES["de-rham-3"]())
-    mu = _weights(cplx, kind)
+    cplx = with_mu(build("de-rham-3", fresh=True), "dt")
+    mu = weights(cplx, kind) or MuSet.identity(cplx)
     richer = cplx.lift(Signature(cplx.signature.spatial, "dt", ("mu", "nu")))
     for mapped in (mu.principal_symbols(cplx.principal_symbols()), mu.lift(richer)):
         checked = MuSet(mapped.cplx, mapped._mu0, mapped._mu1)

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from cxkit.cli import main
-from cxkit.complexes import MuSet, de_rham_complex, dolbeault_complex
+from cxkit.complexes import MuSet, de_rham_complex
 from cxkit.diffop import Signature, SymbolMatrix
 from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import (
@@ -27,7 +27,7 @@ from cxkit.symbols import (
     stokes_fundamental_symbol,
 )
 
-from _helpers import norm2, stored, with_mu
+from _helpers import build, norm2, stored, with_mu
 
 SIG0 = Signature(("z1", "z2"), None, ())
 SIG1 = Signature(("z1", "z2"), None, ("mu",))
@@ -257,7 +257,7 @@ def _parent_inverse(m: SymbolMatrix, s: Poly) -> tuple[SymbolMatrix, dict, dict]
 
 
 def _stored_factors(factors: dict) -> list:
-    return [(f.vars, list(f._num.items()), f._den, e) for f, e in factors.items()]
+    return [(stored(f), e) for f, e in factors.items()]
 
 
 # leading coefficients off the real line, not one, and one
@@ -304,14 +304,6 @@ def test_scalar_inverse_matches_the_fraction_reciprocal(block):
     assert _stored_factors(over.factors) == _stored_factors({f: 1 for f in factors})
 
 
-PARAMETRIX_COMPLEXES = {
-    "de-rham-3": lambda: de_rham_complex(3),
-    "de-rham-4": lambda: de_rham_complex(4),
-    "de-rham-5": lambda: de_rham_complex(5),
-    "dolbeault-3": lambda: dolbeault_complex(3),
-}
-
-
 @pytest.mark.parametrize("name, top_rank", [
     ("de-rham-3", 3), ("de-rham-4", 6), ("de-rham-5", 10), ("dolbeault-3", 3)])
 @pytest.mark.parametrize("side", ["right", "left"])
@@ -319,7 +311,7 @@ def test_parametrix_denominator_is_the_top_block_power(name, top_rank, side):
     """Every block is a multiple of |zeta|^2 I, so the lcm of the blocks'
     denominators is (|zeta|^2)^(largest rank); the earlier full product was
     (|zeta|^2)^(sum of the ranks), and 1/4-scaled for Dolbeault."""
-    cplx = PARAMETRIX_COMPLEXES[name]()
+    cplx = build(name)
     assert top_rank == max(cplx.rank(j) for j in range(cplx.length + 1))
     f = maxwell_parametrix_symbol(cplx, None, side)
     n2 = norm2(f.signature)

@@ -14,7 +14,7 @@ from cxkit.complexes import Complex, de_rham_complex
 from cxkit.diffop import OperatorMatrix, spatial_signature
 from cxkit.fixtures import planar_flow_complex, symmetric_gradient_complex
 from cxkit.poly import (_WIDTH, GaussianRational, Poly, _check_product, _key_divides,
-                        _key_lcm, _poly, _poly_nonzero, _quotient)
+                        _key_lcm, _poly_nonzero, _quotient)
 from _helpers import stored
 from cxkit.syzygy import (
     BudgetExceeded,
@@ -220,7 +220,7 @@ def _scaled(p, cr, ci, cd, shift=0):
         _check_product(max(p._num), shift, _WIDTH * len(p.vars))
     out = {k + shift: (re * cr - im * ci, re * ci + im * cr)
            for k, (re, im) in p._num.items()}
-    return _poly(p.vars, out, p._den * cd)
+    return _poly_nonzero(p.vars, out, p._den * cd)
 
 
 def _sub_scaled(p, g, cr, ci, cd, shift=0):
@@ -525,7 +525,7 @@ def test_pinned_operators_store_their_terms_in_order():
     entries follows."""
     digest = hashlib.sha256()
     for key, op in _pinned_cases():
-        digest.update(repr((key, [stored(o) for o in extend_to_complex(op)[1:]])).encode())
+        digest.update(repr((key, [stored(o.body) for o in extend_to_complex(op)[1:]])).encode())
     assert digest.hexdigest() == STORED_SHA256
 
 

@@ -19,31 +19,19 @@ from cxkit.complexes import (
     MuSet,
     check_coherence,
     de_rham_complex,
-    dolbeault_complex,
     generalized_laplacian,
     laplacian,
     perturbed_laplacian,
-    powered_de_rham_complex,
 )
-from cxkit.diffop import SPATIAL, OperatorMatrix, Signature
+from cxkit.diffop import SPATIAL, OperatorMatrix
 from cxkit.ellipticity import dn_weights_maxwell, dn_weights_stokes
 from cxkit.poly import GaussianRational, Poly
 from cxkit.symbols import HypothesisFailure, _check_stokes_hypotheses, _symbols
 
-from _helpers import with_mu
+from _helpers import build, norm2, stored, weights, with_mu
 
-CASES = {
-    "de_rham(3)": with_mu(de_rham_complex(3)),
-    "dolbeault(2)": with_mu(dolbeault_complex(2)),
-    "powered_de_rham(2, 2)": with_mu(powered_de_rham_complex(2, 2)),
-}
-
-
-def _minus_laplace(sig) -> Poly:
-    out = Poly.zero(sig.vars)
-    for v in sig.spatial:
-        out = out - Poly.variable(sig.vars, v) ** 2
-    return out
+# The rows swept, lifted onto mu
+NAMES = ["de-rham-3", "dolbeault-2", "powered-de-rham-2-2"]
 
 
 def _scalars(cplx):
@@ -54,7 +42,7 @@ def _scalars(cplx):
                          Poly.variable(sig.vars, "mu")]),
         st.fractions(min_value=-4, max_value=4, max_denominator=6).map(
             lambda f: Poly.constant(sig.vars, f)),
-        st.integers(1, 2).map(lambda m: _minus_laplace(sig) ** m),
+        st.integers(1, 2).map(lambda m: (-norm2(sig)) ** m),
     )
 
 
@@ -62,11 +50,6 @@ def _explicit(cplx, mu0: dict, mu1: dict) -> MuSet:
     """The same scalar weights as explicit matrices s I."""
     return MuSet(cplx, {q: cplx.identity(cplx.rank(q + 1)).scale(s) for q, s in mu0.items()},
                  {q: cplx.identity(cplx.rank(q - 1)).scale(s) for q, s in mu1.items()})
-
-
-def _stored(m):
-    """Every entry's stored terms, in storage order, and its denominator."""
-    return [[(list(p._num.items()), p._den) for p in row] for row in m.body.entries]
 
 
 def _outcome(fn, *args):
@@ -83,9 +66,9 @@ def _hypotheses(cplx, q, mu):
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.sampled_from(sorted(CASES)), st.data())
+@given(st.sampled_from(NAMES), st.data())
 def test_scalar_weights_match_explicit_matrices(name, data):
-    cplx = CASES[name]
+    cplx = with_mu(build(name))
     n = cplx.length
     given = st.lists(st.one_of(st.none(), _scalars(cplx)), min_size=n + 1, max_size=n + 1)
 
@@ -100,7 +83,7 @@ def test_scalar_weights_match_explicit_matrices(name, data):
     built += [factorization_residual(cplx, n, mu) for mu in (fast, slow)]
     for a, b in zip(built[::2], built[1::2]):
         assert a == b
-        assert _stored(a) == _stored(b)
+        assert stored(a) == stored(b)
     for q in range(n + 1):
         assert check_coherence(cplx, fast, q) == check_coherence(cplx, slow, q)
         assert _outcome(dn_weights_stokes, cplx, q, fast) \
@@ -141,10 +124,10 @@ def test_apply_keeps_each_form():
     a = cplx.op(1)
     mu = MuSet(cplx, {1: muval, 0: cplx.op(1).formal_adjoint() @ cplx.op(1)})
     assert MuSet.identity(cplx).apply(0, 1, a) is a
-    assert _stored(mu.apply(0, 1, a, left=True)) \
-        == _stored(cplx.identity(3).scale(muval) @ a)
-    assert _stored(mu.apply(0, 1, a.formal_adjoint())) \
-        == _stored(a.formal_adjoint() @ cplx.identity(3).scale(muval))
+    assert stored(mu.apply(0, 1, a, left=True)) \
+        == stored(cplx.identity(3).scale(muval) @ a)
+    assert stored(mu.apply(0, 1, a.formal_adjoint())) \
+        == stored(a.formal_adjoint() @ cplx.identity(3).scale(muval))
     weight = cplx.op(1).formal_adjoint() @ cplx.op(1)
     assert mu.apply(0, 0, cplx.op(0), left=True) == weight @ cplx.op(0)
 
@@ -154,7 +137,7 @@ def test_orders_read_the_scalar_degree():
     cplx = with_mu(de_rham_complex(3))
     mu = MuSet.laplace_powers(cplx, {1: 2}, {2: 1})
     assert mu.orders(1) == (2, 0) and mu.orders(2) == (0, 1)
-    assert MuSet.scalar(cplx, Poly.variable(cplx.signature.vars, "mu")).orders(1) == (0, 0)
+    assert weights(cplx, "mu").orders(1) == (0, 0)
     assert MuSet.scalar(cplx, 0).orders(1) == (0, 0)
 
 
@@ -228,7 +211,7 @@ def test_constant_weight_stores_the_product(c, left):
     a = cplx.op(1)
     for which, q, m in ((0, 1, a), (0, 1, a.formal_adjoint()), (1, 2, a)):
         want = m.body.map(lambda p: (s * p if left else p * s) if p._num else p)
-        assert _stored(mu.apply(which, q, m, left=left)) == _stored(type(m)(m.signature, want))
+        assert stored(mu.apply(which, q, m, left=left)) == stored(type(m)(m.signature, want))
 
 
 _CONSTANTS = st.one_of(
@@ -250,28 +233,22 @@ def _one_by_one(mu: MuSet, target, fn) -> MuSet:
 
 
 def _stored_weights(mu: MuSet) -> list:
-    return [sorted((q, (w.vars, list(w._num.items()), w._den)) for q, w in ws.items())
-            for ws in (mu._mu0, mu._mu1)]
-
-
-def _time_lift(cplx):
-    sig = cplx.signature
-    return cplx.lift(Signature(sig.spatial, "dt", sig.params))
+    return [sorted((q, stored(w)) for q, w in ws.items()) for ws in (mu._mu0, mu._mu1)]
 
 
 @settings(max_examples=40, deadline=None)
-@given(st.sampled_from(sorted(CASES)), st.data())
+@given(st.sampled_from(NAMES), st.data())
 def test_constant_weights_map_as_the_one_by_one_operator(name, data):
     """The symbols and the lift of a constant scalar weight are the same
     constant over the new ring, as the principal symbol and the lift of the
     1x1 operator [s] are; a parameter or a Laplace power takes that route."""
-    cplx = CASES[name]
+    cplx = with_mu(build(name))
     n = cplx.length
     scalar = st.one_of(_CONSTANTS, _CONSTANTS, _scalars(cplx))
     given = st.lists(st.one_of(st.none(), scalar), min_size=n + 1, max_size=n + 1)
     mu = MuSet(cplx, *({q: s for q, s in enumerate(data.draw(given)) if s is not None}
                        for _ in range(2)))
-    sym, lifted = cplx.principal_symbols(), _time_lift(cplx)
+    sym, lifted = cplx.principal_symbols(), with_mu(cplx, "dt")
     assert _stored_weights(mu.principal_symbols(sym)) == _stored_weights(
         _one_by_one(mu, sym, lambda m: m.principal_symbol(SPATIAL)))
     assert _stored_weights(mu.lift(lifted)) == _stored_weights(
@@ -286,10 +263,10 @@ def test_only_a_non_constant_scalar_builds_a_one_by_one_operator(monkeypatch):
                         staticmethod(lambda sig, p: made.append(p) or scalar(sig, p)))
     constants = MuSet(cplx, {0: 2, 1: GaussianRational.i()}, {2: 0, 3: Fraction(1, 3)})
     constants.principal_symbols(cplx.principal_symbols())
-    constants.lift(_time_lift(cplx))
+    constants.lift(with_mu(cplx, "dt"))
     assert made == []
     mu_var = Poly.variable(cplx.signature.vars, "mu")
     param = MuSet(cplx, {1: mu_var}, {2: 3})
     param.principal_symbols(cplx.principal_symbols())
-    param.lift(_time_lift(cplx))
+    param.lift(with_mu(cplx, "dt"))
     assert made == [mu_var, mu_var]
