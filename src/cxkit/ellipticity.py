@@ -4,13 +4,17 @@ Four check flavours (Petrovskii, injectivity, strong ellipticity and
 Douglis-Nirenberg) reach their verdicts through one route, ``_verdict``: a
 zero determinant fails at once; then an exact symbolic certificate of the
 narrow form ``gamma * (|zeta|^2)^k`` (times the identity for a Hermitian
-part) decides where it applies; only otherwise does a deterministic numeric
-minimization over the unit sphere run.  Numeric verdicts use a three-way
-threshold: minimum > 1e-9 passes, a point below 1e-12 fails, anything
-between is inconclusive.  The numeric search lives in :mod:`cxkit.sphere`,
-which is imported only on that last step, so certified checks do not load
-numpy; no check loads scipy.  The Douglis-Nirenberg weights of the Maxwell
-and Stokes operators come from one recurrence (``_plan``).
+part) decides where it applies; otherwise the verdict is numeric.  The seed
+and budget are checked first.  Then a target that is a homogeneous real
+quadratic form in the sphere variables (parameters held at 1.0) takes its
+extreme values on the unit sphere from the eigenvalues of its matrix
+(Rayleigh-Ritz), with no sampling; only any other target runs the
+deterministic sphere search (Sobol scan and Nelder-Mead polish).  Numeric
+verdicts use a three-way threshold: minimum > 1e-9 passes, a point below
+1e-12 fails, anything between is inconclusive.  Both numeric routes live in
+:mod:`cxkit.sphere`, which is imported only then, so certified checks do
+not load numpy; no check loads scipy.  The Douglis-Nirenberg weights of the
+Maxwell and Stokes operators come from one recurrence (``_plan``).
 """
 
 from __future__ import annotations
@@ -137,8 +141,11 @@ def _verdict(check: str, sym: SymbolMatrix, *, hermitian: bool = False,
     a gamma * (|zeta|^2)^k certificate decides: a determinant is certified
     for any gamma, a Hermitian part for gamma > 0, and fails for gamma < 0
     with minimum gamma at the axis.  A Hermitian part's gamma is real: each
-    diagonal entry of (s + s^H) / 2 has real coefficients.  Otherwise the
-    numeric search runs, and ``sphere`` is imported."""
+    diagonal entry of (s + s^H) / 2 has real coefficients.  Otherwise
+    ``sphere`` is imported, the seed and budget are checked, and the
+    numeric verdict comes from the eigenvalues of a real quadratic form's
+    matrix, where the target is one, else from the sphere search; only the
+    search's report carries its seed and budget."""
     sphere_vars = sym.signature.derivative_vars
     form = sym.scalar_part() if hermitian else sym.body.determinant()
     determinant = None if hermitian else str(form)
@@ -156,15 +163,22 @@ def _verdict(check: str, sym: SymbolMatrix, *, hermitian: bool = False,
             return EllipticityReport("fail", check, certified_form=shown,
                                      minimum=float(gamma.re), witness=_axis(sphere_vars))
     from cxkit import sphere
-    search, target = ((sphere.eigenvalue_minimum, sym.body) if hermitian
-                      else (sphere.abs_minimum, form))
-    minimum, argmin = search(target, sphere_vars, sym.signature.params, seed=seed, budget=budget)
+    sphere.check_search(len(sphere_vars), seed, budget)
+    closed = None if form is None else sphere.quadratic_minimum(
+        form, sphere_vars, absolute=not hermitian)
+    if closed is None:
+        search, target = ((sphere.eigenvalue_minimum, sym.body) if hermitian
+                          else (sphere.abs_minimum, form))
+        minimum, argmin = search(target, sphere_vars, sym.signature.params,
+                                 seed=seed, budget=budget)
+        sampled = {"seed": seed, "budget": budget}
+    else:
+        (minimum, argmin), sampled = closed, {}
     verdict = ("numeric-pass" if minimum > PASS_THRESHOLD
                else "fail" if minimum < FAIL_THRESHOLD else "inconclusive")
     return EllipticityReport(verdict, check, determinant=determinant,
                              minimum=minimum, argmin=argmin,
-                             witness=argmin if verdict == "fail" else None,
-                             seed=seed, budget=budget)
+                             witness=argmin if verdict == "fail" else None, **sampled)
 
 
 # ---------------------------------------------------------------------------

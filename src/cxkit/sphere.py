@@ -1,6 +1,14 @@
 """Numeric minimization over the unit sphere: the fallback of the ellipticity
 checks once their symbolic certificate does not apply.
 
+The checks take two numeric routes, in this order, after one argument check
+(:func:`check_search`).  A target that is a homogeneous real quadratic form
+zeta^T A zeta in the sphere variables, the parameters held at 1.0, takes its
+extreme values on the sphere from one ``eigh`` of A (Rayleigh-Ritz;
+:func:`quadratic_minimum`): nothing is sampled.  Every other target (a
+matrix symbol, a quartic, complex or inhomogeneous coefficients) runs the
+search below.
+
 This is the only cxkit module that imports numpy, and
 :mod:`cxkit.ellipticity` imports it only on the numeric path, so exact work
 (complexes, block operators, parametrices, certified checks, syzygies) never
@@ -92,6 +100,7 @@ from __future__ import annotations
 
 import functools
 import math
+from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -642,18 +651,25 @@ def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
     return min((c for pair in found for c in pair), key=lambda vp: (vp[0], vp[1]))
 
 
-def _minimize(fn, sphere_vars: Sequence[str], seed: int, budget: int
-              ) -> tuple[float, tuple[float, ...]]:
+def check_search(dim: int, seed: int, budget: int) -> None:
+    """Refuse a seed or budget that a search of ``dim`` sphere variables
+    could not take.  The ellipticity checks call this before either numeric
+    route, so the closed-form route refuses what the search would."""
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sample, got {budget}")
     if budget > _MAX_SAMPLES:
         raise ValueError(f"budget must be at most 2**{_SOBOL_BITS} samples, got {budget}")
-    if budget * len(sphere_vars) > _MAX_COORDINATES:
-        raise ValueError(f"budget times the {len(sphere_vars)} sphere variables must be "
+    if budget * dim > _MAX_COORDINATES:
+        raise ValueError(f"budget times the {dim} sphere variables must be "
                          f"at most 2**{_COORDINATE_BITS} = {_MAX_COORDINATES} point coordinates, got "
-                         f"{budget * len(sphere_vars)}")
+                         f"{budget * dim}")
     if seed < 0:
         raise ValueError(f"seed must be non-negative, got {seed}")
+
+
+def _minimize(fn, sphere_vars: Sequence[str], seed: int, budget: int
+              ) -> tuple[float, tuple[float, ...]]:
+    check_search(len(sphere_vars), seed, budget)
     return _sphere_minimize(fn, len(sphere_vars), seed, budget)
 
 
@@ -686,4 +702,53 @@ def eigenvalue_minimum(m: PolyMatrix, sphere_vars: Sequence[str],
                      sphere_vars, seed, budget)
 
 
-__all__ = ["compile_matrix", "abs_minimum", "eigenvalue_minimum"]
+# ---------------------------------------------------------------------------
+# Quadratic forms: the closed-form route
+
+
+def _form_matrix(p: Poly, sphere_vars: Sequence[str]) -> np.ndarray | None:
+    """The symmetric matrix A with p(zeta) = zeta^T A zeta, every variable
+    of ``p`` outside ``sphere_vars`` held at 1.0, when p is a homogeneous
+    quadratic form with real coefficients in ``sphere_vars``; else None.
+    Each entry is summed exactly over the terms and rounded once, so A does
+    not depend on the order ``p`` stores its terms in."""
+    index = {v: i for i, v in enumerate(p.vars)}
+    at = [index[v] for v in sphere_vars]
+    sums: dict[tuple[int, ...], Fraction] = {}
+    for exp, c in p.terms.items():
+        if c.im or sum(exp[i] for i in at) != 2:
+            return None
+        pair = tuple(k for k, i in enumerate(at) for _ in range(exp[i]))
+        sums[pair] = sums.get(pair, 0) + c.re
+    a = np.zeros((len(at), len(at)))
+    for (i, j), c in sums.items():
+        a[i, j] = a[j, i] = float(c if i == j else c / 2)
+    return a
+
+
+def quadratic_minimum(p: Poly, sphere_vars: Sequence[str], *, absolute: bool
+                      ) -> tuple[float, tuple[float, ...]] | None:
+    """(minimum, argmin) over the unit sphere of ``sphere_vars`` of p, or
+    of |p| with ``absolute``, when p is a homogeneous real quadratic form
+    zeta^T A zeta with the other variables held at 1.0; else None.
+
+    By Rayleigh-Ritz the extreme values of p on the sphere are the extreme
+    eigenvalues of A, at their eigenvectors, from one ``eigh``.  So p has
+    minimum lambda_min.  |p| has minimum min |lambda| when A is definite;
+    otherwise it is exactly 0.0, at the null-cone point
+    sqrt(lambda_max) v_min + sqrt(-lambda_min) v_max (v_min for A = 0)."""
+    a = _form_matrix(p, sphere_vars)
+    if a is None:
+        return None
+    w, v = np.linalg.eigh(a)
+    lo, hi = float(w[0]), float(w[-1])
+    if not absolute or lo > 0:
+        return lo + 0.0, _canonical_point(v[:, 0])
+    if hi < 0:
+        return -hi, _canonical_point(v[:, -1])
+    cone = math.sqrt(hi) * v[:, 0] + math.sqrt(-lo) * v[:, -1] if hi > lo else v[:, 0]
+    return 0.0, _canonical_point(cone)
+
+
+__all__ = ["compile_matrix", "abs_minimum", "eigenvalue_minimum", "check_search",
+           "quadratic_minimum"]

@@ -203,17 +203,17 @@ def test_pinned_report(tmp_path, monkeypatch, pin, status, args):
 
 # A positive definite quadratic in three variables with cross terms, the shape
 # of the corpus's ellipticity specs: no symbolic certificate applies, so both
-# checks run the full numeric search (Sobol scan and 16 Nelder-Mead polishes).
+# checks take the closed-form route (the extreme eigenvalues of the form's
+# matrix).
 QUADRATIC3_SPEC = DATA / "quadratic3.spec"
 
 
 @pytest.mark.parametrize("kind", ["petrovskii", "strong"])
 def test_numeric_ellipticity_report_bytes(tmp_path, kind):
-    """The numeric report's floats are pinned: a change to the scan or the
-    polish that moves any bit of the minimum or its argmin fails here.  Both
+    """The numeric report's floats are pinned: a change to the closed-form
+    route that moves any bit of the minimum or its argmin fails here.  Both
     kinds run twice in one process, ``kind`` first: its first report comes
-    from ``cold_start``, the others read back its points and power
-    columns."""
+    from ``cold_start``, the others after what the first run kept."""
     out = tmp_path / "report.json"
     other = {"petrovskii": "strong", "strong": "petrovskii"}[kind]
     cold_start()

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cxkit import blockops, dsl, ellipticity, poly
+from cxkit import blockops, dsl, ellipticity, poly, sphere
 from cxkit.complexes import (
     MuSet,
     de_rham_complex,
@@ -194,7 +194,9 @@ def _verdict_report(case: str, monkeypatch) -> dict:
 @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
 def test_verdict_report_as_pinned(case, monkeypatch):
     """The full report of each branch, captured before the four checks
-    shared one route to their verdict."""
+    shared one route to their verdict; ``numeric-determinant``,
+    ``injectivity-numeric-fail`` and ``strong-zero``, whose targets are
+    quadratic forms, recaptured when those took the closed-form route."""
     pinned = json.loads(VERDICT_PINS.read_text())
     assert _verdict_report(case, monkeypatch) == pinned[case]
 
@@ -248,6 +250,94 @@ def test_numeric_reports_are_deterministic():
     r1 = injectivity_check(sg.op(0), seed=DEFAULT_SEED)
     r2 = injectivity_check(sg.op(0), seed=DEFAULT_SEED)
     assert r1.to_json() == r2.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Quadratic forms: the closed-form route against the sphere search
+
+
+@st.composite
+def quadratic_forms(draw):
+    """The terms of a real quadratic form zeta^T A zeta in 1-5 sphere
+    variables, with its symbol signature and A: A is definite (L L^T + I,
+    either sign), semidefinite (L L^T, L with n - 1 columns) or indefinite
+    (M + M^T), all integer.  With the parameter mu, part of some
+    coefficients moves onto mu or mu^2, so the form at mu = 1 is A's."""
+    n = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["definite", "semidefinite", "indefinite"]))
+    ints = st.integers(-3, 3)
+    if kind == "indefinite":
+        m = [[draw(ints) for _ in range(n)] for _ in range(n)]
+        a = [[m[i][j] + m[j][i] for j in range(n)] for i in range(n)]
+    else:
+        k = n if kind == "definite" else n - 1
+        low = [[draw(ints) for _ in range(k)] for _ in range(n)]
+        sign = draw(st.sampled_from([1, -1]))
+        a = [[sign * (sum(low[i][t] * low[j][t] for t in range(k))
+                      + (kind == "definite" and i == j)) for j in range(n)] for i in range(n)]
+    sig = spatial_signature(n, params=["mu"][:draw(st.integers(0, 1))]).symbol_signature()
+    terms = []
+    for i in range(n):
+        for j in range(i, n):
+            exp = [0] * len(sig.vars)
+            exp[i] += 1
+            exp[j] += 1
+            c = a[i][j] * (1 if i == j else 2)
+            if sig.params and draw(st.booleans()):
+                moved = draw(ints)
+                terms.append((tuple(exp[:-1] + [draw(st.integers(1, 2))]),
+                              GaussianRational.of(moved)))
+                c -= moved
+            terms.append((tuple(exp), GaussianRational.of(c)))
+    return sig, terms, np.array(a, dtype=float)
+
+
+def _numeric_verdict(minimum: float) -> str:
+    return ("numeric-pass" if minimum > ellipticity.PASS_THRESHOLD
+            else "fail" if minimum < ellipticity.FAIL_THRESHOLD else "inconclusive")
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratic_forms())
+def test_quadratic_route_matches_the_sphere_search(case):
+    """On every drawn form the closed-form route and the sphere search,
+    called directly, agree: the same verdict away from the thresholds and
+    minima within 1e-9 max(1, |lambda|), for p (the strong check) and |p|
+    (Petrovskii and injectivity).  The route's argmin attains its minimum,
+    and a check's report carries the route's floats and no seed or budget.
+    One form stored in two term orders gives byte-identical reports."""
+    sig, terms, a = case
+    p = Poly(sig.vars, dict(terms))
+    sphere_vars, params = sig.derivative_vars, sig.params
+    assert np.array_equal(sphere._form_matrix(p, sphere_vars), a)
+    searches = {True: sphere.abs_minimum(p, sphere_vars, params, seed=DEFAULT_SEED, budget=2048),
+                False: sphere.eigenvalue_minimum(PolyMatrix(p.vars, [[p]]), sphere_vars,
+                                                 params, seed=DEFAULT_SEED, budget=2048)}
+    for absolute, (searched, _) in searches.items():
+        minimum, argmin = sphere.quadratic_minimum(p, sphere_vars, absolute=absolute)
+        tol = 1e-9 * max(1.0, abs(minimum))
+        assert abs(searched - minimum) <= tol
+        if not 1e-13 <= minimum <= 1e-8:
+            assert _numeric_verdict(searched) == _numeric_verdict(minimum)
+        at = p.evaluate({**dict(zip(sphere_vars, argmin)), **dict.fromkeys(params, 1.0)})
+        assert abs((abs(at) if absolute else at.real) - minimum) <= tol
+        assert abs(np.linalg.norm(argmin) - 1.0) <= 1e-11
+    reports, forms = [], [p, Poly(sig.vars, dict(terms[::-1]))]
+    assert forms[0] == forms[1]
+    assert len(p.terms) < 2 or stored(forms[0]) != stored(forms[1])
+    for form in forms:
+        sym = SymbolMatrix.from_entries(sig, [[form]])
+        reports.append([ellipticity._verdict(check, sym, hermitian=hermitian,
+                                             seed=DEFAULT_SEED, budget=2048)
+                        for check, hermitian in (("petrovskii", False),
+                                                 ("strong-ellipticity", True))])
+    assert [json.dumps(r.to_json()) for r in reports[0]] == \
+        [json.dumps(r.to_json()) for r in reports[1]]
+    for rep, absolute in zip(reports[0], (True, False)):
+        if rep.certified_form is None and not (absolute and p.is_zero):
+            assert (rep.minimum, rep.argmin) == sphere.quadratic_minimum(
+                p, sphere_vars, absolute=absolute)
+            assert rep.seed is None and rep.budget is None
 
 
 # ---------------------------------------------------------------------------

@@ -522,13 +522,35 @@ def test_memo_columns_match_the_power_table(dim):
 
 def _quadratic3() -> OperatorMatrix:
     """A positive definite quadratic in three variables that no certificate
-    covers, so its checks take the numeric search."""
+    covers, so its checks take the closed-form route."""
     sig = spatial_signature(3)
     d1, d2, d3 = (Poly.variable(sig.vars, v) for v in sig.vars)
     form = (d1 * d1).scale(GaussianRational.of(3)) + (d1 * d2).scale(GaussianRational.of(2)) \
         + (d2 * d2).scale(GaussianRational.of(2)) + (d2 * d3).scale(GaussianRational.of(2)) \
         + (d3 * d3).scale(GaussianRational.of(4))
     return OperatorMatrix.from_entries(sig, [[-form]])
+
+
+def _scanned3() -> OperatorMatrix:
+    """A 3-D Lame operator: its strong check's symbol is a matrix with the
+    exponents 0 to 2 that no certificate or closed form covers, so the check
+    scans."""
+    return _lame(3, Fraction(1), Fraction(2))
+
+
+def test_quadratic_check_builds_no_scan_points(monkeypatch):
+    """A quadratic form's checks take the eigenvalues of its matrix: no
+    check builds a scan point, and no report carries a seed or budget."""
+    cold_start()
+
+    def scanned(*key):
+        raise AssertionError(f"scan points built for {key}")
+
+    monkeypatch.setattr(sphere, "_sphere_points", scanned)
+    for check in (petrovskii_check, strong_ellipticity_check):
+        rep = check(_quadratic3())
+        assert rep.verdict == "numeric-pass" and (rep.seed, rep.budget) == (None, None)
+    assert sphere._scan_memo.cache_info().currsize == 0
 
 
 def test_second_check_raises_no_scan_coordinate(monkeypatch):
@@ -546,7 +568,7 @@ def test_second_check_raises_no_scan_coordinate(monkeypatch):
 
     monkeypatch.setattr(np, "power", counted)
     monkeypatch.setattr(sphere, "_polish", lambda *args, **kwargs: [])
-    assert petrovskii_check(_quadratic3()).verdict == "numeric-pass"
+    assert strong_ellipticity_check(_scanned3()).verdict == "numeric-pass"
     assert sum(raised) == DEFAULT_BUDGET * 3
     raised.clear()
     rep = strong_ellipticity_check(_lame(3, Fraction(-13, 10), Fraction(7, 5)))
@@ -557,7 +579,7 @@ def test_second_check_raises_no_scan_coordinate(monkeypatch):
 def test_memo_entries_are_read_only_and_go_with_their_points():
     cold_start()
     key = (3, DEFAULT_BUDGET, DEFAULT_SEED)
-    strong_ellipticity_check(_quadratic3())
+    strong_ellipticity_check(_scanned3())
     memo = sphere._scan_memo(*key)
     assert list(memo.columns) == [2]
     col = memo.columns[2]
@@ -582,10 +604,10 @@ def test_checks_at_other_seeds_and_budgets_read_their_own_columns():
     cold = {}
     for seed, budget in runs:
         cold_start()
-        cold[seed, budget] = petrovskii_check(_quadratic3(), seed=seed, budget=budget)
+        cold[seed, budget] = strong_ellipticity_check(_scanned3(), seed=seed, budget=budget)
     cold_start()
     for seed, budget in runs + runs[::-1]:
-        rep = petrovskii_check(_quadratic3(), seed=seed, budget=budget)
+        rep = strong_ellipticity_check(_scanned3(), seed=seed, budget=budget)
         assert (rep.minimum, rep.argmin) == (cold[seed, budget].minimum,
                                              cold[seed, budget].argmin)
     memos = [sphere._scan_memo(3, budget, seed) for seed, budget in runs]
@@ -1150,7 +1172,9 @@ def test_lame_strong_minimum_is_pinned():
 
 
 def _numeric_form() -> OperatorMatrix:
-    """-(d1^2 + d1 d2 + d2^2): elliptic, but not certifiable as a |zeta|^2 power."""
+    """-(d1^2 + d1 d2 + d2^2): elliptic, but not certifiable as a |zeta|^2
+    power.  It is a quadratic form, so its checks refuse an argument before
+    the closed-form route as the search would."""
     sig = spatial_signature(2)
     d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
     return OperatorMatrix.from_entries(sig, [[-(d1 * d1 + d1 * d2 + d2 * d2)]])
@@ -1169,8 +1193,16 @@ def test_negative_seed_is_rejected():
             check(_numeric_form(), seed=-3)
 
 
+def _quartic_form() -> OperatorMatrix:
+    """d1^4 + d1^2 d2^2 + d2^4: elliptic, and neither a |zeta|^2 power nor a
+    quadratic form, so its checks scan."""
+    sig = spatial_signature(2)
+    d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
+    return OperatorMatrix.from_entries(sig, [[d1 ** 4 + d1 * d1 * d2 * d2 + d2 ** 4]])
+
+
 def test_smallest_budget_runs():
-    rep = petrovskii_check(_numeric_form(), seed=0, budget=1)
+    rep = petrovskii_check(_quartic_form(), seed=0, budget=1)
     assert rep.verdict == "numeric-pass" and rep.budget == 1 and rep.seed == 0
 
 
