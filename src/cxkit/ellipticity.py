@@ -1,20 +1,21 @@
 """Ellipticity checks and Douglis-Nirenberg weight computation.
 
 Four check flavours (Petrovskii, injectivity, strong ellipticity and
-Douglis-Nirenberg) reach their verdicts through one route, ``_verdict``: a
-zero determinant fails at once; then an exact symbolic certificate of the
-narrow form ``gamma * (|zeta|^2)^k`` (times the identity for a Hermitian
-part) decides where it applies; otherwise the verdict is numeric.  The seed
-and budget are checked first.  Then a target that is a homogeneous real
-quadratic form in the sphere variables (parameters held at 1.0) takes its
-extreme values on the unit sphere from the eigenvalues of its matrix
-(Rayleigh-Ritz), with no sampling; only any other target runs the
-deterministic sphere search (Sobol scan and Nelder-Mead polish).  Numeric
-verdicts use a three-way threshold: minimum > 1e-9 passes, a point below
-1e-12 fails, anything between is inconclusive.  Both numeric routes live in
-:mod:`cxkit.sphere`, which is imported only then, so certified checks do
-not load numpy; no check loads scipy.  The Douglis-Nirenberg weights of the
-Maxwell and Stokes operators come from one recurrence (``_plan``).
+Douglis-Nirenberg) reach their verdicts through one route, ``_verdict``,
+in this order: a zero determinant fails at once; an exact certificate
+``gamma * (|zeta|^2)^k`` (times the identity for a Hermitian part); for a
+Hermitian part only, the spectral certificate prod_k (H - c_k |zeta|^D I)
+= 0; then, once the seed and budget are checked, the closed form of a
+homogeneous real quadratic target (parameters held at 1.0), whose extreme
+values on the unit sphere are the extreme eigenvalues of its matrix
+(Rayleigh-Ritz), or of the root q of a scalar injectivity check's |q|^2,
+squared; and only otherwise the deterministic sphere search (Sobol scan and
+Nelder-Mead polish).  Numeric verdicts use a three-way threshold: minimum >
+1e-9 passes, a point below 1e-12 fails, anything between is inconclusive.
+Both numeric routes live in :mod:`cxkit.sphere`, which is imported only
+then, so certified checks do not load numpy; no check loads scipy.  The
+Douglis-Nirenberg weights of the Maxwell and Stokes operators come from one
+recurrence (``_plan``).
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from cxkit.complexes import Complex, MuSet
 from cxkit.diffop import OperatorMatrix, SymbolMatrix
-from cxkit.poly import GaussianRational, Poly
+from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 if TYPE_CHECKING:  # annotations only: the checks need no block builders
     from cxkit.blockops import BlockPartition
@@ -128,44 +129,91 @@ def _radius_power(vars: tuple[str, ...], spatial: tuple[str, ...], k: int) -> Po
     return r2 ** k
 
 
+def _spectral_roots(sym: SymbolMatrix) -> tuple[list[GaussianRational], int] | None:
+    """The distinct c_k, ascending, and k with prod_k (H - c_k (|zeta|^2)^k I)
+    == 0 exactly for H = ``sym``; else None.  Then every eigenvalue of H(zeta)
+    is some c_k |zeta|^2k (Cayley-Hamilton with the minimal polynomial), and
+    each c_k is one at the first axis e_1: the candidates are the diagonal
+    of H(e_1), the coefficients of zeta_1^2k, read when H(e_1) is diagonal
+    and constant (no parameter in it)."""
+    spatial = sym.signature.derivative_vars
+    degree = sym.body.total_degree(spatial)
+    if not spatial or degree % 2:
+        return None
+    axis = sym.signature.vars.index(spatial[0])
+    diagonal = [GaussianRational.zero()] * sym.rows
+    for i, row in enumerate(sym.body.entries):
+        for j, p in enumerate(row):
+            for exp, c in p.terms.items():
+                if exp[axis] == degree:
+                    if i != j or any(exp[:axis] + exp[axis + 1:]):
+                        return None
+                    diagonal[i] = c
+    roots = sorted(set(diagonal), key=lambda c: (c.re, c.im))
+    return (roots, degree // 2) if _annihilates(sym, roots, degree // 2) else None
+
+
+def _annihilates(sym: SymbolMatrix, roots: Sequence[GaussianRational], k: int) -> bool:
+    """Whether prod_k (H - c_k (|zeta|^2)^k I) == 0 exactly for H = ``sym``
+    and the c_k in ``roots``: the check of a spectral certificate."""
+    ring = sym.signature.vars
+    power = _radius_power(ring, tuple(sym.signature.derivative_vars), k)
+    product = None
+    for c in roots:
+        factor = sym.body - PolyMatrix.identity(ring, sym.rows, power.scale(c))
+        product = factor if product is None else product @ factor
+    return product is not None and product.is_zero
+
+
 def _axis(sphere_vars: Sequence[str]) -> tuple[float, ...]:
     """The first unit vector: the witness of a failure at every point."""
     return tuple(1.0 if i == 0 else 0.0 for i in range(len(sphere_vars)))
 
 
 def _verdict(check: str, sym: SymbolMatrix, *, hermitian: bool = False,
-             seed: int, budget: int) -> EllipticityReport:
+             root: Poly | None = None, seed: int, budget: int) -> EllipticityReport:
     """The one route to every check's verdict, on the determinant of ``sym``
     or, with ``hermitian``, on ``sym`` as a Hermitian part, through its
-    scalar part when it is one.  A zero determinant fails at the axis; then
-    a gamma * (|zeta|^2)^k certificate decides: a determinant is certified
-    for any gamma, a Hermitian part for gamma > 0, and fails for gamma < 0
-    with minimum gamma at the axis.  A Hermitian part's gamma is real: each
-    diagonal entry of (s + s^H) / 2 has real coefficients.  Otherwise
-    ``sphere`` is imported, the seed and budget are checked, and the
-    numeric verdict comes from the eigenvalues of a real quadratic form's
-    matrix, where the target is one, else from the sphere search; only the
-    search's report carries its seed and budget."""
+    scalar part when it is one.  In order: a zero determinant fails at the
+    axis; a gamma * (|zeta|^2)^k certificate certifies a determinant for any
+    gamma; a Hermitian part's certificate, gamma * (|zeta|^2)^k * I or the
+    spectrum c_k (|zeta|^2)^k of ``_spectral_roots``, certifies it when its
+    least root is positive and else fails with that root as minimum at the
+    axis, where it is an eigenvalue (a Hermitian part's gamma is real: each
+    diagonal entry of (s + s^H) / 2 has real coefficients; one with real
+    part 0 would go on).  Then ``sphere`` is imported, the seed and budget
+    are checked, and a real quadratic target, or else a real quadratic
+    ``root`` q of the scalar target |q|^2 (its minimum squared), takes the
+    closed form; any other target the sphere search, whose report alone
+    carries its seed and budget."""
     sphere_vars = sym.signature.derivative_vars
     form = sym.scalar_part() if hermitian else sym.body.determinant()
     determinant = None if hermitian else str(form)
     if not hermitian and form.is_zero:
         return EllipticityReport("fail", check, determinant=determinant,
                                  minimum=0.0, witness=_axis(sphere_vars))
+    shown = None
     cert = None if form is None else _certify_power(form, sphere_vars)
-    if cert is not None:
+    if cert is not None and (not hermitian or cert[0].re):
         gamma, k = cert
-        shown = f"({gamma})*(|zeta|^2)^{k}" + ("*I" if hermitian else "")
-        if not hermitian or gamma.re > 0:
+        shown, lowest = f"({gamma})*(|zeta|^2)^{k}" + ("*I" if hermitian else ""), gamma.re
+    elif form is None and (spectrum := _spectral_roots(sym)) is not None:
+        roots, k = spectrum
+        shown = "spectrum " + ", ".join(f"({c})*(|zeta|^2)^{k}" for c in roots)
+        lowest = roots[0].re
+    if shown is not None:
+        if not hermitian or lowest > 0:
             return EllipticityReport("certified-symbolic", check,
                                      determinant=determinant, certified_form=shown)
-        if gamma.re < 0:
-            return EllipticityReport("fail", check, certified_form=shown,
-                                     minimum=float(gamma.re), witness=_axis(sphere_vars))
+        return EllipticityReport("fail", check, certified_form=shown,
+                                 minimum=float(lowest), witness=_axis(sphere_vars))
     from cxkit import sphere
     sphere.check_search(len(sphere_vars), seed, budget)
     closed = None if form is None else sphere.quadratic_minimum(
         form, sphere_vars, absolute=not hermitian)
+    if closed is None and root is not None:
+        closed = sphere.quadratic_minimum(root, sphere_vars, absolute=True)
+        closed = None if closed is None else (closed[0] ** 2, closed[1])
     if closed is None:
         search, target = ((sphere.eigenvalue_minimum, sym.body) if hermitian
                           else (sphere.abs_minimum, form))
@@ -195,11 +243,14 @@ def petrovskii_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
 
 def injectivity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,
                       budget: int = DEFAULT_BUDGET) -> EllipticityReport:
-    """Injectivity of the principal symbol: Petrovskii check of sigma^H sigma."""
+    """Injectivity of the principal symbol: Petrovskii check of sigma^H sigma,
+    whose 1x1 sigma = [q] is passed on as the root of |q|^2."""
     if op.rows < op.cols:
         raise ValueError("injectivity check needs rows >= cols")
     s = op.principal_symbol()
-    return _verdict("injectivity", s.hermitian_transpose() @ s, seed=seed, budget=budget)
+    root = s[0, 0] if (s.rows, s.cols) == (1, 1) else None
+    return _verdict("injectivity", s.hermitian_transpose() @ s, root=root,
+                    seed=seed, budget=budget)
 
 
 def strong_ellipticity_check(op: OperatorMatrix, *, seed: int = DEFAULT_SEED,

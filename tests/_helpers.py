@@ -5,8 +5,8 @@ The fast-path tests take their complexes from one table, ``COMPLEXES``
 onto ``mu`` or onto time and ``mu``), and their weights from one builder,
 ``weights(cplx, kind)`` for each kind of ``WEIGHTS``; they compare stored
 forms, term order included, with ``stored``.  Also shared: a Hypothesis
-strategy of small rationals, a weight as a matrix, |zeta|^2, the
-block-by-block reference of a split determinant, and ``cold_start``, which
+strategy of small rationals, a weight as a matrix, |zeta|^2, the Lame and
+cubic elasticity operators, the block-by-block reference of a split determinant, and ``cold_start``, which
 empties each cache cxkit keeps before a cold run."""
 
 import sys
@@ -153,6 +153,33 @@ def norm2(sig: Signature) -> Poly:
         z = Poly.variable(sig.vars, v)
         total = total + z * z
     return total
+
+
+def lame(n: int, lam: Fraction, mu: Fraction) -> OperatorMatrix:
+    """-(mu Laplace I + (lam + mu) grad div) in n dimensions: principal
+    symbol mu |zeta|^2 I + (lam + mu) zeta zeta^T."""
+    sig = spatial_signature(n)
+    d = [Poly.variable(sig.vars, v) for v in sig.spatial]
+    lap = norm2(sig)
+    m, c = GaussianRational.of(mu), GaussianRational.of(lam + mu)
+    return OperatorMatrix.from_entries(sig, [
+        [-((d[i] * d[j]).scale(c) + (lap.scale(m) if i == j else Poly.zero(sig.vars)))
+         for j in range(n)] for i in range(n)])
+
+
+def cubic_elasticity(c11: Fraction, c12: Fraction, c44: Fraction) -> OperatorMatrix:
+    """3-D elasticity with cubic symmetry, whose principal symbol has
+    entries c11 z_i^2 + c44 (|z|^2 - z_i^2) on the diagonal and
+    (c12 + c44) z_i z_j off it: Lame's (lambda = c12, mu = c44) when
+    c11 - c12 = 2 c44, otherwise not isotropic."""
+    sig = spatial_signature(3)
+    d = [Poly.variable(sig.vars, v) for v in sig.spatial]
+    lap = norm2(sig)
+    c = GaussianRational.of
+    return OperatorMatrix.from_entries(sig, [
+        [-((d[i] * d[i]).scale(c(c11 - c44)) + lap.scale(c(c44))) if i == j
+         else -(d[i] * d[j]).scale(c(c12 + c44)) for j in range(3)]
+        for i in range(3)])
 
 
 def _odd(order: list) -> bool:

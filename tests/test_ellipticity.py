@@ -1,11 +1,13 @@
 """Ellipticity certification: symbolic powers, numeric minima, weight plans."""
 
 import json
+import time
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cxkit import blockops, dsl, ellipticity, poly, sphere
 from cxkit.complexes import (
@@ -27,7 +29,8 @@ from cxkit.ellipticity import (
     strong_ellipticity_check,
 )
 from cxkit.fixtures import symmetric_gradient_complex
-from _helpers import mu_matrix, rationals, stored, with_mu
+from _helpers import build, cubic_elasticity, lame, mu_matrix, rationals, stored, with_mu
+from test_imports import REFERENCE_BUNDLE
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
 
@@ -176,7 +179,8 @@ VERDICT_CASES = {
     "strong-zero": ("strong", "[[i*(d1^2 + d2^2)]]"),
     "strong-non-scalar": ("strong", "[[-2*d1^2 - d2^2, d1*d2], [d1*d2, -d1^2 - 2*d2^2]]"),
 }
-VERDICT_PINS = Path(__file__).parent / "data" / "verdict_reports.json"
+DATA = Path(__file__).parent / "data"
+VERDICT_PINS = DATA / "verdict_reports.json"
 
 
 def _verdict_report(case: str, monkeypatch) -> dict:
@@ -196,9 +200,126 @@ def test_verdict_report_as_pinned(case, monkeypatch):
     """The full report of each branch, captured before the four checks
     shared one route to their verdict; ``numeric-determinant``,
     ``injectivity-numeric-fail`` and ``strong-zero``, whose targets are
-    quadratic forms, recaptured when those took the closed-form route."""
+    quadratic forms, recaptured when those took the closed-form route, and
+    ``strong-non-scalar``, whose spectrum is 1 and 2, when it was certified
+    by its spectrum."""
     pinned = json.loads(VERDICT_PINS.read_text())
     assert _verdict_report(case, monkeypatch) == pinned[case]
+
+
+# ---------------------------------------------------------------------------
+# Spectral certificates
+
+
+def _hermitian_part(op: OperatorMatrix) -> SymbolMatrix:
+    """(s + s^H) / 2 of the principal symbol s, the strong check's target."""
+    s = op.principal_symbol()
+    return (s + s.hermitian_transpose()).scale(Fraction(1, 2))
+
+
+def _searched(herm: SymbolMatrix) -> float:
+    """The sphere search's least eigenvalue of ``herm``, called directly."""
+    return sphere.eigenvalue_minimum(herm.body, herm.signature.derivative_vars,
+                                     herm.signature.params, seed=DEFAULT_SEED, budget=2048)[0]
+
+
+def _roots(*values) -> list:
+    return [GaussianRational.of(Fraction(v)) for v in values]
+
+
+def test_spectral_certificate_negative_controls():
+    """Lame's roots annihilate its symbol, and no corrupted root or dropped
+    factor does.  Each other symbol declines: an H(e_1) off the diagonal
+    (though its true spectrum would certify), an H(e_1) with a parameter,
+    cubic anisotropy, and the symmetric gradient's 2-D strong check and
+    3-D injectivity target, whose reports stay the pinned ones."""
+    herm = _hermitian_part(lame(3, Fraction(-13, 10), Fraction(7, 5)))
+    assert ellipticity._spectral_roots(herm) == (_roots("7/5", "3/2"), 1)
+    assert ellipticity._annihilates(herm, _roots("7/5", "3/2"), 1)
+    for roots, k in ((_roots("7/5", "8/5"), 1), (_roots("3/2", "3/2"), 1),
+                     (_roots("7/5"), 1), (_roots("3/2"), 1), (_roots("7/5", "3/2"), 2)):
+        assert not ellipticity._annihilates(herm, roots, k), (roots, k)
+
+    sig = spatial_signature(2)
+    r2 = Poly.variable(sig.vars, "d1") ** 2 + Poly.variable(sig.vars, "d2") ** 2
+    rotated = OperatorMatrix.from_entries(sig, [[r2.scale(-2), -r2], [-r2, r2.scale(-2)]])
+    herm = _hermitian_part(rotated)
+    assert ellipticity._annihilates(herm, _roots(1, 3), 1)
+    assert ellipticity._spectral_roots(herm) is None
+    rep = strong_ellipticity_check(rotated, budget=2048)
+    assert rep.verdict == "numeric-pass" and abs(rep.minimum - 1.0) < 1e-9
+
+    sig = spatial_signature(3, params=["mu"])
+    d = [Poly.variable(sig.vars, v) for v in sig.spatial]
+    mu = Poly.variable(sig.vars, "mu")
+    r2 = sum((x * x for x in d), Poly.zero(sig.vars))
+    lame_mu = OperatorMatrix.from_entries(sig, [
+        [-((d[i] * d[j]) * (mu + Poly.one(sig.vars)) + (mu * r2 if i == j else Poly.zero(sig.vars)))
+         for j in range(3)] for i in range(3)])
+    assert ellipticity._spectral_roots(_hermitian_part(lame_mu)) is None
+    rep = strong_ellipticity_check(lame_mu, budget=2048)
+    assert rep.verdict == "numeric-pass" and rep.seed == DEFAULT_SEED
+
+    assert ellipticity._spectral_roots(_hermitian_part(
+        cubic_elasticity(Fraction(3), Fraction(1, 2), Fraction(1)))) is None
+    # at c11 - c12 = 2 c44 cubic symmetry is Lame's, lambda = c12, mu = c44
+    assert ellipticity._spectral_roots(_hermitian_part(
+        cubic_elasticity(Fraction(5), Fraction(1), Fraction(2)))) == (_roots(2, 5), 1)
+
+    sg = symmetric_gradient_complex()
+    lap = generalized_laplacian(sg, 1, MuSet.laplace_powers(sg, mtilde={0: 1}, mhat={1: 1}))
+    assert ellipticity._spectral_roots(_hermitian_part(lap)) is None
+    bundle = json.loads(REFERENCE_BUNDLE.read_text())["fixtures"][4]
+    assert strong_ellipticity_check(lap).to_json() == bundle["symmetric_gradient_strong"]
+    op = dsl.parse((DATA / "symgrad3.spec").read_text()).operators["E"]
+    s = op.principal_symbol()
+    assert ellipticity._spectral_roots(s.hermitian_transpose() @ s) is None
+    pinned = json.loads((DATA / "ellipticity_symgrad3_injectivity.json").read_text())
+    assert injectivity_check(op).to_json() == pinned["report"]
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 4), rationals, rationals)
+def test_lame_spectrum_matches_the_sphere_search(n, lam, mu):
+    """On Lame with rational moduli the spectral route and the sphere search
+    agree: the least root is min(mu, lambda + 2 mu) and the search's minimum
+    within 1e-9 max(1, |c|), and the verdicts match away from the
+    thresholds; a failing check reports the least root at the axis."""
+    assume(lam or mu)  # else the operator is zero
+    op = lame(n, lam, mu)
+    herm = _hermitian_part(op)
+    lowest = min(mu, lam + 2 * mu)
+    roots, k = ellipticity._spectral_roots(herm)
+    assert (roots[0], k) == (GaussianRational.of(lowest), 1)
+    searched = _searched(herm)
+    assert abs(searched - float(lowest)) <= 1e-9 * max(1.0, abs(float(lowest)))
+    rep = strong_ellipticity_check(op)
+    if not 1e-13 <= lowest <= 1e-8:
+        assert rep.verdict == {"numeric-pass": "certified-symbolic",
+                               "fail": "fail"}[_numeric_verdict(searched)]
+    if rep.certified_form is not None:
+        assert rep.seed is None
+        if rep.verdict == "fail":
+            assert rep.minimum == float(lowest)
+            assert rep.witness == tuple(1.0 if i == 0 else 0.0 for i in range(n))
+
+
+@pytest.mark.parametrize("name", ["de-rham-3", "de-rham-4", "de-rham-5"])
+def test_weighted_laplacian_spectrum_matches_the_sphere_search(name):
+    """delta_{q,mu} with the constant weights mu0_q = 2 and mu1_q = 3 is
+    2 P_+ + 3 P_- at each interior degree: certified by the roots 2 and 3 in
+    under 0.1 s, where the sphere search finds the least eigenvalue 2."""
+    cplx = build(name)
+    degrees = range(cplx.length + 1)
+    mu = MuSet(cplx, dict.fromkeys(degrees, 2), dict.fromkeys(degrees, 3))
+    for q in range(1, cplx.length):
+        op = generalized_laplacian(cplx, q, mu)
+        start = time.perf_counter()
+        rep = strong_ellipticity_check(op)
+        assert time.perf_counter() - start < 0.1, q
+        assert rep.verdict == "certified-symbolic", q
+        assert rep.certified_form == "spectrum (2)*(|zeta|^2)^1, (3)*(|zeta|^2)^1"
+        assert abs(_searched(_hermitian_part(op)) - 2.0) <= 2e-9, q
 
 
 def test_rank_deficient_fails_with_witness():
@@ -338,6 +459,28 @@ def test_quadratic_route_matches_the_sphere_search(case):
             assert (rep.minimum, rep.argmin) == sphere.quadratic_minimum(
                 p, sphere_vars, absolute=absolute)
             assert rep.seed is None and rep.budget is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(quadratic_forms())
+def test_scalar_injectivity_squares_the_petrovskii_minimum(case):
+    """A scalar operator whose symbol q is a real quadratic form: its
+    injectivity check reports the square of its Petrovskii minimum, min |q|,
+    at the same argmin, with no seed or budget; the determinant is still
+    |q|^2's."""
+    sig, terms, _ = case
+    op_sig = spatial_signature(len(sig.spatial), params=sig.params)
+    # the symbol of -c d_i d_j is c z_i z_j
+    op = OperatorMatrix.from_entries(op_sig, [[Poly(op_sig.vars, {e: -c for e, c in terms})]])
+    pet, inj = petrovskii_check(op), injectivity_check(op)
+    if pet.certified_form is not None:  # q = gamma |zeta|^2, so |q|^2 certifies too
+        assert inj.verdict == "certified-symbolic"
+        return
+    assert inj.minimum == pet.minimum ** 2
+    assert (inj.argmin, inj.witness is None) == (pet.argmin, pet.witness is None)
+    assert (inj.seed, inj.budget) == (None, None)
+    s = op.principal_symbol()
+    assert inj.determinant == str((s.hermitian_transpose() @ s).body.determinant())
 
 
 # ---------------------------------------------------------------------------

@@ -102,9 +102,14 @@ def probe(tmp_path, *commands: list) -> dict:
      EXACT | {"cxkit.syzygy"}, False),
     (["ellipticity", "--spec", "SPEC", "--budget", "64", "--json", "OUT"],
      EXACT | {"cxkit.ellipticity", "cxkit.sphere", "cxkit._sobol_directions"}, True),
+    (["ellipticity", "--spec", str(ROOT / "tests" / "data" / "lame3.spec"),
+      "--kind", "strong", "--json", "OUT"], EXACT | {"cxkit.ellipticity"}, False),
     (["fixtures", "--json", "OUT"], ALL, True),
-], ids=["help", "verify", "laplacian", "parametrix", "syzygy", "ellipticity", "fixtures"])
+], ids=["help", "verify", "laplacian", "parametrix", "syzygy", "ellipticity",
+        "ellipticity-lame-strong", "fixtures"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules, numpy):
+    """A check the spectral certificate settles, Lame's strong check, loads
+    neither ``cxkit.sphere`` nor numpy."""
     loaded = probe(tmp_path, argv)
     assert loaded["codes"] == [0]
     assert loaded["refused"] == []
@@ -114,7 +119,8 @@ def test_each_command_loads_only_its_modules(tmp_path, argv, modules, numpy):
     assert loaded["sympy"] == []
     report = tmp_path / f"{argv[0]}.json"
     if argv[0] == "ellipticity":
-        assert json.loads(report.read_text())["report"]["verdict"] == "numeric-pass"
+        assert json.loads(report.read_text())["report"]["verdict"] == (
+            "numeric-pass" if numpy else "certified-symbolic")
     if argv[0] == "fixtures":
         assert report.read_bytes() == REFERENCE_BUNDLE.read_bytes()
 

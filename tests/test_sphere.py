@@ -41,14 +41,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cxkit import sphere
+from cxkit import ellipticity, sphere
 from cxkit._sobol_directions import POLY, VINIT
 from cxkit.diffop import OperatorMatrix, Signature, SymbolMatrix, spatial_signature
 from cxkit.ellipticity import (DEFAULT_BUDGET, DEFAULT_SEED, petrovskii_check,
                                strong_ellipticity_check)
 from cxkit.poly import _MAX_VARS, GaussianRational, Poly, PolyMatrix
 
-from _helpers import cold_start
+from _helpers import cold_start, cubic_elasticity, lame
 from test_imports import REFERENCE_BUNDLE, probe
 
 # ---------------------------------------------------------------------------
@@ -531,11 +531,16 @@ def _quadratic3() -> OperatorMatrix:
     return OperatorMatrix.from_entries(sig, [[-form]])
 
 
-def _scanned3() -> OperatorMatrix:
-    """A 3-D Lame operator: its strong check's symbol is a matrix with the
-    exponents 0 to 2 that no certificate or closed form covers, so the check
-    scans."""
-    return _lame(3, Fraction(1), Fraction(2))
+def _scanned3(c11: Fraction = Fraction(2), c12: Fraction = Fraction(1),
+              c44: Fraction = Fraction(1)) -> OperatorMatrix:
+    """A cubic-anisotropic elasticity operator (c11 - c12 != 2 c44): its
+    strong check's symbol is a matrix with the exponents 0 to 2 that no
+    certificate or closed form covers, the spectral one included, so the
+    check scans."""
+    assert c11 - c12 != 2 * c44
+    op = cubic_elasticity(c11, c12, c44)
+    assert ellipticity._spectral_roots(op.principal_symbol()) is None
+    return op
 
 
 def test_quadratic_check_builds_no_scan_points(monkeypatch):
@@ -571,7 +576,7 @@ def test_second_check_raises_no_scan_coordinate(monkeypatch):
     assert strong_ellipticity_check(_scanned3()).verdict == "numeric-pass"
     assert sum(raised) == DEFAULT_BUDGET * 3
     raised.clear()
-    rep = strong_ellipticity_check(_lame(3, Fraction(-13, 10), Fraction(7, 5)))
+    rep = strong_ellipticity_check(_scanned3(Fraction(3), Fraction(1, 2), Fraction(1)))
     assert rep.verdict == "numeric-pass"
     assert raised == []
 
@@ -1140,31 +1145,23 @@ def test_search_polishes_the_stably_sorted_best_starts(monkeypatch, dim, budget)
         assert starts_.tobytes() == memo.points[order].tobytes()
 
 
-def _lame(n: int, lam: Fraction, mu: Fraction) -> OperatorMatrix:
-    """-(mu Laplace I + (lam + mu) grad div): principal symbol
-    mu |zeta|^2 I + (lam + mu) zeta zeta^T."""
-    sig = spatial_signature(n)
-    d = [Poly.variable(sig.vars, v) for v in sig.spatial]
-    lap = Poly.zero(sig.vars)
-    for x in d:
-        lap = lap + x * x
-    m, c = GaussianRational.of(mu), GaussianRational.of(lam + mu)
-    return OperatorMatrix.from_entries(sig, [
-        [-((d[i] * d[j]).scale(c) + (lap.scale(m) if i == j else Poly.zero(sig.vars)))
-         for j in range(n)] for i in range(n)])
-
-
 def test_lame_strong_minimum_is_pinned():
-    """The 3-D Lame strong check at the default seed and budget: the floats
-    the one-point search found, before the polish ran in lock-step."""
-    sym = _lame(3, Fraction(-13, 10), Fraction(7, 5)).principal_symbol()
+    """The 3-D Lame strong check's symbol at the default seed and budget:
+    the floats the one-point search found, before the polish ran in
+    lock-step.  The check itself is certified by the symbol's spectrum,
+    whose least root mu = 7/5 is the searched minimum."""
+    sym = lame(3, Fraction(-13, 10), Fraction(7, 5)).principal_symbol()
     value, point = sphere.eigenvalue_minimum(sym.body, sym.signature.spatial, (),
                                              seed=DEFAULT_SEED, budget=20_000)
     assert value.hex() == "0x1.666666666665bp+0"
     assert [v.hex() for v in point] == [
         "0x1.fc23599f81089p-2", "-0x1.b9932161701bep-5", "0x1.bba81c175eeefp-1"]
-    rep = strong_ellipticity_check(_lame(3, Fraction(-13, 10), Fraction(7, 5)))
-    assert rep.verdict == "numeric-pass" and rep.minimum == value
+    rep = strong_ellipticity_check(lame(3, Fraction(-13, 10), Fraction(7, 5)))
+    assert rep.verdict == "certified-symbolic"
+    roots, k = ellipticity._spectral_roots(sym)
+    assert (roots, k) == ([GaussianRational.of(Fraction(7, 5)),
+                           GaussianRational.of(Fraction(3, 2))], 1)
+    assert abs(float(roots[0].re) - value) <= 1e-9
 
 
 # ---------------------------------------------------------------------------
