@@ -1,33 +1,34 @@
 """Ellipticity checks and Douglis-Nirenberg weight computation.
 
 Four check flavours (Petrovskii, injectivity, strong ellipticity and
-Douglis-Nirenberg) reach their verdicts through one route, ``_verdict``,
-in this order: a zero determinant fails at once; an exact certificate
-``gamma * (|zeta|^2)^k`` (times the identity for a Hermitian part); for a
-Hermitian part only, the spectral certificate prod_k (H - c_k |zeta|^D I)
-= 0; then, once the seed and budget are checked, the closed form of a
-homogeneous real quadratic target (parameters held at 1.0), whose extreme
-values on the unit sphere are the extreme eigenvalues of its matrix
-(Rayleigh-Ritz), or of the root q of a scalar injectivity check's |q|^2,
-squared; and only otherwise the deterministic sphere search (Sobol scan and
-Nelder-Mead polish).  Numeric verdicts use a three-way threshold: minimum >
-1e-9 passes, a point below 1e-12 fails, anything between is inconclusive.
-Both numeric routes live in :mod:`cxkit.sphere`, which is imported only
-then, so certified checks do not load numpy; no check loads scipy.  The
-Douglis-Nirenberg weights of the Maxwell and Stokes operators come from one
-recurrence (``_plan``).
+Douglis-Nirenberg) reach their verdicts through one route, ``_verdict``, on
+one target H, the 1x1 [det sigma] or the strong check's Hermitian part, in
+this order: a zero determinant fails at once; one exact certificate
+prod_k (H - c_k (|zeta|^2)^k I) = 0, whose one root is gamma * (|zeta|^2)^k
+(times I for a Hermitian part) and several a spectrum; then, once the seed
+and budget are checked, the closed form of a homogeneous real quadratic
+scalar target (parameters held at 1.0), whose extreme values on the unit
+sphere are the extreme eigenvalues of its matrix (Rayleigh-Ritz), or of the
+root q of a scalar injectivity check's |q|^2, squared; and only otherwise
+the deterministic sphere search (Sobol scan and Nelder-Mead polish).
+Numeric verdicts use a three-way threshold: minimum > 1e-9 passes, a point
+below 1e-12 fails, anything between is inconclusive.  Both numeric routes
+live in :mod:`cxkit.sphere`, which is imported only then, so certified
+checks do not load numpy; no check loads scipy.  The Douglis-Nirenberg
+weights of the Maxwell and Stokes operators come from one recurrence
+(``_plan``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import TYPE_CHECKING, Sequence
 
 from cxkit.complexes import Complex, MuSet
 from cxkit.diffop import OperatorMatrix, SymbolMatrix
-from cxkit.poly import GaussianRational, Poly, PolyMatrix
+from cxkit.poly import GaussianRational, Poly, PolyMatrix, _matrix
 
 if TYPE_CHECKING:  # annotations only: the checks need no block builders
     from cxkit.blockops import BlockPartition
@@ -108,19 +109,6 @@ class WeightPlan:
 # Symbolic certification helpers
 
 
-def _certify_power(det: Poly, spatial: Sequence[str]) -> tuple[GaussianRational, int] | None:
-    """If det == gamma * (|zeta|^2)^k for a nonzero constant gamma, return
-    (gamma, k); else None.  Then 2k is det's degree in ``spatial`` and gamma
-    its leading coefficient, as (|zeta|^2)^k leads with 1, so one comparison
-    decides; an odd degree (-1 for det = 0) has no certificate."""
-    degree = det.total_degree(spatial)
-    if degree % 2:
-        return None
-    gamma = det.leading_term()[1]
-    power = _radius_power(det.vars, tuple(spatial), degree // 2)
-    return (gamma, degree // 2) if det == power.scale(gamma) else None
-
-
 @lru_cache(maxsize=32)
 def _radius_power(vars: tuple[str, ...], spatial: tuple[str, ...], k: int) -> Poly:
     """(|zeta|^2)^k over ``vars``, |zeta|^2 the sum of the squares of the
@@ -129,40 +117,42 @@ def _radius_power(vars: tuple[str, ...], spatial: tuple[str, ...], k: int) -> Po
     return r2 ** k
 
 
-def _spectral_roots(sym: SymbolMatrix) -> tuple[list[GaussianRational], int] | None:
+def _spectrum(h: PolyMatrix, spatial: Sequence[str]
+              ) -> tuple[list[GaussianRational], int] | None:
     """The distinct c_k, ascending, and k with prod_k (H - c_k (|zeta|^2)^k I)
-    == 0 exactly for H = ``sym``; else None.  Then every eigenvalue of H(zeta)
+    == 0 exactly for H = ``h``; else None.  Then every eigenvalue of H(zeta)
     is some c_k |zeta|^2k (Cayley-Hamilton with the minimal polynomial), and
     each c_k is one at the first axis e_1: the candidates are the diagonal
-    of H(e_1), the coefficients of zeta_1^2k, read when H(e_1) is diagonal
-    and constant (no parameter in it)."""
-    spatial = sym.signature.derivative_vars
-    degree = sym.body.total_degree(spatial)
-    if not spatial or degree % 2:
+    of H(e_1), the coefficients of zeta_1^2k (the constant terms when
+    ``spatial`` is empty), read when H(e_1) is diagonal.  One root c is the
+    certificate H = c (|zeta|^2)^k I, of a 1x1 H = [det] too."""
+    degree = h.total_degree(spatial)
+    if degree % 2:  # -1 for H = 0
         return None
-    axis = sym.signature.vars.index(spatial[0])
-    diagonal = [GaussianRational.zero()] * sym.rows
-    for i, row in enumerate(sym.body.entries):
+    axis = [degree if spatial and v == spatial[0] else 0 for v in h.vars]
+    roots = []
+    for i, row in enumerate(h.entries):
         for j, p in enumerate(row):
-            for exp, c in p.terms.items():
-                if exp[axis] == degree:
-                    if i != j or any(exp[:axis] + exp[axis + 1:]):
-                        return None
-                    diagonal[i] = c
-    roots = sorted(set(diagonal), key=lambda c: (c.re, c.im))
-    return (roots, degree // 2) if _annihilates(sym, roots, degree // 2) else None
+            c = p.coefficient(axis)
+            if i != j:
+                if not c.is_zero:
+                    return None
+            elif c not in roots:
+                roots.append(c)
+    roots.sort(key=lambda c: (c.re, c.im))
+    return (roots, degree // 2) if _annihilates(h, spatial, roots, degree // 2) else None
 
 
-def _annihilates(sym: SymbolMatrix, roots: Sequence[GaussianRational], k: int) -> bool:
-    """Whether prod_k (H - c_k (|zeta|^2)^k I) == 0 exactly for H = ``sym``
-    and the c_k in ``roots``: the check of a spectral certificate."""
-    ring = sym.signature.vars
-    power = _radius_power(ring, tuple(sym.signature.derivative_vars), k)
-    product = None
-    for c in roots:
-        factor = sym.body - PolyMatrix.identity(ring, sym.rows, power.scale(c))
-        product = factor if product is None else product @ factor
-    return product is not None and product.is_zero
+def _annihilates(h: PolyMatrix, spatial: Sequence[str],
+                 roots: Sequence[GaussianRational], k: int) -> bool:
+    """Whether prod_k (H - c_k (|zeta|^2)^k I) == 0 exactly for H = ``h``
+    and the c_k in ``roots``: the check of a certificate, for one root the
+    comparison H == c (|zeta|^2)^k I; no root leaves the identity."""
+    power = _radius_power(h.vars, tuple(spatial), k)
+    scalars = [PolyMatrix.identity(h.vars, h.rows, power.scale(c)) for c in roots]
+    if len(scalars) == 1:
+        return h == scalars[0]
+    return bool(scalars) and reduce(PolyMatrix.__matmul__, (h - s for s in scalars)).is_zero
 
 
 def _axis(sphere_vars: Sequence[str]) -> tuple[float, ...]:
@@ -172,43 +162,40 @@ def _axis(sphere_vars: Sequence[str]) -> tuple[float, ...]:
 
 def _verdict(check: str, sym: SymbolMatrix, *, hermitian: bool = False,
              root: Poly | None = None, seed: int, budget: int) -> EllipticityReport:
-    """The one route to every check's verdict, on the determinant of ``sym``
-    or, with ``hermitian``, on ``sym`` as a Hermitian part, through its
-    scalar part when it is one.  In order: a zero determinant fails at the
-    axis; a gamma * (|zeta|^2)^k certificate certifies a determinant for any
-    gamma; a Hermitian part's certificate, gamma * (|zeta|^2)^k * I or the
-    spectrum c_k (|zeta|^2)^k of ``_spectral_roots``, certifies it when its
-    least root is positive and else fails with that root as minimum at the
-    axis, where it is an eigenvalue (a Hermitian part's gamma is real: each
-    diagonal entry of (s + s^H) / 2 has real coefficients; one with real
-    part 0 would go on).  Then ``sphere`` is imported, the seed and budget
-    are checked, and a real quadratic target, or else a real quadratic
+    """The one route to every check's verdict, on one target H: the 1x1
+    [det ``sym``], or with ``hermitian`` ``sym`` as a Hermitian part.  In
+    order: a zero determinant fails at the axis; the certificate of
+    ``_spectrum``, one root gamma * (|zeta|^2)^k (times I for a Hermitian
+    part) or several, a spectrum, certifies a determinant, and a Hermitian
+    part when its least root is positive, else fails with that root as
+    minimum at the axis, where it is an eigenvalue (a Hermitian part's roots
+    are real: each diagonal entry of (s + s^H) / 2 has real coefficients).
+    Then ``sphere`` is imported, the seed and budget are checked, and H's
+    scalar part when it is a real quadratic form, or else a real quadratic
     ``root`` q of the scalar target |q|^2 (its minimum squared), takes the
     closed form; any other target the sphere search, whose report alone
     carries its seed and budget."""
     sphere_vars = sym.signature.derivative_vars
-    form = sym.scalar_part() if hermitian else sym.body.determinant()
-    determinant = None if hermitian else str(form)
-    if not hermitian and form.is_zero:
-        return EllipticityReport("fail", check, determinant=determinant,
-                                 minimum=0.0, witness=_axis(sphere_vars))
-    shown = None
-    cert = None if form is None else _certify_power(form, sphere_vars)
-    if cert is not None and (not hermitian or cert[0].re):
-        gamma, k = cert
-        shown, lowest = f"({gamma})*(|zeta|^2)^{k}" + ("*I" if hermitian else ""), gamma.re
-    elif form is None and (spectrum := _spectral_roots(sym)) is not None:
+    determinant, h = None, sym.body
+    if not hermitian:
+        det = sym.body.determinant()
+        determinant = str(det)
+        if det.is_zero:
+            return EllipticityReport("fail", check, determinant=determinant,
+                                     minimum=0.0, witness=_axis(sphere_vars))
+        h = _matrix(det.vars, ((det,),), 1, 1)
+    if (spectrum := _spectrum(h, sphere_vars)) is not None:
         roots, k = spectrum
-        shown = "spectrum " + ", ".join(f"({c})*(|zeta|^2)^{k}" for c in roots)
-        lowest = roots[0].re
-    if shown is not None:
-        if not hermitian or lowest > 0:
+        shown = ", ".join(f"({c})*(|zeta|^2)^{k}" for c in roots)
+        shown = f"spectrum {shown}" if len(roots) > 1 else shown + ("*I" if hermitian else "")
+        if not hermitian or roots[0].re > 0:
             return EllipticityReport("certified-symbolic", check,
                                      determinant=determinant, certified_form=shown)
         return EllipticityReport("fail", check, certified_form=shown,
-                                 minimum=float(lowest), witness=_axis(sphere_vars))
+                                 minimum=float(roots[0].re), witness=_axis(sphere_vars))
     from cxkit import sphere
     sphere.check_search(len(sphere_vars), seed, budget)
+    form = sym.scalar_part() if hermitian else det
     closed = None if form is None else sphere.quadratic_minimum(
         form, sphere_vars, absolute=not hermitian)
     if closed is None and root is not None:

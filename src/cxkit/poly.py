@@ -327,7 +327,7 @@ def _poly_nonzero(vars: tuple[str, ...], num: dict, den: int) -> "Poly":
     p = object.__new__(Poly)
     p.vars = vars
     p._num, p._den = _cancel(num, den)
-    p._terms = p._lead = p._hash = None
+    p._terms = p._hash = None
     return p
 
 
@@ -390,7 +390,7 @@ class Poly:
     Instances are immutable by convention: all operations return new objects.
     """
 
-    __slots__ = ("vars", "_num", "_den", "_terms", "_lead", "_hash")
+    __slots__ = ("vars", "_num", "_den", "_terms", "_hash")
 
     def __init__(self, vars: Sequence[str], terms: Mapping[Exponent, GaussianRational] | None = None):
         vars = _ring(vars)
@@ -415,7 +415,7 @@ class Poly:
             }
         self.vars = vars
         self._num, self._den = _cancel(num, den)  # zero coefficients were skipped
-        self._terms = self._lead = self._hash = None
+        self._terms = self._hash = None
 
     # -- constructors ------------------------------------------------------
 
@@ -470,11 +470,18 @@ class Poly:
         return not any(self._num)  # the constant monomial's key is 0
 
     def constant_value(self) -> GaussianRational:
-        if self.is_zero:
-            return GaussianRational.zero()
         if not self.is_constant:
             raise ValueError(f"{self} is not constant")
-        return self._coeff(next(iter(self._num)))
+        return self.coefficient((0,) * len(self.vars))
+
+    def coefficient(self, exponent: Sequence[int]) -> GaussianRational:
+        """The coefficient of ``x^exponent`` (one exponent per variable),
+        zero when that monomial is absent: one key is packed and looked up,
+        no term unpacked."""
+        if len(exponent) != len(self.vars):
+            raise ValueError(f"exponent {exponent} does not match {len(self.vars)} variables")
+        key = _pack(exponent)
+        return self._coeff(key) if key in self._num else GaussianRational.zero()
 
     def total_degree(self, subset: Iterable[str] | None = None) -> int:
         """Maximal total degree over all terms; -1 for the zero polynomial.
@@ -483,19 +490,20 @@ class Poly:
         """
         if not self._num:
             return -1
+        top = _WIDTH * len(self.vars)  # the degree field's offset
         if subset is None:
-            return max(self._num) >> (_WIDTH * len(self.vars))
-        shifts = _shifts(self.vars, subset)
-        return max(sum(key >> s & _FIELD for s in shifts) for key in self._num)
+            return max(self._num) >> top
+        # one product sums the subset's fields into the degree field's place
+        mask = sum(_FIELD << s for s in set(_shifts(self.vars, subset)))
+        spread = ((1 << top) - 1) // _FIELD << _WIDTH
+        return max((key & mask) * spread >> top & _FIELD for key in self._num)
 
     def leading_term(self) -> tuple[Exponent, GaussianRational]:
         """Leading (exponent, coefficient) pair under graded lex order."""
-        if self._lead is None:
-            if not self._num:
-                raise ValueError("zero polynomial has no leading term")
-            key = max(self._num)
-            self._lead = _unpack(key, len(self.vars)), self._coeff(key)
-        return self._lead
+        if not self._num:
+            raise ValueError("zero polynomial has no leading term")
+        key = max(self._num)
+        return _unpack(key, len(self.vars)), self._coeff(key)
 
     def _monic(self) -> tuple["Poly", "Poly"]:
         """A nonzero ``self`` over its leading coefficient lc (``self``
@@ -765,8 +773,8 @@ class PolyMatrix:
         s = Poly.one(vars) if scalar is None else scalar
         if n and s.vars != vars:
             raise ValueError("entry variables do not match the matrix")
-        return _matrix(vars, tuple(tuple(s if i == j else z for j in range(n))
-                                   for i in range(n)), n, n)
+        return _matrix(vars, tuple((z,) * i + (s,) + (z,) * (n - 1 - i) for i in range(n)),
+                       n, n)
 
     @staticmethod
     def place(vars: Sequence[str], rows: int, cols: int,

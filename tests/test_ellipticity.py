@@ -29,7 +29,17 @@ from cxkit.ellipticity import (
     strong_ellipticity_check,
 )
 from cxkit.fixtures import symmetric_gradient_complex
-from _helpers import build, cubic_elasticity, lame, mu_matrix, rationals, stored, with_mu
+from _helpers import (
+    COMPLEXES,
+    CONSTANTS,
+    build,
+    cubic_elasticity,
+    lame,
+    mu_matrix,
+    rationals,
+    stored,
+    with_mu,
+)
 from test_imports import REFERENCE_BUNDLE
 from cxkit.poly import GaussianRational, Poly, PolyMatrix
 
@@ -86,21 +96,31 @@ def _power_candidates(draw):
     return det, spatial
 
 
+def _certify_power(det: Poly, spatial) -> tuple[GaussianRational, int] | None:
+    """The one certificate on the 1x1 [det], as (gamma, k) when it has the
+    one root gamma: det == gamma * (|zeta|^2)^k."""
+    spectrum = ellipticity._spectrum(PolyMatrix.identity(det.vars, 1, det), spatial)
+    if spectrum is None:
+        return None
+    (gamma,), k = spectrum
+    return gamma, k
+
+
 @settings(max_examples=200, deadline=None)
 @given(_power_candidates())
 def test_certify_power_matches_repeated_division(case):
     det, spatial = case
-    assert ellipticity._certify_power(det, spatial) == _certify_by_division(det, spatial)
+    assert _certify_power(det, spatial) == _certify_by_division(det, spatial)
 
 
 def test_certify_power_edges():
     z1, z2 = (Poly.variable(_CERT_VARS, v) for v in ("z1", "z2"))
     r2 = z1 * z1 + z2 * z2
     three = GaussianRational.of(3)
-    assert ellipticity._certify_power((r2 ** 3).scale(three), ("z1", "z2")) == (three, 3)
-    assert ellipticity._certify_power(Poly.constant(_CERT_VARS, three), ()) == (three, 0)
+    assert _certify_power((r2 ** 3).scale(three), ("z1", "z2")) == (three, 3)
+    assert _certify_power(Poly.constant(_CERT_VARS, three), ()) == (three, 0)
     for det in (Poly.zero(_CERT_VARS), z1 * r2, r2 + z1, Poly.variable(_CERT_VARS, "mu") * r2):
-        assert ellipticity._certify_power(det, ("z1", "z2")) is None
+        assert _certify_power(det, ("z1", "z2")) is None
 
 
 def test_gradient_injectivity_certified():
@@ -164,9 +184,6 @@ def test_strong_check_argument_errors(body, error):
 
 
 # Every branch of the verdict route, as (check, operator literal over d1 d2).
-# ``strong-nonreal`` reads the Hermitian part's scalar times i, so that the
-# certificate finds a non-real gamma, which no operator's Hermitian part has:
-# its real part is zero, neither sign test holds and the numeric search runs.
 VERDICT_CASES = {
     "zero-determinant": ("petrovskii", "[[d1, d2], [d1, d2]]"),
     "certified-determinant": ("petrovskii", "[[d1^2 + d2^2]]"),
@@ -175,7 +192,6 @@ VERDICT_CASES = {
     "injectivity-numeric-fail": ("injectivity", "[[d1], [d1]]"),
     "strong-positive": ("strong", "[[-(d1^2 + d2^2)]]"),
     "strong-negative": ("strong", "[[d1^2 + d2^2]]"),
-    "strong-nonreal": ("strong", "[[-(d1^2 + d2^2)]]"),
     "strong-zero": ("strong", "[[i*(d1^2 + d2^2)]]"),
     "strong-non-scalar": ("strong", "[[-2*d1^2 - d2^2, d1*d2], [d1*d2, -d1^2 - 2*d2^2]]"),
 }
@@ -183,20 +199,16 @@ DATA = Path(__file__).parent / "data"
 VERDICT_PINS = DATA / "verdict_reports.json"
 
 
-def _verdict_report(case: str, monkeypatch) -> dict:
+def _verdict_report(case: str) -> dict:
     kind, body = VERDICT_CASES[case]
     op = dsl.parse(f"vars: d1 d2\noperator A = {body}\n").operators["A"]
-    if case == "strong-nonreal":
-        scalar = SymbolMatrix.scalar_part
-        monkeypatch.setattr(SymbolMatrix, "scalar_part",
-                            lambda self: scalar(self).scale(GaussianRational.i()))
     check = {"petrovskii": petrovskii_check, "injectivity": injectivity_check,
              "strong": strong_ellipticity_check}[kind]
     return check(op, budget=256).to_json()
 
 
 @pytest.mark.parametrize("case", sorted(VERDICT_CASES))
-def test_verdict_report_as_pinned(case, monkeypatch):
+def test_verdict_report_as_pinned(case):
     """The full report of each branch, captured before the four checks
     shared one route to their verdict; ``numeric-determinant``,
     ``injectivity-numeric-fail`` and ``strong-zero``, whose targets are
@@ -204,7 +216,7 @@ def test_verdict_report_as_pinned(case, monkeypatch):
     ``strong-non-scalar``, whose spectrum is 1 and 2, when it was certified
     by its spectrum."""
     pinned = json.loads(VERDICT_PINS.read_text())
-    assert _verdict_report(case, monkeypatch) == pinned[case]
+    assert _verdict_report(case) == pinned[case]
 
 
 # ---------------------------------------------------------------------------
@@ -227,6 +239,15 @@ def _roots(*values) -> list:
     return [GaussianRational.of(Fraction(v)) for v in values]
 
 
+def _spectrum(sym: SymbolMatrix):
+    """The certificate of ``sym`` over its sphere variables."""
+    return ellipticity._spectrum(sym.body, sym.signature.derivative_vars)
+
+
+def _annihilates(sym: SymbolMatrix, roots, k: int) -> bool:
+    return ellipticity._annihilates(sym.body, sym.signature.derivative_vars, roots, k)
+
+
 def test_spectral_certificate_negative_controls():
     """Lame's roots annihilate its symbol, and no corrupted root or dropped
     factor does.  Each other symbol declines: an H(e_1) off the diagonal
@@ -234,18 +255,18 @@ def test_spectral_certificate_negative_controls():
     cubic anisotropy, and the symmetric gradient's 2-D strong check and
     3-D injectivity target, whose reports stay the pinned ones."""
     herm = _hermitian_part(lame(3, Fraction(-13, 10), Fraction(7, 5)))
-    assert ellipticity._spectral_roots(herm) == (_roots("7/5", "3/2"), 1)
-    assert ellipticity._annihilates(herm, _roots("7/5", "3/2"), 1)
+    assert _spectrum(herm) == (_roots("7/5", "3/2"), 1)
+    assert _annihilates(herm, _roots("7/5", "3/2"), 1)
     for roots, k in ((_roots("7/5", "8/5"), 1), (_roots("3/2", "3/2"), 1),
                      (_roots("7/5"), 1), (_roots("3/2"), 1), (_roots("7/5", "3/2"), 2)):
-        assert not ellipticity._annihilates(herm, roots, k), (roots, k)
+        assert not _annihilates(herm, roots, k), (roots, k)
 
     sig = spatial_signature(2)
     r2 = Poly.variable(sig.vars, "d1") ** 2 + Poly.variable(sig.vars, "d2") ** 2
     rotated = OperatorMatrix.from_entries(sig, [[r2.scale(-2), -r2], [-r2, r2.scale(-2)]])
     herm = _hermitian_part(rotated)
-    assert ellipticity._annihilates(herm, _roots(1, 3), 1)
-    assert ellipticity._spectral_roots(herm) is None
+    assert _annihilates(herm, _roots(1, 3), 1)
+    assert _spectrum(herm) is None
     rep = strong_ellipticity_check(rotated, budget=2048)
     assert rep.verdict == "numeric-pass" and abs(rep.minimum - 1.0) < 1e-9
 
@@ -256,24 +277,24 @@ def test_spectral_certificate_negative_controls():
     lame_mu = OperatorMatrix.from_entries(sig, [
         [-((d[i] * d[j]) * (mu + Poly.one(sig.vars)) + (mu * r2 if i == j else Poly.zero(sig.vars)))
          for j in range(3)] for i in range(3)])
-    assert ellipticity._spectral_roots(_hermitian_part(lame_mu)) is None
+    assert _spectrum(_hermitian_part(lame_mu)) is None
     rep = strong_ellipticity_check(lame_mu, budget=2048)
     assert rep.verdict == "numeric-pass" and rep.seed == DEFAULT_SEED
 
-    assert ellipticity._spectral_roots(_hermitian_part(
+    assert _spectrum(_hermitian_part(
         cubic_elasticity(Fraction(3), Fraction(1, 2), Fraction(1)))) is None
     # at c11 - c12 = 2 c44 cubic symmetry is Lame's, lambda = c12, mu = c44
-    assert ellipticity._spectral_roots(_hermitian_part(
+    assert _spectrum(_hermitian_part(
         cubic_elasticity(Fraction(5), Fraction(1), Fraction(2)))) == (_roots(2, 5), 1)
 
     sg = symmetric_gradient_complex()
     lap = generalized_laplacian(sg, 1, MuSet.laplace_powers(sg, mtilde={0: 1}, mhat={1: 1}))
-    assert ellipticity._spectral_roots(_hermitian_part(lap)) is None
+    assert _spectrum(_hermitian_part(lap)) is None
     bundle = json.loads(REFERENCE_BUNDLE.read_text())["fixtures"][4]
     assert strong_ellipticity_check(lap).to_json() == bundle["symmetric_gradient_strong"]
     op = dsl.parse((DATA / "symgrad3.spec").read_text()).operators["E"]
     s = op.principal_symbol()
-    assert ellipticity._spectral_roots(s.hermitian_transpose() @ s) is None
+    assert _spectrum(s.hermitian_transpose() @ s) is None
     pinned = json.loads((DATA / "ellipticity_symgrad3_injectivity.json").read_text())
     assert injectivity_check(op).to_json() == pinned["report"]
 
@@ -289,7 +310,7 @@ def test_lame_spectrum_matches_the_sphere_search(n, lam, mu):
     op = lame(n, lam, mu)
     herm = _hermitian_part(op)
     lowest = min(mu, lam + 2 * mu)
-    roots, k = ellipticity._spectral_roots(herm)
+    roots, k = _spectrum(herm)
     assert (roots[0], k) == (GaussianRational.of(lowest), 1)
     searched = _searched(herm)
     assert abs(searched - float(lowest)) <= 1e-9 * max(1.0, abs(float(lowest)))
@@ -320,6 +341,79 @@ def test_weighted_laplacian_spectrum_matches_the_sphere_search(name):
         assert rep.verdict == "certified-symbolic", q
         assert rep.certified_form == "spectrum (2)*(|zeta|^2)^1, (3)*(|zeta|^2)^1"
         assert abs(_searched(_hermitian_part(op)) - 2.0) <= 2e-9, q
+
+
+def _certified_targets(name: str, mu: MuSet, maxwell: bool = True) -> list:
+    """(label, H, sphere variables, reference) for every target on the
+    complex of row ``name`` with the weights ``mu``: the 1x1 [det] of each
+    top Maxwell symbol (with ``maxwell``) and each delta_{q,mu}.  The
+    reference is the division certificate of the determinant, or of
+    delta's scalar part (None when it has none)."""
+    cplx = build(name)
+    targets = []
+    for variant in (0, 1) if maxwell else ():
+        sym = blockops.maxwell(cplx, cplx.length, mu, variant).principal_symbol()
+        det, spatial = sym.body.determinant(), sym.signature.derivative_vars
+        targets.append((f"M{variant}", PolyMatrix.identity(det.vars, 1, det), spatial,
+                        _certify_by_division(det, spatial)))
+    for q in range(cplx.length + 1):
+        delta = generalized_laplacian(cplx, q, mu).principal_symbol()
+        scalar, spatial = delta.scalar_part(), delta.signature.derivative_vars
+        targets.append((f"delta{q}", delta.body, spatial,
+                        None if scalar is None else _certify_by_division(scalar, spatial)))
+    return targets
+
+
+@pytest.mark.parametrize("kind", ["rational", "gaussian"])
+@pytest.mark.parametrize("name", sorted(COMPLEXES))
+def test_one_certificate_sweeps_the_complex_table(name, kind):
+    """With a constant scalar weight, every top Maxwell determinant and
+    every delta_{q,mu} of the table is certified by exactly one root, the
+    division reference's gamma and k, or not at all where the reference
+    fails (the powered de Rham, symmetric-gradient and Koszul rows).  de
+    Rham(5)'s Maxwell determinants, 1.5 s each, are certified at the
+    identity weight in ``test_poly_kernel``."""
+    mu = MuSet.scalar(build(name), CONSTANTS[kind])
+    for label, h, spatial, want in _certified_targets(name, mu, name != "de-rham-5"):
+        got = ellipticity._spectrum(h, spatial)
+        if want is None:
+            assert got is None, label
+        else:
+            assert got == ([want[0]], want[1]), label
+
+
+def _corruptions(roots: list, k: int):
+    """Each root times 1 + 1/7, k - 1 and k + 1, and each root dropped."""
+    scaled = GaussianRational.of(Fraction(8, 7))
+    for i in range(len(roots)):
+        yield roots[:i] + [roots[i] * scaled] + roots[i + 1:], k
+        yield roots[:i] + roots[i + 1:], k
+    yield roots, k + 1
+    if k:
+        yield roots, k - 1
+
+
+@pytest.mark.parametrize("name", ["de-rham-3", "de-rham-4", "de-rham-5"])
+def test_corrupted_certificates_are_refused(name):
+    """The weights mu0_q = 2 and mu1_q = 3 give the two roots 2 and 3 at
+    each interior degree and one root at the ends; with the constant weight
+    3/2 every target has one root.  ``_annihilates`` accepts each found
+    certificate and refuses every corruption of it: a root times 1 + 1/7,
+    k - 1 or k + 1, or a root dropped."""
+    cplx = build(name)
+    degrees = range(cplx.length + 1)
+    two = MuSet(cplx, dict.fromkeys(degrees, 2), dict.fromkeys(degrees, 3))
+    targets = (_certified_targets(name, two, maxwell=False)
+               + _certified_targets(name, MuSet.scalar(cplx, CONSTANTS["rational"]),
+                                    maxwell=name != "de-rham-5"))
+    for q, (label, h, spatial, _) in enumerate(targets[:cplx.length + 1]):
+        assert ellipticity._spectrum(h, spatial) == (
+            (_roots(2, 3), 1) if 0 < q < cplx.length else (_roots(3 if q else 2), 1)), label
+    for label, h, spatial, _ in targets:
+        roots, k = ellipticity._spectrum(h, spatial)
+        assert ellipticity._annihilates(h, spatial, roots, k), label
+        for bad_roots, bad_k in _corruptions(roots, k):
+            assert not ellipticity._annihilates(h, spatial, bad_roots, bad_k), (label, bad_roots, bad_k)
 
 
 def test_rank_deficient_fails_with_witness():

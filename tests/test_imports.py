@@ -104,12 +104,16 @@ def probe(tmp_path, *commands: list) -> dict:
      EXACT | {"cxkit.ellipticity", "cxkit.sphere", "cxkit._sobol_directions"}, True),
     (["ellipticity", "--spec", str(ROOT / "tests" / "data" / "lame3.spec"),
       "--kind", "strong", "--json", "OUT"], EXACT | {"cxkit.ellipticity"}, False),
+    (["ellipticity", "--spec", str(ROOT / "tests" / "data" / "maxwell3_weighted.spec"),
+      "--name", "M", "--kind", "petrovskii", "--json", "OUT"],
+     EXACT | {"cxkit.ellipticity"}, False),
     (["fixtures", "--json", "OUT"], ALL, True),
 ], ids=["help", "verify", "laplacian", "parametrix", "syzygy", "ellipticity",
-        "ellipticity-lame-strong", "fixtures"])
+        "ellipticity-lame-strong", "ellipticity-maxwell-petrovskii", "fixtures"])
 def test_each_command_loads_only_its_modules(tmp_path, argv, modules, numpy):
-    """A check the spectral certificate settles, Lame's strong check, loads
-    neither ``cxkit.sphere`` nor numpy."""
+    """A check the certificate settles, Lame's strong check by its two
+    roots or a weighted Maxwell determinant by its one, loads neither
+    ``cxkit.sphere`` nor numpy."""
     loaded = probe(tmp_path, argv)
     assert loaded["codes"] == [0]
     assert loaded["refused"] == []

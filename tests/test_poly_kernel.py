@@ -586,15 +586,17 @@ SUBSETS = st.one_of(st.none(), st.lists(st.sampled_from(VARS), unique=True))
 @settings(max_examples=150, deadline=None)
 @given(polys(), SUBSETS, st.integers(0, 6), st.integers(-1, 6), st.booleans())
 def test_degree_views_match_exponent_tuples(p, subset, degree, turns, conjugate):
-    """``total_degree``, ``homogeneous_part`` and ``twist`` read the fields
-    of a key as the sums over the exponent tuples do, with and without a
-    subset."""
+    """``total_degree``, ``homogeneous_part``, ``coefficient`` and ``twist``
+    read the fields of a key as the sums over the exponent tuples do, with
+    and without a subset."""
     idx = range(len(VARS)) if subset is None else [VARS.index(v) for v in subset]
 
     def deg(exp):
         return sum(exp[i] for i in idx)
 
     assert p.total_degree(subset) == max(map(deg, p.terms), default=-1)
+    for exp in [*p.terms, (degree, 0, turns + 1)]:
+        assert p.coefficient(exp) == p.terms.get(exp, GaussianRational.zero())
     part = p.homogeneous_part(degree, subset)
     assert list(part.terms.items()) == [(e, c) for e, c in p.terms.items() if deg(e) == degree]
     assert_canonical(part)
@@ -627,7 +629,11 @@ def test_degree_limit_is_an_overflow_error():
     from the constructor and from every product."""
     x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
     edge = Poly(VARS, {(MAX_DEGREE - 2, 1, 1): 3})
-    assert edge.total_degree() == MAX_DEGREE
+    assert edge.total_degree() == MAX_DEGREE == edge.total_degree(VARS)
+    assert edge.total_degree(["x", "z"]) == MAX_DEGREE - 1
+    assert edge.coefficient((MAX_DEGREE - 2, 1, 1)) == GaussianRational.of(3)
+    with pytest.raises(ValueError, match="does not match 3 variables"):
+        edge.coefficient((1, 1))
     assert edge.leading_term()[0] == (MAX_DEGREE - 2, 1, 1)
     assert Poly(VARS, {(MAX_DEGREE, 0, 0): 1}) == x ** MAX_DEGREE
     assert (x ** (MAX_DEGREE - 1) * y).exact_div(y) == x ** (MAX_DEGREE - 1)
