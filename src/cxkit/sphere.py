@@ -65,17 +65,13 @@ into the one array kept.
 
 Every check at the default seed and budget scans the same points, so the
 last ``_POINTS_CACHED`` scans' points are memoized read-only
-(:func:`_scan_memo`, keyed by (dim, budget, seed)), and with them the
-scan's power columns: ``points ** e`` for each exponent e >= 2 a scan of
-them needs, raised once on the table's route and read back by every later
-scan of the same key (:class:`_ScanMemo`); the columns go with their
-points when the key is evicted.  A column takes ``8 * budget * dim`` bytes
-(640 KB at the default budget in 4 variables); one is kept only while the
-columns of its key stay within ``_POWER_BYTES`` = 4 MB, so at most
-``_POINTS_CACHED`` times that in all, and none at the coordinate cap, where
-one would take 64 MB.  Only a process that scans one key more than once
-gains; a process that runs one check raises each column once, as it would
-without the memo.  The polish raises its own points on each call.
+(:func:`_sphere_points`, keyed by (dim, budget, seed)): a build costs about
+6 ms in 2 variables (on one core of a 2 vCPU machine), and the second
+2-variable search of ``cxkit fixtures`` reads the first one's points.
+Their powers are not kept: each block of a scan raises its own, as a
+one-call table does.  Kept powers would serve only that one reuse of a
+key, whose exponents 2 and 4 of 40 000 coordinates take about 6 ms more to
+raise.  The polish raises its own points on each call.
 
 The polishes of the best 16 scan points run in lock-step (:func:`_polish`)
 on one (R, N + 1, N + 1) array, each vertex followed by its value: a sort
@@ -109,11 +105,7 @@ from cxkit._sobol_directions import POLY, VINIT
 from cxkit.poly import _MAX_VARS, Poly, PolyMatrix
 
 _POLISH_COUNT = 16
-_POINTS_CACHED = 4  # scan keys whose points and power columns are kept (_scan_memo)
-# bytes of power columns kept with each kept points array (_ScanMemo): a
-# column takes 8 * budget * dim bytes, 640 KB at the default budget in 4
-# variables, and none fits at the coordinate cap
-_POWER_BYTES = 2 ** 22
+_POINTS_CACHED = 4  # scan keys whose points are kept (_sphere_points)
 _SCAN_BLOCK = 2048  # rows valued per kernel call of the scan (_scan)
 # budget x sphere variables: a search peaks at ~20 bytes per point coordinate
 _COORDINATE_BITS = 23
@@ -124,8 +116,7 @@ _MAX_COORDINATES = 2 ** _COORDINATE_BITS
 # Vectorized evaluation
 
 
-def _power_table(pts: np.ndarray, high: np.ndarray, params: int = 0,
-                 powers: Callable[[int], np.ndarray] | None = None) -> np.ndarray:
+def _power_table(pts: np.ndarray, high: np.ndarray, params: int = 0) -> np.ndarray:
     """The (M, d + params, 2 + K) table of every coordinate of an (M, d)
     point array, then of ``params`` variables held at 1.0, raised to 0, 1
     and each of the K float exponents ``high`` (all at least 2): the floats
@@ -136,26 +127,21 @@ def _power_table(pts: np.ndarray, high: np.ndarray, params: int = 0,
     below, so only the coordinates' ``high`` columns go through ``**``, as
     a full array: numpy takes a repeated exponent (one that does not move
     along its inner loop) to another float64 ``power`` route, where
-    ``x ** 2`` is ``x * x``, which differs in the last bit for some x.
-    ``powers`` maps each exponent e to the (M, d) floats of ``pts ** e`` on
-    that route: :func:`_raise` by default, the scan's memoized columns
-    (:meth:`_ScanMemo.rows`) in the scan."""
-    if powers is None:
-        powers = functools.partial(_raise, pts)
+    ``x ** 2`` is ``x * x``, which differs in the last bit for some x."""
     m, d = pts.shape
     table = np.ones((m, d + params, 2 + len(high)))
     table[:, :d, 1] = pts
     for k, e in enumerate(high.tolist()):
-        table[:, :d, 2 + k] = powers(int(e))
+        table[:, :d, 2 + k] = _raise(pts, int(e))
     return table
 
 
-def _raise(pts: np.ndarray, e: int, out: np.ndarray | None = None) -> np.ndarray:
+def _raise(pts: np.ndarray, e: int) -> np.ndarray:
     """``pts ** e`` on the route of :func:`_power_table`: a full exponent
     array, never a scalar or broadcast one."""
     exponent = np.empty(pts.shape)
     exponent.fill(e)  # np.full, through its Python wrapper, takes twice as long
-    return np.power(pts, exponent, out=out)
+    return np.power(pts, exponent)
 
 
 def compile_matrix(m: PolyMatrix, var_order: Sequence[str],
@@ -188,11 +174,10 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str],
              np.frombuffer(coeffs, dtype=complex))
             for (idx, coeffs), at in entries.items()]
 
-    def evaluate(pts: np.ndarray, _per_point: bool = False,
-                 _powers: Callable[[int], np.ndarray] | None = None) -> np.ndarray:
+    def evaluate(pts: np.ndarray, _per_point: bool = False) -> np.ndarray:
         out = np.zeros((len(pts), m.rows, m.cols), dtype=complex)
         if plan:
-            table = _power_table(pts, high, len(params), _powers)
+            table = _power_table(pts, high, len(params))
             # np.prod without its Python-level wrapper: the same reduction
             monomials = np.multiply.reduce(table[:, variable, slot], axis=2)
             # (B, 1, k) stacks take one dot product per row, as one point does
@@ -411,8 +396,12 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
 # The search
 
 
+@functools.lru_cache(maxsize=_POINTS_CACHED)
 def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
-    """The scan's (budget, dim) points on the unit sphere, read-only.
+    """The scan's (budget, dim) points on the unit sphere, read-only, kept
+    for the last ``_POINTS_CACHED`` keys: at most that many times
+    ``8 * budget * dim`` bytes (2.5 MB at the default budget of 20 000
+    points in up to 4 variables).
 
     The points are drawn, mapped and normalised ``_SCAN_BLOCK`` rows at a
     time into the one array returned, so the build's temporaries do not
@@ -431,59 +420,13 @@ def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
     return pts
 
 
-class _ScanMemo:
-    """Scan points, read-only, and the columns ``points ** e`` (e >= 2)
-    that scans of them have needed, each raised once, ``_SCAN_BLOCK`` rows
-    at a time on the route of :func:`_power_table`, and kept read-only.  A
-    column takes ``8 * budget * dim`` bytes; one that would take the columns
-    kept past ``_POWER_BYTES`` is not kept, and each block raises its rows
-    of it instead."""
-
-    def __init__(self, points: np.ndarray):
-        self.points = points
-        self.columns: dict[int, np.ndarray] = {}
-
-    def column(self, e: int) -> np.ndarray | None:
-        if e not in self.columns:
-            pts = self.points
-            if (len(self.columns) + 1) * pts.nbytes > _POWER_BYTES:
-                return None
-            col = np.empty_like(pts)
-            for a in range(0, len(pts), _SCAN_BLOCK):
-                _raise(pts[a:a + _SCAN_BLOCK], e, out=col[a:a + _SCAN_BLOCK])
-            col.flags.writeable = False
-            self.columns[e] = col
-        return self.columns[e]
-
-    def rows(self, a: int, b: int) -> Callable[[int], np.ndarray]:
-        """Each exponent's (b - a, dim) floats of rows a:b, as
-        :func:`_power_table` takes them."""
-        def power(e: int) -> np.ndarray:
-            col = self.column(e)
-            return _raise(self.points[a:b], e) if col is None else col[a:b]
-
-        return power
-
-
-@functools.lru_cache(maxsize=_POINTS_CACHED)
-def _scan_memo(dim: int, budget: int, seed: int) -> _ScanMemo:
-    """The points of (dim, budget, seed) and their power columns, kept for
-    the last ``_POINTS_CACHED`` keys: at most that many times
-    ``8 * budget * dim`` bytes of points (2.5 MB at the default budget of
-    20 000 points in up to 4 variables) and ``_POWER_BYTES`` of columns."""
-    return _ScanMemo(_sphere_points(dim, budget, seed))
-
-
-def _scan(fn: Callable[..., np.ndarray], memo: _ScanMemo) -> np.ndarray:
-    """``fn(memo.points)``, valued ``_SCAN_BLOCK`` rows at a time, which
-    bounds the kernel's temporaries, each block's power columns read from
-    ``memo``.  A row's float does not depend on the block, but numpy takes a
-    one-row matrix-vector product as a dot product, which sums in another
-    order, so a last block of one row joins the block before."""
-    pts = memo.points
+def _scan(fn: Callable[..., np.ndarray], pts: np.ndarray) -> np.ndarray:
+    """``fn(pts)``, valued ``_SCAN_BLOCK`` rows at a time, which bounds the
+    kernel's temporaries.  A row's float does not depend on the block, but
+    numpy takes a one-row matrix-vector product as a dot product, which sums
+    in another order, so a last block of one row joins the block before."""
     cuts = [*range(0, max(len(pts) - 1, 1), _SCAN_BLOCK), len(pts)]
-    return np.concatenate([fn(pts[a:b], _powers=memo.rows(a, b))
-                           for a, b in zip(cuts, cuts[1:])])
+    return np.concatenate([fn(pts[a:b]) for a, b in zip(cuts, cuts[1:])])
 
 
 def _canonical_point(x: np.ndarray) -> tuple[float, ...]:
@@ -636,9 +579,8 @@ def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
                      seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
     """Deterministic global-ish minimization of ``fn`` over the unit sphere:
     quasi-random scan, then local polish from the best candidates."""
-    memo = _scan_memo(dim, budget, seed)
-    pts = memo.points
-    values = _scan(fn, memo)
+    pts = _sphere_points(dim, budget, seed)
+    values = _scan(fn, pts)
     order = _least(values, _POLISH_COUNT)
     found = [[(float(values[idx]), _canonical_point(pts[idx]))] for idx in order]
     if dim > 1:
@@ -652,9 +594,13 @@ def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
 
 
 def check_search(dim: int, seed: int, budget: int) -> None:
-    """Refuse a seed or budget that a search of ``dim`` sphere variables
-    could not take.  The ellipticity checks call this before either numeric
-    route, so the closed-form route refuses what the search would."""
+    """Refuse an empty sphere (``dim`` 0), and a seed or budget that a
+    search of ``dim`` sphere variables could not take.  The ellipticity
+    checks call this before either numeric route, so the closed-form route
+    refuses what the search would."""
+    if dim < 1:
+        raise ValueError(f"the unit sphere in {dim} variables is empty: a numeric "
+                         "check needs at least 1 sphere variable")
     if budget < 1:
         raise ValueError(f"budget must be at least 1 sample, got {budget}")
     if budget > _MAX_SAMPLES:
@@ -684,11 +630,8 @@ def abs_minimum(p: Poly, sphere_vars: Sequence[str], param_vars: Sequence[str],
 
 def _least_eigenvalue(mats: np.ndarray) -> np.ndarray:
     """The least eigenvalue of the Hermitian part of each (n, n) matrix of a
-    (B, n, n) array, as ``np.linalg.eigvalsh`` gives it.  At n = 1 LAPACK's
-    ``zheevd`` returns ``DBLE(A(1,1))``, so that float is read directly."""
+    (B, n, n) array."""
     herm = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
-    if herm.shape[1] == 1:
-        return herm[:, 0, 0].real
     return np.linalg.eigvalsh(herm)[:, 0].real
 
 

@@ -236,7 +236,7 @@ def split_determinant(m, det, mul):
 def cold_start() -> None:
     """Empty every cache of the loaded ``cxkit`` modules, each object there
     with a ``cache_clear``: the builders' shared complexes, the sphere's
-    scan memo, the fixture corpus and whatever a later module keeps, so the
+    scan points, the fixture corpus and whatever a later module keeps, so the
     next run derives everything afresh."""
     for name, module in list(sys.modules.items()):
         if name == "cxkit" or name.startswith("cxkit."):

@@ -312,6 +312,13 @@ ERRORS = [
     _error("budget 1000000000", "ellipticity --spec SPEC --budget 1000000000",
            "budget times the 2 sphere variables must be at most 2**23 = 8388608 point "
            "coordinates, got 2000000000", QUADRATIC),
+    # no sphere variable and no certificate: these used to end in the Sobol
+    # generator's "dim must be between 1 and 255, got 0"
+    *[_error(f"empty sphere {kind}", f"ellipticity --spec SPEC --kind {kind}",
+             "the unit sphere in 0 variables is empty: a numeric check needs at least "
+             "1 sphere variable", spec)
+      for kind, spec in (("strong", "vars:\noperator A = [[1, 1], [1, 2]]\n"),
+                         ("petrovskii", "vars:\nparams: mu\noperator A = [[mu]]\n"))],
     *[_error(f"{command} budget {budget}", f"{command} --spec SPEC --budget {budget}",
              f"S-pair budget must be non-negative, got {budget}")
       for command in ("syzygy", "extend") for budget in (-1, -5)],

@@ -105,17 +105,26 @@ def test_scale_last_row():
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "fixtures.json"
 
 
-def test_warm_bundle_equals_cold_bundle(tmp_path):
+def test_warm_bundle_equals_cold_bundle(tmp_path, monkeypatch):
     """``cxkit fixtures`` twice in one process: the first run starts from
     ``cold_start``, so it builds every complex and runs every numeric search,
     the second reuses the shared complexes and what they keep, and both
-    write the reference bundle byte for byte."""
+    write the reference bundle byte for byte.  The cold run searches three
+    times, the symmetric gradient's two checks in 2 sphere variables and
+    the Stokes q = 1 DN check in 3, and the second 2-variable search reads
+    the first one's points."""
     cold_start()
+    searches = []
+    minimize = sphere._sphere_minimize
+    monkeypatch.setattr(sphere, "_sphere_minimize",
+                        lambda fn, dim, *args: searches.append(dim) or minimize(fn, dim, *args))
     cold, warm = tmp_path / "cold.json", tmp_path / "warm.json"
     assert cli.main(["fixtures", "--json", str(cold)]) == 0
     searched = fixtures._symmetric_gradient_injectivity.cache_info()
     assert (searched.misses, searched.hits) == (1, 1)  # searched once, read once
-    assert sphere._scan_memo.cache_info().misses >= 1
+    assert sorted(searches) == [2, 2, 3]
+    built = sphere._sphere_points.cache_info()
+    assert (built.misses, built.hits) == (2, 1)
     assert complexes.de_rham_complex.cache_info().hits > 0
     hits = complexes.de_rham_complex.cache_info().hits
     assert cli.main(["fixtures", "--json", str(warm)]) == 0

@@ -16,8 +16,8 @@ return the floats of
 ``special`` and ``optimize`` are imported inside those tests only, and
 ``numpy.random`` inside the test of the scramble bits.
 ``_power_table_reference`` is the earlier power table, one ``**`` over every
-exponent, kept to pin the table's numpy route.  The scan's power columns,
-memoized with its points, must give the bits of fresh power tables, and a
+exponent, kept to pin the table's numpy route.  The scan, valued block by
+block, must give the bits of one kernel call over all its points, and a
 kernel that holds the parameters at 1.0 the bits of appended columns of 1.0.
 
 The search polishes its candidates as one array of simplices, valuing four
@@ -263,7 +263,7 @@ def var_order(sym: SymbolMatrix) -> list[str]:
 
 def batch(dim: int, size: int, seed: int) -> np.ndarray:
     """Scan points, built afresh, outside the search's memo."""
-    return sphere._sphere_points(dim, size, seed)
+    return sphere._sphere_points.__wrapped__(dim, size, seed)
 
 
 def assert_same(sym: SymbolMatrix, pts: np.ndarray) -> None:
@@ -393,35 +393,59 @@ def test_kernel_matches_per_entry_in_power_route_layouts(sym, seed, search):
     assert np.array_equal(got[:, 0, 0], _compile_poly(p, var_order(sym))(pts))
 
 
+@st.composite
+def scan_symbols(draw):
+    """Symbol matrices in 1 to 5 sphere variables, with up to two parameters,
+    whose terms have degree up to 12."""
+    n = draw(st.integers(1, 5))
+    sig = Signature(tuple(f"z{j + 1}" for j in range(n)), None,
+                    ("a", "b")[:draw(st.integers(0, 2))])
+    rows = cols = draw(st.integers(1, 3))
+
+    def term():
+        exp = [0] * len(sig.vars)
+        for _ in range(draw(st.integers(0, 12))):
+            exp[draw(st.integers(0, len(sig.vars) - 1))] += 1
+        return tuple(exp)
+
+    entries = [[Poly(sig.vars, {term(): draw(coefficients)
+                                for _ in range(draw(st.integers(0, 4)))})
+                for _ in range(cols)] for _ in range(rows)]
+    return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
+
+
 @pytest.mark.parametrize("rows", [1, 2, 2047, 2048, 2049, 4097, 20_000])
-@settings(max_examples=10, deadline=None)
+@settings(max_examples=20, deadline=None)
 @given(data=st.data())
 def test_blocked_scan_matches_one_call(rows, data):
-    """The scan values ``_SCAN_BLOCK`` rows per call; every row keeps the
-    bits of one call over all the rows, for the kernel's complex values and
-    for the least eigenvalue the search minimizes.  At 2049 and 4097 rows a
-    one-row last block would sum its row as a dot product, not as a row of a
-    matrix-vector product."""
+    """The scan values ``_SCAN_BLOCK`` rows per call, each block raising its
+    own powers; every row keeps the bits of one call over all the rows, for
+    the kernel's complex values and for the least eigenvalue the search
+    minimizes, on symbols over every variable and on ``scan_symbols`` with
+    the parameters held at 1.0.  At 2049 and 4097 rows a one-row last block
+    would sum its row as a dot product, not as a row of a matrix-vector
+    product."""
     assert sphere._SCAN_BLOCK == 2048
-    sym = data.draw(symbol_matrices(spatial=4))
-    order = var_order(sym)
+    held = data.draw(st.booleans())
+    sym = data.draw(scan_symbols() if held else symbol_matrices(spatial=4))
+    sig = sym.signature
+    order, params = (sig.derivative_vars, sig.params) if held else (var_order(sym), ())
     pts = _unit_rows(len(order), rows, data.draw(st.integers(0, 999)))
-    kernel = sphere.compile_matrix(sym.body, order)
+    kernel = sphere.compile_matrix(sym.body, order, params)
     want = kernel(pts)
-    got = sphere._scan(kernel, sphere._ScanMemo(pts))
+    got = sphere._scan(kernel, pts)
     assert got.shape == want.shape and got.tobytes() == want.tobytes()
-    fn = _values(sym)
-    assert sphere._scan(fn, sphere._ScanMemo(pts)).tobytes() == fn(pts).tobytes()
+    fn = _values(sym, held=held)
+    assert sphere._scan(fn, pts).tobytes() == fn(pts).tobytes()
 
 
 def test_sphere_points_are_memoized_read_only():
-    fresh = sphere._sphere_points(3, 20_000, DEFAULT_SEED)
-    memo = sphere._scan_memo(3, 20_000, DEFAULT_SEED)
-    assert sphere._scan_memo(3, 20_000, DEFAULT_SEED) is memo
-    pts = memo.points
+    fresh = sphere._sphere_points.__wrapped__(3, 20_000, DEFAULT_SEED)
+    pts = sphere._sphere_points(3, 20_000, DEFAULT_SEED)
+    assert sphere._sphere_points(3, 20_000, DEFAULT_SEED) is pts
     assert pts.shape == fresh.shape and pts.tobytes() == fresh.tobytes()
-    assert sphere._scan_memo.cache_info().maxsize == sphere._POINTS_CACHED
-    for points in (pts, fresh, sphere._scan_memo(1, 20_000, DEFAULT_SEED).points):
+    assert sphere._sphere_points.cache_info().maxsize == sphere._POINTS_CACHED
+    for points in (pts, fresh, sphere._sphere_points(1, 20_000, DEFAULT_SEED)):
         assert not points.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             points[0, 0] = 0.5
@@ -463,63 +487,6 @@ def test_held_parameters_match_appended_ones(data):
                 == every(ones, _per_point=per_point).tobytes())
 
 
-# ---------------------------------------------------------------------------
-# The scan's power columns, memoized with the points
-
-
-@st.composite
-def scan_symbols(draw):
-    """Symbol matrices in 1 to 5 sphere variables, with up to two parameters,
-    whose terms have degree up to 12."""
-    n = draw(st.integers(1, 5))
-    sig = Signature(tuple(f"z{j + 1}" for j in range(n)), None,
-                    ("a", "b")[:draw(st.integers(0, 2))])
-    rows = cols = draw(st.integers(1, 3))
-
-    def term():
-        exp = [0] * len(sig.vars)
-        for _ in range(draw(st.integers(0, 12))):
-            exp[draw(st.integers(0, len(sig.vars) - 1))] += 1
-        return tuple(exp)
-
-    entries = [[Poly(sig.vars, {term(): draw(coefficients)
-                                for _ in range(draw(st.integers(0, 4)))})
-                for _ in range(cols)] for _ in range(rows)]
-    return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
-
-
-@settings(max_examples=40, deadline=None)
-@given(scan_symbols(), st.sampled_from([1, 2, 2049, 4097]), st.integers(0, 999))
-def test_memoized_scan_matches_fresh_power_tables(sym, rows, seed):
-    """The scan reading its power columns from the memo, first as it raises
-    them and then as it reads them back, gives the bits of one kernel call
-    over all the rows, which raises its table afresh.  A last block of one
-    row (2049 and 4097 rows) reads one row of each column."""
-    fn = _values(sym, held=True)
-    pts = _unit_rows(len(sym.signature.derivative_vars), rows, seed)
-    want = fn(pts).tobytes()
-    memo = sphere._ScanMemo(pts)
-    assert sphere._scan(fn, memo).tobytes() == want
-    kept = {e: c.tobytes() for e, c in memo.columns.items()}
-    assert sphere._scan(fn, memo).tobytes() == want
-    assert {e: c.tobytes() for e, c in memo.columns.items()} == kept
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 8])
-def test_memo_columns_match_the_power_table(dim):
-    """Each kept column holds the bits of the earlier table's column for
-    its exponent, for the exponents 2 to 12 taken together and one at a
-    time."""
-    pts = _unit_rows(dim, 4097, dim)
-    memo = sphere._ScanMemo(pts)
-    table = _power_table_reference(pts, np.arange(13))
-    for e in range(2, 13):
-        col = memo.column(e)
-        assert col.tobytes() == np.ascontiguousarray(table[:, :, e]).tobytes(), e
-        one = _power_table_reference(pts, np.array([0, 1, e]))[:, :, 2]
-        assert col.tobytes() == np.ascontiguousarray(one).tobytes(), e
-
-
 def _quadratic3() -> OperatorMatrix:
     """A positive definite quadratic in three variables that no certificate
     covers, so its checks take the closed-form route."""
@@ -548,6 +515,7 @@ def test_quadratic_check_builds_no_scan_points(monkeypatch):
     """A quadratic form's checks take the eigenvalues of its matrix: no
     check builds a scan point, and no report carries a seed or budget."""
     cold_start()
+    points = sphere._sphere_points
 
     def scanned(*key):
         raise AssertionError(f"scan points built for {key}")
@@ -556,14 +524,15 @@ def test_quadratic_check_builds_no_scan_points(monkeypatch):
     for check in (petrovskii_check, strong_ellipticity_check):
         rep = check(_quadratic3())
         assert rep.verdict == "numeric-pass" and (rep.seed, rep.budget) == (None, None)
-    assert sphere._scan_memo.cache_info().currsize == 0
+    assert points.cache_info().currsize == 0
 
 
 def test_second_check_raises_no_scan_coordinate(monkeypatch):
-    """The first check in three variables at the default seed and budget
-    passes its 60 000 scan coordinates to ``**`` once, for its one exponent;
-    a second check of that dimension passes none.  The polish, which raises
-    its own points, is stubbed out."""
+    """Each check in three variables at the default seed and budget passes
+    its 60 000 scan coordinates to ``**`` once, for its one exponent: the
+    scan keeps its points, not their powers.  A second check of that
+    dimension builds no points, and raises its own coordinates again.  The
+    polish, which raises its own points, is stubbed out."""
     cold_start()
     raised = []
     power = np.power
@@ -576,36 +545,19 @@ def test_second_check_raises_no_scan_coordinate(monkeypatch):
     monkeypatch.setattr(sphere, "_polish", lambda *args, **kwargs: [])
     assert strong_ellipticity_check(_scanned3()).verdict == "numeric-pass"
     assert sum(raised) == DEFAULT_BUDGET * 3
+    built = sphere._sphere_points.cache_info()
+    assert (built.misses, built.hits) == (1, 0)
     raised.clear()
     rep = strong_ellipticity_check(_scanned3(Fraction(3), Fraction(1, 2), Fraction(1)))
     assert rep.verdict == "numeric-pass"
-    assert raised == []
-
-
-def test_memo_entries_are_read_only_and_go_with_their_points():
-    cold_start()
-    key = (3, DEFAULT_BUDGET, DEFAULT_SEED)
-    strong_ellipticity_check(_scanned3())
-    memo = sphere._scan_memo(*key)
-    assert list(memo.columns) == [2]
-    col = memo.columns[2]
-    assert not col.flags.writeable
-    with pytest.raises(ValueError, match="read-only"):
-        col[0, 0] = 0.5
-    fresh = sphere._sphere_points(*key)
-    assert memo.points.tobytes() == fresh.tobytes()
-    assert col.tobytes() == sphere._raise(fresh, 2).tobytes()
-    # the columns go with their points when the key is evicted
-    for seed in range(sphere._POINTS_CACHED):
-        sphere._scan_memo(2, 16, seed)
-    assert sphere._scan_memo.cache_info().currsize == sphere._POINTS_CACHED
-    again = sphere._scan_memo(*key)
-    assert again is not memo and again.columns == {}
+    assert sum(raised) == DEFAULT_BUDGET * 3
+    built = sphere._sphere_points.cache_info()
+    assert (built.misses, built.hits) == (1, 1)
 
 
 def test_checks_at_other_seeds_and_budgets_read_their_own_columns():
-    """Each (seed, budget) keeps columns of its own points, and a check run
-    after others reports what it reports with a cold memo."""
+    """Each (seed, budget) keeps its own points, and a check run after
+    others reports what it reports with a cold memo."""
     runs = [(DEFAULT_SEED, DEFAULT_BUDGET), (7, DEFAULT_BUDGET), (DEFAULT_SEED, 4097)]
     cold = {}
     for seed, budget in runs:
@@ -616,59 +568,12 @@ def test_checks_at_other_seeds_and_budgets_read_their_own_columns():
         rep = strong_ellipticity_check(_scanned3(), seed=seed, budget=budget)
         assert (rep.minimum, rep.argmin) == (cold[seed, budget].minimum,
                                              cold[seed, budget].argmin)
-    memos = [sphere._scan_memo(3, budget, seed) for seed, budget in runs]
-    assert len({id(memo.columns[2]) for memo in memos}) == len(runs)
-    for (seed, budget), memo in zip(runs, memos):
-        pts = sphere._sphere_points(3, budget, seed)
-        assert memo.points.tobytes() == pts.tobytes()
-        assert memo.columns[2].tobytes() == sphere._raise(pts, 2).tobytes()
-        assert sum(c.nbytes for c in memo.columns.values()) <= sphere._POWER_BYTES
-
-
-def test_memo_keeps_no_column_past_its_bound_at_the_coordinate_cap(monkeypatch):
-    """At the cap one column would take 64 MB, past ``_POWER_BYTES``, so the
-    scan raises each block's rows instead and keeps nothing.  The points
-    are one unit vector broadcast to the cap, and the kernel and the polish
-    are stubbed out."""
-    cold_start()
-    dim = 2
-    budget = sphere._MAX_COORDINATES // dim
-    assert 8 * budget * dim > sphere._POWER_BYTES
-    pts = np.broadcast_to(np.array([0.6, 0.8]), (budget, dim))
-    memo = sphere._ScanMemo(pts)
-    monkeypatch.setattr(sphere, "_scan_memo", lambda *key: memo)
-    monkeypatch.setattr(sphere, "_polish", lambda *args, **kwargs: [])
-    blocks = []
-
-    def fn(block, _powers):
-        if not blocks:
-            blocks.append([_powers(e).tobytes() for e in (2, 3)])
-        return np.zeros(len(block))
-
-    sphere._minimize(fn, ["z1", "z2"], DEFAULT_SEED, budget)
-    assert blocks == [[sphere._raise(pts[:2048], e).tobytes() for e in (2, 3)]]
-    assert memo.columns == {}
-
-
-def test_one_by_one_least_eigenvalue_matches_eigvalsh():
-    """At n = 1 the least eigenvalue is read from the Hermitian part without
-    LAPACK, with the bits ``np.linalg.eigvalsh`` returns."""
-    rng = np.random.default_rng(13)
-    size = 200_000
-    parts = [rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-300, 300, size)
-             for _ in range(2)]
-    edge = [-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
-            np.finfo(float).max, -np.finfo(float).max, 1e-300, 1e300]
-    re = np.concatenate([parts[0], np.repeat(edge, len(edge))])
-    im = np.concatenate([parts[1], np.tile(edge, len(edge))])
-    mats = re.astype(complex)
-    mats.imag = im  # re + 1j * im would turn an infinite part into NaNs
-    mats = mats.reshape(-1, 1, 1)
-    with np.errstate(invalid="ignore", over="ignore"):
-        herm = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
-        want = np.linalg.eigvalsh(herm)[:, 0].real
-        got = sphere._least_eigenvalue(mats)
-    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    kept = [sphere._sphere_points(3, budget, seed) for seed, budget in runs]
+    assert len({id(pts) for pts in kept}) == len(runs)
+    assert sphere._sphere_points.cache_info().misses == len(runs)
+    for (seed, budget), pts in zip(runs, kept):
+        fresh = sphere._sphere_points.__wrapped__(3, budget, seed)
+        assert pts.tobytes() == fresh.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -1005,8 +910,7 @@ def test_edge_starts_search_raises_no_warning(monkeypatch):
     edge starts, as the whole scan, go through the search with every warning
     an error."""
     pts = np.array(_edge_starts())
-    monkeypatch.setattr(sphere, "_scan_memo",
-                        lambda dim, budget, seed: sphere._ScanMemo(pts))
+    monkeypatch.setattr(sphere, "_sphere_points", lambda dim, budget, seed: pts)
     for fn in _edge_forms():
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -1135,15 +1039,15 @@ def test_search_polishes_the_stably_sorted_best_starts(monkeypatch, dim, budget)
     form = sum((Poly.variable(sig.vars, v) for v in sig.vars), Poly.zero(sig.vars))
     fn = _values(SymbolMatrix(sig, PolyMatrix(sig.vars, [[form * form]])))
     value, point = sphere._sphere_minimize(fn, dim, DEFAULT_SEED, budget)
-    memo = sphere._scan_memo(dim, budget, DEFAULT_SEED)
-    values = sphere._scan(fn, memo)
+    pts = sphere._sphere_points(dim, budget, DEFAULT_SEED)
+    values = sphere._scan(fn, pts)
     order = np.argsort(values, kind="stable")[:sphere._POLISH_COUNT]
     assert value == min(values) and len(order) == min(budget if dim > 1 else 2, 16)
     if dim == 1:
         assert polished == []
     else:
         starts_, = polished
-        assert starts_.tobytes() == memo.points[order].tobytes()
+        assert starts_.tobytes() == pts[order].tobytes()
 
 
 def test_lame_strong_minimum_is_pinned():
