@@ -11,12 +11,12 @@ derivative by i*tau; the principal symbol keeps only the top-order part.  Two
 gradings are supported: ``"isotropic"`` counts the time derivative like a
 spatial one, ``"spatial"`` gives it weight zero.
 
-A matrix keeps what it derives: its formal adjoint, its principal symbol
-under each grading and (for a symbol) its conjugate transpose are made on
-the first request and kept in one private slot, created then, and an
-adjoint keeps the matrix as its own adjoint.  Matrices are immutable by
-convention, so a kept matrix is what a new request would make, and sharing
-it is safe; equality and hashing ignore the slot, copies carry it.
+A matrix keeps what it derives: its formal adjoint and (for a symbol) its
+conjugate transpose are made on the first request and kept in one private
+slot, created then, and an adjoint keeps the matrix as its own adjoint.
+Matrices are immutable by convention, so a kept matrix is what a new
+request would make, and sharing it is safe; equality and hashing ignore
+the slot, copies carry it.
 """
 
 from __future__ import annotations
@@ -134,10 +134,10 @@ class SignatureMatrix:
         return cls(signature, PolyMatrix(signature.vars, entries))
 
     def _kept(self, key, make):
-        """The derived value ``key`` (a matrix, what ``cxkit.syzygy`` derives
-        from an operator, or a ``cxkit.complexes.Complex``'s symbols or lift):
-        ``make()`` on the first request, kept in ``_derived`` (a slot set
-        then); a made adjoint keeps ``self`` as its own adjoint."""
+        """The derived value ``key`` (an adjoint, what ``cxkit.syzygy``
+        derives from an operator, or a ``Complex``'s symbols, lifts or Gram
+        products): ``make()`` on the first request, kept in ``_derived`` (a
+        slot set then); a made adjoint keeps ``self`` as its own adjoint."""
         try:
             kept = self._derived
         except AttributeError:
@@ -252,8 +252,7 @@ class OperatorMatrix(SignatureMatrix):
 
     def principal_symbol(self, grading: str = ISOTROPIC) -> "SymbolMatrix":
         """Top-order part of the total symbol under the chosen grading."""
-        return self._kept(("principal", grading),
-                          lambda: self.total_symbol(self.signature.grading_vars(grading)))
+        return self.total_symbol(self.signature.grading_vars(grading))
 
 
 class SymbolMatrix(SignatureMatrix):

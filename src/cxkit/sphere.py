@@ -102,7 +102,7 @@ from typing import Callable, Iterable, Iterator, Sequence
 import numpy as np
 
 from cxkit._sobol_directions import POLY, VINIT
-from cxkit.poly import _MAX_VARS, Poly, PolyMatrix
+from cxkit.poly import Poly, PolyMatrix
 
 _POLISH_COUNT = 16
 _POINTS_CACHED = 4  # scan keys whose points are kept (_sphere_points)
@@ -288,12 +288,7 @@ def _sobol_blocks(dim: int, n: int, seed: int) -> Iterator[tuple[int, np.ndarray
     LMS+shift scrambling (Matousek 1998; Owen 2003) seeded by ``seed``, as
     (first row, float64 rows) blocks of ``_SCAN_BLOCK`` rows: the floats of
     ``scipy.stats.qmc.Sobol(dim, scramble=True, seed=seed).random(n)``, bit
-    for bit.  The arguments are checked, and the scramble drawn, at the
-    call; the blocks are made as they are read."""
-    if not 1 <= dim <= _MAX_VARS:
-        raise ValueError(f"dim must be between 1 and {_MAX_VARS}, got {dim}")
-    if not 1 <= n <= _MAX_SAMPLES:
-        raise ValueError(f"n must be between 1 and 2**{_SOBOL_BITS}, got {n}")
+    for bit, each block made as it is read."""
     bits = _SOBOL_BITS
     sv = _direction_vectors(dim)
     # the shift's (dim, 30) bits, then the LMS matrices' (dim, 30, 30)
@@ -315,18 +310,14 @@ def _sobol_blocks(dim: int, n: int, seed: int) -> Iterator[tuple[int, np.ndarray
     # 0, whose exponent 0 is the shift's row, for k = -1.  Each block
     # starts from the last point of the block before (0 for the first).
     rows = np.vstack([shift, sv.T])
-
-    def blocks() -> Iterator[tuple[int, np.ndarray]]:
-        last = np.zeros(dim, dtype=np.uint32)
-        for a in range(0, n, _SCAN_BLOCK):
-            k = np.arange(a - 1, min(a + _SCAN_BLOCK, n) - 1)
-            steps = rows[np.frexp(~k & (k + 1))[1]]
-            steps[0] ^= last
-            block = np.bitwise_xor.accumulate(steps, axis=0)
-            last = block[-1]
-            yield a, block * (1.0 / 2 ** bits)
-
-    return blocks()
+    last = np.zeros(dim, dtype=np.uint32)
+    for a in range(0, n, _SCAN_BLOCK):
+        k = np.arange(a - 1, min(a + _SCAN_BLOCK, n) - 1)
+        steps = rows[np.frexp(~k & (k + 1))[1]]
+        steps[0] ^= last
+        block = np.bitwise_xor.accumulate(steps, axis=0)
+        last = block[-1]
+        yield a, block * (1.0 / 2 ** bits)
 
 
 # ---------------------------------------------------------------------------
@@ -409,9 +400,8 @@ def _sphere_points(dim: int, budget: int, seed: int) -> np.ndarray:
     if dim == 1:
         pts = np.array([[1.0], [-1.0]])
     else:
-        blocks = _sobol_blocks(dim, budget, seed)
         pts = np.empty((budget, dim))
-        for a, u in blocks:
+        for a, u in _sobol_blocks(dim, budget, seed):
             g = _ndtri(np.clip(u, 1e-12, 1 - 1e-12))
             norms = np.linalg.norm(g, axis=1)
             norms[norms == 0] = 1.0

@@ -135,17 +135,17 @@ def test_criterion_7_dn_weights():
     plan = ellipticity.dn_weights_stokes(cp, 1)
     assert plan.s == (2, 1) and plan.t == (0, 1)
     # DN determinant of the classical degree-1 system: numeric pass, with the
-    # symbolic determinant cross-checked against a naive cofactor expansion
-    from test_poly import _cofactor_det
+    # symbolic determinant cross-checked against sympy's
+    from test_poly_kernel import assert_det_matches_sympy
 
     mu = MuSet.scalar(cp, Poly.variable(cp.signature.vars, "mu"), degrees=[1])
     op = blockops.stokes(cp, 1, mu)
     part = blockops.BlockPartition.for_degree(cp, 1)
-    sym = ellipticity.dn_symbol(op, part, ellipticity.dn_weights_stokes(cp, 1, mu))
-    assert sym.body.determinant() == _cofactor_det(sym.body)
     rep = ellipticity.dn_check(op, part, ellipticity.dn_weights_stokes(cp, 1, mu))
     assert rep.verdict == "numeric-pass"
-    _announce(7, "weight plans exact; DN symbol elliptic with cofactor oracle")
+    sym = ellipticity.dn_symbol(op, part, ellipticity.dn_weights_stokes(cp, 1, mu))
+    assert_det_matches_sympy(sym.body)
+    _announce(7, "weight plans exact; DN symbol elliptic with sympy oracle")
 
 
 def test_criterion_8_syzygies():

@@ -409,18 +409,20 @@ def test_adjoint_and_total_symbol_match_per_term_construction(op):
 @settings(max_examples=60, deadline=None)
 @given(operators())
 def test_derived_matrices_are_kept_and_equal_a_fresh_copys(op):
-    """An adjoint, principal symbol or conjugate transpose is made on the
-    first request and kept: a repeated one returns the same object, stored
-    as a fresh copy of the matrix (or the total symbol's top part) makes it,
-    and an adjoint's adjoint is the matrix itself."""
+    """An adjoint or conjugate transpose is made on the first request and
+    kept: a repeated one returns the same object, stored as a fresh copy of
+    the matrix makes it, and an adjoint's adjoint is the matrix itself.  A
+    principal symbol is made on every request, equal to the total symbol's
+    top part and stored like it."""
     fresh = OperatorMatrix(op.signature, op.body)
     requests = [(op.formal_adjoint, fresh.formal_adjoint)]
     for grading in (ISOTROPIC, SPATIAL):
-        sym = op.principal_symbol(grading)
+        sym, again = op.principal_symbol(grading), op.principal_symbol(grading)
+        top = op.total_symbol(op.signature.grading_vars(grading))
+        assert again is not sym and sym == again == top
+        assert stored(sym) == stored(again) == stored(top)
         fresh_sym = SymbolMatrix(sym.signature, sym.body)
-        requests += [(lambda g=grading: op.principal_symbol(g),
-                      lambda g=grading: op.total_symbol(op.signature.grading_vars(g))),
-                     (sym.hermitian_transpose, fresh_sym.hermitian_transpose),
+        requests += [(sym.hermitian_transpose, fresh_sym.hermitian_transpose),
                      (sym.formal_adjoint, fresh_sym.formal_adjoint)]
         assert sym.formal_adjoint().hermitian_transpose() is sym
     for kept, made in requests:

@@ -719,36 +719,27 @@ def test_dn_check_classical_stokes():
 
 
 def test_dn_determinant_cofactor_oracle():
-    # the determinant of the DN symbol agrees with a naive cofactor
-    # expansion (independent algorithm)
-    from test_poly import _cofactor_det
+    # the determinant of the DN symbol agrees with sympy's (independent
+    # algorithm)
+    from test_poly_kernel import assert_det_matches_sympy
 
     op, part, plan = _classical_stokes()
-    sym = dn_symbol(op, part, plan)
-    assert sym.body.determinant() == _cofactor_det(sym.body)
+    assert_det_matches_sympy(dn_symbol(op, part, plan).body)
 
 
-def _block_loop_dn_symbol(op, part, plan):
-    """The DN symbol as a sum of embedded blocks: block (p, r) keeps the terms
-    of degree s_p - t_r; the reference for the entrywise map."""
-    from cxkit.diffop import SymbolMatrix
-
+def _entrywise_dn_symbol(op, part, plan):
+    """The earlier construction: the total symbol, then each entry's
+    homogeneous part of degree s_i - t_j, zero entries included."""
     total = op.total_symbol()
     sig = total.signature
-    n = part.size
-    out = SymbolMatrix.zero(sig, n, n)
-    degrees = sorted(range(len(part.ranks)), reverse=True)
-    for p, row_deg in enumerate(degrees):
-        for r, col_deg in enumerate(degrees):
-            target = plan.s[p] - plan.t[r]
-            if target < 0:
-                continue
-            r0, r1 = part.span(row_deg)
-            c0, c1 = part.span(col_deg)
-            blk = total.body.block(r0, r1, c0, c1).map(
-                lambda e: e.homogeneous_part(target, sig.derivative_vars))
-            out = out + SymbolMatrix(sig, PolyMatrix.place(sig.vars, n, n, [(blk, r0, c0)]))
-    return out
+    ranks = tuple(reversed(part.ranks))
+    s = [w for w, k in zip(plan.s, ranks) for _ in range(k)]
+    t = [w for w, k in zip(plan.t, ranks) for _ in range(k)]
+    zero = Poly.zero(sig.vars)
+    return SymbolMatrix.from_entries(sig, [
+        [p.homogeneous_part(s[i] - t[j], sig.derivative_vars) if s[i] >= t[j] else zero
+         for j, p in enumerate(row)]
+        for i, row in enumerate(total.body.entries)])
 
 
 def _dn_cases():
@@ -783,31 +774,16 @@ def _dn_cases():
 
 
 def test_dn_symbol_matches_block_loop_term_for_term():
+    """Every fixed case, the paper's Maxwell and Stokes systems among them,
+    stores each entry's terms as the entrywise construction does, in the
+    same order."""
     cases = 0
     for op, part, plan in _dn_cases():
         got = dn_symbol(op, part, plan)
-        want = _block_loop_dn_symbol(op, part, plan)
-        assert got == want
-        for i in range(got.rows):
-            for j in range(got.cols):
-                assert list(got[i, j].terms.items()) == list(want[i, j].terms.items())
+        want = _entrywise_dn_symbol(op, part, plan)
+        assert got == want and stored(got) == stored(want)
         cases += 1
     assert cases == 24
-
-
-def _entrywise_dn_symbol(op, part, plan):
-    """The earlier construction: the total symbol, then each entry's
-    homogeneous part of degree s_i - t_j, zero entries included."""
-    total = op.total_symbol()
-    sig = total.signature
-    ranks = tuple(reversed(part.ranks))
-    s = [w for w, k in zip(plan.s, ranks) for _ in range(k)]
-    t = [w for w, k in zip(plan.t, ranks) for _ in range(k)]
-    zero = Poly.zero(sig.vars)
-    return SymbolMatrix.from_entries(sig, [
-        [p.homogeneous_part(s[i] - t[j], sig.derivative_vars) if s[i] >= t[j] else zero
-         for j, p in enumerate(row)]
-        for i, row in enumerate(total.body.entries)])
 
 
 @st.composite

@@ -11,6 +11,7 @@ outside its own body, unless its module exports it or it is a CLI command.
 import ast
 import importlib
 import pkgutil
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -67,26 +68,21 @@ def _definitions(tree: ast.Module):
     return found
 
 
-def _names(node: ast.AST, skip: ast.AST, attributes_only: bool) -> set:
-    """The names read in ``node`` outside ``skip``: attribute names, and
-    bare names too unless ``attributes_only``."""
-    if node is skip:
-        return set()
-    names = set()
-    if isinstance(node, ast.Attribute):
-        names.add(node.attr)
-    elif isinstance(node, ast.Name) and not attributes_only:
-        names.add(node.id)
-    for child in ast.iter_child_nodes(node):
-        names |= _names(child, skip, attributes_only)
-    return names
+def _reads(node: ast.AST) -> Counter:
+    """How often ``node`` reads each name: ``("attr", name)`` through an
+    attribute, ``("name", name)`` bare."""
+    return Counter(("attr", n.attr) if isinstance(n, ast.Attribute) else ("name", n.id)
+                   for n in ast.walk(node) if isinstance(n, (ast.Attribute, ast.Name)))
 
 
 def _census() -> set:
     """Each definition no code in ``src/cxkit`` names outside its own body
     (a method through an attribute, anything else by name or attribute),
-    dunder methods, ``__all__`` names and ``cli.cmd_*`` commands aside."""
+    dunder methods, ``__all__`` names and ``cli.cmd_*`` commands aside.
+    Each tree's reads are counted once; a definition's own body's reads are
+    taken off."""
     trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in sorted(SRC.glob("*.py"))}
+    reads = sum(map(_reads, trees.values()), Counter())
     uncalled = set()
     for module, tree in trees.items():
         package = "cxkit" if module == "__init__" else f"cxkit.{module}"
@@ -96,7 +92,9 @@ def _census() -> set:
             if (name.startswith("__") and name.endswith("__") or qualname in exported
                     or module == "cli" and name.startswith("cmd_")):
                 continue
-            if not any(name in _names(t, node, is_method) for t in trees.values()):
+            own = _reads(node)
+            kinds = ("attr",) if is_method else ("attr", "name")
+            if not any(reads[kind, name] > own[kind, name] for kind in kinds):
                 uncalled.add(f"{module}.{qualname}")
     return uncalled
 

@@ -1,14 +1,19 @@
-"""The integer-numerator Poly kernel against slower exact references.
+"""Exact arithmetic: Gaussian rationals, sparse polynomials and matrices of
+them, with the integer-numerator kernel against slower exact references.
 
+Each exact operation has one reference, which fixes the storage order of
+its result, and at most one value oracle, sympy, where it is installed.
 ``FractionPoly`` is the earlier ``Poly`` arithmetic, one ``GaussianRational``
-(two ``Fraction``s) per term, kept verbatim up to the class name as the
-reference the kernel is compared with.  Exact division, determinants, matrix
-products and adjugates are also compared with sympy where it is installed.
-The earlier product, sum-of-products loop, ``embed`` and ``Poly.lift``
-(``old_mul``, ``old_sum``, ``old_embed``, ``old_lift``) are kept verbatim
-too (the product drops its cancelled numerators itself, as the earlier
-constructor did), as the references of the one-accumulator
-sums, of block placement and of whole-matrix lifts.
+(two ``Fraction``s) per term, kept verbatim up to the class name: the
+reference of sums, products, exact division and leading terms.  The earlier
+product and sum-of-products loop (``old_mul``, ``old_sum``; the product
+drops its cancelled numerators itself, as the earlier constructor did) are
+the references of the one-accumulator sums; ``old_matmul`` of matrix
+products (beside ``checked_matmul``, each entry's checked ``_dot``, where a
+test checks the degree guard); ``old_determinant``, with
+``_helpers.split_determinant``, of determinants; ``old_adjugate``, the
+cofactor adjugate on ``old_determinant``, of adjugates; ``old_embed`` of
+block placement, ``old_lift`` of lifts and ``_str_reference`` of printing.
 """
 
 import copy
@@ -162,6 +167,89 @@ def same(p: Poly, r: FractionPoly) -> bool:
 
 
 # ---------------------------------------------------------------------------
+# Reference: the earlier product, sums of products and matrix loops
+
+
+def old_mul(self: Poly, other: Poly) -> Poly:
+    """The earlier ``Poly.__mul__``, verbatim but for dropping the zero
+    numerators, which its constructor did (reference)."""
+    self._check_vars(other)
+    _check_product(max(self._num, default=0), max(other._num, default=0),
+                   _WIDTH * len(self.vars))
+    out: dict[int, tuple[int, int]] = {}
+    get = out.get
+    b_terms = list(other._num.items())
+    for ka, (ar, ai) in self._num.items():
+        for kb, (br, bi) in b_terms:
+            key = ka + kb
+            re = ar * br - ai * bi
+            im = ar * bi + ai * br
+            c = get(key)
+            if c is None:
+                out[key] = (re, im)
+            else:
+                out[key] = (c[0] + re, c[1] + im)
+    out = {k: c for k, c in out.items() if c != (0, 0)}
+    return _poly_nonzero(self.vars, out, self._den * other._den)
+
+
+def old_sum(vars, pairs) -> Poly:
+    """The earlier accumulation of ``PolyMatrix.__matmul__`` and of the
+    minor expansion: ``acc = acc + a * b`` from zero (reference)."""
+    acc = Poly.zero(vars)
+    for a, b in pairs:
+        acc = acc + old_mul(a, b)
+    return acc
+
+
+def old_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
+    """The earlier sparse ``PolyMatrix.__matmul__`` loop on ``old_sum``."""
+    zero = Poly.zero(a.vars)
+    out = [[old_sum(a.vars, [(a[i, k], b[k, j]) for k in range(a.cols)
+                             if not a[i, k].is_zero and not b[k, j].is_zero])
+            if a.cols else zero for j in range(b.cols)] for i in range(a.rows)]
+    return PolyMatrix(a.vars, out, shape=(a.rows, b.cols))
+
+
+def old_determinant(m: PolyMatrix) -> Poly:
+    """The earlier memoized first-row expansion of ``_minor_table``, its
+    signed terms added one by one with ``old_mul`` (reference)."""
+    table = {}
+
+    def minor(rows, cols):
+        if len(rows) <= 1:
+            return m.entries[rows[0]][cols[0]] if rows else Poly.one(m.vars)
+        if (rows, cols) not in table:
+            total = Poly.zero(m.vars)
+            for pos, j in enumerate(cols):
+                a = m.entries[rows[0]][j]
+                if a.is_zero:
+                    continue
+                term = old_mul(a, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
+                total = total + term if pos % 2 == 0 else total - term
+            table[rows, cols] = total
+        return table[rows, cols]
+
+    idx = tuple(range(m.rows))
+    return minor(idx, idx)
+
+
+def old_adjugate(m: PolyMatrix) -> PolyMatrix:
+    """The cofactor adjugate: entry (i, j) is (-1)^(i+j) times the
+    ``old_determinant`` of ``m`` without row j and column i (reference)."""
+    n = m.rows
+
+    def cofactor(i, j):
+        minor = old_determinant(PolyMatrix(m.vars, [[m[r, c] for c in range(n) if c != j]
+                                                    for r in range(n) if r != i],
+                                           shape=(n - 1, n - 1)))
+        return minor if (i + j) % 2 == 0 else -minor
+
+    return PolyMatrix(m.vars, [[cofactor(j, i) for j in range(n)] for i in range(n)],
+                      shape=(n, n))
+
+
+# ---------------------------------------------------------------------------
 # Strategies: Gaussian-rational, Gaussian-integer and real coefficients
 
 rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 9, 10]))
@@ -203,6 +291,133 @@ def assert_canonical(p: Poly) -> None:
     assert gcd(p._den, *(x for c in p._num.values() for x in c)) == 1
     if p.is_zero:
         assert p._den == 1
+
+
+# ---------------------------------------------------------------------------
+# Field and ring axioms, evaluation and printing
+
+
+@given(coefficients, coefficients, coefficients)
+def test_gaussian_ring_axioms(a, b, c):
+    assert (a + b) + c == a + (b + c)
+    assert a + b == b + a
+    assert (a * b) * c == a * (b * c)
+    assert a * b == b * a
+    assert a * (b + c) == a * b + a * c
+    assert a + GaussianRational.zero() == a
+    assert a * GaussianRational.one() == a
+    assert a - a == GaussianRational.zero()
+
+
+@given(coefficients)
+def test_gaussian_division(a):
+    if not a.is_zero:
+        assert a / a == GaussianRational.one()
+        assert (GaussianRational.one() / a) * a == GaussianRational.one()
+
+
+@given(coefficients, coefficients)
+def test_gaussian_conjugation(a, b):
+    assert (a * b).conjugate() == a.conjugate() * b.conjugate()
+    assert a.conjugate().conjugate() == a
+    norm = a * a.conjugate()
+    assert not norm.im
+
+
+def test_gaussian_i():
+    i = GaussianRational.i()
+    assert i * i == -GaussianRational.one()
+    assert complex(i) == 1j
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys(max_terms=4), polys(max_terms=4), polys(max_terms=4))
+def test_poly_ring_axioms(p, q, r):
+    assert (p + q) + r == p + (q + r)
+    assert p + q == q + p
+    assert (p * q) * r == p * (q * r)
+    assert p * q == q * p
+    assert p * (q + r) == p * q + p * r
+    assert p + Poly.zero(VARS) == p
+    # a sum that cancels and the constant zero store no term
+    assert stored(p - p) == stored(Poly.constant(VARS, 0)) == stored(Poly.zero(VARS))
+    assert p * Poly.one(VARS) == p
+    assert (p - q) + q == p
+
+
+@settings(max_examples=40, deadline=None)
+@given(polys(), polys())
+def test_poly_conjugate_hom(p, q):
+    assert (p * q).conjugate() == p.conjugate() * q.conjugate()
+    assert (p + q).conjugate() == p.conjugate() + q.conjugate()
+
+
+def test_evaluate():
+    x, y, z = (Poly.variable(VARS, v) for v in VARS)
+    p = x * x + y - z
+    assert p.evaluate({"x": 2.0, "y": 3.0, "z": 0.5}) == pytest.approx(6.5)
+
+
+def test_str_parseable_roundtrip():
+    x, y = Poly.variable(VARS, "x"), Poly.variable(VARS, "y")
+    i = Poly.constant(VARS, GaussianRational.i())
+    half = Poly.constant(VARS, GaussianRational.of(Fraction(1, 2)))
+    p = half * x ** 2 - i * x * y + y - Poly.one(VARS)
+    s = str(p)
+    assert "x" in s and "y" in s
+    # canonical form round-trips through the constructorless parser in dsl
+    from cxkit import dsl
+
+    doc = dsl.parse(f"vars: x y z\noperator P = [[{s}]]\n")
+    assert doc.operators["P"][0, 0] == p
+
+
+def _coeff_reference(c: GaussianRational) -> str:
+    if c.is_zero:
+        return "0"
+    if not c.im:
+        return str(c.re)
+    imag = "i" if c.im == 1 else "-i" if c.im == -1 else f"{c.im}*i"
+    return f"{c.re}{'+' if c.im > 0 else ''}{imag}" if c.re else imag
+
+
+def _str_reference(p: Poly) -> str:
+    """The earlier printing: ``sorted_terms()`` and each coefficient's text
+    from its two ``Fraction`` parts (reference)."""
+    if p.is_zero:
+        return "0"
+    chunks = []
+    for exp, coeff in p.sorted_terms():
+        mono, text = p._monomial_str(exp), _coeff_reference(coeff)
+        needs_parens = coeff.re and coeff.im
+        if mono == "1":
+            piece = f"({text})" if needs_parens and chunks else text
+        elif text in ("1", "-1"):
+            piece = text[:-1] + mono
+        else:
+            piece = f"({text})*{mono}" if needs_parens else f"{text}*{mono}"
+        chunks.append(piece)
+    out = chunks[0]
+    for piece in chunks[1:]:
+        out += f" - {piece[1:]}" if piece.startswith("-") else f" + {piece}"
+    return out
+
+
+# negative, +-1, zero (so purely real or imaginary) and non-unit denominators
+_parts = st.one_of(st.sampled_from([Fraction(0), Fraction(1), Fraction(-1)]), rationals,
+                   st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 4)))
+
+
+@settings(max_examples=200)
+@given(st.dictionaries(st.tuples(*[st.integers(0, 3)] * len(VARS)),
+                       st.builds(GaussianRational, _parts, _parts), max_size=5))
+def test_str_matches_the_fraction_printing(terms):
+    """Printing from the numerators over ``den`` gives the text the
+    ``Fraction`` parts of each coefficient gave, byte for byte."""
+    p = Poly(VARS, terms)
+    assert str(p) == _str_reference(p)
+    for c in terms.values():
+        assert str(c) == _coeff_reference(c)
 
 
 # ---------------------------------------------------------------------------
@@ -650,26 +865,7 @@ def test_degree_limit_is_an_overflow_error():
 
 
 # ---------------------------------------------------------------------------
-# Sparse matrix products against the dense loop
-
-
-def dense_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """The earlier ``PolyMatrix.__matmul__``, which visits every k of row i
-    and column j and skips the zero entries (reference)."""
-    zero = Poly.zero(a.vars)
-    out = []
-    for i in range(a.rows):
-        row = []
-        for j in range(b.cols):
-            acc = zero
-            for k in range(a.cols):
-                x, y = a.entries[i][k], b.entries[k][j]
-                if x.is_zero or y.is_zero:
-                    continue
-                acc = acc + x * y
-            row.append(acc)
-        out.append(row)
-    return PolyMatrix(a.vars, out, shape=(a.rows, b.cols))
+# Sparse matrix products against the old loop
 
 
 def checked_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
@@ -697,11 +893,11 @@ def sparse_matrices(draw, rows: int, cols: int) -> PolyMatrix:
     lambda s: st.tuples(sparse_matrices(s[0], s[1]), sparse_matrices(s[1], s[2]))))
 def test_sparse_matmul_matches_dense_loop(ab):
     """Every entry keeps its value and its storage order: the same products,
-    summed in the same increasing k, as the dense loop and as each entry's
+    summed in the same increasing k, as the old loop and as each entry's
     checked ``_dot`` (one degree guard per product changes no entry)."""
     a, b = ab
     got = a @ b
-    for want in (dense_matmul(a, b), checked_matmul(a, b)):
+    for want in (old_matmul(a, b), checked_matmul(a, b)):
         assert got == want
         assert stored(got) == stored(want)
 
@@ -805,10 +1001,21 @@ def split_matrices(draw, max_n=7):
                        min_size=n, max_size=n).map(lambda e: PolyMatrix(VARS, e))),
     split_matrices()))
 def test_determinant_matches_sympy(m):
+    assert_det_matches_sympy(m)
+
+
+def sympy_matrix(m: PolyMatrix, syms):
+    import sympy
+
+    return sympy.Matrix(m.rows, m.cols, [to_sympy(p, syms) for row in m.entries for p in row])
+
+
+def assert_det_matches_sympy(m: PolyMatrix) -> None:
+    """sympy's Berkowitz determinant of ``m``, after ``expand``, as the
+    oracle of ``m.determinant()``."""
     sympy = pytest.importorskip("sympy")
-    syms = sympy.symbols(VARS)
-    want = sympy.Matrix(m.rows, m.cols, [to_sympy(p, syms) for row in m.entries
-                                         for p in row]).det(method="berkowitz")
+    syms = sympy.symbols(m.vars)
+    want = sympy_matrix(m, syms).det(method="berkowitz")
     assert sympy.expand(to_sympy(m.determinant(), syms) - want) == 0
 
 
@@ -828,12 +1035,6 @@ def gaussian_matrices(draw, rows: int, cols: int) -> PolyMatrix:
 
     return PolyMatrix(VARS, [[entry() if draw(st.integers(0, 2)) else zero for _ in range(cols)]
                              for _ in range(rows)], shape=(rows, cols))
-
-
-def sympy_matrix(m: PolyMatrix, syms):
-    import sympy
-
-    return sympy.Matrix(m.rows, m.cols, [to_sympy(p, syms) for row in m.entries for p in row])
 
 
 @settings(max_examples=10, **SYMPY_ORACLE)
@@ -886,70 +1087,6 @@ def test_dolbeault_3_petrovskii_certified(variant):
 
 # ---------------------------------------------------------------------------
 # One-accumulator sums of products against the old loop
-
-
-def old_mul(self: Poly, other: Poly) -> Poly:
-    """The earlier ``Poly.__mul__``, verbatim but for dropping the zero
-    numerators, which its constructor did (reference)."""
-    self._check_vars(other)
-    _check_product(max(self._num, default=0), max(other._num, default=0),
-                   _WIDTH * len(self.vars))
-    out: dict[int, tuple[int, int]] = {}
-    get = out.get
-    b_terms = list(other._num.items())
-    for ka, (ar, ai) in self._num.items():
-        for kb, (br, bi) in b_terms:
-            key = ka + kb
-            re = ar * br - ai * bi
-            im = ar * bi + ai * br
-            c = get(key)
-            if c is None:
-                out[key] = (re, im)
-            else:
-                out[key] = (c[0] + re, c[1] + im)
-    out = {k: c for k, c in out.items() if c != (0, 0)}
-    return _poly_nonzero(self.vars, out, self._den * other._den)
-
-
-def old_sum(vars, pairs) -> Poly:
-    """The earlier accumulation of ``PolyMatrix.__matmul__`` and of the
-    minor expansion: ``acc = acc + a * b`` from zero (reference)."""
-    acc = Poly.zero(vars)
-    for a, b in pairs:
-        acc = acc + old_mul(a, b)
-    return acc
-
-
-def old_matmul(a: PolyMatrix, b: PolyMatrix) -> PolyMatrix:
-    """The earlier sparse ``PolyMatrix.__matmul__`` loop on ``old_sum``."""
-    zero = Poly.zero(a.vars)
-    out = [[old_sum(a.vars, [(a[i, k], b[k, j]) for k in range(a.cols)
-                             if not a[i, k].is_zero and not b[k, j].is_zero])
-            if a.cols else zero for j in range(b.cols)] for i in range(a.rows)]
-    return PolyMatrix(a.vars, out, shape=(a.rows, b.cols))
-
-
-def old_determinant(m: PolyMatrix) -> Poly:
-    """The earlier memoized first-row expansion of ``_minor_table``, its
-    signed terms added one by one with ``old_mul`` (reference)."""
-    table = {}
-
-    def minor(rows, cols):
-        if len(rows) <= 1:
-            return m.entries[rows[0]][cols[0]] if rows else Poly.one(m.vars)
-        if (rows, cols) not in table:
-            total = Poly.zero(m.vars)
-            for pos, j in enumerate(cols):
-                a = m.entries[rows[0]][j]
-                if a.is_zero:
-                    continue
-                term = old_mul(a, minor(rows[1:], cols[:pos] + cols[pos + 1:]))
-                total = total + term if pos % 2 == 0 else total - term
-            table[rows, cols] = total
-        return table[rows, cols]
-
-    idx = tuple(range(m.rows))
-    return minor(idx, idx)
 
 
 # a partner of an earlier pair, scaled so that its product cancels that one's
@@ -1042,17 +1179,73 @@ def test_matmul_matches_the_old_loop(ab):
     assert stored(got) == stored(old_matmul(a, b))
 
 
+# ---------------------------------------------------------------------------
+# Determinants and adjugates against the old expansion
+
+
+@st.composite
+def square_matrices(draw, max_n=6):
+    """``(m, singular)``: an n x n matrix, 1 <= n <= max_n, of sparse
+    entries, zeros among them; when ``singular`` (about half the draws) its
+    last row is a polynomial combination of the others (for n = 1 the zero
+    row)."""
+    n = draw(st.integers(1, max_n))
+    entry = st.one_of(st.just(Poly.zero(VARS)), polys(max_terms=2, max_exp=1))
+    rows = [[draw(entry) for _ in range(n)] for _ in range(n)]
+    singular = draw(st.booleans())
+    if singular:
+        coeffs = [draw(entry) for _ in range(n - 1)]
+        rows[-1] = [sum((c * rows[r][j] for r, c in enumerate(coeffs)), Poly.zero(VARS))
+                    for j in range(n)]
+    return PolyMatrix(VARS, rows), singular
+
+
 @settings(max_examples=60, deadline=None)
-@given(st.integers(1, 5).flatmap(lambda n: st.lists(
-    st.lists(st.one_of(st.just(Poly.zero(VARS)), polys(max_terms=2, max_exp=1)),
-             min_size=n, max_size=n), min_size=n, max_size=n)))
-def test_determinant_matches_the_old_loop(entries):
+@given(square_matrices())
+def test_determinant_matches_the_old_loop(case):
     """A matrix of one block stores what the old loop stores; a split one
     the old loop's block determinants multiplied in order with ``old_mul``."""
-    m = PolyMatrix(VARS, entries)
+    m, singular = case
     det = m.determinant()
     assert det == old_determinant(m)
     assert stored(det) == stored(split_determinant(m, old_determinant, old_mul))
+    if singular:
+        assert det.is_zero
+
+
+@settings(max_examples=40, deadline=None)
+@given(square_matrices())
+def test_adjugate_identity(case):
+    """The adjugate stores what the cofactor adjugate stores, and both of
+    its products with the matrix are det(m) I."""
+    m, _ = case
+    adj = m.adjugate()
+    assert stored(adj) == stored(old_adjugate(m))
+    target = PolyMatrix.identity(VARS, m.rows, m.determinant())
+    assert m @ adj == target
+    assert adj @ m == target
+
+
+def test_determinant_and_adjugate_edges():
+    empty = PolyMatrix(VARS, [], shape=(0, 0))
+    assert empty.determinant() == Poly.one(VARS)
+    assert empty.adjugate() == empty == old_adjugate(empty)
+    x = Poly.variable(VARS, "x")
+    assert PolyMatrix(VARS, [[x]]).adjugate() == PolyMatrix.identity(VARS, 1)
+    wide = PolyMatrix(VARS, [[x, x]])
+    with pytest.raises(ValueError):
+        wide.determinant()
+    with pytest.raises(ValueError):
+        wide.adjugate()
+
+
+def test_matrix_algebra():
+    x, y, zero = Poly.variable(VARS, "x"), Poly.variable(VARS, "y"), Poly.zero(VARS)
+    a = PolyMatrix(VARS, [[x, y], [zero, x]])
+    b = PolyMatrix(VARS, [[y, zero], [x, y]])
+    assert (a @ b).transpose() == b.transpose() @ a.transpose()
+    assert (a + b) - b == a
+    assert a.conjugate().conjugate() == a
 
 
 @settings(max_examples=150, deadline=None)
@@ -1157,6 +1350,33 @@ def test_placement_bounds(h, w, r0, c0):
     else:
         with pytest.raises(ValueError, match="does not fit a 4x4 matrix"):
             PolyMatrix.place(VARS, 4, 4, [(blk, r0, c0)])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 3), st.integers(0, 3), st.integers(0, 2), st.integers(0, 2),
+       st.integers(0, 2), st.integers(0, 2), st.data())
+def test_embed_block_roundtrip(rows, cols, top, left, bottom, right, data):
+    entries = [[data.draw(polys(max_terms=2, max_exp=1)) for _ in range(cols)]
+               for _ in range(rows)]
+    m = PolyMatrix(VARS, entries, shape=(rows, cols))
+    big_rows, big_cols = top + rows + bottom, left + cols + right
+    big = PolyMatrix.place(VARS, big_rows, big_cols, [(m, top, left)])
+    assert (big.rows, big.cols) == (big_rows, big_cols)
+    assert big.block(top, top + rows, left, left + cols) == m
+    for i in range(big_rows):
+        for j in range(big_cols):
+            if not (top <= i < top + rows and left <= j < left + cols):
+                assert big[i, j].is_zero
+
+
+def test_embed_block_bounds():
+    m = PolyMatrix.identity(VARS, 2)
+    with pytest.raises(ValueError):
+        PolyMatrix.place(VARS, 2, 3, [(m, 1, 0)])
+    with pytest.raises(ValueError):
+        m.block(0, 3, 0, 1)
+    with pytest.raises(ValueError):
+        m.block(1, 0, 0, 1)
 
 
 def test_block_place_rejects_bad_degrees_and_shapes():
