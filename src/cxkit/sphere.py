@@ -14,13 +14,14 @@ This is the only cxkit module that imports numpy, and
 (complexes, block operators, parametrices, certified checks, syzygies) never
 loads it.  It runs on numpy's core and ``numpy.linalg`` alone.  Nothing here
 needs scipy: the Joe-Kuo Sobol direction numbers of the 255 dimensions a
-ring can have ship in :mod:`cxkit._sobol_directions`.  Nor ``numpy.random``:
-the scramble bits, which scipy draws from ``np.random.default_rng(seed)``,
-come from a port of numpy's SeedSequence and PCG64 on Python ints
-(:func:`_scramble_bits`), which ``test_scramble_bits_match_numpy_random``
-pins to numpy's draws.  Nor ``numpy.ma``, which ``np.unique`` would load.
-``tests/test_sphere.py`` and ``tests/test_imports.py`` refuse or report all
-three.
+ring can have ship in :mod:`cxkit._sobol_directions`, loaded by the first
+scan (~1.5 ms), so a check that takes the closed form never loads them.  Nor
+``numpy.random``: the scramble bits, which scipy draws from
+``np.random.default_rng(seed)``, come from a port of numpy's SeedSequence
+and PCG64 on Python ints (:func:`_scramble_bits`), which
+``test_scramble_bits_match_numpy_random`` pins to numpy's draws.  Nor
+``numpy.ma``, which ``np.unique`` would load.  ``tests/test_sphere.py`` and
+``tests/test_imports.py`` refuse or report all three.
 
 A search holds its sphere points, its scan values and one block's kernel
 temporaries at once: its peak grew by 14-19 bytes per point coordinate at
@@ -40,18 +41,18 @@ scans once comes out ahead up to ~27 sphere variables and behind above that
 A symbol matrix is compiled into one evaluation kernel.  Each variable is
 raised once to each distinct exponent of the matrix, a power table per
 point; every distinct monomial is the product of its variables' table
-entries, multiplied left to right as ``np.prod`` multiplies an exponent row;
-each distinct entry then takes its own dot product of its monomial columns
-with its coefficients, in its own term order, and equal entries share that
-value.  Each entry therefore sums exactly as a separate per-entry evaluation
-would, bit for bit.  The table's columns for the exponents 0 and 1 are
-exact (1.0 and the coordinate); only the exponents from 2 on go through
-``**``, as a full exponent array.  A repeated exponent (a scalar, or one
-broadcast along the inner loop) would send float64 ``power`` to another
-route, where ``x ** 2`` is ``x * x``, which differs from the general route
-in the last bit for some ``x``.  Parameter variables are held at 1.0 by the
-kernel itself: their table columns are 1.0 at every exponent, the float
-``1.0 ** e`` is on that route.
+entries, multiplied left to right; each distinct entry then takes its own
+dot product of its monomial columns with its coefficients, its terms read
+leading-first (``Poly.sorted_terms``), and equal entries share that value.
+So a value depends on the symbol, not on the order its entries store their
+terms in.  The table's columns for the exponents 0 and 1 are exact (1.0 and
+the coordinate); each higher power is a product, x ** e the square of
+x ** (e // 2), times x for an odd e (:func:`_raise`), so it depends on x and
+e alone, whatever other exponents share the table, and lies within e ulps
+of the exact power.  No ``np.power`` is called: its float64 route for
+negative bases took ~150 ns per coordinate, where a product takes ~1 ns.
+Parameter variables are held at 1.0 by the kernel itself: their table
+columns are 1.0 at every exponent.
 
 The scan draws a scrambled Sobol sequence mapped to the sphere through the
 inverse normal distribution function, values it ``_SCAN_BLOCK`` (2048) rows
@@ -59,9 +60,8 @@ at a time (a row's float does not depend on the block; see :func:`_scan`), and
 polishes the best candidates with Nelder-Mead.  Sobol, the inverse normal
 and Nelder-Mead are ports that return the floats of
 ``scipy.stats.qmc.Sobol(scramble=True)``, ``scipy.special.ndtri`` and
-scipy's Nelder-Mead bit for bit, so reports do not depend on which of the
-two computed them.  The points are built ``_SCAN_BLOCK`` rows at a time
-into the one array kept.
+scipy's Nelder-Mead bit for bit; the kernel they drive is cxkit's own.  The
+points are built ``_SCAN_BLOCK`` rows at a time into the one array kept.
 
 Every check at the default seed and budget scans the same points, so the
 last ``_POINTS_CACHED`` scans' points are memoized read-only
@@ -69,27 +69,32 @@ last ``_POINTS_CACHED`` scans' points are memoized read-only
 6 ms in 2 variables (on one core of a 2 vCPU machine), and the second
 2-variable search of ``cxkit fixtures`` reads the first one's points.
 Their powers are not kept: each block of a scan raises its own, as a
-one-call table does.  Kept powers would serve only that one reuse of a
-key, whose exponents 2 and 4 of 40 000 coordinates take about 6 ms more to
-raise.  The polish raises its own points on each call.
+one-call table does, and products are cheap enough that a memo of the
+columns would save little.  The polish raises its own points on each call.
 
-The polishes of the best 16 scan points run in lock-step (:func:`_polish`)
-on one (R, N + 1, N + 1) array, each vertex followed by its value: a sort
-is one argsort and one gather, a step writes one row, and each iteration
-values the four candidates of every live run in one batched call, though a
-run uses one or two.  Each row must get the float of a one-point call, so
-the polish evaluates the kernel with one dot product per row and the
-speculation moves no float; the scan keeps its one matrix-vector product
-per entry, whose sums round differently in some rows, because its floats
-pick the candidates and are reported.  The small decisions (converged,
-which step, a row near the origin) are Python bools read through
-``tolist``: over at most 16 runs a numpy mask or reduction costs more to
-dispatch than its comparisons.  What an iteration still costs is the
-kernel's, whose bits every pinned report depends on: float64 ``power``
-takes a special-case route for negative bases (~150 ns per coordinate
-against ~4 ns for positive ones), and neither ``x * x``, sign times
-``|x| ** e`` nor the C library's ``pow`` gives its bits; each 3 x 3 least
-eigenvalue is one LAPACK ``zheevd`` call.
+Of the best 16 scan points, the search polishes one per basin
+(:func:`_basins`): a point within 0.1 rad of a better one kept, or of its
+antipode, joins that one's group unpolished, since both polishes would end
+in one well, or in a well and its antipode, where a homogeneous target
+takes the same value.  Every one of the 16 scan values stays a candidate
+for the minimum.  In ``cxkit fixtures`` the two symmetric-gradient searches
+polish 2 starts each, not 16; the Stokes q = 1 search, whose target is
+constant on the sphere, still polishes 16.
+
+The polishes run in lock-step (:func:`_polish`) on one (R, N + 1, N + 1)
+array, each vertex followed by its value: a sort is one argsort and one
+gather, a step writes one row, and each iteration values the four
+candidates of every live run in one batched call, though a run uses one or
+two.  Each row must get the float of a one-point call, so the polish
+evaluates the kernel with one dot product per row and the speculation moves
+no float; the scan keeps its one matrix-vector product per entry, whose
+sums round differently in some rows, because its floats pick the
+candidates and are reported.  The small decisions (converged, which step,
+a row near the origin) are Python bools read through ``tolist``: over at
+most 16 runs a numpy mask or reduction costs more to dispatch than its
+comparisons.  A least eigenvalue of a Hermitian part with no imaginary
+entry is one real LAPACK call (``dsyevd``), of any other one complex call
+(``zheevd``).
 """
 
 from __future__ import annotations
@@ -101,10 +106,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
-from cxkit._sobol_directions import POLY, VINIT
 from cxkit.poly import Poly, PolyMatrix
 
 _POLISH_COUNT = 16
+# a start within 0.1 rad of a better start, up to sign, lies in its basin
+_BASIN_COS = math.cos(0.1)
 _POINTS_CACHED = 4  # scan keys whose points are kept (_sphere_points)
 _SCAN_BLOCK = 2048  # rows valued per kernel call of the scan (_scan)
 # budget x sphere variables: a search peaks at ~20 bytes per point coordinate
@@ -116,39 +122,41 @@ _MAX_COORDINATES = 2 ** _COORDINATE_BITS
 # Vectorized evaluation
 
 
-def _power_table(pts: np.ndarray, high: np.ndarray, params: int = 0) -> np.ndarray:
+def _power_table(pts: np.ndarray, high: Sequence[int], params: int = 0) -> np.ndarray:
     """The (M, d + params, 2 + K) table of every coordinate of an (M, d)
     point array, then of ``params`` variables held at 1.0, raised to 0, 1
-    and each of the K float exponents ``high`` (all at least 2): the floats
-    of ``pts[:, :, None] ** pw``, ``pts`` with ``params`` columns of 1.0
-    appended and ``pw`` the int64 exponents 0, 1 and ``high``.
+    and each of the K exponents ``high`` (all at least 2).
 
-    x ** 0 is 1.0 and x ** 1 is x exactly, and so is 1.0 ** e on the route
-    below, so only the coordinates' ``high`` columns go through ``**``, as
-    a full array: numpy takes a repeated exponent (one that does not move
-    along its inner loop) to another float64 ``power`` route, where
-    ``x ** 2`` is ``x * x``, which differs in the last bit for some x."""
+    x ** 0 is 1.0 and x ** 1 is x exactly, and a held variable's columns are
+    1.0 at every exponent; each higher column is :func:`_raise`'s product."""
     m, d = pts.shape
     table = np.ones((m, d + params, 2 + len(high)))
     table[:, :d, 1] = pts
-    for k, e in enumerate(high.tolist()):
-        table[:, :d, 2 + k] = _raise(pts, int(e))
+    raised = {1: pts}
+    for k, e in enumerate(high):
+        table[:, :d, 2 + k] = _raise(raised, e)
     return table
 
 
-def _raise(pts: np.ndarray, e: int) -> np.ndarray:
-    """``pts ** e`` on the route of :func:`_power_table`: a full exponent
-    array, never a scalar or broadcast one."""
-    exponent = np.empty(pts.shape)
-    exponent.fill(e)  # np.full, through its Python wrapper, takes twice as long
-    return np.power(pts, exponent)
+def _raise(raised: dict[int, np.ndarray], e: int) -> np.ndarray:
+    """x ** e by square-and-multiply, x being ``raised[1]``: the square of
+    x ** (e // 2), times x when e is odd, each an IEEE product.  The floats
+    depend on x and e alone, not on the other powers ``raised`` keeps, so a
+    point gets the same value from every table it is in."""
+    if e not in raised:
+        half = _raise(raised, e // 2)
+        square = half * half
+        raised[e] = square * raised[1] if e % 2 else square
+    return raised[e]
 
 
 def compile_matrix(m: PolyMatrix, var_order: Sequence[str],
                    params: Sequence[str] = ()) -> Callable[..., np.ndarray]:
     """Return a function mapping an (M, d) point array, columns in
     ``var_order``, to the (M, rows, cols) complex values of ``m`` with each
-    variable of ``params`` held at 1.0."""
+    variable of ``params`` held at 1.0.  Each entry is read in
+    ``Poly.sorted_terms`` order, so the floats depend on the entry's value,
+    not on the order it stores its terms in."""
     index = {v: i for i, v in enumerate(m.vars)}
     cols = [index[v] for v in [*var_order, *params]]
     rows: dict[tuple[int, ...], int] = {}  # distinct exponent row -> column
@@ -156,15 +164,15 @@ def compile_matrix(m: PolyMatrix, var_order: Sequence[str],
     entries: dict[tuple[tuple[int, ...], bytes], list[tuple[int, int]]] = {}
     for i in range(m.rows):
         for j in range(m.cols):
-            terms = m[i, j].terms
+            terms = m[i, j].sorted_terms()
             if terms:
                 idx = tuple(rows.setdefault(tuple(exp[c] for c in cols), len(rows))
-                            for exp in terms)
-                coeffs = np.array([complex(c) for c in terms.values()])
+                            for exp, _ in terms)
+                coeffs = np.array([complex(c) for _, c in terms])
                 entries.setdefault((idx, coeffs.tobytes()), []).append((i, j))
     e = np.array(list(rows), dtype=np.int64).reshape(len(rows), len(cols))
     pw = np.array(sorted({0, 1}.union(*rows)), dtype=np.int64)
-    high = pw[2:].astype(float)
+    high = pw[2:].tolist()
     # monomial j's factor for variable v is table entry (v, slot[j, v])
     variable, slot = np.arange(len(cols)), np.searchsorted(pw, e)
     # An entry that uses every row in order (always so for a 1x1 matrix) reads
@@ -268,6 +276,9 @@ def _scramble_bits(seed: int, n: int) -> list[int]:
 def _direction_vectors(dim: int) -> np.ndarray:
     """The (dim, 30) uint32 direction vectors of Bratley and Fox (1988),
     column j scaled by 2**(29 - j)."""
+    # loaded here, not with the module: a closed-form check never draws a point
+    from cxkit._sobol_directions import POLY, VINIT
+
     bits = _SOBOL_BITS
     v = np.ones((dim, bits), dtype=np.int64)
     for d in range(1, dim):
@@ -293,14 +304,13 @@ def _sobol_blocks(dim: int, n: int, seed: int) -> Iterator[tuple[int, np.ndarray
     sv = _direction_vectors(dim)
     # the shift's (dim, 30) bits, then the LMS matrices' (dim, 30, 30)
     draws = np.array(_scramble_bits(seed, dim * bits * (1 + bits)), dtype=np.uint32)
-    shift = np.dot(draws[:dim * bits].reshape(dim, bits),
-                   2 ** np.arange(bits, dtype=np.uint32))
+    powers = np.arange(bits, dtype=np.uint32)
+    shift = np.dot(draws[:dim * bits].reshape(dim, bits), 1 << powers)
     ltm = np.tril(draws[dim * bits:].reshape(dim, bits, bits))
     ltm[:, range(bits), range(bits)] = 1
     # Bit q of a scrambled vector is the parity of the sum over k of
     # ltm[29 - q, 29 - k] times its bit k: scipy reads each matrix row
     # most-significant bit first and fills the result from the top bit down.
-    powers = np.arange(bits, dtype=np.uint32)
     vector_bits = (sv[:, :, None] >> powers) & 1
     parity = (vector_bits @ ltm[:, ::-1, ::-1].transpose(0, 2, 1)) & 1
     sv = (parity << powers).sum(axis=2, dtype=np.uint32)
@@ -568,19 +578,34 @@ def _least(values: np.ndarray, count: int) -> np.ndarray:
 def _sphere_minimize(fn: Callable[..., np.ndarray], dim: int,
                      seed: int, budget: int) -> tuple[float, tuple[float, ...]]:
     """Deterministic global-ish minimization of ``fn`` over the unit sphere:
-    quasi-random scan, then local polish from the best candidates."""
+    quasi-random scan, then local polish from the best candidate of each
+    basin among the best ``_POLISH_COUNT``."""
     pts = _sphere_points(dim, budget, seed)
     values = _scan(fn, pts)
     order = _least(values, _POLISH_COUNT)
-    found = [[(float(values[idx]), _canonical_point(pts[idx]))] for idx in order]
+    best = pts[order]
+    found = [(float(values[idx]), _canonical_point(x)) for idx, x in zip(order, best)]
     if dim > 1:
-        polished = _polish(_on_sphere(fn), pts[order], xatol=1e-12,
-                           fatol=1e-14, maxiter=600)
-        for pair, (fun, x) in zip(found, polished):
+        for fun, x in _polish(_on_sphere(fn), best[_basins(best)], xatol=1e-12,
+                              fatol=1e-14, maxiter=600):
             if np.isfinite(fun):
-                pair.append((float(fun), _canonical_point(x)))
+                found.append((float(fun), _canonical_point(x)))
     # exact argmin with lexicographic tie-break for determinism
-    return min((c for pair in found for c in pair), key=lambda vp: (vp[0], vp[1]))
+    return min(found)
+
+
+def _basins(starts: np.ndarray) -> list[int]:
+    """The rows of ``starts`` (unit vectors, best first) that the search
+    polishes: each row that lies, up to sign, farther than 0.1 rad from
+    every better row kept.  A row within it joins that row's group
+    unpolished: its polish would end in the same well, or in its antipode,
+    where a homogeneous target takes the same value."""
+    near = (np.abs(starts @ starts.T) >= _BASIN_COS).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    return kept
 
 
 def check_search(dim: int, seed: int, budget: int) -> None:
@@ -620,9 +645,15 @@ def abs_minimum(p: Poly, sphere_vars: Sequence[str], param_vars: Sequence[str],
 
 def _least_eigenvalue(mats: np.ndarray) -> np.ndarray:
     """The least eigenvalue of the Hermitian part of each (n, n) matrix of a
-    (B, n, n) array."""
+    (B, n, n) array.  A part with no imaginary entry goes to the real
+    symmetric solver, each matrix on its own, so a matrix's value does not
+    depend on the others in its batch."""
     herm = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
-    return np.linalg.eigvalsh(herm)[:, 0].real
+    real = ~herm.imag.any(axis=(1, 2))
+    least = np.empty(len(herm))
+    least[real] = np.linalg.eigvalsh(herm[real].real)[:, 0]
+    least[~real] = np.linalg.eigvalsh(herm[~real])[:, 0].real
+    return least
 
 
 def eigenvalue_minimum(m: PolyMatrix, sphere_vars: Sequence[str],

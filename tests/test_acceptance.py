@@ -28,8 +28,7 @@ from cxkit.poly import Poly
 
 from _helpers import with_mu
 
-REFERENCE_BUNDLE = (Path(__file__).resolve().parents[1]
-                    / "perfbench" / "reference" / "fixtures.json")
+REFERENCE_BUNDLE = Path(__file__).resolve().parent / "data" / "fixtures_bundle.json"
 
 
 def _announce(n, message):

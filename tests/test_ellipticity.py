@@ -718,7 +718,7 @@ def test_dn_check_classical_stokes():
     assert abs(rep.minimum - 1.0) < 1e-6
 
 
-def test_dn_determinant_cofactor_oracle():
+def test_dn_determinant_matches_sympy():
     # the determinant of the DN symbol agrees with sympy's (independent
     # algorithm)
     from test_poly_kernel import assert_det_matches_sympy
@@ -773,7 +773,7 @@ def _dn_cases():
         yield full, part, plan
 
 
-def test_dn_symbol_matches_block_loop_term_for_term():
+def test_dn_symbol_matches_entrywise_construction_term_for_term():
     """Every fixed case, the paper's Maxwell and Stokes systems among them,
     stores each entry's terms as the entrywise construction does, in the
     same order."""

@@ -45,7 +45,6 @@ SRC = Path(cxkit.__file__).parent
 # leaves this table when it gains a caller or is deleted.
 UNCALLED = {
     "poly.Poly.exact_div": "perfbench traces it, and a sympy oracle tests it",
-    "poly.Poly.sorted_terms": "perfbench's capture_reference.py writes the reference terms with it",
     "poly.Poly.evaluate": "perfbench's self-test evaluates a polynomial with it",
     "poly.Poly.homogeneous_part": "the tests use it as a reference implementation",
     "poly.Poly.leading_term": "the tests read leading coefficients with it",

@@ -1,7 +1,9 @@
 """Block literals of the spec language, the way the fixture corpus enters its
-displays, against plain entry tables; and the bundle of a warm run against
-that of a cold one."""
+displays, against plain entry tables; the bundle of a warm run against that
+of a cold one; and the pinned bundle against the benchmark's reference."""
 
+import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -102,7 +104,8 @@ def test_scale_last_row():
     assert literal(blocks, "[[top], [-last]]") == OperatorMatrix.from_entries(SIG, want)
 
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference" / "fixtures.json"
+REFERENCE = Path(__file__).resolve().parent / "data" / "fixtures_bundle.json"
+BENCHMARK = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def test_warm_bundle_equals_cold_bundle(tmp_path, monkeypatch):
@@ -130,3 +133,15 @@ def test_warm_bundle_equals_cold_bundle(tmp_path, monkeypatch):
     assert cli.main(["fixtures", "--json", str(warm)]) == 0
     assert complexes.de_rham_complex.cache_info().hits > hits
     assert warm.read_bytes() == cold.read_bytes() == REFERENCE.read_bytes()
+
+
+def test_bundle_passes_the_benchmark_oracle():
+    """The pinned bundle against the reference the benchmark checks every
+    ``cxkit fixtures`` against, with the benchmark's own comparison: exact
+    fields equal, floats within a relative 1e-9, minimisers unit vectors."""
+    spec = importlib.util.spec_from_file_location("oracles", BENCHMARK / "oracles.py")
+    oracles = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracles)
+    assert oracles.FLOAT_TOL == 1e-9
+    reference = json.loads((BENCHMARK / "reference" / "fixtures.json").read_text())
+    assert oracles.compare_bundle(json.loads(REFERENCE.read_text()), reference) == []

@@ -1,24 +1,21 @@
 """The numeric sphere search: its shared-monomial evaluation kernel against
-the earlier per-entry evaluation, its Sobol, ndtri and Nelder-Mead ports
-against scipy, its scramble bits against ``numpy.random`` and its
+exact evaluation, its Sobol, ndtri and Nelder-Mead ports against scipy, its
+scramble bits against ``numpy.random``, its one polish per basin and its
 argument checks, and the boundary that keeps numpy out of exact work and
 scipy, ``numpy.random`` and ``numpy.ma`` out of every command, through the
 import probe of ``tests/test_imports.py``.
 
-``_compile_poly`` and ``_compile_matrix`` are the earlier evaluation, one
-numpy call chain per matrix entry, kept verbatim as the reference.  The
-kernel must give the same floats bit for bit, since the numeric verdicts and
-the fixture bundle are built from them.  For the same reason
-``_sobol_blocks`` (joined by ``_sobol``), ``_ndtri`` and ``_polish`` must
-return the floats of
-``scipy.stats.qmc.Sobol``, ``scipy.special.ndtri`` and
-``scipy.optimize.minimize``, which they replace; scipy's ``stats``,
-``special`` and ``optimize`` are imported inside those tests only, and
-``numpy.random`` inside the test of the scramble bits.
-``_power_table_reference`` is the earlier power table, one ``**`` over every
-exponent, kept to pin the table's numpy route.  The scan, valued block by
-block, must give the bits of one kernel call over all its points, and a
-kernel that holds the parameters at 1.0 the bits of appended columns of 1.0.
+``_exact`` evaluates an entry in rational arithmetic at a point whose
+coordinates are floats read exactly, so the kernel, which raises by
+multiplication, must land within a relative 1e-13 of the sum of the terms'
+magnitudes there.  ``_sobol_blocks`` (joined by ``_sobol``), ``_ndtri``
+and ``_polish`` must return the floats of ``scipy.stats.qmc.Sobol``,
+``scipy.special.ndtri`` and ``scipy.optimize.minimize``, which they
+replace, bit for bit; scipy's ``stats``, ``special`` and ``optimize`` are
+imported inside those tests only, and ``numpy.random`` inside the test of
+the scramble bits.  The scan, valued block by block, must give the bits of
+one kernel call over all its points, and a kernel that holds the
+parameters at 1.0 the bits of appended columns of 1.0.
 
 The search polishes its candidates as one array of simplices, valuing four
 speculative candidates per run in one batched call.  Each operation has one
@@ -31,8 +28,8 @@ one-point search gives, and each batched call must value the rows the
 starts, replayed alone, ask for.
 """
 
-import itertools
 import json
+import math
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -53,44 +50,38 @@ from _helpers import cold_start, cubic_elasticity, lame, rationals
 from test_imports import REFERENCE_BUNDLE, probe
 
 # ---------------------------------------------------------------------------
-# Reference: per-entry evaluation
+# Reference: exact evaluation
 
 
-def _compile_poly(p: Poly, var_order: Sequence[str]) -> Callable[[np.ndarray], np.ndarray]:
-    """Return a function mapping an (M, d) point array to (M,) complex values."""
-    index = {v: i for i, v in enumerate(p.vars)}
-    cols = [index[v] for v in var_order]
-    exps = []
-    coeffs = []
-    for exp, coeff in p.terms.items():
-        exps.append([exp[c] for c in cols])
-        coeffs.append(complex(coeff))
-    if not exps:
-        return lambda pts: np.zeros(len(pts), dtype=complex)
-    e = np.array(exps, dtype=np.int64)  # (T, d)
-    c = np.array(coeffs, dtype=complex)  # (T,)
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        # pts: (M, d) real; result (M,)
-        monomials = np.prod(pts[:, None, :] ** e[None, :, :], axis=2)
-        return monomials @ c
-
-    return evaluate
+def _exact(p: Poly, point: Sequence[float]) -> tuple[complex, float]:
+    """``p`` at ``point`` (a float per variable of ``p``, read exactly) in
+    rational arithmetic, rounded once to a complex, and the sum of the
+    magnitudes of its terms there, the scale of a float evaluation's
+    rounding error."""
+    xs = [Fraction(x) for x in point]
+    re = im = Fraction(0)
+    scale = 0.0
+    for exp, c in p.terms.items():
+        monomial = Fraction(1)
+        for x, e in zip(xs, exp):
+            monomial *= x ** e
+        re += c.re * monomial
+        im += c.im * monomial
+        scale += abs(complex(c)) * abs(float(monomial))
+    return complex(float(re), float(im)), scale
 
 
-def _compile_matrix(sym: SymbolMatrix, var_order: Sequence[str]
-                    ) -> Callable[[np.ndarray], np.ndarray]:
-    entry_fns = [[_compile_poly(sym.body[i, j], var_order) for j in range(sym.cols)]
-                 for i in range(sym.rows)]
-
-    def evaluate(pts: np.ndarray) -> np.ndarray:
-        out = np.empty((len(pts), sym.rows, sym.cols), dtype=complex)
-        for i in range(sym.rows):
-            for j in range(sym.cols):
-                out[:, i, j] = entry_fns[i][j](pts)
-        return out
-
-    return evaluate
+def assert_exact(body: PolyMatrix, values: np.ndarray, pts: np.ndarray) -> None:
+    """Each (M, rows, cols) value of ``body`` at the (M, variables) points
+    lies within a relative 1e-13 of its exact value, scaled by the sum of
+    the terms' magnitudes: the products of the power table and of each
+    monomial, and the sum over the terms, each round."""
+    assert values.shape == (len(pts), body.rows, body.cols)
+    for k, point in enumerate(pts):
+        for i in range(body.rows):
+            for j in range(body.cols):
+                want, scale = _exact(body[i, j], point)
+                assert abs(values[k, i, j] - want) <= 1e-13 * scale, (k, i, j)
 
 
 # ---------------------------------------------------------------------------
@@ -258,48 +249,65 @@ def batch(dim: int, size: int, seed: int) -> np.ndarray:
     return sphere._sphere_points.__wrapped__(dim, size, seed)
 
 
-def assert_same(sym: SymbolMatrix, pts: np.ndarray) -> None:
-    order = var_order(sym)
-    want = _compile_matrix(sym, order)(pts)
-    got = sphere.compile_matrix(sym.body, order)(pts)
-    assert got.shape == want.shape
-    assert np.array_equal(got, want)
+def assert_kernel_exact(sym: SymbolMatrix, pts: np.ndarray, every: int = 1) -> None:
+    """The kernel over every variable of ``sym`` at ``pts``; every
+    ``every``-th row (and the last) is checked against exact evaluation."""
+    values = sphere.compile_matrix(sym.body, var_order(sym))(pts)
+    rows = sorted({*range(0, len(pts), every), len(pts) - 1})
+    assert values.shape == (len(pts), sym.rows, sym.cols)
+    assert_exact(sym.body, values[rows], pts[rows])
 
 
 # ---------------------------------------------------------------------------
-# Kernel: bit identity with the per-entry evaluation
+# Kernel: values against exact evaluation
 
 
 @settings(max_examples=150, deadline=None)
-@given(symbol_matrices(), st.integers(0, 2**31 - 1))
-def test_kernel_matches_per_entry_at_one_point(sym, seed):
-    pts = batch(len(var_order(sym)), 1, seed)
-    assert_same(sym, pts)
+@given(data=st.data())
+def test_kernel_matches_per_entry_at_one_point(data):
+    """Each entry at one point against its exact value: a Sobol point, or a
+    point of the 1/8 grid up to 4 in absolute value, off the sphere and with
+    zero coordinates."""
+    sym = data.draw(symbol_matrices())
+    n = len(var_order(sym))
+    if data.draw(st.booleans()):
+        pts = batch(n, 1, data.draw(st.integers(0, 2**31 - 1)))
+    else:
+        grid = st.integers(-32, 32).map(lambda k: k / 8)
+        pts = np.array([data.draw(st.lists(grid, min_size=n, max_size=n))])
+    assert_kernel_exact(sym, pts)
 
 
 @pytest.mark.parametrize("params", [0, 2])
 @settings(max_examples=15, deadline=None)
 @given(data=st.data())
 def test_kernel_matches_per_entry_on_sobol_batch(params, data):
+    """One kernel call over the 20 000 points of a scan, every thousandth
+    row against exact evaluation."""
     sym = data.draw(symbol_matrices(params))
-    assert_same(sym, batch(len(var_order(sym)), 20_000, data.draw(st.integers(0, 999))))
+    pts = batch(len(var_order(sym)), 20_000, data.draw(st.integers(0, 999)))
+    assert_kernel_exact(sym, pts, every=1000)
 
 
 @settings(max_examples=60, deadline=None)
-@given(symbol_matrices(), st.integers(0, 999))
-def test_scalar_kernel_matches_per_entry_poly(sym, seed):
-    """A determinant is evaluated as a 1x1 matrix."""
-    p = sym.body[0, 0]
-    order = var_order(sym)
-    pts = batch(len(order), 2_000, seed)
-    got = sphere.compile_matrix(PolyMatrix(p.vars, [[p]]), order)(pts)[:, 0, 0]
-    assert np.array_equal(got, _compile_poly(p, order)(pts))
+@given(data=st.data())
+def test_scalar_kernel_matches_per_entry_poly(data):
+    """A determinant is evaluated as a 1x1 matrix; its terms go up to degree
+    12, each exponent by square-and-multiply, with parameters held at 1.0
+    as the search holds them."""
+    sym = data.draw(scan_symbols())
+    p, sig = sym.body[0, 0], sym.signature
+    pts = batch(len(sig.derivative_vars), 2_000, data.draw(st.integers(0, 999)))
+    values = sphere.compile_matrix(PolyMatrix(p.vars, [[p]]), sig.derivative_vars,
+                                   sig.params)(pts)
+    held = np.hstack([pts, np.ones((len(pts), len(sig.params)))])
+    assert_exact(PolyMatrix(p.vars, [[p]]), values[::100], held[::100])
 
 
 def test_kernel_shares_exponent_rows():
-    """Entries with common monomials keep their own term order and values;
-    equal entries are valued once, and an entry with the same monomials but
-    other coefficients is not taken for them."""
+    """Entries with common monomials keep their own values; equal entries
+    are valued once, and an entry with the same monomials but other
+    coefficients is not taken for them."""
     sig = spatial_signature(2)
     d1, d2 = (Poly.variable(sig.vars, v) for v in sig.vars)
     a = d1 * d1 + d2 * d2
@@ -307,82 +315,41 @@ def test_kernel_shares_exponent_rows():
     zero = Poly.zero(sig.vars)
     sym = SymbolMatrix(sig, PolyMatrix(sig.vars, [[a, b, a + a], [b, zero, a]]))
     pts = batch(2, 512, 7)
-    assert_same(sym, pts)
+    assert_kernel_exact(sym, pts)
     got = sphere.compile_matrix(sym.body, sig.vars)(pts)
     assert np.all(got[:, 1, 1] == 0)
     assert np.array_equal(got[:, 0, 1], got[:, 1, 0])
     assert np.array_equal(got[:, 0, 2], 2 * got[:, 0, 0])
 
 
-def _power_table_reference(pts: np.ndarray, pw: np.ndarray) -> np.ndarray:
-    """The earlier power table: every exponent, 0 and 1 included, through
-    one ``**`` whose int64 exponent axis is the inner loop."""
-    return pts[:, :, None] ** pw
+def refuse_np_power(monkeypatch) -> None:
+    """Make every call of ``np.power`` fail for the rest of the test."""
+    def refused(*args, **kwargs):
+        raise AssertionError("np.power called")
+
+    monkeypatch.setattr(np, "power", refused)
 
 
-def test_power_table_keeps_the_pow_route():
-    """The table takes x ** 0 and x ** 1 without ``**`` and the higher
-    exponents through numpy's general float64 ``power`` route, as the earlier
-    table did, for every set of exponents of a form of degree up to 6 (a
-    single exponent of 2 or more included, where a repeated exponent would
-    take the route on which x ** 2 is x * x): the same bytes on Sobol blocks,
-    on the search's blocks with parameter columns at 1.0, and on one-row
-    batches of the polish.  A numpy whose routes change fails here."""
-    blocks = []
-    for dim in (2, 3, 4):
-        pts = batch(dim, 4096, 5)
-        blocks += [pts[:2048], np.hstack([pts[2048:], np.ones((2048, 2))])]
-        blocks += [row[None, :] for row in _unit_rows(dim, 64, dim)]
-    for r in range(6):
-        for high in itertools.combinations(range(2, 7), r):
-            pw = np.array([0, 1, *high], dtype=np.int64)
-            for pts in blocks:
-                got = sphere._power_table(pts, np.array(high, dtype=float))
-                want = _power_table_reference(pts, pw)
-                assert got.shape == want.shape and got.tobytes() == want.tobytes(), high
-
-
-@st.composite
-def power_layouts(draw):
-    """Symbol matrices in the layouts where a power table could fall onto
-    numpy's other float64 ``power`` route (an exponent that repeats along the
-    inner loop): one sphere variable plus parameters, single-term entries,
-    entries using only the exponents 0 and 1, exponents up to 8, and one
-    exponent throughout, whose table would have a single slot without 0
-    and 1."""
-    n = draw(st.sampled_from([1, 1, 2, 3]))
-    params = draw(st.integers(1 if n == 1 else 0, 2))
-    sig = Signature(tuple(f"z{j + 1}" for j in range(n)), None, ("a", "b")[:params])
-    top = draw(st.sampled_from([1, 2, 8, None]))
-    same = draw(st.sampled_from([2, 3, 8]))
-    size = draw(st.sampled_from([1, 1, 3]))
-    rows, cols = draw(st.integers(1, 3)), draw(st.integers(1, 3))
-
-    def exponent():
-        if top is None:
-            return (same,) * len(sig.vars)
-        return tuple(draw(st.integers(0, top)) for _ in sig.vars)
-
-    entries = [[Poly(sig.vars, {exponent(): draw(coefficients) for _ in range(size)})
-                for _ in range(cols)] for _ in range(rows)]
-    return SymbolMatrix(sig, PolyMatrix(sig.vars, entries))
-
-
-@settings(max_examples=150, deadline=None)
-@given(power_layouts(), st.integers(0, 999), st.booleans())
-def test_kernel_matches_per_entry_in_power_route_layouts(sym, seed, search):
-    """On Sobol points of every variable, or on the search's points: sphere
-    points with the parameters held at 1.0."""
-    sig = sym.signature
-    if search:
-        pts = batch(len(sig.derivative_vars), 2_000, seed)
-        pts = np.hstack([pts, np.ones((len(pts), len(sig.params)))])
-    else:
-        pts = batch(len(var_order(sym)), 2_000, seed)
-    assert_same(sym, pts)
-    p = sym.body[0, 0]
-    got = sphere.compile_matrix(PolyMatrix(p.vars, [[p]]), var_order(sym))(pts)
-    assert np.array_equal(got[:, 0, 0], _compile_poly(p, var_order(sym))(pts))
+def test_power_columns_multiply(monkeypatch):
+    """The table raises by IEEE products alone (``np.power`` refuses every
+    call here): each column x ** e has the bytes it has in a table of that
+    exponent alone, whatever exponents share its table, so a point keeps
+    its value across kernels, and lies within e ulps of the exact power.
+    The columns 0 and 1 are 1.0 and x, and a held variable's are 1.0."""
+    refuse_np_power(monkeypatch)
+    pts = np.vstack([batch(3, 256, 5), [[0.0, -0.0, 1.0], [-1.0, 0.5, -4.0]]])
+    alone = {e: sphere._power_table(pts, [e])[..., 2] for e in range(2, 14)}
+    for high in ([2], [3], [2, 4, 6], [3, 5, 7, 9], [2, 3, 8, 13], list(range(2, 14))):
+        table = sphere._power_table(pts, high, params=1)
+        assert table.shape == (len(pts), 4, 2 + len(high))
+        assert (table[:, :, 0] == 1.0).all() and (table[:, 3] == 1.0).all()
+        assert table[:, :3, 1].tobytes() == pts.tobytes()
+        for k, e in enumerate(high):
+            assert table[:, :3, 2 + k].tobytes() == alone[e].tobytes(), e
+    for e, column in alone.items():
+        for got, x in zip(column.ravel().tolist(), pts.ravel().tolist()):
+            exact = Fraction(x) ** e
+            assert abs(Fraction(got) - exact) <= e * 2.0 ** -52 * abs(exact), (x, e)
 
 
 @st.composite
@@ -448,15 +415,10 @@ def test_sphere_points_are_memoized_read_only():
 
 def test_one_to_every_power_is_one():
     """A held parameter's table columns are 1.0 at every exponent, the float
-    an appended column of 1.0 gets through ``**`` on the full-array route:
-    1.0 ** e is 1.0 for e = 2 to 39, the exponents of a degree up to 39."""
-    ones = np.ones((2048, 3))
-    high = np.arange(2, 40, dtype=float)
-    pw = np.array([0, 1, *range(2, 40)], dtype=np.int64)
-    assert (_power_table_reference(ones, pw) == 1.0).all()
-    assert (sphere._power_table(ones, high) == 1.0).all()
-    for e in range(2, 40):
-        assert (sphere._raise(ones, e) == 1.0).all()
+    an appended column of 1.0 gets: 1.0 ** e is 1.0 for e = 2 to 39, the
+    exponents of a degree up to 39."""
+    high = list(range(2, 40))
+    assert (sphere._power_table(np.ones((2048, 3)), high) == 1.0).all()
     table = sphere._power_table(batch(2, 64, 3), high, params=3)
     assert table.shape == (64, 5, 40) and (table[:, 2:] == 1.0).all()
 
@@ -520,20 +482,22 @@ def test_quadratic_check_builds_no_scan_points(monkeypatch):
 
 
 def test_second_check_builds_no_scan_points(monkeypatch):
-    """Each check in three variables at the default seed and budget passes
-    its 60 000 scan coordinates to ``**`` once, for its one exponent: the
-    scan keeps its points, not their powers.  A second check of that
-    dimension builds no points, and raises its own coordinates again.  The
-    polish, which raises its own points, is stubbed out."""
+    """Each check in three variables at the default seed and budget raises
+    its 60 000 scan coordinates once, for its one exponent, by products
+    alone (``np.power`` refuses every call here): the scan keeps its
+    points, not their powers.  A second check of that dimension builds no
+    points, and raises its own coordinates again.  The polish, which raises
+    its own points, is stubbed out."""
     cold_start()
     raised = []
-    power = np.power
+    table = sphere._power_table
 
-    def counted(x, y, *args, **kwargs):
-        raised.append(np.broadcast(x, y).size)
-        return power(x, y, *args, **kwargs)
+    def counted(pts, *args, **kwargs):
+        raised.append(pts.size)
+        return table(pts, *args, **kwargs)
 
-    monkeypatch.setattr(np, "power", counted)
+    monkeypatch.setattr(sphere, "_power_table", counted)
+    refuse_np_power(monkeypatch)
     monkeypatch.setattr(sphere, "_polish", lambda *args, **kwargs: [])
     assert strong_ellipticity_check(_scanned3()).verdict == "numeric-pass"
     assert sum(raised) == DEFAULT_BUDGET * 3
@@ -687,12 +651,7 @@ def _values(sym: SymbolMatrix, held: bool = False) -> Callable[..., np.ndarray]:
     if n == 1:
         return lambda pts, **layout: np.abs(values(pts, **layout)[:, 0, 0])
 
-    def fn(pts, **layout):
-        mats = values(pts, **layout)
-        mats = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
-        return np.linalg.eigvalsh(mats)[:, 0].real
-
-    return fn
+    return lambda pts, **layout: sphere._least_eigenvalue(values(pts, **layout))
 
 
 def _on_sphere_one(fn: Callable[[np.ndarray], np.ndarray]
@@ -706,6 +665,25 @@ def _on_sphere_one(fn: Callable[[np.ndarray], np.ndarray]
         return float(fn((x / n)[None, :])[0])
 
     return objective
+
+
+def test_least_eigenvalue_takes_the_real_solver_for_real_parts():
+    """A Hermitian part with no imaginary entry goes to the real solver and
+    any other to the complex one, matrix by matrix: in a batch that mixes
+    both, each row has the bits of its own solver, and of a one-row call."""
+    rng = np.random.default_rng(3)
+    mats = rng.standard_normal((40, 3, 3)) + 0j
+    mats[::3] += 1j * rng.standard_normal((14, 3, 3))
+    mats[1::3] += 1j * np.eye(3)  # imaginary only on the diagonal: a real part
+    herm = (mats + np.conj(np.swapaxes(mats, 1, 2))) / 2
+    real = ~herm.imag.any(axis=(1, 2))
+    assert real.tolist() == [k % 3 != 0 for k in range(40)]
+    got = sphere._least_eigenvalue(mats)
+    assert got.dtype == np.float64
+    for k in range(40):
+        want = np.linalg.eigvalsh(herm[k].real if real[k] else herm[k])[0].real
+        assert got[k].tobytes() == want.tobytes()
+        assert sphere._least_eigenvalue(mats[k:k + 1])[0].tobytes() == want.tobytes()
 
 
 def test_on_sphere_keeps_rows_near_the_origin_from_the_kernel():
@@ -996,11 +974,23 @@ def test_least_matches_stable_argsort(values, count):
     assert got.dtype == want.dtype and got.tolist() == want.tolist()
 
 
+def _basin_leaders(starts: np.ndarray) -> list[int]:
+    """The rows of ``starts`` farther than 0.1 rad, up to sign, from every
+    earlier row kept, one pair at a time."""
+    kept: list[int] = []
+    for i, x in enumerate(starts):
+        if all(abs(float(np.dot(x, starts[j]))) < math.cos(0.1) for j in kept):
+            kept.append(i)
+    return kept
+
+
 @pytest.mark.parametrize("dim, budget", [(1, 20_000), (3, 5), (3, 16), (3, 17), (2, 300)])
 def test_search_polishes_the_stably_sorted_best_starts(monkeypatch, dim, budget):
-    """The search polishes the scan points that a stable argsort of the scan
-    values puts first: all of them below 16 (a budget below 16, or the
-    two-point scan of one variable, which is not polished)."""
+    """The search takes the scan points that a stable argsort of the scan
+    values puts first, all of them below 16 (a budget below 16, or the
+    two-point scan of one variable, which is not polished), and polishes
+    the best of each basin among them, in that order.  Every scan value of
+    them stays a candidate for the minimum."""
     polished = []
     monkeypatch.setattr(sphere, "_polish",
                         lambda objective, starts_, **kw: polished.append(starts_) or [])
@@ -1016,20 +1006,117 @@ def test_search_polishes_the_stably_sorted_best_starts(monkeypatch, dim, budget)
         assert polished == []
     else:
         starts_, = polished
-        assert starts_.tobytes() == pts[order].tobytes()
+        leaders = _basin_leaders(pts[order])
+        assert sphere._basins(pts[order]) == leaders
+        assert starts_.tobytes() == pts[order[leaders]].tobytes()
+
+
+def test_basins_keep_the_best_start_of_each_group():
+    """Best first: a start within 0.1 rad of a kept one, or of its antipode,
+    joins it; one 0.1 rad and more away from every kept start leads its own
+    group, even when it is near a start that joined a group."""
+    def at(angle: float) -> list[float]:
+        return [math.cos(angle), math.sin(angle), 0.0]
+
+    starts = np.array([at(0.0), at(math.pi + 0.05), at(0.099), at(0.19), at(0.101),
+                       at(0.6), [0.0, 0.0, -1.0], at(math.pi / 2 + 0.6)])
+    assert sphere._basins(starts) == [0, 3, 5, 6, 7]
+    assert sphere._basins(starts) == _basin_leaders(starts)
+    assert sphere._basins(starts[:1]) == [0]
+
+
+def _wells(a: Sequence[Fraction]) -> Poly:
+    """sum_i a_i z_i^4 with every a_i > 0.  On the unit sphere its minimum is
+    1 / sum_i (1 / a_i), at the 2**n points with z_i**2 proportional to
+    1 / a_i, in 2**(n - 1) pairs x, -x; there are no other local minima."""
+    sig = spatial_signature(len(a))
+    return sum((Poly.variable(sig.vars, v) ** 4 * Poly.constant(sig.vars, c)
+                for v, c in zip(sig.vars, a)), Poly.zero(sig.vars))
+
+
+def _well_centres(a: Sequence[Fraction]) -> np.ndarray:
+    """One point of each pair x, -x of minima of ``_wells(a)``."""
+    w = np.sqrt([float((1 / c) / sum(1 / b for b in a)) for c in a])
+    signs = [(1, *rest) for rest in np.ndindex(*[2] * (len(a) - 1))]
+    return np.array([[s if k == 0 else 1 - 2 * s for k, s in enumerate(sign)]
+                     for sign in signs]) * w
+
+
+@pytest.mark.parametrize("a", [(1, 2), (3, 1), (1, 2, 3), (2, 2, 1), (4, 1, 3)])
+def test_search_polishes_each_well_once(monkeypatch, a):
+    """Wells farther apart than 0.1 rad: the best 16 scan points fall near
+    both minima x and -x of some pair and near every pair, each pair gets
+    one polish, from within 0.1 rad of it, and the search reaches the known
+    minimum."""
+    a = [Fraction(c) for c in a]
+    p, grouped, polished = _wells(a), [], []
+    basins, polish = sphere._basins, sphere._polish
+
+    def grouping(starts_):
+        grouped.append(np.array(starts_))
+        return basins(starts_)
+
+    def recorded(objective, starts_, **kw):
+        polished.append(np.array(starts_))
+        return polish(objective, starts_, **kw)
+
+    monkeypatch.setattr(sphere, "_basins", grouping)
+    monkeypatch.setattr(sphere, "_polish", recorded)
+    value, point = sphere.abs_minimum(p, p.vars, (), seed=DEFAULT_SEED, budget=DEFAULT_BUDGET)
+    minimum = float(1 / sum(1 / c for c in a))
+    assert abs(value - minimum) <= 1e-12 * minimum
+    centres = _well_centres(a)
+    best, = grouped
+    sides = best @ centres.T
+    assert len(best) == 16 and (np.abs(sides).max(axis=1) >= math.cos(0.1)).all()
+    assert ((sides >= math.cos(0.1)).any(axis=0)
+            & (sides <= -math.cos(0.1)).any(axis=0)).any()  # x and -x merge
+    starts_, = polished
+    near = np.abs(starts_ @ centres.T) >= math.cos(0.1)
+    assert near.sum(axis=0).tolist() == [1] * len(centres)  # one polish per pair
+    assert near.sum(axis=1).tolist() == [1] * len(starts_)
+    assert np.abs(centres @ np.array(point)).max() >= math.cos(1e-6)
+
+
+def _reversed(p: Poly) -> Poly:
+    """``p`` with its terms stored in reverse order."""
+    return Poly(p.vars, dict(reversed(list(p.terms.items()))))
+
+
+def test_one_symbol_in_two_term_orders_gives_one_report():
+    """The kernel reads each entry's terms leading-first, so a symbol whose
+    entries store their terms in reverse order gives the search report of
+    the symbol itself, byte for byte: the Hermitian part of a cubic
+    elasticity symbol (a strong check's target) and a quartic (a
+    determinant's)."""
+    sym = _scanned3().principal_symbol()
+    herm = (sym.body + sym.body.hermitian_transpose()).scale(Fraction(1, 2))
+    plane = _quartic_form().principal_symbol()
+    quartic = plane[0, 0] + plane[0, 0] * Poly.variable(plane.body.vars, plane.body.vars[0]) ** 2
+    searches = [(sphere.eigenvalue_minimum, herm, herm.map(_reversed), sym.signature),
+                (sphere.abs_minimum, quartic, _reversed(quartic), plane.signature)]
+    for search, target, flipped, sig in searches:
+        assert flipped == target
+        cells = [(target, flipped)] if isinstance(target, Poly) else [
+            (target[i, j], flipped[i, j]) for i in range(3) for j in range(3)]
+        assert any(list(a.terms) != list(b.terms) for a, b in cells)
+        one, two = (json.dumps(search(m, sig.derivative_vars, (), seed=DEFAULT_SEED,
+                                      budget=DEFAULT_BUDGET)) for m in (target, flipped))
+        assert one == two
 
 
 def test_lame_strong_minimum_is_pinned():
     """The 3-D Lame strong check's symbol at the default seed and budget:
-    the floats the one-point search found, before the polish ran in
-    lock-step.  The check itself is certified by the symbol's spectrum,
-    whose least root mu = 7/5 is the searched minimum."""
+    the floats the search finds.  Its least eigenvalue is mu = 7/5 at every
+    point of the sphere, so the argmin is wherever the search stops.  The
+    check itself is certified by the symbol's spectrum, whose least root is
+    the searched minimum."""
     sym = lame(3, Fraction(-13, 10), Fraction(7, 5)).principal_symbol()
     value, point = sphere.eigenvalue_minimum(sym.body, sym.signature.spatial, (),
                                              seed=DEFAULT_SEED, budget=20_000)
-    assert value.hex() == "0x1.666666666665bp+0"
+    assert value.hex() == "0x1.666666666665cp+0"
     assert [v.hex() for v in point] == [
-        "0x1.fc23599f81089p-2", "-0x1.b9932161701bep-5", "0x1.bba81c175eeefp-1"]
+        "0x1.62b7cdcbee555p-1", "0x1.8c69ca99aa8a0p-8", "0x1.713384e7be058p-1"]
     rep = strong_ellipticity_check(lame(3, Fraction(-13, 10), Fraction(7, 5)))
     assert rep.verdict == "certified-symbolic"
     roots, k = ellipticity._spectrum(sym.body, sym.signature.derivative_vars)
